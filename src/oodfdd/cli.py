@@ -6,8 +6,9 @@ figures, and run the three-way model comparison. Every number the CLI
 prints or writes is recomputable by calling the library with the same seed;
 the CLI holds no state of its own beyond the artifact files it writes.
 
-Exit codes: 0 success, 2 missing data path, 3 bad configuration or usage,
-4 numeric failure during training or evaluation.
+Exit codes: 0 success, 2 missing data path, 3 bad configuration or usage
+(including non-finite values in an input CSV), 4 numeric failure during
+training or evaluation, 5 unreadable weight archive.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .uncertainty import mc_classify_batch, mc_reconstruct_batch, mc_sample, wri
 EXIT_MISSING_DATA = 2
 EXIT_BAD_CONFIG = 3
 EXIT_NUMERIC = 4
+EXIT_BAD_ARCHIVE = 5
 
 
 class ConfigError(Exception):
@@ -144,7 +146,10 @@ def _out_dir(args) -> str:
 def _load_weights(path) -> model.PathwayNetwork:
     if not os.path.exists(path):
         raise FileNotFoundError(f"weights archive not found: {path}")
-    return model.load(path)
+    try:
+        return model.load(path)
+    except model.ArchiveError as exc:
+        raise model.ArchiveError(f"{path}: {exc}") from exc
 
 
 def _stream_for(net: model.PathwayNetwork) -> int:
@@ -226,6 +231,11 @@ def _read_input_csv(path) -> np.ndarray:
         raise ConfigError(f"{path}: malformed numeric row")
     if x.size == 0:
         raise ConfigError(f"{path}: no data rows")
+    bad = np.argwhere(~np.isfinite(x))
+    if len(bad):
+        row, col = bad[0]
+        name = f"column {col + 1}" if headerless else f"column {header[feature_cols[col]]!r}"
+        raise ConfigError(f"{path}: non-finite value {x[row, col]} in data row {row + 1}, {name}")
     return x
 
 
@@ -476,6 +486,9 @@ def main(argv=None) -> int:
     except (NonFiniteError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except model.ArchiveError as exc:
+        print(f"error: unreadable weight archive {exc}", file=sys.stderr)
+        return EXIT_BAD_ARCHIVE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

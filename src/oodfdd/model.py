@@ -13,11 +13,11 @@ import enum
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nncore import DenseLayer, DropoutLayer, LayerStack, derive_rng
+from .nncore import DenseLayer, DropoutLayer, LayerStack, derive_rng, flatten_stacks
 
 ARCHIVE_MAGIC = b"OFDD"
 ARCHIVE_VERSION = 1
@@ -70,6 +70,10 @@ class PathwayNetwork:
     `n_classes` counts label values including normal.  Two-class models use a
     single sigmoid output unit; multiclass models use an (n_classes)-way
     softmax.  Dropout exists only inside the encoder.
+
+    `params` and `grads` are flat buffers in archive order that every dense
+    layer's arrays are views of; `offsets` maps each present pathway
+    ("encoder", "head", "decoder") to its slice of them.
     """
 
     kind: ModelKind
@@ -83,6 +87,9 @@ class PathwayNetwork:
     head_widths: list[int]
     dropout_rate: float
     decoder_activation: str
+    params: np.ndarray = field(repr=False, compare=False)
+    grads: np.ndarray = field(repr=False, compare=False)
+    offsets: dict[str, slice] = field(repr=False, compare=False)
 
     @property
     def n_outputs(self) -> int:
@@ -113,22 +120,24 @@ class PathwayNetwork:
         return self.decoder.forward(z), z
 
     def stacks(self) -> list[LayerStack]:
-        out = [self.encoder]
-        if self.head is not None:
-            out.append(self.head)
-        if self.decoder is not None:
-            out.append(self.decoder)
-        return out
+        return [getattr(self, role) for role in self.offsets]
 
-    def params(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        out = []
-        for stack in self.stacks():
-            out.extend(stack.params())
+    def spans(self, *roles: str) -> list[slice]:
+        """Buffer slices covering the named pathways, adjacent ones merged.
+
+        Absent pathways are skipped, so ("encoder", "decoder") is one slice
+        for an autoencoder but two, around the head, for the augmented model.
+        """
+        out: list[slice] = []
+        for span in (s for role, s in self.offsets.items() if role in roles):
+            if out and out[-1].stop == span.start:
+                out[-1] = slice(out[-1].start, span.stop)
+            else:
+                out.append(span)
         return out
 
     def zero_grad(self) -> None:
-        for stack in self.stacks():
-            stack.zero_grad()
+        self.grads.fill(0.0)
 
     def encoder_signature(self) -> list[tuple]:
         """Structural fingerprint of the encoding pathway, for comparisons."""
@@ -216,6 +225,9 @@ def build(
             prev = width
         decoder = LayerStack(layers)
 
+    roles = {"encoder": encoder, "head": head, "decoder": decoder}
+    present = [role for role, stack in roles.items() if stack is not None]
+    params, grads, spans = flatten_stacks([roles[role] for role in present])
     return PathwayNetwork(
         kind=kind,
         encoder=encoder,
@@ -228,6 +240,9 @@ def build(
         head_widths=list(head_widths),
         dropout_rate=dropout_rate,
         decoder_activation=decoder_activation,
+        params=params,
+        grads=grads,
+        offsets=dict(zip(present, spans)),
     )
 
 
@@ -252,28 +267,24 @@ def save(net: PathwayNetwork, path) -> None:
     """Write the architecture descriptor and all parameters to `path`.
 
     Layout: magic "OFDD", u16 version, u32 descriptor length, UTF-8 JSON
-    descriptor, then every parameter as little-endian float64 in layer order
-    (weights row-major, then bias, per dense layer).
+    descriptor, then the flat parameter buffer as little-endian float64
+    (encoder, head, decoder; weights row-major, then bias, per dense layer).
     """
     desc = json.dumps(_descriptor(net), sort_keys=True).encode("utf-8")
-    payload = bytearray()
-    for stack in net.stacks():
-        for layer in stack.dense_layers():
-            payload += layer.weights.astype("<f8").tobytes()
-            payload += layer.bias.astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(ARCHIVE_MAGIC)
         fh.write(struct.pack("<H", ARCHIVE_VERSION))
         fh.write(struct.pack("<I", len(desc)))
         fh.write(desc)
-        fh.write(bytes(payload))
+        fh.write(net.params.astype("<f8").tobytes())
 
 
 def load(path) -> PathwayNetwork:
     """Rebuild a network from an archive written by `save`.
 
     Raises MagicMismatchError / VersionMismatchError / TruncatedPayloadError
-    for the corresponding corruptions.
+    for the corresponding corruptions, and ArchiveError for any other
+    unreadable descriptor or payload.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -292,29 +303,27 @@ def load(path) -> PathwayNetwork:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArchiveError(f"unreadable descriptor: {exc}") from exc
 
-    net = build(
-        kind=ModelKind(desc["kind"]),
-        input_dim=desc["input_dim"],
-        latent_dim=desc["latent_dim"],
-        hidden_widths=list(desc["encoder_widths"]),
-        dropout_rate=desc["dropout_rate"],
-        n_classes=desc["n_classes"],
-        head_widths=list(desc["head_widths"]),
-        decoder_activation=desc["decoder_activation"],
-    )
+    try:
+        net = build(
+            kind=ModelKind(desc["kind"]),
+            input_dim=desc["input_dim"],
+            latent_dim=desc["latent_dim"],
+            hidden_widths=list(desc["encoder_widths"]),
+            dropout_rate=desc["dropout_rate"],
+            n_classes=desc["n_classes"],
+            head_widths=list(desc["head_widths"]),
+            decoder_activation=desc["decoder_activation"],
+        )
+    except KeyError as exc:
+        raise ArchiveError(f"descriptor lacks key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ArchiveError(f"invalid descriptor: {exc}") from exc
 
     offset = 10 + desc_len
-    for stack in net.stacks():
-        for layer in stack.dense_layers():
-            for arr in (layer.weights, layer.bias):
-                nbytes = arr.size * 8
-                chunk = blob[offset : offset + nbytes]
-                if len(chunk) < nbytes:
-                    raise TruncatedPayloadError(
-                        f"payload ends {nbytes - len(chunk)} bytes early"
-                    )
-                arr[...] = np.frombuffer(chunk, dtype="<f8").reshape(arr.shape)
-                offset += nbytes
-    if offset != len(blob):
-        raise ArchiveError(f"{len(blob) - offset} trailing bytes after payload")
+    extra = len(blob) - offset - net.params.nbytes
+    if extra < 0:
+        raise TruncatedPayloadError(f"payload ends {-extra} bytes early")
+    if extra > 0:
+        raise ArchiveError(f"{extra} trailing bytes after payload")
+    net.params[...] = np.frombuffer(blob, dtype="<f8", offset=offset)
     return net

@@ -116,7 +116,7 @@ class DenseLayer:
     """Fully connected layer: activation(x @ W.T + b).
 
     weights has shape (out, in).  Gradients accumulate into `grad_w` / `grad_b`
-    until `zero_grad`.
+    until the owning stack's `zero_grad`.
     """
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: str):
@@ -174,13 +174,6 @@ class DenseLayer:
         self.grad_b += dpre.sum(axis=0)
         return dpre @ self.weights
 
-    def params(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(self.weights, self.grad_w), (self.bias, self.grad_b)]
-
-    def zero_grad(self) -> None:
-        self.grad_w.fill(0.0)
-        self.grad_b.fill(0.0)
-
 
 class DropoutLayer:
     """Inverted dropout: survivors are scaled by 1/(1-p) in stochastic mode.
@@ -212,12 +205,6 @@ class DropoutLayer:
         if self.last_mask is None:
             return grad_out
         return grad_out * self.last_mask
-
-    def params(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return []
-
-    def zero_grad(self) -> None:
-        pass
 
 
 Layer = DenseLayer | DropoutLayer
@@ -261,30 +248,41 @@ class LayerStack:
         return g
 
     def params(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
+        """(parameter, gradient) pairs: weights then bias per dense layer."""
+        return [pair for layer in self.dense_layers()
+                for pair in ((layer.weights, layer.grad_w), (layer.bias, layer.grad_b))]
 
     def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
+        for _, grad in self.params():
+            grad.fill(0.0)
 
     def dense_layers(self) -> list[DenseLayer]:
         return [l for l in self.layers if isinstance(l, DenseLayer)]
 
 
-def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    return layer.forward(x)
+def flatten_stacks(stacks: list[LayerStack]) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+    """Move every dense parameter of `stacks` into one contiguous buffer pair.
 
-
-def dropout_forward(
-    layer: DropoutLayer,
-    x: np.ndarray,
-    rng: np.random.Generator | None,
-    stochastic: bool,
-) -> np.ndarray:
-    return layer.forward(x, rng, stochastic)
+    Returns (params, grads, spans): flat float64 buffers laid out stack by
+    stack, per dense layer weights row-major then bias, and each stack's
+    slice of them.  The layers' weights, bias, grad_w and grad_b become views
+    of the buffers with their values kept; grads start at zero.
+    """
+    size = sum(p.size for stack in stacks for p, _ in stack.params())
+    params, grads = np.empty(size), np.zeros(size)
+    spans, offset = [], 0
+    for stack in stacks:
+        start = offset
+        for layer in stack.dense_layers():
+            for name, grad_name in (("weights", "grad_w"), ("bias", "grad_b")):
+                arr = getattr(layer, name)
+                end = offset + arr.size
+                params[offset:end] = arr.ravel()
+                setattr(layer, name, params[offset:end].reshape(arr.shape))
+                setattr(layer, grad_name, grads[offset:end].reshape(arr.shape))
+                offset = end
+        spans.append(slice(start, offset))
+    return params, grads, spans
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +407,8 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place on the parameter arrays."""
+    """One bias-corrected Adam update, in place on the parameter arrays;
+    elementwise, so how a flat buffer is cut into spans changes no bit."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads and state must align")
     state.t += 1

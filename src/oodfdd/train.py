@@ -3,15 +3,17 @@
 The joint objective applies the reconstruction loss only to normal-labeled
 examples (per-example loss = clf + beta * rec * 1{y=0}); the masked term is
 normalized by the full batch size so beta keeps a stable meaning regardless
-of how many normals land in a batch.  All loops are seeded and
-single-threaded; the same TrainConfig.seed reproduces weights bitwise.
+of how many normals land in a batch.  Every public trainer is a thin caller
+of one seeded, single-threaded loop (`_fit`) that steps Adam over slices of
+the network's flat parameter buffer; the same TrainConfig.seed reproduces
+weights bitwise.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,12 +62,6 @@ def write_history_csv(history: list[EpochLog], path) -> None:
             writer.writerow(
                 [row.epoch, f"{row.clf_loss:.6f}", f"{row.rec_loss:.6f}", f"{row.total_loss:.6f}"]
             )
-
-
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start : start + batch_size]
 
 
 def _as_xy(dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -118,36 +114,86 @@ def joint_batch_gradients(
     return clf_loss, rec_loss
 
 
+BatchLoss = Callable[[np.ndarray, np.random.Generator], tuple[float, float]]
+
+
+def _fit(
+    net: PathwayNetwork,
+    n: int,
+    cfg: TrainConfig,
+    epochs: int,
+    stream: int,
+    roles: tuple[str, ...],
+    batch_loss: BatchLoss,
+    rec_weight: float = 1.0,
+    val_loss: Callable[[], float] | None = None,
+) -> list[EpochLog]:
+    """Seeded mini-batch Adam over the buffer spans of the pathways in `roles`.
+
+    Each epoch shuffles `n` rows with derive_rng(cfg.seed, stream);
+    `batch_loss(idx, rng)` runs forward and backward on a batch of them and
+    returns (clf_loss, rec_loss), logged as row-weighted epoch means with
+    total clf + rec_weight * rec.  With `val_loss`, training stops after
+    cfg.early_stop_patience epochs without a cfg.early_stop_min_delta
+    improvement and restores the best parameters seen.
+    """
+    rng = derive_rng(cfg.seed, stream)
+    spans = net.spans(*roles)
+    params = [net.params[span] for span in spans]
+    grads = [net.grads[span] for span in spans]
+    state = AdamState.for_params(params)
+    history = []
+    best, stale, best_snap = np.inf, 0, None
+    for epoch in range(epochs):
+        clf_total, rec_total = 0.0, 0.0
+        perm = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            net.zero_grad()
+            clf_loss, rec_loss = batch_loss(idx, rng)
+            adam_step(params, grads, state, lr=cfg.lr)
+            clf_total += clf_loss * len(idx)
+            rec_total += rec_loss * len(idx)
+        clf_m, rec_m = clf_total / n, rec_total / n
+        history.append(EpochLog(epoch, clf_m, rec_m, clf_m + rec_weight * rec_m))
+        if val_loss is not None:
+            loss = val_loss()
+            if loss < best - cfg.early_stop_min_delta:
+                best, stale, best_snap = loss, 0, net.params.copy()
+            else:
+                stale += 1
+                if stale >= cfg.early_stop_patience:
+                    break
+    if best_snap is not None:
+        net.params[...] = best_snap
+    return history
+
+
+def _reconstruction_loss(net: PathwayNetwork, x: np.ndarray) -> BatchLoss:
+    def batch_loss(idx, rng):
+        xb = x[idx]
+        xhat, _ = net.forward_reconstruct(xb, rng, stochastic=True)
+        loss, dxhat = mse(xhat, xb)
+        net.encoder.backward(net.decoder.backward(dxhat))
+        return 0.0, loss
+
+    return batch_loss
+
+
 def pretrain_reconstruction(
     net: PathwayNetwork, normal_x: np.ndarray, cfg: TrainConfig
 ) -> list[EpochLog]:
-    """Warm up encoder+decoder on reconstruction of normal examples only."""
+    """Warm up encoder+decoder on reconstruction of normal examples only.
+
+    The classifier head, if any, is left bitwise untouched.
+    """
     if net.decoder is None:
         raise ValueError("pretraining needs a decoder")
     normal_x = np.asarray(normal_x, dtype=np.float64)
     if normal_x.ndim != 2 or len(normal_x) == 0:
         raise ValueError("pretraining data must be a non-empty 2-d array")
-    rng = derive_rng(cfg.seed, 1)
-    pathway_params = net.encoder.params() + net.decoder.params()
-    params = [p for p, _ in pathway_params]
-    grads = [g for _, g in pathway_params]
-    state = AdamState.for_params(params)
-    history = []
-    for epoch in range(cfg.pretrain_epochs):
-        total, seen = 0.0, 0
-        for idx in _batches(len(normal_x), cfg.batch_size, rng):
-            xb = normal_x[idx]
-            net.zero_grad()
-            xhat, _ = net.forward_reconstruct(xb, rng, stochastic=True)
-            loss, dxhat = mse(xhat, xb)
-            dh = net.decoder.backward(dxhat)
-            net.encoder.backward(dh)
-            adam_step(params, grads, state, lr=cfg.lr)
-            total += loss * len(idx)
-            seen += len(idx)
-        rec = total / seen
-        history.append(EpochLog(epoch, 0.0, rec, rec))
-    return history
+    return _fit(net, len(normal_x), cfg, cfg.pretrain_epochs, 1, ("encoder", "decoder"),
+                _reconstruction_loss(net, normal_x))
 
 
 def train_joint(net: PathwayNetwork, dataset, cfg: TrainConfig) -> list[EpochLog]:
@@ -167,43 +213,25 @@ def train_joint(net: PathwayNetwork, dataset, cfg: TrainConfig) -> list[EpochLog
         if len(normals) == 0:
             raise ValueError("joint warm-up needs at least one normal example")
         history.extend(pretrain_reconstruction(net, normals, cfg))
-    rng = derive_rng(cfg.seed, 2)
-    all_params = net.params()
-    params = [p for p, _ in all_params]
-    grads = [g for _, g in all_params]
-    state = AdamState.for_params(params)
-    for epoch in range(cfg.epochs):
-        clf_total, rec_total, seen = 0.0, 0.0, 0
-        for idx in _batches(len(x), cfg.batch_size, rng):
-            net.zero_grad()
-            clf_loss, rec_loss = joint_batch_gradients(
-                net, x[idx], y[idx], cfg.beta, rng, stochastic=True
-            )
-            adam_step(params, grads, state, lr=cfg.lr)
-            clf_total += clf_loss * len(idx)
-            rec_total += rec_loss * len(idx)
-            seen += len(idx)
-        clf_m, rec_m = clf_total / seen, rec_total / seen
-        history.append(EpochLog(epoch, clf_m, rec_m, clf_m + cfg.beta * rec_m))
+
+    def batch_loss(idx, rng):
+        return joint_batch_gradients(net, x[idx], y[idx], cfg.beta, rng, stochastic=True)
+
+    history.extend(_fit(net, len(x), cfg, cfg.epochs, 2, ("encoder", "head", "decoder"),
+                        batch_loss, rec_weight=cfg.beta))
     return history
 
 
-def _val_split(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+def _val_split(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """(train rows, validation rows); all rows and None without early stopping."""
+    if not cfg.early_stop:
+        return np.arange(n), None
     rng = derive_rng(cfg.seed, 3)
     perm = rng.permutation(n)
     n_val = max(1, int(round(n * cfg.val_fraction)))
     if n_val >= n:
         raise ValueError("validation split leaves no training data")
     return perm[n_val:], perm[:n_val]
-
-
-def _snapshot(params: list[np.ndarray]) -> list[np.ndarray]:
-    return [p.copy() for p in params]
-
-
-def _restore(params: list[np.ndarray], snap: list[np.ndarray]) -> None:
-    for p, s in zip(params, snap):
-        p[...] = s
 
 
 def train_classifier(net: PathwayNetwork, dataset, cfg: TrainConfig) -> list[EpochLog]:
@@ -219,44 +247,20 @@ def train_classifier(net: PathwayNetwork, dataset, cfg: TrainConfig) -> list[Epo
         raise ValueError("classification training needs a head")
     x, y = _as_xy(dataset)
     _check_labels(net, y)
-    train_idx = np.arange(len(x))
-    val_idx = None
-    if cfg.early_stop:
-        train_idx, val_idx = _val_split(len(x), cfg)
+    train_idx, val_idx = _val_split(len(x), cfg)
     xt, yt = x[train_idx], y[train_idx]
-    rng = derive_rng(cfg.seed, 2)
-    trainable = net.encoder.params() + net.head.params()
-    params = [p for p, _ in trainable]
-    grads = [g for _, g in trainable]
-    state = AdamState.for_params(params)
-    history = []
-    best, stale, best_snap = np.inf, 0, None
-    for epoch in range(cfg.epochs):
-        clf_total, seen = 0.0, 0
-        for idx in _batches(len(xt), cfg.batch_size, rng):
-            xb, yb = xt[idx], yt[idx]
-            net.zero_grad()
-            probs = net.forward_classify(xb, rng, stochastic=True)
-            loss, dlogits = _classification_loss(net, probs, yb)
-            dh = net.head.backward_from_logits(dlogits)
-            net.encoder.backward(dh)
-            adam_step(params, grads, state, lr=cfg.lr)
-            clf_total += loss * len(idx)
-            seen += len(idx)
-        clf_m = clf_total / seen
-        history.append(EpochLog(epoch, clf_m, 0.0, clf_m))
-        if val_idx is not None:
-            probs = net.forward_classify(x[val_idx])
-            val_loss, _ = _classification_loss(net, probs, y[val_idx])
-            if val_loss < best - cfg.early_stop_min_delta:
-                best, stale, best_snap = val_loss, 0, _snapshot(params)
-            else:
-                stale += 1
-                if stale >= cfg.early_stop_patience:
-                    break
-    if best_snap is not None:
-        _restore(params, best_snap)
-    return history
+
+    def batch_loss(idx, rng):
+        probs = net.forward_classify(xt[idx], rng, stochastic=True)
+        loss, dlogits = _classification_loss(net, probs, yt[idx])
+        net.encoder.backward(net.head.backward_from_logits(dlogits))
+        return loss, 0.0
+
+    def val_loss():
+        return _classification_loss(net, net.forward_classify(x[val_idx]), y[val_idx])[0]
+
+    return _fit(net, len(xt), cfg, cfg.epochs, 2, ("encoder", "head"), batch_loss,
+                val_loss=None if val_idx is None else val_loss)
 
 
 def train_autoencoder(net: PathwayNetwork, dataset, cfg: TrainConfig) -> list[EpochLog]:
@@ -266,41 +270,12 @@ def train_autoencoder(net: PathwayNetwork, dataset, cfg: TrainConfig) -> list[Ep
     x, y = _as_xy(dataset)
     if np.any(y != 0):
         raise ValueError("reconstruction training data must be all normal (label 0)")
-    train_idx = np.arange(len(x))
-    val_idx = None
-    if cfg.early_stop:
-        train_idx, val_idx = _val_split(len(x), cfg)
+    train_idx, val_idx = _val_split(len(x), cfg)
     xt = x[train_idx]
-    rng = derive_rng(cfg.seed, 2)
-    trainable = net.encoder.params() + net.decoder.params()
-    params = [p for p, _ in trainable]
-    grads = [g for _, g in trainable]
-    state = AdamState.for_params(params)
-    history = []
-    best, stale, best_snap = np.inf, 0, None
-    for epoch in range(cfg.epochs):
-        total, seen = 0.0, 0
-        for idx in _batches(len(xt), cfg.batch_size, rng):
-            xb = xt[idx]
-            net.zero_grad()
-            xhat, _ = net.forward_reconstruct(xb, rng, stochastic=True)
-            loss, dxhat = mse(xhat, xb)
-            dh = net.decoder.backward(dxhat)
-            net.encoder.backward(dh)
-            adam_step(params, grads, state, lr=cfg.lr)
-            total += loss * len(idx)
-            seen += len(idx)
-        rec_m = total / seen
-        history.append(EpochLog(epoch, 0.0, rec_m, rec_m))
-        if val_idx is not None:
-            xhat, _ = net.forward_reconstruct(x[val_idx])
-            val_loss, _ = mse(xhat, x[val_idx])
-            if val_loss < best - cfg.early_stop_min_delta:
-                best, stale, best_snap = val_loss, 0, _snapshot(params)
-            else:
-                stale += 1
-                if stale >= cfg.early_stop_patience:
-                    break
-    if best_snap is not None:
-        _restore(params, best_snap)
-    return history
+
+    def val_loss():
+        return mse(net.forward_reconstruct(x[val_idx])[0], x[val_idx])[0]
+
+    return _fit(net, len(xt), cfg, cfg.epochs, 2, ("encoder", "decoder"),
+                _reconstruction_loss(net, xt),
+                val_loss=None if val_idx is None else val_loss)

@@ -1,6 +1,7 @@
 """CLI behavior: config precedence, exit codes, artifacts, determinism."""
 
 import filecmp
+import json
 import os
 
 import numpy as np
@@ -205,6 +206,54 @@ def test_numeric_failure_exits_4(tmp_path, thyroid_dir):
     assert rc == cli.EXIT_NUMERIC
 
 
+def _score_archive(tmp_path, thyroid_dir, blob):
+    weights = tmp_path / "bad.ofdd"
+    weights.write_bytes(blob)
+    rc = cli.main(["score", "--dataset", "thyroid", "--data-dir", thyroid_dir,
+                   "--weights", str(weights), "--out", str(tmp_path / "o"), *SMOKE])
+    return rc, str(weights)
+
+
+def test_bad_magic_exits_5(tmp_path, thyroid_dir, trained_dir, capsys):
+    blob = open(os.path.join(trained_dir, "augmented.ofdd"), "rb").read()
+    rc, weights = _score_archive(tmp_path, thyroid_dir, b"XXXX" + blob[4:])
+    assert rc == cli.EXIT_BAD_ARCHIVE
+    err = capsys.readouterr().err
+    assert "unreadable weight archive" in err and weights in err and "magic" in err
+
+
+def test_truncated_archive_exits_5(tmp_path, thyroid_dir, trained_dir, capsys):
+    blob = open(os.path.join(trained_dir, "augmented.ofdd"), "rb").read()
+    rc, weights = _score_archive(tmp_path, thyroid_dir, blob[:-8])
+    assert rc == cli.EXIT_BAD_ARCHIVE
+    err = capsys.readouterr().err
+    assert weights in err and "8 bytes early" in err
+
+
+def test_descriptor_missing_key_exits_5(tmp_path, thyroid_dir, trained_dir, capsys):
+    blob = open(os.path.join(trained_dir, "augmented.ofdd"), "rb").read()
+    desc_len = int.from_bytes(blob[6:10], "little")
+    desc = json.loads(blob[10:10 + desc_len])
+    del desc["kind"]
+    new_desc = json.dumps(desc).encode("utf-8")
+    patched = blob[:6] + len(new_desc).to_bytes(4, "little") + new_desc + blob[10 + desc_len:]
+    rc, weights = _score_archive(tmp_path, thyroid_dir, patched)
+    assert rc == cli.EXIT_BAD_ARCHIVE
+    err = capsys.readouterr().err
+    assert weights in err and "'kind'" in err
+
+
+def test_score_rejects_non_finite_input(tmp_path, thyroid_dir, trained_dir, capsys):
+    input_path = tmp_path / "nan.csv"
+    input_path.write_text("0.1,0.2,0.3,0.4,0.5,0.6\n0.1,0.2,nan,0.4,0.5,0.6\n")
+    rc = cli.main(["score", "--dataset", "thyroid", "--data-dir", thyroid_dir,
+                   "--weights", os.path.join(trained_dir, "augmented.ofdd"),
+                   "--input", str(input_path), "--out", str(tmp_path / "o"), *SMOKE])
+    assert rc == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "row 2" in err and "column 3" in err
+
+
 def test_config_file_and_flag_precedence(tmp_path, thyroid_dir):
     config = tmp_path / "run.cfg"
     config.write_text(
@@ -257,3 +306,7 @@ def test_read_input_csv_variants(tmp_path):
         cli._read_input_csv(str(malformed))
     with pytest.raises(FileNotFoundError):
         cli._read_input_csv(str(tmp_path / "absent.csv"))
+    infinite = tmp_path / "i.csv"
+    infinite.write_text("feature_0,feature_1\n1.0,2.0\n-inf,4.0\n")
+    with pytest.raises(cli.ConfigError, match="data row 2, column 'feature_0'"):
+        cli._read_input_csv(str(infinite))

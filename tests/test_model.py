@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,98 @@ def test_archive_trailing_garbage(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(model.ArchiveError):
         model.load(path)
+
+
+def _rewrite_descriptor(path, edit):
+    blob = path.read_bytes()
+    desc_len = int.from_bytes(blob[6:10], "little")
+    desc = edit(json.loads(blob[10 : 10 + desc_len]))
+    raw = json.dumps(desc).encode("utf-8")
+    path.write_bytes(blob[:6] + len(raw).to_bytes(4, "little") + raw + blob[10 + desc_len :])
+
+
+def test_archive_descriptor_errors_name_the_problem(tmp_path):
+    path = tmp_path / "net.ofdd"
+    model.save(thyroid_net(), path)
+    _rewrite_descriptor(path, lambda d: {k: v for k, v in d.items() if k != "kind"})
+    with pytest.raises(model.ArchiveError, match="'kind'"):
+        model.load(path)
+    model.save(thyroid_net(), path)
+    _rewrite_descriptor(path, lambda d: {**d, "kind": "mystery"})
+    with pytest.raises(model.ArchiveError, match="mystery"):
+        model.load(path)
+    model.save(thyroid_net(), path)
+    _rewrite_descriptor(path, lambda d: {**d, "encoder_widths": 5})
+    with pytest.raises(model.ArchiveError):
+        model.load(path)
+    model.save(thyroid_net(), path)
+    _rewrite_descriptor(path, lambda d: [d])
+    with pytest.raises(model.ArchiveError):
+        model.load(path)
+
+
+# ---------------------------------------------------------------------------
+# flat parameter buffer
+
+
+@pytest.mark.parametrize("kind", list(model.ModelKind))
+def test_dense_arrays_are_buffer_views_in_archive_order(kind):
+    net = model.build(kind, input_dim=6, latent_dim=2, n_classes=3, rng_seed=5)
+    base_p = net.params.__array_interface__["data"][0]
+    base_g = net.grads.__array_interface__["data"][0]
+    offset = 0
+    for role, stack in zip(net.offsets, net.stacks()):
+        assert getattr(net, role) is stack
+        assert net.offsets[role].start == offset
+        for layer in stack.dense_layers():
+            for arr, grad in ((layer.weights, layer.grad_w), (layer.bias, layer.grad_b)):
+                assert np.shares_memory(arr, net.params)
+                assert np.shares_memory(grad, net.grads)
+                assert arr.flags.c_contiguous and grad.flags.c_contiguous
+                assert arr.__array_interface__["data"][0] - base_p == 8 * offset
+                assert grad.__array_interface__["data"][0] - base_g == 8 * offset
+                offset += arr.size
+        assert net.offsets[role].stop == offset
+    assert offset == net.params.size == net.grads.size
+    assert net.params.dtype == net.grads.dtype == np.float64
+
+
+def test_spans_merge_adjacent_pathways():
+    aug = thyroid_net(model.ModelKind.AUGMENTED)
+    enc, head, dec = (aug.offsets[r] for r in ("encoder", "head", "decoder"))
+    assert aug.spans("encoder", "head", "decoder") == [slice(0, aug.params.size)]
+    assert aug.spans("encoder", "head") == [slice(0, head.stop)]
+    assert aug.spans("encoder", "decoder") == [enc, dec]
+    ae = thyroid_net(model.ModelKind.AUTOENCODER_ONLY)
+    assert ae.spans("encoder", "head", "decoder") == [slice(0, ae.params.size)]
+
+
+def test_zero_grad_clears_every_layer():
+    net = thyroid_net()
+    x = make_rng(1).normal(size=(4, 6))
+    xhat, _ = net.forward_reconstruct(x)
+    net.encoder.backward(net.decoder.backward(xhat - x))
+    assert np.any(net.decoder.dense_layers()[0].grad_w != 0.0)
+    net.zero_grad()
+    assert not np.any(net.grads)
+    for stack in net.stacks():
+        for layer in stack.dense_layers():
+            assert not np.any(layer.grad_w) and not np.any(layer.grad_b)
+
+
+def test_save_payload_is_the_buffer(tmp_path):
+    net = thyroid_net(seed=4)
+    path = tmp_path / "net.ofdd"
+    model.save(net, path)
+    blob = path.read_bytes()
+    desc_len = int.from_bytes(blob[6:10], "little")
+    assert blob[:4] == model.ARCHIVE_MAGIC
+    assert int.from_bytes(blob[4:6], "little") == model.ARCHIVE_VERSION
+    assert json.loads(blob[10 : 10 + desc_len])["kind"] == "augmented"
+    assert blob[10 + desc_len :] == net.params.astype("<f8").tobytes()
+    loaded = model.load(path)
+    assert loaded.params.tobytes() == net.params.tobytes()
+    assert np.shares_memory(loaded.encoder.dense_layers()[0].weights, loaded.params)
 
 
 def test_build_rejects_bad_widths():

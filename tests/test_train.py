@@ -26,7 +26,7 @@ def _line_points(n=256, seed=5):
 
 
 def _snapshot(net):
-    return [p.copy() for p, _ in net.params()]
+    return [net.params.copy()]
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +144,13 @@ def test_joint_gradients_pass_finite_difference_check():
     x = rng.normal(0.0, 1.0, (7, 5))
     y = rng.integers(0, 3, 7)
     beta = 0.7
-    params = [p for p, _ in net.params()]
 
     def loss_fn():
         net.zero_grad()
         clf_loss, rec_loss = train.joint_batch_gradients(net, x, y, beta, stochastic=False)
-        return clf_loss + beta * rec_loss, [g.copy() for _, g in net.params()]
+        return clf_loss + beta * rec_loss, [net.grads.copy()]
 
-    assert nncore.gradient_check(params, loss_fn) < 1e-4
+    assert nncore.gradient_check([net.params], loss_fn) < 1e-4
 
 
 def test_joint_requires_augmented_network():
@@ -210,6 +209,79 @@ def test_train_joint_seeded_determinism():
     assert any(
         not np.array_equal(p, q) for p, q in zip(weights[0], _snapshot(other))
     )
+
+
+def test_warmup_leaves_head_bitwise_unchanged():
+    net = model.build(ModelKind.AUGMENTED, input_dim=2, latent_dim=1, hidden_widths=[1],
+                      rng_seed=3)
+    before = net.params.copy()
+    head = net.offsets["head"]
+    cfg = train.TrainConfig(pretrain_epochs=3, batch_size=32, lr=1e-2, seed=3)
+    train.pretrain_reconstruction(net, _line_points(), cfg)
+    assert net.params[head].tobytes() == before[head].tobytes()
+    for role in ("encoder", "decoder"):
+        span = net.offsets[role]
+        assert not np.array_equal(net.params[span], before[span])
+    # an infinite step size blows up the encoder at once; the head, whose
+    # zero gradients would turn it into inf * 0, is never stepped at all
+    before = net.params.copy()
+    cfg = train.TrainConfig(pretrain_epochs=1, batch_size=32, lr=np.inf, seed=3)
+    with pytest.raises(nncore.NonFiniteError):
+        train.pretrain_reconstruction(net, _line_points(), cfg)
+    assert net.params[head].tobytes() == before[head].tobytes()
+
+
+def _reference_adam(arrays, moments, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam with one moment pair per weight matrix and bias vector."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for (p, g), (m, v) in zip(arrays, moments):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g**2
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def _reference_train_joint(net, ds, cfg):
+    """Warm-up over encoder+decoder, then the joint phase over every array,
+    stepping each parameter array on its own."""
+    x, y = ds.X, ds.y
+    normals = x[y == 0]
+    warm = net.encoder.params() + net.decoder.params()
+    every = net.encoder.params() + net.head.params() + net.decoder.params()
+    for stream, epochs, arrays, rows in ((1, cfg.pretrain_epochs, warm, normals),
+                                         (2, cfg.epochs, every, x)):
+        rng = nncore.derive_rng(cfg.seed, stream)
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p, _ in arrays]
+        t = 0
+        for _ in range(epochs):
+            perm = rng.permutation(len(rows))
+            for start in range(0, len(rows), cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                for stack in net.stacks():
+                    stack.zero_grad()
+                if stream == 1:
+                    xhat, _ = net.forward_reconstruct(rows[idx], rng, stochastic=True)
+                    _, dxhat = nncore.mse(xhat, rows[idx])
+                    net.encoder.backward(net.decoder.backward(dxhat))
+                else:
+                    train.joint_batch_gradients(net, x[idx], y[idx], cfg.beta, rng)
+                t += 1
+                _reference_adam(arrays, moments, t, cfg.lr)
+
+
+def test_train_joint_matches_per_array_adam_bitwise():
+    ds = _blobs(30, dim=5, seed=40)
+    cfg = train.TrainConfig(beta=0.5, epochs=2, pretrain_epochs=2, batch_size=16,
+                            lr=1e-2, seed=41)
+    nets = [model.build(ModelKind.AUGMENTED, input_dim=5, latent_dim=2, n_classes=2,
+                        rng_seed=42) for _ in range(2)]
+    train.train_joint(nets[0], ds, cfg)
+    _reference_train_joint(nets[1], ds, cfg)
+    assert not np.array_equal(nets[0].params, model.build(
+        ModelKind.AUGMENTED, input_dim=5, latent_dim=2, n_classes=2, rng_seed=42).params)
+    assert nets[0].params.tobytes() == nets[1].params.tobytes()
 
 
 # ---------------------------------------------------------------------------

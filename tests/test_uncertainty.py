@@ -57,8 +57,7 @@ def test_dropout_rate_zero_gives_zero_variance():
 
 def test_constant_network_gives_identical_samples():
     net = _net(dropout=0.5)
-    for p, _ in net.params():
-        p[...] = 0.0
+    net.params[...] = 0.0
     out = unc.mc_sample(net, np.ones(6), 16, nncore.make_rng(2))
     assert np.all(out.classifier.samples == 0.5)  # sigmoid(0)
     assert np.all(out.classifier.variance == 0.0)
