@@ -7,8 +7,9 @@ prints or writes is recomputable by calling the library with the same seed;
 the CLI holds no state of its own beyond the artifact files it writes.
 
 Exit codes: 0 success, 2 missing data path, 3 bad configuration or usage
-(including non-finite values in an input CSV), 4 numeric failure during
-training or evaluation, 5 unreadable weight archive.
+(including a short row or a non-numeric or non-finite cell in an input
+CSV), 4 numeric failure during training or evaluation, 5 unreadable weight
+archive (a non-finite parameter included).
 """
 
 from __future__ import annotations
@@ -22,15 +23,9 @@ import sys
 import numpy as np
 
 from . import data, experiments, model, report, train
-from .detect import (
-    calibrate_thresholds,
-    clf_anomaly_scores_batch,
-    predict_labels_batch,
-    rec_anomaly_scores_batch,
-)
 from .experiments import MODEL_ORDER, ExperimentConfig
 from .nncore import NonFiniteError, derive_rng
-from .uncertainty import mc_classify_batch, mc_reconstruct_batch, mc_sample, write_histogram_csv
+from .uncertainty import mc_sample, write_histogram_csv
 
 EXIT_MISSING_DATA = 2
 EXIT_BAD_CONFIG = 3
@@ -195,7 +190,7 @@ def cmd_evaluate(cfg, args) -> int:
     ev = experiments.evaluate_model(net, calib_x, eval_ds, cfg, stream=_stream_for(net))
     out = _out_dir(args)
     ev.report.to_csv(os.path.join(out, "metrics.csv"))
-    ev.report.thresholds_to_csv(os.path.join(out, "thresholds.csv"))
+    ev.thresholds.to_csv(os.path.join(out, "thresholds.csv"))
     write_manifest(out, ["metrics.csv", "thresholds.csv"])
     for group, acc in ev.report.binary_acc.items():
         diag = ev.report.diag_acc.get(group)
@@ -224,18 +219,28 @@ def _read_input_csv(path) -> np.ndarray:
     if headerless or not feature_cols:
         feature_cols = list(range(len(header)))
     body = rows if headerless else rows[1:]
-    try:
-        x = np.array([[float(row[i]) for i in feature_cols] for row in body],
-                     dtype=np.float64)
-    except (ValueError, IndexError):
-        raise ConfigError(f"{path}: malformed numeric row")
+
+    def column(j: int) -> str:
+        return f"column {j + 1}" if headerless else f"column {header[feature_cols[j]]!r}"
+
+    x = np.empty((len(body), len(feature_cols)))
+    for r, row in enumerate(body):
+        if len(row) <= feature_cols[-1]:
+            raise ConfigError(
+                f"{path}: data row {r + 1} has {len(row)} cells, expected {len(header)}")
+        for j, i in enumerate(feature_cols):
+            try:
+                x[r, j] = float(row[i])
+            except ValueError:
+                raise ConfigError(f"{path}: non-numeric value {row[i]!r} in data row "
+                                  f"{r + 1}, {column(j)}") from None
     if x.size == 0:
         raise ConfigError(f"{path}: no data rows")
     bad = np.argwhere(~np.isfinite(x))
     if len(bad):
         row, col = bad[0]
-        name = f"column {col + 1}" if headerless else f"column {header[feature_cols[col]]!r}"
-        raise ConfigError(f"{path}: non-finite value {x[row, col]} in data row {row + 1}, {name}")
+        raise ConfigError(
+            f"{path}: non-finite value {x[row, col]} in data row {row + 1}, {column(col)}")
     return x
 
 
@@ -250,37 +255,18 @@ def cmd_score(cfg, args) -> int:
         raise ConfigError(
             f"input has {x.shape[1]} features, dataset expects {train_ds.X.shape[1]}")
 
-    t = cfg.t_samples
-    stream = _stream_for(net)
-    clf_calib = rec_calib = None
-    if net.head is not None:
-        mean_c, var_c = mc_classify_batch(net, calib_x, t, derive_rng(cfg.seed, 20, stream))
-        clf_calib = clf_anomaly_scores_batch(mean_c, var_c)
-    if net.decoder is not None:
-        xhat_c = mc_reconstruct_batch(net, calib_x, t, derive_rng(cfg.seed, 21, stream))
-        rec_calib = rec_anomaly_scores_batch(xhat_c, calib_x)
-    thresholds = calibrate_thresholds(clf_calib, cfg.alpha, rec_scores=rec_calib)
+    thresholds, s = experiments.calibrate_and_score(net, calib_x, x, cfg, _stream_for(net))
 
     header = []
     columns = []
-    flagged = None
-    if net.head is not None:
-        mean, var = mc_classify_batch(net, x, t, derive_rng(cfg.seed, 22, stream))
-        scores = clf_anomaly_scores_batch(mean, var)
-        b, z = predict_labels_batch(scores, thresholds)
-        header += [f"score_{j}" for j in range(scores.shape[1])] + ["labels", "flagged"]
-        label_strs = ["|".join(str(j) for j in np.nonzero(row)[0]) for row in b]
-        columns += [*(scores[:, j] for j in range(scores.shape[1])), label_strs,
-                    z.astype(int)]
-        flagged = z
-    if net.decoder is not None:
-        xhat = mc_reconstruct_batch(net, x, t, derive_rng(cfg.seed, 23, stream))
-        rec_scores = rec_anomaly_scores_batch(xhat, x)
-        rec_flags = rec_scores > thresholds.rec_threshold
+    if s.clf is not None:
+        header += [f"score_{j}" for j in range(s.clf.shape[1])] + ["labels", "flagged"]
+        label_strs = ["|".join(str(j) for j in np.nonzero(row)[0]) for row in s.b]
+        columns += [*s.clf.T, label_strs, s.z.astype(int)]
+    if s.rec is not None:
         header += ["rec_score", "rec_flagged"]
-        columns += [rec_scores, rec_flags.astype(int)]
-        if flagged is None:
-            flagged = rec_flags
+        columns += [s.rec, s.rec_flags.astype(int)]
+    flagged = s.z if s.z is not None else s.rec_flags
 
     out = _out_dir(args)
     scores_path = os.path.join(out, "scores.csv")
@@ -293,19 +279,8 @@ def cmd_score(cfg, args) -> int:
                 v = col[i]
                 row.append(v if isinstance(v, (str, int, np.integer)) else f"{v:.6f}")
             writer.writerow(row)
-    names = ["scores.csv"]
-    thr_path = os.path.join(out, "thresholds.csv")
-    with open(thr_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["channel", "threshold"])
-        writer.writerow(["alpha", f"{thresholds.alpha:.6f}"])
-        if thresholds.clf_thresholds is not None:
-            for j, thr in enumerate(thresholds.clf_thresholds):
-                writer.writerow([f"clf{j}", f"{thr:.6f}"])
-        if thresholds.rec_threshold is not None:
-            writer.writerow(["rec", f"{thresholds.rec_threshold:.6f}"])
-    names.append("thresholds.csv")
-    write_manifest(out, names)
+    thresholds.to_csv(os.path.join(out, "thresholds.csv"))
+    write_manifest(out, ["scores.csv", "thresholds.csv"])
     print(f"scored {len(x)} rows; flag rate {float(np.mean(flagged)):.4f}")
     return 0
 

@@ -6,8 +6,11 @@ s_0 = 1 - mu_0 + var_0 so that larger always means more fault-like; the
 decoding pathway scores an input by the mean squared error of its MC
 predictive-mean reconstruction.  Thresholds are per-channel empirical
 (1 - alpha)-quantiles of the scores on normal training data, so flagging
-normal training data has false-positive rate about alpha.  Everything here
-is a pure function over immutable inputs.
+normal training data has false-positive rate about alpha.
+
+`calibrate` and `score` are the one path from a network to thresholds and
+flags; they draw the MC passes through `uncertainty.mc_moments`.  Every
+other function here is pure over its array inputs.
 """
 
 from __future__ import annotations
@@ -17,18 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import ensure_finite
-from .uncertainty import McPrediction
+from .model import PathwayNetwork
+from .nncore import as_matrix, ensure_finite
+from .uncertainty import McMoments, mc_moments
 
 MIN_CALIBRATION_EXAMPLES = 50
-
-
-@dataclass
-class AnomalyScores:
-    """Per-channel classifier scores plus the optional reconstruction score."""
-
-    clf: np.ndarray  # (n_classes,) with index 0 = normal channel
-    rec: float | None = None
 
 
 @dataclass
@@ -37,41 +33,27 @@ class ThresholdSet:
     rec_threshold: float | None
     alpha: float
 
+    def to_csv(self, path) -> None:
+        """channel,threshold rows: alpha, then clf0.., then rec."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["channel", "threshold"])
+            writer.writerow(["alpha", f"{self.alpha:.6f}"])
+            if self.clf_thresholds is not None:
+                for j, thr in enumerate(self.clf_thresholds):
+                    writer.writerow([f"clf{j}", f"{thr:.6f}"])
+            if self.rec_threshold is not None:
+                writer.writerow(["rec", f"{self.rec_threshold:.6f}"])
 
-@dataclass
-class PredictionSet:
-    b: np.ndarray  # boolean per-channel flags, index 0 = normal channel
-    Y: set[int]  # {j : b_j}
-    z: bool  # disjunction of all b_j
 
-
-def _expand_two_class(mean: np.ndarray, variance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A single sigmoid output p becomes the pair ([1-p, p], [v, v])."""
-    p, v = float(mean[0]), float(variance[0])
-    return np.array([1.0 - p, p]), np.array([v, v])
-
-
-def clf_anomaly_scores(mc: McPrediction) -> np.ndarray:
-    """Score every classifier channel from MC mean and variance.
+def clf_anomaly_scores(mean: np.ndarray, variance: np.ndarray) -> np.ndarray:
+    """Score every classifier channel of each row; returns (N, channels).
 
     s_j = mu_j + var_j for fault channels; the normal channel is inverted,
     s_0 = 1 - mu_0 + var_0.  A single sigmoid output is first expanded to its
-    two-class form, which makes both entries equal by algebra.
+    two-class form ([1 - p, p], [v, v]), which makes both entries equal by
+    algebra.
     """
-    mean = np.asarray(mc.mean, dtype=np.float64)
-    variance = np.asarray(mc.variance, dtype=np.float64)
-    if mean.shape != variance.shape or mean.ndim != 1:
-        raise ValueError("mean and variance must be equal-length vectors")
-    if mean.size == 1:
-        mean, variance = _expand_two_class(mean, variance)
-    scores = mean + variance
-    scores[0] = 1.0 - mean[0] + variance[0]
-    ensure_finite(scores, "anomaly scores")
-    return scores
-
-
-def clf_anomaly_scores_batch(mean: np.ndarray, variance: np.ndarray) -> np.ndarray:
-    """Vectorized form over rows of MC batch statistics; returns (N, n+1)."""
     mean = np.asarray(mean, dtype=np.float64)
     variance = np.asarray(variance, dtype=np.float64)
     if mean.shape != variance.shape or mean.ndim != 2:
@@ -85,17 +67,9 @@ def clf_anomaly_scores_batch(mean: np.ndarray, variance: np.ndarray) -> np.ndarr
     return scores
 
 
-def rec_anomaly_score(mu_rec: np.ndarray, x: np.ndarray) -> float:
-    """Mean squared error between the predictive-mean reconstruction and x."""
-    mu_rec = np.asarray(mu_rec, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if mu_rec.shape != x.shape:
-        raise ValueError(f"shape mismatch: {mu_rec.shape} vs {x.shape}")
-    return float(np.mean((mu_rec - x) ** 2))
-
-
-def rec_anomaly_scores_batch(mu_rec: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row-wise reconstruction scores; returns (N,)."""
+def rec_anomaly_scores(mu_rec: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise mean squared error between the predictive-mean
+    reconstruction and x; returns (N,)."""
     mu_rec = np.asarray(mu_rec, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if mu_rec.shape != x.shape or mu_rec.ndim != 2:
@@ -140,26 +114,15 @@ def calibrate_thresholds(
     return ThresholdSet(clf_thresholds=clf_thr, rec_threshold=rec_thr, alpha=alpha)
 
 
-def predict_labels(scores: AnomalyScores, thresholds: ThresholdSet) -> PredictionSet:
-    """Flag channel j iff s_j strictly exceeds its threshold.
-
-    The label set Y collects flagged channels (the normal channel included)
-    and the overall flag z is their disjunction.
-    """
-    if thresholds.clf_thresholds is None:
-        raise ValueError("threshold set has no classifier thresholds")
-    s = np.asarray(scores.clf, dtype=np.float64)
-    thr = np.asarray(thresholds.clf_thresholds, dtype=np.float64)
-    if s.shape != thr.shape:
-        raise ValueError(f"score/threshold shape mismatch: {s.shape} vs {thr.shape}")
-    b = s > thr
-    return PredictionSet(b=b, Y={int(j) for j in np.nonzero(b)[0]}, z=bool(b.any()))
-
-
-def predict_labels_batch(
+def predict_labels(
     clf_scores: np.ndarray, thresholds: ThresholdSet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized decision rule: returns (b matrix (N, n+1), z vector (N,))."""
+    """Flag channel j of a row iff s_j strictly exceeds its threshold.
+
+    Returns (b, z): the (N, channels) flag matrix, whose row i holds the
+    label set of example i (the normal channel included), and the overall
+    flag z_i, the disjunction of row i.
+    """
     if thresholds.clf_thresholds is None:
         raise ValueError("threshold set has no classifier thresholds")
     s = np.asarray(clf_scores, dtype=np.float64)
@@ -170,30 +133,73 @@ def predict_labels_batch(
     return b, b.any(axis=1)
 
 
-def diagnostic_accuracy(y_pred: set[int], y_true: int) -> float:
-    """Credit for naming the true fault, diluted by extra fault labels.
+@dataclass
+class Scores:
+    """MC statistics of a batch and the pathway scores and flags they give.
 
-    delta = 1{y in Y} / |Y intersect {1..n}|.  The normal label never
-    discounts, so Y = {0, y} still scores 1.  Missing the true label scores
-    0 outright, which also covers the empty-denominator case.  Undefined for
-    normal examples (y = 0).
+    Fields of a pathway the network lacks are None, and so are the flags
+    until thresholds are applied.
     """
-    if y_true == 0:
-        raise ValueError("diagnostic accuracy is defined for fault examples only")
-    if y_true not in y_pred:
-        return 0.0
-    return 1.0 / sum(1 for j in y_pred if j >= 1)
+
+    moments: McMoments
+    clf: np.ndarray | None  # (N, channels), index 0 = normal channel
+    rec: np.ndarray | None  # (N,)
+    b: np.ndarray | None = None  # (N, channels) classifier channel flags
+    z: np.ndarray | None = None  # (N,) disjunction of each row of b
+    rec_flags: np.ndarray | None = None  # (N,)
+
+
+def mc_scores(
+    net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
+) -> Scores:
+    """Score every pathway of the network on x from one MC sampling."""
+    x = as_matrix(x)
+    m = mc_moments(net, x, t, rng)
+    return Scores(
+        moments=m,
+        clf=None if m.clf_mean is None else clf_anomaly_scores(m.clf_mean, m.clf_var),
+        rec=None if m.rec_mean is None else rec_anomaly_scores(m.rec_mean, x),
+    )
+
+
+def calibrate(
+    net: PathwayNetwork, normals: np.ndarray, alpha: float, t: int,
+    rng: np.random.Generator,
+) -> ThresholdSet:
+    """Thresholds for every pathway of the network from its scores on normals."""
+    s = mc_scores(net, normals, t, rng)
+    return calibrate_thresholds(s.clf, alpha, rec_scores=s.rec)
+
+
+def score(
+    net: PathwayNetwork, x: np.ndarray, thresholds: ThresholdSet, t: int,
+    rng: np.random.Generator,
+) -> Scores:
+    """`mc_scores` with every pathway's flags set from `thresholds`."""
+    s = mc_scores(net, x, t, rng)
+    if s.clf is not None:
+        s.b, s.z = predict_labels(s.clf, thresholds)
+    if s.rec is not None:
+        s.rec_flags = s.rec > thresholds.rec_threshold
+    return s
 
 
 def diagnostic_accuracies(b: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-example delta over fault rows of a flag matrix; NaN for y = 0."""
+    """Per-example diagnostic credit from a flag matrix; NaN for y = 0.
+
+    delta_i = 1{y_i in Y_i} / |Y_i intersect {1..n}|, with Y_i the flagged
+    channels of row i.  The normal label never discounts, so Y = {0, y}
+    still scores 1.  Missing the true label scores 0 outright, which also
+    covers the empty-denominator case.  Undefined for normal examples.
+    """
     b = np.asarray(b, dtype=bool)
     y = np.asarray(y, dtype=np.int64)
-    out = np.full(len(y), np.nan)
-    for i in range(len(y)):
-        if y[i] != 0:
-            out[i] = diagnostic_accuracy({int(j) for j in np.nonzero(b[i])[0]}, int(y[i]))
-    return out
+    if b.ndim != 2 or len(b) != len(y) or np.any((y < 0) | (y >= b.shape[1])):
+        raise ValueError(f"labels {y.shape} do not index the columns of flags {b.shape}")
+    hit = b[np.arange(len(y)), y]
+    n_faults = b[:, 1:].sum(axis=1)
+    credit = np.where(hit, 1.0 / np.maximum(n_faults, 1), 0.0)
+    return np.where(y != 0, credit, np.nan)
 
 
 def binary_accuracy(flags: np.ndarray, groups, group: str) -> float:
@@ -286,14 +292,3 @@ class MetricsReport:
                 writer.writerow(
                     [group, f"{acc:.6f}", "" if diag is None else f"{diag:.6f}"]
                 )
-
-    def thresholds_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["channel", "threshold"])
-            writer.writerow(["alpha", f"{self.thresholds.alpha:.6f}"])
-            if self.thresholds.clf_thresholds is not None:
-                for j, thr in enumerate(self.thresholds.clf_thresholds):
-                    writer.writerow([f"clf{j}", f"{thr:.6f}"])
-            if self.thresholds.rec_threshold is not None:
-                writer.writerow(["rec", f"{self.thresholds.rec_threshold:.6f}"])

@@ -18,14 +18,13 @@ import numpy as np
 from . import data
 from .detect import (
     MetricsReport,
+    Scores,
     ThresholdSet,
-    calibrate_thresholds,
-    clf_anomaly_scores_batch,
+    calibrate,
     diagnostic_accuracies,
     group_binary_accuracies,
     precision_recall_sweep,
-    predict_labels_batch,
-    rec_anomaly_scores_batch,
+    score,
 )
 from .model import ModelKind, PathwayNetwork, build
 from .nncore import derive_rng
@@ -35,8 +34,6 @@ from .uncertainty import (
     GROUP_OOD,
     decompose_entropies,
     group_bucket,
-    mc_classify_batch,
-    mc_reconstruct_batch,
     predictive_entropy,
 )
 
@@ -192,6 +189,20 @@ def _mean_diag_by_group(diag: np.ndarray, groups: np.ndarray) -> dict:
     return out
 
 
+def calibrate_and_score(net: PathwayNetwork, calib_x: np.ndarray, x: np.ndarray,
+                        cfg: ExperimentConfig, stream: int) -> tuple[ThresholdSet, Scores]:
+    """Thresholds from the calibration normals, then scores and flags for x.
+
+    The MC draws come from streams (seed, 20, stream) for calibration and
+    (seed, 22, stream) for x, so every command that scores stored weights
+    under one config calibrates them identically.
+    """
+    thresholds = calibrate(net, calib_x, cfg.alpha, cfg.t_samples,
+                           derive_rng(cfg.seed, 20, stream))
+    return thresholds, score(net, x, thresholds, cfg.t_samples,
+                             derive_rng(cfg.seed, 22, stream))
+
+
 def evaluate_model(net: PathwayNetwork, calib_x: np.ndarray,
                    eval_ds: data.LabeledDataset, cfg: ExperimentConfig,
                    stream: int) -> ModelEval:
@@ -200,44 +211,26 @@ def evaluate_model(net: PathwayNetwork, calib_x: np.ndarray,
     `stream` keeps the Monte Carlo draws of different models independent
     while staying reproducible from the experiment seed.
     """
-    t = cfg.t_samples
-    has_head = net.head is not None
-    has_decoder = net.decoder is not None
-
-    clf_calib = rec_calib = None
-    if has_head:
-        mean_c, var_c = mc_classify_batch(net, calib_x, t, derive_rng(cfg.seed, 20, stream))
-        clf_calib = clf_anomaly_scores_batch(mean_c, var_c)
-    if has_decoder:
-        xhat_c = mc_reconstruct_batch(net, calib_x, t, derive_rng(cfg.seed, 21, stream))
-        rec_calib = rec_anomaly_scores_batch(xhat_c, calib_x)
-    thresholds = calibrate_thresholds(clf_calib, cfg.alpha, rec_scores=rec_calib)
-
-    ev = ModelEval(kind=net.kind.value, thresholds=thresholds)
+    thresholds, s = calibrate_and_score(net, calib_x, eval_ds.X, cfg, stream)
+    ev = ModelEval(kind=net.kind.value, thresholds=thresholds,
+                   clf_flags=s.z, rec_flags=s.rec_flags)
     groups = eval_ds.group
     fault_flags = groups != "normal"
 
     sweep_scores = None
-    if has_head:
-        mean_e, var_e = mc_classify_batch(net, eval_ds.X, t, derive_rng(cfg.seed, 22, stream))
-        scores = clf_anomaly_scores_batch(mean_e, var_e)
-        b, z = predict_labels_batch(scores, thresholds)
-        ev.clf_flags = z
-        ev.clf_binary = group_binary_accuracies(z, groups)
-        diag = diagnostic_accuracies(b, eval_ds.y)
+    if s.clf is not None:
+        ev.clf_binary = group_binary_accuracies(s.z, groups)
+        diag = diagnostic_accuracies(s.b, eval_ds.y)
         ev.clf_diag = _mean_diag_by_group(diag, groups)
-        ev.entropies = np.array([predictive_entropy(m) for m in mean_e])
+        ev.entropies = predictive_entropy(s.moments.clf_mean)
         ev.entropy = decompose_entropies(ev.entropies, groups)
         buckets = np.array([group_bucket(g) for g in groups])
         ood = ev.entropies[buckets == GROUP_OOD]
         ev.ood_mean_entropy = float(ood.mean()) if ood.size else None
-        sweep_scores = scores[:, 1:].max(axis=1)
-    if has_decoder:
-        xhat_e = mc_reconstruct_batch(net, eval_ds.X, t, derive_rng(cfg.seed, 23, stream))
-        rec_scores = rec_anomaly_scores_batch(xhat_e, eval_ds.X)
-        ev.rec_flags = rec_scores > thresholds.rec_threshold
-        ev.rec_binary = group_binary_accuracies(ev.rec_flags, groups)
-        sweep_scores = rec_scores
+        sweep_scores = s.clf[:, 1:].max(axis=1)
+    if s.rec is not None:
+        ev.rec_binary = group_binary_accuracies(s.rec_flags, groups)
+        sweep_scores = s.rec
 
     sweep_thr, prec, rec = precision_recall_sweep(sweep_scores, fault_flags)
     ev.report = MetricsReport(

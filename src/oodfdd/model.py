@@ -284,7 +284,7 @@ def load(path) -> PathwayNetwork:
 
     Raises MagicMismatchError / VersionMismatchError / TruncatedPayloadError
     for the corresponding corruptions, and ArchiveError for any other
-    unreadable descriptor or payload.
+    unreadable descriptor or payload, a NaN or infinite parameter included.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -326,4 +326,7 @@ def load(path) -> PathwayNetwork:
     if extra > 0:
         raise ArchiveError(f"{extra} trailing bytes after payload")
     net.params[...] = np.frombuffer(blob, dtype="<f8", offset=offset)
+    bad = np.flatnonzero(~np.isfinite(net.params))
+    if bad.size:
+        raise ArchiveError(f"non-finite value {net.params[bad[0]]} at parameter index {bad[0]}")
     return net

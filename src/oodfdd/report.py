@@ -14,9 +14,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .detect import clf_anomaly_scores_batch
+from .detect import mc_scores
 from .model import PathwayNetwork
-from .uncertainty import mc_classify_batch
 
 SCATTER_RIDGE = 1e-6
 
@@ -125,26 +124,9 @@ def score_matrix(
     net: PathwayNetwork, dataset, t: int, rng: np.random.Generator
 ) -> tuple[list[str], np.ndarray]:
     """MC-evaluate a test set and average classifier-path scores per group."""
-    x = np.asarray(dataset.X, dtype=np.float64)
-    mean, variance = mc_classify_batch(net, x, t, rng)
-    scores = clf_anomaly_scores_batch(mean, variance)
-    return score_matrix_from_scores(scores, dataset.group)
-
-
-def jitter_for_display(
-    points: np.ndarray, scale: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Seeded Gaussian jitter for plotting overlapping points.
-
-    Display-only: callers must compute metrics from the original
-    coordinates.  Scale 0 returns the input unchanged.
-    """
-    if scale < 0:
-        raise ValueError(f"scale must be non-negative, got {scale}")
-    points = np.asarray(points, dtype=np.float64)
-    if scale == 0.0:
-        return points
-    return points + rng.normal(0.0, scale, points.shape)
+    if net.head is None:
+        raise ValueError(f"{net.kind.value} model has no classifier head")
+    return score_matrix_from_scores(mc_scores(net, dataset.X, t, rng).clf, dataset.group)
 
 
 def emit_csv(header: list[str], rows, path) -> None:

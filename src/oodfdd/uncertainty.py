@@ -1,8 +1,12 @@
 """Monte-Carlo dropout inference and entropy diagnostics.
 
 T stochastic forward passes with dropout left on give per-output sample sets;
-the predictive mean and population variance summarize them.  Sums are reduced
-in sample-index order so repeated runs with the same seed reproduce the
+the predictive mean and population variance summarize them.  One pass loop
+serves every caller: each pass runs the encoder once and feeds both the
+classifier head and the decoder, so the two outputs share that pass's
+dropout mask.  `mc_moments` reduces the passes of a batch as they are drawn;
+`mc_sample` keeps the samples of one input.  Sums are reduced in
+sample-index order so repeated runs with the same seed reproduce the
 statistics bitwise.  Entropy is the natural-log entropy of the predictive
 mean distribution, with the usual 0*log(0) = 0 convention.
 """
@@ -19,6 +23,19 @@ from .model import PathwayNetwork
 from .nncore import as_matrix
 
 
+def _welford_step(k: int, sample: np.ndarray, mean: np.ndarray, m2: np.ndarray):
+    """Fold the k-th (0-based) sample into the running (mean, m2) pair."""
+    delta = sample - mean
+    mean = mean + delta / (k + 1)
+    return mean, m2 + delta * (sample - mean)
+
+
+def _population_variance(m2: np.ndarray, t: int) -> np.ndarray:
+    # the update can leave a negative rounding residue of order 1e-30;
+    # clamp so the population-variance lower bound holds exactly
+    return np.maximum(m2, 0.0) / t
+
+
 def _sequential_mean_var(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and population variance accumulated in sample-index order.
 
@@ -27,18 +44,14 @@ def _sequential_mean_var(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and returns (mean, m2 / T).  The exact recurrence and its loop order are
     part of the contract: recomputing it from the same sample array
     reproduces both statistics bitwise, and a constant sample set yields the
-    sample itself as mean and exactly zero variance.
+    sample itself as mean and exactly zero variance.  `mc_moments` runs the
+    same step on each pass as it is drawn.
     """
-    t = samples.shape[0]
     mean = np.zeros_like(samples[0])
     m2 = np.zeros_like(samples[0])
-    for k in range(t):
-        delta = samples[k] - mean
-        mean = mean + delta / (k + 1)
-        m2 = m2 + delta * (samples[k] - mean)
-    # the update can leave a negative rounding residue of order 1e-30;
-    # clamp so the population-variance lower bound holds exactly
-    return mean, np.maximum(m2, 0.0) / t
+    for k, sample in enumerate(samples):
+        mean, m2 = _welford_step(k, sample, mean, m2)
+    return mean, _population_variance(m2, len(samples))
 
 
 @dataclass
@@ -67,94 +80,91 @@ class McSampleResult(NamedTuple):
     reconstruction: McPrediction | None
 
 
+class McMoments(NamedTuple):
+    """Per-row MC statistics of a batch; None where the net lacks the pathway."""
+
+    clf_mean: np.ndarray | None  # (N, C)
+    clf_var: np.ndarray | None  # (N, C)
+    rec_mean: np.ndarray | None  # (N, D)
+
+
+def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator):
+    """Yield (head output, decoder output) for each of T dropout-active passes.
+
+    Each pass runs the encoder once and feeds both pathways from it, so they
+    share that pass's dropout mask; an absent pathway yields None.
+    """
+    if t < 2:
+        raise ValueError(f"need at least 2 samples, got {t}")
+    for _ in range(t):
+        h = net.encoder.forward(x, rng, stochastic=True)
+        yield (None if net.head is None else net.head.forward(h),
+               None if net.decoder is None else net.decoder.forward(h))
+
+
+def mc_moments(
+    net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
+) -> McMoments:
+    """T dropout-active passes over a batch, reduced as they are drawn.
+
+    Classifier outputs go through the sequential mean/variance update of
+    `_sequential_mean_var`; reconstructions keep a running sum divided by T.
+    Memory stays flat in T.  Requires t >= 2; a dropout rate of 0 is allowed
+    and simply yields zero variance.
+    """
+    x = as_matrix(x)
+    clf_mean = clf_m2 = rec_sum = None
+    if net.head is not None:
+        clf_mean, clf_m2 = np.zeros((2, len(x), net.n_outputs))
+    if net.decoder is not None:
+        rec_sum = np.zeros_like(x)
+    for k, (clf, rec) in enumerate(_passes(net, x, t, rng)):
+        if clf is not None:
+            clf_mean, clf_m2 = _welford_step(k, clf, clf_mean, clf_m2)
+        if rec is not None:
+            rec_sum = rec_sum + rec
+    return McMoments(
+        clf_mean=clf_mean,
+        clf_var=None if clf_m2 is None else _population_variance(clf_m2, t),
+        rec_mean=None if rec_sum is None else rec_sum / t,
+    )
+
+
 def mc_sample(
     net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
 ) -> McSampleResult:
-    """Run T dropout-active passes on a single input.
-
-    One encoder pass per sample feeds whichever output pathways the network
-    has, so classifier and reconstruction samples share each pass's dropout
-    mask.  Requires t >= 2; a dropout rate of 0 is allowed and simply yields
-    zero variance.
-    """
-    if t < 2:
-        raise ValueError(f"need at least 2 samples, got {t}")
-    x = as_matrix(np.asarray(x, dtype=np.float64))
+    """The passes of `mc_moments` on a single input, with every sample kept."""
+    x = as_matrix(x)
     if x.shape[0] != 1:
-        raise ValueError("mc_sample takes a single example; see the batch helpers")
-    clf_samples = [] if net.head is not None else None
-    rec_samples = [] if net.decoder is not None else None
-    for _ in range(t):
-        h = net.encoder.forward(x, rng, stochastic=True)
-        if clf_samples is not None:
-            clf_samples.append(net.head.forward(h)[0])
-        if rec_samples is not None:
-            rec_samples.append(net.decoder.forward(h)[0])
-    clf = McPrediction.from_samples(np.stack(clf_samples)) if clf_samples is not None else None
-    rec = McPrediction.from_samples(np.stack(rec_samples)) if rec_samples is not None else None
-    return McSampleResult(classifier=clf, reconstruction=rec)
+        raise ValueError("mc_sample takes a single example; see mc_moments")
+    clf, rec = zip(*_passes(net, x, t, rng))
+    return McSampleResult(
+        classifier=None if net.head is None else McPrediction.from_samples(np.concatenate(clf)),
+        reconstruction=None if net.decoder is None
+        else McPrediction.from_samples(np.concatenate(rec)),
+    )
 
 
-def mc_classify_batch(
-    net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched MC classification: returns (mean, variance), each (N, C)."""
-    if t < 2:
-        raise ValueError(f"need at least 2 samples, got {t}")
-    if net.head is None:
-        raise ValueError(f"{net.kind.value} model has no classifier head")
-    x = as_matrix(np.asarray(x, dtype=np.float64))
-    samples = np.empty((t, x.shape[0], net.n_outputs))
-    for k in range(t):
-        samples[k] = net.forward_classify(x, rng, stochastic=True)
-    return _sequential_mean_var(samples)
+def predictive_entropy(mean: np.ndarray) -> np.ndarray:
+    """Natural-log entropy of each row of an (N, C) predictive mean; (N,).
 
-
-def mc_reconstruct_batch(
-    net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Batched MC reconstruction predictive mean, (N, D).
-
-    Only the running sum is kept, so memory stays flat in T; the source
-    passes are still accumulated in sample-index order.
+    A single column is the positive-class probability of a two-class sigmoid
+    output and is expanded to [1 - p, p].  Every row must be non-negative
+    and sum to 1 within 1e-6; the error names the first row that is not.
     """
-    if t < 2:
-        raise ValueError(f"need at least 2 samples, got {t}")
-    if net.decoder is None:
-        raise ValueError(f"{net.kind.value} model has no decoder")
-    x = as_matrix(np.asarray(x, dtype=np.float64))
-    total = np.zeros_like(x)
-    for _ in range(t):
-        xhat, _ = net.forward_reconstruct(x, rng, stochastic=True)
-        total = total + xhat
-    return total / t
-
-
-def expand_binary(mean: np.ndarray) -> np.ndarray:
-    """Turn a single sigmoid output p into the two-class vector [1-p, p]."""
-    mean = np.asarray(mean, dtype=np.float64).reshape(-1)
-    if mean.size != 1:
-        raise ValueError("expected a single sigmoid output")
-    p = float(mean[0])
-    return np.array([1.0 - p, p])
-
-
-def predictive_entropy(mean) -> float:
-    """Natural-log entropy of a predictive mean distribution.
-
-    A scalar or length-1 vector is treated as the positive-class probability
-    of a two-class output.  Entries must be non-negative and sum to 1 within
-    1e-6.
-    """
-    p = np.asarray(mean, dtype=np.float64).reshape(-1)
-    if p.size == 1:
-        p = expand_binary(p)
-    if np.any(p < 0.0):
-        raise ValueError("probabilities must be non-negative")
-    if abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+    p = np.asarray(mean, dtype=np.float64)
+    if p.ndim != 2:
+        raise ValueError(f"expected an (N, C) predictive mean, got shape {p.shape}")
+    if p.shape[1] == 1:
+        p = np.hstack([1.0 - p, p])
+    sums = p.sum(axis=1)
+    bad = np.flatnonzero((p < 0.0).any(axis=1) | (np.abs(sums - 1.0) > 1e-6))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"row {i}: probabilities must be non-negative and sum to 1, got {p[i]}")
     terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return float(-terms.sum())
+    return -terms.sum(axis=1)
 
 
 GROUP_NORMAL = 0  # I0: normal test examples
@@ -194,23 +204,6 @@ def decompose_entropies(entropies, groups) -> EntropyDecomposition:
     for h, tag in zip(entropies, groups):
         parts[group_bucket(tag)] += float(h)
     return EntropyDecomposition.from_parts(*parts)
-
-
-def entropy_decomposition(
-    net: PathwayNetwork, dataset, t: int, rng: np.random.Generator
-) -> EntropyDecomposition:
-    """MC-estimate predictive entropies on a tagged test set and bucket them.
-
-    dataset needs X (features) and group (one tag per row); every tag must
-    map to normal, in-distribution fault, or out-of-distribution.
-    """
-    x = np.asarray(dataset.X, dtype=np.float64)
-    groups = list(dataset.group)
-    if len(x) != len(groups):
-        raise ValueError("feature/group length mismatch")
-    mean, _ = mc_classify_batch(net, x, t, rng)
-    entropies = [predictive_entropy(mean[i]) for i in range(len(x))]
-    return decompose_entropies(entropies, groups)
 
 
 def write_histogram_csv(pred: McPrediction, path, bins: int = 20) -> None:

@@ -104,44 +104,47 @@ def test_c02_mc_statistics_recompute_bitwise():
 def test_c03_score_and_diagnostic_credit_oracles():
     grid = np.round(np.arange(0.0, 1.0001, 0.1), 1)
     ok = True
-    # every (mu, var) grid pair in every channel slot of a 4-channel output
+    # every (mu, var) grid pair in every channel slot of a 4-channel output,
+    # one row per grid point
+    means, variances = [], []
     for j in range(4):
         for mu in grid:
             mean = np.array([0.2, 0.3, 0.4, 0.1])
             for var in grid:
                 variance = np.array([0.0, 0.1, 0.2, 0.3])
                 mean[j], variance[j] = mu, var
-                scores = detect.clf_anomaly_scores(
-                    uncertainty.McPrediction(samples=np.zeros((2, 4)),
-                                             mean=mean.copy(), variance=variance.copy()))
-                expect = mean + variance
-                expect[0] = 1.0 - mean[0] + variance[0]
-                ok = ok and np.array_equal(scores, expect)
+                means.append(mean.copy())
+                variances.append(variance.copy())
+    scores = detect.clf_anomaly_scores(np.array(means), np.array(variances))
+    for mean, variance, row in zip(means, variances, scores):
+        expect = mean + variance
+        expect[0] = 1.0 - mean[0] + variance[0]
+        ok = ok and np.array_equal(row, expect)
     # a lone sigmoid output expands first (mu0 = 1 - mu), then the channel
     # formulas apply; the two entries agree by algebra (to rounding)
-    for mu in grid:
-        for var in grid:
-            pred = uncertainty.McPrediction(samples=np.zeros((2, 1)),
-                                            mean=np.array([mu]), variance=np.array([var]))
-            s = detect.clf_anomaly_scores(pred)
-            ok = ok and s.shape == (2,)
-            ok = ok and s[0] == 1.0 - (1.0 - mu) + var and s[1] == mu + var
-            ok = ok and abs(s[0] - s[1]) < 1e-12
-    # diagnostic credit over every label subset of size <= 3 from {0,1,2,3}
+    pairs = [(mu, var) for mu in grid for var in grid]
+    scores = detect.clf_anomaly_scores(np.array([[mu] for mu, _ in pairs]),
+                                       np.array([[var] for _, var in pairs]))
+    ok = ok and scores.shape == (len(pairs), 2)
+    for (mu, var), s in zip(pairs, scores):
+        ok = ok and s[0] == 1.0 - (1.0 - mu) + var and s[1] == mu + var
+        ok = ok and abs(s[0] - s[1]) < 1e-12
+    # diagnostic credit over every label subset of size <= 3 from {0,1,2,3},
+    # one flag row built from each subset
     import itertools
     subsets = [set(c) for r in range(4)
                for c in itertools.combinations(range(4), r)]
     assert len(subsets) == 15
+    b = np.array([[j in y_pred for j in range(4)] for y_pred in subsets])
     for y_true in (1, 2, 3):
-        for y_pred in subsets:
-            got = detect.diagnostic_accuracy(y_pred, y_true)
+        got = detect.diagnostic_accuracies(b, np.full(len(subsets), y_true))
+        for y_pred, g in zip(subsets, got):
             if y_true not in y_pred:
                 want = 0.0
             else:
                 want = 1.0 / len([j for j in y_pred if j != 0])
-            ok = ok and got == want
-    with pytest.raises(ValueError):
-        detect.diagnostic_accuracy({0}, 0)
+            ok = ok and g == want
+    ok = ok and bool(np.all(np.isnan(detect.diagnostic_accuracies(b, np.zeros(15, int)))))
     _line("03 score/credit oracles", ok,
           "channel scores and diagnostic credit match exhaustive tables exactly")
 
@@ -191,7 +194,7 @@ def test_c05_fault_rows_leave_decoder_gradients_unchanged():
 def test_c06_entropy_totals_and_partition():
     rng = nncore.make_rng(606)
     probs = rng.dirichlet(np.ones(4), 60)
-    entropies = [uncertainty.predictive_entropy(p) for p in probs]
+    entropies = uncertainty.predictive_entropy(probs)
     tags = (["normal"] * 20 + ["fault:1"] * 10 + ["fault:2"] * 10
             + ["incipient:1:0.5"] * 10 + ["unknown"] * 10)
     d = uncertainty.decompose_entropies(entropies, tags)

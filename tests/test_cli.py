@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from oodfdd import cli, data
+from oodfdd import cli, data, model
 
 
 SMOKE = ["--epochs", "2", "--pretrain-epochs", "1", "--t-samples", "4",
@@ -241,6 +241,51 @@ def test_descriptor_missing_key_exits_5(tmp_path, thyroid_dir, trained_dir, caps
     assert rc == cli.EXIT_BAD_ARCHIVE
     err = capsys.readouterr().err
     assert weights in err and "'kind'" in err
+
+
+def test_non_finite_archive_exits_5(tmp_path, thyroid_dir, trained_dir, capsys):
+    net = model.load(os.path.join(trained_dir, "augmented.ofdd"))
+    net.params[3] = np.nan
+    model.save(net, tmp_path / "nan.ofdd")
+    rc, weights = _score_archive(tmp_path, thyroid_dir, (tmp_path / "nan.ofdd").read_bytes())
+    assert rc == cli.EXIT_BAD_ARCHIVE
+    err = capsys.readouterr().err
+    assert weights in err and "parameter index 3" in err
+
+
+def _score_input(tmp_path, thyroid_dir, trained_dir, text):
+    input_path = tmp_path / "rows.csv"
+    input_path.write_text(text)
+    return cli.main(["score", "--dataset", "thyroid", "--data-dir", thyroid_dir,
+                     "--weights", os.path.join(trained_dir, "augmented.ofdd"),
+                     "--input", str(input_path), "--out", str(tmp_path / "o"), *SMOKE])
+
+
+def test_score_names_short_row(tmp_path, thyroid_dir, trained_dir, capsys):
+    rc = _score_input(tmp_path, thyroid_dir, trained_dir,
+                      "0.1,0.2,0.3,0.4,0.5,0.6\n0.1,0.2,0.3\n")
+    assert rc == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "data row 2 has 3 cells, expected 6" in err
+
+
+def test_score_names_non_numeric_cell(tmp_path, thyroid_dir, trained_dir, capsys):
+    header = ",".join(f"feature_{j}" for j in range(6))
+    rc = _score_input(tmp_path, thyroid_dir, trained_dir,
+                      f"{header}\n0.1,0.2,0.3,0.4,0.5,0.6\n0.1,0.2,0.3,oops,0.5,0.6\n")
+    assert rc == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "non-numeric value 'oops' in data row 2, column 'feature_3'" in err
+
+
+def test_evaluate_and_score_write_identical_thresholds(tmp_path, thyroid_dir, trained_dir):
+    common = ["--dataset", "thyroid", "--data-dir", thyroid_dir,
+              "--weights", os.path.join(trained_dir, "augmented.ofdd"), *SMOKE]
+    assert cli.main(["evaluate", *common, "--out", str(tmp_path / "e")]) == 0
+    assert cli.main(["score", *common, "--out", str(tmp_path / "s")]) == 0
+    evaluated = (tmp_path / "e" / "thresholds.csv").read_bytes()
+    assert evaluated == (tmp_path / "s" / "thresholds.csv").read_bytes()
+    assert b"clf1," in evaluated and b"rec," in evaluated
 
 
 def test_score_rejects_non_finite_input(tmp_path, thyroid_dir, trained_dir, capsys):

@@ -186,6 +186,16 @@ def test_archive_trailing_garbage(tmp_path):
         model.load(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_archive_non_finite_parameter(tmp_path, bad):
+    net = thyroid_net()
+    net.params[3] = bad
+    path = tmp_path / "net.ofdd"
+    model.save(net, path)
+    with pytest.raises(model.ArchiveError, match="parameter index 3"):
+        model.load(path)
+
+
 def _rewrite_descriptor(path, edit):
     blob = path.read_bytes()
     desc_len = int.from_bytes(blob[6:10], "little")

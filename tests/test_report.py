@@ -111,8 +111,8 @@ def test_score_matrix_from_network_matches_direct_recompute():
     ds = SimpleNamespace(X=x, group=np.array(["normal"] * 6 + ["fault:1"] * 3 + ["fault:2"] * 3))
     names, matrix = report.score_matrix(net, ds, 15, nncore.make_rng(10))
 
-    mean, var = unc.mc_classify_batch(net, x, 15, nncore.make_rng(10))
-    scores = detect.clf_anomaly_scores_batch(mean, var)
+    m = unc.mc_moments(net, x, 15, nncore.make_rng(10))
+    scores = detect.clf_anomaly_scores(m.clf_mean, m.clf_var)
     assert names == ["normal", "fault:1", "fault:2"]
     assert np.array_equal(matrix[0], scores[:6].mean(axis=0))
     assert np.array_equal(matrix[1], scores[6:9].mean(axis=0))
@@ -120,20 +120,6 @@ def test_score_matrix_from_network_matches_direct_recompute():
 
 # ---------------------------------------------------------------------------
 # emitters
-
-
-def test_jitter_contract():
-    rng = nncore.make_rng(11)
-    pts = rng.normal(0, 1, (5000, 2))
-    same = report.jitter_for_display(pts, 0.0, nncore.make_rng(12))
-    assert same is pts  # scale 0 is the identity
-    moved = report.jitter_for_display(pts, 0.1, nncore.make_rng(12))
-    disp = moved - pts
-    assert np.all(np.abs(disp.mean(axis=0)) < 0.01)
-    again = report.jitter_for_display(pts, 0.1, nncore.make_rng(12))
-    assert np.array_equal(moved, again)
-    with pytest.raises(ValueError):
-        report.jitter_for_display(pts, -1.0, rng)
 
 
 def test_emit_csv_formatting(tmp_path):

@@ -43,9 +43,9 @@ def test_mc_sample_requires_two_passes():
     with pytest.raises(ValueError):
         unc.mc_sample(net, np.ones(6), 1, nncore.make_rng(0))
     with pytest.raises(ValueError):
-        unc.mc_classify_batch(net, np.ones((3, 6)), 1, nncore.make_rng(0))
+        unc.mc_moments(net, np.ones((3, 6)), 1, nncore.make_rng(0))
     with pytest.raises(ValueError):
-        unc.mc_reconstruct_batch(net, np.ones((3, 6)), 0, nncore.make_rng(0))
+        unc.mc_moments(_net(ModelKind.AUTOENCODER_ONLY), np.ones((3, 6)), 0, nncore.make_rng(0))
 
 
 def test_dropout_rate_zero_gives_zero_variance():
@@ -121,22 +121,64 @@ def test_more_samples_converge_to_same_mean():
 def test_batch_helpers_shapes_and_determinism():
     net = _net(n_classes=7)
     x = nncore.make_rng(10).normal(0, 1, (9, 6))
-    m1, v1 = unc.mc_classify_batch(net, x, 20, nncore.make_rng(11))
-    m2, v2 = unc.mc_classify_batch(net, x, 20, nncore.make_rng(11))
-    assert m1.shape == (9, 7) and v1.shape == (9, 7)
-    assert np.array_equal(m1, m2) and np.array_equal(v1, v2)
-    r1 = unc.mc_reconstruct_batch(net, x, 20, nncore.make_rng(12))
-    r2 = unc.mc_reconstruct_batch(net, x, 20, nncore.make_rng(12))
-    assert r1.shape == (9, 6)
-    assert np.array_equal(r1, r2)
+    a = unc.mc_moments(net, x, 20, nncore.make_rng(11))
+    b = unc.mc_moments(net, x, 20, nncore.make_rng(11))
+    assert a.clf_mean.shape == (9, 7) and a.clf_var.shape == (9, 7)
+    assert a.rec_mean.shape == (9, 6)
+    for got, again in zip(a, b):
+        assert np.array_equal(got, again)
+    clf_only = unc.mc_moments(_net(ModelKind.CLASSIFIER_ONLY), x, 3, nncore.make_rng(0))
+    assert clf_only.rec_mean is None and clf_only.clf_mean.shape == (9, 1)
+    ae_only = unc.mc_moments(_net(ModelKind.AUTOENCODER_ONLY), x, 3, nncore.make_rng(0))
+    assert ae_only.clf_mean is None and ae_only.clf_var is None
 
 
 def test_batch_reconstruct_without_dropout_equals_deterministic():
     net = _net(dropout=0.0)
     x = nncore.make_rng(13).normal(0, 1, (4, 6))
-    mc = unc.mc_reconstruct_batch(net, x, 5, nncore.make_rng(14))
+    mc = unc.mc_moments(net, x, 5, nncore.make_rng(14)).rec_mean
     xhat, _ = net.forward_reconstruct(x)
     assert np.allclose(mc, xhat, atol=1e-12)
+
+
+def test_augmented_classifier_moments_equal_head_only_replay():
+    # the decoder draws no randomness, so feeding it from each pass leaves
+    # the classifier statistics bitwise where an encoder+head loop puts them
+    net = _net(n_classes=5, dropout=0.3)
+    x = nncore.make_rng(20).normal(0, 1, (11, 6))
+    got = unc.mc_moments(net, x, 15, nncore.make_rng(21))
+    rng = nncore.make_rng(21)
+    mean = np.zeros((11, 5))
+    m2 = np.zeros((11, 5))
+    rec_sum = np.zeros_like(x)
+    for k in range(15):
+        h = net.encoder.forward(x, rng, stochastic=True)
+        sample = net.head.forward(h)
+        delta = sample - mean
+        mean = mean + delta / (k + 1)
+        m2 = m2 + delta * (sample - mean)
+        rec_sum = rec_sum + net.decoder.forward(h)
+    assert np.array_equal(got.clf_mean, mean)
+    assert np.array_equal(got.clf_var, np.maximum(m2, 0.0) / 15)
+    # the reconstruction is the mean over the same passes' masks
+    assert np.array_equal(got.rec_mean, rec_sum / 15)
+    # and a classifier-only net with the same weights gets the same moments
+    clf_only = _net(ModelKind.CLASSIFIER_ONLY, n_classes=5, dropout=0.3)
+    alone = unc.mc_moments(clf_only, x, 15, nncore.make_rng(21))
+    assert np.array_equal(alone.clf_mean, got.clf_mean)
+    assert np.array_equal(alone.clf_var, got.clf_var)
+
+
+def test_mc_sample_is_the_moments_loop_with_samples_kept():
+    net = _net(n_classes=3)
+    x = np.linspace(-1, 1, 6)
+    kept = unc.mc_sample(net, x, 17, nncore.make_rng(22))
+    m = unc.mc_moments(net, x, 17, nncore.make_rng(22))
+    assert np.array_equal(kept.classifier.mean, m.clf_mean[0])
+    assert np.array_equal(kept.classifier.variance, m.clf_var[0])
+    assert np.allclose(kept.reconstruction.mean, m.rec_mean[0], atol=1e-12)
+    with pytest.raises(ValueError):
+        unc.mc_sample(net, np.ones((2, 6)), 5, nncore.make_rng(0))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 5))
@@ -151,29 +193,46 @@ def test_variance_bounded_for_unit_interval_samples(seed, t, c):
 # entropy
 
 
+def _h(row):
+    return unc.predictive_entropy(np.asarray([row], dtype=np.float64))[0]
+
+
 def test_entropy_degenerate_and_uniform():
-    assert unc.predictive_entropy([1.0, 0.0]) == 0.0
-    assert abs(unc.predictive_entropy([0.5, 0.5]) - math.log(2)) < 1e-12
-    assert abs(unc.predictive_entropy([0.25] * 4) - math.log(4)) < 1e-12
+    assert _h([1.0, 0.0]) == 0.0
+    assert abs(_h([0.5, 0.5]) - math.log(2)) < 1e-12
+    assert abs(_h([0.25] * 4) - math.log(4)) < 1e-12
 
 
 def test_entropy_direct_evaluation():
     # -0.9 ln 0.9 - 0.1 ln 0.1, frozen
-    assert abs(unc.predictive_entropy([0.9, 0.1]) - 0.32508297339144825) < 1e-12
+    assert abs(_h([0.9, 0.1]) - 0.32508297339144825) < 1e-12
 
 
 def test_entropy_scalar_expands_to_two_classes():
-    assert abs(unc.predictive_entropy(0.5) - math.log(2)) < 1e-12
-    assert abs(
-        unc.predictive_entropy([0.3]) - unc.predictive_entropy([0.7, 0.3])
-    ) < 1e-12
+    assert abs(_h([0.5]) - math.log(2)) < 1e-12
+    assert abs(_h([0.3]) - _h([0.7, 0.3])) < 1e-12
 
 
 def test_entropy_rejects_bad_distributions():
+    with pytest.raises(ValueError, match="row 0"):
+        _h([-0.1, 1.1])
+    with pytest.raises(ValueError, match="row 1"):
+        unc.predictive_entropy(np.array([[0.5, 0.5], [0.5, 0.4], [0.2, 0.2]]))
     with pytest.raises(ValueError):
-        unc.predictive_entropy([-0.1, 1.1])
-    with pytest.raises(ValueError):
-        unc.predictive_entropy([0.5, 0.4])
+        unc.predictive_entropy(np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("c", [1, 2, 5, 7, 10, 33])
+def test_entropy_rows_equal_batch_bitwise(c):
+    rng = nncore.make_rng(23 + c)
+    probs = rng.random((40, 1)) if c == 1 else rng.dirichlet(np.ones(c), 40)
+    probs[3, 0] = 0.0 if c > 1 else 1.0  # a zero term takes the 0 log 0 branch
+    if c > 1:
+        probs[3] /= probs[3].sum()
+    batch = unc.predictive_entropy(probs)
+    assert batch.shape == (40,)
+    for i in range(40):
+        assert unc.predictive_entropy(probs[i : i + 1])[0] == batch[i]
 
 
 def test_group_bucket_mapping():
@@ -211,7 +270,8 @@ def test_entropy_decomposition_from_network():
     ds = SimpleNamespace(
         X=x, group=["normal", "normal", "fault:1", "fault:2", "incipient:1:1", "unknown"]
     )
-    dec = unc.entropy_decomposition(net, ds, 30, nncore.make_rng(16))
+    mean = unc.mc_moments(net, ds.X, 30, nncore.make_rng(16)).clf_mean
+    dec = unc.decompose_entropies(unc.predictive_entropy(mean), ds.group)
     assert dec.P0 > 0.0 and dec.P1_in > 0.0 and dec.P1_ood > 0.0
     assert dec.total == dec.P0 + dec.P1_in + dec.P1_ood
 
