@@ -6,10 +6,18 @@ figures, and run the three-way model comparison. Every number the CLI
 prints or writes is recomputable by calling the library with the same seed;
 the CLI holds no state of its own beyond the artifact files it writes.
 
+`train` calibrates the detection thresholds once, on the training normals,
+and stores them in the weight archive with alpha, t_samples and the seed.
+`score` scores from that record: it never recalibrates, and with `--input`
+it reads no dataset file.
+
 Exit codes: 0 success, 2 missing data path, 3 bad configuration or usage
 (including a short row or a non-numeric or non-finite cell in an input
-CSV), 4 numeric failure during training or evaluation, 5 unreadable weight
-archive (a non-finite parameter included).
+CSV, input rows whose width differs from the archive's input_dim, and a
+`--alpha`, `--t-samples` or `--seed` given to `score` that differs from the
+archive's), 4 numeric failure during training or evaluation, 5 unreadable
+weight archive (a non-finite parameter or threshold, an invalid calibration
+record and a version-1 archive included).
 """
 
 from __future__ import annotations
@@ -19,10 +27,12 @@ import csv
 import hashlib
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import data, experiments, model, report, train
+from .detect import ThresholdSet
 from .experiments import MODEL_ORDER, ExperimentConfig
 from .nncore import NonFiniteError, derive_rng
 from .uncertainty import mc_sample, write_histogram_csv
@@ -98,18 +108,23 @@ def load_config_file(path) -> dict:
     return values
 
 
-def build_config(args) -> ExperimentConfig:
-    """Dataset defaults, overridden by the config file, overridden by flags."""
-    file_vals = load_config_file(args.config) if args.config else {}
-    dataset = args.dataset or file_vals.get("dataset") or "thyroid"
-    overrides = {k: v for k, v in file_vals.items() if k != "dataset"}
-    for key in sorted(ALL_KEYS - {"dataset"}):
+def given_settings(args) -> dict:
+    """Settings given explicitly, by the config file or by flags (flags win)."""
+    given = load_config_file(args.config) if args.config else {}
+    for key in sorted(ALL_KEYS):
         flag_val = getattr(args, key, None)
         if flag_val is None:
             continue
         if key in _LIST_KEYS and isinstance(flag_val, str):
             flag_val = _parse_width_list(flag_val)
-        overrides[key] = flag_val
+        given[key] = flag_val
+    return given
+
+
+def build_config(args) -> ExperimentConfig:
+    """Dataset defaults, overridden by the config file, overridden by flags."""
+    overrides = given_settings(args)
+    dataset = overrides.pop("dataset", None) or "thyroid"
     try:
         return experiments.config_for(dataset, **overrides)
     except (ValueError, TypeError) as exc:
@@ -138,7 +153,7 @@ def _out_dir(args) -> str:
     return args.out
 
 
-def _load_weights(path) -> model.PathwayNetwork:
+def _load_weights(path) -> tuple[model.PathwayNetwork, model.Calibration]:
     if not os.path.exists(path):
         raise FileNotFoundError(f"weights archive not found: {path}")
     try:
@@ -171,9 +186,13 @@ def cmd_gen_data(cfg, args) -> int:
 def cmd_train(cfg, args) -> int:
     train_ds, _ = experiments.load_dataset_pair(cfg, args.data_dir)
     net, history = experiments.train_one(cfg, train_ds)
+    thr = experiments.calibrate_normals(net, train_ds.X[train_ds.y == 0], cfg,
+                                        _stream_for(net))
     out = _out_dir(args)
     weights_name = f"{cfg.model_kind}.ofdd"
-    model.save(net, os.path.join(out, weights_name))
+    model.save(net, os.path.join(out, weights_name),
+               model.Calibration(thr.alpha, cfg.t_samples, cfg.seed,
+                                 thr.clf_thresholds, thr.rec_threshold))
     train.write_history_csv(history, os.path.join(out, "history.csv"))
     write_manifest(out, [weights_name, "history.csv"])
     final = history[-1]
@@ -184,7 +203,7 @@ def cmd_train(cfg, args) -> int:
 
 
 def cmd_evaluate(cfg, args) -> int:
-    net = _load_weights(args.weights)
+    net, _ = _load_weights(args.weights)
     train_ds, eval_ds = experiments.load_dataset_pair(cfg, args.data_dir)
     calib_x = train_ds.X[train_ds.y == 0]
     ev = experiments.evaluate_model(net, calib_x, eval_ds, cfg, stream=_stream_for(net))
@@ -244,18 +263,35 @@ def _read_input_csv(path) -> np.ndarray:
     return x
 
 
-def cmd_score(cfg, args) -> int:
-    net = _load_weights(args.weights)
-    train_ds, _ = experiments.load_dataset_pair(cfg, args.data_dir)
-    calib_x = train_ds.X[train_ds.y == 0]
-    # default rows are the calibration normals, so the printed flag rate
-    # lands near alpha by construction
-    x = _read_input_csv(args.input) if args.input else calib_x
-    if x.shape[1] != train_ds.X.shape[1]:
-        raise ConfigError(
-            f"input has {x.shape[1]} features, dataset expects {train_ds.X.shape[1]}")
+def _check_archive_settings(args, cal: model.Calibration) -> None:
+    """An explicitly given alpha, t_samples or seed must match the archive's."""
+    given = given_settings(args)
+    for key in ("alpha", "t_samples", "seed"):
+        if key in given and given[key] != getattr(cal, key):
+            raise ConfigError(
+                f"{key} {given[key]} was given, but archive {args.weights} was "
+                f"calibrated with {key} {getattr(cal, key)}; retrain to change it")
 
-    thresholds, s = experiments.calibrate_and_score(net, calib_x, x, cfg, _stream_for(net))
+
+def cmd_score(cfg, args) -> int:
+    net, cal = _load_weights(args.weights)
+    _check_archive_settings(args, cal)
+    if args.input:
+        x = _read_input_csv(args.input)
+        source = f"input {args.input}"
+    else:
+        # default rows are the calibration normals, so the printed flag rate
+        # lands near alpha by construction
+        train_ds, _ = experiments.load_dataset_pair(replace(cfg, seed=cal.seed),
+                                                    args.data_dir)
+        x = train_ds.X[train_ds.y == 0]
+        source = f"{cfg.dataset} training data"
+    if x.shape[1] != net.input_dim:
+        raise ConfigError(f"{source} has {x.shape[1]} feature columns, but archive "
+                          f"{args.weights} has input_dim {net.input_dim}")
+
+    thresholds = ThresholdSet(cal.clf_thresholds, cal.rec_threshold, cal.alpha)
+    s = experiments.score_rows(net, x, thresholds, cal.t_samples, cal.seed, _stream_for(net))
 
     header = []
     columns = []
@@ -290,7 +326,7 @@ def _safe_name(tag: str) -> str:
 
 
 def cmd_report(cfg, args) -> int:
-    net = _load_weights(args.weights)
+    net, _ = _load_weights(args.weights)
     train_ds, eval_ds = experiments.load_dataset_pair(cfg, args.data_dir)
     out = _out_dir(args)
     names = []

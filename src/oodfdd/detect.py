@@ -210,7 +210,7 @@ def binary_accuracy(flags: np.ndarray, groups, group: str) -> float:
     members of every other group when flagged.
     """
     flags = np.asarray(flags, dtype=bool)
-    member = np.asarray([g == group for g in groups])
+    member = np.asarray(groups) == group
     if not member.any():
         raise ValueError(f"no examples in group {group!r}")
     if group == "normal":
@@ -220,11 +220,8 @@ def binary_accuracy(flags: np.ndarray, groups, group: str) -> float:
 
 def group_binary_accuracies(flags: np.ndarray, groups) -> dict[str, float]:
     """binary_accuracy for every distinct group tag, insertion-ordered."""
-    out: dict[str, float] = {}
-    for g in groups:
-        if g not in out:
-            out[g] = binary_accuracy(flags, groups, g)
-    return out
+    tags = np.asarray(groups)
+    return {g: binary_accuracy(flags, tags, g) for g in dict.fromkeys(groups)}
 
 
 def precision_recall_at(

@@ -189,18 +189,20 @@ def _mean_diag_by_group(diag: np.ndarray, groups: np.ndarray) -> dict:
     return out
 
 
-def calibrate_and_score(net: PathwayNetwork, calib_x: np.ndarray, x: np.ndarray,
-                        cfg: ExperimentConfig, stream: int) -> tuple[ThresholdSet, Scores]:
-    """Thresholds from the calibration normals, then scores and flags for x.
+def calibrate_normals(net: PathwayNetwork, calib_x: np.ndarray, cfg: ExperimentConfig,
+                      stream: int) -> ThresholdSet:
+    """Thresholds from the calibration normals, MC draws from (seed, 20, stream).
 
-    The MC draws come from streams (seed, 20, stream) for calibration and
-    (seed, 22, stream) for x, so every command that scores stored weights
-    under one config calibrates them identically.
+    `oodfdd train` stores them in the weight archive, so they equal bitwise
+    the thresholds `evaluate_model` computes for the same net and config.
     """
-    thresholds = calibrate(net, calib_x, cfg.alpha, cfg.t_samples,
-                           derive_rng(cfg.seed, 20, stream))
-    return thresholds, score(net, x, thresholds, cfg.t_samples,
-                             derive_rng(cfg.seed, 22, stream))
+    return calibrate(net, calib_x, cfg.alpha, cfg.t_samples, derive_rng(cfg.seed, 20, stream))
+
+
+def score_rows(net: PathwayNetwork, x: np.ndarray, thresholds: ThresholdSet,
+               t_samples: int, seed: int, stream: int) -> Scores:
+    """Scores and flags for x, MC draws from (seed, 22, stream)."""
+    return score(net, x, thresholds, t_samples, derive_rng(seed, 22, stream))
 
 
 def evaluate_model(net: PathwayNetwork, calib_x: np.ndarray,
@@ -211,7 +213,8 @@ def evaluate_model(net: PathwayNetwork, calib_x: np.ndarray,
     `stream` keeps the Monte Carlo draws of different models independent
     while staying reproducible from the experiment seed.
     """
-    thresholds, s = calibrate_and_score(net, calib_x, eval_ds.X, cfg, stream)
+    thresholds = calibrate_normals(net, calib_x, cfg, stream)
+    s = score_rows(net, eval_ds.X, thresholds, cfg.t_samples, cfg.seed, stream)
     ev = ModelEval(kind=net.kind.value, thresholds=thresholds,
                    clf_flags=s.z, rec_flags=s.rec_flags)
     groups = eval_ds.group

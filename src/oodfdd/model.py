@@ -20,7 +20,7 @@ import numpy as np
 from .nncore import DenseLayer, DropoutLayer, LayerStack, derive_rng, flatten_stacks
 
 ARCHIVE_MAGIC = b"OFDD"
-ARCHIVE_VERSION = 1
+ARCHIVE_VERSION = 2
 
 
 class ModelKind(enum.Enum):
@@ -43,6 +43,22 @@ class VersionMismatchError(ArchiveError):
 
 class TruncatedPayloadError(ArchiveError):
     pass
+
+
+@dataclass
+class Calibration:
+    """Detection thresholds fitted once, on the training normals, at train time.
+
+    `clf_thresholds` has one entry per classifier channel (n_classes of them)
+    and is None without a head; `rec_threshold` is None without a decoder.
+    Scoring repeats the MC draws of `t_samples` passes from `seed`.
+    """
+
+    alpha: float
+    t_samples: int
+    seed: int
+    clf_thresholds: np.ndarray | None
+    rec_threshold: float | None
 
 
 def taper_widths(input_dim: int, latent_dim: int, n_layers: int) -> list[int]:
@@ -250,7 +266,7 @@ def build(
 # weight archive
 
 
-def _descriptor(net: PathwayNetwork) -> dict:
+def _descriptor(net: PathwayNetwork, cal: Calibration) -> dict:
     return {
         "kind": net.kind.value,
         "input_dim": net.input_dim,
@@ -260,17 +276,29 @@ def _descriptor(net: PathwayNetwork) -> dict:
         "head_widths": net.head_widths,
         "dropout_rate": net.dropout_rate,
         "decoder_activation": net.decoder_activation,
+        "calibration": {
+            "alpha": float(cal.alpha),
+            "t_samples": int(cal.t_samples),
+            "seed": int(cal.seed),
+            "clf_thresholds": None if cal.clf_thresholds is None
+            else [float(v) for v in cal.clf_thresholds],
+            "rec_threshold": None if cal.rec_threshold is None else float(cal.rec_threshold),
+        },
     }
 
 
-def save(net: PathwayNetwork, path) -> None:
-    """Write the architecture descriptor and all parameters to `path`.
+def save(net: PathwayNetwork, path, calibration: Calibration) -> None:
+    """Write the architecture, the calibration record and all parameters.
 
-    Layout: magic "OFDD", u16 version, u32 descriptor length, UTF-8 JSON
-    descriptor, then the flat parameter buffer as little-endian float64
-    (encoder, head, decoder; weights row-major, then bias, per dense layer).
+    Layout (version 2): magic "OFDD", u16 version, u32 descriptor length,
+    UTF-8 JSON descriptor, then the flat parameter buffer as little-endian
+    float64 (encoder, head, decoder; weights row-major, then bias, per dense
+    layer).  The descriptor's "calibration" object holds alpha, t_samples,
+    seed, the classifier thresholds (null without a head) and the rec
+    threshold (null without a decoder); JSON numbers written from Python
+    floats read back bitwise equal.
     """
-    desc = json.dumps(_descriptor(net), sort_keys=True).encode("utf-8")
+    desc = json.dumps(_descriptor(net, calibration), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(ARCHIVE_MAGIC)
         fh.write(struct.pack("<H", ARCHIVE_VERSION))
@@ -279,12 +307,61 @@ def save(net: PathwayNetwork, path) -> None:
         fh.write(net.params.astype("<f8").tobytes())
 
 
-def load(path) -> PathwayNetwork:
-    """Rebuild a network from an archive written by `save`.
+def _positive_int(value, what: str) -> int:
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
+def _dense_params(prev: int, widths: list[int]) -> int:
+    n = 0
+    for width in widths:
+        n += (prev + 1) * width
+        prev = width
+    return n
+
+
+def _finite(value, what: str) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ArchiveError(f"calibration {what} {value!r} is not a finite number")
+    return float(value)
+
+
+def _calibration(rec: dict, net: PathwayNetwork) -> Calibration:
+    """The archive's calibration record, checked against its network."""
+    alpha = _finite(rec["alpha"], "alpha")
+    if not 0.0 < alpha < 1.0:
+        raise ArchiveError(f"calibration alpha {alpha} lies outside (0, 1)")
+    t_samples, seed = rec["t_samples"], rec["seed"]
+    if type(t_samples) is not int or t_samples < 2:
+        raise ArchiveError(f"calibration t_samples {t_samples!r} is not an integer >= 2")
+    if type(seed) is not int or seed < 0:
+        raise ArchiveError(f"calibration seed {seed!r} is not a non-negative integer")
+    clf, rec_thr = rec["clf_thresholds"], rec["rec_threshold"]
+    if (clf is None) != (net.head is None):
+        raise ArchiveError(f"classifier thresholds {'missing' if clf is None else 'present'} "
+                           f"for a {net.kind.value} model")
+    if clf is not None:
+        clf = np.array([_finite(v, "classifier threshold") for v in clf], dtype=np.float64)
+        if len(clf) != net.n_classes:
+            raise ArchiveError(
+                f"{len(clf)} classifier thresholds for {net.n_classes} classes")
+    if (rec_thr is None) != (net.decoder is None):
+        raise ArchiveError(f"rec threshold {'missing' if rec_thr is None else 'present'} "
+                           f"for a {net.kind.value} model")
+    if rec_thr is not None:
+        rec_thr = _finite(rec_thr, "rec threshold")
+    return Calibration(alpha, t_samples, seed, clf, rec_thr)
+
+
+def load(path) -> tuple[PathwayNetwork, Calibration]:
+    """Rebuild a network and its calibration from an archive written by `save`.
 
     Raises MagicMismatchError / VersionMismatchError / TruncatedPayloadError
     for the corresponding corruptions, and ArchiveError for any other
-    unreadable descriptor or payload, a NaN or infinite parameter included.
+    unreadable descriptor, calibration record or payload, a NaN or infinite
+    parameter or threshold included.  The payload length is checked against
+    the descriptor before any layer is allocated.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -293,6 +370,9 @@ def load(path) -> PathwayNetwork:
     if blob[:4] != ARCHIVE_MAGIC:
         raise MagicMismatchError(f"bad magic {blob[:4]!r}")
     (version,) = struct.unpack("<H", blob[4:6])
+    if version == 1:
+        raise VersionMismatchError(
+            "archive version 1 carries no calibration record; retrain with `oodfdd train`")
     if version != ARCHIVE_VERSION:
         raise VersionMismatchError(f"archive version {version}, expected {ARCHIVE_VERSION}")
     (desc_len,) = struct.unpack("<I", blob[6:10])
@@ -300,33 +380,45 @@ def load(path) -> PathwayNetwork:
         raise TruncatedPayloadError("descriptor is cut short")
     try:
         desc = json.loads(blob[10 : 10 + desc_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 and bad JSON included
         raise ArchiveError(f"unreadable descriptor: {exc}") from exc
 
+    offset = 10 + desc_len
     try:
+        kind = ModelKind(desc["kind"])
+        input_dim = _positive_int(desc["input_dim"], "input_dim")
+        latent_dim = _positive_int(desc["latent_dim"], "latent_dim")
+        n_classes = _positive_int(desc["n_classes"], "n_classes")
+        widths = [_positive_int(w, "encoder width") for w in desc["encoder_widths"]]
+        head_widths = [_positive_int(w, "head width") for w in desc["head_widths"]]
+        n_params = _dense_params(input_dim, widths)
+        if kind is not ModelKind.AUTOENCODER_ONLY:
+            n_params += _dense_params(latent_dim, [*head_widths, 1 if n_classes == 2 else n_classes])
+        if kind is not ModelKind.CLASSIFIER_ONLY:
+            n_params += _dense_params(latent_dim, [*reversed(widths[:-1]), input_dim])
+        extra = len(blob) - offset - 8 * n_params
+        if extra < 0:
+            raise TruncatedPayloadError(f"payload ends {-extra} bytes early")
+        if extra > 0:
+            raise ArchiveError(f"{extra} trailing bytes after payload")
         net = build(
-            kind=ModelKind(desc["kind"]),
-            input_dim=desc["input_dim"],
-            latent_dim=desc["latent_dim"],
-            hidden_widths=list(desc["encoder_widths"]),
+            kind=kind,
+            input_dim=input_dim,
+            latent_dim=latent_dim,
+            hidden_widths=widths,
             dropout_rate=desc["dropout_rate"],
-            n_classes=desc["n_classes"],
-            head_widths=list(desc["head_widths"]),
+            n_classes=n_classes,
+            head_widths=head_widths,
             decoder_activation=desc["decoder_activation"],
         )
+        cal = _calibration(desc["calibration"], net)
     except KeyError as exc:
         raise ArchiveError(f"descriptor lacks key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ArchiveError(f"invalid descriptor: {exc}") from exc
 
-    offset = 10 + desc_len
-    extra = len(blob) - offset - net.params.nbytes
-    if extra < 0:
-        raise TruncatedPayloadError(f"payload ends {-extra} bytes early")
-    if extra > 0:
-        raise ArchiveError(f"{extra} trailing bytes after payload")
     net.params[...] = np.frombuffer(blob, dtype="<f8", offset=offset)
     bad = np.flatnonzero(~np.isfinite(net.params))
     if bad.size:
         raise ArchiveError(f"non-finite value {net.params[bad[0]]} at parameter index {bad[0]}")
-    return net
+    return net, cal

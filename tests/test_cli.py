@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from oodfdd import cli, data, model
+from oodfdd import cli, data, experiments, model
+from oodfdd.nncore import make_rng
 
 
 SMOKE = ["--epochs", "2", "--pretrain-epochs", "1", "--t-samples", "4",
@@ -244,13 +245,102 @@ def test_descriptor_missing_key_exits_5(tmp_path, thyroid_dir, trained_dir, caps
 
 
 def test_non_finite_archive_exits_5(tmp_path, thyroid_dir, trained_dir, capsys):
-    net = model.load(os.path.join(trained_dir, "augmented.ofdd"))
+    net, cal = model.load(os.path.join(trained_dir, "augmented.ofdd"))
     net.params[3] = np.nan
-    model.save(net, tmp_path / "nan.ofdd")
+    model.save(net, tmp_path / "nan.ofdd", cal)
     rc, weights = _score_archive(tmp_path, thyroid_dir, (tmp_path / "nan.ofdd").read_bytes())
     assert rc == cli.EXIT_BAD_ARCHIVE
     err = capsys.readouterr().err
     assert weights in err and "parameter index 3" in err
+
+
+def _patch_calibration(blob, edit):
+    desc_len = int.from_bytes(blob[6:10], "little")
+    desc = json.loads(blob[10:10 + desc_len])
+    desc["calibration"] = edit(desc["calibration"])
+    raw = json.dumps(desc).encode("utf-8")
+    return blob[:6] + len(raw).to_bytes(4, "little") + raw + blob[10 + desc_len:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: {**c, "clf_thresholds": [c["clf_thresholds"][0], float("nan")]},
+     "classifier threshold nan is not a finite number"),
+    (lambda c: {**c, "clf_thresholds": c["clf_thresholds"] * 2}, "4 classifier thresholds for 2"),
+    (lambda c: {**c, "rec_threshold": None}, "rec threshold missing"),
+], ids=["nan-threshold", "wrong-channel-count", "missing-rec-threshold"])
+def test_bad_calibration_exits_5(tmp_path, thyroid_dir, trained_dir, capsys, edit, message):
+    blob = open(os.path.join(trained_dir, "augmented.ofdd"), "rb").read()
+    rc, weights = _score_archive(tmp_path, thyroid_dir, _patch_calibration(blob, edit))
+    assert rc == cli.EXIT_BAD_ARCHIVE
+    err = capsys.readouterr().err
+    assert weights in err and message in err
+
+
+def test_version_1_archive_exits_5(tmp_path, thyroid_dir, trained_dir, capsys):
+    blob = open(os.path.join(trained_dir, "augmented.ofdd"), "rb").read()
+    rc, weights = _score_archive(tmp_path, thyroid_dir, blob[:4] + b"\x01\x00" + blob[6:])
+    assert rc == cli.EXIT_BAD_ARCHIVE
+    err = capsys.readouterr().err
+    assert weights in err and "version 1" in err and "oodfdd train" in err
+
+
+def test_train_stores_the_calibration_evaluate_computes(tmp_path, thyroid_dir, trained_dir):
+    _, cal = model.load(os.path.join(trained_dir, "augmented.ofdd"))
+    assert (cal.alpha, cal.t_samples, cal.seed) == (0.1, 4, 0)
+    assert cli.main(["evaluate", "--dataset", "thyroid", "--data-dir", thyroid_dir,
+                     "--weights", os.path.join(trained_dir, "augmented.ofdd"),
+                     "--out", str(tmp_path / "e"), *SMOKE]) == 0
+    rows = (tmp_path / "e" / "thresholds.csv").read_text().splitlines()[2:]
+    stored = [*cal.clf_thresholds, cal.rec_threshold]
+    assert [row.split(",")[1] for row in rows] == [f"{v:.6f}" for v in stored]
+
+
+def test_score_input_reads_no_dataset_and_never_recalibrates(tmp_path, thyroid_dir,
+                                                             trained_dir, monkeypatch):
+    rows = make_rng(9).normal(size=(25, 6))
+    input_path = tmp_path / "rows.csv"
+    input_path.write_text("".join(",".join(f"{v:.6f}" for v in r) + "\n" for r in rows))
+    common = ["score", "--dataset", "thyroid", "--input", str(input_path),
+              "--weights", os.path.join(trained_dir, "augmented.ofdd"), *SMOKE]
+    assert cli.main([*common, "--data-dir", thyroid_dir, "--out", str(tmp_path / "a")]) == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("score recalibrated or read a dataset")
+
+    monkeypatch.setattr(experiments, "calibrate", forbidden)
+    monkeypatch.setattr(experiments, "load_dataset_pair", forbidden)
+    absent = str(tmp_path / "no-such-dir")
+    assert cli.main([*common, "--data-dir", absent, "--out", str(tmp_path / "b")]) == 0
+    for name in ("scores.csv", "thresholds.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("extra, given, stored", [
+    (["--alpha", "0.2"], "alpha 0.2", "alpha 0.1"),
+    (["--t-samples", "8"], "t_samples 8", "t_samples 4"),
+    (["--seed", "3"], "seed 3", "seed 0"),
+    (["--config", "CONFIG"], "alpha 0.25", "alpha 0.1"),
+], ids=["alpha-flag", "t-samples-flag", "seed-flag", "alpha-config-file"])
+def test_score_rejects_settings_the_archive_contradicts(tmp_path, thyroid_dir, trained_dir,
+                                                        capsys, extra, given, stored):
+    config = tmp_path / "run.cfg"
+    config.write_text("alpha = 0.25\n")
+    weights = os.path.join(trained_dir, "augmented.ofdd")
+    extra = [str(config) if a == "CONFIG" else a for a in extra]
+    rc = cli.main(["score", "--dataset", "thyroid", "--data-dir", thyroid_dir,
+                   "--weights", weights, "--out", str(tmp_path / "o"), *SMOKE, *extra])
+    assert rc == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert given in err and stored in err and weights in err
+
+
+def test_wrong_width_names_file_and_archive(tmp_path, thyroid_dir, trained_dir, capsys):
+    rc = _score_input(tmp_path, thyroid_dir, trained_dir, "0.1,0.2\n0.3,0.4\n")
+    assert rc == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    weights = os.path.join(trained_dir, "augmented.ofdd")
+    assert str(tmp_path / "rows.csv") in err and "has 2 feature columns" in err
+    assert weights in err and "input_dim 6" in err
 
 
 def _score_input(tmp_path, thyroid_dir, trained_dir, text):

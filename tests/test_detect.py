@@ -314,6 +314,24 @@ def test_group_binary_accuracies_order_and_values():
     assert table["fault:1"] == 1.0
 
 
+@given(st.lists(st.tuples(st.sampled_from(["normal", "fault:1", "incipient:2:3", "unknown:4"]),
+                          st.booleans()), min_size=1, max_size=60),
+       st.booleans())
+def test_group_binary_accuracies_equal_row_loop_bitwise(rows, as_array):
+    """The array mask gives the same table as a mask built row by row."""
+    groups = [g for g, _ in rows]
+    flags = np.array([f for _, f in rows])
+    reference = {}
+    for g in groups:
+        if g not in reference:
+            member = np.asarray([tag == g for tag in groups])
+            hit = ~flags[member] if g == "normal" else flags[member]
+            reference[g] = float(np.mean(hit))
+    table = detect.group_binary_accuracies(flags, np.array(groups) if as_array else groups)
+    assert list(table) == list(reference)
+    assert [v.hex() for v in table.values()] == [v.hex() for v in reference.values()]
+
+
 def test_precision_recall_threshold_below_min():
     scores = np.array([0.1, 0.2, 0.3, 0.4])
     flags = np.array([False, False, True, True])

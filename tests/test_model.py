@@ -1,7 +1,11 @@
 import json
+import os
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oodfdd import model
 from oodfdd.nncore import DenseLayer, DropoutLayer, make_rng
@@ -11,6 +15,21 @@ def thyroid_net(kind=model.ModelKind.AUGMENTED, seed=0):
     return model.build(
         kind, input_dim=6, latent_dim=2, n_classes=2, rng_seed=seed, head_widths=[8]
     )
+
+
+def calibration(net, seed=0, **changes):
+    """A calibration record with arbitrary, full-precision thresholds."""
+    rng = make_rng(seed + 100)
+    cal = model.Calibration(
+        alpha=0.1, t_samples=4, seed=seed,
+        clf_thresholds=None if net.head is None else rng.normal(size=net.n_classes),
+        rec_threshold=None if net.decoder is None else float(rng.exponential()),
+    )
+    return replace(cal, **changes)
+
+
+def _save(net, path):
+    model.save(net, path, calibration(net))
 
 
 def test_taper_widths_thyroid():
@@ -140,8 +159,8 @@ def test_archive_round_trip_bitwise(tmp_path):
     before_rec, _ = net.forward_reconstruct(x)
 
     path = tmp_path / "net.ofdd"
-    model.save(net, path)
-    loaded = model.load(path)
+    _save(net, path)
+    loaded, _ = model.load(path)
 
     assert loaded.kind == net.kind
     assert loaded.encoder_widths == net.encoder_widths
@@ -151,7 +170,7 @@ def test_archive_round_trip_bitwise(tmp_path):
 
 def test_archive_magic_mismatch(tmp_path):
     path = tmp_path / "net.ofdd"
-    model.save(thyroid_net(), path)
+    _save(thyroid_net(), path)
     blob = bytearray(path.read_bytes())
     blob[:4] = b"XXXX"
     path.write_bytes(bytes(blob))
@@ -161,7 +180,7 @@ def test_archive_magic_mismatch(tmp_path):
 
 def test_archive_version_mismatch(tmp_path):
     path = tmp_path / "net.ofdd"
-    model.save(thyroid_net(), path)
+    _save(thyroid_net(), path)
     blob = bytearray(path.read_bytes())
     blob[4:6] = (99).to_bytes(2, "little")
     path.write_bytes(bytes(blob))
@@ -171,7 +190,7 @@ def test_archive_version_mismatch(tmp_path):
 
 def test_archive_truncated_payload(tmp_path):
     path = tmp_path / "net.ofdd"
-    model.save(thyroid_net(), path)
+    _save(thyroid_net(), path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
     with pytest.raises(model.TruncatedPayloadError):
@@ -180,7 +199,7 @@ def test_archive_truncated_payload(tmp_path):
 
 def test_archive_trailing_garbage(tmp_path):
     path = tmp_path / "net.ofdd"
-    model.save(thyroid_net(), path)
+    _save(thyroid_net(), path)
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(model.ArchiveError):
         model.load(path)
@@ -191,7 +210,7 @@ def test_archive_non_finite_parameter(tmp_path, bad):
     net = thyroid_net()
     net.params[3] = bad
     path = tmp_path / "net.ofdd"
-    model.save(net, path)
+    _save(net, path)
     with pytest.raises(model.ArchiveError, match="parameter index 3"):
         model.load(path)
 
@@ -206,22 +225,202 @@ def _rewrite_descriptor(path, edit):
 
 def test_archive_descriptor_errors_name_the_problem(tmp_path):
     path = tmp_path / "net.ofdd"
-    model.save(thyroid_net(), path)
+    _save(thyroid_net(), path)
     _rewrite_descriptor(path, lambda d: {k: v for k, v in d.items() if k != "kind"})
     with pytest.raises(model.ArchiveError, match="'kind'"):
         model.load(path)
-    model.save(thyroid_net(), path)
+    _save(thyroid_net(), path)
     _rewrite_descriptor(path, lambda d: {**d, "kind": "mystery"})
     with pytest.raises(model.ArchiveError, match="mystery"):
         model.load(path)
-    model.save(thyroid_net(), path)
+    _save(thyroid_net(), path)
     _rewrite_descriptor(path, lambda d: {**d, "encoder_widths": 5})
     with pytest.raises(model.ArchiveError):
         model.load(path)
-    model.save(thyroid_net(), path)
+    _save(thyroid_net(), path)
     _rewrite_descriptor(path, lambda d: [d])
     with pytest.raises(model.ArchiveError):
         model.load(path)
+
+
+# ---------------------------------------------------------------------------
+# calibration record
+
+
+def _same_calibration(a, b):
+    assert (a.alpha, a.t_samples, a.seed) == (b.alpha, b.t_samples, b.seed)
+    if a.clf_thresholds is None:
+        assert b.clf_thresholds is None
+    else:
+        assert a.clf_thresholds.dtype == b.clf_thresholds.dtype == np.float64
+        assert a.clf_thresholds.tobytes() == b.clf_thresholds.tobytes()
+    assert (a.rec_threshold is None) == (b.rec_threshold is None)
+    if a.rec_threshold is not None:
+        assert float(a.rec_threshold).hex() == float(b.rec_threshold).hex()
+
+
+@pytest.mark.parametrize("kind", list(model.ModelKind))
+@pytest.mark.parametrize("n_classes", [2, 5])
+def test_calibration_round_trips_bitwise(tmp_path, kind, n_classes):
+    net = model.build(kind, input_dim=6, latent_dim=2, n_classes=n_classes, rng_seed=3)
+    cal = calibration(net, seed=12, alpha=0.05, t_samples=100)
+    path = tmp_path / "net.ofdd"
+    model.save(net, path, cal)
+    loaded, back = model.load(path)
+    _same_calibration(cal, back)
+    assert loaded.params.tobytes() == net.params.tobytes()
+    assert model._descriptor(loaded, back) == model._descriptor(net, cal)
+
+
+def _drop(key):
+    return lambda c: {k: v for k, v in c.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: {**c, "clf_thresholds": [0.5, float("nan")]}, "not a finite number"),
+    (lambda c: {**c, "rec_threshold": float("inf")}, "not a finite number"),
+    (lambda c: {**c, "clf_thresholds": [0.5, 1e400]}, "not a finite number"),
+    (lambda c: {**c, "clf_thresholds": [0.5, "0.6"]}, "not a finite number"),
+    (lambda c: {**c, "clf_thresholds": [0.5, 0.6, 0.7]}, "3 classifier thresholds for 2"),
+    (lambda c: {**c, "clf_thresholds": None}, "classifier thresholds missing"),
+    (lambda c: {**c, "rec_threshold": None}, "rec threshold missing"),
+    (lambda c: {**c, "alpha": 1.0}, "outside"),
+    (lambda c: {**c, "alpha": 0}, "outside"),
+    (lambda c: {**c, "t_samples": 1}, "t_samples"),
+    (lambda c: {**c, "t_samples": 4.0}, "t_samples"),
+    (lambda c: {**c, "seed": -1}, "seed"),
+    (_drop("rec_threshold"), "'rec_threshold'"),
+    (_drop("alpha"), "'alpha'"),
+], ids=["nan-clf", "inf-rec", "overflow-clf", "string-clf", "clf-count", "clf-missing",
+        "rec-missing", "alpha-1", "alpha-0", "t-samples-1", "t-samples-float", "seed-negative",
+        "rec-key-missing", "alpha-key-missing"])
+def test_archive_rejects_bad_calibration(tmp_path, edit, message):
+    path = tmp_path / "net.ofdd"
+    _save(thyroid_net(), path)
+    _rewrite_descriptor(path, lambda d: {**d, "calibration": edit(d["calibration"])})
+    with pytest.raises(model.ArchiveError, match=message):
+        model.load(path)
+
+
+@pytest.mark.parametrize("kind, key", [
+    (model.ModelKind.CLASSIFIER_ONLY, "rec_threshold"),
+    (model.ModelKind.AUTOENCODER_ONLY, "clf_thresholds"),
+])
+def test_archive_rejects_threshold_of_absent_pathway(tmp_path, kind, key):
+    path = tmp_path / "net.ofdd"
+    _save(thyroid_net(kind), path)
+    _rewrite_descriptor(path, lambda d: {**d, "calibration": {**d["calibration"], key: 0.5}})
+    with pytest.raises(model.ArchiveError, match="present"):
+        model.load(path)
+
+
+def test_archive_without_calibration_is_rejected(tmp_path):
+    path = tmp_path / "net.ofdd"
+    _save(thyroid_net(), path)
+    _rewrite_descriptor(path, _drop("calibration"))
+    with pytest.raises(model.ArchiveError, match="'calibration'"):
+        model.load(path)
+
+
+def test_version_1_archive_asks_for_retraining(tmp_path):
+    path = tmp_path / "net.ofdd"
+    _save(thyroid_net(), path)
+    blob = bytearray(path.read_bytes())
+    blob[4:6] = (1).to_bytes(2, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(model.VersionMismatchError, match="retrain with `oodfdd train`"):
+        model.load(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("input_dim", 10**9), ("encoder_widths", [10**6, 10**6, 2]), ("n_classes", 10**12),
+    ("input_dim", True), ("head_widths", [8.0]), ("latent_dim", 0),
+])
+def test_descriptor_dimensions_checked_before_any_layer_is_built(tmp_path, key, value):
+    path = tmp_path / "net.ofdd"
+    _save(thyroid_net(), path)
+    _rewrite_descriptor(path, lambda d: {**d, key: value})
+    with pytest.raises(model.ArchiveError):
+        model.load(path)
+
+
+# ---------------------------------------------------------------------------
+# archive fuzzing: every mutated archive loads as exactly what its bytes say,
+# or raises ArchiveError
+
+
+def _archive(kind, seed):
+    net = model.build(kind, input_dim=6, latent_dim=2, n_classes=3, rng_seed=seed)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "net.ofdd")
+        model.save(net, path, calibration(net, seed=seed))
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+ARCHIVES = [_archive(kind, seed) for seed, kind in enumerate(model.ModelKind)]
+KNOWN_KEYS = set(json.loads(ARCHIVES[0][10:10 + int.from_bytes(ARCHIVES[0][6:10], "little")]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "net.ofdd"
+
+
+def _load_mutated(path, blob):
+    """Load `blob`; on success it must hold exactly what its bytes say, so an
+    archive whose descriptor still parses to the original's loads equal to it."""
+    path.write_bytes(blob)
+    try:
+        net, cal = model.load(path)
+    except model.ArchiveError:
+        return
+    desc_len = int.from_bytes(blob[6:10], "little")
+    said = json.loads(blob[10:10 + desc_len])
+    assert model._descriptor(net, cal) == {k: said[k] for k in KNOWN_KEYS}
+    assert net.params.tobytes() == np.frombuffer(blob, "<f8", offset=10 + desc_len).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(which=st.integers(0, 2), data=st.data())
+def test_fuzz_truncated_archive_never_loads(fuzz_path, which, data):
+    blob = ARCHIVES[which]
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    fuzz_path.write_bytes(blob[:cut])
+    with pytest.raises(model.ArchiveError):
+        model.load(fuzz_path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.integers(0, 2), data=st.data())
+def test_fuzz_flipped_bytes(fuzz_path, which, data):
+    blob = bytearray(ARCHIVES[which])
+    desc_end = 10 + int.from_bytes(blob[6:10], "little")
+    # most flips land in the header, descriptor and calibration block
+    region = data.draw(st.sampled_from([desc_end, desc_end, desc_end, len(blob)]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        pos = data.draw(st.integers(0, region - 1))
+        blob[pos] ^= data.draw(st.integers(1, 255))
+    _load_mutated(fuzz_path, bytes(blob))
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.integers(0, 2), donor=st.integers(0, 2), data=st.data())
+def test_fuzz_spliced_descriptor(fuzz_path, which, donor, data):
+    """Replace a slice of the descriptor with random bytes or with a slice of
+    another archive's descriptor, with or without fixing the length field."""
+    blob = ARCHIVES[which]
+    desc = blob[10:10 + int.from_bytes(blob[6:10], "little")]
+    lo = data.draw(st.integers(0, len(desc)))
+    hi = data.draw(st.integers(lo, min(len(desc), lo + 40)))
+    other = ARCHIVES[donor][10:10 + int.from_bytes(ARCHIVES[donor][6:10], "little")]
+    d_lo = data.draw(st.integers(0, len(other)))
+    patch = data.draw(st.one_of(st.binary(max_size=16),
+                                st.just(other[d_lo:d_lo + (hi - lo) + 8])))
+    new_desc = desc[:lo] + patch + desc[hi:]
+    length = len(new_desc) if data.draw(st.booleans()) else len(desc)
+    mutated = blob[:6] + length.to_bytes(4, "little") + new_desc + blob[10 + len(desc):]
+    _load_mutated(fuzz_path, mutated)
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +475,14 @@ def test_zero_grad_clears_every_layer():
 def test_save_payload_is_the_buffer(tmp_path):
     net = thyroid_net(seed=4)
     path = tmp_path / "net.ofdd"
-    model.save(net, path)
+    _save(net, path)
     blob = path.read_bytes()
     desc_len = int.from_bytes(blob[6:10], "little")
     assert blob[:4] == model.ARCHIVE_MAGIC
     assert int.from_bytes(blob[4:6], "little") == model.ARCHIVE_VERSION
     assert json.loads(blob[10 : 10 + desc_len])["kind"] == "augmented"
     assert blob[10 + desc_len :] == net.params.astype("<f8").tobytes()
-    loaded = model.load(path)
+    loaded, _ = model.load(path)
     assert loaded.params.tobytes() == net.params.tobytes()
     assert np.shares_memory(loaded.encoder.dense_layers()[0].weights, loaded.params)
 
