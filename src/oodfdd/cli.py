@@ -12,8 +12,9 @@ and stores them in the weight archive with alpha, t_samples and the seed.
 it reads no dataset file.
 
 Exit codes: 0 success, 2 missing data path, 3 bad configuration or usage
-(including a short row or a non-numeric or non-finite cell in an input
-CSV, input rows whose width differs from the archive's input_dim, and a
+(including an input CSV that is not UTF-8 or not parseable as CSV, a data
+row with more or fewer cells than the header, a non-numeric or non-finite
+cell, input rows whose width differs from the archive's input_dim, and a
 `--alpha`, `--t-samples` or `--seed` given to `score` that differs from the
 archive's), 4 numeric failure during training or evaluation, 5 unreadable
 weight archive (a non-finite parameter or threshold, an invalid calibration
@@ -219,13 +220,20 @@ def cmd_evaluate(cfg, args) -> int:
 
 
 def _read_input_csv(path) -> np.ndarray:
-    """Feature rows from a CSV; uses feature_* columns when the header has
-    them, otherwise every column is taken as a feature."""
+    """Feature rows from a UTF-8 CSV; uses feature_* columns when the header
+    has them, otherwise every column is taken as a feature.
+
+    Every data row must have as many cells as the header (as the first row,
+    without a header), and every feature cell must be a finite number.  Any
+    other file is a ConfigError that names it.
+    """
     if not os.path.exists(path):
         raise FileNotFoundError(f"input file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: unreadable CSV: {exc}") from None
     if not rows:
         raise ConfigError(f"{path}: no rows")
     header = rows[0]
@@ -244,9 +252,10 @@ def _read_input_csv(path) -> np.ndarray:
 
     x = np.empty((len(body), len(feature_cols)))
     for r, row in enumerate(body):
-        if len(row) <= feature_cols[-1]:
+        if len(row) != len(header):
             raise ConfigError(
-                f"{path}: data row {r + 1} has {len(row)} cells, expected {len(header)}")
+                f"{path}: data row {r + 1} has {len(row)} cells, expected {len(header)} "
+                f"like {'the first row' if headerless else 'the header'}")
         for j, i in enumerate(feature_cols):
             try:
                 x[r, j] = float(row[i])

@@ -5,6 +5,12 @@ and exact manual gradients.  Everything is float64 and seeded: two runs with
 the same seed produce bitwise-identical parameters.  No autodiff; each layer
 implements its own backward pass and a finite-difference checker keeps them
 honest.
+
+The hot kernels (sigmoid, the dense bias add, the Adam update) write into
+preallocated buffers with `out=` instead of building temporaries, and a
+stack's backward pass can skip the gradient w.r.t. its input when nothing
+consumes it.  Each runs the operations of the plain expression in the same
+order, so its results are bitwise those of the plain form.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {what}")
     return arr
 
@@ -59,12 +65,18 @@ def as_matrix(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign so exp never overflows
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function that never overflows.
+
+    With e = exp(-|x|), returns 1/(1+e) where x >= 0 and e/(1+e) elsewhere
+    (NaN included): per element the arithmetic of splitting by sign, in two
+    input-sized buffers plus the sign mask.
+    """
+    out = np.abs(x)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    denom = out + 1.0
+    np.divide(out, denom, out=out)
+    np.divide(1.0, denom, out=out, where=x >= 0)
     return out
 
 
@@ -86,14 +98,16 @@ def _activate(name: str, pre: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _activation_grad(name: str, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """d(activation)/d(pre-activation), elementwise."""
+def _activation_backward(
+    name: str, grad_out: np.ndarray, pre: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """grad_out times d(activation)/d(pre-activation), elementwise."""
     if name == "identity":
-        return np.ones_like(pre)
+        return grad_out
     if name == "relu":
-        return (pre > 0.0).astype(np.float64)
+        return grad_out * (pre > 0.0)
     if name == "sigmoid":
-        return out * (1.0 - out)
+        return grad_out * (out * (1.0 - out))
     if name == "softmax":
         # softmax's Jacobian is not elementwise; the classifier loss supplies
         # the fused logit gradient instead (backward_from_logits)
@@ -158,21 +172,27 @@ class DenseLayer:
                 f"input has {x.shape[1]} features, layer expects {self.in_dim}"
             )
         self._x = x
-        self._pre = x @ self.weights.T + self.bias
+        self._pre = x @ self.weights.T
+        self._pre += self.bias
         self._out = _activate(self.activation, self._pre)
         return ensure_finite(self._out, "dense forward output")
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate parameter grads; return the gradient w.r.t. the input."""
-        dpre = grad_out * _activation_grad(self.activation, self._pre, self._out)
-        return self.backward_from_preactivation(dpre)
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Accumulate parameter grads; return the gradient w.r.t. the input,
+        or None without computing it when `input_grad` is false."""
+        dpre = _activation_backward(self.activation, grad_out, self._pre, self._out)
+        return self.backward_from_preactivation(dpre, input_grad)
 
-    def backward_from_preactivation(self, dpre: np.ndarray) -> np.ndarray:
+    def backward_from_preactivation(
+        self, dpre: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
         if self._x is None:
             raise RuntimeError("backward called before forward")
         self.grad_w += dpre.T @ self._x
         self.grad_b += dpre.sum(axis=0)
-        return dpre @ self.weights
+        return dpre @ self.weights if input_grad else None
 
 
 class DropoutLayer:
@@ -198,7 +218,7 @@ class DropoutLayer:
         if rng is None:
             raise ValueError("stochastic dropout needs an rng")
         keep = 1.0 - self.rate
-        self.last_mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
+        self.last_mask = (rng.random(x.shape) < keep) * (1.0 / keep)
         return x * self.last_mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -221,18 +241,31 @@ class LayerStack:
         x: np.ndarray,
         rng: np.random.Generator | None = None,
         stochastic: bool = False,
+        start: int = 0,
     ) -> np.ndarray:
+        """Run layers[start:] on `x`; with start > 0, `x` is what layer
+        start - 1 returned."""
         h = x
-        for layer in self.layers:
+        for layer in self.layers[start:]:
             if isinstance(layer, DropoutLayer):
                 h = layer.forward(h, rng, stochastic)
             else:
                 h = layer.forward(h)
         return h
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Backpropagate `grad_out`, accumulating every parameter gradient.
+
+        Returns the gradient w.r.t. the stack's input.  With `input_grad`
+        false the stack's first dense layer skips its input gradient, the
+        parameter-free layers before it are not visited, and None is
+        returned; the parameter gradients are the same either way.
+        """
+        first = None if input_grad else self.dense_layers()[0]
         g = grad_out
         for layer in reversed(self.layers):
+            if layer is first:
+                return layer.backward(g, input_grad=False)
             g = layer.backward(g)
         return g
 
@@ -384,11 +417,17 @@ def masked_mse(
 
 @dataclass
 class AdamState:
-    """First/second moment buffers, one pair per parameter array."""
+    """First/second moment buffers, one pair per parameter array, and two
+    scratch arrays of the same shape for the update's intermediates."""
 
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
     t: int = 0
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = [(np.empty_like(m), np.empty_like(m)) for m in self.m]
 
     @classmethod
     def for_params(cls, params: list[np.ndarray]) -> "AdamState":
@@ -408,21 +447,37 @@ def adam_step(
     eps: float = 1e-8,
 ) -> None:
     """One bias-corrected Adam update, in place on the parameter arrays;
-    elementwise, so how a flat buffer is cut into spans changes no bit."""
+    elementwise, so how a flat buffer is cut into spans changes no bit.
+
+    The update is
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
+        p -= lr * (m/c1) / (sqrt(v/c2) + eps)
+    evaluated operation by operation in that order into the state's scratch
+    arrays instead of temporaries.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads and state must align")
     state.t += 1
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
         if p.shape != g.shape:
             raise ValueError(f"param shape {p.shape} vs grad shape {g.shape}")
         ensure_finite(g, "gradient passed to adam_step")
         m *= beta1
-        m += (1.0 - beta1) * g
+        np.multiply(1.0 - beta1, g, out=a)
+        m += a
         v *= beta2
-        v += (1.0 - beta2) * g**2
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        np.square(g, out=b)
+        b *= 1.0 - beta2
+        v += b
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        p -= a
         ensure_finite(p, "parameters after adam_step")
 
 

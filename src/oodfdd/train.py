@@ -110,7 +110,7 @@ def joint_batch_gradients(
     grad_h = net.head.backward_from_logits(dlogits)
     if beta != 0.0:
         grad_h = grad_h + net.decoder.backward(beta * dxhat)
-    net.encoder.backward(grad_h)
+    net.encoder.backward(grad_h, input_grad=False)
     return clf_loss, rec_loss
 
 
@@ -174,7 +174,7 @@ def _reconstruction_loss(net: PathwayNetwork, x: np.ndarray) -> BatchLoss:
         xb = x[idx]
         xhat, _ = net.forward_reconstruct(xb, rng, stochastic=True)
         loss, dxhat = mse(xhat, xb)
-        net.encoder.backward(net.decoder.backward(dxhat))
+        net.encoder.backward(net.decoder.backward(dxhat), input_grad=False)
         return 0.0, loss
 
     return batch_loss
@@ -253,7 +253,7 @@ def train_classifier(net: PathwayNetwork, dataset, cfg: TrainConfig) -> list[Epo
     def batch_loss(idx, rng):
         probs = net.forward_classify(xt[idx], rng, stochastic=True)
         loss, dlogits = _classification_loss(net, probs, yt[idx])
-        net.encoder.backward(net.head.backward_from_logits(dlogits))
+        net.encoder.backward(net.head.backward_from_logits(dlogits), input_grad=False)
         return loss, 0.0
 
     def val_loss():

@@ -4,11 +4,13 @@ T stochastic forward passes with dropout left on give per-output sample sets;
 the predictive mean and population variance summarize them.  One pass loop
 serves every caller: each pass runs the encoder once and feeds both the
 classifier head and the decoder, so the two outputs share that pass's
-dropout mask.  `mc_moments` reduces the passes of a batch as they are drawn;
-`mc_sample` keeps the samples of one input.  Sums are reduced in
-sample-index order so repeated runs with the same seed reproduce the
-statistics bitwise.  Entropy is the natural-log entropy of the predictive
-mean distribution, with the usual 0*log(0) = 0 convention.
+dropout mask.  The first encoder layer runs once per call; dropout follows
+it, so its output is the same on every pass.  `mc_moments` reduces the
+passes of a batch as they are drawn; `mc_sample` keeps the samples of one
+input.  Sums are reduced in sample-index order so repeated runs with the
+same seed reproduce the statistics bitwise.  Entropy is the natural-log
+entropy of the predictive mean distribution, with the usual 0*log(0) = 0
+convention.
 """
 
 from __future__ import annotations
@@ -92,12 +94,16 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     """Yield (head output, decoder output) for each of T dropout-active passes.
 
     Each pass runs the encoder once and feeds both pathways from it, so they
-    share that pass's dropout mask; an absent pathway yields None.
+    share that pass's dropout mask; an absent pathway yields None.  The
+    encoder's first layer is dense and dropout follows it, so its output is
+    the same on every pass: it runs once per call, and each pass runs the
+    layers after it.
     """
     if t < 2:
         raise ValueError(f"need at least 2 samples, got {t}")
+    first = net.encoder.layers[0].forward(x)
     for _ in range(t):
-        h = net.encoder.forward(x, rng, stochastic=True)
+        h = net.encoder.forward(first, rng, stochastic=True, start=1)
         yield (None if net.head is None else net.head.forward(h),
                None if net.decoder is None else net.decoder.forward(h))
 

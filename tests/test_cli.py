@@ -1,11 +1,14 @@
 """CLI behavior: config precedence, exit codes, artifacts, determinism."""
 
+import csv
 import filecmp
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from oodfdd import cli, data, experiments, model
 from oodfdd.nncore import make_rng
@@ -345,7 +348,7 @@ def test_wrong_width_names_file_and_archive(tmp_path, thyroid_dir, trained_dir, 
 
 def _score_input(tmp_path, thyroid_dir, trained_dir, text):
     input_path = tmp_path / "rows.csv"
-    input_path.write_text(text)
+    input_path.write_bytes(text.encode() if isinstance(text, str) else text)
     return cli.main(["score", "--dataset", "thyroid", "--data-dir", thyroid_dir,
                      "--weights", os.path.join(trained_dir, "augmented.ofdd"),
                      "--input", str(input_path), "--out", str(tmp_path / "o"), *SMOKE])
@@ -357,6 +360,22 @@ def test_score_names_short_row(tmp_path, thyroid_dir, trained_dir, capsys):
     assert rc == cli.EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert "data row 2 has 3 cells, expected 6" in err
+
+
+_ROW = b"0.1,0.2,0.3,0.4,0.5,0.6\n"
+
+
+@pytest.mark.parametrize("content, needle", [
+    (_ROW + b"0.1,0.2,0.3,0.4,0.5,0.6,0.7\n", "data row 2 has 7 cells, expected 6"),
+    (_ROW + b"1" * 131073 + b",2,3,4,5,6\n", "field larger than field limit"),
+    (_ROW + b"0.1,0.2,\xff,0.4,0.5,0.6\n", "codec can't decode byte 0xff"),
+], ids=["extra-cell", "huge-field", "not-utf8"])
+def test_score_rejects_malformed_input_file(tmp_path, thyroid_dir, trained_dir, capsys,
+                                            content, needle):
+    rc = _score_input(tmp_path, thyroid_dir, trained_dir, content)
+    assert rc == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert str(tmp_path / "rows.csv") in err and needle in err
 
 
 def test_score_names_non_numeric_cell(tmp_path, thyroid_dir, trained_dir, capsys):
@@ -445,3 +464,68 @@ def test_read_input_csv_variants(tmp_path):
     infinite.write_text("feature_0,feature_1\n1.0,2.0\n-inf,4.0\n")
     with pytest.raises(cli.ConfigError, match="data row 2, column 'feature_0'"):
         cli._read_input_csv(str(infinite))
+
+
+def test_read_input_csv_rejects_extra_cells(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("1,2,3\n4,5,6,7\n")
+    with pytest.raises(cli.ConfigError,
+                       match="data row 2 has 4 cells, expected 3 like the first row"):
+        cli._read_input_csv(str(path))
+    path.write_text("feature_0,feature_1,label\n1,2,0\n3,4,0,extra\n")
+    with pytest.raises(cli.ConfigError,
+                       match="data row 2 has 4 cells, expected 3 like the header"):
+        cli._read_input_csv(str(path))
+
+
+# cells that stress the reader: non-finite spellings, quotes, NULs, separators
+# inside cells, and fields longer than the csv module's 131072-character limit
+_ODD_CELLS = ["nan", "-inf", "Infinity", "1e999", "", " ", "oops", "feature_0", "label",
+              '"1.5"', '"2,5"', '"unterminated', 'a"b', "\x00", "1\x002", "1_0", "0x1p3",
+              "1" * 400, "1" * 131073, "0." + "0" * 140000 + "1"]
+# a fixed alphabet: st.text()'s default one builds a Unicode table on first use,
+# which is slow enough to fail Hypothesis's health check on a fresh cache
+_ALPHABET = st.sampled_from(list("0123456789.+-eEinfa ,;\"'\t\x00\u00e9\u20ac\U0001f600"))
+_CELL = st.one_of(st.floats().map(repr), st.integers(-10**6, 10**6).map(str),
+                  st.sampled_from(_ODD_CELLS), st.text(_ALPHABET, max_size=4))
+_ROWS = st.lists(st.lists(_CELL, min_size=1, max_size=5), min_size=1, max_size=6)
+
+
+@st.composite
+def _csv_bytes(draw):
+    rows = draw(_ROWS)
+    if draw(st.booleans()):
+        header = draw(st.lists(st.sampled_from(["feature_0", "feature_1", "feature_2",
+                                                "label", "group", ""]),
+                               min_size=1, max_size=5))
+        rows = [header] + rows
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(",".join(row) for row in rows).encode()
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+@given(content=st.one_of(st.binary(max_size=300), _csv_bytes()))
+def test_read_input_csv_fuzz_returns_finite_matrix_or_config_error(tmp_path_factory,
+                                                                    content):
+    path = tmp_path_factory.mktemp("fuzz") / "rows.csv"
+    path.write_bytes(content)
+    try:
+        x = cli._read_input_csv(str(path))
+    except cli.ConfigError as exc:
+        assert str(path) in str(exc)
+        return
+    assert x.dtype == np.float64 and x.ndim == 2 and np.isfinite(x).all()
+    # the file parses, has no ragged row, and x holds its feature columns
+    rows = [r for r in csv.reader(io.StringIO(content.decode("utf-8"), newline="")) if r]
+    header = rows[0]
+    assert all(len(row) == len(header) for row in rows)
+    headerless = all(_is_number(cell) for cell in header)
+    assert len(x) == len(rows) - (not headerless) >= 1
+    assert x.shape[1] == (sum(c.startswith("feature_") for c in header) or len(header))

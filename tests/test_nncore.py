@@ -44,6 +44,32 @@ def test_dense_sigmoid_midpoint():
     np.testing.assert_allclose(out, [[0.5]])
 
 
+def _split_by_sign_sigmoid(x):
+    """The formula nn.sigmoid must reproduce bit for bit: 1/(1+exp(-x)) on
+    x >= 0, exp(x)/(1+exp(x)) elsewhere, NaN included."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _hex(arr):
+    return [float(v).hex() for v in arr.ravel()]
+
+
+def test_sigmoid_bitwise_equals_split_by_sign():
+    edges = [0.0, 1e-310, 36.0, 745.0, 1e308, np.inf]
+    grid = np.array([sign * v for v in edges for sign in (1.0, -1.0)] + [np.nan])
+    noise = nn.make_rng(4).normal(0.0, 20.0, (40, 7))
+    for x in (grid, grid.reshape(1, -1), noise, noise[:, ::2]):
+        got = nn.sigmoid(x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert _hex(got) == _hex(_split_by_sign_sigmoid(x))
+    assert _hex(nn.sigmoid(grid[:2])) == [(0.5).hex()] * 2  # +0.0 and -0.0
+
+
 def test_dense_dimension_mismatch():
     layer = nn.DenseLayer(np.zeros((2, 3)), np.zeros(2), "relu")
     with pytest.raises(ValueError):
@@ -252,6 +278,24 @@ def test_adam_deterministic_across_runs():
     assert a.tobytes() == b.tobytes()
 
 
+def test_adam_in_place_matches_plain_expression_bitwise():
+    rng = nn.make_rng(44)
+    p = rng.normal(size=(4, 3))
+    ref, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+    state = nn.AdamState.for_params([p])
+    for t in range(1, 31):
+        g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
+        nn.adam_step([p], [g], state, lr=1e-2)
+        c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * g**2
+        ref -= 1e-2 * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+        assert p.tobytes() == ref.tobytes()
+    assert state.m[0].tobytes() == m.tobytes() and state.v[0].tobytes() == v.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # gradient_check on whole stacks
 
@@ -320,6 +364,25 @@ def test_gradient_check_randomized_small_networks():
             eps=1e-5,
         )
         assert err < 1e-4, f"seed {seed}: {err}"
+
+
+@pytest.mark.parametrize("leading_dropout", [False, True])
+def test_stack_backward_without_input_grad_keeps_param_grads(leading_dropout):
+    rng = nn.make_rng(6)
+    layers = [nn.DenseLayer.init(rng, 4, 6, "relu"), nn.DropoutLayer(0.3),
+              nn.DenseLayer.init(rng, 6, 5, "sigmoid"),
+              nn.DenseLayer.init(rng, 5, 3, "identity")]
+    stack = nn.LayerStack([nn.DropoutLayer(0.5)] * leading_dropout + layers)
+    _, grads, _ = nn.flatten_stacks([stack])
+    x = rng.normal(size=(7, 4))
+    g = rng.normal(size=(7, 3))
+    stack.forward(x, rng, stochastic=True)
+    assert stack.backward(g).shape == x.shape
+    want = grads.copy()
+    grads.fill(0.0)
+    assert stack.backward(g, input_grad=False) is None
+    assert grads.tobytes() == want.tobytes()
+    assert np.any(want != 0.0)
 
 
 def test_dropout_in_deterministic_mode_matches_plain_network():

@@ -245,7 +245,9 @@ def _reference_adam(arrays, moments, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def _reference_train_joint(net, ds, cfg):
     """Warm-up over encoder+decoder, then the joint phase over every array,
-    stepping each parameter array on its own."""
+    stepping each parameter array on its own.  Both phases run their own
+    forward and full-stack backward passes (encoder input gradient
+    included), independent of train.joint_batch_gradients."""
     x, y = ds.X, ds.y
     normals = x[y == 0]
     warm = net.encoder.params() + net.decoder.params()
@@ -266,7 +268,12 @@ def _reference_train_joint(net, ds, cfg):
                     _, dxhat = nncore.mse(xhat, rows[idx])
                     net.encoder.backward(net.decoder.backward(dxhat))
                 else:
-                    train.joint_batch_gradients(net, x[idx], y[idx], cfg.beta, rng)
+                    h = net.encoder.forward(x[idx], rng, stochastic=True)
+                    _, dlogits = nncore.binary_cross_entropy(net.head.forward(h), y[idx])
+                    _, dxhat = nncore.masked_mse(net.decoder.forward(h), x[idx], y[idx] == 0)
+                    grad_h = net.head.backward_from_logits(dlogits)
+                    grad_h = grad_h + net.decoder.backward(cfg.beta * dxhat)
+                    assert net.encoder.backward(grad_h).shape == x[idx].shape
                 t += 1
                 _reference_adam(arrays, moments, t, cfg.lr)
 
@@ -276,11 +283,12 @@ def test_train_joint_matches_per_array_adam_bitwise():
     cfg = train.TrainConfig(beta=0.5, epochs=2, pretrain_epochs=2, batch_size=16,
                             lr=1e-2, seed=41)
     nets = [model.build(ModelKind.AUGMENTED, input_dim=5, latent_dim=2, n_classes=2,
-                        rng_seed=42) for _ in range(2)]
+                        rng_seed=42, decoder_activation="sigmoid") for _ in range(2)]
     train.train_joint(nets[0], ds, cfg)
     _reference_train_joint(nets[1], ds, cfg)
     assert not np.array_equal(nets[0].params, model.build(
-        ModelKind.AUGMENTED, input_dim=5, latent_dim=2, n_classes=2, rng_seed=42).params)
+        ModelKind.AUGMENTED, input_dim=5, latent_dim=2, n_classes=2, rng_seed=42,
+        decoder_activation="sigmoid").params)
     assert nets[0].params.tobytes() == nets[1].params.tobytes()
 
 

@@ -169,6 +169,21 @@ def test_augmented_classifier_moments_equal_head_only_replay():
     assert np.array_equal(alone.clf_var, got.clf_var)
 
 
+def test_first_encoder_layer_runs_once_per_mc_call():
+    net = _net(n_classes=3, dropout=0.3)
+    calls = [0] * len(net.encoder.dense_layers())
+    for i, layer in enumerate(net.encoder.dense_layers()):
+        def counted(x, forward=layer.forward, i=i):
+            calls[i] += 1
+            return forward(x)
+        layer.forward = counted
+    x = nncore.make_rng(23).normal(0, 1, (5, 6))
+    unc.mc_moments(net, x, 12, nncore.make_rng(24))
+    assert calls == [1, 12, 12]
+    unc.mc_sample(net, x[0], 7, nncore.make_rng(24))
+    assert calls == [2, 19, 19]
+
+
 def test_mc_sample_is_the_moments_loop_with_samples_kept():
     net = _net(n_classes=3)
     x = np.linspace(-1, 1, 6)
