@@ -8,17 +8,18 @@ the CLI holds no state of its own beyond the artifact files it writes.
 
 `train` calibrates the detection thresholds once, on the training normals,
 and stores them in the weight archive with alpha, t_samples and the seed.
-`score` scores from that record: it never recalibrates, and with `--input`
-it reads no dataset file.
+`evaluate` and `score` score from that record and never recalibrate:
+`evaluate` splits the data with the archive's seed, and `score --input`
+reads no dataset file.
 
 Exit codes: 0 success, 2 missing data path, 3 bad configuration or usage
 (including an input CSV that is not UTF-8 or not parseable as CSV, a data
 row with more or fewer cells than the header, a non-numeric or non-finite
 cell, input rows whose width differs from the archive's input_dim, and a
-`--alpha`, `--t-samples` or `--seed` given to `score` that differs from the
-archive's), 4 numeric failure during training or evaluation, 5 unreadable
-weight archive (a non-finite parameter or threshold, an invalid calibration
-record and a version-1 archive included).
+`--alpha`, `--t-samples` or `--seed` given to `evaluate` or `score` that
+differs from the archive's), 4 numeric failure during training or
+evaluation, 5 unreadable weight archive (a non-finite parameter or
+threshold, an invalid calibration record and a version-1 archive included).
 """
 
 from __future__ import annotations
@@ -203,11 +204,19 @@ def cmd_train(cfg, args) -> int:
     return 0
 
 
+def _archive_thresholds(args) -> tuple[model.PathwayNetwork, model.Calibration, ThresholdSet]:
+    """The archived net, its calibration record (checked against the
+    settings given) and the thresholds it stores."""
+    net, cal = _load_weights(args.weights)
+    _check_archive_settings(args, cal)
+    return net, cal, ThresholdSet(cal.clf_thresholds, cal.rec_threshold, cal.alpha)
+
+
 def cmd_evaluate(cfg, args) -> int:
-    net, _ = _load_weights(args.weights)
-    train_ds, eval_ds = experiments.load_dataset_pair(cfg, args.data_dir)
-    calib_x = train_ds.X[train_ds.y == 0]
-    ev = experiments.evaluate_model(net, calib_x, eval_ds, cfg, stream=_stream_for(net))
+    net, cal, thresholds = _archive_thresholds(args)
+    cfg = replace(cfg, seed=cal.seed, t_samples=cal.t_samples)
+    _, eval_ds = experiments.load_dataset_pair(cfg, args.data_dir)
+    ev = experiments.evaluate_model(net, thresholds, eval_ds, cfg, stream=_stream_for(net))
     out = _out_dir(args)
     ev.report.to_csv(os.path.join(out, "metrics.csv"))
     ev.thresholds.to_csv(os.path.join(out, "thresholds.csv"))
@@ -283,8 +292,7 @@ def _check_archive_settings(args, cal: model.Calibration) -> None:
 
 
 def cmd_score(cfg, args) -> int:
-    net, cal = _load_weights(args.weights)
-    _check_archive_settings(args, cal)
+    net, cal, thresholds = _archive_thresholds(args)
     if args.input:
         x = _read_input_csv(args.input)
         source = f"input {args.input}"
@@ -299,7 +307,6 @@ def cmd_score(cfg, args) -> int:
         raise ConfigError(f"{source} has {x.shape[1]} feature columns, but archive "
                           f"{args.weights} has input_dim {net.input_dim}")
 
-    thresholds = ThresholdSet(cal.clf_thresholds, cal.rec_threshold, cal.alpha)
     s = experiments.score_rows(net, x, thresholds, cal.t_samples, cal.seed, _stream_for(net))
 
     header = []

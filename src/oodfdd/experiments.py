@@ -194,7 +194,7 @@ def calibrate_normals(net: PathwayNetwork, calib_x: np.ndarray, cfg: ExperimentC
     """Thresholds from the calibration normals, MC draws from (seed, 20, stream).
 
     `oodfdd train` stores them in the weight archive, so they equal bitwise
-    the thresholds `evaluate_model` computes for the same net and config.
+    the thresholds `evaluate_models` computes for the same net and config.
     """
     return calibrate(net, calib_x, cfg.alpha, cfg.t_samples, derive_rng(cfg.seed, 20, stream))
 
@@ -205,15 +205,15 @@ def score_rows(net: PathwayNetwork, x: np.ndarray, thresholds: ThresholdSet,
     return score(net, x, thresholds, t_samples, derive_rng(seed, 22, stream))
 
 
-def evaluate_model(net: PathwayNetwork, calib_x: np.ndarray,
+def evaluate_model(net: PathwayNetwork, thresholds: ThresholdSet,
                    eval_ds: data.LabeledDataset, cfg: ExperimentConfig,
                    stream: int) -> ModelEval:
-    """Calibrate on normals, then score every pathway the model has.
+    """Score every pathway the model has against the given thresholds.
 
     `stream` keeps the Monte Carlo draws of different models independent
-    while staying reproducible from the experiment seed.
+    while staying reproducible from cfg.seed; cfg.t_samples sets the pass
+    count.
     """
-    thresholds = calibrate_normals(net, calib_x, cfg, stream)
     s = score_rows(net, eval_ds.X, thresholds, cfg.t_samples, cfg.seed, stream)
     ev = ModelEval(kind=net.kind.value, thresholds=thresholds,
                    clf_flags=s.z, rec_flags=s.rec_flags)
@@ -262,15 +262,12 @@ def _build_kwargs(cfg: ExperimentConfig, input_dim: int) -> dict:
 
 def train_one(cfg: ExperimentConfig, train_ds: data.LabeledDataset):
     """Build and train the configured model kind; returns (net, history)."""
-    kw = _build_kwargs(cfg, train_ds.X.shape[1])
+    net = build(ModelKind(cfg.model_kind), **_build_kwargs(cfg, train_ds.X.shape[1]))
     if cfg.model_kind == "augmented":
-        net = build(ModelKind.AUGMENTED, **kw)
         history = train_joint(net, train_ds, cfg.train_config())
     elif cfg.model_kind == "classifier":
-        net = build(ModelKind.CLASSIFIER_ONLY, **kw)
         history = train_classifier(net, train_ds, cfg.benchmark_config())
     else:
-        net = build(ModelKind.AUTOENCODER_ONLY, **kw)
         history = train_autoencoder(net, train_ds.select(train_ds.y == 0),
                                     cfg.benchmark_config())
     return net, history
@@ -278,22 +275,18 @@ def train_one(cfg: ExperimentConfig, train_ds: data.LabeledDataset):
 
 def train_models(cfg: ExperimentConfig, train_ds: data.LabeledDataset) -> dict:
     """Shared-seed builds so all three models start from identical encoders."""
-    kw = _build_kwargs(cfg, train_ds.X.shape[1])
-    aug = build(ModelKind.AUGMENTED, **kw)
-    train_joint(aug, train_ds, cfg.train_config())
-    clf = build(ModelKind.CLASSIFIER_ONLY, **kw)
-    train_classifier(clf, train_ds, cfg.benchmark_config())
-    ae = build(ModelKind.AUTOENCODER_ONLY, **kw)
-    train_autoencoder(ae, train_ds.select(train_ds.y == 0), cfg.benchmark_config())
-    return {"augmented": aug, "classifier": clf, "autoencoder": ae}
+    return {kind: train_one(replace(cfg, model_kind=kind), train_ds)[0]
+            for kind in MODEL_ORDER}
 
 
 def evaluate_models(nets: dict, train_ds: data.LabeledDataset,
                     eval_ds: data.LabeledDataset, cfg: ExperimentConfig) -> dict:
+    """Calibrate each model on the training normals, then evaluate it."""
     calib_x = train_ds.X[train_ds.y == 0]
     evals = {}
     for i, name in enumerate(MODEL_ORDER):
-        evals[name] = evaluate_model(nets[name], calib_x, eval_ds, cfg, stream=i)
+        thresholds = calibrate_normals(nets[name], calib_x, cfg, stream=i)
+        evals[name] = evaluate_model(nets[name], thresholds, eval_ds, cfg, stream=i)
     return evals
 
 

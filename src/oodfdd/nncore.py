@@ -371,9 +371,15 @@ def binary_cross_entropy(
     return loss, grad
 
 
-def mse(xhat: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Per-example mean squared error, averaged over the batch.
+def mse(
+    xhat: np.ndarray, x: np.ndarray, n_rows: int | None = None
+) -> tuple[float, np.ndarray]:
+    """Squared error summed over the given rows, divided by n_rows * d.
 
+    With n_rows omitted it is the per-example mean squared error averaged
+    over the batch.  A larger `n_rows` scores the given rows as part of an
+    n_rows-row batch whose other rows contribute zero, which is how the
+    joint objective keeps its normals-only term weighted by the full batch.
     Returns (loss, gradient w.r.t. xhat).
     """
     xhat = as_matrix(xhat)
@@ -381,33 +387,14 @@ def mse(xhat: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
     if xhat.shape != x.shape:
         raise ValueError(f"shape mismatch {xhat.shape} vs {x.shape}")
     n, d = x.shape
+    if n_rows is None:
+        n_rows = n
+    elif n_rows < n:
+        raise ValueError(f"cannot normalise {n} rows by a batch of {n_rows}")
     diff = xhat - x
-    loss = float((diff**2).sum() / (n * d))
-    grad = 2.0 * diff / (n * d)
+    loss = float((diff**2).sum() / (n_rows * d))
+    grad = 2.0 * diff / (n_rows * d)
     ensure_finite(grad, "mse gradient")
-    return loss, grad
-
-
-def masked_mse(
-    xhat: np.ndarray, x: np.ndarray, keep: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """MSE restricted to rows where `keep` is true, still normalized by the
-    full batch size so the loss weight is stable across batch compositions.
-
-    Rows with keep=False contribute exactly zero loss and zero gradient.
-    """
-    xhat = as_matrix(xhat)
-    x = as_matrix(x)
-    if xhat.shape != x.shape:
-        raise ValueError(f"shape mismatch {xhat.shape} vs {x.shape}")
-    keep = np.asarray(keep, dtype=bool).ravel()
-    n, d = x.shape
-    if keep.shape != (n,):
-        raise ValueError("mask length must equal the batch size")
-    diff = (xhat - x) * keep[:, None]
-    loss = float((diff**2).sum() / (n * d))
-    grad = 2.0 * diff / (n * d)
-    ensure_finite(grad, "masked mse gradient")
     return loss, grad
 
 

@@ -1,12 +1,13 @@
-"""Training loops: reconstruction warm-up, joint masked objective, benchmarks.
+"""Training loops: reconstruction warm-up, joint objective, benchmarks.
 
 The joint objective applies the reconstruction loss only to normal-labeled
-examples (per-example loss = clf + beta * rec * 1{y=0}); the masked term is
-normalized by the full batch size so beta keeps a stable meaning regardless
-of how many normals land in a batch.  Every public trainer is a thin caller
-of one seeded, single-threaded loop (`_fit`) that steps Adam over slices of
-the network's flat parameter buffer; the same TrainConfig.seed reproduces
-weights bitwise.
+examples (per-example loss = clf + beta * rec * 1{y=0}), so the decoder runs
+forward and backward on a batch's normal rows only.  The term is still
+normalized by the full batch's rows times features, so beta keeps a stable
+meaning regardless of how many normals land in a batch.  Every public
+trainer is a thin caller of one seeded, single-threaded loop (`_fit`) that
+steps Adam over slices of the network's flat parameter buffer; the same
+TrainConfig.seed reproduces weights bitwise.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from .model import PathwayNetwork
 from .nncore import (
     AdamState,
     adam_step,
+    as_matrix,
     binary_cross_entropy,
     cross_entropy,
     derive_rng,
-    masked_mse,
     mse,
 )
 
@@ -98,18 +99,26 @@ def joint_batch_gradients(
     """One forward/backward pass of the joint objective on a single batch.
 
     Gradients accumulate into the network's layers (call net.zero_grad()
-    first).  Fault-labeled rows contribute exactly zero to the reconstruction
-    term and its gradients.  Returns (clf_loss, masked rec_loss).
+    first).  The decoder sees only the normal-labeled rows: fault rows have
+    no reconstruction term, so they get neither decoder work nor decoder
+    gradient, and a batch without normals skips the decoder.  The rec loss
+    and its gradient are normalized by the full batch's rows times features.
+    With beta = 0 the rec loss is still computed for the log, but the
+    decoder gets no backward pass.  Returns (clf_loss, rec_loss).
     """
+    xb = as_matrix(xb)
     yb = np.asarray(yb)
     h = net.encoder.forward(xb, rng, stochastic)
     probs = net.head.forward(h)
     clf_loss, dlogits = _classification_loss(net, probs, yb)
-    xhat = net.decoder.forward(h)
-    rec_loss, dxhat = masked_mse(xhat, xb, yb == 0)
     grad_h = net.head.backward_from_logits(dlogits)
-    if beta != 0.0:
-        grad_h = grad_h + net.decoder.backward(beta * dxhat)
+    rec_loss = 0.0
+    normal = np.flatnonzero(yb == 0)
+    if normal.size:
+        xhat = net.decoder.forward(h[normal])
+        rec_loss, dxhat = mse(xhat, xb[normal], n_rows=len(xb))
+        if beta != 0.0:
+            grad_h[normal] += net.decoder.backward(beta * dxhat)
     net.encoder.backward(grad_h, input_grad=False)
     return clf_loss, rec_loss
 
@@ -197,7 +206,7 @@ def pretrain_reconstruction(
 
 
 def train_joint(net: PathwayNetwork, dataset, cfg: TrainConfig) -> list[EpochLog]:
-    """Optimize clf + beta * masked rec over the full label set.
+    """Optimize clf + beta * normals-only rec over the full label set.
 
     Runs the reconstruction warm-up first when cfg.pretrain_epochs > 0, then
     cfg.epochs of the joint objective.  Returns the concatenated epoch log

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oodfdd import cli, data, experiments, model
+from oodfdd import cli, data, detect, experiments, model
 from oodfdd.nncore import make_rng
 
 
@@ -387,7 +387,13 @@ def test_score_names_non_numeric_cell(tmp_path, thyroid_dir, trained_dir, capsys
     assert "non-numeric value 'oops' in data row 2, column 'feature_3'" in err
 
 
-def test_evaluate_and_score_write_identical_thresholds(tmp_path, thyroid_dir, trained_dir):
+def test_evaluate_and_score_write_identical_thresholds(tmp_path, thyroid_dir, trained_dir,
+                                                       monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("recalibrated")
+
+    monkeypatch.setattr(detect, "calibrate", refuse)
+    monkeypatch.setattr(experiments, "calibrate", refuse)
     common = ["--dataset", "thyroid", "--data-dir", thyroid_dir,
               "--weights", os.path.join(trained_dir, "augmented.ofdd"), *SMOKE]
     assert cli.main(["evaluate", *common, "--out", str(tmp_path / "e")]) == 0
@@ -395,6 +401,29 @@ def test_evaluate_and_score_write_identical_thresholds(tmp_path, thyroid_dir, tr
     evaluated = (tmp_path / "e" / "thresholds.csv").read_bytes()
     assert evaluated == (tmp_path / "s" / "thresholds.csv").read_bytes()
     assert b"clf1," in evaluated and b"rec," in evaluated
+
+
+def test_evaluate_rejects_settings_that_differ_from_the_archive(tmp_path, thyroid_dir,
+                                                                trained_dir, capsys):
+    rc = cli.main(["evaluate", "--dataset", "thyroid", "--data-dir", thyroid_dir,
+                   "--weights", os.path.join(trained_dir, "augmented.ofdd"), *SMOKE,
+                   "--seed", "5", "--alpha", "0.3", "--out", str(tmp_path / "e")])
+    assert rc == cli.EXIT_BAD_CONFIG
+    assert "retrain to change it" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+def test_evaluate_takes_t_samples_and_seed_from_the_archive(tmp_path, thyroid_dir,
+                                                            trained_dir):
+    common = ["evaluate", "--dataset", "thyroid", "--data-dir", thyroid_dir,
+              "--weights", os.path.join(trained_dir, "augmented.ofdd"),
+              "--epochs", "2", "--pretrain-epochs", "1", "--batch-size", "256"]
+    assert cli.main([*common, "--out", str(tmp_path / "archive")]) == 0
+    assert cli.main([*common, "--t-samples", "4", "--seed", "0",
+                     "--out", str(tmp_path / "given")]) == 0
+    for name in ("metrics.csv", "thresholds.csv"):
+        assert (tmp_path / "archive" / name).read_bytes() == \
+            (tmp_path / "given" / name).read_bytes()
 
 
 def test_score_rejects_non_finite_input(tmp_path, thyroid_dir, trained_dir, capsys):
@@ -483,11 +512,11 @@ def test_read_input_csv_rejects_extra_cells(tmp_path):
 _ODD_CELLS = ["nan", "-inf", "Infinity", "1e999", "", " ", "oops", "feature_0", "label",
               '"1.5"', '"2,5"', '"unterminated', 'a"b', "\x00", "1\x002", "1_0", "0x1p3",
               "1" * 400, "1" * 131073, "0." + "0" * 140000 + "1"]
-# a fixed alphabet: st.text()'s default one builds a Unicode table on first use,
-# which is slow enough to fail Hypothesis's health check on a fresh cache
+# characters that matter to a number or CSV parser, next to arbitrary text
 _ALPHABET = st.sampled_from(list("0123456789.+-eEinfa ,;\"'\t\x00\u00e9\u20ac\U0001f600"))
 _CELL = st.one_of(st.floats().map(repr), st.integers(-10**6, 10**6).map(str),
-                  st.sampled_from(_ODD_CELLS), st.text(_ALPHABET, max_size=4))
+                  st.sampled_from(_ODD_CELLS), st.text(_ALPHABET, max_size=4),
+                  st.text(max_size=4))
 _ROWS = st.lists(st.lists(_CELL, min_size=1, max_size=5), min_size=1, max_size=6)
 
 

@@ -5,6 +5,8 @@ runners with tiny budgets. The full-scale behavioral claims live in the
 acceptance suite.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,14 @@ def test_chiller_severity_table(chiller_result):
         assert set(table) == {1, 2, 3, 4}
         for v in table.values():
             assert 0.0 <= v <= 1.0
+
+
+def test_train_models_equals_train_one_per_kind(chiller_result):
+    r = chiller_result
+    for kind in experiments.MODEL_ORDER:
+        net, history = experiments.train_one(replace(r.config, model_kind=kind), r.train_ds)
+        assert net.kind.value == kind and history
+        assert net.params.tobytes() == r.nets[kind].params.tobytes()
 
 
 def test_chiller_groups_cover_unknown_and_severities(chiller_result):

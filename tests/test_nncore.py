@@ -224,19 +224,21 @@ def test_mse_shape_mismatch():
         nn.mse(np.ones((2, 3)), np.ones((3, 2)))
 
 
-def test_masked_mse_zero_rows_contribute_nothing():
+def test_mse_on_row_subset_normalised_by_full_batch():
     rng = nn.make_rng(9)
     xhat = rng.normal(size=(4, 3))
     x = rng.normal(size=(4, 3))
     keep = np.array([True, False, True, False])
-    loss, grad = nn.masked_mse(xhat, x, keep)
-    # dropped rows: exactly zero gradient
-    np.testing.assert_array_equal(grad[~keep], 0.0)
-    # kept rows match plain mse gradient values at the same batch size
+    loss, grad = nn.mse(xhat[keep], x[keep], n_rows=4)
+    # the kept rows' gradient is plain mse's at the full batch size
     _, full_grad = nn.mse(xhat, x)
-    np.testing.assert_array_equal(grad[keep], full_grad[keep])
+    np.testing.assert_array_equal(grad, full_grad[keep])
     per_row = ((xhat - x) ** 2).mean(axis=1)
     assert loss == pytest.approx(per_row[keep].sum() / 4, rel=1e-15)
+    # n_rows defaults to the rows given
+    assert nn.mse(xhat, x, n_rows=4)[1].tobytes() == full_grad.tobytes()
+    with pytest.raises(ValueError, match="cannot normalise 4 rows by a batch of 3"):
+        nn.mse(xhat, x, n_rows=3)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,89 @@ def test_mixed_batch_decoder_grads_match_scaled_normals_only():
         assert np.max(np.abs(g_full - g_norm * scale)) < 1e-12
 
 
+def _full_batch_masked_gradients(net, x, y, beta, seed):
+    """The joint gradients with the decoder run on every row and the fault
+    rows' reconstruction error zeroed, as a masked full-batch MSE."""
+    net.zero_grad()
+    h = net.encoder.forward(x, nncore.make_rng(seed), stochastic=True)
+    clf_loss, dlogits = nncore.cross_entropy(net.head.forward(h), y)
+    xhat = net.decoder.forward(h)
+    diff = (xhat - x) * (y == 0)[:, None]
+    rec_loss = float((diff**2).sum() / x.size)
+    grad_h = net.head.backward_from_logits(dlogits)
+    grad_h = grad_h + net.decoder.backward(beta * 2.0 * diff / x.size)
+    net.encoder.backward(grad_h)
+    return clf_loss, rec_loss, net.grads.copy()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_normals_only_decoder_matches_full_batch_mask_at_mnist_widths(seed):
+    net = model.build(ModelKind.AUGMENTED, input_dim=196, latent_dim=8,
+                      hidden_widths=[68, 24, 8], head_widths=[8, 8], n_classes=5,
+                      decoder_activation="sigmoid", rng_seed=seed)
+    rng = nncore.make_rng(100 + seed)
+    x = rng.random((64, 196))
+    y = rng.integers(0, 5, 64)
+    assert 0 < np.count_nonzero(y == 0) < 64
+    clf_ref, rec_ref, g_ref = _full_batch_masked_gradients(net, x, y, 0.7, seed)
+
+    net.zero_grad()
+    clf_loss, rec_loss = train.joint_batch_gradients(
+        net, x, y, 0.7, nncore.make_rng(seed), stochastic=True)
+    assert clf_loss == clf_ref
+    assert rec_loss == pytest.approx(rec_ref, rel=1e-12)
+    np.testing.assert_allclose(net.grads, g_ref, rtol=1e-12,
+                               atol=1e-12 * np.abs(g_ref).max())
+
+
+def test_decoder_sees_only_normal_rows(monkeypatch):
+    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, n_classes=3,
+                      rng_seed=11)
+    rng = nncore.make_rng(12)
+    x = rng.normal(0.0, 1.0, (9, 6))
+    y = np.array([1, 0, 2, 2, 0, 1, 0, 2, 1])
+    first = net.decoder.dense_layers()[0]
+    seen = []
+    real_forward = first.forward
+
+    def spy(rows):
+        seen.append(np.array(rows))
+        return real_forward(rows)
+
+    monkeypatch.setattr(first, "forward", spy)
+    net.zero_grad()
+    train.joint_batch_gradients(net, x, y, 1.0, stochastic=False)
+    assert len(seen) == 1
+    assert seen[0].tobytes() == net.encoder.forward(x)[y == 0].tobytes()
+
+    calls = []
+    for name in ("forward", "backward"):
+        monkeypatch.setattr(net.decoder, name,
+                            lambda *a, name=name, **k: calls.append(name))
+    net.zero_grad()
+    _, rec_loss = train.joint_batch_gradients(net, x, np.ones(9, int), 1.0,
+                                              stochastic=False)
+    assert calls == [] and rec_loss == 0.0
+
+
+def test_beta_zero_logs_rec_loss_without_decoder_backward(monkeypatch):
+    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, rng_seed=13)
+    rng = nncore.make_rng(14)
+    x = rng.normal(0.0, 1.0, (8, 6))
+    y = np.array([0, 1, 0, 1, 1, 0, 1, 1])
+
+    def no_backward(*args, **kwargs):
+        raise AssertionError("decoder backward ran at beta = 0")
+
+    monkeypatch.setattr(net.decoder, "backward", no_backward)
+    net.zero_grad()
+    _, rec_loss = train.joint_batch_gradients(net, x, y, 0.0, stochastic=False)
+    xhat, _ = net.forward_reconstruct(x[y == 0])
+    assert rec_loss == pytest.approx(((xhat - x[y == 0]) ** 2).sum() / x.size, rel=1e-12)
+    assert rec_loss > 0.0
+    assert not net.grads[net.spans("decoder")[0]].any()
+
+
 def test_joint_gradients_pass_finite_difference_check():
     net = model.build(
         ModelKind.AUGMENTED,
@@ -247,7 +330,8 @@ def _reference_train_joint(net, ds, cfg):
     """Warm-up over encoder+decoder, then the joint phase over every array,
     stepping each parameter array on its own.  Both phases run their own
     forward and full-stack backward passes (encoder input gradient
-    included), independent of train.joint_batch_gradients."""
+    included), independent of train.joint_batch_gradients; the joint phase
+    runs the decoder on each batch's normal rows only."""
     x, y = ds.X, ds.y
     normals = x[y == 0]
     warm = net.encoder.params() + net.decoder.params()
@@ -270,9 +354,12 @@ def _reference_train_joint(net, ds, cfg):
                 else:
                     h = net.encoder.forward(x[idx], rng, stochastic=True)
                     _, dlogits = nncore.binary_cross_entropy(net.head.forward(h), y[idx])
-                    _, dxhat = nncore.masked_mse(net.decoder.forward(h), x[idx], y[idx] == 0)
                     grad_h = net.head.backward_from_logits(dlogits)
-                    grad_h = grad_h + net.decoder.backward(cfg.beta * dxhat)
+                    normal = y[idx] == 0
+                    if normal.any():
+                        xhat = net.decoder.forward(h[normal])
+                        _, dxhat = nncore.mse(xhat, x[idx][normal], n_rows=len(idx))
+                        grad_h[normal] += net.decoder.backward(cfg.beta * dxhat)
                     assert net.encoder.backward(grad_h).shape == x[idx].shape
                 t += 1
                 _reference_adam(arrays, moments, t, cfg.lr)
