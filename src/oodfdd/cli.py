@@ -6,36 +6,43 @@ figures, and run the three-way model comparison. Every number the CLI
 prints or writes is recomputable by calling the library with the same seed;
 the CLI holds no state of its own beyond the artifact files it writes.
 
+Every ExperimentConfig field is a settings flag (`--t-samples` for
+t_samples) and a config-file key, typed by the field's annotation; a value
+that does not parse is a configuration error naming the key.
+
 `train` calibrates the detection thresholds once, on the training normals,
 and stores them in the weight archive with alpha, t_samples and the seed.
-`evaluate` and `score` score from that record and never recalibrate:
-`evaluate` splits the data with the archive's seed, and `score --input`
-reads no dataset file.
+`evaluate`, `score` and `report` take the seed and t_samples from that
+record, and `evaluate` and `score` never recalibrate: `evaluate` splits the
+data with the archive's seed, and `score --input` reads no dataset file.
 
 Exit codes: 0 success, 2 missing data path, 3 bad configuration or usage
 (including an input CSV that is not UTF-8 or not parseable as CSV, a data
 row with more or fewer cells than the header, a non-numeric or non-finite
 cell, input rows whose width differs from the archive's input_dim, and a
-`--alpha`, `--t-samples` or `--seed` given to `evaluate` or `score` that
-differs from the archive's), 4 numeric failure during training or
-evaluation, 5 unreadable weight archive (a non-finite parameter or
-threshold, an invalid calibration record and a version-1 archive included).
+`--alpha`, `--t-samples` or `--seed` given to `evaluate`, `score` or
+`report` that differs from the archive's), 4 numeric failure during
+training or evaluation, 5 unreadable weight archive (a non-finite parameter
+or threshold, an invalid calibration record and a version-1 archive
+included).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import os
 import sys
+import typing
 from dataclasses import replace
 
 import numpy as np
 
 from . import data, experiments, model, report, train
 from .detect import ThresholdSet
-from .experiments import MODEL_ORDER, ExperimentConfig
+from .experiments import ExperimentConfig
 from .nncore import NonFiniteError, derive_rng
 from .uncertainty import mc_sample, write_histogram_csv
 
@@ -56,40 +63,25 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_INT_KEYS = frozenset({
-    "latent_dim", "n_classes", "t_samples", "seed", "epochs", "pretrain_epochs",
-    "batch_size", "n_per_class", "train_cap_per_class", "ambiguous_pairs",
-})
-_FLOAT_KEYS = frozenset({"dropout_rate", "alpha", "beta", "lr", "train_fraction"})
-_LIST_KEYS = frozenset({"hidden_widths", "head_widths"})
-_STR_KEYS = frozenset({"dataset", "model_kind", "decoder_activation"})
-ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS
-
-
-def _parse_width_list(raw: str) -> list:
-    try:
-        return [int(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {raw!r}")
+# every ExperimentConfig field is both a config-file key and a --flag
+_SETTINGS = typing.get_type_hints(ExperimentConfig)
+_WANTS = {int: "an integer", float: "a number", list: "comma-separated integers"}
 
 
 def parse_config_value(key: str, raw: str):
+    """`raw` typed by the hint of ExperimentConfig field `key`; width lists
+    (`list` or `list | None`) are comma-separated integers."""
+    if key not in _SETTINGS:
+        raise ConfigError(f"unknown config key {key!r}")
+    hint = _SETTINGS[key]
+    kind = list if list in (hint, *typing.get_args(hint)) else hint
     raw = raw.strip()
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key} wants an integer, got {raw!r}")
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key} wants a number, got {raw!r}")
-    if key in _LIST_KEYS:
-        return _parse_width_list(raw)
-    if key in _STR_KEYS:
-        return raw
-    raise ConfigError(f"unknown config key {key!r}")
+    try:
+        if kind is list:
+            return [int(tok) for tok in raw.split(",") if tok.strip()]
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"config key {key} wants {_WANTS[kind]}, got {raw!r}") from None
 
 
 def load_config_file(path) -> dict:
@@ -113,13 +105,8 @@ def load_config_file(path) -> dict:
 def given_settings(args) -> dict:
     """Settings given explicitly, by the config file or by flags (flags win)."""
     given = load_config_file(args.config) if args.config else {}
-    for key in sorted(ALL_KEYS):
-        flag_val = getattr(args, key, None)
-        if flag_val is None:
-            continue
-        if key in _LIST_KEYS and isinstance(flag_val, str):
-            flag_val = _parse_width_list(flag_val)
-        given[key] = flag_val
+    given.update((key, getattr(args, key)) for key in _SETTINGS
+                 if getattr(args, key) is not None)
     return given
 
 
@@ -164,32 +151,26 @@ def _load_weights(path) -> tuple[model.PathwayNetwork, model.Calibration]:
         raise model.ArchiveError(f"{path}: {exc}") from exc
 
 
-def _stream_for(net: model.PathwayNetwork) -> int:
-    # keeps single-model commands on the same MC draws as cmd_compare
-    return MODEL_ORDER.index(net.kind.value)
+_SURROGATE_WRITERS = {"thyroid": data.write_thyroid_surrogate,
+                      "mnist": data.write_mnist_surrogate}
 
 
 def cmd_gen_data(cfg, args) -> int:
     root = experiments.resolve_data_dir(args.data_dir)
     os.makedirs(root, exist_ok=True)
-    if cfg.dataset == "thyroid":
-        written = data.write_thyroid_surrogate(root, seed=cfg.seed)
-        for name in sorted(written):
-            print(f"wrote {written[name]}")
-    elif cfg.dataset == "mnist":
-        written = data.write_mnist_surrogate(root, seed=cfg.seed)
-        for name in sorted(written):
-            print(f"wrote {written[name]}")
-    else:
+    if cfg.dataset not in _SURROGATE_WRITERS:
         print("chiller surrogate is generated in-process at run time; no files to write")
+        return 0
+    written = _SURROGATE_WRITERS[cfg.dataset](root, seed=cfg.seed)
+    for name in sorted(written):
+        print(f"wrote {written[name]}")
     return 0
 
 
 def cmd_train(cfg, args) -> int:
     train_ds, _ = experiments.load_dataset_pair(cfg, args.data_dir)
     net, history = experiments.train_one(cfg, train_ds)
-    thr = experiments.calibrate_normals(net, train_ds.X[train_ds.y == 0], cfg,
-                                        _stream_for(net))
+    thr = experiments.calibrate_normals(net, train_ds.X[train_ds.y == 0], cfg)
     out = _out_dir(args)
     weights_name = f"{cfg.model_kind}.ofdd"
     model.save(net, os.path.join(out, weights_name),
@@ -204,19 +185,21 @@ def cmd_train(cfg, args) -> int:
     return 0
 
 
-def _archive_thresholds(args) -> tuple[model.PathwayNetwork, model.Calibration, ThresholdSet]:
-    """The archived net, its calibration record (checked against the
-    settings given) and the thresholds it stores."""
+def _archive_thresholds(cfg, args) -> tuple[model.PathwayNetwork, ExperimentConfig,
+                                             ThresholdSet]:
+    """The archived net, cfg with the archive's seed and t_samples, and the
+    thresholds the archive stores.  An alpha, t_samples or seed given
+    explicitly must equal the archive's."""
     net, cal = _load_weights(args.weights)
     _check_archive_settings(args, cal)
-    return net, cal, ThresholdSet(cal.clf_thresholds, cal.rec_threshold, cal.alpha)
+    return (net, replace(cfg, seed=cal.seed, t_samples=cal.t_samples),
+            ThresholdSet(cal.clf_thresholds, cal.rec_threshold, cal.alpha))
 
 
 def cmd_evaluate(cfg, args) -> int:
-    net, cal, thresholds = _archive_thresholds(args)
-    cfg = replace(cfg, seed=cal.seed, t_samples=cal.t_samples)
+    net, cfg, thresholds = _archive_thresholds(cfg, args)
     _, eval_ds = experiments.load_dataset_pair(cfg, args.data_dir)
-    ev = experiments.evaluate_model(net, thresholds, eval_ds, cfg, stream=_stream_for(net))
+    ev = experiments.evaluate_model(net, thresholds, eval_ds, cfg)
     out = _out_dir(args)
     ev.report.to_csv(os.path.join(out, "metrics.csv"))
     ev.thresholds.to_csv(os.path.join(out, "thresholds.csv"))
@@ -292,22 +275,21 @@ def _check_archive_settings(args, cal: model.Calibration) -> None:
 
 
 def cmd_score(cfg, args) -> int:
-    net, cal, thresholds = _archive_thresholds(args)
+    net, cfg, thresholds = _archive_thresholds(cfg, args)
     if args.input:
         x = _read_input_csv(args.input)
         source = f"input {args.input}"
     else:
         # default rows are the calibration normals, so the printed flag rate
         # lands near alpha by construction
-        train_ds, _ = experiments.load_dataset_pair(replace(cfg, seed=cal.seed),
-                                                    args.data_dir)
+        train_ds, _ = experiments.load_dataset_pair(cfg, args.data_dir)
         x = train_ds.X[train_ds.y == 0]
         source = f"{cfg.dataset} training data"
     if x.shape[1] != net.input_dim:
         raise ConfigError(f"{source} has {x.shape[1]} feature columns, but archive "
                           f"{args.weights} has input_dim {net.input_dim}")
 
-    s = experiments.score_rows(net, x, thresholds, cal.t_samples, cal.seed, _stream_for(net))
+    s = experiments.score_rows(net, x, thresholds, cfg.t_samples, cfg.seed)
 
     header = []
     columns = []
@@ -342,7 +324,7 @@ def _safe_name(tag: str) -> str:
 
 
 def cmd_report(cfg, args) -> int:
-    net, _ = _load_weights(args.weights)
+    net, cfg, _ = _archive_thresholds(cfg, args)
     train_ds, eval_ds = experiments.load_dataset_pair(cfg, args.data_dir)
     out = _out_dir(args)
     names = []
@@ -447,27 +429,9 @@ def cmd_compare(cfg, args) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--dataset", choices=list(experiments.DATASETS))
-    p.add_argument("--model-kind", dest="model_kind", choices=list(MODEL_ORDER))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--t-samples", dest="t_samples", type=int)
-    p.add_argument("--latent-dim", dest="latent_dim", type=int)
-    p.add_argument("--hidden-widths", dest="hidden_widths")
-    p.add_argument("--head-widths", dest="head_widths")
-    p.add_argument("--dropout-rate", dest="dropout_rate", type=float)
-    p.add_argument("--decoder-activation", dest="decoder_activation",
-                   choices=["identity", "sigmoid"])
-    p.add_argument("--beta", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--n-classes", dest="n_classes", type=int)
-    p.add_argument("--n-per-class", dest="n_per_class", type=int)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--train-cap-per-class", dest="train_cap_per_class", type=int)
-    p.add_argument("--ambiguous-pairs", dest="ambiguous_pairs", type=int)
+    for key in _SETTINGS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key,
+                       type=functools.partial(parse_config_value, key))
     p.add_argument("--data-dir", dest="data_dir",
                    help="dataset directory (or OODFDD_DATA_DIR)")
     p.add_argument("--out", default="out", help="artifact output directory")

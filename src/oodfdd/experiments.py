@@ -84,6 +84,9 @@ class ExperimentConfig:
             raise ValueError("epochs must be positive and pretrain_epochs non-negative")
         if self.n_classes < 2:
             raise ValueError("n_classes must be at least 2")
+        if self.decoder_activation not in ("identity", "sigmoid"):
+            raise ValueError(f"unknown decoder_activation {self.decoder_activation!r}, "
+                             "expected identity or sigmoid")
         return self
 
     def train_config(self) -> TrainConfig:
@@ -189,32 +192,37 @@ def _mean_diag_by_group(diag: np.ndarray, groups: np.ndarray) -> dict:
     return out
 
 
-def calibrate_normals(net: PathwayNetwork, calib_x: np.ndarray, cfg: ExperimentConfig,
-                      stream: int) -> ThresholdSet:
-    """Thresholds from the calibration normals, MC draws from (seed, 20, stream).
+def _stream(net: PathwayNetwork) -> int:
+    # one MC stream per model kind keeps the draws of different kinds
+    # independent and gives a single-kind CLI command the pipeline's draws
+    return MODEL_ORDER.index(net.kind.value)
+
+
+def calibrate_normals(net: PathwayNetwork, calib_x: np.ndarray,
+                      cfg: ExperimentConfig) -> ThresholdSet:
+    """Thresholds from the calibration normals, MC draws from (seed, 20, kind stream).
 
     `oodfdd train` stores them in the weight archive, so they equal bitwise
     the thresholds `evaluate_models` computes for the same net and config.
     """
-    return calibrate(net, calib_x, cfg.alpha, cfg.t_samples, derive_rng(cfg.seed, 20, stream))
+    return calibrate(net, calib_x, cfg.alpha, cfg.t_samples,
+                     derive_rng(cfg.seed, 20, _stream(net)))
 
 
 def score_rows(net: PathwayNetwork, x: np.ndarray, thresholds: ThresholdSet,
-               t_samples: int, seed: int, stream: int) -> Scores:
-    """Scores and flags for x, MC draws from (seed, 22, stream)."""
-    return score(net, x, thresholds, t_samples, derive_rng(seed, 22, stream))
+               t_samples: int, seed: int) -> Scores:
+    """Scores and flags for x, MC draws from (seed, 22, kind stream)."""
+    return score(net, x, thresholds, t_samples, derive_rng(seed, 22, _stream(net)))
 
 
 def evaluate_model(net: PathwayNetwork, thresholds: ThresholdSet,
-                   eval_ds: data.LabeledDataset, cfg: ExperimentConfig,
-                   stream: int) -> ModelEval:
+                   eval_ds: data.LabeledDataset, cfg: ExperimentConfig) -> ModelEval:
     """Score every pathway the model has against the given thresholds.
 
-    `stream` keeps the Monte Carlo draws of different models independent
-    while staying reproducible from cfg.seed; cfg.t_samples sets the pass
-    count.
+    The Monte Carlo draws are reproducible from cfg.seed and independent
+    between model kinds; cfg.t_samples sets the pass count.
     """
-    s = score_rows(net, eval_ds.X, thresholds, cfg.t_samples, cfg.seed, stream)
+    s = score_rows(net, eval_ds.X, thresholds, cfg.t_samples, cfg.seed)
     ev = ModelEval(kind=net.kind.value, thresholds=thresholds,
                    clf_flags=s.z, rec_flags=s.rec_flags)
     groups = eval_ds.group
@@ -284,9 +292,9 @@ def evaluate_models(nets: dict, train_ds: data.LabeledDataset,
     """Calibrate each model on the training normals, then evaluate it."""
     calib_x = train_ds.X[train_ds.y == 0]
     evals = {}
-    for i, name in enumerate(MODEL_ORDER):
-        thresholds = calibrate_normals(nets[name], calib_x, cfg, stream=i)
-        evals[name] = evaluate_model(nets[name], thresholds, eval_ds, cfg, stream=i)
+    for name in MODEL_ORDER:
+        thresholds = calibrate_normals(nets[name], calib_x, cfg)
+        evals[name] = evaluate_model(nets[name], thresholds, eval_ds, cfg)
     return evals
 
 

@@ -21,6 +21,8 @@ from .nncore import DenseLayer, DropoutLayer, LayerStack, derive_rng, flatten_st
 
 ARCHIVE_MAGIC = b"OFDD"
 ARCHIVE_VERSION = 2
+# depth of the default tapered encoder, when no hidden_widths are given
+ENCODER_LAYERS = 3
 
 
 class ModelKind(enum.Enum):
@@ -176,12 +178,11 @@ def build(
     rng_seed: int = 0,
     head_widths: list[int] | None = None,
     decoder_activation: str = "identity",
-    n_encoder_layers: int = 3,
 ) -> PathwayNetwork:
     """Assemble a network of the requested kind.
 
     hidden_widths lists every encoder layer's output width and must end at
-    latent_dim; by default a tapered schedule with n_encoder_layers layers is
+    latent_dim; by default a tapered schedule with ENCODER_LAYERS layers is
     used.  The decoder mirrors the encoder without dropout; the head stays
     small (head_widths, default one hidden layer of 8 units).  Per-pathway
     rng streams are derived from rng_seed so every kind shares identical
@@ -192,7 +193,7 @@ def build(
     if n_classes < 2:
         raise ValueError("need at least two classes (normal + one fault)")
     if hidden_widths is None:
-        hidden_widths = taper_widths(input_dim, latent_dim, n_encoder_layers)
+        hidden_widths = taper_widths(input_dim, latent_dim, ENCODER_LAYERS)
     if not hidden_widths:
         raise ValueError("hidden_widths must be non-empty")
     if hidden_widths[-1] != latent_dim:

@@ -30,6 +30,15 @@ from .nncore import (
 )
 
 
+# "until convergence" mode for the benchmark models: stop once validation
+# loss, on VAL_FRACTION of the training rows, fails to improve by
+# EARLY_STOP_MIN_DELTA for EARLY_STOP_PATIENCE epochs, then restore the best
+# weights; epochs acts as the cap
+EARLY_STOP_MIN_DELTA = 1e-4
+EARLY_STOP_PATIENCE = 10
+VAL_FRACTION = 0.1
+
+
 @dataclass
 class TrainConfig:
     beta: float = 1.0
@@ -38,13 +47,7 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 1e-3
     seed: int = 0
-    # "until convergence" mode for the benchmark models: stop once validation
-    # loss fails to improve by min_delta for patience epochs, then restore the
-    # best weights; epochs acts as the cap
     early_stop: bool = False
-    early_stop_min_delta: float = 1e-4
-    early_stop_patience: int = 10
-    val_fraction: float = 0.1
 
 
 class EpochLog(NamedTuple):
@@ -143,7 +146,7 @@ def _fit(
     `batch_loss(idx, rng)` runs forward and backward on a batch of them and
     returns (clf_loss, rec_loss), logged as row-weighted epoch means with
     total clf + rec_weight * rec.  With `val_loss`, training stops after
-    cfg.early_stop_patience epochs without a cfg.early_stop_min_delta
+    EARLY_STOP_PATIENCE epochs without an EARLY_STOP_MIN_DELTA
     improvement and restores the best parameters seen.
     """
     rng = derive_rng(cfg.seed, stream)
@@ -167,11 +170,11 @@ def _fit(
         history.append(EpochLog(epoch, clf_m, rec_m, clf_m + rec_weight * rec_m))
         if val_loss is not None:
             loss = val_loss()
-            if loss < best - cfg.early_stop_min_delta:
+            if loss < best - EARLY_STOP_MIN_DELTA:
                 best, stale, best_snap = loss, 0, net.params.copy()
             else:
                 stale += 1
-                if stale >= cfg.early_stop_patience:
+                if stale >= EARLY_STOP_PATIENCE:
                     break
     if best_snap is not None:
         net.params[...] = best_snap
@@ -237,7 +240,7 @@ def _val_split(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray | None]
         return np.arange(n), None
     rng = derive_rng(cfg.seed, 3)
     perm = rng.permutation(n)
-    n_val = max(1, int(round(n * cfg.val_fraction)))
+    n_val = max(1, int(round(n * VAL_FRACTION)))
     if n_val >= n:
         raise ValueError("validation split leaves no training data")
     return perm[n_val:], perm[:n_val]

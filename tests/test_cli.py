@@ -1,10 +1,13 @@
 """CLI behavior: config precedence, exit codes, artifacts, determinism."""
 
+import argparse
 import csv
+import dataclasses
 import filecmp
 import io
 import json
 import os
+import typing
 
 import numpy as np
 import pytest
@@ -472,6 +475,115 @@ def test_config_file_errors(tmp_path):
     args = cli.make_parser().parse_args(["train", "--config", str(tmp_path / "absent.cfg")])
     with pytest.raises(cli.ConfigError):
         cli.build_config(args)
+
+
+_HINTS = typing.get_type_hints(experiments.ExperimentConfig)
+_STR_SAMPLES = {"dataset": "mnist", "model_kind": "classifier",
+                "decoder_activation": "sigmoid"}
+
+
+def _sample_setting(name):
+    """(raw text, typed value) for a field, unlike the thyroid default."""
+    hint = _HINTS[name]
+    if hint is str:
+        return _STR_SAMPLES[name], _STR_SAMPLES[name]
+    if hint is int:
+        return "7", 7
+    if hint is float:
+        return "0.25", 0.25
+    return " 3, 5 ", [3, 5]  # width lists: list and list | None
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(
+    experiments.ExperimentConfig)])
+def test_every_setting_is_a_flag_and_a_config_key_with_one_type(tmp_path, name):
+    raw, value = _sample_setting(name)
+    config = tmp_path / "one.cfg"
+    config.write_text(f"{name} = {raw}\n")
+    parser = cli.make_parser()
+    by_flag = cli.build_config(parser.parse_args(["train", "--" + name.replace("_", "-"), raw]))
+    by_file = cli.build_config(parser.parse_args(["train", "--config", str(config)]))
+    assert getattr(experiments.config_for("thyroid"), name) != value
+    assert getattr(by_flag, name) == value and type(getattr(by_flag, name)) is type(value)
+    assert by_flag == by_file
+
+
+@pytest.mark.parametrize("name, raw, wants", [
+    ("epochs", "abc", "an integer"),
+    ("seed", "1.5", "an integer"),
+    ("lr", "fast", "a number"),
+    ("head_widths", "4,x", "comma-separated integers"),
+    ("hidden_widths", "16;8;2", "comma-separated integers"),
+])
+@pytest.mark.parametrize("source", ["flag", "config-file"])
+def test_malformed_setting_exits_3_naming_the_key(tmp_path, capsys, name, raw, wants, source):
+    if source == "flag":
+        given = ["--" + name.replace("_", "-"), raw]
+    else:
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{name} = {raw}\n")
+        given = ["--config", str(config)]
+    rc = cli.main(["train", "--data-dir", str(tmp_path / "absent"), *given])
+    assert rc == cli.EXIT_BAD_CONFIG
+    assert f"config key {name} wants {wants}, got {raw!r}" in capsys.readouterr().err
+
+
+_COMMON_OPTIONS = {
+    "-h", "--help", "--config", "--data-dir", "--out",
+    "--dataset", "--model-kind", "--latent-dim", "--hidden-widths", "--head-widths",
+    "--dropout-rate", "--n-classes", "--decoder-activation", "--alpha", "--t-samples",
+    "--seed", "--beta", "--epochs", "--pretrain-epochs", "--batch-size", "--lr",
+    "--n-per-class", "--train-fraction", "--train-cap-per-class", "--ambiguous-pairs",
+}
+
+
+def test_subcommand_options_are_unchanged():
+    parser = cli.make_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {s for a in p._actions for s in a.option_strings}
+               for name, p in sub.choices.items()}
+    assert options == {
+        "gen-data": _COMMON_OPTIONS,
+        "train": _COMMON_OPTIONS,
+        "evaluate": _COMMON_OPTIONS | {"--weights"},
+        "score": _COMMON_OPTIONS | {"--weights", "--input"},
+        "report": _COMMON_OPTIONS | {"--weights"},
+        "compare": _COMMON_OPTIONS,
+    }
+    # the bench's serving request keeps parsing
+    args = parser.parse_args(["score", "--dataset", "thyroid", "--seed", "0",
+                              "--data-dir", "d", "--weights", "w", "--input", "i"])
+    assert (args.dataset, args.seed, args.data_dir) == ("thyroid", 0, "d")
+
+
+def test_unknown_decoder_activation_fails_at_config_time(tmp_path, capsys):
+    config = tmp_path / "act.cfg"
+    config.write_text("decoder_activation = tanh\n")
+    rc = cli.main(["train", "--config", str(config), "--data-dir", str(tmp_path / "absent"),
+                   "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_BAD_CONFIG
+    assert "decoder_activation 'tanh'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_report_takes_seed_and_t_samples_from_the_archive(tmp_path, thyroid_dir, capsys):
+    smoke = ["--epochs", "2", "--pretrain-epochs", "1", "--batch-size", "256"]
+    common = ["--dataset", "thyroid", "--data-dir", thyroid_dir, *smoke]
+    assert cli.main(["train", *common, "--seed", "3", "--t-samples", "4",
+                     "--out", str(tmp_path / "t")]) == 0
+    common += ["--weights", str(tmp_path / "t" / "augmented.ofdd")]
+    assert cli.main(["report", *common, "--out", str(tmp_path / "archive")]) == 0
+    assert cli.main(["report", *common, "--seed", "3", "--t-samples", "4",
+                     "--out", str(tmp_path / "given")]) == 0
+    archive = _manifest_entries(tmp_path / "archive")
+    assert archive == _manifest_entries(tmp_path / "given")
+    assert "score_matrix.csv" in archive
+    capsys.readouterr()
+    rc = cli.main(["report", *common, "--seed", "5", "--t-samples", "7",
+                   "--out", str(tmp_path / "r")])
+    assert rc == cli.EXIT_BAD_CONFIG
+    assert "t_samples 7 was given" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_read_input_csv_variants(tmp_path):

@@ -10,7 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oodfdd import data, experiments
+from oodfdd import data, detect, experiments
+from oodfdd.nncore import derive_rng
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +106,23 @@ def test_train_models_equals_train_one_per_kind(chiller_result):
         assert net.params.tobytes() == r.nets[kind].params.tobytes()
 
 
+def test_mc_stream_follows_the_model_kind(thyroid_result):
+    r = thyroid_result
+    calib_x = r.train_ds.X[r.train_ds.y == 0]
+    for stream, kind in enumerate(experiments.MODEL_ORDER):
+        net = r.nets[kind]
+        expected = detect.calibrate(net, calib_x, r.config.alpha, r.config.t_samples,
+                                    derive_rng(r.config.seed, 20, stream))
+        for thr in (experiments.calibrate_normals(net, calib_x, r.config),
+                    r.evals[kind].thresholds):
+            assert np.array_equal(thr.clf_thresholds, expected.clf_thresholds)
+            assert np.array_equal(thr.rec_threshold, expected.rec_threshold)
+        scored = experiments.score_rows(net, calib_x, expected, 4, 0)
+        reference = detect.score(net, calib_x, expected, 4, derive_rng(0, 22, stream))
+        assert np.array_equal(scored.clf, reference.clf)
+        assert np.array_equal(scored.rec, reference.rec)
+
+
 def test_chiller_groups_cover_unknown_and_severities(chiller_result):
     groups = set(chiller_result.eval_ds.group)
     assert "unknown" in groups
@@ -156,6 +174,8 @@ def test_config_validation():
         experiments.thyroid_config(alpha=1.5)
     with pytest.raises(ValueError):
         experiments.thyroid_config(t_samples=1)
+    with pytest.raises(ValueError, match="decoder_activation 'tanh'"):
+        experiments.thyroid_config(decoder_activation="tanh")
     cfg = experiments.config_for("chiller-surrogate", seed=3)
     assert cfg.alpha == 0.05 and cfg.n_classes == 7 and cfg.seed == 3
 
