@@ -6,10 +6,21 @@ per-channel anomaly thresholds on the training normals, and evaluates
 every available pathway on the held-out set. Results come back as plain
 dataclasses so callers (CLI, tests) can pull out single numbers without
 re-running anything.
+
+After `build` the three models share no state: each kind draws from its
+own `derive_rng` streams. So `train_models` and `evaluate_models` each run
+in two lanes (`_in_lanes`): this process handles the augmented model, the
+longest job, while one forked worker runs the classifier and autoencoder
+jobs in MODEL_ORDER and sends back only their results. Two lanes are used
+when this process may run on at least two CPUs, the platform can fork and
+numpy's BLAS runs one thread (`_lane_count`); otherwise the same jobs run
+here one after another. Either way the results are bitwise the same.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -33,13 +44,35 @@ from .uncertainty import (
     EntropyDecomposition,
     GROUP_OOD,
     decompose_entropies,
-    group_bucket,
+    group_buckets,
     predictive_entropy,
 )
 
 DATASETS = ("thyroid", "chiller-surrogate", "mnist")
 
 MODEL_ORDER = ("augmented", "classifier", "autoencoder")
+
+# (key, test, what the test wants) for the numeric settings; comparisons are
+# written so that NaN fails them
+_RULES = (
+    ("alpha", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("t_samples", lambda v: v >= 2, "at least 2"),
+    ("epochs", lambda v: v >= 1, "at least 1"),
+    ("pretrain_epochs", lambda v: v >= 0, "non-negative"),
+    ("n_classes", lambda v: v >= 2, "at least 2"),
+    ("latent_dim", lambda v: v >= 1, "at least 1"),
+    ("hidden_widths", lambda v: v is None or all(w >= 1 for w in v),
+     "widths of at least 1"),
+    ("head_widths", lambda v: all(w >= 1 for w in v), "widths of at least 1"),
+    ("dropout_rate", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    ("beta", lambda v: v >= 0.0, "non-negative"),
+    ("batch_size", lambda v: v >= 1, "at least 1"),
+    ("lr", lambda v: 0.0 < v and math.isfinite(v), "positive and finite"),
+    ("n_per_class", lambda v: v >= 1, "at least 1"),
+    ("train_fraction", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("train_cap_per_class", lambda v: v >= 1, "at least 1"),
+    ("ambiguous_pairs", lambda v: v >= 0, "non-negative"),
+)
 
 
 @dataclass
@@ -76,17 +109,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown model_kind {self.model_kind!r}, expected one of {MODEL_ORDER}"
             )
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.t_samples < 2:
-            raise ValueError("t_samples must be at least 2")
-        if self.epochs < 1 or self.pretrain_epochs < 0:
-            raise ValueError("epochs must be positive and pretrain_epochs non-negative")
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be at least 2")
         if self.decoder_activation not in ("identity", "sigmoid"):
             raise ValueError(f"unknown decoder_activation {self.decoder_activation!r}, "
                              "expected identity or sigmoid")
+        for key, ok, wants in _RULES:
+            value = getattr(self, key)
+            if not ok(value):
+                raise ValueError(f"{key} must be {wants}, got {value!r}")
         return self
 
     def train_config(self) -> TrainConfig:
@@ -203,7 +232,9 @@ def calibrate_normals(net: PathwayNetwork, calib_x: np.ndarray,
     """Thresholds from the calibration normals, MC draws from (seed, 20, kind stream).
 
     `oodfdd train` stores them in the weight archive, so they equal bitwise
-    the thresholds `evaluate_models` computes for the same net and config.
+    the thresholds `evaluate_models` computes for the same net and config,
+    whether it calls this in this process or, for the benchmark models, in
+    its forked worker lane: the draws depend on the seed and kind alone.
     """
     return calibrate(net, calib_x, cfg.alpha, cfg.t_samples,
                      derive_rng(cfg.seed, 20, _stream(net)))
@@ -235,8 +266,7 @@ def evaluate_model(net: PathwayNetwork, thresholds: ThresholdSet,
         ev.clf_diag = _mean_diag_by_group(diag, groups)
         ev.entropies = predictive_entropy(s.moments.clf_mean)
         ev.entropy = decompose_entropies(ev.entropies, groups)
-        buckets = np.array([group_bucket(g) for g in groups])
-        ood = ev.entropies[buckets == GROUP_OOD]
+        ood = ev.entropies[group_buckets(groups) == GROUP_OOD]
         ev.ood_mean_entropy = float(ood.mean()) if ood.size else None
         sweep_scores = s.clf[:, 1:].max(axis=1)
     if s.rec is not None:
@@ -282,20 +312,133 @@ def train_one(cfg: ExperimentConfig, train_ds: data.LabeledDataset):
 
 
 def train_models(cfg: ExperimentConfig, train_ds: data.LabeledDataset) -> dict:
-    """Shared-seed builds so all three models start from identical encoders."""
-    return {kind: train_one(replace(cfg, model_kind=kind), train_ds)[0]
-            for kind in MODEL_ORDER}
+    """Shared-seed builds so all three models start from identical encoders.
+
+    The augmented model trains in this process. The benchmark models train
+    in the worker lane, which sends back their flat parameter buffers; each
+    is loaded into a fresh `build`, as `model.load` does, so its layers stay
+    views of the buffer.
+    """
+    def trained(kind):
+        return train_one(replace(cfg, model_kind=kind), train_ds)[0]
+
+    def trained_params(kind):
+        return trained(kind).params
+
+    first, *benchmarks = MODEL_ORDER
+    nets = _in_lanes({first: functools.partial(trained, first),
+                      **{kind: functools.partial(trained_params, kind) for kind in benchmarks}})
+    for kind in benchmarks:
+        net = build(ModelKind(kind), **_build_kwargs(cfg, train_ds.X.shape[1]))
+        net.params[...] = nets[kind]
+        nets[kind] = net
+    return nets
 
 
 def evaluate_models(nets: dict, train_ds: data.LabeledDataset,
                     eval_ds: data.LabeledDataset, cfg: ExperimentConfig) -> dict:
-    """Calibrate each model on the training normals, then evaluate it."""
+    """Calibrate each model on the training normals, then evaluate it.
+
+    The augmented model is evaluated in this process and the benchmark
+    models in the worker lane, which inherits the nets and data.
+    """
     calib_x = train_ds.X[train_ds.y == 0]
-    evals = {}
-    for name in MODEL_ORDER:
+
+    def evaluated(name):
         thresholds = calibrate_normals(nets[name], calib_x, cfg)
-        evals[name] = evaluate_model(nets[name], thresholds, eval_ds, cfg)
-    return evals
+        return evaluate_model(nets[name], thresholds, eval_ds, cfg)
+
+    return _in_lanes({name: functools.partial(evaluated, name) for name in MODEL_ORDER})
+
+
+def _lane_count() -> int:
+    """2 when this process may run on two CPUs, the platform can fork and
+    numpy's BLAS runs one thread; else 1.
+
+    With a BLAS thread pool in each lane, two lanes overload the CPUs and
+    run slower than one; capping the pools instead would change the
+    outputs, because OpenBLAS results depend on its thread count.
+    """
+    import multiprocessing
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    can_fork = "fork" in multiprocessing.get_all_start_methods()
+    return 2 if cpus >= 2 and can_fork and _blas_threads() in (1, None) else 1
+
+
+def _blas_threads() -> int | None:
+    """Threads numpy's OpenBLAS runs, or None for another BLAS."""
+    import ctypes
+    import sys
+
+    umath = (sys.modules.get("numpy._core._multiarray_umath")
+             or sys.modules.get("numpy.core._multiarray_umath"))
+    if umath is None:
+        return None
+    lib = ctypes.CDLL(umath.__file__)  # its symbol lookup covers the BLAS it links
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            get.restype = ctypes.c_int
+            return int(get())
+    return None
+
+
+def _in_lanes(jobs: dict) -> dict:
+    """Results of `jobs` (name -> callable), keyed and ordered as `jobs`.
+
+    The first job runs in this process. With two lanes the others run one
+    after another in a forked worker, which inherits what they read and
+    sends back only their results through a pipe; with one lane they run
+    here after the first. A job that raises in the worker re-raises here
+    with its type and message, a worker that dies raises a RuntimeError
+    naming its exit code, and the worker is joined before this returns.
+    """
+    if _lane_count() < 2:
+        return {name: job() for name, job in jobs.items()}
+    import multiprocessing
+
+    (first, first_job), *rest = jobs.items()
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=_lane_worker, args=([job for _, job in rest], sender),
+                         daemon=True)
+    worker.start()
+    sender.close()  # so that recv sees EOF once the worker has gone
+    finished = False
+    try:
+        results = {first: first_job()}
+        try:
+            ok, value = receiver.recv()
+        except EOFError:
+            worker.join()
+            raise RuntimeError(f"worker lane exited with code {worker.exitcode} "
+                               "before sending its results") from None
+        if not ok:
+            raise value
+        results.update(zip((name for name, _ in rest), value))
+        finished = True
+        return results
+    finally:
+        receiver.close()
+        if not finished:
+            worker.terminate()
+        worker.join()
+
+
+def _lane_worker(jobs: list, sender) -> None:
+    """Body of the forked worker: run `jobs` in order, then send (True, their
+    results) or, at the first failure, (False, the exception).
+
+    One message at the end, because a result larger than the pipe's buffer
+    would block the worker until the caller's own job is done."""
+    try:
+        outcome = (True, [job() for job in jobs])
+    except Exception as exc:
+        outcome = (False, exc)
+    sender.send(outcome)
+    sender.close()
 
 
 def _load_thyroid_pair(cfg: ExperimentConfig, data_dir: str):

@@ -189,6 +189,14 @@ def group_bucket(tag: str) -> int:
     raise ValueError(f"unrecognized group tag {tag!r}")
 
 
+def group_buckets(groups) -> np.ndarray:
+    """`group_bucket` of every tag, as an int array; each distinct tag is
+    mapped once."""
+    tags, inverse = np.unique(np.asarray(groups), return_inverse=True)
+    lookup = np.array([group_bucket(tag) for tag in tags], dtype=np.intp)
+    return lookup[inverse.reshape(-1)]
+
+
 @dataclass
 class EntropyDecomposition:
     P0: float  # summed entropy over normal test indices
@@ -206,10 +214,9 @@ def decompose_entropies(entropies, groups) -> EntropyDecomposition:
     entropies = np.asarray(entropies, dtype=np.float64).reshape(-1)
     if len(entropies) != len(groups):
         raise ValueError("entropy/group length mismatch")
-    parts = [0.0, 0.0, 0.0]
-    for h, tag in zip(entropies, groups):
-        parts[group_bucket(tag)] += float(h)
-    return EntropyDecomposition.from_parts(*parts)
+    # bincount adds each bucket's weights in row order, as a loop would
+    parts = np.bincount(group_buckets(groups), weights=entropies, minlength=3)
+    return EntropyDecomposition.from_parts(*map(float, parts))
 
 
 def write_histogram_csv(pred: McPrediction, path, bins: int = 20) -> None:

@@ -208,9 +208,26 @@ def test_bad_config_exits_3(tmp_path, thyroid_dir):
 
 
 def test_numeric_failure_exits_4(tmp_path, thyroid_dir):
-    rc = cli.main(["train", "--dataset", "thyroid", "--data-dir", thyroid_dir,
-                   "--lr", "inf", "--out", str(tmp_path / "o"), *SMOKE])
+    # a non-finite lr is a configuration error, but a finite one this large
+    # overflows the weights within the first steps
+    with np.errstate(over="ignore"):
+        rc = cli.main(["train", "--dataset", "thyroid", "--data-dir", thyroid_dir,
+                       "--lr", "1e300", "--out", str(tmp_path / "o"), *SMOKE])
     assert rc == cli.EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("flag, raw", [
+    ("--n-per-class", "0"), ("--batch-size", "0"), ("--lr", "-1"), ("--lr", "inf"),
+    ("--head-widths", "0"), ("--beta", "-1"), ("--ambiguous-pairs", "-1"),
+    ("--train-cap-per-class", "0"),
+])
+def test_out_of_range_setting_exits_3_naming_the_key(tmp_path, capsys, flag, raw):
+    rc = cli.main(["compare", "--dataset", "chiller-surrogate", flag, raw,
+                   "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be ")
+    assert not (tmp_path / "o").exists()
 
 
 def _score_archive(tmp_path, thyroid_dir, blob):

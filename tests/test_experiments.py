@@ -5,13 +5,17 @@ runners with tiny budgets. The full-scale behavioral claims live in the
 acceptance suite.
 """
 
+import dataclasses
+import multiprocessing
+import os
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oodfdd import data, detect, experiments
-from oodfdd.nncore import derive_rng
+from oodfdd import cli, data, detect, experiments, model
+from oodfdd.nncore import NonFiniteError, derive_rng
 
 
 @pytest.fixture(scope="module")
@@ -32,21 +36,32 @@ def _smoke(cfg_fn, **over):
     return cfg_fn(seed=0, epochs=3, pretrain_epochs=1, t_samples=4, **over)
 
 
+def _smoke_thyroid(data_dir):
+    return experiments.run_thyroid(_smoke(experiments.thyroid_config), data_dir=data_dir)
+
+
+def _smoke_chiller(data_dir=None):
+    return experiments.run_chiller(_smoke(experiments.chiller_config, n_per_class=104))
+
+
+def _smoke_mnist(data_dir):
+    cfg = _smoke(experiments.mnist_config, train_cap_per_class=60, ambiguous_pairs=5)
+    return experiments.run_mnist(cfg, data_dir=data_dir)
+
+
 @pytest.fixture(scope="module")
 def thyroid_result(thyroid_dir):
-    return experiments.run_thyroid(_smoke(experiments.thyroid_config), data_dir=thyroid_dir)
+    return _smoke_thyroid(thyroid_dir)
 
 
 @pytest.fixture(scope="module")
 def chiller_result():
-    cfg = _smoke(experiments.chiller_config, n_per_class=104)
-    return experiments.run_chiller(cfg)
+    return _smoke_chiller()
 
 
 @pytest.fixture(scope="module")
 def mnist_result(mnist_dir):
-    cfg = _smoke(experiments.mnist_config, train_cap_per_class=60, ambiguous_pairs=5)
-    return experiments.run_mnist(cfg, data_dir=mnist_dir)
+    return _smoke_mnist(mnist_dir)
 
 
 def test_thyroid_result_structure(thyroid_result):
@@ -176,6 +191,16 @@ def test_config_validation():
         experiments.thyroid_config(t_samples=1)
     with pytest.raises(ValueError, match="decoder_activation 'tanh'"):
         experiments.thyroid_config(decoder_activation="tanh")
+    for key, bad in [("alpha", 0.0), ("alpha", float("nan")), ("t_samples", 1),
+                     ("epochs", 0), ("pretrain_epochs", -1), ("n_classes", 1),
+                     ("batch_size", 0), ("lr", 0.0), ("lr", -1.0), ("lr", float("inf")),
+                     ("lr", float("nan")), ("beta", -1.0), ("latent_dim", 0),
+                     ("hidden_widths", [16, 0, 2]), ("head_widths", [0]),
+                     ("n_per_class", 0), ("train_cap_per_class", 0),
+                     ("ambiguous_pairs", -1), ("dropout_rate", 1.0), ("dropout_rate", -0.1),
+                     ("train_fraction", 0.0), ("train_fraction", 1.0)]:
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            experiments.thyroid_config(**{key: bad})
     cfg = experiments.config_for("chiller-surrogate", seed=3)
     assert cfg.alpha == 0.05 and cfg.n_classes == 7 and cfg.seed == 3
 
@@ -240,3 +265,136 @@ def test_latents_are_deterministic(thyroid_result):
     z2 = experiments.latents(net, x)
     assert z1.shape == (10, thyroid_result.config.latent_dim)
     assert np.array_equal(z1, z2)
+
+
+# ---------------------------------------------------------------------------
+# lanes: the benchmark models in a forked worker beside the augmented model
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the worker lane needs the fork start method")
+
+
+def _differences(a, b, path="result") -> list:
+    """Paths at which a and b differ; arrays and floats compare bitwise."""
+    if dataclasses.is_dataclass(a):
+        if type(a) is not type(b):
+            return [path]
+        return [d for f in dataclasses.fields(a)
+                for d in _differences(getattr(a, f.name), getattr(b, f.name),
+                                      f"{path}.{f.name}")]
+    if isinstance(a, dict):
+        if not isinstance(b, dict) or list(a) != list(b):
+            return [path]
+        return [d for k in a for d in _differences(a[k], b[k], f"{path}[{k!r}]")]
+    if isinstance(a, np.ndarray):
+        same = (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+        return [] if same else [path]
+    if isinstance(a, float):
+        same = isinstance(b, float) and struct.pack("<d", a) == struct.pack("<d", b)
+        return [] if same else [path]
+    return [] if a == b else [path]
+
+
+@needs_fork
+@pytest.mark.parametrize("run, data_fixture", [
+    (_smoke_thyroid, "thyroid_dir"), (_smoke_chiller, None), (_smoke_mnist, "mnist_dir"),
+])
+def test_two_lanes_equal_one_lane_bitwise(request, monkeypatch, run, data_fixture):
+    data_dir = request.getfixturevalue(data_fixture) if data_fixture else None
+    results = {}
+    for lanes in (1, 2):
+        monkeypatch.setattr(experiments, "_lane_count", lambda lanes=lanes: lanes)
+        results[lanes] = run(data_dir)
+    one, two = results[1], results[2]
+    for kind in experiments.MODEL_ORDER:
+        assert one.nets[kind].params.tobytes() == two.nets[kind].params.tobytes()
+    assert _differences(one.evals, two.evals, "evals") == []
+    assert _differences(one.extras, two.extras, "extras") == []
+    assert multiprocessing.active_children() == []
+
+
+def test_two_lanes_need_two_cpus_fork_and_one_blas_thread(monkeypatch):
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(experiments, "_blas_threads", lambda: 1)
+    can_fork = "fork" in multiprocessing.get_all_start_methods()
+    assert experiments._lane_count() == (2 if can_fork else 1)
+    monkeypatch.setattr(experiments, "_blas_threads", lambda: None)
+    assert experiments._lane_count() == (2 if can_fork else 1)
+    monkeypatch.setattr(experiments, "_blas_threads", lambda: 2)
+    assert experiments._lane_count() == 1
+    monkeypatch.setattr(experiments, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0})
+    assert experiments._lane_count() == 1
+
+
+def _fail_in_worker(parent_pid, failure):
+    """A stand-in for train_autoencoder that fails only in a forked worker."""
+    def train_autoencoder(*args, **kwargs):
+        assert os.getpid() != parent_pid, "the autoencoder trained in the calling process"
+        failure()
+    return train_autoencoder
+
+
+def _diverge():
+    raise NonFiniteError("autoencoder loss diverged")
+
+
+@needs_fork
+def test_worker_error_reaches_the_caller(monkeypatch, thyroid_dir, tmp_path, capsys):
+    monkeypatch.setattr(experiments, "_lane_count", lambda: 2)
+    # the worker is forked after this patch, so it trains with the stand-in
+    monkeypatch.setattr(experiments, "train_autoencoder",
+                        _fail_in_worker(os.getpid(), _diverge))
+    with pytest.raises(NonFiniteError, match="^autoencoder loss diverged$"):
+        _smoke_thyroid(thyroid_dir)
+    assert multiprocessing.active_children() == []
+
+    rc = cli.main(["compare", "--dataset", "thyroid", "--data-dir", thyroid_dir,
+                   "--epochs", "2", "--pretrain-epochs", "1", "--t-samples", "4",
+                   "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_NUMERIC
+    assert "autoencoder loss diverged" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_worker_that_dies_is_reported_with_its_exit_code(monkeypatch, thyroid_dir):
+    monkeypatch.setattr(experiments, "_lane_count", lambda: 2)
+    monkeypatch.setattr(experiments, "train_autoencoder",
+                        _fail_in_worker(os.getpid(), lambda: os._exit(7)))
+    with pytest.raises(RuntimeError, match="worker lane exited with code 7"):
+        _smoke_thyroid(thyroid_dir)
+    assert multiprocessing.active_children() == []
+
+
+def test_rebuilt_nets_are_views_of_their_buffer(chiller_result, tmp_path):
+    r = chiller_result
+    for kind in experiments.MODEL_ORDER[1:]:
+        net, ev = r.nets[kind], r.evals[kind]
+        path = tmp_path / f"{kind}.ofdd"
+        th = ev.thresholds
+        model.save(net, path, model.Calibration(th.alpha, r.config.t_samples, r.config.seed,
+                                                th.clf_thresholds, th.rec_threshold))
+        loaded, _ = model.load(path)
+        assert loaded.params.tobytes() == net.params.tobytes()
+
+        for stack in net.stacks():
+            for layer in stack.layers:
+                if hasattr(layer, "weights"):
+                    assert np.shares_memory(layer.weights, net.params)
+                    assert np.shares_memory(layer.bias, net.params)
+
+        x = r.eval_ds.X[:5]
+        before = experiments.latents(net, x)
+        kept = net.params.copy()
+        try:
+            net.params += 1.0
+            moved = experiments.latents(net, x)
+        finally:
+            net.params[...] = kept
+        assert not np.array_equal(moved, before)
+        assert np.array_equal(experiments.latents(net, x), before)
+        loaded.params += 1.0
+        assert np.array_equal(experiments.latents(loaded, x), moved)

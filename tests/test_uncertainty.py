@@ -275,8 +275,28 @@ def test_decompose_entropies_buckets_and_total():
 
 
 def test_decompose_rejects_untagged():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'mystery'"):
         unc.decompose_entropies([0.1], ["mystery"])
+    with pytest.raises(ValueError, match="'mystery'"):
+        unc.decompose_entropies([0.1, 0.2, 0.3], ["normal", "mystery", "fault:1"])
+
+
+def test_decompose_entropies_equals_the_row_loop_bitwise():
+    rng = nncore.make_rng(17)
+    tags = np.array(["normal"] * 500 + [f"fault:{k}" for k in range(1, 7)] * 90
+                    + [f"incipient:{k}:{s}" for k in range(1, 7) for s in (1, 2, 3)] * 20
+                    + ["unknown"] * 200, dtype=object)
+    rng.shuffle(tags)
+    entropies = rng.exponential(0.7, len(tags))
+    parts = [0.0, 0.0, 0.0]
+    for h, tag in zip(entropies, tags):
+        parts[unc.group_bucket(tag)] += float(h)
+    dec = unc.decompose_entropies(entropies, tags)
+    assert (dec.P0, dec.P1_in, dec.P1_ood) == tuple(parts)
+    assert dec.total == parts[0] + parts[1] + parts[2]
+    buckets = unc.group_buckets(tags)
+    assert buckets.tolist() == [unc.group_bucket(t) for t in tags]
+    assert unc.group_buckets(np.array([], dtype=str)).tolist() == []
 
 
 def test_entropy_decomposition_from_network():
