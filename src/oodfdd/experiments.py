@@ -557,8 +557,6 @@ def run_chiller(cfg: ExperimentConfig, data_dir: str | None = None) -> Experimen
 
 
 def _cap_per_class(ds: data.LabeledDataset, cap: int, seed: int) -> data.LabeledDataset:
-    if cap <= 0:
-        raise ValueError("per-class cap must be positive")
     rng = derive_rng(seed, 30)
     keep = np.zeros(len(ds), dtype=bool)
     for label in np.unique(ds.y):
