@@ -19,12 +19,13 @@ data with the archive's seed, and `score --input` reads no dataset file.
 Exit codes: 0 success, 2 missing data path, 3 bad configuration or usage
 (including an input CSV that is not UTF-8 or not parseable as CSV, a data
 row with more or fewer cells than the header, a non-numeric or non-finite
-cell, input rows whose width differs from the archive's input_dim, and a
-`--alpha`, `--t-samples` or `--seed` given to `evaluate`, `score` or
-`report` that differs from the archive's), 4 numeric failure during
-training or evaluation, 5 unreadable weight archive (a non-finite parameter
-or threshold, an invalid calibration record and a version-1 archive
-included).
+cell, rows to score, from `--input` or a dataset, whose width differs
+from the archive's input_dim, and a `--alpha`, `--t-samples` or `--seed`
+given to `evaluate`, `score` or `report` that differs from the archive's),
+4 numeric failure during training or evaluation (numpy raises on
+overflow, division by zero and invalid operations in every command), 5
+unreadable weight archive (a non-finite parameter or threshold, an invalid
+calibration record and a version-1 archive included).
 """
 
 from __future__ import annotations
@@ -199,6 +200,7 @@ def _archive_thresholds(cfg, args) -> tuple[model.PathwayNetwork, ExperimentConf
 def cmd_evaluate(cfg, args) -> int:
     net, cfg, thresholds = _archive_thresholds(cfg, args)
     _, eval_ds = experiments.load_dataset_pair(cfg, args.data_dir)
+    _check_width(eval_ds.X, f"{cfg.dataset} test data", net, args)
     ev = experiments.evaluate_model(net, thresholds, eval_ds, cfg)
     out = _out_dir(args)
     ev.report.to_csv(os.path.join(out, "metrics.csv"))
@@ -274,6 +276,13 @@ def _check_archive_settings(args, cal: model.Calibration) -> None:
                 f"calibrated with {key} {getattr(cal, key)}; retrain to change it")
 
 
+def _check_width(x: np.ndarray, source: str, net: model.PathwayNetwork, args) -> None:
+    """Rows to score must be as wide as the archived net's input."""
+    if x.shape[1] != net.input_dim:
+        raise ConfigError(f"{source} has {x.shape[1]} feature columns, but archive "
+                          f"{args.weights} has input_dim {net.input_dim}")
+
+
 def cmd_score(cfg, args) -> int:
     net, cfg, thresholds = _archive_thresholds(cfg, args)
     if args.input:
@@ -285,9 +294,7 @@ def cmd_score(cfg, args) -> int:
         train_ds, _ = experiments.load_dataset_pair(cfg, args.data_dir)
         x = train_ds.X[train_ds.y == 0]
         source = f"{cfg.dataset} training data"
-    if x.shape[1] != net.input_dim:
-        raise ConfigError(f"{source} has {x.shape[1]} feature columns, but archive "
-                          f"{args.weights} has input_dim {net.input_dim}")
+    _check_width(x, source, net, args)
 
     s = experiments.score_rows(net, x, thresholds, cfg.t_samples, cfg.seed)
 
@@ -325,7 +332,8 @@ def _safe_name(tag: str) -> str:
 
 def cmd_report(cfg, args) -> int:
     net, cfg, _ = _archive_thresholds(cfg, args)
-    train_ds, eval_ds = experiments.load_dataset_pair(cfg, args.data_dir)
+    _, eval_ds = experiments.load_dataset_pair(cfg, args.data_dir)
+    _check_width(eval_ds.X, f"{cfg.dataset} test data", net, args)
     out = _out_dir(args)
     names = []
 
@@ -335,7 +343,7 @@ def cmd_report(cfg, args) -> int:
     z_in = experiments.latents(net, eval_ds.X[in_dist])
     z_ood = experiments.latents(net, eval_ds.X[~in_dist])
     labels_in = eval_ds.y[in_dist]
-    out_dims = 2 if cfg.latent_dim >= 2 else 1
+    out_dims = 2 if net.latent_dim >= 2 else 1
     proj = report.lda_project(z_in, labels_in, out_dims=out_dims)
     pts_in = proj.points
     pts_ood = proj.transform(z_ood) if len(z_ood) else np.zeros((0, out_dims))
@@ -375,55 +383,18 @@ def cmd_report(cfg, args) -> int:
 _THYROID_DISPLAY = {"normal": "normal", "incipient:1:1": "subnormal", "fault:1": "diseased"}
 
 
-def _rename_rows(rows, mapping):
-    return [[mapping.get(r[0], r[0])] + r[1:] for r in rows]
-
-
 def cmd_compare(cfg, args) -> int:
     result = experiments.run_experiment(cfg, data_dir=args.data_dir)
     out = _out_dir(args)
-    names = []
     mapping = _THYROID_DISPLAY if cfg.dataset == "thyroid" else {}
-
-    header, rows = experiments.binary_table(result)
-    rows = _rename_rows(rows, mapping)
-    report.emit_csv(header, rows, os.path.join(out, "binary.csv"))
-    names.append("binary.csv")
-    print(",".join(header))
-    for r in rows:
-        print(",".join(str(c) for c in r))
-
-    header, rows = experiments.diagnostic_table(result)
-    report.emit_csv(header, _rename_rows(rows, mapping), os.path.join(out, "diagnostic.csv"))
-    names.append("diagnostic.csv")
-    header, rows = experiments.threshold_table(result)
-    report.emit_csv(header, rows, os.path.join(out, "thresholds.csv"))
-    names.append("thresholds.csv")
-    header, rows = experiments.entropy_table(result)
-    report.emit_csv(header, rows, os.path.join(out, "entropy.csv"))
-    names.append("entropy.csv")
-
-    severity = result.extras.get("severity_detection")
-    if severity:
-        header = ["model"] + [f"sl{s}" for s in (1, 2, 3, 4)]
-        rows = [[name] + [f"{severity[name][s]:.6f}" for s in (1, 2, 3, 4)]
-                for name in severity]
-        report.emit_csv(header, rows, os.path.join(out, "severity.csv"))
-        names.append("severity.csv")
-    amb = result.extras.get("ambiguous_diag")
-    unk = result.extras.get("unknown_detection")
-    if amb or unk:
-        rows = []
-        for name in sorted(amb or {}):
-            rows.append([name, "ambiguous_diag", f"{amb[name]:.6f}"])
-        for name in sorted(unk or {}):
-            for path_name, rate in sorted(unk[name].items()):
-                rows.append([name, f"unknown_{path_name}", f"{rate:.6f}"])
-        report.emit_csv(["model", "metric", "value"], rows,
-                        os.path.join(out, "ood_metrics.csv"))
-        names.append("ood_metrics.csv")
-
-    write_manifest(out, names)
+    tables = experiments.comparison_tables(result)
+    for stem, (header, rows) in tables.items():
+        rows = [[mapping.get(r[0], r[0]), *r[1:]] for r in rows]
+        report.emit_csv(header, rows, os.path.join(out, f"{stem}.csv"))
+        if stem == "binary":  # the headline table goes to stdout as well
+            for line in [header, *rows]:
+                print(",".join(str(c) for c in line))
+    write_manifest(out, [f"{stem}.csv" for stem in tables])
     return 0
 
 
@@ -467,7 +438,10 @@ def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
         cfg = build_config(args)
-        return args.fn(cfg, args)
+        # overflow, division by zero and invalid operations raise
+        # FloatingPointError (exit 4) whatever the warning filters are
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.fn(cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -1,11 +1,19 @@
-"""End-to-end experiment pipelines.
+"""The experiment pipeline: one protocol for every dataset.
 
-Each dataset runner trains three models from a shared seed (augmented,
+`run_experiment` loads the configured dataset's training and evaluation
+splits, trains three models from a shared seed (augmented,
 classifier-only benchmark, autoencoder-only benchmark), calibrates
 per-channel anomaly thresholds on the training normals, and evaluates
-every available pathway on the held-out set. Results come back as plain
-dataclasses so callers (CLI, tests) can pull out single numbers without
-re-running anything.
+every available pathway on the held-out set. Two datasets add to that:
+mnist appends latent interpolations, built with the trained augmented
+model, to the evaluation set, and the result's extras hold detection by
+severity level (chiller) or ambiguous-diagnosis and unknown-detection
+rates (mnist). Results come back as plain dataclasses so callers (CLI,
+tests) can pull out single numbers without re-running anything, and
+`comparison_tables` formats every table `oodfdd compare` writes.
+
+Each dataset's defaults are declared once, in `_DEFAULTS`; `config_for`
+reads them and `DATASETS` lists their names.
 
 After `build` the three models share no state: each kind draws from its
 own `derive_rng` streams. So `train_models` and `evaluate_models` each run
@@ -19,6 +27,7 @@ here one after another. Either way the results are bitwise the same.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import os
@@ -48,7 +57,18 @@ from .uncertainty import (
     predictive_entropy,
 )
 
-DATASETS = ("thyroid", "chiller-surrogate", "mnist")
+# each dataset's defaults, applied over those of ExperimentConfig
+_DEFAULTS = {
+    "thyroid": dict(latent_dim=2, hidden_widths=[16, 8, 2], alpha=0.1, n_classes=2,
+                    head_widths=[8], epochs=100, pretrain_epochs=20),
+    "chiller-surrogate": dict(latent_dim=4, hidden_widths=[16, 8, 4], alpha=0.05,
+                              n_classes=7, head_widths=[8, 8], epochs=160,
+                              pretrain_epochs=40, n_per_class=400),
+    "mnist": dict(latent_dim=8, alpha=0.05, n_classes=5, head_widths=[8, 8],
+                  decoder_activation="sigmoid", epochs=160, pretrain_epochs=40),
+}
+
+DATASETS = tuple(_DEFAULTS)
 
 MODEL_ORDER = ("augmented", "classifier", "autoencoder")
 
@@ -141,34 +161,18 @@ class ExperimentConfig:
         )
 
 
-def thyroid_config(seed: int = 0, **overrides) -> ExperimentConfig:
-    cfg = ExperimentConfig(dataset="thyroid", latent_dim=2,
-                           hidden_widths=[16, 8, 2], alpha=0.1, n_classes=2,
-                           head_widths=[8], epochs=100, pretrain_epochs=20, seed=seed)
-    return replace(cfg, **overrides).validate()
-
-
-def chiller_config(seed: int = 0, **overrides) -> ExperimentConfig:
-    cfg = ExperimentConfig(dataset="chiller-surrogate", latent_dim=4,
-                           hidden_widths=[16, 8, 4], alpha=0.05,
-                           n_classes=7, head_widths=[8, 8], epochs=160,
-                           pretrain_epochs=40, n_per_class=400, seed=seed)
-    return replace(cfg, **overrides).validate()
-
-
-def mnist_config(seed: int = 0, **overrides) -> ExperimentConfig:
-    cfg = ExperimentConfig(dataset="mnist", latent_dim=8, alpha=0.05, n_classes=5,
-                           head_widths=[8, 8], decoder_activation="sigmoid",
-                           epochs=160, pretrain_epochs=40, seed=seed)
-    return replace(cfg, **overrides).validate()
-
-
 def config_for(dataset: str, seed: int = 0, **overrides) -> ExperimentConfig:
-    makers = {"thyroid": thyroid_config, "chiller-surrogate": chiller_config,
-              "mnist": mnist_config}
-    if dataset not in makers:
+    """The dataset's defaults with `overrides` applied, validated.  Each call
+    builds its own width lists."""
+    if dataset not in _DEFAULTS:
         raise ValueError(f"unknown dataset {dataset!r}, expected one of {DATASETS}")
-    return makers[dataset](seed=seed, **overrides)
+    cfg = ExperimentConfig(dataset=dataset, seed=seed, **copy.deepcopy(_DEFAULTS[dataset]))
+    return replace(cfg, **overrides).validate()
+
+
+thyroid_config = functools.partial(config_for, "thyroid")
+chiller_config = functools.partial(config_for, "chiller-surrogate")
+mnist_config = functools.partial(config_for, "mnist")
 
 
 @dataclass
@@ -441,62 +445,86 @@ def _lane_worker(jobs: list, sender) -> None:
     sender.close()
 
 
-def _load_thyroid_pair(cfg: ExperimentConfig, data_dir: str):
-    train_path = os.path.join(data_dir, "ann-train.data")
-    test_path = os.path.join(data_dir, "ann-test.data")
-    for p in (train_path, test_path):
-        if not os.path.exists(p):
-            raise FileNotFoundError(f"missing dataset file: {p}")
-    train_full = data.load_thyroid(train_path)
-    test = data.load_thyroid(test_path, stats=train_full.feature_stats)
-    # subnormal rows in the train file are held out of training entirely
-    in_dist = np.array([not data.is_ood_tag(g) for g in train_full.group])
-    return train_full.select(in_dist), test
-
-
-def _load_mnist_pair(cfg: ExperimentConfig, data_dir: str):
-    paths = {
-        "train_images": os.path.join(data_dir, "train-images-idx3-ubyte"),
-        "train_labels": os.path.join(data_dir, "train-labels-idx1-ubyte"),
-        "test_images": os.path.join(data_dir, "t10k-images-idx3-ubyte"),
-        "test_labels": os.path.join(data_dir, "t10k-labels-idx1-ubyte"),
-    }
-    for key, p in paths.items():
-        if not os.path.exists(p) and not os.path.exists(p + ".gz"):
-            raise FileNotFoundError(f"missing dataset file: {p}")
-        if not os.path.exists(p):
-            paths[key] = p + ".gz"
-    train_full = data.load_mnist(paths["train_images"], paths["train_labels"])
-    test = data.load_mnist(paths["test_images"], paths["test_labels"])
-    in_dist = np.array([not data.is_ood_tag(g) for g in train_full.group])
-    train_ds = _cap_per_class(train_full.select(in_dist), cfg.train_cap_per_class, cfg.seed)
-    return train_ds, test
-
-
 def load_dataset_pair(cfg: ExperimentConfig, data_dir: str | None = None):
     """Training split and base evaluation split for the configured dataset.
 
-    Interpolated ambiguous examples are not part of the base pair; they
-    depend on a trained model and are appended by the image pipeline.
+    The out-of-distribution rows of a training file (thyroid's subnormal
+    class, mnist's unknown digits) are held out of training entirely, and
+    mnist's training rows are capped per class. Interpolated ambiguous
+    examples are not part of the base pair; they depend on a trained model
+    and `run_experiment` appends them.
     """
     cfg.validate()
+    if cfg.dataset == "chiller-surrogate":
+        full = data.gen_chiller_surrogate(seed=cfg.seed, n_per_class=cfg.n_per_class)
+        train_raw, test_raw = data.split(full, cfg.train_fraction, seed=cfg.seed)
+        return data.standardize_pair(train_raw, test_raw)
     root = resolve_data_dir(data_dir)
     if cfg.dataset == "thyroid":
-        return _load_thyroid_pair(cfg, root)
+        train_path, test_path = _dataset_files(root, "ann-train.data", "ann-test.data")
+        train_full = data.load_thyroid(train_path)
+        test = data.load_thyroid(test_path, stats=train_full.feature_stats)
+    else:
+        paths = _dataset_files(root, "train-images-idx3-ubyte", "train-labels-idx1-ubyte",
+                               "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte", gz=True)
+        train_full = data.load_mnist(*paths[:2])
+        test = data.load_mnist(*paths[2:])
+    train_ds = train_full.select(np.array([not data.is_ood_tag(g) for g in train_full.group]))
     if cfg.dataset == "mnist":
-        return _load_mnist_pair(cfg, root)
-    full = data.gen_chiller_surrogate(seed=cfg.seed, n_per_class=cfg.n_per_class)
-    train_raw, test_raw = data.split(full, cfg.train_fraction, seed=cfg.seed)
-    return data.standardize_pair(train_raw, test_raw)
+        train_ds = _cap_per_class(train_ds, cfg.train_cap_per_class, cfg.seed)
+    return train_ds, test
 
 
-def run_thyroid(cfg: ExperimentConfig, data_dir: str | None = None) -> ExperimentResult:
-    cfg.validate()
-    train_ds, eval_ds = _load_thyroid_pair(cfg, resolve_data_dir(data_dir))
+def _dataset_files(root: str, *names: str, gz: bool = False) -> list:
+    """Paths of the named files under root, each checked before any is read;
+    with `gz`, a `.gz` twin stands in for a missing file."""
+    paths = []
+    for name in names:
+        path = os.path.join(root, name)
+        if gz and not os.path.exists(path) and os.path.exists(path + ".gz"):
+            path += ".gz"
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"missing dataset file: {os.path.join(root, name)}")
+        paths.append(path)
+    return paths
+
+
+def run_experiment(cfg: ExperimentConfig, data_dir: str | None = None) -> ExperimentResult:
+    """The protocol of the module docstring on cfg.dataset."""
+    train_ds, eval_ds = load_dataset_pair(cfg, data_dir)
     nets = train_models(cfg, train_ds)
+    if cfg.dataset == "mnist":
+        ambiguous = _make_ambiguous(nets["augmented"], eval_ds, cfg)
+        if ambiguous is not None:
+            eval_ds = data.concat(eval_ds, ambiguous)
     evals = evaluate_models(nets, train_ds, eval_ds, cfg)
+    extras = {}
+    if cfg.dataset == "chiller-surrogate":
+        extras["severity_detection"] = {name: severity_detection(ev.clf_flags, eval_ds.group)
+                                        for name, ev in evals.items()
+                                        if ev.clf_flags is not None}
+    elif cfg.dataset == "mnist":
+        extras = _ood_rates(evals, eval_ds.group)
     return ExperimentResult(config=cfg, nets=nets, train_ds=train_ds,
-                            eval_ds=eval_ds, evals=evals)
+                            eval_ds=eval_ds, evals=evals, extras=extras)
+
+
+def _ood_rates(evals: dict, groups: np.ndarray) -> dict:
+    """Per model: mean diagnostic accuracy over the ambiguous (incipient)
+    groups, and each pathway's flag rate on the unknown rows."""
+    has_ambiguous = any(g.startswith("incipient:") for g in groups)
+    unknown = groups == "unknown"
+    amb_diag, unknown_rates = {}, {}
+    for name, ev in evals.items():
+        if ev.clf_flags is not None and has_ambiguous:
+            vals = [v for g, v in ev.clf_diag.items() if g.startswith("incipient:")]
+            amb_diag[name] = float(np.mean(vals)) if vals else float("nan")
+        rates = {path: float(flags[unknown].mean())
+                 for path, flags in (("clf", ev.clf_flags), ("rec", ev.rec_flags))
+                 if flags is not None and unknown.any()}
+        if rates:
+            unknown_rates[name] = rates
+    return {"ambiguous_diag": amb_diag, "unknown_detection": unknown_rates}
 
 
 def severity_detection(flags: np.ndarray, groups: np.ndarray) -> dict:
@@ -544,18 +572,6 @@ def spearman(x, y) -> float:
     return float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
 
 
-def run_chiller(cfg: ExperimentConfig, data_dir: str | None = None) -> ExperimentResult:
-    cfg.validate()
-    train_ds, eval_ds = load_dataset_pair(cfg, data_dir)
-    nets = train_models(cfg, train_ds)
-    evals = evaluate_models(nets, train_ds, eval_ds, cfg)
-    severity = {name: severity_detection(ev.clf_flags, eval_ds.group)
-                for name, ev in evals.items() if ev.clf_flags is not None}
-    return ExperimentResult(config=cfg, nets=nets, train_ds=train_ds,
-                            eval_ds=eval_ds, evals=evals,
-                            extras={"severity_detection": severity})
-
-
 def _cap_per_class(ds: data.LabeledDataset, cap: int, seed: int) -> data.LabeledDataset:
     rng = derive_rng(seed, 30)
     keep = np.zeros(len(ds), dtype=bool)
@@ -590,76 +606,26 @@ def _make_ambiguous(net: PathwayNetwork, test: data.LabeledDataset,
     return out
 
 
-def run_mnist(cfg: ExperimentConfig, data_dir: str | None = None) -> ExperimentResult:
-    cfg.validate()
-    train_ds, test = load_dataset_pair(cfg, data_dir)
-    nets = train_models(cfg, train_ds)
-    ambiguous = _make_ambiguous(nets["augmented"], test, cfg)
-    eval_ds = test if ambiguous is None else data.concat(test, ambiguous)
-    evals = evaluate_models(nets, train_ds, eval_ds, cfg)
-
-    extras = {}
-    amb_mask = np.array([g.startswith("incipient:") for g in eval_ds.group])
-    unk_mask = eval_ds.group == "unknown"
-    amb_diag = {}
-    unknown_rates = {}
-    for name, ev in evals.items():
-        if ev.clf_flags is not None and amb_mask.any():
-            vals = [v for g, v in ev.clf_diag.items() if g.startswith("incipient:")]
-            amb_diag[name] = float(np.mean(vals)) if vals else float("nan")
-        rates = {}
-        if ev.clf_flags is not None and unk_mask.any():
-            rates["clf"] = float(ev.clf_flags[unk_mask].mean())
-        if ev.rec_flags is not None and unk_mask.any():
-            rates["rec"] = float(ev.rec_flags[unk_mask].mean())
-        if rates:
-            unknown_rates[name] = rates
-    extras["ambiguous_diag"] = amb_diag
-    extras["unknown_detection"] = unknown_rates
-    return ExperimentResult(config=cfg, nets=nets, train_ds=train_ds,
-                            eval_ds=eval_ds, evals=evals, extras=extras)
-
-
-def run_experiment(cfg: ExperimentConfig, data_dir: str | None = None) -> ExperimentResult:
-    runners = {"thyroid": run_thyroid, "chiller-surrogate": run_chiller,
-               "mnist": run_mnist}
-    cfg.validate()
-    return runners[cfg.dataset](cfg, data_dir=data_dir)
+def _group_table(columns: dict):
+    """One row per group tag and one column per entry of `columns` (header
+    -> {group: value}); groups in first-seen order, a missing value blank."""
+    groups = dict.fromkeys(g for values in columns.values() for g in values)
+    rows = [[g] + [f"{v[g]:.6f}" if g in v else "" for v in columns.values()] for g in groups]
+    return ["group", *columns], rows
 
 
 def binary_table(result: ExperimentResult):
     """Per-group binary accuracy, one column per model/pathway pair."""
-    cols = []
-    accs = []
-    for name in MODEL_ORDER:
-        ev = result.evals[name]
-        if ev.clf_binary is not None:
-            cols.append(f"{name}_clf")
-            accs.append(ev.clf_binary)
-        if ev.rec_binary is not None:
-            cols.append(f"{name}_rec")
-            accs.append(ev.rec_binary)
-    header = ["group"] + cols
-    groups = list(dict.fromkeys(result.eval_ds.group.tolist()))
-    rows = []
-    for g in groups:
-        rows.append([g] + [f"{a[g]:.6f}" if g in a else "" for a in accs])
-    return header, rows
+    return _group_table({f"{name}_{path}": acc for name in MODEL_ORDER
+                         for path, acc in (("clf", result.evals[name].clf_binary),
+                                           ("rec", result.evals[name].rec_binary))
+                         if acc is not None})
 
 
 def diagnostic_table(result: ExperimentResult):
     """Per-group mean diagnostic accuracy for models with a classifier head."""
-    cols = []
-    diags = []
-    for name in MODEL_ORDER:
-        ev = result.evals[name]
-        if ev.clf_diag is not None:
-            cols.append(f"{name}_clf")
-            diags.append(ev.clf_diag)
-    header = ["group"] + cols
-    keys = list(dict.fromkeys(k for d in diags for k in d))
-    rows = [[g] + [f"{d[g]:.6f}" if g in d else "" for d in diags] for g in keys]
-    return header, rows
+    return _group_table({f"{name}_clf": result.evals[name].clf_diag for name in MODEL_ORDER
+                         if result.evals[name].clf_diag is not None})
 
 
 def threshold_table(result: ExperimentResult):
@@ -688,3 +654,25 @@ def entropy_table(result: ExperimentResult):
         rows.append([name, f"{e.P0:.6f}", f"{e.P1_in:.6f}", f"{e.P1_ood:.6f}",
                      f"{e.total:.6f}", ood])
     return header, rows
+
+
+def comparison_tables(result: ExperimentResult) -> dict:
+    """Every table `oodfdd compare` writes, as (header, rows) keyed by file
+    stem: binary, diagnostic, thresholds and entropy, then severity and
+    ood_metrics when the result's extras hold them (chiller, mnist)."""
+    tables = {"binary": binary_table(result), "diagnostic": diagnostic_table(result),
+              "thresholds": threshold_table(result), "entropy": entropy_table(result)}
+    severity = result.extras.get("severity_detection")
+    if severity:
+        levels = (1, 2, 3, 4)
+        tables["severity"] = (["model"] + [f"sl{s}" for s in levels],
+                              [[name] + [f"{rates[s]:.6f}" for s in levels]
+                               for name, rates in severity.items()])
+    amb = result.extras.get("ambiguous_diag") or {}
+    unk = result.extras.get("unknown_detection") or {}
+    if amb or unk:
+        rows = [[name, "ambiguous_diag", f"{amb[name]:.6f}"] for name in sorted(amb)]
+        rows += [[name, f"unknown_{path}", f"{rate:.6f}"] for name in sorted(unk)
+                 for path, rate in sorted(unk[name].items())]
+        tables["ood_metrics"] = (["model", "metric", "value"], rows)
+    return tables

@@ -222,7 +222,7 @@ def thyroid_runs(tmp_path_factory):
     data.write_thyroid_surrogate(d, seed=0)
     rows = []
     for seed in SEEDS:
-        r = experiments.run_thyroid(experiments.thyroid_config(seed=seed), data_dir=d)
+        r = experiments.run_experiment(experiments.thyroid_config(seed=seed), data_dir=d)
         aug, clf = r.evals["augmented"], r.evals["classifier"]
         in_dist = np.array([not data.is_ood_tag(g) for g in r.eval_ds.group])
         x, y = r.eval_ds.X[in_dist], r.eval_ds.y[in_dist]
@@ -249,7 +249,7 @@ def thyroid_runs(tmp_path_factory):
 def chiller_runs():
     rows = []
     for seed in SEEDS:
-        r = experiments.run_chiller(experiments.chiller_config(seed=seed))
+        r = experiments.run_experiment(experiments.chiller_config(seed=seed))
         rows.append(r.extras["severity_detection"])
     return rows
 
@@ -260,7 +260,7 @@ def mnist_runs(tmp_path_factory):
     data.write_mnist_surrogate(d, seed=0)
     rows = []
     for seed in SEEDS:
-        r = experiments.run_mnist(experiments.mnist_config(seed=seed), data_dir=d)
+        r = experiments.run_experiment(experiments.mnist_config(seed=seed), data_dir=d)
         rows.append({
             "amb_aug": r.extras["ambiguous_diag"]["augmented"],
             "amb_clf": r.extras["ambiguous_diag"]["classifier"],

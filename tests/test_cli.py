@@ -210,9 +210,8 @@ def test_bad_config_exits_3(tmp_path, thyroid_dir):
 def test_numeric_failure_exits_4(tmp_path, thyroid_dir):
     # a non-finite lr is a configuration error, but a finite one this large
     # overflows the weights within the first steps
-    with np.errstate(over="ignore"):
-        rc = cli.main(["train", "--dataset", "thyroid", "--data-dir", thyroid_dir,
-                       "--lr", "1e300", "--out", str(tmp_path / "o"), *SMOKE])
+    rc = cli.main(["train", "--dataset", "thyroid", "--data-dir", thyroid_dir,
+                   "--lr", "1e300", "--out", str(tmp_path / "o"), *SMOKE])
     assert rc == cli.EXIT_NUMERIC
 
 
@@ -364,6 +363,29 @@ def test_wrong_width_names_file_and_archive(tmp_path, thyroid_dir, trained_dir, 
     weights = os.path.join(trained_dir, "augmented.ofdd")
     assert str(tmp_path / "rows.csv") in err and "has 2 feature columns" in err
     assert weights in err and "input_dim 6" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+def test_dataset_of_another_width_names_it_and_the_archive(tmp_path, trained_dir, capsys,
+                                                           command):
+    weights = os.path.join(trained_dir, "augmented.ofdd")
+    rc = cli.main([command, "--dataset", "chiller-surrogate", "--n-per-class", "104",
+                   "--weights", weights, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "chiller-surrogate test data has 16 feature columns" in err
+    assert weights in err and "input_dim 6" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_report_takes_the_latent_width_from_the_archive(tmp_path, thyroid_dir):
+    common = ["--dataset", "thyroid", "--data-dir", thyroid_dir, *SMOKE]
+    assert cli.main(["train", *common, "--latent-dim", "1", "--hidden-widths", "16,8,1",
+                     "--out", str(tmp_path / "t")]) == 0
+    rc = cli.main(["report", *common, "--weights", str(tmp_path / "t" / "augmented.ofdd"),
+                   "--out", str(tmp_path / "r")])
+    assert rc == 0
+    assert "lda_augmented.svg" in _manifest_entries(tmp_path / "r")
 
 
 def _score_input(tmp_path, thyroid_dir, trained_dir, text):

@@ -37,16 +37,16 @@ def _smoke(cfg_fn, **over):
 
 
 def _smoke_thyroid(data_dir):
-    return experiments.run_thyroid(_smoke(experiments.thyroid_config), data_dir=data_dir)
+    return experiments.run_experiment(_smoke(experiments.thyroid_config), data_dir=data_dir)
 
 
 def _smoke_chiller(data_dir=None):
-    return experiments.run_chiller(_smoke(experiments.chiller_config, n_per_class=104))
+    return experiments.run_experiment(_smoke(experiments.chiller_config, n_per_class=104))
 
 
 def _smoke_mnist(data_dir):
     cfg = _smoke(experiments.mnist_config, train_cap_per_class=60, ambiguous_pairs=5)
-    return experiments.run_mnist(cfg, data_dir=data_dir)
+    return experiments.run_experiment(cfg, data_dir=data_dir)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,7 @@ def test_thyroid_training_rows_exclude_subnormal(thyroid_result):
 
 
 def test_thyroid_rerun_is_bitwise_identical(thyroid_dir, thyroid_result):
-    again = experiments.run_thyroid(_smoke(experiments.thyroid_config), data_dir=thyroid_dir)
+    again = experiments.run_experiment(_smoke(experiments.thyroid_config), data_dir=thyroid_dir)
     a, b = thyroid_result.evals["augmented"], again.evals["augmented"]
     assert np.array_equal(a.thresholds.clf_thresholds, b.thresholds.clf_thresholds)
     assert a.thresholds.rec_threshold == b.thresholds.rec_threshold
@@ -101,7 +101,7 @@ def test_thyroid_rerun_is_bitwise_identical(thyroid_dir, thyroid_result):
 
 def test_thyroid_missing_file_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
-        experiments.run_thyroid(_smoke(experiments.thyroid_config), data_dir=str(tmp_path))
+        experiments.run_experiment(_smoke(experiments.thyroid_config), data_dir=str(tmp_path))
 
 
 def test_chiller_severity_table(chiller_result):
@@ -180,6 +180,49 @@ def test_tables_shape(thyroid_result):
     assert len(rows) == 3 + 2 + 1
     header, rows = experiments.entropy_table(thyroid_result)
     assert [r[0] for r in rows] == ["augmented", "classifier"]
+
+
+@pytest.mark.parametrize("dataset", experiments.DATASETS)
+def test_every_dataset_builds_a_validated_config_with_fresh_widths(dataset):
+    first = experiments.config_for(dataset, seed=2)
+    assert first.dataset == dataset and first.seed == 2
+    assert first.validate() is first
+    hidden = None if first.hidden_widths is None else list(first.hidden_widths)
+    head = list(first.head_widths)
+    if first.hidden_widths is not None:
+        first.hidden_widths[0] += 1
+    first.head_widths.append(3)
+    again = experiments.config_for(dataset, seed=2)
+    assert again.hidden_widths == hidden and again.head_widths == head
+
+
+def test_comparison_tables_cover_every_compare_file(thyroid_result, chiller_result,
+                                                    mnist_result):
+    base = ["binary", "diagnostic", "thresholds", "entropy"]
+    tables = experiments.comparison_tables(thyroid_result)
+    assert list(tables) == base
+    assert tables["binary"] == experiments.binary_table(thyroid_result)
+    assert tables["diagnostic"] == experiments.diagnostic_table(thyroid_result)
+    assert tables["thresholds"] == experiments.threshold_table(thyroid_result)
+    assert tables["entropy"] == experiments.entropy_table(thyroid_result)
+
+    tables = experiments.comparison_tables(chiller_result)
+    assert list(tables) == base + ["severity"]
+    sev = chiller_result.extras["severity_detection"]
+    assert tables["severity"] == (
+        ["model", "sl1", "sl2", "sl3", "sl4"],
+        [[name] + [f"{sev[name][s]:.6f}" for s in (1, 2, 3, 4)] for name in sev])
+
+    tables = experiments.comparison_tables(mnist_result)
+    assert list(tables) == base + ["ood_metrics"]
+    header, rows = tables["ood_metrics"]
+    assert header == ["model", "metric", "value"]
+    amb = mnist_result.extras["ambiguous_diag"]
+    unk = mnist_result.extras["unknown_detection"]
+    expected = [(name, "ambiguous_diag", f"{v:.6f}") for name, v in amb.items()]
+    expected += [(name, f"unknown_{path}", f"{v:.6f}")
+                 for name, rates in unk.items() for path, v in rates.items()]
+    assert sorted(map(tuple, rows)) == sorted(expected)
 
 
 def test_config_validation():
