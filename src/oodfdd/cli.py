@@ -17,15 +17,18 @@ record, and `evaluate` and `score` never recalibrate: `evaluate` splits the
 data with the archive's seed, and `score --input` reads no dataset file.
 
 Exit codes: 0 success, 2 missing data path, 3 bad configuration or usage
-(including an input CSV that is not UTF-8 or not parseable as CSV, a data
-row with more or fewer cells than the header, a non-numeric or non-finite
-cell, rows to score, from `--input` or a dataset, whose width differs
-from the archive's input_dim, and a `--alpha`, `--t-samples` or `--seed`
-given to `evaluate`, `score` or `report` that differs from the archive's),
-4 numeric failure during training or evaluation (numpy raises on
-overflow, division by zero and invalid operations in every command), 5
-unreadable weight archive (a non-finite parameter or threshold, an invalid
-calibration record and a version-1 archive included).
+(including a value or encoder layout the config checks reject, before any
+data is read; a non-numeric or non-finite value in a thyroid data file,
+named with its file and line; an input CSV that is not UTF-8 or not
+parseable as CSV, a data row with more or fewer cells than the header, a
+non-numeric or non-finite cell; rows to score, from `--input` or a
+dataset, whose width differs from the archive's input_dim; and a
+`--alpha`, `--t-samples` or `--seed` given to `evaluate`, `score` or
+`report` that differs from the archive's), 4 numeric failure during
+training or evaluation (numpy raises on overflow, division by zero and
+invalid operations in every command), 5 unreadable weight archive (a
+non-finite parameter or threshold, an invalid calibration record and a
+version-1 archive included).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from . import data, experiments, model, report, train
 from .detect import ThresholdSet
 from .experiments import ExperimentConfig
 from .nncore import NonFiniteError, derive_rng
-from .uncertainty import mc_sample, write_histogram_csv
+from .uncertainty import histogram_table, mc_sample
 
 EXIT_MISSING_DATA = 2
 EXIT_BAD_CONFIG = 3
@@ -177,7 +180,7 @@ def cmd_train(cfg, args) -> int:
     model.save(net, os.path.join(out, weights_name),
                model.Calibration(thr.alpha, cfg.t_samples, cfg.seed,
                                  thr.clf_thresholds, thr.rec_threshold))
-    train.write_history_csv(history, os.path.join(out, "history.csv"))
+    report.emit_csv(train.EpochLog._fields, history, os.path.join(out, "history.csv"))
     write_manifest(out, [weights_name, "history.csv"])
     final = history[-1]
     print(f"trained {cfg.model_kind} on {cfg.dataset}: {len(history)} epochs, "
@@ -203,8 +206,10 @@ def cmd_evaluate(cfg, args) -> int:
     _check_width(eval_ds.X, f"{cfg.dataset} test data", net, args)
     ev = experiments.evaluate_model(net, thresholds, eval_ds, cfg)
     out = _out_dir(args)
-    ev.report.to_csv(os.path.join(out, "metrics.csv"))
-    ev.thresholds.to_csv(os.path.join(out, "thresholds.csv"))
+    report.emit_csv(*experiments.group_table({"binary_accuracy": ev.report.binary_acc,
+                                              "diagnostic_accuracy": ev.report.diag_acc}),
+                    os.path.join(out, "metrics.csv"))
+    _emit_thresholds(ev.thresholds, out)
     write_manifest(out, ["metrics.csv", "thresholds.csv"])
     for group, acc in ev.report.binary_acc.items():
         diag = ev.report.diag_acc.get(group)
@@ -310,20 +315,17 @@ def cmd_score(cfg, args) -> int:
     flagged = s.z if s.z is not None else s.rec_flags
 
     out = _out_dir(args)
-    scores_path = os.path.join(out, "scores.csv")
-    with open(scores_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(x)):
-            row = []
-            for col in columns:
-                v = col[i]
-                row.append(v if isinstance(v, (str, int, np.integer)) else f"{v:.6f}")
-            writer.writerow(row)
-    thresholds.to_csv(os.path.join(out, "thresholds.csv"))
+    report.emit_csv(header, zip(*columns), os.path.join(out, "scores.csv"))
+    _emit_thresholds(thresholds, out)
     write_manifest(out, ["scores.csv", "thresholds.csv"])
     print(f"scored {len(x)} rows; flag rate {float(np.mean(flagged)):.4f}")
     return 0
+
+
+def _emit_thresholds(thresholds: ThresholdSet, out: str) -> None:
+    """thresholds.csv: the alpha row, then one row per channel."""
+    rows = [("alpha", thresholds.alpha), *thresholds.channels()]
+    report.emit_csv(["channel", "threshold"], rows, os.path.join(out, "thresholds.csv"))
 
 
 def _safe_name(tag: str) -> str:
@@ -362,7 +364,7 @@ def cmd_report(cfg, args) -> int:
         groups, matrix = report.score_matrix(net, eval_ds, cfg.t_samples,
                                              derive_rng(cfg.seed, 40))
         header = ["group"] + [f"score_{j}" for j in range(matrix.shape[1])]
-        rows = [[g] + [f"{v:.6f}" for v in matrix[i]] for i, g in enumerate(groups)]
+        rows = [[g, *matrix[i]] for i, g in enumerate(groups)]
         report.emit_csv(header, rows, os.path.join(out, "score_matrix.csv"))
         names.append("score_matrix.csv")
 
@@ -372,7 +374,7 @@ def cmd_report(cfg, args) -> int:
         sample = mc_sample(net, eval_ds.X[idx], cfg.t_samples, rng)
         pred = sample.classifier if sample.classifier is not None else sample.reconstruction
         hist_name = f"hist_{_safe_name(g)}.csv"
-        write_histogram_csv(pred, os.path.join(out, hist_name))
+        report.emit_csv(*histogram_table(pred), os.path.join(out, hist_name))
         names.append(hist_name)
 
     write_manifest(out, names)

@@ -16,6 +16,7 @@ real parsing path.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -24,6 +25,7 @@ import numpy as np
 
 from .nncore import make_rng
 from .model import PathwayNetwork
+from .report import emit_csv
 
 THYROID_CONTINUOUS_COLS = (0, 16, 17, 18, 19, 20)
 THYROID_N_COLS = 21
@@ -86,13 +88,9 @@ class LabeledDataset:
         return replace(self, X=self.X[mask], y=self.y[mask], group=self.group[mask])
 
     def to_csv(self, path) -> None:
-        d = self.X.shape[1]
-        header = ",".join([f"feature_{j}" for j in range(d)] + ["label", "group"])
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for i in range(len(self)):
-                cells = [f"{v:.6f}" for v in self.X[i]]
-                fh.write(",".join(cells + [str(self.y[i]), str(self.group[i])]) + "\n")
+        """feature_0.., label, group: one row per example."""
+        emit_csv([f"feature_{j}" for j in range(self.X.shape[1])] + ["label", "group"],
+                 ([*x, y, g] for x, y, g in zip(self.X, self.y, self.group)), path)
 
 
 def is_ood_tag(tag: str) -> bool:
@@ -115,15 +113,15 @@ def concat(a: LabeledDataset, b: LabeledDataset) -> LabeledDataset:
 # UCI ann-thyroid
 
 
-def load_thyroid(path, stats: FeatureStats | None = None) -> LabeledDataset:
+def load_thyroid(path) -> LabeledDataset:
     """Parse one ann-thyroid whitespace file (21 features + class code).
 
-    Keeps only the 6 continuous columns, z-scored with the given stats or,
-    when none are passed, with stats fitted on this file's own normal rows.
-    Class codes map as 3 = normal, 1 = diseased (fault 1), 2 = subnormal
-    (an incipient form of the disease, tagged out-of-distribution).  The
-    file's class balance is verified against the dataset's documented
-    proportions; a mismatch raises rather than silently proceeding.
+    Keeps only the 6 continuous columns, in raw units.  Class codes map as
+    3 = normal, 1 = diseased (fault 1), 2 = subnormal (an incipient form of
+    the disease, tagged out-of-distribution).  A line with a non-numeric or
+    non-finite value raises naming the file and line.  The file's class
+    balance is verified against the dataset's documented proportions; a
+    mismatch raises rather than silently proceeding.
     """
     rows, codes = [], []
     with open(path) as fh:
@@ -141,6 +139,8 @@ def load_thyroid(path, stats: FeatureStats | None = None) -> LabeledDataset:
                 code = int(tokens[-1])
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: non-numeric value") from exc
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path} line {lineno}: non-finite value")
             if code not in (1, 2, 3):
                 raise ValueError(f"{path} line {lineno}: unknown class code {code}")
             rows.append(values)
@@ -180,9 +180,7 @@ def load_thyroid(path, stats: FeatureStats | None = None) -> LabeledDataset:
     group = np.where(
         codes == 3, "normal", np.where(codes == 1, "fault:1", "incipient:1:1")
     )
-    if stats is None:
-        stats = FeatureStats.fit(x[codes == 3])
-    return LabeledDataset(X=stats.apply(x), y=y, group=group, feature_stats=stats)
+    return LabeledDataset(X=x, y=y, group=group)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ other function here is pure over its array inputs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,17 +32,12 @@ class ThresholdSet:
     rec_threshold: float | None
     alpha: float
 
-    def to_csv(self, path) -> None:
-        """channel,threshold rows: alpha, then clf0.., then rec."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["channel", "threshold"])
-            writer.writerow(["alpha", f"{self.alpha:.6f}"])
-            if self.clf_thresholds is not None:
-                for j, thr in enumerate(self.clf_thresholds):
-                    writer.writerow([f"clf{j}", f"{thr:.6f}"])
-            if self.rec_threshold is not None:
-                writer.writerow(["rec", f"{self.rec_threshold:.6f}"])
+    def channels(self) -> list[tuple[str, float]]:
+        """(channel, threshold) pairs: clf0, clf1, .. then rec, for the
+        pathways the set has."""
+        clf = [] if self.clf_thresholds is None else self.clf_thresholds
+        rec = [] if self.rec_threshold is None else [("rec", self.rec_threshold)]
+        return [(f"clf{j}", thr) for j, thr in enumerate(clf)] + rec
 
 
 def clf_anomaly_scores(mean: np.ndarray, variance: np.ndarray) -> np.ndarray:
@@ -278,14 +272,3 @@ class MetricsReport:
             for group, value in table.items():
                 if not 0.0 <= value <= 1.0:
                     raise ValueError(f"{name} accuracy for {group!r} is {value}, outside [0,1]")
-
-    def to_csv(self, path) -> None:
-        """Group-by-accuracy table; blank diagnostic cell where undefined."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["group", "binary_accuracy", "diagnostic_accuracy"])
-            for group, acc in self.binary_acc.items():
-                diag = self.diag_acc.get(group)
-                writer.writerow(
-                    [group, f"{acc:.6f}", "" if diag is None else f"{diag:.6f}"]
-                )

@@ -136,6 +136,9 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not ok(value):
                 raise ValueError(f"{key} must be {wants}, got {value!r}")
+        if self.hidden_widths is not None and self.hidden_widths[-1:] != [self.latent_dim]:
+            raise ValueError(f"hidden_widths must be non-empty and end at latent_dim "
+                             f"{self.latent_dim}, got {self.hidden_widths!r}")
         return self
 
     def train_config(self) -> TrainConfig:
@@ -450,9 +453,11 @@ def load_dataset_pair(cfg: ExperimentConfig, data_dir: str | None = None):
 
     The out-of-distribution rows of a training file (thyroid's subnormal
     class, mnist's unknown digits) are held out of training entirely, and
-    mnist's training rows are capped per class. Interpolated ambiguous
-    examples are not part of the base pair; they depend on a trained model
-    and `run_experiment` appends them.
+    mnist's training rows are capped per class. Thyroid and chiller features
+    are z-scored on both sides with stats fitted on the training split's
+    normal rows (`data.standardize_pair`); mnist pixels are left as loaded.
+    Interpolated ambiguous examples are not part of the base pair; they
+    depend on a trained model and `run_experiment` appends them.
     """
     cfg.validate()
     if cfg.dataset == "chiller-surrogate":
@@ -461,9 +466,8 @@ def load_dataset_pair(cfg: ExperimentConfig, data_dir: str | None = None):
         return data.standardize_pair(train_raw, test_raw)
     root = resolve_data_dir(data_dir)
     if cfg.dataset == "thyroid":
-        train_path, test_path = _dataset_files(root, "ann-train.data", "ann-test.data")
-        train_full = data.load_thyroid(train_path)
-        test = data.load_thyroid(test_path, stats=train_full.feature_stats)
+        train_full, test = map(data.load_thyroid,
+                               _dataset_files(root, "ann-train.data", "ann-test.data"))
     else:
         paths = _dataset_files(root, "train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                                "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte", gz=True)
@@ -471,8 +475,8 @@ def load_dataset_pair(cfg: ExperimentConfig, data_dir: str | None = None):
         test = data.load_mnist(*paths[2:])
     train_ds = train_full.select(np.array([not data.is_ood_tag(g) for g in train_full.group]))
     if cfg.dataset == "mnist":
-        train_ds = _cap_per_class(train_ds, cfg.train_cap_per_class, cfg.seed)
-    return train_ds, test
+        return _cap_per_class(train_ds, cfg.train_cap_per_class, cfg.seed), test
+    return data.standardize_pair(train_ds, test)
 
 
 def _dataset_files(root: str, *names: str, gz: bool = False) -> list:
@@ -606,7 +610,7 @@ def _make_ambiguous(net: PathwayNetwork, test: data.LabeledDataset,
     return out
 
 
-def _group_table(columns: dict):
+def group_table(columns: dict):
     """One row per group tag and one column per entry of `columns` (header
     -> {group: value}); groups in first-seen order, a missing value blank."""
     groups = dict.fromkeys(g for values in columns.values() for g in values)
@@ -616,30 +620,23 @@ def _group_table(columns: dict):
 
 def binary_table(result: ExperimentResult):
     """Per-group binary accuracy, one column per model/pathway pair."""
-    return _group_table({f"{name}_{path}": acc for name in MODEL_ORDER
-                         for path, acc in (("clf", result.evals[name].clf_binary),
-                                           ("rec", result.evals[name].rec_binary))
-                         if acc is not None})
+    return group_table({f"{name}_{path}": acc for name in MODEL_ORDER
+                        for path, acc in (("clf", result.evals[name].clf_binary),
+                                          ("rec", result.evals[name].rec_binary))
+                        if acc is not None})
 
 
 def diagnostic_table(result: ExperimentResult):
     """Per-group mean diagnostic accuracy for models with a classifier head."""
-    return _group_table({f"{name}_clf": result.evals[name].clf_diag for name in MODEL_ORDER
-                         if result.evals[name].clf_diag is not None})
+    return group_table({f"{name}_clf": result.evals[name].clf_diag for name in MODEL_ORDER
+                        if result.evals[name].clf_diag is not None})
 
 
 def threshold_table(result: ExperimentResult):
     """One threshold row per model and channel, mirroring calibration output."""
-    header = ["model", "channel", "threshold"]
-    rows = []
-    for name in MODEL_ORDER:
-        ts = result.evals[name].thresholds
-        if ts.clf_thresholds is not None:
-            for j, v in enumerate(ts.clf_thresholds):
-                rows.append([name, f"clf{j}", f"{v:.6f}"])
-        if ts.rec_threshold is not None:
-            rows.append([name, "rec", f"{ts.rec_threshold:.6f}"])
-    return header, rows
+    return ["model", "channel", "threshold"], [
+        [name, channel, f"{v:.6f}"] for name in MODEL_ORDER
+        for channel, v in result.evals[name].thresholds.channels()]
 
 
 def entropy_table(result: ExperimentResult):

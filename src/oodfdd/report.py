@@ -129,8 +129,10 @@ def score_matrix(
     return score_matrix_from_scores(mc_scores(net, dataset.X, t, rng).clf, dataset.group)
 
 
-def emit_csv(header: list[str], rows, path) -> None:
-    """Comma-delimited table; floats fixed at 6 decimals."""
+def emit_csv(header, rows, path) -> None:
+    """Write a (header, rows) table: comma-delimited, LF line endings, floats
+    fixed at 6 decimals, every other cell as str().  Every CSV artifact the
+    package writes goes through here."""
     def cell(v) -> str:
         if isinstance(v, (float, np.floating)):
             return f"{v:.6f}"

@@ -12,7 +12,6 @@ TrainConfig.seed reproduces weights bitwise.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -55,17 +54,6 @@ class EpochLog(NamedTuple):
     clf_loss: float
     rec_loss: float
     total_loss: float
-
-
-def write_history_csv(history: list[EpochLog], path) -> None:
-    """Dump the per-epoch loss log; absent terms are written as 0."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "clf_loss", "rec_loss", "total_loss"])
-        for row in history:
-            writer.writerow(
-                [row.epoch, f"{row.clf_loss:.6f}", f"{row.rec_loss:.6f}", f"{row.total_loss:.6f}"]
-            )
 
 
 def _as_xy(dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,6 @@ convention.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -219,22 +218,21 @@ def decompose_entropies(entropies, groups) -> EntropyDecomposition:
     return EntropyDecomposition.from_parts(*map(float, parts))
 
 
-def write_histogram_csv(pred: McPrediction, path, bins: int = 20) -> None:
-    """Per-output histogram of the MC samples: output, bin_left, count.
+def histogram_table(pred: McPrediction, bins: int = 20):
+    """Per-output histogram of the MC samples as (header, rows), one row
+    per bin: output, bin_left, count.
 
     Outputs whose samples all sit inside [0, 1] are binned over [0, 1] so
     different outputs line up; anything else is binned over its own range.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["output", "bin_left", "count"])
-        for j in range(pred.samples.shape[1]):
-            col = pred.samples[:, j]
-            lo, hi = float(col.min()), float(col.max())
-            if 0.0 <= lo and hi <= 1.0:
-                lo, hi = 0.0, 1.0
-            elif lo == hi:
-                hi = lo + 1.0
-            counts, edges = np.histogram(col, bins=bins, range=(lo, hi))
-            for count, left in zip(counts, edges[:-1]):
-                writer.writerow([j, f"{left:.6f}", int(count)])
+    rows = []
+    for j in range(pred.samples.shape[1]):
+        col = pred.samples[:, j]
+        lo, hi = float(col.min()), float(col.max())
+        if 0.0 <= lo and hi <= 1.0:
+            lo, hi = 0.0, 1.0
+        elif lo == hi:
+            hi = lo + 1.0
+        counts, edges = np.histogram(col, bins=bins, range=(lo, hi))
+        rows += [[j, left, int(count)] for count, left in zip(counts, edges[:-1])]
+    return ["output", "bin_left", "count"], rows

@@ -7,6 +7,7 @@ import filecmp
 import io
 import json
 import os
+import shutil
 import typing
 
 import numpy as np
@@ -172,6 +173,41 @@ def test_compare_chiller_emits_severity(tmp_path):
     assert {line.split(",")[0] for line in severity[1:]} == {"augmented", "classifier"}
 
 
+_HEADERS = {
+    "history.csv": "epoch,clf_loss,rec_loss,total_loss",
+    "metrics.csv": "group,binary_accuracy,diagnostic_accuracy",
+    "scores.csv": "score_0,score_1,labels,flagged,rec_score,rec_flagged",
+    "score_matrix.csv": "group,score_0,score_1",
+    "binary.csv": "group,augmented_clf,augmented_rec,classifier_clf,autoencoder_rec",
+    "diagnostic.csv": "group,augmented_clf,classifier_clf",
+    "entropy.csv": "model,P0,P1_in,P1_ood,total,ood_mean_entropy",
+}
+
+
+def test_every_csv_artifact_has_lf_lines_and_starts_with_its_header(tmp_path, thyroid_dir,
+                                                                    trained_dir):
+    weights = ["--weights", os.path.join(trained_dir, "augmented.ofdd")]
+    outs = {"train": trained_dir}
+    for command, extra in (("evaluate", weights), ("score", weights), ("report", weights),
+                           ("compare", [])):
+        outs[command] = str(tmp_path / command)
+        assert cli.main([command, "--dataset", "thyroid", "--data-dir", thyroid_dir, *extra,
+                         "--out", outs[command], *SMOKE]) == 0
+    for command, out in outs.items():
+        names = [name for name in _manifest_entries(out) if name.endswith(".csv")]
+        assert names, command
+        for name in names:
+            blob = open(os.path.join(out, name), "rb").read()
+            assert b"\r" not in blob, (command, name)
+            if name.startswith("hist_"):
+                want = "output,bin_left,count"
+            elif name == "thresholds.csv":
+                want = "model,channel,threshold" if command == "compare" else "channel,threshold"
+            else:
+                want = _HEADERS[name]
+            assert blob.decode().split("\n", 1)[0] == want, (command, name)
+
+
 def test_gen_data_roundtrip(tmp_path):
     d = str(tmp_path / "gen")
     rc = cli.main(["gen-data", "--dataset", "thyroid", "--data-dir", d])
@@ -207,6 +243,24 @@ def test_bad_config_exits_3(tmp_path, thyroid_dir):
     assert rc == cli.EXIT_BAD_CONFIG
 
 
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_non_finite_data_cell_exits_3_naming_file_and_line(tmp_path, thyroid_dir, capsys,
+                                                          token):
+    bad_dir = tmp_path / "data"
+    bad_dir.mkdir()
+    lines = open(os.path.join(thyroid_dir, "ann-train.data")).read().splitlines()
+    cells = lines[9].split()
+    cells[0] = token
+    lines[9] = " ".join(cells)
+    (bad_dir / "ann-train.data").write_text("\n".join(lines) + "\n")
+    shutil.copy(os.path.join(thyroid_dir, "ann-test.data"), bad_dir)
+    rc = cli.main(["train", "--dataset", "thyroid", "--data-dir", str(bad_dir),
+                   "--out", str(tmp_path / "o"), *SMOKE])
+    assert rc == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert f"{bad_dir / 'ann-train.data'} line 10: non-finite value" in err
+
+
 def test_numeric_failure_exits_4(tmp_path, thyroid_dir):
     # a non-finite lr is a configuration error, but a finite one this large
     # overflows the weights within the first steps
@@ -218,7 +272,7 @@ def test_numeric_failure_exits_4(tmp_path, thyroid_dir):
 @pytest.mark.parametrize("flag, raw", [
     ("--n-per-class", "0"), ("--batch-size", "0"), ("--lr", "-1"), ("--lr", "inf"),
     ("--head-widths", "0"), ("--beta", "-1"), ("--ambiguous-pairs", "-1"),
-    ("--train-cap-per-class", "0"),
+    ("--train-cap-per-class", "0"), ("--hidden-widths", "16,8"), ("--hidden-widths", ""),
 ])
 def test_out_of_range_setting_exits_3_naming_the_key(tmp_path, capsys, flag, raw):
     rc = cli.main(["compare", "--dataset", "chiller-surrogate", flag, raw,
@@ -486,6 +540,7 @@ def test_config_file_and_flag_precedence(tmp_path, thyroid_dir):
         "dataset = thyroid\n"
         "alpha = 0.2\n"
         "latent_dim = 3\n"
+        "hidden_widths = 16,8,3\n"
         "head_widths = 4,4\n"
     )
     args = cli.make_parser().parse_args(
@@ -530,17 +585,24 @@ def _sample_setting(name):
         return "7", 7
     if hint is float:
         return "0.25", 0.25
-    return " 3, 5 ", [3, 5]  # width lists: list and list | None
+    return " 3, 2 ", [3, 2]  # width lists: list and list | None; ends at latent_dim 2
+
+
+# a latent_dim unlike the default needs an encoder layout that ends at it
+_COMPANIONS = {"latent_dim": {"hidden_widths": "16,8,7"}}
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(
     experiments.ExperimentConfig)])
 def test_every_setting_is_a_flag_and_a_config_key_with_one_type(tmp_path, name):
     raw, value = _sample_setting(name)
+    settings = {name: raw, **_COMPANIONS.get(name, {})}
     config = tmp_path / "one.cfg"
-    config.write_text(f"{name} = {raw}\n")
+    config.write_text("".join(f"{key} = {text}\n" for key, text in settings.items()))
+    flags = [tok for key, text in settings.items()
+             for tok in ("--" + key.replace("_", "-"), text)]
     parser = cli.make_parser()
-    by_flag = cli.build_config(parser.parse_args(["train", "--" + name.replace("_", "-"), raw]))
+    by_flag = cli.build_config(parser.parse_args(["train", *flags]))
     by_file = cli.build_config(parser.parse_args(["train", "--config", str(config)]))
     assert getattr(experiments.config_for("thyroid"), name) != value
     assert getattr(by_flag, name) == value and type(getattr(by_flag, name)) is type(value)

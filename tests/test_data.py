@@ -5,7 +5,7 @@ import gzip
 import numpy as np
 import pytest
 
-from oodfdd import data, model, nncore
+from oodfdd import data, experiments, model, nncore
 from oodfdd.model import ModelKind
 
 
@@ -34,15 +34,15 @@ def test_thyroid_loads_with_documented_proportions(thyroid_dir):
 
 
 def test_thyroid_standardized_against_own_normals(thyroid_dir):
-    ds = data.load_thyroid(thyroid_dir / "ann-train.data")
+    ds, _ = experiments.load_dataset_pair(experiments.thyroid_config(), str(thyroid_dir))
     normals = ds.X[ds.group == "normal"]
     assert np.allclose(normals.mean(axis=0), 0.0, atol=1e-9)
     assert np.allclose(normals.std(axis=0), 1.0, atol=1e-9)
 
 
 def test_thyroid_test_file_uses_training_stats(thyroid_dir):
-    train = data.load_thyroid(thyroid_dir / "ann-train.data")
-    test = data.load_thyroid(thyroid_dir / "ann-test.data", stats=train.feature_stats)
+    train, test = experiments.load_dataset_pair(experiments.thyroid_config(),
+                                                str(thyroid_dir))
     assert test.X.shape == (3428, 6)
     assert test.feature_stats is train.feature_stats
     # test normals land near but not exactly at the training-normal frame
@@ -60,6 +60,18 @@ def test_thyroid_rejects_malformed_rows(tmp_path):
     nonnum.write_text(" ".join(["x"] * 21 + ["3"]) + "\n")
     with pytest.raises(ValueError, match="non-numeric"):
         data.load_thyroid(nonnum)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_thyroid_rejects_non_finite_value_naming_the_line(tmp_path, thyroid_dir, token):
+    lines = (thyroid_dir / "ann-train.data").read_text().splitlines()
+    cells = lines[4].split()
+    cells[17] = token  # a continuous column, so no binary-flag check sees it
+    lines[4] = " ".join(cells)
+    bad = tmp_path / "ann-train.data"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{bad} line 5: non-finite value"):
+        data.load_thyroid(bad)
 
 
 def test_thyroid_rejects_unknown_class_code(tmp_path):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oodfdd import detect, model, nncore, uncertainty
+from oodfdd import detect, experiments, model, nncore, uncertainty
 from oodfdd.model import ModelKind
+from oodfdd.report import emit_csv
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +390,16 @@ def test_metrics_report_validates_and_serializes(tmp_path):
         thresholds=thr,
     )
     table = tmp_path / "table.csv"
-    report.to_csv(table)
+    emit_csv(*experiments.group_table({"binary_accuracy": report.binary_acc,
+                                       "diagnostic_accuracy": report.diag_acc}), table)
     lines = table.read_text().strip().splitlines()
     assert lines[0] == "group,binary_accuracy,diagnostic_accuracy"
     assert lines[1] == "normal,0.900000,"
     assert lines[2] == "fault:1,0.800000,0.750000"
 
+    assert thr.channels() == [("clf0", 0.5), ("clf1", 0.6), ("rec", 0.25)]
     thrfile = tmp_path / "thr.csv"
-    thr.to_csv(thrfile)
+    emit_csv(["channel", "threshold"], [("alpha", thr.alpha), *thr.channels()], thrfile)
     rows = thrfile.read_text().strip().splitlines()
     assert rows[0] == "channel,threshold"
     assert rows[1] == "alpha,0.100000"

@@ -244,6 +244,12 @@ def test_config_validation():
                      ("train_fraction", 0.0), ("train_fraction", 1.0)]:
         with pytest.raises(ValueError, match=f"^{key} must be "):
             experiments.thyroid_config(**{key: bad})
+    # the encoder layout must end at the bottleneck, checked before any data is read
+    for bad in [dict(hidden_widths=[]), dict(latent_dim=3),
+                dict(hidden_widths=[16, 8], latent_dim=2)]:
+        with pytest.raises(ValueError, match="^hidden_widths must be .* latent_dim"):
+            experiments.thyroid_config(**bad)
+    assert experiments.thyroid_config(latent_dim=3, hidden_widths=[16, 8, 3]).latent_dim == 3
     cfg = experiments.config_for("chiller-surrogate", seed=3)
     assert cfg.alpha == 0.05 and cfg.n_classes == 7 and cfg.seed == 3
 

@@ -7,6 +7,7 @@ import pytest
 
 from oodfdd import model, nncore, train
 from oodfdd.model import ModelKind
+from oodfdd.report import emit_csv
 
 
 def _blobs(n_per_class=100, dim=4, sep=3.0, seed=3):
@@ -434,7 +435,7 @@ def test_autoencoder_early_stop_on_line_data():
 def test_write_history_csv(tmp_path):
     history = [train.EpochLog(0, 0.5, 0.25, 0.75), train.EpochLog(1, 0.4, 0.2, 0.6)]
     path = tmp_path / "history.csv"
-    train.write_history_csv(history, path)
+    emit_csv(train.EpochLog._fields, history, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,clf_loss,rec_loss,total_loss"
     assert lines[1] == "0,0.500000,0.250000,0.750000"

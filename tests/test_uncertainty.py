@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from oodfdd import model, nncore, uncertainty as unc
 from oodfdd.model import ModelKind
+from oodfdd.report import emit_csv
 
 
 def _net(kind=ModelKind.AUGMENTED, dropout=0.2, seed=0, n_classes=2, input_dim=6):
@@ -319,7 +320,7 @@ def test_histogram_csv(tmp_path):
     net = _net(n_classes=3)
     out = unc.mc_sample(net, np.ones(6), 200, nncore.make_rng(17))
     path = tmp_path / "hist.csv"
-    unc.write_histogram_csv(out.classifier, path, bins=10)
+    emit_csv(*unc.histogram_table(out.classifier, bins=10), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "output,bin_left,count"
     rows = [line.split(",") for line in lines[1:]]
