@@ -313,12 +313,12 @@ def gen_ambiguous(
         raise ValueError(
             f"paired inputs must share a shape: {x_normal.shape} vs {x_fault.shape}"
         )
-    z_normal = net.encoder.forward(x_normal)
-    z_fault = net.encoder.forward(x_fault)
+    z_normal = net.encoder.forward(x_normal, record=False)
+    z_fault = net.encoder.forward(x_fault, record=False)
     xs, tags = [], []
     for t in t_values:
         z = (1.0 - t) * z_normal + t * z_fault
-        xs.append(net.decoder.forward(z))
+        xs.append(net.decoder.forward(z, record=False))
         tags.extend([f"incipient:{fault_label}:{t:g}"] * len(z))
     x = np.vstack(xs)
     return LabeledDataset(

@@ -215,7 +215,7 @@ def resolve_data_dir(data_dir: str | None) -> str:
 
 def latents(net: PathwayNetwork, x: np.ndarray) -> np.ndarray:
     """Deterministic bottleneck activations, shared by reports and tests."""
-    return net.encoder.forward(np.asarray(x, dtype=float))
+    return net.encoder.forward(np.asarray(x, dtype=float), record=False)
 
 
 def _mean_diag_by_group(diag: np.ndarray, groups: np.ndarray) -> dict:

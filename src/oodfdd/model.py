@@ -119,23 +119,29 @@ class PathwayNetwork:
         x: np.ndarray,
         rng: np.random.Generator | None = None,
         stochastic: bool = False,
+        *,
+        record: bool = True,
     ) -> np.ndarray:
+        """Class probabilities; `record` as in `LayerStack.forward`."""
         if self.head is None:
             raise ValueError(f"{self.kind.value} model has no classifier head")
-        h = self.encoder.forward(x, rng, stochastic)
-        return self.head.forward(h)
+        h = self.encoder.forward(x, rng, stochastic, record=record)
+        return self.head.forward(h, record=record)
 
     def forward_reconstruct(
         self,
         x: np.ndarray,
         rng: np.random.Generator | None = None,
         stochastic: bool = False,
+        *,
+        record: bool = True,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (reconstruction, latent codes)."""
+        """Returns (reconstruction, latent codes); `record` as in
+        `LayerStack.forward`."""
         if self.decoder is None:
             raise ValueError(f"{self.kind.value} model has no decoder")
-        z = self.encoder.forward(x, rng, stochastic)
-        return self.decoder.forward(z), z
+        z = self.encoder.forward(x, rng, stochastic, record=record)
+        return self.decoder.forward(z, record=record), z
 
     def stacks(self) -> list[LayerStack]:
         return [getattr(self, role) for role in self.offsets]

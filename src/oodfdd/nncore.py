@@ -3,14 +3,22 @@
 Dense layers, inverted dropout, the losses used by the two pathways, Adam,
 and exact manual gradients.  Everything is float64 and seeded: two runs with
 the same seed produce bitwise-identical parameters.  No autodiff; each layer
-implements its own backward pass and a finite-difference checker keeps them
-honest.
+implements its own backward pass, checked against finite differences by the
+tests.
 
-The hot kernels (sigmoid, the dense bias add, the Adam update) write into
-preallocated buffers with `out=` instead of building temporaries, and a
-stack's backward pass can skip the gradient w.r.t. its input when nothing
-consumes it.  Each runs the operations of the plain expression in the same
-order, so its results are bitwise those of the plain form.
+A forward pass records what its backward pass needs (a dense layer's input,
+pre-activation and output, a dropout layer's mask) unless it is called with
+`record=False`, as inference does; a backward pass after a forward that did
+not record raises instead of reusing stale state.
+
+The hot kernels write into buffers they own instead of building
+temporaries: relu into its pre-activation, the sigmoid and the dense bias
+add into their outputs, softmax's exp and divide into its shifted logits,
+the dropout mask into its uniform draw (and, without recording, the
+dropped-out output into the mask), and the Adam update into scratch arrays.
+A stack's backward pass can skip the gradient w.r.t. its input when nothing
+consumes it.  Each kernel runs the operations of the plain expression in the
+same order, so its results are bitwise those of the plain form.
 """
 
 from __future__ import annotations
@@ -81,16 +89,29 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=1, keepdims=True)
+    """Row-wise softmax, bitwise exp(x - max) / sum(exp(x - max)).
+
+    The row max is taken column by column: numpy's axis-1 max is slow on
+    short rows.  It is exact; where +0 and -0 tie it may pick the other
+    zero, which changes only the sign of a zero in x - max, and exp maps
+    both to 1.  The sum stays numpy's, whose order the result depends on.
+    """
+    top = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        np.maximum(top, x[:, j], out=top)
+    z = x - top[:, None]
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _activate(name: str, pre: np.ndarray) -> np.ndarray:
+    """The activation of `pre`; relu overwrites `pre` with its output, which
+    keeps its backward exact because pre > 0 wherever out > 0."""
     if name == "identity":
         return pre
     if name == "relu":
-        return np.maximum(0.0, pre)
+        return np.maximum(0.0, pre, out=pre)
     if name == "sigmoid":
         return sigmoid(pre)
     if name == "softmax":
@@ -165,41 +186,50 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weights.shape[0]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, record: bool = True) -> np.ndarray:
+        """activation(x @ W.T + b); with `record` false nothing is kept for
+        backward, which then raises."""
         x = as_matrix(x)
         if x.shape[1] != self.in_dim:
             raise ValueError(
                 f"input has {x.shape[1]} features, layer expects {self.in_dim}"
             )
-        self._x = x
-        self._pre = x @ self.weights.T
-        self._pre += self.bias
-        self._out = _activate(self.activation, self._pre)
-        return ensure_finite(self._out, "dense forward output")
+        pre = x @ self.weights.T
+        pre += self.bias
+        out = _activate(self.activation, pre)
+        self._x, self._pre, self._out = (x, pre, out) if record else (None, None, None)
+        return ensure_finite(out, "dense forward output")
 
     def backward(
         self, grad_out: np.ndarray, input_grad: bool = True
     ) -> np.ndarray | None:
         """Accumulate parameter grads; return the gradient w.r.t. the input,
         or None without computing it when `input_grad` is false."""
-        dpre = _activation_backward(self.activation, grad_out, self._pre, self._out)
+        _, pre, out = self._recorded()
+        dpre = _activation_backward(self.activation, grad_out, pre, out)
         return self.backward_from_preactivation(dpre, input_grad)
 
     def backward_from_preactivation(
         self, dpre: np.ndarray, input_grad: bool = True
     ) -> np.ndarray | None:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        self.grad_w += dpre.T @ self._x
+        x, _, _ = self._recorded()
+        self.grad_w += dpre.T @ x
         self.grad_b += dpre.sum(axis=0)
         return dpre @ self.weights if input_grad else None
+
+    def _recorded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._x is None:
+            raise RuntimeError("backward called without a recording forward")
+        return self._x, self._pre, self._out
 
 
 class DropoutLayer:
     """Inverted dropout: survivors are scaled by 1/(1-p) in stochastic mode.
 
-    Deterministic mode is the identity, so inference needs no rescaling.  The
-    last mask is kept so the backward pass replays exactly what forward did.
+    Deterministic mode is the identity, so inference needs no rescaling, and
+    so is its backward.  A recording stochastic forward keeps its mask so the
+    backward pass replays exactly what forward did; after one that did not
+    record, backward raises.
     """
 
     def __init__(self, rate: float):
@@ -207,21 +237,37 @@ class DropoutLayer:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = float(rate)
         self.last_mask: np.ndarray | None = None
+        self._unrecorded = False
 
     def forward(
-        self, x: np.ndarray, rng: np.random.Generator | None, stochastic: bool
+        self,
+        x: np.ndarray,
+        rng: np.random.Generator | None,
+        stochastic: bool,
+        *,
+        record: bool = True,
     ) -> np.ndarray:
         x = as_matrix(x)
+        self.last_mask = None
+        self._unrecorded = False
         if not stochastic or self.rate == 0.0:
-            self.last_mask = None
             return x
         if rng is None:
             raise ValueError("stochastic dropout needs an rng")
         keep = 1.0 - self.rate
-        self.last_mask = (rng.random(x.shape) < keep) * (1.0 / keep)
-        return x * self.last_mask
+        # (u < keep) * (1 / keep), built in the draw's buffer
+        mask = rng.random(x.shape)
+        np.less(mask, keep, out=mask)
+        mask *= 1.0 / keep
+        if record:
+            self.last_mask = mask
+            return x * mask
+        self._unrecorded = True
+        return np.multiply(x, mask, out=mask)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        if self._unrecorded:
+            raise RuntimeError("backward called without a recording forward")
         if self.last_mask is None:
             return grad_out
         return grad_out * self.last_mask
@@ -242,15 +288,18 @@ class LayerStack:
         rng: np.random.Generator | None = None,
         stochastic: bool = False,
         start: int = 0,
+        *,
+        record: bool = True,
     ) -> np.ndarray:
         """Run layers[start:] on `x`; with start > 0, `x` is what layer
-        start - 1 returned."""
+        start - 1 returned.  With `record` false no layer keeps anything
+        for backward."""
         h = x
         for layer in self.layers[start:]:
             if isinstance(layer, DropoutLayer):
-                h = layer.forward(h, rng, stochastic)
+                h = layer.forward(h, rng, stochastic, record=record)
             else:
-                h = layer.forward(h)
+                h = layer.forward(h, record=record)
         return h
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
@@ -466,34 +515,3 @@ def adam_step(
         a /= b
         p -= a
         ensure_finite(p, "parameters after adam_step")
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def gradient_check(params, loss_fn, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    `loss_fn()` must recompute the loss and the analytic gradients for the
-    current parameter values and return (loss, grads) with grads aligned to
-    `params`.  It has to be deterministic (no fresh dropout draws).  Only
-    suitable for small parameter counts.
-    """
-    _, analytic = loss_fn()
-    analytic = [g.copy() for g in analytic]
-    worst = 0.0
-    for p, g in zip(params, analytic):
-        flat_p = p.ravel()
-        flat_g = g.ravel()
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + eps
-            up, _ = loss_fn()
-            flat_p[i] = orig - eps
-            down, _ = loss_fn()
-            flat_p[i] = orig
-            numeric = (up - down) / (2.0 * eps)
-            scale = max(abs(numeric) + abs(flat_g[i]), 1e-8)
-            worst = max(worst, abs(numeric - flat_g[i]) / scale)
-    return worst

@@ -257,7 +257,8 @@ def train_classifier(net: PathwayNetwork, dataset, cfg: TrainConfig) -> list[Epo
         return loss, 0.0
 
     def val_loss():
-        return _classification_loss(net, net.forward_classify(x[val_idx]), y[val_idx])[0]
+        probs = net.forward_classify(x[val_idx], record=False)
+        return _classification_loss(net, probs, y[val_idx])[0]
 
     return _fit(net, len(xt), cfg, cfg.epochs, 2, ("encoder", "head"), batch_loss,
                 val_loss=None if val_idx is None else val_loss)
@@ -274,7 +275,7 @@ def train_autoencoder(net: PathwayNetwork, dataset, cfg: TrainConfig) -> list[Ep
     xt = x[train_idx]
 
     def val_loss():
-        return mse(net.forward_reconstruct(x[val_idx])[0], x[val_idx])[0]
+        return mse(net.forward_reconstruct(x[val_idx], record=False)[0], x[val_idx])[0]
 
     return _fit(net, len(xt), cfg, cfg.epochs, 2, ("encoder", "decoder"),
                 _reconstruction_loss(net, xt),

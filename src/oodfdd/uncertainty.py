@@ -8,7 +8,14 @@ dropout mask.  The first encoder layer runs once per call; dropout follows
 it, so its output is the same on every pass.  `mc_moments` reduces the
 passes of a batch as they are drawn; `mc_sample` keeps the samples of one
 input.  Sums are reduced in sample-index order so repeated runs with the
-same seed reproduce the statistics bitwise.  Entropy is the natural-log
+same seed reproduce the statistics bitwise.
+
+The passes run their layers with `record=False`: no layer keeps its input,
+pre-activation, output or dropout mask for a backward pass that inference
+never runs, so each pass's temporaries are freed as the next is drawn.  The
+Welford mean and m2 and the reconstruction sum are updated in place; the
+Welford step works in two scratch arrays of its own and never writes into
+the samples, which `mc_sample` keeps.  Entropy is the natural-log
 entropy of the predictive mean distribution, with the usual 0*log(0) = 0
 convention.
 """
@@ -24,17 +31,26 @@ from .model import PathwayNetwork
 from .nncore import as_matrix
 
 
-def _welford_step(k: int, sample: np.ndarray, mean: np.ndarray, m2: np.ndarray):
-    """Fold the k-th (0-based) sample into the running (mean, m2) pair."""
-    delta = sample - mean
-    mean = mean + delta / (k + 1)
-    return mean, m2 + delta * (sample - mean)
+def _welford_step(k: int, sample: np.ndarray, mean: np.ndarray, m2: np.ndarray,
+                  scratch: np.ndarray) -> None:
+    """Fold the k-th (0-based) sample into the running (mean, m2) pair in
+    place; `scratch` holds two arrays of the sample's shape."""
+    delta, tmp = scratch
+    np.subtract(sample, mean, out=delta)
+    np.divide(delta, k + 1, out=tmp)
+    mean += tmp
+    np.subtract(sample, mean, out=tmp)
+    tmp *= delta
+    m2 += tmp
 
 
 def _population_variance(m2: np.ndarray, t: int) -> np.ndarray:
+    """m2 / t, in place on m2."""
     # the update can leave a negative rounding residue of order 1e-30;
     # clamp so the population-variance lower bound holds exactly
-    return np.maximum(m2, 0.0) / t
+    np.maximum(m2, 0.0, out=m2)
+    m2 /= t
+    return m2
 
 
 def _sequential_mean_var(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -48,10 +64,10 @@ def _sequential_mean_var(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sample itself as mean and exactly zero variance.  `mc_moments` runs the
     same step on each pass as it is drawn.
     """
-    mean = np.zeros_like(samples[0])
-    m2 = np.zeros_like(samples[0])
+    mean, m2 = np.zeros((2, *samples[0].shape))
+    scratch = np.empty((2, *samples[0].shape))
     for k, sample in enumerate(samples):
-        mean, m2 = _welford_step(k, sample, mean, m2)
+        _welford_step(k, sample, mean, m2, scratch)
     return mean, _population_variance(m2, len(samples))
 
 
@@ -96,15 +112,15 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     share that pass's dropout mask; an absent pathway yields None.  The
     encoder's first layer is dense and dropout follows it, so its output is
     the same on every pass: it runs once per call, and each pass runs the
-    layers after it.
+    layers after it.  No layer records anything for backward.
     """
     if t < 2:
         raise ValueError(f"need at least 2 samples, got {t}")
-    first = net.encoder.layers[0].forward(x)
+    first = net.encoder.layers[0].forward(x, record=False)
     for _ in range(t):
-        h = net.encoder.forward(first, rng, stochastic=True, start=1)
-        yield (None if net.head is None else net.head.forward(h),
-               None if net.decoder is None else net.decoder.forward(h))
+        h = net.encoder.forward(first, rng, stochastic=True, start=1, record=False)
+        yield (None if net.head is None else net.head.forward(h, record=False),
+               None if net.decoder is None else net.decoder.forward(h, record=False))
 
 
 def mc_moments(
@@ -121,17 +137,25 @@ def mc_moments(
     clf_mean = clf_m2 = rec_sum = None
     if net.head is not None:
         clf_mean, clf_m2 = np.zeros((2, len(x), net.n_outputs))
+        scratch = np.empty((2, len(x), net.n_outputs))
     if net.decoder is not None:
         rec_sum = np.zeros_like(x)
-    for k, (clf, rec) in enumerate(_passes(net, x, t, rng)):
+    # a counter and a del rather than enumerate, which holds on to the item
+    # it last returned: each pass's outputs are freed before the next is drawn
+    k = 0
+    for clf, rec in _passes(net, x, t, rng):
         if clf is not None:
-            clf_mean, clf_m2 = _welford_step(k, clf, clf_mean, clf_m2)
+            _welford_step(k, clf, clf_mean, clf_m2, scratch)
         if rec is not None:
-            rec_sum = rec_sum + rec
+            rec_sum += rec
+        del clf, rec
+        k += 1
+    if rec_sum is not None:
+        rec_sum /= t
     return McMoments(
         clf_mean=clf_mean,
         clf_var=None if clf_m2 is None else _population_variance(clf_m2, t),
-        rec_mean=None if rec_sum is None else rec_sum / t,
+        rec_mean=rec_sum,
     )
 
 

@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from gradcheck import gradient_check
 from oodfdd import data, detect, experiments, model, nncore, report, train, uncertainty
 from oodfdd.model import ModelKind
 
@@ -65,7 +66,7 @@ def test_c01_gradients_match_finite_differences():
             clf_loss, rec_loss = train.joint_batch_gradients(net, x, y, beta, stochastic=False)
             return clf_loss + beta * rec_loss, [net.grads.copy()]
 
-        worst = max(worst, nncore.gradient_check([net.params], loss_fn))
+        worst = max(worst, gradient_check([net.params], loss_fn))
     elapsed = time.monotonic() - start
     _line("01 gradient check", worst < 1e-4 and elapsed < 10.0,
           f"max relative error {worst:.2e} over 4 randomized networks in {elapsed:.1f}s")

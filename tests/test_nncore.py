@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from gradcheck import gradient_check
 from oodfdd import nncore as nn
 
 
@@ -97,6 +99,19 @@ def test_softmax_rows_on_simplex(rows, cols, seed):
     assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
 
+_SOFTMAX_EDGES = [0.0, -0.0, 1.0, -1.0, 709.0, -745.0, 1e300, -1e300]
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 12)),
+                  elements=st.one_of(st.sampled_from(_SOFTMAX_EDGES),
+                                     st.floats(-1e300, 1e300))))
+@settings(max_examples=200, deadline=None)
+def test_softmax_bitwise_equals_the_plain_expression(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    assert _hex(nn.softmax(logits)) == _hex(ez / ez.sum(axis=1, keepdims=True))
+
+
 # ---------------------------------------------------------------------------
 # dropout
 
@@ -152,6 +167,37 @@ def test_dropout_backward_replays_mask():
     np.testing.assert_array_equal(grad_in, out)
 
 
+def test_backward_after_a_forward_that_did_not_record_raises():
+    x = nn.make_rng(5).normal(0.0, 1.0, (4, 3))
+    dense = nn.DenseLayer.init(nn.make_rng(6), 3, 2, "relu")
+    dense.forward(x)
+    dense.forward(x, record=False)
+    assert (dense._x, dense._pre, dense._out) == (None, None, None)
+    with pytest.raises(RuntimeError, match="recording forward"):
+        dense.backward(np.ones((4, 2)))
+
+    dropout = nn.DropoutLayer(0.5)
+    dropout.forward(x, nn.make_rng(7), stochastic=True)
+    dropout.forward(x, nn.make_rng(7), stochastic=True, record=False)
+    assert dropout.last_mask is None
+    with pytest.raises(RuntimeError, match="recording forward"):
+        dropout.backward(np.ones_like(x))
+    # deterministic dropout is the identity and needs no record
+    dropout.forward(x, None, stochastic=False, record=False)
+    g = np.ones_like(x)
+    assert dropout.backward(g) is g
+
+
+def test_recording_and_non_recording_forwards_agree_bitwise():
+    x = nn.make_rng(8).normal(0.0, 1.0, (5, 4))
+    stack = nn.LayerStack([nn.DenseLayer.init(nn.make_rng(9), 4, 6, "relu"),
+                           nn.DropoutLayer(0.3),
+                           nn.DenseLayer.init(nn.make_rng(10), 6, 3, "softmax")])
+    kept = stack.forward(x, nn.make_rng(11), stochastic=True)
+    lean = stack.forward(x, nn.make_rng(11), stochastic=True, record=False)
+    assert kept.tobytes() == lean.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # losses
 
@@ -176,7 +222,7 @@ def test_cross_entropy_grad_matches_finite_differences():
             nn.cross_entropy(nn.softmax(logits), labels)[1]
         ]
 
-    err = nn.gradient_check([logits], fn, eps=1e-5)
+    err = gradient_check([logits], fn, eps=1e-5)
     assert err < 1e-5
 
 
@@ -215,7 +261,7 @@ def test_mse_grad_matches_finite_differences():
         loss, grad = nn.mse(xhat, x)
         return loss, [grad]
 
-    err = nn.gradient_check([xhat], fn, eps=1e-6)
+    err = gradient_check([xhat], fn, eps=1e-6)
     assert err < 1e-6
 
 
@@ -307,7 +353,7 @@ def test_gradient_check_linear_quadratic():
     stack = nn.LayerStack([nn.DenseLayer.init(rng, 3, 2, "identity")])
     x = rng.normal(size=(5, 3))
     y = rng.normal(size=(5, 2))
-    err = nn.gradient_check(
+    err = gradient_check(
         [p for p, _ in stack.params()], stack_loss_fn(stack, x, y, nn.mse), eps=1e-5
     )
     assert err < 1e-7
@@ -338,7 +384,7 @@ def test_gradient_check_three_layer_network():
     stack = _three_layer_stack(rng)
     x = _nudged_input(rng, stack, 6)
     y = rng.integers(0, 3, size=6)
-    err = nn.gradient_check(
+    err = gradient_check(
         [p for p, _ in stack.params()],
         stack_loss_fn(stack, x, y, nn.cross_entropy),
         eps=1e-5,
@@ -360,7 +406,7 @@ def test_gradient_check_randomized_small_networks():
         )
         x = _nudged_input(rng, stack, 4)
         y = rng.integers(0, 3, size=4)
-        err = nn.gradient_check(
+        err = gradient_check(
             [p for p, _ in stack.params()],
             stack_loss_fn(stack, x, y, nn.cross_entropy),
             eps=1e-5,
@@ -401,10 +447,10 @@ def test_dropout_in_deterministic_mode_matches_plain_network():
     x = _nudged_input(rng, base, 5)
     y = rng.normal(size=(5, 2))
 
-    err_plain = nn.gradient_check(
+    err_plain = gradient_check(
         [p for p, _ in base.params()], stack_loss_fn(base, x, y, nn.mse)
     )
-    err_dropout = nn.gradient_check(
+    err_dropout = gradient_check(
         [p for p, _ in with_dropout.params()],
         stack_loss_fn(with_dropout, x, y, nn.mse),
     )

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gradcheck import gradient_check
 from oodfdd import model, nncore, train
 from oodfdd.model import ModelKind
 from oodfdd.report import emit_csv
@@ -170,9 +171,9 @@ def test_decoder_sees_only_normal_rows(monkeypatch):
     seen = []
     real_forward = first.forward
 
-    def spy(rows):
+    def spy(rows, **kwargs):
         seen.append(np.array(rows))
-        return real_forward(rows)
+        return real_forward(rows, **kwargs)
 
     monkeypatch.setattr(first, "forward", spy)
     net.zero_grad()
@@ -234,7 +235,7 @@ def test_joint_gradients_pass_finite_difference_check():
         clf_loss, rec_loss = train.joint_batch_gradients(net, x, y, beta, stochastic=False)
         return clf_loss + beta * rec_loss, [net.grads.copy()]
 
-    assert nncore.gradient_check([net.params], loss_fn) < 1e-4
+    assert gradient_check([net.params], loss_fn) < 1e-4
 
 
 def test_joint_requires_augmented_network():
