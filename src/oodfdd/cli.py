@@ -288,6 +288,23 @@ def _check_width(x: np.ndarray, source: str, net: model.PathwayNetwork, args) ->
                           f"{args.weights} has input_dim {net.input_dim}")
 
 
+def score_table(s) -> tuple[list[str], zip]:
+    """scores.csv's header and rows for the scored rows `s`: the classifier
+    scores, the predicted label set ('|'-joined channel indices) and its
+    flag, then the reconstruction score and its flag, for each pathway the
+    net has.  The cells are Python scalars, which format as fast as numpy's
+    and to the same text."""
+    header, columns = [], []
+    if s.clf is not None:
+        header += [f"score_{j}" for j in range(s.clf.shape[1])] + ["labels", "flagged"]
+        labels = ["|".join(str(j) for j, on in enumerate(row) if on) for row in s.b.tolist()]
+        columns += [*s.clf.T.tolist(), labels, s.z.astype(int).tolist()]
+    if s.rec is not None:
+        header += ["rec_score", "rec_flagged"]
+        columns += [s.rec.tolist(), s.rec_flags.astype(int).tolist()]
+    return header, zip(*columns)
+
+
 def cmd_score(cfg, args) -> int:
     net, cfg, thresholds = _archive_thresholds(cfg, args)
     if args.input:
@@ -302,20 +319,10 @@ def cmd_score(cfg, args) -> int:
     _check_width(x, source, net, args)
 
     s = experiments.score_rows(net, x, thresholds, cfg.t_samples, cfg.seed)
-
-    header = []
-    columns = []
-    if s.clf is not None:
-        header += [f"score_{j}" for j in range(s.clf.shape[1])] + ["labels", "flagged"]
-        label_strs = ["|".join(str(j) for j in np.nonzero(row)[0]) for row in s.b]
-        columns += [*s.clf.T, label_strs, s.z.astype(int)]
-    if s.rec is not None:
-        header += ["rec_score", "rec_flagged"]
-        columns += [s.rec, s.rec_flags.astype(int)]
     flagged = s.z if s.z is not None else s.rec_flags
 
     out = _out_dir(args)
-    report.emit_csv(header, zip(*columns), os.path.join(out, "scores.csv"))
+    report.emit_csv(*score_table(s), os.path.join(out, "scores.csv"))
     _emit_thresholds(thresholds, out)
     write_manifest(out, ["scores.csv", "thresholds.csv"])
     print(f"scored {len(x)} rows; flag rate {float(np.mean(flagged)):.4f}")
@@ -410,7 +417,10 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", default="out", help="artifact output directory")
 
 
+@functools.cache
 def make_parser() -> _Parser:
+    """The CLI's parser, built once per process: it is never mutated, and
+    each `parse_args` returns a fresh namespace."""
     parser = _Parser(prog="oodfdd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     specs = [

@@ -19,6 +19,13 @@ dropped-out output into the mask), and the Adam update into scratch arrays.
 A stack's backward pass can skip the gradient w.r.t. its input when nothing
 consumes it.  Each kernel runs the operations of the plain expression in the
 same order, so its results are bitwise those of the plain form.
+
+Forwards that do not record also take a (passes, rows, features) stack, so
+MC inference can run a block of passes in one call per layer: numpy's 3-D
+matmul runs one 2-D product per pass, which keeps every pass bitwise equal
+to the 2-D forward.  Stacking the passes' rows into one tall 2-D matmul
+would not: the BLAS may round some of its rows differently.  Recording
+forwards take 2-D input only.
 """
 
 from __future__ import annotations
@@ -58,12 +65,13 @@ def ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def as_matrix(x: np.ndarray) -> np.ndarray:
-    """Coerce to a 2-D float64 array; 1-D input becomes a single row."""
+def as_matrix(x: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """Coerce to a 2-D float64 array; 1-D input becomes a single row.  With
+    `stacked`, a 3-D (passes, rows, features) array is accepted as it is."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    if x.ndim != 2:
+    if x.ndim != 2 and not (stacked and x.ndim == 3):
         raise ValueError(f"expected 1-D or 2-D input, got shape {x.shape}")
     return x
 
@@ -89,19 +97,19 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, bitwise exp(x - max) / sum(exp(x - max)).
+    """Softmax over the last axis, bitwise exp(x - max) / sum(exp(x - max)).
 
-    The row max is taken column by column: numpy's axis-1 max is slow on
+    The row max is taken column by column: numpy's last-axis max is slow on
     short rows.  It is exact; where +0 and -0 tie it may pick the other
     zero, which changes only the sign of a zero in x - max, and exp maps
     both to 1.  The sum stays numpy's, whose order the result depends on.
     """
-    top = x[:, 0].copy()
-    for j in range(1, x.shape[1]):
-        np.maximum(top, x[:, j], out=top)
-    z = x - top[:, None]
+    top = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(top, x[..., j], out=top)
+    z = x - top[..., None]
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= z.sum(axis=-1, keepdims=True)
     return z
 
 
@@ -188,11 +196,13 @@ class DenseLayer:
 
     def forward(self, x: np.ndarray, *, record: bool = True) -> np.ndarray:
         """activation(x @ W.T + b); with `record` false nothing is kept for
-        backward, which then raises."""
-        x = as_matrix(x)
-        if x.shape[1] != self.in_dim:
+        backward, which then raises, and `x` may be a (passes, rows, in)
+        stack: numpy's matmul runs one product per pass, each bitwise the
+        2-D one."""
+        x = as_matrix(x, stacked=not record)
+        if x.shape[-1] != self.in_dim:
             raise ValueError(
-                f"input has {x.shape[1]} features, layer expects {self.in_dim}"
+                f"input has {x.shape[-1]} features, layer expects {self.in_dim}"
             )
         pre = x @ self.weights.T
         pre += self.bias
@@ -247,7 +257,10 @@ class DropoutLayer:
         *,
         record: bool = True,
     ) -> np.ndarray:
-        x = as_matrix(x)
+        """`x` with dropout applied when `stochastic`; the mask comes from
+        `rng.random(x.shape)`.  Without `record`, `x` may be a (passes,
+        rows, width) stack, as for `DenseLayer.forward`."""
+        x = as_matrix(x, stacked=not record)
         self.last_mask = None
         self._unrecorded = False
         if not stochastic or self.rate == 0.0:

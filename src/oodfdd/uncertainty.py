@@ -2,17 +2,24 @@
 
 T stochastic forward passes with dropout left on give per-output sample sets;
 the predictive mean and population variance summarize them.  One pass loop
-serves every caller: each pass runs the encoder once and feeds both the
-classifier head and the decoder, so the two outputs share that pass's
-dropout mask.  The first encoder layer runs once per call; dropout follows
-it, so its output is the same on every pass.  `mc_moments` reduces the
-passes of a batch as they are drawn; `mc_sample` keeps the samples of one
-input.  Sums are reduced in sample-index order so repeated runs with the
-same seed reproduce the statistics bitwise.
+serves every caller: each pass's encoder output feeds both the classifier
+head and the decoder, so the two outputs share that pass's dropout mask.
+The first encoder layer runs once per call; dropout follows it, so its
+output is the same on every pass.  `mc_moments` reduces the passes of a
+batch as they are drawn; `mc_sample` keeps the samples of one input.  Sums
+are reduced in sample-index order so repeated runs with the same seed
+reproduce the statistics bitwise.
+
+On small batches the cost of a layer call outweighs its arithmetic, so the
+passes run in blocks stacked along a leading axis, one layer call per
+block, as many passes to a block as PASS_BLOCK_BUDGET allows.  A block
+draws its dropout uniforms in pass order and each pass is bitwise the pass
+run alone; a batch too large for two passes in the budget runs pass by
+pass on 2-D arrays, as a block of one pass does.
 
 The passes run their layers with `record=False`: no layer keeps its input,
 pre-activation, output or dropout mask for a backward pass that inference
-never runs, so each pass's temporaries are freed as the next is drawn.  The
+never runs, so each block's temporaries are freed as the next is drawn.  The
 Welford mean and m2 and the reconstruction sum are updated in place; the
 Welford step works in two scratch arrays of its own and never writes into
 the samples, which `mc_sample` keeps.  Entropy is the natural-log
@@ -28,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import PathwayNetwork
-from .nncore import as_matrix
+from .nncore import DropoutLayer, as_matrix
 
 
 def _welford_step(k: int, sample: np.ndarray, mean: np.ndarray, m2: np.ndarray,
@@ -105,6 +112,57 @@ class McMoments(NamedTuple):
     rec_mean: np.ndarray | None  # (N, D)
 
 
+# float64 elements (2 MB) a block of stacked passes may take for its layer
+# outputs and dropout draws; a batch whose single pass is larger runs pass
+# by pass.  Scoring 500-row thyroid requests, 2**19 was 2 % faster than
+# 2**18 but raised the process's peak RSS by 1.3 MB; 2**17 was 7 % slower
+PASS_BLOCK_BUDGET = 2**18
+
+
+class _BlockUniforms:
+    """The dropout draws of a block of B passes, handed out layer by layer.
+
+    One `rng.random((B, per_pass))` call takes exactly what B passes of
+    per-layer draws would take in turn, one 64-bit output per double: row k
+    holds pass k's draws.  `random(shape)` returns the next dropout layer's
+    (B, rows, width) view of them and raises if that layer's shape is not
+    the one expected next.
+    """
+
+    def __init__(self, rng: np.random.Generator, passes: int, rows: int, widths: list[int]):
+        block = rng.random((passes, rows * sum(widths)))
+        self._views, start = [], 0
+        for width in widths:
+            self._views.append(block[:, start:start + rows * width].reshape(passes, rows, width))
+            start += rows * width
+        self._views.reverse()
+
+    def random(self, shape) -> np.ndarray:
+        if not self._views or self._views[-1].shape != tuple(shape):
+            raise RuntimeError(f"dropout draw of shape {tuple(shape)} is out of step "
+                               "with the block's layers")
+        return self._views.pop()
+
+
+def _pass_layout(net: PathwayNetwork) -> tuple[list[int], int]:
+    """(draws, row_width) of one pass after the encoder's first layer: the
+    width of each dropout layer that draws, in order, and the float64
+    elements a row takes across those draws and every later dense output."""
+    width = net.encoder.layers[0].out_dim
+    draws, row_width = [], 0
+    for layer in net.encoder.layers[1:]:
+        if isinstance(layer, DropoutLayer):
+            if layer.rate > 0.0:
+                draws.append(width)
+                row_width += width
+        else:
+            width = layer.out_dim
+            row_width += width
+    row_width += sum(layer.out_dim for stack in (net.head, net.decoder)
+                     if stack is not None for layer in stack.layers)
+    return draws, row_width
+
+
 def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator):
     """Yield (head output, decoder output) for each of T dropout-active passes.
 
@@ -113,14 +171,39 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     encoder's first layer is dense and dropout follows it, so its output is
     the same on every pass: it runs once per call, and each pass runs the
     layers after it.  No layer records anything for backward.
+
+    Passes run in blocks of B stacked along a leading axis, one layer call
+    per block, with B as large as PASS_BLOCK_BUDGET allows for the rows'
+    layer outputs and draws.  The draws are taken in pass order
+    (`_BlockUniforms`), and each pass's outputs are yielded as views, in
+    order, bitwise those of a pass run alone.  A block of one pass runs the
+    2-D layers on `rng` directly: a block keeps every dropout layer's draws
+    until its pass ends, which on large batches costs memory for no speed.
     """
     if t < 2:
         raise ValueError(f"need at least 2 samples, got {t}")
     first = net.encoder.layers[0].forward(x, record=False)
-    for _ in range(t):
-        h = net.encoder.forward(first, rng, stochastic=True, start=1, record=False)
-        yield (None if net.head is None else net.head.forward(h, record=False),
-               None if net.decoder is None else net.decoder.forward(h, record=False))
+    rows = len(first)
+    draws, row_width = _pass_layout(net)
+    block = max(1, PASS_BLOCK_BUDGET // (rows * row_width))
+    done = 0
+    while done < t:
+        b = min(block, t - done)
+        done += b
+        if b == 1:
+            source, h = rng, first
+        else:
+            source = _BlockUniforms(rng, b, rows, draws) if draws else None
+            h = np.broadcast_to(first, (b, *first.shape))
+        h = net.encoder.forward(h, source, stochastic=True, start=1, record=False)
+        clf = None if net.head is None else net.head.forward(h, record=False)
+        rec = None if net.decoder is None else net.decoder.forward(h, record=False)
+        del h  # the latent may be a view of the block's draws: free them now
+        if b == 1:
+            yield clf, rec
+        else:
+            for k in range(b):
+                yield (None if clf is None else clf[k], None if rec is None else rec[k])
 
 
 def mc_moments(

@@ -9,12 +9,13 @@ import json
 import os
 import shutil
 import typing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oodfdd import cli, data, detect, experiments, model
+from oodfdd import cli, data, detect, experiments, model, report
 from oodfdd.nncore import make_rng
 
 
@@ -655,6 +656,59 @@ def test_subcommand_options_are_unchanged():
     args = parser.parse_args(["score", "--dataset", "thyroid", "--seed", "0",
                               "--data-dir", "d", "--weights", "w", "--input", "i"])
     assert (args.dataset, args.seed, args.data_dir) == ("thyroid", 0, "d")
+
+
+def test_main_calls_in_one_process_parse_independently(monkeypatch):
+    seen = []
+
+    def capture(args):
+        seen.append(vars(args).copy())
+        raise cli.ConfigError("stop after parsing")
+
+    monkeypatch.setattr(cli, "build_config", capture)
+    assert cli.main(["train", "--alpha", "0.3", "--seed", "5", "--out", "a"]) == 3
+    assert cli.main(["score", "--weights", "w"]) == 3
+    first, second = seen
+    assert (first["command"], first["alpha"], first["seed"], first["out"]) == (
+        "train", 0.3, 5, "a")
+    assert (second["command"], second["alpha"], second["seed"], second["out"]) == (
+        "score", None, None, "out")
+    assert second["weights"] == "w" and "weights" not in first
+    assert cli.make_parser() is cli.make_parser()
+
+
+def _old_score_table(s):
+    """scores.csv's header and rows built from numpy cells, one np.nonzero
+    per row for the label sets."""
+    header, columns = [], []
+    if s.clf is not None:
+        header += [f"score_{j}" for j in range(s.clf.shape[1])] + ["labels", "flagged"]
+        label_strs = ["|".join(str(j) for j in np.nonzero(row)[0]) for row in s.b]
+        columns += [*s.clf.T, label_strs, s.z.astype(int)]
+    if s.rec is not None:
+        header += ["rec_score", "rec_flagged"]
+        columns += [s.rec, s.rec_flags.astype(int)]
+    return header, zip(*columns)
+
+
+@pytest.mark.parametrize("pathways", ["both", "classifier", "reconstruction"])
+def test_score_table_writes_the_bytes_of_the_numpy_cells(tmp_path, pathways):
+    rng = make_rng(18)
+    n, c = 300, 4
+    # scores over many magnitudes, with signed zeros and six-decimal ties
+    clf = rng.normal(0, 1, (n, c)) * 10.0 ** rng.integers(-9, 9, (n, c))
+    clf.flat[:6] = [0.0, -0.0, 0.0000005, 2.5e-7, -1.0000005, 123.4565]
+    rec = rng.exponential(1.0, n) * 10.0 ** rng.integers(-9, 9, n)
+    b = rng.random((n, c)) < 0.3
+    s = SimpleNamespace(clf=None, b=None, z=None, rec=None, rec_flags=None)
+    if pathways != "reconstruction":
+        s.clf, s.b, s.z = clf, b, b.any(axis=1)
+    if pathways != "classifier":
+        s.rec, s.rec_flags = rec, rec > 1.0
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    report.emit_csv(*cli.score_table(s), new)
+    report.emit_csv(*_old_score_table(s), old)
+    assert new.read_bytes() == old.read_bytes()
 
 
 def test_unknown_decoder_activation_fails_at_config_time(tmp_path, capsys):

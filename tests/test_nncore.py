@@ -198,6 +198,33 @@ def test_recording_and_non_recording_forwards_agree_bitwise():
     assert kept.tobytes() == lean.tobytes()
 
 
+@pytest.mark.parametrize("rows, d_in, d_out, activation", [
+    (400, 24, 196, "sigmoid"), (64, 196, 68, "relu"), (500, 16, 8, "relu"),
+    (9, 8, 7, "softmax"), (1, 4, 1, "sigmoid"), (200, 8, 7, "identity")])
+def test_stacked_forward_is_each_pass_forward_bitwise(rows, d_in, d_out, activation):
+    dense = nn.DenseLayer.init(nn.make_rng(12), d_in, d_out, activation)
+    x = nn.make_rng(13).normal(0.0, 1.0, (5, rows, d_in))
+    stacked = dense.forward(x, record=False)
+    assert stacked.shape == (5, rows, d_out)
+    for k in range(5):
+        assert stacked[k].tobytes() == dense.forward(x[k], record=False).tobytes()
+
+    dropout = nn.DropoutLayer(0.3)
+    stacked = dropout.forward(x, nn.make_rng(14), stochastic=True, record=False)
+    rng = nn.make_rng(14)
+    for k in range(5):
+        passed = dropout.forward(x[k], rng, stochastic=True, record=False)
+        assert stacked[k].tobytes() == passed.tobytes()
+
+
+def test_recording_forward_rejects_a_pass_stack():
+    x = nn.make_rng(15).normal(0.0, 1.0, (2, 4, 3))
+    with pytest.raises(ValueError, match="2-D"):
+        nn.DenseLayer.init(nn.make_rng(16), 3, 2, "relu").forward(x)
+    with pytest.raises(ValueError, match="2-D"):
+        nn.DropoutLayer(0.5).forward(x, nn.make_rng(17), stochastic=True)
+
+
 # ---------------------------------------------------------------------------
 # losses
 

@@ -213,23 +213,51 @@ def _plain_welford(samples):
     return mean, np.maximum(m2, 0.0) / len(samples)
 
 
-@pytest.mark.parametrize("dropout", [0.0, 0.3])
-@pytest.mark.parametrize("n_classes, decoder_activation", [(2, "identity"), (7, "sigmoid")])
-def test_mc_moments_and_sample_equal_the_plain_loop_bitwise(n_classes, decoder_activation,
-                                                            dropout):
-    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, n_classes=n_classes,
-                      dropout_rate=dropout, decoder_activation=decoder_activation, rng_seed=3)
-    x = nncore.make_rng(25).normal(0, 1, (9, 6))
-    got = unc.mc_moments(net, x, 6, nncore.make_rng(26))
-    clf, rec = _plain_passes(net, x, 6, nncore.make_rng(26))
+# keyed by head classes and decoder activation, or by the dataset whose
+# layer shapes they take
+_SHAPES = {
+    "2-identity": dict(input_dim=6, latent_dim=2, n_classes=2),
+    "7-sigmoid": dict(input_dim=6, latent_dim=2, n_classes=7, decoder_activation="sigmoid"),
+    "chiller": dict(input_dim=7, latent_dim=4, hidden_widths=[16, 8, 4], head_widths=[8, 8],
+                    n_classes=7),
+    "mnist": dict(input_dim=196, latent_dim=8, hidden_widths=[68, 24, 8], head_widths=[8, 8],
+                  n_classes=5, decoder_activation="sigmoid"),
+}
+
+# (rows, T, passes per block): None keeps the module's budget, which puts
+# these batches in one block; 4 sets it to blocks of 4 passes (4, 4, 3 and
+# 4, 4, 1: the last block of one runs the 2-D layers); 1 runs pass by pass
+_BLOCKINGS = {
+    "one block": (9, 6, None),
+    "blocks of 4 then 3": (9, 11, 4),
+    "blocks of 4 then 1": (9, 9, 4),
+    "pass by pass": (9, 6, 1),
+    "one row": (1, 7, None),
+}
+
+
+@pytest.mark.parametrize("shape, dropout, blocking", [
+    pytest.param(shape, dropout, blocking,
+                 id=f"{shape}-{dropout}" + ("" if blocking == "one block" else f"-{blocking}"))
+    for shape in _SHAPES for dropout in (0.0, 0.3) for blocking in _BLOCKINGS])
+def test_mc_moments_and_sample_equal_the_plain_loop_bitwise(shape, dropout, blocking,
+                                                            monkeypatch):
+    net = model.build(ModelKind.AUGMENTED, dropout_rate=dropout, rng_seed=3, **_SHAPES[shape])
+    rows, t, per_block = _BLOCKINGS[blocking]
+    if per_block is not None:
+        monkeypatch.setattr(unc, "PASS_BLOCK_BUDGET",
+                            per_block * rows * unc._pass_layout(net)[1])
+    x = nncore.make_rng(25).normal(0, 1, (rows, net.input_dim))
+    got = unc.mc_moments(net, x, t, nncore.make_rng(26))
+    clf, rec = _plain_passes(net, x, t, nncore.make_rng(26))
     rec_sum = 0.0
     for r in rec:
         rec_sum = rec_sum + r
-    for a, b in zip(got, (*_plain_welford(clf), rec_sum / 6)):
+    for a, b in zip(got, (*_plain_welford(clf), rec_sum / t)):
         assert a.tobytes() == b.tobytes()
 
-    kept = unc.mc_sample(net, x[0], 6, nncore.make_rng(27))
-    for pred, samples in zip(kept, _plain_passes(net, x[:1], 6, nncore.make_rng(27))):
+    kept = unc.mc_sample(net, x[0], t, nncore.make_rng(27))
+    for pred, samples in zip(kept, _plain_passes(net, x[:1], t, nncore.make_rng(27))):
         samples = np.concatenate(samples)
         mean, var = _plain_welford(samples)
         assert pred.samples.tobytes() == samples.tobytes()
@@ -267,9 +295,37 @@ def test_first_encoder_layer_runs_once_per_mc_call():
         layer.forward = counted
     x = nncore.make_rng(23).normal(0, 1, (5, 6))
     unc.mc_moments(net, x, 12, nncore.make_rng(24))
-    assert calls == [1, 12, 12]
+    assert calls == [1, 1, 1]
     unc.mc_sample(net, x[0], 7, nncore.make_rng(24))
-    assert calls == [2, 19, 19]
+    assert calls == [2, 2, 2]
+
+
+def test_mc_moments_peaks_within_the_block_budget_plus_one_pass():
+    # a thyroid-shaped augmented net on one 500-row request at T = 100
+    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, hidden_widths=[16, 8, 2],
+                      head_widths=[8], n_classes=2, rng_seed=0)
+    x = nncore.make_rng(30).normal(0, 1, (500, 6))
+    tracemalloc.start()
+    try:
+        unc.mc_moments(net, x, 100, nncore.make_rng(31))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (unc.PASS_BLOCK_BUDGET + len(x) * unc._pass_layout(net)[1])
+
+
+def test_block_uniforms_are_the_sequential_draws_and_raise_out_of_step():
+    source = unc._BlockUniforms(nncore.make_rng(32), 3, 4, [5, 2])
+    first, second = source.random((3, 4, 5)), source.random((3, 4, 2))
+    rng = nncore.make_rng(32)
+    for k in range(3):
+        assert first[k].tobytes() == rng.random((4, 5)).tobytes()
+        assert second[k].tobytes() == rng.random((4, 2)).tobytes()
+    with pytest.raises(RuntimeError, match="out of step"):
+        source.random((3, 4, 2))  # every view is handed out
+    source = unc._BlockUniforms(nncore.make_rng(32), 3, 4, [5, 2])
+    with pytest.raises(RuntimeError, match="out of step"):
+        source.random((3, 4, 2))  # the first layer's draw is (3, 4, 5)
 
 
 def test_mc_sample_is_the_moments_loop_with_samples_kept():
