@@ -37,9 +37,11 @@ import argparse
 import csv
 import functools
 import hashlib
+import itertools
 import os
 import sys
 import typing
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -228,41 +230,50 @@ def _read_input_csv(path) -> np.ndarray:
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"input file not found: {path}")
+    values = array("d")  # the feature cells of every data row, flat
+    problem = None  # the first bad row, reported once the whole file read as CSV
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            rows = (row for row in csv.reader(fh) if row)
+            header = next(rows, None)
+            if header is None:
+                raise ConfigError(f"{path}: no rows")
+            try:
+                [float(tok) for tok in header]
+                headerless = True
+            except ValueError:
+                headerless = False
+            feature_cols = [i for i, name in enumerate(header)
+                            if name.startswith("feature_")]
+            if headerless or not feature_cols:
+                feature_cols = list(range(len(header)))
+
+            def column(j: int) -> str:
+                return (f"column {j + 1}" if headerless
+                        else f"column {header[feature_cols[j]]!r}")
+
+            body = itertools.chain([header], rows) if headerless else rows
+            for r, row in enumerate(body, 1):
+                if problem is not None:
+                    continue
+                if len(row) != len(header):
+                    problem = (f"data row {r} has {len(row)} cells, expected "
+                               f"{len(header)} like "
+                               f"{'the first row' if headerless else 'the header'}")
+                    continue
+                for j, i in enumerate(feature_cols):
+                    try:
+                        values.append(float(row[i]))
+                    except ValueError:
+                        problem = f"non-numeric value {row[i]!r} in data row {r}, {column(j)}"
+                        break
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: unreadable CSV: {exc}") from None
-    if not rows:
-        raise ConfigError(f"{path}: no rows")
-    header = rows[0]
-    try:
-        [float(tok) for tok in header]
-        headerless = True
-    except ValueError:
-        headerless = False
-    feature_cols = [i for i, name in enumerate(header) if name.startswith("feature_")]
-    if headerless or not feature_cols:
-        feature_cols = list(range(len(header)))
-    body = rows if headerless else rows[1:]
-
-    def column(j: int) -> str:
-        return f"column {j + 1}" if headerless else f"column {header[feature_cols[j]]!r}"
-
-    x = np.empty((len(body), len(feature_cols)))
-    for r, row in enumerate(body):
-        if len(row) != len(header):
-            raise ConfigError(
-                f"{path}: data row {r + 1} has {len(row)} cells, expected {len(header)} "
-                f"like {'the first row' if headerless else 'the header'}")
-        for j, i in enumerate(feature_cols):
-            try:
-                x[r, j] = float(row[i])
-            except ValueError:
-                raise ConfigError(f"{path}: non-numeric value {row[i]!r} in data row "
-                                  f"{r + 1}, {column(j)}") from None
-    if x.size == 0:
+    if problem is not None:
+        raise ConfigError(f"{path}: {problem}")
+    if not values:
         raise ConfigError(f"{path}: no data rows")
+    x = np.frombuffer(values).reshape(-1, len(feature_cols))
     bad = np.argwhere(~np.isfinite(x))
     if len(bad):
         row, col = bad[0]

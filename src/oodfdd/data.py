@@ -19,6 +19,7 @@ import gzip
 import math
 import os
 import struct
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +37,9 @@ THYROID_SUBNORMAL_RANGE = (0.55, 0.80)
 
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
+# images decoded, scaled and pooled per block, so the float64 temporaries
+# stay a block's size whatever the file's
+MNIST_DECODE_BLOCK = 256
 
 
 @dataclass
@@ -123,7 +127,8 @@ def load_thyroid(path) -> LabeledDataset:
     balance is verified against the dataset's documented proportions; a
     mismatch raises rather than silently proceeding.
     """
-    rows, codes = [], []
+    values = array("d")  # every row's features, flat
+    codes = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             tokens = line.split()
@@ -135,19 +140,19 @@ def load_thyroid(path) -> LabeledDataset:
                     f"got {len(tokens)}"
                 )
             try:
-                values = [float(tok) for tok in tokens[:-1]]
+                row = [float(tok) for tok in tokens[:-1]]
                 code = int(tokens[-1])
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: non-numeric value") from exc
-            if not all(map(math.isfinite, values)):
+            if not all(map(math.isfinite, row)):
                 raise ValueError(f"{path} line {lineno}: non-finite value")
             if code not in (1, 2, 3):
                 raise ValueError(f"{path} line {lineno}: unknown class code {code}")
-            rows.append(values)
+            values.extend(row)
             codes.append(code)
-    if not rows:
+    if not codes:
         raise ValueError(f"{path}: empty file")
-    raw = np.asarray(rows, dtype=np.float64)
+    raw = np.frombuffer(values, dtype=np.float64).reshape(len(codes), THYROID_N_COLS)
     codes = np.asarray(codes)
 
     binary_cols = [j for j in range(THYROID_N_COLS) if j not in THYROID_CONTINUOUS_COLS]
@@ -270,21 +275,30 @@ def load_mnist(
         raise ValueError(f"digit sets overlap: {sorted(overlap)}")
 
     fault_order = {d: k + 1 for k, d in enumerate(sorted(fault_digits))}
-    keep = np.isin(labels, [normal_digit, *fault_digits, *unknown_digits])
-    images, labels = images[keep], labels[keep]
+    keep = np.flatnonzero(np.isin(labels, [normal_digit, *fault_digits, *unknown_digits]))
+    labels = labels[keep]
 
-    pooled = avg_pool2(images.astype(np.float64) / 255.0)
-    x = pooled.reshape(len(pooled), -1)
-    y = np.zeros(len(labels), dtype=np.int64)
-    group = np.empty(len(labels), dtype=object)
-    for i, digit in enumerate(labels):
+    # decode, scale and pool block by block straight into the feature matrix;
+    # one empty block still runs the pooling's dimension check
+    _, h, w = images.shape
+    x = np.empty((len(keep), (h // 2) * (w // 2)))
+    for start in range(0, max(len(keep), 1), MNIST_DECODE_BLOCK):
+        rows = keep[start:start + MNIST_DECODE_BLOCK]
+        block = images[rows].astype(np.float64)
+        block /= 255.0
+        x[start:start + len(rows)] = avg_pool2(block).reshape(len(rows), -1)
+
+    label_of = np.zeros(256, dtype=np.int64)
+    tag_of = np.empty(256, dtype=object)
+    for digit in np.unique(labels).tolist():
         if digit == normal_digit:
-            group[i] = "normal"
+            tag_of[digit] = "normal"
         elif digit in fault_order:
-            y[i] = fault_order[digit]
-            group[i] = f"fault:{fault_order[digit]}"
+            label_of[digit] = fault_order[digit]
+            tag_of[digit] = f"fault:{fault_order[digit]}"
         else:
-            group[i] = "unknown"
+            tag_of[digit] = "unknown"
+    y, group = label_of[labels], tag_of[labels]
     return LabeledDataset(X=x, y=y, group=group.astype(str))
 
 

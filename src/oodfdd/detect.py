@@ -68,7 +68,8 @@ def rec_anomaly_scores(mu_rec: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if mu_rec.shape != x.shape or mu_rec.ndim != 2:
         raise ValueError(f"shape mismatch: {mu_rec.shape} vs {x.shape}")
-    return np.mean((mu_rec - x) ** 2, axis=1)
+    err = np.subtract(mu_rec, x)
+    return np.square(err, out=err).mean(axis=1)
 
 
 def calibrate_thresholds(

@@ -12,8 +12,8 @@ pre-activation and output, a dropout layer's mask) unless it is called with
 not record raises instead of reusing stale state.
 
 The hot kernels write into buffers they own instead of building
-temporaries: relu into its pre-activation, the sigmoid and the dense bias
-add into their outputs, softmax's exp and divide into its shifted logits,
+temporaries: relu and the sigmoid into their pre-activation, the dense bias
+add into the matmul's output, softmax's exp and divide into its shifted logits,
 the dropout mask into its uniform draw (and, without recording, the
 dropped-out output into the mask), and the Adam update into scratch arrays.
 A stack's backward pass can skip the gradient w.r.t. its input when nothing
@@ -80,19 +80,21 @@ def as_matrix(x: np.ndarray, stacked: bool = False) -> np.ndarray:
 # activations
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function that never overflows.
 
     With e = exp(-|x|), returns 1/(1+e) where x >= 0 and e/(1+e) elsewhere
     (NaN included): per element the arithmetic of splitting by sign, in two
-    input-sized buffers plus the sign mask.
+    input-sized buffers plus the sign mask.  The result goes to `out`, which
+    may be `x` itself; the mask is taken before `out` is written.
     """
-    out = np.abs(x)
+    nonneg = x >= 0
+    out = np.abs(x, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     denom = out + 1.0
     np.divide(out, denom, out=out)
-    np.divide(1.0, denom, out=out, where=x >= 0)
+    np.divide(1.0, denom, out=out, where=nonneg)
     return out
 
 
@@ -114,14 +116,15 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 
 def _activate(name: str, pre: np.ndarray) -> np.ndarray:
-    """The activation of `pre`; relu overwrites `pre` with its output, which
-    keeps its backward exact because pre > 0 wherever out > 0."""
+    """The activation of `pre`; relu and sigmoid overwrite `pre` with their
+    output.  Their backward stays exact: relu's because pre > 0 wherever
+    out > 0, sigmoid's because it reads only the output."""
     if name == "identity":
         return pre
     if name == "relu":
         return np.maximum(0.0, pre, out=pre)
     if name == "sigmoid":
-        return sigmoid(pre)
+        return sigmoid(pre, out=pre)
     if name == "softmax":
         return softmax(pre)
     raise ValueError(f"unknown activation {name!r}")

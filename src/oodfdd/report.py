@@ -10,7 +10,6 @@ deterministic functions of their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -144,6 +143,12 @@ def emit_csv(header, rows, path) -> None:
             fh.write(",".join(cell(v) for v in row) + "\n")
 
 
+def _escape(text: str) -> str:
+    """XML character data with &, < and > as entities: the bytes of
+    xml.sax.saxutils.escape, whose import would load urllib and http."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def emit_scatter_svg(points: np.ndarray, labels, path, title: str = "") -> None:
     """Static SVG 1.1 scatter with per-class colors and a legend.
 
@@ -170,7 +175,7 @@ def emit_scatter_svg(points: np.ndarray, labels, path, title: str = "") -> None:
     if title:
         parts.append(
             f'<text x="{width // 2}" y="30" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="16">{_escape(title)}</text>'
         )
 
     classes = sorted({str(v) for v in labels.tolist()}) if points.size else []
@@ -203,7 +208,7 @@ def emit_scatter_svg(points: np.ndarray, labels, path, title: str = "") -> None:
         )
         parts.append(
             f'<text x="{width - margin - 115}" y="{y}" font-family="sans-serif" '
-            f'font-size="12">{escape(c)}</text>'
+            f'font-size="12">{_escape(c)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w") as fh:

@@ -8,6 +8,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import typing
 from types import SimpleNamespace
 
@@ -739,6 +741,18 @@ def test_report_takes_seed_and_t_samples_from_the_archive(tmp_path, thyroid_dir,
     assert rc == cli.EXIT_BAD_CONFIG
     assert "t_samples 7 was given" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def test_importing_the_cli_loads_no_network_or_xml_modules():
+    # xml.sax.saxutils pulls in urllib.request, http.client, ssl and email
+    heavy = ["ssl", "http.client", "urllib.request", "email", "xml.sax"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, oodfdd.cli; "
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_read_input_csv_variants(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for dataset loading, generation, splitting, and standardization."""
 
 import gzip
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,84 @@ def test_mnist_rejects_overlapping_digit_sets(mnist_dir):
             mnist_dir / "train-labels-idx1-ubyte",
             fault_digits=(0, 5),
         )
+
+
+def _load_mnist_whole_array(images_path, labels_path, normal_digit=0,
+                            fault_digits=(5, 6, 8, 9), unknown_digits=(1, 2, 3, 4, 7)):
+    """The loader as one whole-file expression and a per-row tag loop: the
+    reference the block-wise decode must equal bit for bit."""
+    images, labels = data.read_idx(images_path), data.read_idx(labels_path)
+    keep = np.isin(labels, [normal_digit, *fault_digits, *unknown_digits])
+    images, labels = images[keep], labels[keep]
+    pooled = data.avg_pool2(images.astype(np.float64) / 255.0)
+    fault_order = {d: k + 1 for k, d in enumerate(sorted(fault_digits))}
+    y = np.zeros(len(labels), dtype=np.int64)
+    group = np.empty(len(labels), dtype=object)
+    for i, digit in enumerate(labels):
+        if digit == normal_digit:
+            group[i] = "normal"
+        elif digit in fault_order:
+            y[i] = fault_order[digit]
+            group[i] = f"fault:{fault_order[digit]}"
+        else:
+            group[i] = "unknown"
+    return pooled.reshape(len(pooled), -1), y, group.astype(str)
+
+
+def _assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+B = data.MNIST_DECODE_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("digits", [
+    {},
+    {"normal_digit": 3, "fault_digits": (7, 1), "unknown_digits": (9,)},
+], ids=["all-digits", "filtered"])
+def test_mnist_blocks_equal_the_whole_array_expression_bitwise(tmp_path, n, digits):
+    rng = nncore.make_rng(n)
+    images = rng.integers(0, 256, (n, 28, 28)).astype(np.uint8)
+    images[0] = (0, 255)[n % 2]  # the ends of the pixel range
+    labels = rng.integers(0, 10, n).astype(np.uint8)
+    labels[0] = digits.get("normal_digit", 0)  # every file keeps a row
+    data.write_idx_images(tmp_path / "imgs", images)
+    data.write_idx_labels(tmp_path / "labs", labels)
+    ds = data.load_mnist(tmp_path / "imgs", tmp_path / "labs", **digits)
+    x, y, group = _load_mnist_whole_array(tmp_path / "imgs", tmp_path / "labs", **digits)
+    for got, want in ((ds.X, x), (ds.y, y), (ds.group, group)):
+        _assert_same_array(got, want)
+
+
+def test_mnist_rejects_odd_image_sides_with_no_row_kept(tmp_path):
+    data.write_idx_images(tmp_path / "imgs", np.zeros((2, 7, 7), dtype=np.uint8))
+    data.write_idx_labels(tmp_path / "labs", np.array([4, 4], dtype=np.uint8))
+    with pytest.raises(ValueError, match="not divisible by 2"):
+        data.load_mnist(tmp_path / "imgs", tmp_path / "labs", unknown_digits=())
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loaders_peak_memory_stays_near_their_output(tmp_path):
+    # the default 4000-image surrogate: a whole-file float64 decode peaked at
+    # 34.5 MB, the block-wise one at 12.9 MB, above its 6.3 MB output
+    paths = data.write_mnist_surrogate(tmp_path, n_test_per_digit=1)
+    peak = _traced_peak(lambda: data.load_mnist(paths["train-images"],
+                                                paths["train-labels"]))
+    assert peak < 16e6
+    # thyroid's 3772 training lines: per-row lists of Python floats peaked at
+    # 4.6 MB, one flat array of doubles at 1.7 MB
+    path = data.write_thyroid_surrogate(tmp_path)["ann-train.data"]
+    assert _traced_peak(lambda: data.load_thyroid(path)) < 3.5e6
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,14 @@ def test_rec_scores_batch():
     assert np.allclose(detect.rec_anomaly_scores(mu, x), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("shape", [(1280, 196), (10200, 7), (500, 21), (3, 1)])
+def test_rec_anomaly_scores_bitwise_equal_the_plain_expression(shape):
+    rng = nncore.make_rng(shape[0])
+    mu, x = rng.normal(0.0, 3.0, shape), rng.normal(0.0, 3.0, shape)
+    want = np.mean((mu - x) ** 2, axis=1)
+    assert detect.rec_anomaly_scores(mu, x).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # calibration
 

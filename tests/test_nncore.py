@@ -66,9 +66,13 @@ def test_sigmoid_bitwise_equals_split_by_sign():
     grid = np.array([sign * v for v in edges for sign in (1.0, -1.0)] + [np.nan])
     noise = nn.make_rng(4).normal(0.0, 20.0, (40, 7))
     for x in (grid, grid.reshape(1, -1), noise, noise[:, ::2]):
+        before = x.copy()
         got = nn.sigmoid(x)
         assert got.shape == x.shape and got.dtype == np.float64
         assert _hex(got) == _hex(_split_by_sign_sigmoid(x))
+        assert _hex(x) == _hex(before)  # without out, the input is untouched
+        assert nn.sigmoid(before, out=before) is before  # in place: same bits
+        assert _hex(before) == _hex(got)
     assert _hex(nn.sigmoid(grid[:2])) == [(0.5).hex()] * 2  # +0.0 and -0.0
 
 

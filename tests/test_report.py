@@ -1,5 +1,6 @@
 """Tests for LDA projection, score matrices, and figure/table emitters."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -139,6 +140,25 @@ def test_scatter_svg_deterministic_and_wellformed(tmp_path):
     assert root.tag.endswith("svg")
     legend = [e for e in root.iter() if e.get("class") == "legend"]
     assert len(legend) == 3
+
+
+def test_scatter_svg_escapes_markup_in_title_and_labels(tmp_path):
+    path = tmp_path / "esc.svg"
+    points = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]])
+    report.emit_scatter_svg(points, np.array(["a&b", "<c>", "\"d'e"]), path,
+                            title="x & <y> \"z\" 'w'")
+    raw = path.read_bytes()
+    # &, < and > become entities; quotes stay as they are in character data
+    for line in (b'font-size="16">x &amp; &lt;y&gt; "z" \'w\'</text>',
+                 b'font-size="12">"d\'e</text>', b'font-size="12">&lt;c&gt;</text>',
+                 b'font-size="12">a&amp;b</text>'):
+        assert line in raw
+    # the whole file as xml.sax.saxutils.escape wrote it
+    assert hashlib.sha256(raw).hexdigest() == (
+        "5d6ec3fe5f7789f9213febdcdff4bb8d062ddf6d28a2c3b0eadadce0e7ffdbeb")
+    root = ET.parse(path).getroot()
+    assert [e.text for e in root.iter() if e.tag.endswith("text")] == [
+        "x & <y> \"z\" 'w'", "\"d'e", "<c>", "a&b"]
 
 
 def test_scatter_svg_empty_set_is_valid(tmp_path):
