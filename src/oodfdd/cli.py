@@ -462,8 +462,10 @@ def main(argv=None) -> int:
         args = make_parser().parse_args(argv)
         cfg = build_config(args)
         # overflow, division by zero and invalid operations raise
-        # FloatingPointError (exit 4) whatever the warning filters are
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        # FloatingPointError (exit 4) whatever the warning filters are; one
+        # BLAS thread makes the outputs the same under any thread setting
+        with (np.errstate(over="raise", divide="raise", invalid="raise"),
+              experiments.one_blas_thread()):
             return args.fn(cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

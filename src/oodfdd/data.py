@@ -257,7 +257,8 @@ def load_mnist(
     Pixels are scaled to [0,1] and downscaled by 2x2 average pooling; the
     normal digit becomes label 0, fault digits get labels 1.. in sorted
     order, unknown digits keep placeholder label 0 under the unknown tag.
-    Digits in none of the three sets are dropped.
+    Digits in none of the three sets are dropped; a file with no digit in
+    any set is a ValueError.
     """
     images = read_idx(images_path)
     if images.ndim != 3:
@@ -277,12 +278,16 @@ def load_mnist(
     fault_order = {d: k + 1 for k, d in enumerate(sorted(fault_digits))}
     keep = np.flatnonzero(np.isin(labels, [normal_digit, *fault_digits, *unknown_digits]))
     labels = labels[keep]
+    if not len(keep):
+        avg_pool2(images[:0])  # odd image sides are reported first
+        raise ValueError(f"{labels_path}: no label is the normal digit {normal_digit}, "
+                         f"a fault digit {sorted(fault_digits)} or an unknown digit "
+                         f"{sorted(unknown_digits)}")
 
-    # decode, scale and pool block by block straight into the feature matrix;
-    # one empty block still runs the pooling's dimension check
+    # decode, scale and pool block by block straight into the feature matrix
     _, h, w = images.shape
     x = np.empty((len(keep), (h // 2) * (w // 2)))
-    for start in range(0, max(len(keep), 1), MNIST_DECODE_BLOCK):
+    for start in range(0, len(keep), MNIST_DECODE_BLOCK):
         rows = keep[start:start + MNIST_DECODE_BLOCK]
         block = images[rows].astype(np.float64)
         block /= 255.0

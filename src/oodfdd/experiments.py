@@ -20,13 +20,18 @@ own `derive_rng` streams. So `train_models` and `evaluate_models` each run
 in two lanes (`_in_lanes`): this process handles the augmented model, the
 longest job, while one forked worker runs the classifier and autoencoder
 jobs in MODEL_ORDER and sends back only their results. Two lanes are used
-when this process may run on at least two CPUs, the platform can fork and
-numpy's BLAS runs one thread (`_lane_count`); otherwise the same jobs run
-here one after another. Either way the results are bitwise the same.
+when this process may run on at least two CPUs and the platform can fork
+(`_lane_count`); otherwise the same jobs run here one after another.
+Either way the results are bitwise the same.
+
+`run_experiment` runs under `one_blas_thread`, as every CLI command does,
+so a seed gives the same outputs whatever `OPENBLAS_NUM_THREADS` says; the
+worker lane inherits the setting through the fork.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import math
@@ -359,22 +364,17 @@ def evaluate_models(nets: dict, train_ds: data.LabeledDataset,
 
 
 def _lane_count() -> int:
-    """2 when this process may run on two CPUs, the platform can fork and
-    numpy's BLAS runs one thread; else 1.
-
-    With a BLAS thread pool in each lane, two lanes overload the CPUs and
-    run slower than one; capping the pools instead would change the
-    outputs, because OpenBLAS results depend on its thread count.
-    """
+    """2 when this process may run on two CPUs and the platform can fork; else 1."""
     import multiprocessing
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     can_fork = "fork" in multiprocessing.get_all_start_methods()
-    return 2 if cpus >= 2 and can_fork and _blas_threads() in (1, None) else 1
+    return 2 if cpus >= 2 and can_fork else 1
 
 
-def _blas_threads() -> int | None:
-    """Threads numpy's OpenBLAS runs, or None for another BLAS."""
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of numpy's OpenBLAS thread count, or None for another BLAS."""
     import ctypes
     import sys
 
@@ -383,13 +383,37 @@ def _blas_threads() -> int | None:
     if umath is None:
         return None
     lib = ctypes.CDLL(umath.__file__)  # its symbol lookup covers the BLAS it links
-    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
-        get = getattr(lib, name, None)
-        if get is not None:
-            get.restype = ctypes.c_int
-            return int(get())
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
     return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS at one thread; restore its count after.
+
+    OpenBLAS results depend on its thread count, and layers at most 196
+    wide gain nothing from threads, so one thread is the only count the
+    library runs.  Another BLAS (MKL, BLIS; threadpoolctl covers those) is
+    left alone.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _in_lanes(jobs: dict) -> dict:
@@ -494,14 +518,15 @@ def _dataset_files(root: str, *names: str, gz: bool = False) -> list:
 
 
 def run_experiment(cfg: ExperimentConfig, data_dir: str | None = None) -> ExperimentResult:
-    """The protocol of the module docstring on cfg.dataset."""
-    train_ds, eval_ds = load_dataset_pair(cfg, data_dir)
-    nets = train_models(cfg, train_ds)
-    if cfg.dataset == "mnist":
-        ambiguous = _make_ambiguous(nets["augmented"], eval_ds, cfg)
-        if ambiguous is not None:
-            eval_ds = data.concat(eval_ds, ambiguous)
-    evals = evaluate_models(nets, train_ds, eval_ds, cfg)
+    """The protocol of the module docstring on cfg.dataset, at one BLAS thread."""
+    with one_blas_thread():
+        train_ds, eval_ds = load_dataset_pair(cfg, data_dir)
+        nets = train_models(cfg, train_ds)
+        if cfg.dataset == "mnist":
+            ambiguous = _make_ambiguous(nets["augmented"], eval_ds, cfg)
+            if ambiguous is not None:
+                eval_ds = data.concat(eval_ds, ambiguous)
+        evals = evaluate_models(nets, train_ds, eval_ds, cfg)
     extras = {}
     if cfg.dataset == "chiller-surrogate":
         extras["severity_detection"] = {name: severity_detection(ev.clf_flags, eval_ds.group)

@@ -14,8 +14,8 @@ On small batches the cost of a layer call outweighs its arithmetic, so the
 passes run in blocks stacked along a leading axis, one layer call per
 block, as many passes to a block as PASS_BLOCK_BUDGET allows.  A block
 draws its dropout uniforms in pass order and each pass is bitwise the pass
-run alone; a batch too large for two passes in the budget runs pass by
-pass on 2-D arrays, as a block of one pass does.
+run alone; a batch too large for two passes in the budget runs in blocks
+of one pass, which draw layer by layer.
 
 The passes run their layers with `record=False`: no layer keeps its input,
 pre-activation, output or dropout mask for a backward pass that inference
@@ -174,11 +174,12 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
 
     Passes run in blocks of B stacked along a leading axis, one layer call
     per block, with B as large as PASS_BLOCK_BUDGET allows for the rows'
-    layer outputs and draws.  The draws are taken in pass order
-    (`_BlockUniforms`), and each pass's outputs are yielded as views, in
-    order, bitwise those of a pass run alone.  A block of one pass runs the
-    2-D layers on `rng` directly: a block keeps every dropout layer's draws
-    until its pass ends, which on large batches costs memory for no speed.
+    layer outputs and draws.  The draws are taken in pass order, and each
+    pass's outputs are yielded as views, in order, bitwise those of a pass
+    run alone.  A block of several passes takes its draws in one call
+    (`_BlockUniforms`), which holds them all until the block ends; a block
+    of one pass draws from `rng` layer by layer, so on large batches each
+    draw is freed once its layer has used it.
     """
     if t < 2:
         raise ValueError(f"need at least 2 samples, got {t}")
@@ -190,20 +191,14 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     while done < t:
         b = min(block, t - done)
         done += b
-        if b == 1:
-            source, h = rng, first
-        else:
-            source = _BlockUniforms(rng, b, rows, draws) if draws else None
-            h = np.broadcast_to(first, (b, *first.shape))
+        source = rng if b == 1 or not draws else _BlockUniforms(rng, b, rows, draws)
+        h = np.broadcast_to(first, (b, *first.shape))
         h = net.encoder.forward(h, source, stochastic=True, start=1, record=False)
         clf = None if net.head is None else net.head.forward(h, record=False)
         rec = None if net.decoder is None else net.decoder.forward(h, record=False)
         del h  # the latent may be a view of the block's draws: free them now
-        if b == 1:
-            yield clf, rec
-        else:
-            for k in range(b):
-                yield (None if clf is None else clf[k], None if rec is None else rec[k])
+        for k in range(b):
+            yield (None if clf is None else clf[k], None if rec is None else rec[k])
 
 
 def mc_moments(

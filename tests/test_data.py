@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oodfdd import data, experiments, model, nncore
+from oodfdd import cli, data, experiments, model, nncore
 from oodfdd.model import ModelKind
 
 
@@ -244,6 +244,30 @@ def test_mnist_rejects_odd_image_sides_with_no_row_kept(tmp_path):
     data.write_idx_labels(tmp_path / "labs", np.array([4, 4], dtype=np.uint8))
     with pytest.raises(ValueError, match="not divisible by 2"):
         data.load_mnist(tmp_path / "imgs", tmp_path / "labs", unknown_digits=())
+
+
+def test_mnist_rejects_a_file_with_no_digit_in_any_set(tmp_path):
+    data.write_idx_images(tmp_path / "imgs", np.zeros((1, 28, 28), dtype=np.uint8))
+    data.write_idx_labels(tmp_path / "labs", np.array([2], dtype=np.uint8))
+    with pytest.raises(ValueError) as info:
+        data.load_mnist(tmp_path / "imgs", tmp_path / "labs",
+                        normal_digit=3, fault_digits=(1,), unknown_digits=())
+    message = str(info.value)
+    assert str(tmp_path / "labs") in message
+    assert "normal digit 3" in message and "[1]" in message and "[]" in message
+
+
+def test_cli_exits_3_on_mnist_files_with_no_digit_in_any_set(tmp_path, capsys):
+    # a label of 10 is in none of the default digit sets
+    for split in ("train", "t10k"):
+        data.write_idx_images(tmp_path / f"{split}-images-idx3-ubyte",
+                              np.zeros((1, 28, 28), dtype=np.uint8))
+        data.write_idx_labels(tmp_path / f"{split}-labels-idx1-ubyte",
+                              np.array([10], dtype=np.uint8))
+    rc = cli.main(["compare", "--dataset", "mnist", "--data-dir", str(tmp_path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_BAD_CONFIG
+    assert "train-labels-idx1-ubyte: no label is the normal digit 0" in capsys.readouterr().err
 
 
 def _traced_peak(fn) -> int:

@@ -6,9 +6,12 @@ acceptance suite.
 """
 
 import dataclasses
+import hashlib
 import multiprocessing
 import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -363,17 +366,14 @@ def test_two_lanes_equal_one_lane_bitwise(request, monkeypatch, run, data_fixtur
     assert multiprocessing.active_children() == []
 
 
-def test_two_lanes_need_two_cpus_fork_and_one_blas_thread(monkeypatch):
+def test_two_lanes_need_two_cpus_and_fork(monkeypatch):
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    monkeypatch.setattr(experiments, "_blas_threads", lambda: 1)
-    can_fork = "fork" in multiprocessing.get_all_start_methods()
-    assert experiments._lane_count() == (2 if can_fork else 1)
-    monkeypatch.setattr(experiments, "_blas_threads", lambda: None)
-    assert experiments._lane_count() == (2 if can_fork else 1)
-    monkeypatch.setattr(experiments, "_blas_threads", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+    assert experiments._lane_count() == 2
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert experiments._lane_count() == 1
-    monkeypatch.setattr(experiments, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0})
     assert experiments._lane_count() == 1
 
@@ -406,6 +406,83 @@ def test_worker_error_reaches_the_caller(monkeypatch, thyroid_dir, tmp_path, cap
     assert rc == cli.EXIT_NUMERIC
     assert "autoencoder loss diverged" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
+
+
+needs_openblas = pytest.mark.skipif(experiments._openblas_thread_calls() is None,
+                                    reason="numpy's BLAS is not OpenBLAS")
+
+
+def _report_blas_threads():
+    get, _ = experiments._openblas_thread_calls()
+    raise NonFiniteError(f"worker ran {get()} BLAS threads")
+
+
+@needs_openblas
+@needs_fork
+def test_pipelines_run_one_blas_thread_and_restore_the_count(monkeypatch, thyroid_dir,
+                                                             tmp_path):
+    get, set_ = experiments._openblas_thread_calls()
+    original = get()
+    set_(2)
+    try:
+        before = get()
+        _smoke_thyroid(thyroid_dir)
+        assert get() == before
+        assert cli.main(["gen-data", "--dataset", "thyroid",
+                         "--data-dir", str(tmp_path / "d")]) == 0
+        assert get() == before
+
+        monkeypatch.setattr(experiments, "_lane_count", lambda: 2)
+        # the worker inherits the pin through the fork and reports what it ran
+        monkeypatch.setattr(experiments, "train_autoencoder",
+                            _fail_in_worker(os.getpid(), _report_blas_threads))
+        with pytest.raises(NonFiniteError, match="^worker ran 1 BLAS threads$"):
+            _smoke_thyroid(thyroid_dir)
+        assert get() == before
+        rc = cli.main(["compare", "--dataset", "thyroid", "--data-dir", thyroid_dir,
+                       "--epochs", "2", "--pretrain-epochs", "1", "--t-samples", "4",
+                       "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_NUMERIC
+        assert get() == before
+    finally:
+        set_(original)
+    assert multiprocessing.active_children() == []
+
+
+def _digest(result) -> str:
+    """sha256 of every model's parameters and flags."""
+    h = hashlib.sha256()
+    for kind in experiments.MODEL_ORDER:
+        h.update(result.nets[kind].params.tobytes())
+        for flags in (result.evals[kind].clf_flags, result.evals[kind].rec_flags):
+            if flags is not None:
+                h.update(flags.tobytes())
+    return h.hexdigest()
+
+
+_CHILD = """
+import sys
+import test_experiments as t
+from oodfdd import experiments
+get, _ = experiments._openblas_thread_calls()
+print(get(), t._digest(t._smoke_mnist(sys.argv[1])))
+"""
+
+
+@needs_openblas
+def test_a_seed_gives_the_same_outputs_under_any_blas_thread_setting(mnist_dir):
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(experiments.__file__)),
+                            os.path.dirname(os.path.abspath(__file__))])
+    seen = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", _CHILD, mnist_dir], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        count, digest = out.split()
+        seen[count] = digest
+    if "2" not in seen:
+        pytest.skip("OpenBLAS runs at most one thread on this machine")
+    assert seen["1"] == seen["2"]
 
 
 @needs_fork
