@@ -26,7 +26,8 @@ dataset, whose width differs from the archive's input_dim; and a
 `--alpha`, `--t-samples` or `--seed` given to `evaluate`, `score` or
 `report` that differs from the archive's), 4 numeric failure during
 training or evaluation (numpy raises on overflow, division by zero and
-invalid operations in every command), 5 unreadable weight archive (a
+invalid operations in every command, as it does inside every library
+entry point: `nncore.numeric_context`), 5 unreadable weight archive (a
 non-finite parameter or threshold, an invalid calibration record and a
 version-1 archive included).
 """
@@ -49,7 +50,7 @@ import numpy as np
 from . import data, experiments, model, report, train
 from .detect import ThresholdSet
 from .experiments import ExperimentConfig
-from .nncore import NonFiniteError, derive_rng
+from .nncore import NonFiniteError, derive_rng, numeric_context
 from .uncertainty import histogram_table, mc_sample
 
 EXIT_MISSING_DATA = 2
@@ -462,10 +463,9 @@ def main(argv=None) -> int:
         args = make_parser().parse_args(argv)
         cfg = build_config(args)
         # overflow, division by zero and invalid operations raise
-        # FloatingPointError (exit 4) whatever the warning filters are; one
-        # BLAS thread makes the outputs the same under any thread setting
-        with (np.errstate(over="raise", divide="raise", invalid="raise"),
-              experiments.one_blas_thread()):
+        # FloatingPointError (exit 4) whatever the warning filters are, also
+        # in what a command runs outside the library's entry points
+        with numeric_context():
             return args.fn(cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,8 +9,9 @@ predictive-mean reconstruction.  Thresholds are per-channel empirical
 normal training data has false-positive rate about alpha.
 
 `calibrate` and `score` are the one path from a network to thresholds and
-flags; they draw the MC passes through `uncertainty.mc_moments`.  Every
-other function here is pure over its array inputs.
+flags; they draw the MC passes through `uncertainty.mc_moments`, and score
+them, under `nncore.numeric_context`.  Every other function here is pure
+over its array inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PathwayNetwork
-from .nncore import as_matrix, ensure_finite
+from .nncore import as_matrix, ensure_finite, numeric_context
 from .uncertainty import McMoments, mc_moments
 
 MIN_CALIBRATION_EXAMPLES = 50
@@ -144,10 +145,15 @@ class Scores:
     rec_flags: np.ndarray | None = None  # (N,)
 
 
+@numeric_context()
 def mc_scores(
     net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
 ) -> Scores:
-    """Score every pathway of the network on x from one MC sampling."""
+    """Score every pathway of the network on x from one MC sampling.
+
+    Runs under `nncore.numeric_context`, so a reconstruction error that
+    overflows raises FloatingPointError; `calibrate` and `score` inherit it.
+    """
     x = as_matrix(x)
     m = mc_moments(net, x, t, rng)
     return Scores(

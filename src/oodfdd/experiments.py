@@ -24,14 +24,18 @@ when this process may run on at least two CPUs and the platform can fork
 (`_lane_count`); otherwise the same jobs run here one after another.
 Either way the results are bitwise the same.
 
-`run_experiment` runs under `one_blas_thread`, as every CLI command does,
-so a seed gives the same outputs whatever `OPENBLAS_NUM_THREADS` says; the
-worker lane inherits the setting through the fork.
+Every public entry point that trains or draws MC passes runs under
+`nncore.numeric_context`, as every CLI command does: numpy raises
+FloatingPointError on overflow, division by zero and invalid operations,
+and BLAS runs one thread, so a seed gives the same outputs whatever
+`OPENBLAS_NUM_THREADS` says.  `run_experiment`, `train_one`,
+`train_models` and `evaluate_models` enter it here; `calibrate_normals`
+and `score_rows` inherit it from `detect.mc_scores`.  The worker lane
+inherits it through the fork.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import functools
 import math
@@ -52,7 +56,7 @@ from .detect import (
     score,
 )
 from .model import ModelKind, PathwayNetwork, build
-from .nncore import derive_rng
+from .nncore import derive_rng, numeric_context
 from .train import TrainConfig, train_autoencoder, train_classifier, train_joint
 from .uncertainty import (
     EntropyDecomposition,
@@ -310,6 +314,7 @@ def _build_kwargs(cfg: ExperimentConfig, input_dim: int) -> dict:
     )
 
 
+@numeric_context()
 def train_one(cfg: ExperimentConfig, train_ds: data.LabeledDataset):
     """Build and train the configured model kind; returns (net, history)."""
     net = build(ModelKind(cfg.model_kind), **_build_kwargs(cfg, train_ds.X.shape[1]))
@@ -323,6 +328,7 @@ def train_one(cfg: ExperimentConfig, train_ds: data.LabeledDataset):
     return net, history
 
 
+@numeric_context()
 def train_models(cfg: ExperimentConfig, train_ds: data.LabeledDataset) -> dict:
     """Shared-seed builds so all three models start from identical encoders.
 
@@ -347,6 +353,7 @@ def train_models(cfg: ExperimentConfig, train_ds: data.LabeledDataset) -> dict:
     return nets
 
 
+@numeric_context()
 def evaluate_models(nets: dict, train_ds: data.LabeledDataset,
                     eval_ds: data.LabeledDataset, cfg: ExperimentConfig) -> dict:
     """Calibrate each model on the training normals, then evaluate it.
@@ -370,50 +377,6 @@ def _lane_count() -> int:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     can_fork = "fork" in multiprocessing.get_all_start_methods()
     return 2 if cpus >= 2 and can_fork else 1
-
-
-@functools.cache
-def _openblas_thread_calls():
-    """(get, set) of numpy's OpenBLAS thread count, or None for another BLAS."""
-    import ctypes
-    import sys
-
-    umath = (sys.modules.get("numpy._core._multiarray_umath")
-             or sys.modules.get("numpy.core._multiarray_umath"))
-    if umath is None:
-        return None
-    lib = ctypes.CDLL(umath.__file__)  # its symbol lookup covers the BLAS it links
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the body with numpy's OpenBLAS at one thread; restore its count after.
-
-    OpenBLAS results depend on its thread count, and layers at most 196
-    wide gain nothing from threads, so one thread is the only count the
-    library runs.  Another BLAS (MKL, BLIS; threadpoolctl covers those) is
-    left alone.
-    """
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, set_ = calls
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
 
 
 def _in_lanes(jobs: dict) -> dict:
@@ -517,16 +480,16 @@ def _dataset_files(root: str, *names: str, gz: bool = False) -> list:
     return paths
 
 
+@numeric_context()
 def run_experiment(cfg: ExperimentConfig, data_dir: str | None = None) -> ExperimentResult:
-    """The protocol of the module docstring on cfg.dataset, at one BLAS thread."""
-    with one_blas_thread():
-        train_ds, eval_ds = load_dataset_pair(cfg, data_dir)
-        nets = train_models(cfg, train_ds)
-        if cfg.dataset == "mnist":
-            ambiguous = _make_ambiguous(nets["augmented"], eval_ds, cfg)
-            if ambiguous is not None:
-                eval_ds = data.concat(eval_ds, ambiguous)
-        evals = evaluate_models(nets, train_ds, eval_ds, cfg)
+    """The protocol of the module docstring on cfg.dataset."""
+    train_ds, eval_ds = load_dataset_pair(cfg, data_dir)
+    nets = train_models(cfg, train_ds)
+    if cfg.dataset == "mnist":
+        ambiguous = _make_ambiguous(nets["augmented"], eval_ds, cfg)
+        if ambiguous is not None:
+            eval_ds = data.concat(eval_ds, ambiguous)
+    evals = evaluate_models(nets, train_ds, eval_ds, cfg)
     extras = {}
     if cfg.dataset == "chiller-surrogate":
         extras["severity_detection"] = {name: severity_detection(ev.clf_flags, eval_ds.group)

@@ -163,16 +163,6 @@ class PathwayNetwork:
     def zero_grad(self) -> None:
         self.grads.fill(0.0)
 
-    def encoder_signature(self) -> list[tuple]:
-        """Structural fingerprint of the encoding pathway, for comparisons."""
-        sig = []
-        for layer in self.encoder.layers:
-            if isinstance(layer, DenseLayer):
-                sig.append(("dense", layer.in_dim, layer.out_dim, layer.activation))
-            else:
-                sig.append(("dropout", layer.rate))
-        return sig
-
 
 def build(
     kind: ModelKind,

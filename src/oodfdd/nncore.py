@@ -26,10 +26,25 @@ matmul runs one 2-D product per pass, which keeps every pass bitwise equal
 to the 2-D forward.  Stacking the passes' rows into one tall 2-D matmul
 would not: the BLAS may round some of its rows differently.  Recording
 forwards take 2-D input only.
+
+Layers, loss gradients and Adam's gradients carry no finite checks: the
+library guards numerics once per public call instead.  `numeric_context`
+makes numpy raise FloatingPointError on overflow, division by zero and
+invalid operations and runs BLAS at one thread (`one_blas_thread`); the MC
+calls of `uncertainty` and `detect`, the entry points of `experiments` and
+`cli.main` enter it.  The input rows are checked once per call, by
+`train._as_xy` and by the MC pass loop.  Adam still checks the parameters
+it updated (NonFiniteError).  `cross_entropy`
+and `binary_cross_entropy` check their shapes, labels and rows, then run an
+unchecked kernel; the training loop calls the kernels directly, because it
+checks its labels once per call and its probabilities come from the head's
+softmax or sigmoid.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +78,66 @@ def ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {what}")
     return arr
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of numpy's OpenBLAS thread count, or None for another BLAS."""
+    import ctypes
+    import sys
+
+    umath = (sys.modules.get("numpy._core._multiarray_umath")
+             or sys.modules.get("numpy.core._multiarray_umath"))
+    if umath is None:
+        return None
+    lib = ctypes.CDLL(umath.__file__)  # its symbol lookup covers the BLAS it links
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS at one thread; restore its count after.
+
+    OpenBLAS results depend on its thread count, and layers at most 196
+    wide gain nothing from threads, so one thread is the only count the
+    library runs.  Another BLAS (MKL, BLIS; threadpoolctl covers those) is
+    left alone.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@contextlib.contextmanager
+def numeric_context():
+    """Run the body with numpy raising on overflow, division by zero and
+    invalid operations, and with one BLAS thread (`one_blas_thread`).
+
+    This is the library's numeric guard: the layers and losses check
+    nothing, so a value that overflows raises FloatingPointError where it
+    is made.  The MC calls (`uncertainty.mc_moments`, `mc_sample`,
+    `detect.mc_scores`), the training and pipeline entry points of
+    `experiments` and `cli.main` enter it; entering it again inside is
+    harmless.  Usable as a decorator.
+    """
+    with np.errstate(over="raise", divide="raise", invalid="raise"), one_blas_thread():
+        yield
 
 
 def as_matrix(x: np.ndarray, stacked: bool = False) -> np.ndarray:
@@ -211,7 +286,7 @@ class DenseLayer:
         pre += self.bias
         out = _activate(self.activation, pre)
         self._x, self._pre, self._out = (x, pre, out) if record else (None, None, None)
-        return ensure_finite(out, "dense forward output")
+        return out
 
     def backward(
         self, grad_out: np.ndarray, input_grad: bool = True
@@ -391,7 +466,9 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
     """Mean negative log-likelihood of softmax outputs.
 
     Returns (loss, gradient w.r.t. the pre-softmax logits).  Probabilities at
-    the true label are clamped at 1e-12 before the log.
+    the true label are clamped at 1e-12 before the log.  Checks the shapes,
+    the label range and that every row sums to 1, then runs
+    `cross_entropy_kernel`.
     """
     probs = as_matrix(probs)
     labels = np.asarray(labels, dtype=np.int64).ravel()
@@ -403,12 +480,20 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
     row_sums = probs.sum(axis=1)
     if np.max(np.abs(row_sums - 1.0)) > 1e-9:
         raise ValueError("probability rows must sum to 1")
-    picked = np.clip(probs[np.arange(n), labels], CROSS_ENTROPY_EPS, None)
+    return cross_entropy_kernel(probs, labels)
+
+
+def cross_entropy_kernel(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """`cross_entropy` without its checks: `probs` an (n, c) float64 array of
+    probability rows, `labels` n int64 values in [0, c)."""
+    n = len(probs)
+    rows = np.arange(n)
+    # np.maximum is np.clip with no upper bound, bit for bit, NaN included
+    picked = np.maximum(probs[rows, labels], CROSS_ENTROPY_EPS)
     loss = float(-np.log(picked).mean())
     grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
+    grad[rows, labels] -= 1.0
     grad /= n
-    ensure_finite(grad, "cross-entropy gradient")
     return loss, grad
 
 
@@ -418,7 +503,8 @@ def binary_cross_entropy(
     """Bernoulli log loss for a single sigmoid output unit.
 
     `p` has shape (batch, 1); returns the gradient w.r.t. the pre-sigmoid
-    logit, (p - y) / batch.
+    logit, (p - y) / batch.  Checks the shapes and that every label is 0 or
+    1, then runs `binary_cross_entropy_kernel`.
     """
     p = as_matrix(p)
     if p.shape[1] != 1:
@@ -429,10 +515,17 @@ def binary_cross_entropy(
         raise ValueError(f"{n} rows but {labels.shape[0]} labels")
     if np.any((labels != 0.0) & (labels != 1.0)):
         raise ValueError("binary labels must be 0 or 1")
-    q = np.clip(p[:, 0], CROSS_ENTROPY_EPS, 1.0 - CROSS_ENTROPY_EPS)
+    return binary_cross_entropy_kernel(p, labels)
+
+
+def binary_cross_entropy_kernel(
+    p: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """`binary_cross_entropy` without its checks: `p` an (n, 1) float64
+    array, `labels` n values, each 0 or 1."""
+    q = np.minimum(np.maximum(p[:, 0], CROSS_ENTROPY_EPS), 1.0 - CROSS_ENTROPY_EPS)
     loss = float(-(labels * np.log(q) + (1.0 - labels) * np.log(1.0 - q)).mean())
-    grad = (p[:, 0] - labels)[:, None] / n
-    ensure_finite(grad, "binary cross-entropy gradient")
+    grad = (p[:, 0] - labels)[:, None] / len(p)
     return loss, grad
 
 
@@ -459,7 +552,6 @@ def mse(
     diff = xhat - x
     loss = float((diff**2).sum() / (n_rows * d))
     grad = 2.0 * diff / (n_rows * d)
-    ensure_finite(grad, "mse gradient")
     return loss, grad
 
 
@@ -506,6 +598,10 @@ def adam_step(
         p -= lr * (m/c1) / (sqrt(v/c2) + eps)
     evaluated operation by operation in that order into the state's scratch
     arrays instead of temporaries.
+
+    The gradients are not checked: a NaN or infinite gradient always makes
+    the updated parameters non-finite, and they are checked, so the step
+    raises NonFiniteError either way.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads and state must align")
@@ -515,7 +611,6 @@ def adam_step(
     for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
         if p.shape != g.shape:
             raise ValueError(f"param shape {p.shape} vs grad shape {g.shape}")
-        ensure_finite(g, "gradient passed to adam_step")
         m *= beta1
         np.multiply(1.0 - beta1, g, out=a)
         m += a

@@ -7,7 +7,8 @@ normalized by the full batch's rows times features, so beta keeps a stable
 meaning regardless of how many normals land in a batch.  Every public
 trainer is a thin caller of one seeded, single-threaded loop (`_fit`) that
 steps Adam over slices of the network's flat parameter buffer; the same
-TrainConfig.seed reproduces weights bitwise.
+TrainConfig.seed reproduces weights bitwise.  A trainer checks its rows and
+labels once per call; its batches then run the unchecked loss kernels.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from .nncore import (
     AdamState,
     adam_step,
     as_matrix,
-    binary_cross_entropy,
-    cross_entropy,
+    binary_cross_entropy_kernel,
+    cross_entropy_kernel,
     derive_rng,
+    ensure_finite,
     mse,
 )
 
@@ -63,6 +65,7 @@ def _as_xy(dataset) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("feature/label length mismatch")
     if len(x) == 0:
         raise ValueError("training data is empty")
+    ensure_finite(x, "training features")
     return x, y
 
 
@@ -74,9 +77,11 @@ def _check_labels(net: PathwayNetwork, y: np.ndarray) -> None:
 
 
 def _classification_loss(net: PathwayNetwork, probs, yb):
+    """The classifier loss kernel for the net's head, unchecked: the caller's
+    labels passed `_check_labels` and `probs` is the head's output."""
     if net.n_outputs == 1:
-        return binary_cross_entropy(probs, yb)
-    return cross_entropy(probs, yb)
+        return binary_cross_entropy_kernel(probs, yb)
+    return cross_entropy_kernel(probs, yb)
 
 
 def joint_batch_gradients(
@@ -96,6 +101,10 @@ def joint_batch_gradients(
     and its gradient are normalized by the full batch's rows times features.
     With beta = 0 the rec loss is still computed for the log, but the
     decoder gets no backward pass.  Returns (clf_loss, rec_loss).
+
+    The labels are not checked: they must lie in [0, n_classes), one per
+    row, as `train_joint` checks a dataset's once per call
+    (`_check_labels`).
     """
     xb = as_matrix(xb)
     yb = np.asarray(yb)

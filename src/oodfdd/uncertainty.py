@@ -22,7 +22,9 @@ pre-activation, output or dropout mask for a backward pass that inference
 never runs, so each block's temporaries are freed as the next is drawn.  The
 Welford mean and m2 and the reconstruction sum are updated in place; the
 Welford step works in two scratch arrays of its own and never writes into
-the samples, which `mc_sample` keeps.  Entropy is the natural-log
+the samples, which `mc_sample` keeps.  Both calls run under
+`nncore.numeric_context`, so a pass that overflows raises
+FloatingPointError.  Entropy is the natural-log
 entropy of the predictive mean distribution, with the usual 0*log(0) = 0
 convention.
 """
@@ -35,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import PathwayNetwork
-from .nncore import DropoutLayer, as_matrix
+from .nncore import DropoutLayer, as_matrix, ensure_finite, numeric_context
 
 
 def _welford_step(k: int, sample: np.ndarray, mean: np.ndarray, m2: np.ndarray,
@@ -180,9 +182,14 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     (`_BlockUniforms`), which holds them all until the block ends; a block
     of one pass draws from `rng` layer by layer, so on large batches each
     draw is freed once its layer has used it.
+
+    The input rows are checked to be finite here, once per call of
+    `mc_moments` or `mc_sample`, which run under `numeric_context`; the
+    layers check nothing.
     """
     if t < 2:
         raise ValueError(f"need at least 2 samples, got {t}")
+    ensure_finite(x, "MC input rows")
     first = net.encoder.layers[0].forward(x, record=False)
     rows = len(first)
     draws, row_width = _pass_layout(net)
@@ -201,6 +208,7 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
             yield (None if clf is None else clf[k], None if rec is None else rec[k])
 
 
+@numeric_context()
 def mc_moments(
     net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
 ) -> McMoments:
@@ -237,6 +245,7 @@ def mc_moments(
     )
 
 
+@numeric_context()
 def mc_sample(
     net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
 ) -> McSampleResult:

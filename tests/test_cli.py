@@ -272,6 +272,29 @@ def test_numeric_failure_exits_4(tmp_path, thyroid_dir):
     assert rc == cli.EXIT_NUMERIC
 
 
+def _poisoned(net):
+    """`net` with one encoder weight of 1e200: finite, but its reconstruction
+    error overflows."""
+    net.encoder.dense_layers()[0].weights[0, 0] = 1e200
+    return net
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "score"])
+def test_overflow_in_a_finite_net_exits_4(tmp_path, thyroid_dir, trained_dir, monkeypatch,
+                                          capsys, command):
+    net, cal = model.load(os.path.join(trained_dir, "augmented.ofdd"))
+    weights = tmp_path / "big.ofdd"
+    model.save(_poisoned(net), weights, cal)
+    assert model.load(weights)[0].params.tobytes() == net.params.tobytes()  # it loads
+    build = experiments.build
+    monkeypatch.setattr(experiments, "build", lambda *a, **k: _poisoned(build(*a, **k)))
+    extra = [] if command == "train" else ["--weights", str(weights)]
+    rc = cli.main([command, "--dataset", "thyroid", "--data-dir", thyroid_dir, *extra,
+                   "--out", str(tmp_path / "o"), *SMOKE])
+    assert rc == cli.EXIT_NUMERIC
+    assert "numeric failure: overflow" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, raw", [
     ("--n-per-class", "0"), ("--batch-size", "0"), ("--lr", "-1"), ("--lr", "inf"),
     ("--head-widths", "0"), ("--beta", "-1"), ("--ambiguous-pairs", "-1"),

@@ -301,6 +301,30 @@ def test_score_flags_every_pathway():
             assert s.rec_flags.shape == (60,)
 
 
+@pytest.mark.parametrize("kind, weight", [
+    # the encoder's forward overflows inside the MC passes
+    (ModelKind.AUTOENCODER_ONLY, 1e308),
+    # the passes stay finite, but the reconstruction error's square overflows
+    (ModelKind.AUGMENTED, 1e200),
+])
+def test_overflow_raises_from_direct_calls_outside_any_context(kind, weight):
+    net = model.build(kind, input_dim=5, latent_dim=2, n_classes=3, rng_seed=3)
+    net.encoder.dense_layers()[0].weights[...] = weight
+    x = np.full((60, 5), 2.0)
+    before = np.geterr()
+    with pytest.raises(FloatingPointError, match="overflow"):
+        detect.calibrate(net, x, 0.1, 4, nncore.make_rng(5))
+    thr = detect.ThresholdSet(None if net.head is None else np.zeros(3), 0.0, 0.1)
+    with pytest.raises(FloatingPointError, match="overflow"):
+        detect.score(net, x, thr, 4, nncore.make_rng(6))
+    if weight == 1e308:
+        with pytest.raises(FloatingPointError, match="overflow"):
+            uncertainty.mc_moments(net, x, 4, nncore.make_rng(7))
+        with pytest.raises(FloatingPointError, match="overflow"):
+            uncertainty.mc_sample(net, x[0], 4, nncore.make_rng(8))
+    assert np.geterr() == before
+
+
 # ---------------------------------------------------------------------------
 # binary accuracy and sweeps
 

@@ -6,18 +6,21 @@ acceptance suite.
 """
 
 import dataclasses
+import functools
 import hashlib
 import multiprocessing
 import os
+import re
 import struct
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oodfdd import cli, data, detect, experiments, model
+from oodfdd import cli, data, detect, experiments, model, nncore
 from oodfdd.nncore import NonFiniteError, derive_rng
 
 
@@ -408,12 +411,12 @@ def test_worker_error_reaches_the_caller(monkeypatch, thyroid_dir, tmp_path, cap
     assert multiprocessing.active_children() == []
 
 
-needs_openblas = pytest.mark.skipif(experiments._openblas_thread_calls() is None,
+needs_openblas = pytest.mark.skipif(nncore._openblas_thread_calls() is None,
                                     reason="numpy's BLAS is not OpenBLAS")
 
 
 def _report_blas_threads():
-    get, _ = experiments._openblas_thread_calls()
+    get, _ = nncore._openblas_thread_calls()
     raise NonFiniteError(f"worker ran {get()} BLAS threads")
 
 
@@ -421,7 +424,7 @@ def _report_blas_threads():
 @needs_fork
 def test_pipelines_run_one_blas_thread_and_restore_the_count(monkeypatch, thyroid_dir,
                                                              tmp_path):
-    get, set_ = experiments._openblas_thread_calls()
+    get, set_ = nncore._openblas_thread_calls()
     original = get()
     set_(2)
     try:
@@ -463,8 +466,8 @@ def _digest(result) -> str:
 _CHILD = """
 import sys
 import test_experiments as t
-from oodfdd import experiments
-get, _ = experiments._openblas_thread_calls()
+from oodfdd import experiments, nncore
+get, _ = nncore._openblas_thread_calls()
 print(get(), t._digest(t._smoke_mnist(sys.argv[1])))
 """
 
@@ -483,6 +486,116 @@ def test_a_seed_gives_the_same_outputs_under_any_blas_thread_setting(mnist_dir):
     if "2" not in seen:
         pytest.skip("OpenBLAS runs at most one thread on this machine")
     assert seen["1"] == seen["2"]
+
+
+_TRAIN_CHILD = """
+import hashlib
+import sys
+import test_experiments as t
+from oodfdd import experiments, nncore
+get, _ = nncore._openblas_thread_calls()
+cfg = t._smoke(experiments.mnist_config, train_cap_per_class=60, ambiguous_pairs=5)
+train_ds, _ = experiments.load_dataset_pair(cfg, sys.argv[1])
+nets = experiments.train_models(cfg, train_ds)
+h = hashlib.sha256()
+for kind in experiments.MODEL_ORDER:
+    h.update(nets[kind].params.tobytes())
+print(get(), h.hexdigest())
+"""
+
+
+@needs_openblas
+def test_direct_train_models_calls_give_the_same_params_under_any_blas_thread_setting(
+        mnist_dir):
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(experiments.__file__)),
+                            os.path.dirname(os.path.abspath(__file__))])
+    seen = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", _TRAIN_CHILD, mnist_dir], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        count, digest = out.split()
+        seen[count] = digest
+    if "2" not in seen:
+        pytest.skip("OpenBLAS runs at most one thread on this machine")
+    assert seen["1"] == seen["2"]
+
+
+def _poisoned(net):
+    """`net` with one encoder weight of 1e200: finite, but its reconstruction
+    error overflows."""
+    net.encoder.dense_layers()[0].weights[0, 0] = 1e200
+    return net
+
+
+def test_overflow_raises_from_every_entry_point(monkeypatch, thyroid_dir):
+    cfg = _smoke(experiments.thyroid_config)
+    train_ds, _ = experiments.load_dataset_pair(cfg, thyroid_dir)
+    normals = train_ds.X[train_ds.y == 0]
+    net = _poisoned(model.build(model.ModelKind.AUGMENTED,
+                                **experiments._build_kwargs(cfg, normals.shape[1])))
+    before = np.geterr()
+    with pytest.raises(FloatingPointError, match="overflow"):
+        experiments.calibrate_normals(net, normals, cfg)
+    thresholds = detect.ThresholdSet(np.zeros(2), 0.0, cfg.alpha)
+    with pytest.raises(FloatingPointError, match="overflow"):
+        experiments.score_rows(net, normals, thresholds, cfg.t_samples, cfg.seed)
+    build = experiments.build
+    monkeypatch.setattr(experiments, "build", lambda *a, **k: _poisoned(build(*a, **k)))
+    with pytest.raises(FloatingPointError, match="overflow"):
+        experiments.train_one(cfg, train_ds)
+    assert np.geterr() == before
+
+
+def _report_numeric_state(parent_pid, aspect, seen):
+    """A stand-in job that records the `aspect` of the numeric state it runs
+    in (the kinds of floating-point error that raise, or the BLAS thread
+    count); in a forked worker it raises it instead."""
+    def job(*args):
+        if aspect == "errstate":
+            state = ",".join(sorted(k for k, v in np.geterr().items() if v == "raise"))
+        else:
+            state = nncore._openblas_thread_calls()[0]()
+        if os.getpid() != parent_pid:
+            raise NonFiniteError(f"worker saw {state}")
+        seen.append(state)
+        return None, []
+    return job
+
+
+@needs_fork
+@pytest.mark.parametrize("aspect", ["errstate", pytest.param("blas", marks=needs_openblas)])
+@pytest.mark.parametrize("entry", ["train_models", "evaluate_models"])
+def test_both_lanes_run_in_the_numeric_context(monkeypatch, entry, aspect):
+    monkeypatch.setattr(experiments, "_lane_count", lambda: 2)
+    seen = []
+    job = _report_numeric_state(os.getpid(), aspect, seen)
+    cfg = _smoke(experiments.thyroid_config)
+    ds = SimpleNamespace(X=np.zeros((2, 3)), y=np.zeros(2, dtype=np.int64))
+    if entry == "train_models":
+        monkeypatch.setattr(experiments, "train_one", job)
+        call = functools.partial(experiments.train_models, cfg, ds)
+    else:
+        monkeypatch.setattr(experiments, "calibrate_normals", job)
+        monkeypatch.setattr(experiments, "evaluate_model", lambda *args: None)
+        call = functools.partial(experiments.evaluate_models,
+                                 dict.fromkeys(experiments.MODEL_ORDER), ds, ds, cfg)
+    want = "divide,invalid,over" if aspect == "errstate" else 1
+    calls = nncore._openblas_thread_calls()
+    threads = None if calls is None else calls[0]()
+    before = np.geterr()
+    try:
+        if calls is not None:
+            calls[1](2)  # so that one thread is the pin's doing
+        with pytest.raises(NonFiniteError, match=re.escape(f"worker saw {want}")):
+            call()
+        assert seen == [want]
+        assert np.geterr() == before
+        assert calls is None or calls[0]() == 2
+    finally:
+        if calls is not None:
+            calls[1](threads)
+    assert multiprocessing.active_children() == []
 
 
 @needs_fork

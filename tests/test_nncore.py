@@ -83,8 +83,10 @@ def test_dense_dimension_mismatch():
 
 
 def test_dense_nonfinite_output_raises():
+    # the layer checks nothing itself: inside the library's numeric context
+    # the overflow raises where it happens, and the CLI exits 4 on it
     layer = nn.DenseLayer(np.array([[1e308]]), np.zeros(1), "identity")
-    with np.errstate(over="ignore"), pytest.raises(nn.NonFiniteError):
+    with nn.numeric_context(), pytest.raises(FloatingPointError, match="overflow"):
         layer.forward(np.array([[1e308]]))
 
 
@@ -318,6 +320,68 @@ def test_mse_on_row_subset_normalised_by_full_batch():
         nn.mse(xhat, x, n_rows=3)
 
 
+def _clipped_cross_entropy(probs, labels):
+    """The loss as written before its kernel, with np.clip: the reference."""
+    n = len(probs)
+    picked = np.clip(probs[np.arange(n), labels], nn.CROSS_ENTROPY_EPS, None)
+    grad = probs.copy()
+    grad[np.arange(n), labels] -= 1.0
+    grad /= n
+    return float(-np.log(picked).mean()), grad
+
+
+def _clipped_binary_cross_entropy(p, labels):
+    q = np.clip(p[:, 0], nn.CROSS_ENTROPY_EPS, 1.0 - nn.CROSS_ENTROPY_EPS)
+    loss = float(-(labels * np.log(q) + (1.0 - labels) * np.log(1.0 - q)).mean())
+    return loss, (p[:, 0] - labels)[:, None] / len(p)
+
+
+def _same_loss(a, b):
+    return a[0].hex() == b[0].hex() and a[1].tobytes() == b[1].tobytes()
+
+
+@given(st.integers(1, 70), st.integers(2, 7), st.floats(0.1, 60.0), st.integers(0, 2**31 - 1))
+@settings(max_examples=80, deadline=None)
+def test_loss_kernels_return_the_checked_losses_bitwise(rows, cols, spread, seed):
+    rng = nn.make_rng(seed)
+    # wide logits saturate some probabilities to exactly 0 and 1, so the
+    # clamps take effect
+    probs = nn.softmax(rng.normal(0.0, spread, (rows, cols)))
+    labels = rng.integers(0, cols, rows)
+    ref = _clipped_cross_entropy(probs, labels)
+    assert _same_loss(nn.cross_entropy_kernel(probs, labels), ref)
+    assert _same_loss(nn.cross_entropy(probs, labels), ref)
+
+    p = nn.sigmoid(rng.normal(0.0, spread, (rows, 1)))
+    y = rng.integers(0, 2, rows)
+    ref = _clipped_binary_cross_entropy(p, y.astype(np.float64))
+    # the training loop hands the kernel its int64 labels
+    assert _same_loss(nn.binary_cross_entropy_kernel(p, y), ref)
+    assert _same_loss(nn.binary_cross_entropy(p, y), ref)
+
+
+def test_maximum_and_minimum_clamp_bitwise_like_clip():
+    grid = np.array([0.0, -0.0, np.nan, 1e-300, -1e-300, 1.0, -1.0, 1e-12, 1.0 - 1e-12])
+    lo, hi = nn.CROSS_ENTROPY_EPS, 1.0 - nn.CROSS_ENTROPY_EPS
+    assert np.maximum(grid, lo).tobytes() == np.clip(grid, lo, None).tobytes()
+    assert (np.minimum(np.maximum(grid, lo), hi).tobytes()
+            == np.clip(grid, lo, hi).tobytes())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nn.cross_entropy(np.full((2, 2), 0.5), [0, 1, 1]), "2 rows but 3 labels"),
+    (lambda: nn.cross_entropy(np.full((2, 2), 0.5), [0, 2]), r"labels must lie in \[0, 2\)"),
+    (lambda: nn.cross_entropy(np.full((2, 2), 0.6), [0, 1]), "probability rows must sum to 1"),
+    (lambda: nn.binary_cross_entropy(np.full((2, 2), 0.5), [0, 1]), "single output column"),
+    (lambda: nn.binary_cross_entropy(np.full((2, 1), 0.5), [0]), "2 rows but 1 labels"),
+    (lambda: nn.binary_cross_entropy(np.full((2, 1), 0.5), [0, 2]),
+     "binary labels must be 0 or 1"),
+])
+def test_checked_losses_reject_bad_rows_and_labels(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # adam
 
@@ -504,3 +568,42 @@ def test_derive_rng_streams_are_independent_and_stable():
     b = nn.derive_rng(7, 1).random(5)
     assert a1.tobytes() == a2.tobytes()
     assert a1.tobytes() != b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# numeric guards
+
+# (module, function) pairs allowed to call ensure_finite: the parameters
+# after an Adam step, the training rows, the MC input rows and the
+# classifier anomaly scores.  Every other guard is the numeric context of
+# the library's entry points.
+FINITE_CHECK_SITES = {
+    ("nncore", "adam_step"),
+    ("train", "_as_xy"),
+    ("uncertainty", "_passes"),
+    ("detect", "clf_anomaly_scores"),
+}
+
+
+def _finite_check_sites():
+    import ast
+    import pathlib
+
+    sites = []
+    for path in sorted(pathlib.Path(nn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", getattr(node.func, "attr", None))
+                        == "ensure_finite"):
+                    sites.append((path.stem, fn.name))
+    return sites
+
+
+def test_finite_checks_run_only_at_the_library_boundaries():
+    sites = _finite_check_sites()
+    assert set(sites) == FINITE_CHECK_SITES
+    assert len(sites) == len(FINITE_CHECK_SITES)  # one call at each site

@@ -253,6 +253,20 @@ def test_joint_rejects_out_of_range_labels():
         train.train_joint(net, ds, train.TrainConfig(epochs=1, pretrain_epochs=0))
 
 
+@pytest.mark.parametrize("trainer, kind", [
+    (train.train_joint, ModelKind.AUGMENTED),
+    (train.train_classifier, ModelKind.CLASSIFIER_ONLY),
+    (train.train_autoencoder, ModelKind.AUTOENCODER_ONLY),
+])
+def test_trainers_check_their_rows_once_by_name(trainer, kind):
+    net = model.build(kind, input_dim=4, latent_dim=2)
+    x = np.zeros((4, 4))
+    x[2, 1] = np.nan
+    ds = SimpleNamespace(X=x, y=np.zeros(4, dtype=int))
+    with pytest.raises(nncore.NonFiniteError, match="^non-finite values in training features$"):
+        trainer(net, ds, train.TrainConfig(epochs=1, pretrain_epochs=0))
+
+
 def test_joint_history_shape_and_totals():
     net = model.build(ModelKind.AUGMENTED, input_dim=4, latent_dim=2, rng_seed=11)
     ds = _blobs(30)

@@ -50,6 +50,16 @@ def test_mc_sample_requires_two_passes():
         unc.mc_moments(_net(ModelKind.AUTOENCODER_ONLY), np.ones((3, 6)), 0, nncore.make_rng(0))
 
 
+def test_mc_calls_check_their_input_rows_by_name():
+    net = _net()
+    x = np.ones((3, 6))
+    x[1, 4] = np.inf
+    with pytest.raises(nncore.NonFiniteError, match="^non-finite values in MC input rows$"):
+        unc.mc_moments(net, x, 4, nncore.make_rng(0))
+    with pytest.raises(nncore.NonFiniteError, match="^non-finite values in MC input rows$"):
+        unc.mc_sample(net, x[1], 4, nncore.make_rng(0))
+
+
 def test_dropout_rate_zero_gives_zero_variance():
     net = _net(dropout=0.0)
     out = unc.mc_sample(net, np.ones(6), 8, nncore.make_rng(1))
