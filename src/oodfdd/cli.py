@@ -176,8 +176,9 @@ def cmd_gen_data(cfg, args) -> int:
 
 def cmd_train(cfg, args) -> int:
     train_ds, _ = experiments.load_dataset_pair(cfg, args.data_dir)
+    normals = experiments.calibration_normals(train_ds)
     net, history = experiments.train_one(cfg, train_ds)
-    thr = experiments.calibrate_normals(net, train_ds.X[train_ds.y == 0], cfg)
+    thr = experiments.calibrate_normals(net, normals, cfg)
     out = _out_dir(args)
     weights_name = f"{cfg.model_kind}.ofdd"
     model.save(net, os.path.join(out, weights_name),

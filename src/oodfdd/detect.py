@@ -73,6 +73,12 @@ def rec_anomaly_scores(mu_rec: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.square(err, out=err).mean(axis=1)
 
 
+def check_calibration_count(n: int) -> None:
+    """Raise ValueError when n normal examples are too few to calibrate on."""
+    if n < MIN_CALIBRATION_EXAMPLES:
+        raise ValueError(f"need at least {MIN_CALIBRATION_EXAMPLES} normal examples, got {n}")
+
+
 def calibrate_thresholds(
     clf_scores: np.ndarray | None,
     alpha: float,
@@ -94,18 +100,12 @@ def calibrate_thresholds(
         clf_scores = np.asarray(clf_scores, dtype=np.float64)
         if clf_scores.ndim != 2:
             raise ValueError("clf_scores must be (N, channels)")
-        if len(clf_scores) < MIN_CALIBRATION_EXAMPLES:
-            raise ValueError(
-                f"need at least {MIN_CALIBRATION_EXAMPLES} normal examples, got {len(clf_scores)}"
-            )
+        check_calibration_count(len(clf_scores))
         clf_thr = np.quantile(clf_scores, 1.0 - alpha, axis=0)
     rec_thr = None
     if rec_scores is not None:
         rec_scores = np.asarray(rec_scores, dtype=np.float64).reshape(-1)
-        if len(rec_scores) < MIN_CALIBRATION_EXAMPLES:
-            raise ValueError(
-                f"need at least {MIN_CALIBRATION_EXAMPLES} normal examples, got {len(rec_scores)}"
-            )
+        check_calibration_count(len(rec_scores))
         rec_thr = float(np.quantile(rec_scores, 1.0 - alpha))
     return ThresholdSet(clf_thresholds=clf_thr, rec_threshold=rec_thr, alpha=alpha)
 

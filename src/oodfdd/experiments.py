@@ -16,26 +16,36 @@ Each dataset's defaults are declared once, in `_DEFAULTS`; `config_for`
 reads them and `DATASETS` lists their names.
 
 After `build` the three models share no state: each kind draws from its
-own `derive_rng` streams. So `train_models` and `evaluate_models` each run
-in two lanes (`_in_lanes`): this process handles the augmented model, the
-longest job, while one forked worker runs the classifier and autoencoder
-jobs in MODEL_ORDER and sends back only their results. Two lanes are used
-when this process may run on at least two CPUs and the platform can fork
-(`_lane_count`); otherwise the same jobs run here one after another.
-Either way the results are bitwise the same.
+own `derive_rng` streams. So `run_experiment` runs them in two lanes
+(`_in_lanes`), forked once per run. This process trains the augmented
+model, the longest job, then calibrates and evaluates it. One forked
+worker trains and calibrates the classifier and the autoencoder in
+MODEL_ORDER, then evaluates both and sends back only their parameter
+buffers and `ModelEval`s, in one message. On thyroid and chiller the
+evaluation rows are final before the fork. On mnist they are not: this
+process builds the latent interpolations from its trained augmented
+model and hands them to the worker, which takes them only after both
+benchmarks are trained and calibrated, so each lane scores the same rows.
+Two lanes are used when this process may run on at least two CPUs and
+the platform can fork (`_lane_count`); otherwise the same steps run here
+in MODEL_ORDER. Either way the results are bitwise the same.
+
+`run_experiment` checks that the training split holds enough normals to
+calibrate on (`calibration_normals`) before it trains anything, and so
+does `oodfdd train`.
 
 Every public entry point that trains or draws MC passes runs under
 `nncore.numeric_context`, as every CLI command does: numpy raises
 FloatingPointError on overflow, division by zero and invalid operations,
 and BLAS runs one thread, so a seed gives the same outputs whatever
-`OPENBLAS_NUM_THREADS` says.  `run_experiment`, `train_one`,
-`train_models` and `evaluate_models` enter it here; `calibrate_normals`
-and `score_rows` inherit it from `detect.mc_scores`.  The worker lane
-inherits it through the fork.
+`OPENBLAS_NUM_THREADS` says.  `run_experiment` and `train_one` enter it
+here; `calibrate_normals` and `score_rows` inherit it from
+`detect.mc_scores`.  The worker lane inherits it through the fork.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import math
@@ -50,6 +60,7 @@ from .detect import (
     Scores,
     ThresholdSet,
     calibrate,
+    check_calibration_count,
     diagnostic_accuracies,
     group_binary_accuracies,
     precision_recall_sweep,
@@ -248,7 +259,7 @@ def calibrate_normals(net: PathwayNetwork, calib_x: np.ndarray,
     """Thresholds from the calibration normals, MC draws from (seed, 20, kind stream).
 
     `oodfdd train` stores them in the weight archive, so they equal bitwise
-    the thresholds `evaluate_models` computes for the same net and config,
+    the thresholds `run_experiment` computes for the same net and config,
     whether it calls this in this process or, for the benchmark models, in
     its forked worker lane: the draws depend on the seed and kind alone.
     """
@@ -328,46 +339,15 @@ def train_one(cfg: ExperimentConfig, train_ds: data.LabeledDataset):
     return net, history
 
 
-@numeric_context()
-def train_models(cfg: ExperimentConfig, train_ds: data.LabeledDataset) -> dict:
-    """Shared-seed builds so all three models start from identical encoders.
+def calibration_normals(train_ds: data.LabeledDataset) -> np.ndarray:
+    """The training normals that thresholds are calibrated on.
 
-    The augmented model trains in this process. The benchmark models train
-    in the worker lane, which sends back their flat parameter buffers; each
-    is loaded into a fresh `build`, as `model.load` does, so its layers stay
-    views of the buffer.
+    Fewer than `detect.MIN_CALIBRATION_EXAMPLES` of them raise calibration's
+    ValueError here, so that callers can check before they train.
     """
-    def trained(kind):
-        return train_one(replace(cfg, model_kind=kind), train_ds)[0]
-
-    def trained_params(kind):
-        return trained(kind).params
-
-    first, *benchmarks = MODEL_ORDER
-    nets = _in_lanes({first: functools.partial(trained, first),
-                      **{kind: functools.partial(trained_params, kind) for kind in benchmarks}})
-    for kind in benchmarks:
-        net = build(ModelKind(kind), **_build_kwargs(cfg, train_ds.X.shape[1]))
-        net.params[...] = nets[kind]
-        nets[kind] = net
-    return nets
-
-
-@numeric_context()
-def evaluate_models(nets: dict, train_ds: data.LabeledDataset,
-                    eval_ds: data.LabeledDataset, cfg: ExperimentConfig) -> dict:
-    """Calibrate each model on the training normals, then evaluate it.
-
-    The augmented model is evaluated in this process and the benchmark
-    models in the worker lane, which inherits the nets and data.
-    """
-    calib_x = train_ds.X[train_ds.y == 0]
-
-    def evaluated(name):
-        thresholds = calibrate_normals(nets[name], calib_x, cfg)
-        return evaluate_model(nets[name], thresholds, eval_ds, cfg)
-
-    return _in_lanes({name: functools.partial(evaluated, name) for name in MODEL_ORDER})
+    normals = train_ds.X[train_ds.y == 0]
+    check_calibration_count(len(normals))
+    return normals
 
 
 def _lane_count() -> int:
@@ -379,30 +359,46 @@ def _lane_count() -> int:
     return 2 if cpus >= 2 and can_fork else 1
 
 
-def _in_lanes(jobs: dict) -> dict:
-    """Results of `jobs` (name -> callable), keyed and ordered as `jobs`.
+def _in_lanes(here, there) -> tuple:
+    """(here(hand_over), there(take)), with `there` run beside `here`.
 
-    The first job runs in this process. With two lanes the others run one
-    after another in a forked worker, which inherits what they read and
-    sends back only their results through a pipe; with one lane they run
-    here after the first. A job that raises in the worker re-raises here
-    with its type and message, a worker that dies raises a RuntimeError
-    naming its exit code, and the worker is joined before this returns.
+    `here` runs in this process and may pass one value to `there` by
+    calling `hand_over(value)`; `there` gets it from `take()`, which waits
+    for it. With two lanes `there` runs in a forked worker, which inherits
+    what it reads and sends back only its result through a pipe; with one
+    lane it runs here after `here`. A job that raises in the worker
+    re-raises here with its type and message, a worker that dies raises a
+    RuntimeError naming its exit code, a job that raises here terminates
+    the worker, and the worker is joined before this returns.
+
+    `hand_over` returns once the value is in the pipe: at once if it fits
+    the pipe's buffer or the worker is waiting in `take`, else when the
+    worker gets there. A worker that has failed or gone breaks the pipe;
+    `hand_over` then returns quietly, and the worker's outcome tells why.
     """
     if _lane_count() < 2:
-        return {name: job() for name, job in jobs.items()}
+        handed = []
+        first = here(handed.append)
+        return first, there(handed.pop)
     import multiprocessing
 
-    (first, first_job), *rest = jobs.items()
     ctx = multiprocessing.get_context("fork")
+    take_end, hand_end = ctx.Pipe(duplex=False)
     receiver, sender = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_lane_worker, args=([job for _, job in rest], sender),
+    worker = ctx.Process(target=_lane_worker, args=(there, take_end, hand_end, sender),
                          daemon=True)
     worker.start()
+    take_end.close()
     sender.close()  # so that recv sees EOF once the worker has gone
+
+    def hand_over(value):
+        with contextlib.suppress(BrokenPipeError):
+            hand_end.send(value)
+
     finished = False
     try:
-        results = {first: first_job()}
+        first = here(hand_over)
+        hand_end.close()  # a worker still waiting to take sees EOF
         try:
             ok, value = receiver.recv()
         except EOFError:
@@ -411,26 +407,30 @@ def _in_lanes(jobs: dict) -> dict:
                                "before sending its results") from None
         if not ok:
             raise value
-        results.update(zip((name for name, _ in rest), value))
         finished = True
-        return results
+        return first, value
     finally:
+        hand_end.close()
         receiver.close()
         if not finished:
             worker.terminate()
         worker.join()
 
 
-def _lane_worker(jobs: list, sender) -> None:
-    """Body of the forked worker: run `jobs` in order, then send (True, their
-    results) or, at the first failure, (False, the exception).
+def _lane_worker(there, take_end, hand_end, sender) -> None:
+    """Body of the forked worker: run `there(take_end.recv)`, then send
+    (True, its result) or, if it raises, (False, the exception).
 
     One message at the end, because a result larger than the pipe's buffer
     would block the worker until the caller's own job is done."""
+    hand_end.close()  # so that take sees EOF if the calling process has gone
     try:
-        outcome = (True, [job() for job in jobs])
+        outcome = (True, there(take_end.recv))
     except Exception as exc:
         outcome = (False, exc)
+    # a caller still handing over gets a broken pipe instead of waiting on
+    # a worker that is waiting for it to read the outcome
+    take_end.close()
     sender.send(outcome)
     sender.close()
 
@@ -484,12 +484,35 @@ def _dataset_files(root: str, *names: str, gz: bool = False) -> list:
 def run_experiment(cfg: ExperimentConfig, data_dir: str | None = None) -> ExperimentResult:
     """The protocol of the module docstring on cfg.dataset."""
     train_ds, eval_ds = load_dataset_pair(cfg, data_dir)
-    nets = train_models(cfg, train_ds)
-    if cfg.dataset == "mnist":
-        ambiguous = _make_ambiguous(nets["augmented"], eval_ds, cfg)
-        if ambiguous is not None:
-            eval_ds = data.concat(eval_ds, ambiguous)
-    evals = evaluate_models(nets, train_ds, eval_ds, cfg)
+    calib_x = calibration_normals(train_ds)
+    lead, *benchmarks = MODEL_ORDER
+
+    def trained(kind):
+        return train_one(replace(cfg, model_kind=kind), train_ds)[0]
+
+    def lead_lane(hand_over):
+        net = trained(lead)
+        rows = eval_ds
+        if cfg.dataset == "mnist":
+            ambiguous = _make_ambiguous(net, eval_ds, cfg)
+            hand_over(ambiguous)
+            rows = _with_rows(eval_ds, ambiguous)
+        return net, evaluate_model(net, calibrate_normals(net, calib_x, cfg), rows, cfg), rows
+
+    def benchmark_lane(take):
+        nets = {kind: trained(kind) for kind in benchmarks}
+        thresholds = {kind: calibrate_normals(net, calib_x, cfg) for kind, net in nets.items()}
+        rows = _with_rows(eval_ds, take()) if cfg.dataset == "mnist" else eval_ds
+        return {kind: (net.params, evaluate_model(net, thresholds[kind], rows, cfg))
+                for kind, net in nets.items()}
+
+    (net, lead_eval, eval_ds), returned = _in_lanes(lead_lane, benchmark_lane)
+    nets, evals = {lead: net}, {lead: lead_eval}
+    for kind, (params, evals[kind]) in returned.items():
+        # a fresh build loaded as `model.load` does, so its layers stay
+        # views of the buffer
+        nets[kind] = build(ModelKind(kind), **_build_kwargs(cfg, train_ds.X.shape[1]))
+        nets[kind].params[...] = params
     extras = {}
     if cfg.dataset == "chiller-surrogate":
         extras["severity_detection"] = {name: severity_detection(ev.clf_flags, eval_ds.group)
@@ -573,6 +596,11 @@ def _cap_per_class(ds: data.LabeledDataset, cap: int, seed: int) -> data.Labeled
             idx = np.sort(rng.choice(idx, size=cap, replace=False))
         keep[idx] = True
     return ds.select(keep)
+
+
+def _with_rows(eval_ds: data.LabeledDataset,
+               ambiguous: data.LabeledDataset | None) -> data.LabeledDataset:
+    return eval_ds if ambiguous is None else data.concat(eval_ds, ambiguous)
 
 
 def _make_ambiguous(net: PathwayNetwork, test: data.LabeledDataset,

@@ -35,10 +35,9 @@ calls of `uncertainty` and `detect`, the entry points of `experiments` and
 `cli.main` enter it.  The input rows are checked once per call, by
 `train._as_xy` and by the MC pass loop.  Adam still checks the parameters
 it updated (NonFiniteError).  `cross_entropy`
-and `binary_cross_entropy` check their shapes, labels and rows, then run an
-unchecked kernel; the training loop calls the kernels directly, because it
-checks its labels once per call and its probabilities come from the head's
-softmax or sigmoid.
+and `binary_cross_entropy` check neither shapes, labels nor rows: the
+training loop checks its labels once per call, and its probabilities come
+from the head's softmax or sigmoid.
 """
 
 from __future__ import annotations
@@ -465,27 +464,11 @@ def flatten_stacks(stacks: list[LayerStack]) -> tuple[np.ndarray, np.ndarray, li
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood of softmax outputs.
 
-    Returns (loss, gradient w.r.t. the pre-softmax logits).  Probabilities at
-    the true label are clamped at 1e-12 before the log.  Checks the shapes,
-    the label range and that every row sums to 1, then runs
-    `cross_entropy_kernel`.
+    `probs` is an (n, c) float64 array of probability rows and `labels` n
+    integers in [0, c); neither is checked.  Returns (loss, gradient w.r.t.
+    the pre-softmax logits).  Probabilities at the true label are clamped at
+    1e-12 before the log.
     """
-    probs = as_matrix(probs)
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    n, c = probs.shape
-    if labels.shape != (n,):
-        raise ValueError(f"{n} rows but {labels.shape[0]} labels")
-    if labels.min() < 0 or labels.max() >= c:
-        raise ValueError(f"labels must lie in [0, {c})")
-    row_sums = probs.sum(axis=1)
-    if np.max(np.abs(row_sums - 1.0)) > 1e-9:
-        raise ValueError("probability rows must sum to 1")
-    return cross_entropy_kernel(probs, labels)
-
-
-def cross_entropy_kernel(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """`cross_entropy` without its checks: `probs` an (n, c) float64 array of
-    probability rows, `labels` n int64 values in [0, c)."""
     n = len(probs)
     rows = np.arange(n)
     # np.maximum is np.clip with no upper bound, bit for bit, NaN included
@@ -502,27 +485,10 @@ def binary_cross_entropy(
 ) -> tuple[float, np.ndarray]:
     """Bernoulli log loss for a single sigmoid output unit.
 
-    `p` has shape (batch, 1); returns the gradient w.r.t. the pre-sigmoid
-    logit, (p - y) / batch.  Checks the shapes and that every label is 0 or
-    1, then runs `binary_cross_entropy_kernel`.
+    `p` is an (n, 1) float64 array and `labels` n values, each 0 or 1;
+    neither is checked.  Returns the gradient w.r.t. the pre-sigmoid logit,
+    (p - y) / n.
     """
-    p = as_matrix(p)
-    if p.shape[1] != 1:
-        raise ValueError("binary cross-entropy expects a single output column")
-    labels = np.asarray(labels, dtype=np.float64).ravel()
-    n = p.shape[0]
-    if labels.shape != (n,):
-        raise ValueError(f"{n} rows but {labels.shape[0]} labels")
-    if np.any((labels != 0.0) & (labels != 1.0)):
-        raise ValueError("binary labels must be 0 or 1")
-    return binary_cross_entropy_kernel(p, labels)
-
-
-def binary_cross_entropy_kernel(
-    p: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """`binary_cross_entropy` without its checks: `p` an (n, 1) float64
-    array, `labels` n values, each 0 or 1."""
     q = np.minimum(np.maximum(p[:, 0], CROSS_ENTROPY_EPS), 1.0 - CROSS_ENTROPY_EPS)
     loss = float(-(labels * np.log(q) + (1.0 - labels) * np.log(1.0 - q)).mean())
     grad = (p[:, 0] - labels)[:, None] / len(p)

@@ -23,8 +23,8 @@ from .nncore import (
     AdamState,
     adam_step,
     as_matrix,
-    binary_cross_entropy_kernel,
-    cross_entropy_kernel,
+    binary_cross_entropy,
+    cross_entropy,
     derive_rng,
     ensure_finite,
     mse,
@@ -77,11 +77,11 @@ def _check_labels(net: PathwayNetwork, y: np.ndarray) -> None:
 
 
 def _classification_loss(net: PathwayNetwork, probs, yb):
-    """The classifier loss kernel for the net's head, unchecked: the caller's
+    """The classifier loss for the net's head, unchecked: the caller's
     labels passed `_check_labels` and `probs` is the head's output."""
     if net.n_outputs == 1:
-        return binary_cross_entropy_kernel(probs, yb)
-    return cross_entropy_kernel(probs, yb)
+        return binary_cross_entropy(probs, yb)
+    return cross_entropy(probs, yb)
 
 
 def joint_batch_gradients(

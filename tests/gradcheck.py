@@ -1,4 +1,9 @@
-"""Central-difference gradient checker for the hand-written backward passes."""
+"""Central-difference gradient checker for the hand-written backward passes,
+and the losses with the checks that `nncore` leaves to its callers."""
+
+import numpy as np
+
+from oodfdd import nncore
 
 
 def gradient_check(params, loss_fn, eps: float = 1e-5) -> float:
@@ -26,3 +31,32 @@ def gradient_check(params, loss_fn, eps: float = 1e-5) -> float:
             scale = max(abs(numeric) + abs(flat_g[i]), 1e-8)
             worst = max(worst, abs(numeric - flat_g[i]) / scale)
     return worst
+
+
+def checked_cross_entropy(probs, labels):
+    """`nncore.cross_entropy` once the rows and labels are checked: one
+    label per row, each in [0, c), and every probability row summing to 1."""
+    probs = nncore.as_matrix(probs)
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    n, c = probs.shape
+    if labels.shape != (n,):
+        raise ValueError(f"{n} rows but {labels.shape[0]} labels")
+    if labels.min() < 0 or labels.max() >= c:
+        raise ValueError(f"labels must lie in [0, {c})")
+    if np.max(np.abs(probs.sum(axis=1) - 1.0)) > 1e-9:
+        raise ValueError("probability rows must sum to 1")
+    return nncore.cross_entropy(probs, labels)
+
+
+def checked_binary_cross_entropy(p, labels):
+    """`nncore.binary_cross_entropy` once the shapes and labels are checked:
+    one output column, one label per row, each 0 or 1."""
+    p = nncore.as_matrix(p)
+    if p.shape[1] != 1:
+        raise ValueError("binary cross-entropy expects a single output column")
+    labels = np.asarray(labels, dtype=np.float64).ravel()
+    if labels.shape != (len(p),):
+        raise ValueError(f"{len(p)} rows but {labels.shape[0]} labels")
+    if np.any((labels != 0.0) & (labels != 1.0)):
+        raise ValueError("binary labels must be 0 or 1")
+    return nncore.binary_cross_entropy(p, labels)

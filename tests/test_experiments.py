@@ -5,12 +5,13 @@ runners with tiny budgets. The full-scale behavioral claims live in the
 acceptance suite.
 """
 
+import contextlib
 import dataclasses
-import functools
 import hashlib
 import multiprocessing
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -119,7 +120,7 @@ def test_chiller_severity_table(chiller_result):
             assert 0.0 <= v <= 1.0
 
 
-def test_train_models_equals_train_one_per_kind(chiller_result):
+def test_pipeline_nets_equal_train_one_per_kind(chiller_result):
     r = chiller_result
     for kind in experiments.MODEL_ORDER:
         net, history = experiments.train_one(replace(r.config, model_kind=kind), r.train_ds)
@@ -357,15 +358,27 @@ def _differences(a, b, path="result") -> list:
 ])
 def test_two_lanes_equal_one_lane_bitwise(request, monkeypatch, run, data_fixture):
     data_dir = request.getfixturevalue(data_fixture) if data_fixture else None
-    results = {}
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted_start(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
+    results, forks = {}, {}
     for lanes in (1, 2):
         monkeypatch.setattr(experiments, "_lane_count", lambda lanes=lanes: lanes)
+        del started[:]
         results[lanes] = run(data_dir)
+        forks[lanes] = len(started)
+    assert forks == {1: 0, 2: 1}
     one, two = results[1], results[2]
     for kind in experiments.MODEL_ORDER:
         assert one.nets[kind].params.tobytes() == two.nets[kind].params.tobytes()
     assert _differences(one.evals, two.evals, "evals") == []
     assert _differences(one.extras, two.extras, "extras") == []
+    assert _differences(one.eval_ds, two.eval_ds, "eval_ds") == []
     assert multiprocessing.active_children() == []
 
 
@@ -491,21 +504,22 @@ def test_a_seed_gives_the_same_outputs_under_any_blas_thread_setting(mnist_dir):
 _TRAIN_CHILD = """
 import hashlib
 import sys
+from dataclasses import replace
 import test_experiments as t
 from oodfdd import experiments, nncore
 get, _ = nncore._openblas_thread_calls()
 cfg = t._smoke(experiments.mnist_config, train_cap_per_class=60, ambiguous_pairs=5)
 train_ds, _ = experiments.load_dataset_pair(cfg, sys.argv[1])
-nets = experiments.train_models(cfg, train_ds)
 h = hashlib.sha256()
 for kind in experiments.MODEL_ORDER:
-    h.update(nets[kind].params.tobytes())
+    net, _ = experiments.train_one(replace(cfg, model_kind=kind), train_ds)
+    h.update(net.params.tobytes())
 print(get(), h.hexdigest())
 """
 
 
 @needs_openblas
-def test_direct_train_models_calls_give_the_same_params_under_any_blas_thread_setting(
+def test_direct_train_one_calls_give_the_same_params_under_any_blas_thread_setting(
         mnist_dir):
     path = os.pathsep.join([os.path.dirname(os.path.dirname(experiments.__file__)),
                             os.path.dirname(os.path.abspath(__file__))])
@@ -565,21 +579,15 @@ def _report_numeric_state(parent_pid, aspect, seen):
 
 @needs_fork
 @pytest.mark.parametrize("aspect", ["errstate", pytest.param("blas", marks=needs_openblas)])
-@pytest.mark.parametrize("entry", ["train_models", "evaluate_models"])
-def test_both_lanes_run_in_the_numeric_context(monkeypatch, entry, aspect):
+@pytest.mark.parametrize("step", ["train_one", "calibrate_normals", "evaluate_model"])
+def test_both_lanes_run_in_the_numeric_context(monkeypatch, thyroid_dir, step, aspect):
     monkeypatch.setattr(experiments, "_lane_count", lambda: 2)
     seen = []
-    job = _report_numeric_state(os.getpid(), aspect, seen)
-    cfg = _smoke(experiments.thyroid_config)
-    ds = SimpleNamespace(X=np.zeros((2, 3)), y=np.zeros(2, dtype=np.int64))
-    if entry == "train_models":
-        monkeypatch.setattr(experiments, "train_one", job)
-        call = functools.partial(experiments.train_models, cfg, ds)
-    else:
-        monkeypatch.setattr(experiments, "calibrate_normals", job)
-        monkeypatch.setattr(experiments, "evaluate_model", lambda *args: None)
-        call = functools.partial(experiments.evaluate_models,
-                                 dict.fromkeys(experiments.MODEL_ORDER), ds, ds, cfg)
+    # every step a lane runs is a stand-in; the one under test reports its state
+    for name in ("train_one", "calibrate_normals", "evaluate_model"):
+        monkeypatch.setattr(experiments, name,
+                            lambda *args: (SimpleNamespace(params=None), []))
+    monkeypatch.setattr(experiments, step, _report_numeric_state(os.getpid(), aspect, seen))
     want = "divide,invalid,over" if aspect == "errstate" else 1
     calls = nncore._openblas_thread_calls()
     threads = None if calls is None else calls[0]()
@@ -588,7 +596,7 @@ def test_both_lanes_run_in_the_numeric_context(monkeypatch, entry, aspect):
         if calls is not None:
             calls[1](2)  # so that one thread is the pin's doing
         with pytest.raises(NonFiniteError, match=re.escape(f"worker saw {want}")):
-            call()
+            _smoke_thyroid(thyroid_dir)
         assert seen == [want]
         assert np.geterr() == before
         assert calls is None or calls[0]() == 2
@@ -606,6 +614,75 @@ def test_worker_that_dies_is_reported_with_its_exit_code(monkeypatch, thyroid_di
     with pytest.raises(RuntimeError, match="worker lane exited with code 7"):
         _smoke_thyroid(thyroid_dir)
     assert multiprocessing.active_children() == []
+
+
+def _augmented_diverges(parent_pid):
+    """A stand-in for train_joint that fails in the calling process."""
+    def train_joint(*args, **kwargs):
+        assert os.getpid() == parent_pid, "the augmented model trained in the worker"
+        raise NonFiniteError("augmented loss diverged")
+    return train_joint
+
+
+def _handoff_smoke_mnist(data_dir):
+    # 240 interpolated rows of 196 pixels: more than a pipe holds unread
+    cfg = _smoke(experiments.mnist_config, train_cap_per_class=60, ambiguous_pairs=20)
+    return experiments.run_experiment(cfg, data_dir=data_dir)
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Raise TimeoutError in the block once it has run `seconds`, so that a
+    hang fails the test; a forked worker does not inherit the timer."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@needs_fork
+def test_caller_error_before_the_handoff_stops_the_worker(monkeypatch, mnist_dir):
+    monkeypatch.setattr(experiments, "_lane_count", lambda: 2)
+    monkeypatch.setattr(experiments, "train_joint", _augmented_diverges(os.getpid()))
+    with _within(60), pytest.raises(NonFiniteError, match="^augmented loss diverged$"):
+        _handoff_smoke_mnist(mnist_dir)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("failure, error, message", [
+    (_diverge, NonFiniteError, "^autoencoder loss diverged$"),
+    (lambda: os._exit(7), RuntimeError, "worker lane exited with code 7"),
+], ids=["raises", "exits"])
+def test_worker_failure_before_the_handoff_reaches_the_caller(monkeypatch, mnist_dir,
+                                                               failure, error, message):
+    monkeypatch.setattr(experiments, "_lane_count", lambda: 2)
+    monkeypatch.setattr(experiments, "train_autoencoder", _fail_in_worker(os.getpid(), failure))
+    with _within(60), pytest.raises(error, match=message):
+        _handoff_smoke_mnist(mnist_dir)
+    assert multiprocessing.active_children() == []
+
+
+def test_too_few_calibration_normals_stop_before_any_training(monkeypatch, mnist_dir,
+                                                               tmp_path, capsys):
+    def train_one(*args):
+        raise AssertionError("trained although calibration cannot succeed")
+
+    monkeypatch.setattr(experiments, "train_one", train_one)
+    rc = cli.main(["compare", "--dataset", "chiller-surrogate", "--n-per-class", "90",
+                   "--out", str(tmp_path / "compare")])
+    assert rc == cli.EXIT_BAD_CONFIG
+    assert "need at least 50 normal examples, got 45" in capsys.readouterr().err
+    rc = cli.main(["train", "--dataset", "mnist", "--data-dir", mnist_dir,
+                   "--train-cap-per-class", "30", "--out", str(tmp_path / "train")])
+    assert rc == cli.EXIT_BAD_CONFIG
+    assert "need at least 50 normal examples, got 30" in capsys.readouterr().err
 
 
 def test_rebuilt_nets_are_views_of_their_buffer(chiller_result, tmp_path):

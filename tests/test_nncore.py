@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gradcheck import gradient_check
+from gradcheck import checked_binary_cross_entropy, checked_cross_entropy, gradient_check
 from oodfdd import nncore as nn
 
 
@@ -261,13 +261,13 @@ def test_cross_entropy_grad_matches_finite_differences():
 
 def test_cross_entropy_rejects_bad_rows():
     with pytest.raises(ValueError):
-        nn.cross_entropy(np.array([[0.7, 0.7]]), [0])
+        checked_cross_entropy(np.array([[0.7, 0.7]]), [0])
     with pytest.raises(ValueError):
-        nn.cross_entropy(np.array([[0.5, 0.5]]), [2])
+        checked_cross_entropy(np.array([[0.5, 0.5]]), [2])
 
 
 def test_binary_cross_entropy_matches_hand_value():
-    loss, grad = nn.binary_cross_entropy(np.array([[0.5], [0.9]]), [1, 1])
+    loss, grad = nn.binary_cross_entropy(np.array([[0.5], [0.9]]), np.array([1, 1]))
     expected = -(np.log(0.5) + np.log(0.9)) / 2
     assert loss == pytest.approx(expected, rel=1e-12)
     np.testing.assert_allclose(grad, [[-0.25], [-0.05]])
@@ -349,15 +349,15 @@ def test_loss_kernels_return_the_checked_losses_bitwise(rows, cols, spread, seed
     probs = nn.softmax(rng.normal(0.0, spread, (rows, cols)))
     labels = rng.integers(0, cols, rows)
     ref = _clipped_cross_entropy(probs, labels)
-    assert _same_loss(nn.cross_entropy_kernel(probs, labels), ref)
     assert _same_loss(nn.cross_entropy(probs, labels), ref)
+    assert _same_loss(checked_cross_entropy(probs, labels), ref)
 
     p = nn.sigmoid(rng.normal(0.0, spread, (rows, 1)))
     y = rng.integers(0, 2, rows)
     ref = _clipped_binary_cross_entropy(p, y.astype(np.float64))
-    # the training loop hands the kernel its int64 labels
-    assert _same_loss(nn.binary_cross_entropy_kernel(p, y), ref)
+    # the training loop hands the loss its int64 labels
     assert _same_loss(nn.binary_cross_entropy(p, y), ref)
+    assert _same_loss(checked_binary_cross_entropy(p, y), ref)
 
 
 def test_maximum_and_minimum_clamp_bitwise_like_clip():
@@ -369,12 +369,12 @@ def test_maximum_and_minimum_clamp_bitwise_like_clip():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: nn.cross_entropy(np.full((2, 2), 0.5), [0, 1, 1]), "2 rows but 3 labels"),
-    (lambda: nn.cross_entropy(np.full((2, 2), 0.5), [0, 2]), r"labels must lie in \[0, 2\)"),
-    (lambda: nn.cross_entropy(np.full((2, 2), 0.6), [0, 1]), "probability rows must sum to 1"),
-    (lambda: nn.binary_cross_entropy(np.full((2, 2), 0.5), [0, 1]), "single output column"),
-    (lambda: nn.binary_cross_entropy(np.full((2, 1), 0.5), [0]), "2 rows but 1 labels"),
-    (lambda: nn.binary_cross_entropy(np.full((2, 1), 0.5), [0, 2]),
+    (lambda: checked_cross_entropy(np.full((2, 2), 0.5), [0, 1, 1]), "2 rows but 3 labels"),
+    (lambda: checked_cross_entropy(np.full((2, 2), 0.5), [0, 2]), r"labels must lie in \[0, 2\)"),
+    (lambda: checked_cross_entropy(np.full((2, 2), 0.6), [0, 1]), "probability rows must sum to 1"),
+    (lambda: checked_binary_cross_entropy(np.full((2, 2), 0.5), [0, 1]), "single output column"),
+    (lambda: checked_binary_cross_entropy(np.full((2, 1), 0.5), [0]), "2 rows but 1 labels"),
+    (lambda: checked_binary_cross_entropy(np.full((2, 1), 0.5), [0, 2]),
      "binary labels must be 0 or 1"),
 ])
 def test_checked_losses_reject_bad_rows_and_labels(call, message):

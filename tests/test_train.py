@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gradcheck import gradient_check
+from gradcheck import checked_binary_cross_entropy, checked_cross_entropy, gradient_check
 from oodfdd import model, nncore, train
 from oodfdd.model import ModelKind
 from oodfdd.report import emit_csv
@@ -83,7 +83,7 @@ def test_joint_loss_additivity():
     clf_loss, rec_loss = train.joint_batch_gradients(net, x, y, beta, stochastic=False)
 
     probs = net.forward_classify(x)
-    clf_ref, _ = nncore.binary_cross_entropy(probs, y)
+    clf_ref, _ = checked_binary_cross_entropy(probs, y)
     xhat, _ = net.forward_reconstruct(x)
     keep = y == 0
     rec_ref = np.sum((xhat[keep] - x[keep]) ** 2) / (len(x) * x.shape[1])
@@ -131,7 +131,7 @@ def _full_batch_masked_gradients(net, x, y, beta, seed):
     rows' reconstruction error zeroed, as a masked full-batch MSE."""
     net.zero_grad()
     h = net.encoder.forward(x, nncore.make_rng(seed), stochastic=True)
-    clf_loss, dlogits = nncore.cross_entropy(net.head.forward(h), y)
+    clf_loss, dlogits = checked_cross_entropy(net.head.forward(h), y)
     xhat = net.decoder.forward(h)
     diff = (xhat - x) * (y == 0)[:, None]
     rec_loss = float((diff**2).sum() / x.size)
@@ -369,7 +369,7 @@ def _reference_train_joint(net, ds, cfg):
                     net.encoder.backward(net.decoder.backward(dxhat))
                 else:
                     h = net.encoder.forward(x[idx], rng, stochastic=True)
-                    _, dlogits = nncore.binary_cross_entropy(net.head.forward(h), y[idx])
+                    _, dlogits = checked_binary_cross_entropy(net.head.forward(h), y[idx])
                     grad_h = net.head.backward_from_logits(dlogits)
                     normal = y[idx] == 0
                     if normal.any():
