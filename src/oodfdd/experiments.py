@@ -68,7 +68,7 @@ from .detect import (
 )
 from .model import ModelKind, PathwayNetwork, build
 from .nncore import derive_rng, numeric_context
-from .train import TrainConfig, train_autoencoder, train_classifier, train_joint
+from .train import TrainConfig, train
 from .uncertainty import (
     EntropyDecomposition,
     GROUP_OOD,
@@ -99,6 +99,7 @@ _RULES = (
     ("t_samples", lambda v: v >= 2, "at least 2"),
     ("epochs", lambda v: v >= 1, "at least 1"),
     ("pretrain_epochs", lambda v: v >= 0, "non-negative"),
+    ("seed", lambda v: v >= 0, "non-negative"),
     ("n_classes", lambda v: v >= 2, "at least 2"),
     ("latent_dim", lambda v: v >= 1, "at least 1"),
     ("hidden_widths", lambda v: v is None or all(w >= 1 for w in v),
@@ -162,26 +163,17 @@ class ExperimentConfig:
         return self
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            beta=self.beta,
-            epochs=self.epochs,
-            pretrain_epochs=self.pretrain_epochs,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            seed=self.seed,
-        )
-
-    def benchmark_config(self) -> TrainConfig:
-        # benchmarks run to convergence under the same epoch budget
-        return TrainConfig(
-            beta=0.0,
-            epochs=self.epochs + self.pretrain_epochs,
-            pretrain_epochs=0,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            seed=self.seed,
-            early_stop=True,
-        )
+        """The augmented model trains `epochs` after `pretrain_epochs` of
+        warm-up; a benchmark runs to convergence (early stopping) under the
+        same epoch budget, without a warm-up."""
+        cfg = TrainConfig(beta=self.beta, epochs=self.epochs,
+                          pretrain_epochs=self.pretrain_epochs,
+                          batch_size=self.batch_size, lr=self.lr, seed=self.seed)
+        if self.model_kind == "augmented":
+            return cfg
+        # a benchmark has no term for beta to weight
+        return replace(cfg, beta=0.0, epochs=self.epochs + self.pretrain_epochs,
+                       pretrain_epochs=0, early_stop=True)
 
 
 def config_for(dataset: str, seed: int = 0, **overrides) -> ExperimentConfig:
@@ -327,16 +319,12 @@ def _build_kwargs(cfg: ExperimentConfig, input_dim: int) -> dict:
 
 @numeric_context()
 def train_one(cfg: ExperimentConfig, train_ds: data.LabeledDataset):
-    """Build and train the configured model kind; returns (net, history)."""
+    """Build and train the configured model kind; returns (net, history).
+    A model without a classifier head trains on the normal rows alone."""
     net = build(ModelKind(cfg.model_kind), **_build_kwargs(cfg, train_ds.X.shape[1]))
-    if cfg.model_kind == "augmented":
-        history = train_joint(net, train_ds, cfg.train_config())
-    elif cfg.model_kind == "classifier":
-        history = train_classifier(net, train_ds, cfg.benchmark_config())
-    else:
-        history = train_autoencoder(net, train_ds.select(train_ds.y == 0),
-                                    cfg.benchmark_config())
-    return net, history
+    if net.head is None:
+        train_ds = train_ds.select(train_ds.y == 0)
+    return net, train(net, train_ds, cfg.train_config())
 
 
 def calibration_normals(train_ds: data.LabeledDataset) -> np.ndarray:

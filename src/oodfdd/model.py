@@ -164,6 +164,19 @@ class PathwayNetwork:
         self.grads.fill(0.0)
 
 
+def _layout(kind: ModelKind, input_dim: int, latent_dim: int, hidden_widths: list[int],
+            head_widths: list[int], n_classes: int) -> dict[str, tuple[int, list[int]]]:
+    """Each present pathway's input width and dense layer widths, by role in
+    buffer order.  The head ends in one unit for two classes and n_classes
+    units otherwise; the decoder mirrors the encoder back to input_dim."""
+    layout = {"encoder": (input_dim, list(hidden_widths))}
+    if kind is not ModelKind.AUTOENCODER_ONLY:
+        layout["head"] = (latent_dim, [*head_widths, 1 if n_classes == 2 else n_classes])
+    if kind is not ModelKind.CLASSIFIER_ONLY:
+        layout["decoder"] = (latent_dim, [*reversed(hidden_widths[:-1]), input_dim])
+    return layout
+
+
 def build(
     kind: ModelKind,
     input_dim: int,
@@ -201,51 +214,28 @@ def build(
     if decoder_activation not in ("identity", "sigmoid"):
         raise ValueError("decoder activation must be identity or sigmoid")
 
-    enc_rng = derive_rng(rng_seed, 0)
-    head_rng = derive_rng(rng_seed, 1)
-    dec_rng = derive_rng(rng_seed, 2)
-
-    enc_layers: list = []
-    prev = input_dim
-    for width in hidden_widths:
-        enc_layers.append(DenseLayer.init(enc_rng, prev, width, "relu"))
-        enc_layers.append(DropoutLayer(dropout_rate))
-        prev = width
-    # the bottleneck itself stays linear so the latent space is unsquashed
-    enc_layers[-2].activation = "identity"
-    encoder = LayerStack(enc_layers)
-
-    head = None
-    if kind in (ModelKind.AUGMENTED, ModelKind.CLASSIFIER_ONLY):
-        n_out = 1 if n_classes == 2 else n_classes
-        out_act = "sigmoid" if n_classes == 2 else "softmax"
-        layers = []
-        prev = latent_dim
-        for width in head_widths:
-            layers.append(DenseLayer.init(head_rng, prev, width, "relu"))
-            prev = width
-        layers.append(DenseLayer.init(head_rng, prev, n_out, out_act))
-        head = LayerStack(layers)
-
-    decoder = None
-    if kind in (ModelKind.AUGMENTED, ModelKind.AUTOENCODER_ONLY):
-        widths = list(reversed(hidden_widths[:-1])) + [input_dim]
-        layers = []
-        prev = latent_dim
+    last = {"encoder": "identity",  # the bottleneck stays linear, unsquashed
+            "head": "sigmoid" if n_classes == 2 else "softmax",
+            "decoder": decoder_activation}
+    stacks = {}
+    for role, (prev, widths) in _layout(kind, input_dim, latent_dim, hidden_widths,
+                                        head_widths, n_classes).items():
+        # one init stream per role, whatever the kind
+        rng = derive_rng(rng_seed, ("encoder", "head", "decoder").index(role))
+        layers: list = []
         for i, width in enumerate(widths):
-            act = decoder_activation if i == len(widths) - 1 else "relu"
-            layers.append(DenseLayer.init(dec_rng, prev, width, act))
+            act = last[role] if i == len(widths) - 1 else "relu"
+            layers.append(DenseLayer.init(rng, prev, width, act))
+            if role == "encoder":
+                layers.append(DropoutLayer(dropout_rate))
             prev = width
-        decoder = LayerStack(layers)
-
-    roles = {"encoder": encoder, "head": head, "decoder": decoder}
-    present = [role for role, stack in roles.items() if stack is not None]
-    params, grads, spans = flatten_stacks([roles[role] for role in present])
+        stacks[role] = LayerStack(layers)
+    params, grads, spans = flatten_stacks(list(stacks.values()))
     return PathwayNetwork(
         kind=kind,
-        encoder=encoder,
-        decoder=decoder,
-        head=head,
+        encoder=stacks["encoder"],
+        decoder=stacks.get("decoder"),
+        head=stacks.get("head"),
         input_dim=input_dim,
         latent_dim=latent_dim,
         n_classes=n_classes,
@@ -255,7 +245,7 @@ def build(
         decoder_activation=decoder_activation,
         params=params,
         grads=grads,
-        offsets=dict(zip(present, spans)),
+        offsets=dict(zip(stacks, spans)),
     )
 
 
@@ -388,11 +378,9 @@ def load(path) -> tuple[PathwayNetwork, Calibration]:
         n_classes = _positive_int(desc["n_classes"], "n_classes")
         widths = [_positive_int(w, "encoder width") for w in desc["encoder_widths"]]
         head_widths = [_positive_int(w, "head width") for w in desc["head_widths"]]
-        n_params = _dense_params(input_dim, widths)
-        if kind is not ModelKind.AUTOENCODER_ONLY:
-            n_params += _dense_params(latent_dim, [*head_widths, 1 if n_classes == 2 else n_classes])
-        if kind is not ModelKind.CLASSIFIER_ONLY:
-            n_params += _dense_params(latent_dim, [*reversed(widths[:-1]), input_dim])
+        n_params = sum(_dense_params(prev, layer_widths) for prev, layer_widths in
+                       _layout(kind, input_dim, latent_dim, widths, head_widths,
+                               n_classes).values())
         extra = len(blob) - offset - 8 * n_params
         if extra < 0:
             raise TruncatedPayloadError(f"payload ends {-extra} bytes early")

@@ -299,6 +299,7 @@ def test_overflow_in_a_finite_net_exits_4(tmp_path, thyroid_dir, trained_dir, mo
     ("--n-per-class", "0"), ("--batch-size", "0"), ("--lr", "-1"), ("--lr", "inf"),
     ("--head-widths", "0"), ("--beta", "-1"), ("--ambiguous-pairs", "-1"),
     ("--train-cap-per-class", "0"), ("--hidden-widths", "16,8"), ("--hidden-widths", ""),
+    ("--seed", "-1"),
 ])
 def test_out_of_range_setting_exits_3_naming_the_key(tmp_path, capsys, flag, raw):
     rc = cli.main(["compare", "--dataset", "chiller-surrogate", flag, raw,

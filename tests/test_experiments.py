@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oodfdd import cli, data, detect, experiments, model, nncore
+from oodfdd import cli, data, detect, experiments, model, nncore, train
 from oodfdd.nncore import NonFiniteError, derive_rng
 
 
@@ -242,7 +242,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="decoder_activation 'tanh'"):
         experiments.thyroid_config(decoder_activation="tanh")
     for key, bad in [("alpha", 0.0), ("alpha", float("nan")), ("t_samples", 1),
-                     ("epochs", 0), ("pretrain_epochs", -1), ("n_classes", 1),
+                     ("epochs", 0), ("pretrain_epochs", -1), ("seed", -1), ("n_classes", 1),
                      ("batch_size", 0), ("lr", 0.0), ("lr", -1.0), ("lr", float("inf")),
                      ("lr", float("nan")), ("beta", -1.0), ("latent_dim", 0),
                      ("hidden_widths", [16, 0, 2]), ("head_widths", [0]),
@@ -263,9 +263,13 @@ def test_config_validation():
 
 def test_benchmark_config_runs_to_convergence():
     cfg = experiments.thyroid_config()
-    bench = cfg.benchmark_config()
-    assert bench.early_stop and bench.beta == 0.0 and bench.pretrain_epochs == 0
-    assert bench.epochs == cfg.epochs + cfg.pretrain_epochs
+    for kind in ("classifier", "autoencoder"):
+        bench = replace(cfg, model_kind=kind).train_config()
+        assert bench.early_stop and bench.beta == 0.0 and bench.pretrain_epochs == 0
+        assert bench.epochs == cfg.epochs + cfg.pretrain_epochs
+    joint = cfg.train_config()
+    assert not joint.early_stop and joint.beta == cfg.beta
+    assert (joint.epochs, joint.pretrain_epochs) == (cfg.epochs, cfg.pretrain_epochs)
 
 
 def test_resolve_data_dir(monkeypatch):
@@ -394,12 +398,23 @@ def test_two_lanes_need_two_cpus_and_fork(monkeypatch):
     assert experiments._lane_count() == 1
 
 
+def _fail_for(kind, failure):
+    """A stand-in for `train` that calls `failure` for nets of `kind` and
+    trains every other net with the real `train`."""
+    def stand_in(net, dataset, cfg):
+        if net.kind is kind:
+            return failure()
+        return train.train(net, dataset, cfg)
+    return stand_in
+
+
 def _fail_in_worker(parent_pid, failure):
-    """A stand-in for train_autoencoder that fails only in a forked worker."""
-    def train_autoencoder(*args, **kwargs):
+    """A stand-in for `train` that fails for the autoencoder, which must
+    train in a forked worker."""
+    def autoencoder_fails():
         assert os.getpid() != parent_pid, "the autoencoder trained in the calling process"
         failure()
-    return train_autoencoder
+    return _fail_for(model.ModelKind.AUTOENCODER_ONLY, autoencoder_fails)
 
 
 def _diverge():
@@ -410,8 +425,7 @@ def _diverge():
 def test_worker_error_reaches_the_caller(monkeypatch, thyroid_dir, tmp_path, capsys):
     monkeypatch.setattr(experiments, "_lane_count", lambda: 2)
     # the worker is forked after this patch, so it trains with the stand-in
-    monkeypatch.setattr(experiments, "train_autoencoder",
-                        _fail_in_worker(os.getpid(), _diverge))
+    monkeypatch.setattr(experiments, "train", _fail_in_worker(os.getpid(), _diverge))
     with pytest.raises(NonFiniteError, match="^autoencoder loss diverged$"):
         _smoke_thyroid(thyroid_dir)
     assert multiprocessing.active_children() == []
@@ -450,7 +464,7 @@ def test_pipelines_run_one_blas_thread_and_restore_the_count(monkeypatch, thyroi
 
         monkeypatch.setattr(experiments, "_lane_count", lambda: 2)
         # the worker inherits the pin through the fork and reports what it ran
-        monkeypatch.setattr(experiments, "train_autoencoder",
+        monkeypatch.setattr(experiments, "train",
                             _fail_in_worker(os.getpid(), _report_blas_threads))
         with pytest.raises(NonFiniteError, match="^worker ran 1 BLAS threads$"):
             _smoke_thyroid(thyroid_dir)
@@ -609,7 +623,7 @@ def test_both_lanes_run_in_the_numeric_context(monkeypatch, thyroid_dir, step, a
 @needs_fork
 def test_worker_that_dies_is_reported_with_its_exit_code(monkeypatch, thyroid_dir):
     monkeypatch.setattr(experiments, "_lane_count", lambda: 2)
-    monkeypatch.setattr(experiments, "train_autoencoder",
+    monkeypatch.setattr(experiments, "train",
                         _fail_in_worker(os.getpid(), lambda: os._exit(7)))
     with pytest.raises(RuntimeError, match="worker lane exited with code 7"):
         _smoke_thyroid(thyroid_dir)
@@ -617,11 +631,12 @@ def test_worker_that_dies_is_reported_with_its_exit_code(monkeypatch, thyroid_di
 
 
 def _augmented_diverges(parent_pid):
-    """A stand-in for train_joint that fails in the calling process."""
-    def train_joint(*args, **kwargs):
+    """A stand-in for `train` that fails for the augmented model, which must
+    train in the calling process."""
+    def augmented_fails():
         assert os.getpid() == parent_pid, "the augmented model trained in the worker"
         raise NonFiniteError("augmented loss diverged")
-    return train_joint
+    return _fail_for(model.ModelKind.AUGMENTED, augmented_fails)
 
 
 def _handoff_smoke_mnist(data_dir):
@@ -649,7 +664,7 @@ def _within(seconds):
 @needs_fork
 def test_caller_error_before_the_handoff_stops_the_worker(monkeypatch, mnist_dir):
     monkeypatch.setattr(experiments, "_lane_count", lambda: 2)
-    monkeypatch.setattr(experiments, "train_joint", _augmented_diverges(os.getpid()))
+    monkeypatch.setattr(experiments, "train", _augmented_diverges(os.getpid()))
     with _within(60), pytest.raises(NonFiniteError, match="^augmented loss diverged$"):
         _handoff_smoke_mnist(mnist_dir)
     assert multiprocessing.active_children() == []
@@ -663,7 +678,7 @@ def test_caller_error_before_the_handoff_stops_the_worker(monkeypatch, mnist_dir
 def test_worker_failure_before_the_handoff_reaches_the_caller(monkeypatch, mnist_dir,
                                                                failure, error, message):
     monkeypatch.setattr(experiments, "_lane_count", lambda: 2)
-    monkeypatch.setattr(experiments, "train_autoencoder", _fail_in_worker(os.getpid(), failure))
+    monkeypatch.setattr(experiments, "train", _fail_in_worker(os.getpid(), failure))
     with _within(60), pytest.raises(error, match=message):
         _handoff_smoke_mnist(mnist_dir)
     assert multiprocessing.active_children() == []

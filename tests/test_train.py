@@ -1,5 +1,6 @@
 """Tests for the training loops and the masked joint objective."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +32,10 @@ def _snapshot(net):
     return [net.params.copy()]
 
 
+def _normal_rows(x):
+    return SimpleNamespace(X=x, y=np.zeros(len(x), int))
+
+
 # ---------------------------------------------------------------------------
 # warm-up
 
@@ -38,24 +43,25 @@ def _snapshot(net):
 def test_pretrain_epochs_zero_is_noop():
     net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, rng_seed=0)
     before = _snapshot(net)
-    cfg = train.TrainConfig(pretrain_epochs=0)
-    history = train.pretrain_reconstruction(net, np.ones((10, 6)), cfg)
+    cfg = train.TrainConfig(epochs=0, pretrain_epochs=0)
+    history = train.train(net, _normal_rows(np.ones((10, 6))), cfg)
     assert history == []
     for p, q in zip(before, _snapshot(net)):
         assert np.array_equal(p, q)
 
 
 def test_pretrain_loss_decreases_on_linear_autoencoder():
+    # the augmented net's encoder and decoder are a linear autoencoder here
     net = model.build(
-        ModelKind.AUTOENCODER_ONLY,
+        ModelKind.AUGMENTED,
         input_dim=2,
         latent_dim=1,
         hidden_widths=[1],
         dropout_rate=0.0,
         rng_seed=1,
     )
-    cfg = train.TrainConfig(pretrain_epochs=30, batch_size=64, seed=1)
-    history = train.pretrain_reconstruction(net, _line_points(), cfg)
+    cfg = train.TrainConfig(epochs=0, pretrain_epochs=30, batch_size=64, seed=1)
+    history = train.train(net, _normal_rows(_line_points()), cfg)
     assert len(history) == 30
     recs = [row.rec_loss for row in history]
     for i in range(4):
@@ -63,10 +69,19 @@ def test_pretrain_loss_decreases_on_linear_autoencoder():
     assert recs[-1] < 0.5 * recs[0]
 
 
-def test_pretrain_requires_decoder():
-    net = model.build(ModelKind.CLASSIFIER_ONLY, input_dim=4, latent_dim=2)
-    with pytest.raises(ValueError):
-        train.pretrain_reconstruction(net, np.ones((5, 4)), train.TrainConfig())
+@pytest.mark.parametrize("kind", ["classifier", "autoencoder"])
+def test_warmup_runs_only_with_head_and_decoder(kind):
+    ds = _blobs(20, seed=8)
+    if kind == "autoencoder":
+        ds = _normal_rows(ds.X[ds.y == 0])
+    params = []
+    for pretrain_epochs in (5, 0):
+        net = model.build(ModelKind(kind), input_dim=4, latent_dim=2, rng_seed=8)
+        cfg = train.TrainConfig(epochs=3, pretrain_epochs=pretrain_epochs, batch_size=16,
+                                seed=8)
+        assert len(train.train(net, ds, cfg)) == 3
+        params.append(net.params.tobytes())
+    assert params[0] == params[1]
 
 
 # ---------------------------------------------------------------------------
@@ -238,40 +253,45 @@ def test_joint_gradients_pass_finite_difference_check():
     assert gradient_check([net.params], loss_fn) < 1e-4
 
 
-def test_joint_requires_augmented_network():
-    ds = _blobs(20)
-    for kind in (ModelKind.CLASSIFIER_ONLY, ModelKind.AUTOENCODER_ONLY):
-        net = model.build(kind, input_dim=4, latent_dim=2)
-        with pytest.raises(ValueError):
-            train.train_joint(net, ds, train.TrainConfig(epochs=1, pretrain_epochs=0))
+@pytest.mark.parametrize("kind", ["classifier", "autoencoder"])
+def test_absent_pathway_adds_no_loss_term(kind):
+    ds = _blobs(20, seed=9)
+    if kind == "autoencoder":
+        ds = _normal_rows(ds.X[ds.y == 0])
+    net = model.build(ModelKind(kind), input_dim=4, latent_dim=2, rng_seed=9)
+    # beta weights nothing here: without a head, rec is weighted by 1
+    cfg = train.TrainConfig(beta=0.5, epochs=3, pretrain_epochs=0, batch_size=16, seed=9)
+    history = train.train(net, ds, cfg)
+    assert len(history) == 3
+    for row in history:
+        present, absent = ((row.clf_loss, row.rec_loss) if kind == "classifier"
+                           else (row.rec_loss, row.clf_loss))
+        assert absent == 0.0 and present > 0.0
+        assert row.total_loss == present
 
 
 def test_joint_rejects_out_of_range_labels():
     net = model.build(ModelKind.AUGMENTED, input_dim=4, latent_dim=2)
     ds = SimpleNamespace(X=np.zeros((4, 4)), y=np.array([0, 1, 2, 0]))
     with pytest.raises(ValueError):
-        train.train_joint(net, ds, train.TrainConfig(epochs=1, pretrain_epochs=0))
+        train.train(net, ds, train.TrainConfig(epochs=1, pretrain_epochs=0))
 
 
-@pytest.mark.parametrize("trainer, kind", [
-    (train.train_joint, ModelKind.AUGMENTED),
-    (train.train_classifier, ModelKind.CLASSIFIER_ONLY),
-    (train.train_autoencoder, ModelKind.AUTOENCODER_ONLY),
-])
-def test_trainers_check_their_rows_once_by_name(trainer, kind):
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_train_checks_its_rows_once_by_name(kind):
     net = model.build(kind, input_dim=4, latent_dim=2)
     x = np.zeros((4, 4))
     x[2, 1] = np.nan
     ds = SimpleNamespace(X=x, y=np.zeros(4, dtype=int))
     with pytest.raises(nncore.NonFiniteError, match="^non-finite values in training features$"):
-        trainer(net, ds, train.TrainConfig(epochs=1, pretrain_epochs=0))
+        train.train(net, ds, train.TrainConfig(epochs=1, pretrain_epochs=0))
 
 
 def test_joint_history_shape_and_totals():
     net = model.build(ModelKind.AUGMENTED, input_dim=4, latent_dim=2, rng_seed=11)
     ds = _blobs(30)
     cfg = train.TrainConfig(beta=0.5, epochs=3, pretrain_epochs=2, batch_size=16, seed=11)
-    history = train.train_joint(net, ds, cfg)
+    history = train.train(net, ds, cfg)
     assert len(history) == 5
     for row in history[:2]:
         assert row.clf_loss == 0.0
@@ -284,8 +304,8 @@ def test_beta_zero_matches_classifier_trajectory():
     clf = model.build(ModelKind.CLASSIFIER_ONLY, input_dim=4, latent_dim=2, rng_seed=13)
     ds = _blobs(50, seed=14)
     cfg = train.TrainConfig(beta=0.0, epochs=3, pretrain_epochs=0, batch_size=16, seed=7)
-    hist_aug = train.train_joint(aug, ds, cfg)
-    hist_clf = train.train_classifier(clf, ds, cfg)
+    hist_aug = train.train(aug, ds, cfg)
+    hist_clf = train.train(clf, ds, cfg)
     aug_params = aug.encoder.params() + aug.head.params()
     clf_params = clf.encoder.params() + clf.head.params()
     for (pa, _), (pc, _) in zip(aug_params, clf_params):
@@ -298,13 +318,13 @@ def test_train_joint_seeded_determinism():
     weights = []
     for _ in range(2):
         net = model.build(ModelKind.AUGMENTED, input_dim=4, latent_dim=2, rng_seed=21)
-        train.train_joint(net, ds, train.TrainConfig(epochs=2, pretrain_epochs=1, seed=21))
+        train.train(net, ds, train.TrainConfig(epochs=2, pretrain_epochs=1, seed=21))
         weights.append(_snapshot(net))
     for p, q in zip(*weights):
         assert np.array_equal(p, q)
 
     other = model.build(ModelKind.AUGMENTED, input_dim=4, latent_dim=2, rng_seed=21)
-    train.train_joint(other, ds, train.TrainConfig(epochs=2, pretrain_epochs=1, seed=22))
+    train.train(other, ds, train.TrainConfig(epochs=2, pretrain_epochs=1, seed=22))
     assert any(
         not np.array_equal(p, q) for p, q in zip(weights[0], _snapshot(other))
     )
@@ -315,8 +335,8 @@ def test_warmup_leaves_head_bitwise_unchanged():
                       rng_seed=3)
     before = net.params.copy()
     head = net.offsets["head"]
-    cfg = train.TrainConfig(pretrain_epochs=3, batch_size=32, lr=1e-2, seed=3)
-    train.pretrain_reconstruction(net, _line_points(), cfg)
+    cfg = train.TrainConfig(epochs=0, pretrain_epochs=3, batch_size=32, lr=1e-2, seed=3)
+    train.train(net, _normal_rows(_line_points()), cfg)
     assert net.params[head].tobytes() == before[head].tobytes()
     for role in ("encoder", "decoder"):
         span = net.offsets[role]
@@ -324,9 +344,9 @@ def test_warmup_leaves_head_bitwise_unchanged():
     # an infinite step size blows up the encoder at once; the head, whose
     # zero gradients would turn it into inf * 0, is never stepped at all
     before = net.params.copy()
-    cfg = train.TrainConfig(pretrain_epochs=1, batch_size=32, lr=np.inf, seed=3)
+    cfg = train.TrainConfig(epochs=0, pretrain_epochs=1, batch_size=32, lr=np.inf, seed=3)
     with pytest.raises(nncore.NonFiniteError):
-        train.pretrain_reconstruction(net, _line_points(), cfg)
+        train.train(net, _normal_rows(_line_points()), cfg)
     assert net.params[head].tobytes() == before[head].tobytes()
 
 
@@ -342,57 +362,118 @@ def _reference_adam(arrays, moments, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-def _reference_train_joint(net, ds, cfg):
-    """Warm-up over encoder+decoder, then the joint phase over every array,
-    stepping each parameter array on its own.  Both phases run their own
-    forward and full-stack backward passes (encoder input gradient
-    included), independent of train.joint_batch_gradients; the joint phase
-    runs the decoder on each batch's normal rows only."""
+def _reference_train(net, ds, cfg):
+    """The trainer for any kind, stepping each parameter array on its own.
+
+    With cfg.early_stop the stream-3 validation split is held out first.  A
+    net with a head and a decoder warms up encoder+decoder on the normal
+    rows; then every array trains on its pathways' terms: clf, plus beta *
+    rec on each batch's normal rows with a decoder, or rec alone, weighted
+    by 1, without a head.  With early stopping that phase ends after
+    EARLY_STOP_PATIENCE stale epochs and restores the best arrays.  Every
+    phase runs its own forward and full-stack backward passes (encoder
+    input gradient included), independent of train.joint_batch_gradients.
+    Returns the number of epochs of the last phase.
+    """
     x, y = ds.X, ds.y
-    normals = x[y == 0]
-    warm = net.encoder.params() + net.decoder.params()
-    every = net.encoder.params() + net.head.params() + net.decoder.params()
-    for stream, epochs, arrays, rows in ((1, cfg.pretrain_epochs, warm, normals),
-                                         (2, cfg.epochs, every, x)):
+    if cfg.early_stop:
+        perm = nncore.derive_rng(cfg.seed, 3).permutation(len(x))
+        n_val = max(1, int(round(len(x) * train.VAL_FRACTION)))
+        (xv, yv), (x, y) = ((x[perm[:n_val]], y[perm[:n_val]]),
+                            (x[perm[n_val:]], y[perm[n_val:]]))
+    clf_loss = (checked_binary_cross_entropy if net.n_outputs == 1
+                else checked_cross_entropy)
+
+    def val_loss():
+        h = net.encoder.forward(xv)
+        if net.head is None:
+            return nncore.mse(net.decoder.forward(h), xv)[0]
+        loss = clf_loss(net.head.forward(h), yv)[0]
+        normal = yv == 0
+        if net.decoder is not None and normal.any():
+            xhat = net.decoder.forward(h[normal])
+            loss += cfg.beta * nncore.mse(xhat, xv[normal], n_rows=len(xv))[0]
+        return loss
+
+    stacks = [s for s in (net.encoder, net.head, net.decoder) if s is not None]
+    phases = [(2, cfg.epochs, [a for s in stacks for a in s.params()], x, y)]
+    if net.head is not None and net.decoder is not None:
+        phases.insert(0, (1, cfg.pretrain_epochs, net.encoder.params() + net.decoder.params(),
+                          x[y == 0], y[y == 0]))
+    for stream, epochs, arrays, rows, labels in phases:
         rng = nncore.derive_rng(cfg.seed, stream)
         moments = [(np.zeros_like(p), np.zeros_like(p)) for p, _ in arrays]
-        t = 0
-        for _ in range(epochs):
+        t, ran, best, stale, saved = 0, 0, np.inf, 0, None
+        while ran < epochs:
+            ran += 1
             perm = rng.permutation(len(rows))
             for start in range(0, len(rows), cfg.batch_size):
                 idx = perm[start : start + cfg.batch_size]
+                xb, yb = rows[idx], labels[idx]
                 for stack in net.stacks():
                     stack.zero_grad()
-                if stream == 1:
-                    xhat, _ = net.forward_reconstruct(rows[idx], rng, stochastic=True)
-                    _, dxhat = nncore.mse(xhat, rows[idx])
-                    net.encoder.backward(net.decoder.backward(dxhat))
+                if stream == 1 or net.head is None:
+                    xhat, _ = net.forward_reconstruct(xb, rng, stochastic=True)
+                    _, dxhat = nncore.mse(xhat, xb)
+                    grad_h = net.decoder.backward(dxhat)
                 else:
-                    h = net.encoder.forward(x[idx], rng, stochastic=True)
-                    _, dlogits = checked_binary_cross_entropy(net.head.forward(h), y[idx])
+                    h = net.encoder.forward(xb, rng, stochastic=True)
+                    _, dlogits = clf_loss(net.head.forward(h), yb)
                     grad_h = net.head.backward_from_logits(dlogits)
-                    normal = y[idx] == 0
-                    if normal.any():
+                    normal = yb == 0
+                    if net.decoder is not None and normal.any():
                         xhat = net.decoder.forward(h[normal])
-                        _, dxhat = nncore.mse(xhat, x[idx][normal], n_rows=len(idx))
+                        _, dxhat = nncore.mse(xhat, xb[normal], n_rows=len(idx))
                         grad_h[normal] += net.decoder.backward(cfg.beta * dxhat)
-                    assert net.encoder.backward(grad_h).shape == x[idx].shape
+                assert net.encoder.backward(grad_h).shape == xb.shape
                 t += 1
                 _reference_adam(arrays, moments, t, cfg.lr)
+            if stream == 2 and cfg.early_stop:
+                loss = val_loss()
+                if loss < best - train.EARLY_STOP_MIN_DELTA:
+                    best, stale, saved = loss, 0, [p.copy() for p, _ in arrays]
+                else:
+                    stale += 1
+                    if stale >= train.EARLY_STOP_PATIENCE:
+                        break
+        if saved is not None:
+            for (p, _), best_p in zip(arrays, saved):
+                p[...] = best_p
+    return ran
 
 
-def test_train_joint_matches_per_array_adam_bitwise():
+def _assert_train_matches_reference(kind):
     ds = _blobs(30, dim=5, seed=40)
     cfg = train.TrainConfig(beta=0.5, epochs=2, pretrain_epochs=2, batch_size=16,
                             lr=1e-2, seed=41)
-    nets = [model.build(ModelKind.AUGMENTED, input_dim=5, latent_dim=2, n_classes=2,
-                        rng_seed=42, decoder_activation="sigmoid") for _ in range(2)]
-    train.train_joint(nets[0], ds, cfg)
-    _reference_train_joint(nets[1], ds, cfg)
-    assert not np.array_equal(nets[0].params, model.build(
-        ModelKind.AUGMENTED, input_dim=5, latent_dim=2, n_classes=2, rng_seed=42,
-        decoder_activation="sigmoid").params)
+    if kind != "augmented":
+        # run to convergence, as the benchmarks do; the warm-up must not run,
+        # and beta must weight nothing
+        cfg = replace(cfg, epochs=300, early_stop=True)
+    if kind == "autoencoder":
+        ds = _normal_rows(ds.X[ds.y == 0])
+
+    def fresh():
+        return model.build(ModelKind(kind), input_dim=5, latent_dim=2, n_classes=2,
+                           rng_seed=42, decoder_activation="sigmoid")
+
+    nets = [fresh() for _ in range(2)]
+    history = train.train(nets[0], ds, cfg)
+    epochs = _reference_train(nets[1], ds, cfg)
+    assert not np.array_equal(nets[0].params, fresh().params)
     assert nets[0].params.tobytes() == nets[1].params.tobytes()
+    if cfg.early_stop:
+        # the stale-epoch stop ran, so the best params were restored
+        assert len(history) == epochs < cfg.epochs
+
+
+def test_train_joint_matches_per_array_adam_bitwise():
+    _assert_train_matches_reference("augmented")
+
+
+@pytest.mark.parametrize("kind", ["classifier", "autoencoder"])
+def test_benchmark_training_matches_per_array_adam_bitwise(kind):
+    _assert_train_matches_reference(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +484,7 @@ def test_classifier_learns_separable_blobs():
     net = model.build(ModelKind.CLASSIFIER_ONLY, input_dim=4, latent_dim=2, rng_seed=30)
     ds = _blobs(100, seed=31)
     cfg = train.TrainConfig(epochs=50, pretrain_epochs=0, batch_size=32, seed=30)
-    train.train_classifier(net, ds, cfg)
+    train.train(net, ds, cfg)
     probs = net.forward_classify(ds.X)
     pred = (probs[:, 0] > 0.5).astype(int)
     assert np.mean(pred == ds.y) >= 0.99
@@ -415,7 +496,7 @@ def test_classifier_early_stop_halts_before_cap():
     cfg = train.TrainConfig(
         epochs=300, pretrain_epochs=0, batch_size=32, lr=1e-2, seed=32, early_stop=True
     )
-    history = train.train_classifier(net, ds, cfg)
+    history = train.train(net, ds, cfg)
     assert len(history) < 300
     probs = net.forward_classify(ds.X)
     assert np.mean((probs[:, 0] > 0.5).astype(int) == ds.y) >= 0.97
@@ -425,7 +506,7 @@ def test_autoencoder_rejects_fault_labels():
     net = model.build(ModelKind.AUTOENCODER_ONLY, input_dim=4, latent_dim=2)
     ds = SimpleNamespace(X=np.zeros((4, 4)), y=np.array([0, 0, 1, 0]))
     with pytest.raises(ValueError):
-        train.train_autoencoder(net, ds, train.TrainConfig(epochs=1))
+        train.train(net, ds, train.TrainConfig(epochs=1))
 
 
 def test_autoencoder_early_stop_on_line_data():
@@ -442,7 +523,7 @@ def test_autoencoder_early_stop_on_line_data():
     cfg = train.TrainConfig(
         epochs=400, pretrain_epochs=0, batch_size=32, lr=1e-2, seed=34, early_stop=True
     )
-    history = train.train_autoencoder(net, ds, cfg)
+    history = train.train(net, ds, cfg)
     assert len(history) < 400
     assert history[-1].rec_loss < 0.05
 
