@@ -231,12 +231,17 @@ def latents(net: PathwayNetwork, x: np.ndarray) -> np.ndarray:
 
 
 def _mean_diag_by_group(diag: np.ndarray, groups: np.ndarray) -> dict:
+    """Mean of each group's non-NaN credits, by tag in order of first
+    appearance; a group without one is left out.  Each distinct tag is
+    compared once, and the rows then by integer code."""
+    tags, first, codes = np.unique(groups, return_index=True, return_inverse=True)
+    codes = codes.reshape(-1)
     out = {}
-    for g in dict.fromkeys(groups.tolist()):
-        vals = diag[groups == g]
+    for k in np.argsort(first):
+        vals = diag[codes == k]
         vals = vals[~np.isnan(vals)]
         if vals.size:
-            out[g] = float(vals.mean())
+            out[str(tags[k])] = float(vals.mean())
     return out
 
 
@@ -536,18 +541,22 @@ def severity_detection(flags: np.ndarray, groups: np.ndarray) -> dict:
     Levels 1..3 come from incipient tags, level 4 from full faults. The
     unknown group is excluded; it has no severity.
     """
-    rates = {}
-    levels = {1: [], 2: [], 3: [], 4: []}
-    for flag, g in zip(flags, groups):
-        if g.startswith("incipient:"):
-            sev = int(float(g.split(":")[2]))
-            levels[sev].append(flag)
-        elif g.startswith("fault:"):
-            levels[4].append(flag)
-    for sev, vals in levels.items():
-        if vals:
-            rates[sev] = float(np.mean(vals))
-    return rates
+    tags, codes = np.unique(np.asarray(groups), return_inverse=True)
+    codes = codes.reshape(-1)
+    rows = np.bincount(codes, minlength=len(tags))
+    hits = np.bincount(codes[np.asarray(flags, dtype=bool)], minlength=len(tags))
+    levels = {1: [0, 0], 2: [0, 0], 3: [0, 0], 4: [0, 0]}  # [hits, rows]
+    for tag, tag_hits, tag_rows in zip(tags.tolist(), hits.tolist(), rows.tolist()):
+        if tag.startswith("incipient:"):
+            level = levels[int(float(tag.split(":")[2]))]
+        elif tag.startswith("fault:"):
+            level = levels[4]
+        else:
+            continue
+        level[0] += tag_hits
+        level[1] += tag_rows
+    # integer counts over n: exactly the mean of the level's flags
+    return {sev: hit / n for sev, (hit, n) in levels.items() if n}
 
 
 def spearman(x, y) -> float:

@@ -9,7 +9,9 @@ tests.
 A forward pass records what its backward pass needs (a dense layer's input,
 pre-activation and output, a dropout layer's mask) unless it is called with
 `record=False`, as inference does; a backward pass after a forward that did
-not record raises instead of reusing stale state.
+not record raises instead of reusing stale state.  A backward pass writes
+each dense layer's parameter gradients: it does not add to what an earlier
+batch left, so no batch starts with a zero fill.
 
 The hot kernels write into buffers they own instead of building
 temporaries: relu and the sigmoid into their pre-activation, the dense bias
@@ -19,6 +21,11 @@ dropped-out output into the mask), and the Adam update into scratch arrays.
 A stack's backward pass can skip the gradient w.r.t. its input when nothing
 consumes it.  Each kernel runs the operations of the plain expression in the
 same order, so its results are bitwise those of the plain form.
+
+A dropout layer takes its uniforms from anything with the generator's
+`random(shape)`: `Uniforms` draws those of several passes or batches in one
+call and hands them out layer by layer, bitwise the draws the layers would
+take one by one.
 
 Forwards that do not record also take a (passes, rows, features) stack, so
 MC inference can run a block of passes in one call per layer: numpy's 3-D
@@ -235,8 +242,8 @@ def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nd
 class DenseLayer:
     """Fully connected layer: activation(x @ W.T + b).
 
-    weights has shape (out, in).  Gradients accumulate into `grad_w` / `grad_b`
-    until the owning stack's `zero_grad`.
+    weights has shape (out, in).  Each backward pass writes `grad_w` /
+    `grad_b`, replacing what the previous one left.
     """
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: str):
@@ -290,7 +297,7 @@ class DenseLayer:
     def backward(
         self, grad_out: np.ndarray, input_grad: bool = True
     ) -> np.ndarray | None:
-        """Accumulate parameter grads; return the gradient w.r.t. the input,
+        """Write the parameter grads; return the gradient w.r.t. the input,
         or None without computing it when `input_grad` is false."""
         _, pre, out = self._recorded()
         dpre = _activation_backward(self.activation, grad_out, pre, out)
@@ -300,8 +307,8 @@ class DenseLayer:
         self, dpre: np.ndarray, input_grad: bool = True
     ) -> np.ndarray | None:
         x, _, _ = self._recorded()
-        self.grad_w += dpre.T @ x
-        self.grad_b += dpre.sum(axis=0)
+        np.matmul(dpre.T, x, out=self.grad_w)
+        np.add.reduce(dpre, axis=0, out=self.grad_b)
         return dpre @ self.weights if input_grad else None
 
     def _recorded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -363,6 +370,41 @@ class DropoutLayer:
         return grad_out * self.last_mask
 
 
+class Uniforms:
+    """The dropout uniforms of `steps` forward passes, drawn in one call and
+    handed out layer by layer.
+
+    Each step draws `rows` x w uniforms for each w in `widths`, in order, as
+    the dropout layers of one pass would.  One `rng.random` call takes
+    exactly what the steps' per-layer draws would take in turn, one 64-bit
+    output per double: step k's draws are row k of the block.  `random(shape)`
+    hands out the next layer's draws: with `stacked`, the (steps, rows, w)
+    view of every step's draws at once, for a stacked block of MC passes;
+    without, one step's (rows, w) view at a time, step by step, for batches
+    run in turn.  It raises if `shape` is not the one expected next.  With
+    `out`, a float64 buffer of at least the draws' size, the draws go into
+    it; a later draw into the same buffer overwrites them.
+    """
+
+    def __init__(self, rng: np.random.Generator, steps: int, rows: int, widths: list[int],
+                 *, stacked: bool, out: np.ndarray | None = None):
+        size = steps * rows * sum(widths)
+        block = rng.random(size) if out is None else rng.random(out=out[:size])
+        block = block.reshape(steps, -1)
+        views, start = [], 0
+        for width in widths:
+            views.append(block[:, start:start + rows * width].reshape(steps, rows, width))
+            start += rows * width
+        self._views = views if stacked else [view[k] for k in range(steps) for view in views]
+        self._views.reverse()
+
+    def random(self, shape) -> np.ndarray:
+        if not self._views or self._views[-1].shape != tuple(shape):
+            raise RuntimeError(f"dropout draw of shape {tuple(shape)} is out of step "
+                               "with the drawn layers")
+        return self._views.pop()
+
+
 Layer = DenseLayer | DropoutLayer
 
 
@@ -393,7 +435,7 @@ class LayerStack:
         return h
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """Backpropagate `grad_out`, accumulating every parameter gradient.
+        """Backpropagate `grad_out`, writing every parameter gradient.
 
         Returns the gradient w.r.t. the stack's input.  With `input_grad`
         false the stack's first dense layer skips its input gradient, the
@@ -430,6 +472,18 @@ class LayerStack:
 
     def dense_layers(self) -> list[DenseLayer]:
         return [l for l in self.layers if isinstance(l, DenseLayer)]
+
+    def draw_widths(self, start: int = 0) -> list[int]:
+        """The width of each dropout layer in layers[start:] that draws
+        (rate > 0), in order: the output width of the dense layer before
+        it, or the stack's input width."""
+        width, widths = self.dense_layers()[0].in_dim, []
+        for i, layer in enumerate(self.layers):
+            if isinstance(layer, DenseLayer):
+                width = layer.out_dim
+            elif i >= start and layer.rate > 0.0:
+                widths.append(width)
+        return widths
 
 
 def flatten_stacks(stacks: list[LayerStack]) -> tuple[np.ndarray, np.ndarray, list[slice]]:
@@ -563,7 +617,8 @@ def adam_step(
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
         p -= lr * (m/c1) / (sqrt(v/c2) + eps)
     evaluated operation by operation in that order into the state's scratch
-    arrays instead of temporaries.
+    arrays instead of temporaries.  Once c1 = 1 - b1**t rounds to 1.0 the
+    divide by it is skipped: m / 1.0 equals m exactly.
 
     The gradients are not checked: a NaN or infinite gradient always makes
     the updated parameters non-finite, and they are checked, so the step
@@ -584,8 +639,11 @@ def adam_step(
         np.square(g, out=b)
         b *= 1.0 - beta2
         v += b
-        np.divide(m, c1, out=a)
-        a *= lr
+        if c1 == 1.0:  # from t = 356 at beta1 = 0.9; m / 1.0 is m, bit for bit
+            np.multiply(m, lr, out=a)
+        else:
+            np.divide(m, c1, out=a)
+            a *= lr
         np.divide(v, c2, out=b)
         np.sqrt(b, out=b)
         b += eps

@@ -11,19 +11,24 @@ encoder and decoder alone.  Every phase is one seeded, single-threaded
 loop (`_fit`) that steps Adam over slices of the network's flat parameter
 buffer; the same TrainConfig.seed reproduces weights bitwise.  `train`
 checks its rows and labels once per call; its batches then run the
-unchecked loss kernels.
+unchecked loss kernels.  A batch's backward pass writes its gradients
+rather than adding to the previous batch's, so no batch zero-fills them,
+and the batches' dropout uniforms are drawn a run of batches at a time
+(`_batch_uniforms`), bitwise the draws the layers would take one by one.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Collection, NamedTuple
+from typing import Collection, Iterator, NamedTuple
 
 import numpy as np
 
 from .model import PathwayNetwork
 from .nncore import (
     AdamState,
+    Uniforms,
     adam_step,
     as_matrix,
     binary_cross_entropy,
@@ -41,6 +46,12 @@ from .nncore import (
 EARLY_STOP_MIN_DELTA = 1e-4
 EARLY_STOP_PATIENCE = 10
 VAL_FRACTION = 0.1
+
+# float64 dropout uniforms (256 kB) the training loop holds at once: the
+# draws of as many whole batches as fit, taken in one call into one buffer
+# that every run of batches reuses.  Holding a whole epoch's draws raised
+# the peak resident set of a thyroid training run by 0.4-0.9 MB
+_DRAW_BUDGET = 2**15
 
 
 @dataclass
@@ -93,14 +104,16 @@ def joint_batch_gradients(
 
     The objective has the clf term when "head" is in `roles` and the
     beta-weighted rec term when "decoder" is; `roles` defaults to every
-    pathway the net has.  Gradients accumulate into the network's layers
-    (call net.zero_grad() first).  The decoder sees only the normal-labeled
-    rows: fault rows have no reconstruction term, so they get neither
-    decoder work nor decoder gradient, and a batch without normals skips the
-    decoder.  The rec loss and its gradient are normalized by the full
-    batch's rows times features.  With beta = 0 the rec loss is still
-    computed for the log, but the decoder gets no backward pass.  Returns
-    (clf_loss, rec_loss), 0.0 for a term left out.
+    pathway the net has.  The batch's gradients of the pathways in `roles`
+    replace whatever `net.grads` held, so no zero fill is needed first.  The
+    decoder sees only the normal-labeled rows: fault rows have no
+    reconstruction term, so they get neither decoder work nor decoder
+    gradient, and a batch without normals skips the decoder.  The rec loss
+    and its gradient are normalized by the full batch's rows times
+    features.  With beta = 0 the rec loss is still computed for the log,
+    but the decoder gets no backward pass.  A pathway in `roles` that no
+    backward pass reaches gets a gradient of exactly 0.  Returns (clf_loss,
+    rec_loss), 0.0 for a term left out.
 
     The labels are not checked: they must lie in [0, n_classes), one per
     row, and be all 0 without the head, as `train` checks a dataset's once
@@ -110,7 +123,7 @@ def joint_batch_gradients(
     yb = np.asarray(yb)
     roles = net.offsets if roles is None else roles
     h = net.encoder.forward(xb, rng, stochastic)
-    clf_loss, rec_loss, grad_h = 0.0, 0.0, None
+    clf_loss, rec_loss, grad_h, decoded = 0.0, 0.0, None, False
     if "head" in roles:
         clf_loss, dlogits = _classification_loss(net, net.head.forward(h), yb)
         grad_h = net.head.backward_from_logits(dlogits)
@@ -120,12 +133,16 @@ def joint_batch_gradients(
         rec_loss, dxhat = mse(xhat, xb[normal], n_rows=len(xb))
         if beta != 0.0:
             grad_dec = net.decoder.backward(beta * dxhat)
+            decoded = True
             if grad_h is None:  # without the head every row is normal
                 grad_h = grad_dec
             else:
                 grad_h[normal] += grad_dec
     if grad_h is not None:
         net.encoder.backward(grad_h, input_grad=False)
+    for role, reached in (("decoder", decoded), ("encoder", grad_h is not None)):
+        if role in roles and not reached:
+            net.grads[net.offsets[role]] = 0.0
     return clf_loss, rec_loss
 
 
@@ -136,6 +153,31 @@ def _normal_rows(y: np.ndarray) -> np.ndarray | slice | None:
     if normal.size == 0:
         return None
     return slice(None) if normal.size == len(y) else normal
+
+
+def _batch_uniforms(rng: np.random.Generator, n: int, batch_size: int, widths: list[int],
+                    buffer: np.ndarray) -> Iterator:
+    """Where each batch of an epoch over n rows takes its dropout uniforms,
+    batch by batch; `widths` are those of the encoder's drawing layers.
+
+    Each run of whole batches that `buffer` holds draws its uniforms in one
+    call when its first batch runs, and the epoch's last, short batch draws
+    alone (`nncore.Uniforms`).  Drawn after the epoch's permutation, batch
+    by batch and layer by layer, they are bitwise the draws the batches'
+    layers would take from `rng` in turn.  Without a drawing layer every
+    batch gets `rng` itself.
+    """
+    if not widths:
+        yield from itertools.repeat(rng)
+        return
+    full, rest = divmod(n, batch_size)
+    chunk = max(1, len(buffer) // (batch_size * sum(widths)))
+    for first in range(0, full, chunk):
+        steps = min(chunk, full - first)
+        yield from itertools.repeat(
+            Uniforms(rng, steps, batch_size, widths, stacked=False, out=buffer), steps)
+    if rest:
+        yield Uniforms(rng, 1, rest, widths, stacked=False, out=buffer)
 
 
 def _objective(net: PathwayNetwork, x: np.ndarray, y: np.ndarray,
@@ -159,8 +201,10 @@ def _fit(net: PathwayNetwork, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, ep
     """Seeded mini-batch Adam on the objective of the pathways in `roles`.
 
     Each epoch shuffles the rows of (x, y) with derive_rng(cfg.seed,
-    stream); each batch runs `joint_batch_gradients` with beta = rec_weight
-    and steps Adam over the buffer spans of `roles`.  Epochs are logged as
+    stream), which then draws the epoch's dropout uniforms, as many whole
+    batches' as _DRAW_BUDGET holds at a time (`_batch_uniforms`); each batch runs
+    `joint_batch_gradients` with beta = rec_weight and steps Adam over the
+    buffer spans of `roles`.  Epochs are logged as
     row-weighted means with total clf + rec_weight * rec.  With `val`, held
     out rows (x, y), training stops after EARLY_STOP_PATIENCE epochs
     without an EARLY_STOP_MIN_DELTA improvement of `_objective` on them and
@@ -172,15 +216,18 @@ def _fit(net: PathwayNetwork, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, ep
     params = [net.params[span] for span in spans]
     grads = [net.grads[span] for span in spans]
     state = AdamState.for_params(params)
+    widths = net.encoder.draw_widths()
+    row_draws = sum(widths)
+    buffer = np.empty(min(max(_DRAW_BUDGET, cfg.batch_size * row_draws), n * row_draws))
     history = []
     best, stale, best_snap = np.inf, 0, None
     for epoch in range(epochs):
         clf_total, rec_total = 0.0, 0.0
         perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
+        sources = _batch_uniforms(rng, n, cfg.batch_size, widths, buffer)
+        for start, source in zip(range(0, n, cfg.batch_size), sources):
             idx = perm[start : start + cfg.batch_size]
-            net.zero_grad()
-            clf_loss, rec_loss = joint_batch_gradients(net, x[idx], y[idx], rec_weight, rng,
+            clf_loss, rec_loss = joint_batch_gradients(net, x[idx], y[idx], rec_weight, source,
                                                        stochastic=True, roles=roles)
             adam_step(params, grads, state, lr=cfg.lr)
             clf_total += clf_loss * len(idx)

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import PathwayNetwork
-from .nncore import DropoutLayer, as_matrix, ensure_finite, numeric_context
+from .nncore import Uniforms, as_matrix, ensure_finite, numeric_context
 
 
 def _welford_step(k: int, sample: np.ndarray, mean: np.ndarray, m2: np.ndarray,
@@ -121,48 +121,15 @@ class McMoments(NamedTuple):
 PASS_BLOCK_BUDGET = 2**18
 
 
-class _BlockUniforms:
-    """The dropout draws of a block of B passes, handed out layer by layer.
-
-    One `rng.random((B, per_pass))` call takes exactly what B passes of
-    per-layer draws would take in turn, one 64-bit output per double: row k
-    holds pass k's draws.  `random(shape)` returns the next dropout layer's
-    (B, rows, width) view of them and raises if that layer's shape is not
-    the one expected next.
-    """
-
-    def __init__(self, rng: np.random.Generator, passes: int, rows: int, widths: list[int]):
-        block = rng.random((passes, rows * sum(widths)))
-        self._views, start = [], 0
-        for width in widths:
-            self._views.append(block[:, start:start + rows * width].reshape(passes, rows, width))
-            start += rows * width
-        self._views.reverse()
-
-    def random(self, shape) -> np.ndarray:
-        if not self._views or self._views[-1].shape != tuple(shape):
-            raise RuntimeError(f"dropout draw of shape {tuple(shape)} is out of step "
-                               "with the block's layers")
-        return self._views.pop()
-
-
 def _pass_layout(net: PathwayNetwork) -> tuple[list[int], int]:
     """(draws, row_width) of one pass after the encoder's first layer: the
     width of each dropout layer that draws, in order, and the float64
     elements a row takes across those draws and every later dense output."""
-    width = net.encoder.layers[0].out_dim
-    draws, row_width = [], 0
-    for layer in net.encoder.layers[1:]:
-        if isinstance(layer, DropoutLayer):
-            if layer.rate > 0.0:
-                draws.append(width)
-                row_width += width
-        else:
-            width = layer.out_dim
-            row_width += width
-    row_width += sum(layer.out_dim for stack in (net.head, net.decoder)
-                     if stack is not None for layer in stack.layers)
-    return draws, row_width
+    draws = net.encoder.draw_widths(start=1)
+    later = net.encoder.dense_layers()[1:] + [layer for stack in (net.head, net.decoder)
+                                              if stack is not None
+                                              for layer in stack.dense_layers()]
+    return draws, sum(draws) + sum(layer.out_dim for layer in later)
 
 
 def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator):
@@ -179,7 +146,7 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     layer outputs and draws.  The draws are taken in pass order, and each
     pass's outputs are yielded as views, in order, bitwise those of a pass
     run alone.  A block of several passes takes its draws in one call
-    (`_BlockUniforms`), which holds them all until the block ends; a block
+    (`nncore.Uniforms`), which holds them all until the block ends; a block
     of one pass draws from `rng` layer by layer, so on large batches each
     draw is freed once its layer has used it.
 
@@ -198,7 +165,7 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     while done < t:
         b = min(block, t - done)
         done += b
-        source = rng if b == 1 or not draws else _BlockUniforms(rng, b, rows, draws)
+        source = rng if b == 1 or not draws else Uniforms(rng, b, rows, draws, stacked=True)
         h = np.broadcast_to(first, (b, *first.shape))
         h = net.encoder.forward(h, source, stochastic=True, start=1, record=False)
         clf = None if net.head is None else net.head.forward(h, record=False)

@@ -20,6 +20,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oodfdd import cli, data, detect, experiments, model, nncore, train
 from oodfdd.nncore import NonFiniteError, derive_rng
@@ -303,6 +305,46 @@ def test_severity_detection_parses_tags():
     flags = np.array([True, True, False, True, True, True, False])
     rates = experiments.severity_detection(flags, groups)
     assert rates == {1: 0.5, 2: 1.0, 4: 0.5}
+
+
+_SEVERITY_TAGS = ["normal", "unknown", "fault:1", "fault:3", "incipient:1:1",
+                  "incipient:2:3", "incipient:3:2", "incipient:1:2.0"]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_SEVERITY_TAGS), st.booleans()), max_size=60))
+def test_severity_detection_equals_row_loop_bitwise(rows):
+    """Counting per distinct tag gives the rates of pooling the flags row by row."""
+    groups = np.array([g for g, _ in rows], dtype=str)
+    flags = np.array([f for _, f in rows], dtype=bool)
+    levels = {1: [], 2: [], 3: [], 4: []}
+    for flag, g in zip(flags, groups):
+        if g.startswith("incipient:"):
+            levels[int(float(g.split(":")[2]))].append(flag)
+        elif g.startswith("fault:"):
+            levels[4].append(flag)
+    reference = {sev: float(np.mean(vals)) for sev, vals in levels.items() if vals}
+    rates = experiments.severity_detection(flags, groups)
+    assert list(rates) == list(reference)
+    assert [v.hex() for v in rates.values()] == [v.hex() for v in reference.values()]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_SEVERITY_TAGS),
+                          st.sampled_from([np.nan, 0.0, 1.0, 0.5, 1 / 3, 0.25, 0.1])),
+                min_size=1, max_size=60))
+def test_mean_diag_by_group_equals_row_loop_bitwise(rows):
+    """Selecting a group's rows by integer code gives the string mask's means."""
+    groups = np.array([g for g, _ in rows], dtype=str)
+    diag = np.array([d for _, d in rows])
+    reference = {}
+    for g in dict.fromkeys(groups.tolist()):
+        vals = diag[groups == g]
+        vals = vals[~np.isnan(vals)]
+        if vals.size:
+            reference[g] = float(vals.mean())
+    table = experiments._mean_diag_by_group(diag, groups)
+    assert list(table) == list(reference)
+    assert all(type(g) is str for g in table)
+    assert [v.hex() for v in table.values()] == [v.hex() for v in reference.values()]
 
 
 def test_cap_per_class_deterministic():

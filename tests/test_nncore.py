@@ -231,6 +231,50 @@ def test_recording_forward_rejects_a_pass_stack():
         nn.DropoutLayer(0.5).forward(x, nn.make_rng(17), stochastic=True)
 
 
+def test_uniforms_hand_out_batch_draws_step_by_step_into_the_buffer():
+    buffer = np.full(100, np.nan)
+    rng = nn.make_rng(18)
+    source = nn.Uniforms(rng, 3, 4, [5, 2], stacked=False, out=buffer)
+    reference = nn.make_rng(18)
+    for _ in range(3):
+        for width in (5, 2):
+            draw = source.random((4, width))
+            assert np.shares_memory(draw, buffer)
+            assert draw.tobytes() == reference.random((4, width)).tobytes()
+    # the stream moved on by exactly the draws, and the buffer's tail is untouched
+    assert rng.random() == reference.random()
+    assert np.isnan(buffer[3 * 4 * 7:]).all()
+    with pytest.raises(RuntimeError, match="out of step"):
+        source.random((4, 5))  # every step's draws are handed out
+    source = nn.Uniforms(nn.make_rng(18), 2, 4, [5, 2], stacked=False)
+    with pytest.raises(RuntimeError, match="out of step"):
+        source.random((4, 2))  # a step's first draw is (4, 5)
+
+
+def test_draw_widths_list_the_dropout_layers_that_draw():
+    rng = nn.make_rng(19)
+    stack = nn.LayerStack([nn.DropoutLayer(0.5), nn.DenseLayer.init(rng, 3, 5, "relu"),
+                           nn.DropoutLayer(0.2), nn.DenseLayer.init(rng, 5, 2, "relu"),
+                           nn.DropoutLayer(0.0), nn.DenseLayer.init(rng, 2, 4, "relu"),
+                           nn.DropoutLayer(0.1)])
+    assert stack.draw_widths() == [3, 5, 4]
+    assert stack.draw_widths(start=2) == [5, 4]
+    assert stack.draw_widths(start=3) == [4]
+
+
+def test_dense_backward_writes_its_gradients_over_the_last_ones():
+    rng = nn.make_rng(20)
+    layer = nn.DenseLayer.init(rng, 3, 2, "relu")
+    x, g = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+    layer.grad_w[...] = 7.0  # what an earlier batch left
+    layer.grad_b[...] = 7.0
+    layer.forward(x)
+    layer.backward(g)
+    dpre = g * (x @ layer.weights.T + layer.bias > 0.0)
+    assert layer.grad_w.tobytes() == (dpre.T @ x).tobytes()
+    assert layer.grad_b.tobytes() == dpre.sum(axis=0).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # losses
 
@@ -426,7 +470,9 @@ def test_adam_in_place_matches_plain_expression_bitwise():
     p = rng.normal(size=(4, 3))
     ref, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
     state = nn.AdamState.for_params([p])
-    for t in range(1, 31):
+    # past t = 356, where c1 = 1 - 0.9**t rounds to 1.0 and the divide is skipped
+    assert 1.0 - 0.9**355 < 1.0 == 1.0 - 0.9**356
+    for t in range(1, 401):
         g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
         nn.adam_step([p], [g], state, lr=1e-2)
         c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t

@@ -1,5 +1,6 @@
 """Tests for the training loops and the masked joint objective."""
 
+import itertools
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -222,6 +223,46 @@ def test_beta_zero_logs_rec_loss_without_decoder_backward(monkeypatch):
     assert rec_loss == pytest.approx(((xhat - x[y == 0]) ** 2).sum() / x.size, rel=1e-12)
     assert rec_loss > 0.0
     assert not net.grads[net.spans("decoder")[0]].any()
+
+
+def test_a_batch_leaves_exactly_its_own_gradients():
+    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, n_classes=3,
+                      rng_seed=15)
+    rng = nncore.make_rng(16)
+    x1, x2 = rng.normal(0.0, 1.0, (2, 8, 6))
+    y1, y2 = np.array([0, 1, 2, 0, 1, 2, 0, 0]), np.array([2, 0, 1, 1, 0, 2, 2, 1])
+    net.zero_grad()
+    losses = train.joint_batch_gradients(net, x2, y2, 0.7, nncore.make_rng(17))
+    alone = net.grads.copy()
+    train.joint_batch_gradients(net, x1, y1, 0.7, nncore.make_rng(18))
+    assert not np.array_equal(net.grads, alone)
+    assert train.joint_batch_gradients(net, x2, y2, 0.7, nncore.make_rng(17)) == losses
+    assert net.grads.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("second", ["no normals", "beta zero", "warm-up without normals"])
+def test_a_pathway_without_backward_reads_zero_after_one_with(second):
+    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, n_classes=3,
+                      rng_seed=19)
+    rng = nncore.make_rng(20)
+    x = rng.normal(0.0, 1.0, (8, 6))
+    y = np.array([0, 1, 2, 0, 1, 2, 0, 0])
+    args = {"no normals": (np.array([1, 2, 1, 1, 2, 2, 1, 2]), 1.0, None),
+            "beta zero": (y, 0.0, None),
+            "warm-up without normals": (np.ones(8, int), 1.0, ("encoder", "decoder"))}[second]
+    labels, beta, roles = args
+    net.zero_grad()
+    train.joint_batch_gradients(net, x, labels, beta, stochastic=False, roles=roles)
+    alone = net.grads.copy()
+    train.joint_batch_gradients(net, x, y, 1.0, stochastic=False)
+    decoder = net.grads[net.offsets["decoder"]]
+    assert decoder.any()
+    train.joint_batch_gradients(net, x, labels, beta, stochastic=False, roles=roles)
+    assert np.all(decoder == 0.0)
+    if roles is None:  # the other pathways hold the batch's own gradients
+        assert net.grads.tobytes() == alone.tobytes()
+    else:  # nothing reached the encoder either
+        assert np.all(net.grads[net.offsets["encoder"]] == 0.0)
 
 
 def test_joint_gradients_pass_finite_difference_check():
@@ -474,6 +515,47 @@ def test_train_joint_matches_per_array_adam_bitwise():
 @pytest.mark.parametrize("kind", ["classifier", "autoencoder"])
 def test_benchmark_training_matches_per_array_adam_bitwise(kind):
     _assert_train_matches_reference(kind)
+
+
+def _train_at_draw_budget(monkeypatch, budget):
+    """train.train on an augmented net with warm-up and early stopping, the
+    dropout uniforms drawn `budget` doubles at a time (None: every layer
+    draws from the stream itself); returns (params, history as hex, the
+    steps of each draw)."""
+    steps = []
+    with monkeypatch.context() as patch:
+        if budget is None:
+            patch.setattr(train, "_batch_uniforms", lambda rng, *args: itertools.repeat(rng))
+        else:
+            patch.setattr(train, "_DRAW_BUDGET", budget)
+
+            def counted(rng, n_steps, *args, **kwargs):
+                steps.append(n_steps)
+                return nncore.Uniforms(rng, n_steps, *args, **kwargs)
+
+            patch.setattr(train, "Uniforms", counted)
+        # 120 rows: 12 held out, 108 = 6 * 16 + 12 trained, 60 normals
+        ds = _blobs(60, dim=5, seed=43)
+        net = model.build(ModelKind.AUGMENTED, input_dim=5, latent_dim=2, n_classes=2,
+                          rng_seed=44)
+        cfg = train.TrainConfig(beta=0.5, epochs=300, pretrain_epochs=3, batch_size=16,
+                                lr=1e-2, seed=45, early_stop=True)
+        history = train.train(net, ds, cfg)
+    assert len(history) < cfg.pretrain_epochs + cfg.epochs  # it stopped early
+    return net.params.tobytes(), [[v.hex() for v in row[1:]] for row in history], steps
+
+
+def test_training_is_bitwise_the_same_at_any_draw_budget(monkeypatch):
+    per_batch = 16 * sum(model.build(ModelKind.AUGMENTED, input_dim=5, latent_dim=2)
+                         .encoder.draw_widths())
+    params, history, steps = _train_at_draw_budget(monkeypatch, None)
+    assert steps == []
+    # one batch per draw, two, a whole epoch's six, and the default budget
+    for budget, most in ((1, 1), (3 * per_batch - 1, 2), (10**9, 6), (train._DRAW_BUDGET, 6)):
+        got_params, got_history, steps = _train_at_draw_budget(monkeypatch, budget)
+        assert (got_params, got_history) == (params, history)
+        # the short batch that ends every epoch draws alone
+        assert max(steps) == most and 1 in steps
 
 
 # ---------------------------------------------------------------------------

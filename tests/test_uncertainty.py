@@ -325,7 +325,7 @@ def test_mc_moments_peaks_within_the_block_budget_plus_one_pass():
 
 
 def test_block_uniforms_are_the_sequential_draws_and_raise_out_of_step():
-    source = unc._BlockUniforms(nncore.make_rng(32), 3, 4, [5, 2])
+    source = nncore.Uniforms(nncore.make_rng(32), 3, 4, [5, 2], stacked=True)
     first, second = source.random((3, 4, 5)), source.random((3, 4, 2))
     rng = nncore.make_rng(32)
     for k in range(3):
@@ -333,7 +333,7 @@ def test_block_uniforms_are_the_sequential_draws_and_raise_out_of_step():
         assert second[k].tobytes() == rng.random((4, 2)).tobytes()
     with pytest.raises(RuntimeError, match="out of step"):
         source.random((3, 4, 2))  # every view is handed out
-    source = unc._BlockUniforms(nncore.make_rng(32), 3, 4, [5, 2])
+    source = nncore.Uniforms(nncore.make_rng(32), 3, 4, [5, 2], stacked=True)
     with pytest.raises(RuntimeError, match="out of step"):
         source.random((3, 4, 2))  # the first layer's draw is (3, 4, 5)
 
