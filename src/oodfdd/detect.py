@@ -220,9 +220,19 @@ def binary_accuracy(flags: np.ndarray, groups, group: str) -> float:
 
 
 def group_binary_accuracies(flags: np.ndarray, groups) -> dict[str, float]:
-    """binary_accuracy for every distinct group tag, insertion-ordered."""
-    tags = np.asarray(groups)
-    return {g: binary_accuracy(flags, tags, g) for g in dict.fromkeys(groups)}
+    """binary_accuracy for every distinct group tag, in order of first
+    appearance.  Each distinct tag is mapped once and its rows and flags
+    counted as integers, whose ratio is exactly the mean of its flags."""
+    tags, first, codes = np.unique(np.asarray(groups), return_index=True, return_inverse=True)
+    codes = codes.reshape(-1)
+    rows = np.bincount(codes, minlength=len(tags))
+    flagged = np.bincount(codes[np.asarray(flags, dtype=bool)], minlength=len(tags))
+    table = {}
+    for i in np.argsort(first):
+        n, hits = int(rows[i]), int(flagged[i])
+        tag = groups[first[i]]  # the key dict.fromkeys(groups) would keep
+        table[tag] = (n - hits) / n if tag == "normal" else hits / n
+    return table
 
 
 def precision_recall_at(

@@ -2,30 +2,39 @@
 
 Dense layers, inverted dropout, the losses used by the two pathways, Adam,
 and exact manual gradients.  Everything is float64 and seeded: two runs with
-the same seed produce bitwise-identical parameters.  No autodiff; each layer
-implements its own backward pass, checked against finite differences by the
-tests.
+the same seed produce bitwise-identical parameters.  No autodiff; the
+backward pass is written by hand and checked against finite differences by
+the tests.
 
-A forward pass records what its backward pass needs (a dense layer's input,
-pre-activation and output, a dropout layer's mask) unless it is called with
-`record=False`, as inference does; a backward pass after a forward that did
-not record raises instead of reusing stale state.  A backward pass writes
-each dense layer's parameter gradients: it does not add to what an earlier
-batch left, so no batch starts with a zero fill.
+Every forward pass, of a single layer or of a `LayerStack`, runs one loop
+(`_forward`) over (layer, is_dense) records, and every backward pass one
+loop (`_backward`).  A stack runs its layers in one call of that loop
+rather than calling each layer's methods, which run the same loop on one
+record, so there is one copy of the math.  A forward records on each layer
+what its backward needs (a dense layer's input, pre-activation and output,
+a dropout layer's mask) unless it is called with `record=False`, as
+inference does; a backward pass after a forward that did not record raises
+instead of reusing stale state.  A backward pass writes each dense layer's
+parameter gradients: it does not add to what an earlier batch left, so no
+batch starts with a zero fill.  The loops check no shapes: the callers that
+take user input check it once (`DenseLayer.forward`, `train.train`).
 
-The hot kernels write into buffers they own instead of building
-temporaries: relu and the sigmoid into their pre-activation, the dense bias
-add into the matmul's output, softmax's exp and divide into its shifted logits,
-the dropout mask into its uniform draw (and, without recording, the
-dropped-out output into the mask), and the Adam update into scratch arrays.
-A stack's backward pass can skip the gradient w.r.t. its input when nothing
-consumes it.  Each kernel runs the operations of the plain expression in the
-same order, so its results are bitwise those of the plain form.
+The hot kernels write into buffers instead of building temporaries: the
+dense bias add and the activations into the matmul's output (softmax and
+the sigmoid through scratch arrays a caller may pass), the dropout mask
+into its uniform draw (and, without recording, the dropped-out output into
+the mask), and the Adam update into scratch arrays.  `LayerStack.forward_into`
+writes every layer's output and scratch into buffers its caller allocated
+once, so MC inference allocates nothing per pass.  A stack's backward pass
+can skip the gradient w.r.t. its input when nothing consumes it.  Each
+kernel runs the operations of the plain expression in the same order, so
+its results are bitwise those of the plain form.
 
 A dropout layer takes its uniforms from anything with the generator's
 `random(shape)`: `Uniforms` draws those of several passes or batches in one
-call and hands them out layer by layer, bitwise the draws the layers would
-take one by one.
+call, makes them into each layer's masks with two numpy calls per layer for
+the whole run, and hands them out layer by layer, bitwise the masks the
+layers would make from their own draws one by one.
 
 Forwards that do not record also take a (passes, rows, features) stack, so
 MC inference can run a block of passes in one call per layer: numpy's 3-D
@@ -51,6 +60,8 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,54 +172,89 @@ def as_matrix(x: np.ndarray, stacked: bool = False) -> np.ndarray:
 # activations
 
 
-def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None,
+            work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Logistic function that never overflows.
 
     With e = exp(-|x|), returns 1/(1+e) where x >= 0 and e/(1+e) elsewhere
     (NaN included): per element the arithmetic of splitting by sign, in two
     input-sized buffers plus the sign mask.  The result goes to `out`, which
-    may be `x` itself; the mask is taken before `out` is written.
+    may be `x` itself; the mask is taken before `out` is written.  `work`, a
+    (denominator, mask) pair of float64 and bool arrays of x's shape (see
+    `scratch_views`), takes the two intermediates instead of new arrays.
     """
-    nonneg = x >= 0
+    denom, nonneg = (None, None) if work is None else work
+    nonneg = np.greater_equal(x, 0, out=nonneg)
     out = np.abs(x, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
-    denom = out + 1.0
+    denom = np.add(out, 1.0, out=denom)
     np.divide(out, denom, out=out)
     np.divide(1.0, denom, out=out, where=nonneg)
     return out
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
+def softmax(x: np.ndarray, out: np.ndarray | None = None,
+            work: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis, bitwise exp(x - max) / sum(exp(x - max)).
 
     The row max is taken column by column: numpy's last-axis max is slow on
     short rows.  It is exact; where +0 and -0 tie it may pick the other
     zero, which changes only the sign of a zero in x - max, and exp maps
     both to 1.  The sum stays numpy's, whose order the result depends on.
+    The result goes to `out`, which may be `x` itself; `work`, a float64
+    array of x's shape without its last axis, holds the row max and then the
+    row sum instead of new arrays.
     """
-    top = x[..., 0].copy()
+    if work is None:
+        top = x[..., 0].copy()
+    else:
+        top = work
+        np.copyto(top, x[..., 0])
     for j in range(1, x.shape[-1]):
         np.maximum(top, x[..., j], out=top)
-    z = x - top[..., None]
+    z = np.subtract(x, top[..., None], out=out)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True, out=top[..., None])
     return z
 
 
-def _activate(name: str, pre: np.ndarray) -> np.ndarray:
-    """The activation of `pre`; relu and sigmoid overwrite `pre` with their
-    output.  Their backward stays exact: relu's because pre > 0 wherever
-    out > 0, sigmoid's because it reads only the output."""
+def _activate(name: str, pre: np.ndarray, work=None) -> np.ndarray:
+    """The activation of `pre`, written over `pre`; `work` is the scratch of
+    `scratch_views` or None.  The backward stays exact: relu's because
+    pre > 0 wherever out > 0, sigmoid's because it reads only the output,
+    and softmax has only the fused logits path."""
     if name == "identity":
         return pre
     if name == "relu":
         return np.maximum(0.0, pre, out=pre)
     if name == "sigmoid":
-        return sigmoid(pre, out=pre)
+        return sigmoid(pre, out=pre, work=work)
     if name == "softmax":
-        return softmax(pre)
+        return softmax(pre, out=pre, work=work)
     raise ValueError(f"unknown activation {name!r}")
+
+
+def scratch_columns(name: str, width: int) -> int:
+    """Columns, of one float64 per row each, that the scratch of an
+    activation over `width` columns takes: softmax's row max and sum,
+    sigmoid's denominator and its sign mask, one byte per element."""
+    if name == "softmax":
+        return 1
+    if name == "sigmoid":
+        return width + -(-width // 8)
+    return 0
+
+
+def scratch_views(name: str, flat: np.ndarray, shape: tuple):
+    """The `work` argument of an activation over arrays of `shape`, cut from
+    `flat`, a float64 run of `scratch_columns` columns of shape[:-1] rows."""
+    rows = math.prod(shape[:-1])
+    if name == "softmax":
+        return flat[:rows].reshape(shape[:-1])
+    size = rows * shape[-1]
+    return (flat[:size].reshape(shape),
+            flat[size:].view(np.bool_)[:size].reshape(shape))
 
 
 def _activation_backward(
@@ -288,33 +334,19 @@ class DenseLayer:
             raise ValueError(
                 f"input has {x.shape[-1]} features, layer expects {self.in_dim}"
             )
-        pre = x @ self.weights.T
-        pre += self.bias
-        out = _activate(self.activation, pre)
-        self._x, self._pre, self._out = (x, pre, out) if record else (None, None, None)
-        return out
+        return _forward(((self, True),), x, None, False, record)
 
     def backward(
         self, grad_out: np.ndarray, input_grad: bool = True
     ) -> np.ndarray | None:
         """Write the parameter grads; return the gradient w.r.t. the input,
         or None without computing it when `input_grad` is false."""
-        _, pre, out = self._recorded()
-        dpre = _activation_backward(self.activation, grad_out, pre, out)
-        return self.backward_from_preactivation(dpre, input_grad)
+        return _backward(((self, True),), grad_out, input_grad=input_grad)
 
     def backward_from_preactivation(
         self, dpre: np.ndarray, input_grad: bool = True
     ) -> np.ndarray | None:
-        x, _, _ = self._recorded()
-        np.matmul(dpre.T, x, out=self.grad_w)
-        np.add.reduce(dpre, axis=0, out=self.grad_b)
-        return dpre @ self.weights if input_grad else None
-
-    def _recorded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._x is None:
-            raise RuntimeError("backward called without a recording forward")
-        return self._x, self._pre, self._out
+        return _backward(((self, True),), dpre, input_grad=input_grad, from_logits=True)
 
 
 class DropoutLayer:
@@ -342,32 +374,108 @@ class DropoutLayer:
         record: bool = True,
     ) -> np.ndarray:
         """`x` with dropout applied when `stochastic`; the mask comes from
-        `rng.random(x.shape)`.  Without `record`, `x` may be a (passes,
-        rows, width) stack, as for `DenseLayer.forward`."""
-        x = as_matrix(x, stacked=not record)
-        self.last_mask = None
-        self._unrecorded = False
-        if not stochastic or self.rate == 0.0:
-            return x
-        if rng is None:
-            raise ValueError("stochastic dropout needs an rng")
-        keep = 1.0 - self.rate
-        # (u < keep) * (1 / keep), built in the draw's buffer
-        mask = rng.random(x.shape)
-        np.less(mask, keep, out=mask)
-        mask *= 1.0 / keep
-        if record:
-            self.last_mask = mask
-            return x * mask
-        self._unrecorded = True
-        return np.multiply(x, mask, out=mask)
+        `rng.random(x.shape)`, or ready-made from a `Uniforms` built with
+        rates.  Without `record`, `x` may be a (passes, rows, width) stack,
+        as for `DenseLayer.forward`."""
+        return _forward(((self, False),), as_matrix(x, stacked=not record), rng, stochastic,
+                        record)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._unrecorded:
+        return _backward(((self, False),), grad_out)
+
+
+def _to_mask(u: np.ndarray, keep: float) -> np.ndarray:
+    """(u < keep) * (1 / keep), written over the uniforms `u`."""
+    np.less(u, keep, out=u)
+    u *= 1.0 / keep
+    return u
+
+
+def _dropout_mask(source, shape: tuple, rate: float, out: np.ndarray | None) -> np.ndarray:
+    """The inverted-dropout mask of `shape` at `rate`: handed out ready by a
+    `Uniforms` built with rates, else made from the source's uniforms, drawn
+    into `out` when it is given."""
+    if source is None:
+        raise ValueError("stochastic dropout needs an rng")
+    if isinstance(source, Uniforms):
+        draws = source.random(shape)
+        return draws if source.masks else _to_mask(draws, 1.0 - rate)
+    return _to_mask(source.random(shape) if out is None else source.random(out=out), 1.0 - rate)
+
+
+# the buffers of a forward that allocates its outputs: none for any layer
+_NO_BUFFERS = itertools.repeat((None, None))
+
+
+def _forward(records, h: np.ndarray, source, stochastic: bool, record: bool,
+             buffers=_NO_BUFFERS) -> np.ndarray:
+    """Run the (layer, is_dense) `records` on `h`, the one forward loop of
+    every layer and stack.
+
+    `buffers` gives, per record, where its output goes and the activation's
+    scratch (`scratch_views`); (None, None) makes new arrays.  A dense
+    output is the matmul written into its buffer, then the bias and the
+    activation in place.  A dropout that draws makes its mask
+    (`_dropout_mask`; drawn into its buffer unless a `Uniforms` hands it
+    out) and, without recording, writes its output into its buffer, or
+    into the mask without one.  With `record`, each layer keeps what its
+    backward pass reads;
+    without, it keeps nothing and its backward raises.
+    """
+    for (layer, dense), (out, work) in zip(records, buffers):
+        if dense:
+            pre = np.matmul(h, layer.weights.T, out=out)
+            pre += layer.bias
+            out = _activate(layer.activation, pre, work)
+            layer._x, layer._pre, layer._out = (h, pre, out) if record else (None, None, None)
+            h = out
+            continue
+        layer.last_mask, layer._unrecorded = None, False
+        if not stochastic or layer.rate == 0.0:
+            continue
+        mask = _dropout_mask(source, h.shape, layer.rate, out)
+        if record:
+            layer.last_mask = mask
+            h = h * mask
+        else:
+            layer._unrecorded = True
+            h = np.multiply(h, mask, out=mask if out is None else out)
+    return h
+
+
+def _backward(records, g: np.ndarray, first: int = 0, input_grad: bool = True,
+              from_logits: bool = False) -> np.ndarray | None:
+    """Backpropagate `g` through records[first:], last to first, writing
+    each dense layer's parameter gradients; the one backward loop of every
+    layer and stack.
+
+    With `from_logits`, `g` is the gradient w.r.t. the last layer's
+    pre-activation, which must be dense.  With `input_grad` false the
+    records[first] layer, dense, skips its input gradient and None is
+    returned.
+    """
+    last = len(records) - 1
+    for i in range(last, first - 1, -1):
+        layer, dense = records[i]
+        if not dense:
+            if layer._unrecorded:
+                raise RuntimeError("backward called without a recording forward")
+            if layer.last_mask is not None:
+                g = g * layer.last_mask
+            continue
+        x = layer._x
+        if x is None:
             raise RuntimeError("backward called without a recording forward")
-        if self.last_mask is None:
-            return grad_out
-        return grad_out * self.last_mask
+        if from_logits and i == last:
+            dpre = g
+        else:
+            dpre = _activation_backward(layer.activation, g, layer._pre, layer._out)
+        np.matmul(dpre.T, x, out=layer.grad_w)
+        np.add.reduce(dpre, axis=0, out=layer.grad_b)
+        if i == first and not input_grad:
+            return None
+        g = dpre @ layer.weights
+    return g
 
 
 class Uniforms:
@@ -384,16 +492,25 @@ class Uniforms:
     run in turn.  It raises if `shape` is not the one expected next.  With
     `out`, a float64 buffer of at least the draws' size, the draws go into
     it; a later draw into the same buffer overwrites them.
+
+    With `rates`, one dropout rate per width, each layer's draws of every
+    step are made into its masks (u < keep) * (1 / keep) in place, two
+    numpy calls per layer for the whole run, and `random` hands out masks.
     """
 
     def __init__(self, rng: np.random.Generator, steps: int, rows: int, widths: list[int],
-                 *, stacked: bool, out: np.ndarray | None = None):
+                 *, stacked: bool, out: np.ndarray | None = None,
+                 rates: list[float] | None = None):
         size = steps * rows * sum(widths)
         block = rng.random(size) if out is None else rng.random(out=out[:size])
         block = block.reshape(steps, -1)
+        self.masks = rates is not None
         views, start = [], 0
-        for width in widths:
-            views.append(block[:, start:start + rows * width].reshape(steps, rows, width))
+        for j, width in enumerate(widths):
+            run = block[:, start:start + rows * width]
+            if self.masks:
+                _to_mask(run, 1.0 - rates[j])
+            views.append(run.reshape(steps, rows, width))
             start += rows * width
         self._views = views if stacked else [view[k] for k in range(steps) for view in views]
         self._views.reverse()
@@ -409,10 +526,17 @@ Layer = DenseLayer | DropoutLayer
 
 
 class LayerStack:
-    """An ordered pipeline of dense/dropout layers with manual backprop."""
+    """An ordered pipeline of dense/dropout layers with manual backprop.
+
+    Its forward and backward passes run one loop over per-layer records
+    (`_forward`, `_backward`) rather than calling each layer's methods;
+    they record on the layers what those methods record."""
 
     def __init__(self, layers: list[Layer]):
         self.layers = list(layers)
+        self._records = [(layer, isinstance(layer, DenseLayer)) for layer in self.layers]
+        self._dense = [layer for layer, dense in self._records if dense]
+        self._first_dense = next((i for i, (_, dense) in enumerate(self._records) if dense), 0)
 
     def forward(
         self,
@@ -426,13 +550,15 @@ class LayerStack:
         """Run layers[start:] on `x`; with start > 0, `x` is what layer
         start - 1 returned.  With `record` false no layer keeps anything
         for backward."""
-        h = x
-        for layer in self.layers[start:]:
-            if isinstance(layer, DropoutLayer):
-                h = layer.forward(h, rng, stochastic, record=record)
-            else:
-                h = layer.forward(h, record=record)
-        return h
+        return _forward(self._records[start:], as_matrix(x, stacked=not record), rng,
+                        stochastic, record)
+
+    def forward_into(self, x: np.ndarray, source, buffers: list, start: int = 0) -> np.ndarray:
+        """A stochastic forward of layers[start:] that records nothing and
+        writes each layer's output into its entry of `buffers`, an (output,
+        activation scratch) pair per layer (see `_forward`); `x` may be a
+        (passes, rows, features) stack.  Returns the last output."""
+        return _forward(self._records[start:], x, source, True, False, buffers)
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Backpropagate `grad_out`, writing every parameter gradient.
@@ -442,28 +568,20 @@ class LayerStack:
         parameter-free layers before it are not visited, and None is
         returned; the parameter gradients are the same either way.
         """
-        first = None if input_grad else self.dense_layers()[0]
-        g = grad_out
-        for layer in reversed(self.layers):
-            if layer is first:
-                return layer.backward(g, input_grad=False)
-            g = layer.backward(g)
-        return g
+        if input_grad:
+            return _backward(self._records, grad_out)
+        return _backward(self._records, grad_out, self._first_dense, input_grad=False)
 
     def backward_from_logits(self, grad_logits: np.ndarray) -> np.ndarray:
         """Backward pass where the loss already differentiated through the
         final activation (fused softmax/sigmoid + cross-entropy)."""
-        last = self.layers[-1]
-        if not isinstance(last, DenseLayer):
+        if not self._records[-1][1]:
             raise RuntimeError("stack must end in a dense layer for the fused path")
-        g = last.backward_from_preactivation(grad_logits)
-        for layer in reversed(self.layers[:-1]):
-            g = layer.backward(g)
-        return g
+        return _backward(self._records, grad_logits, from_logits=True)
 
     def params(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(parameter, gradient) pairs: weights then bias per dense layer."""
-        return [pair for layer in self.dense_layers()
+        return [pair for layer in self._dense
                 for pair in ((layer.weights, layer.grad_w), (layer.bias, layer.grad_b))]
 
     def zero_grad(self) -> None:
@@ -471,19 +589,26 @@ class LayerStack:
             grad.fill(0.0)
 
     def dense_layers(self) -> list[DenseLayer]:
-        return [l for l in self.layers if isinstance(l, DenseLayer)]
+        return list(self._dense)
+
+    def _draws(self, start: int):
+        """(width, rate) of each dropout layer in layers[start:] that draws."""
+        width = self._dense[0].in_dim
+        for i, (layer, dense) in enumerate(self._records):
+            if dense:
+                width = layer.out_dim
+            elif i >= start and layer.rate > 0.0:
+                yield width, layer.rate
 
     def draw_widths(self, start: int = 0) -> list[int]:
         """The width of each dropout layer in layers[start:] that draws
         (rate > 0), in order: the output width of the dense layer before
         it, or the stack's input width."""
-        width, widths = self.dense_layers()[0].in_dim, []
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, DenseLayer):
-                width = layer.out_dim
-            elif i >= start and layer.rate > 0.0:
-                widths.append(width)
-        return widths
+        return [width for width, _ in self._draws(start)]
+
+    def draw_rates(self, start: int = 0) -> list[float]:
+        """The rates of the layers `draw_widths` lists, in the same order."""
+        return [rate for _, rate in self._draws(start)]
 
 
 def flatten_stacks(stacks: list[LayerStack]) -> tuple[np.ndarray, np.ndarray, list[slice]]:

@@ -10,11 +10,12 @@ of a removed pathway is dropped; the warm-up is the objective over the
 encoder and decoder alone.  Every phase is one seeded, single-threaded
 loop (`_fit`) that steps Adam over slices of the network's flat parameter
 buffer; the same TrainConfig.seed reproduces weights bitwise.  `train`
-checks its rows and labels once per call; its batches then run the
-unchecked loss kernels.  A batch's backward pass writes its gradients
-rather than adding to the previous batch's, so no batch zero-fills them,
-and the batches' dropout uniforms are drawn a run of batches at a time
-(`_batch_uniforms`), bitwise the draws the layers would take one by one.
+checks its rows' width and values and its labels once per call; its
+batches then run the unchecked stack loops and loss kernels.  A batch's
+backward pass writes its gradients rather than adding to the previous
+batch's, so no batch zero-fills them.  The batches' dropout masks are drawn
+and made a run of batches at a time (`_batch_uniforms`), bitwise the masks
+the layers would make from their own draws one by one.
 """
 
 from __future__ import annotations
@@ -156,14 +157,16 @@ def _normal_rows(y: np.ndarray) -> np.ndarray | slice | None:
 
 
 def _batch_uniforms(rng: np.random.Generator, n: int, batch_size: int, widths: list[int],
-                    buffer: np.ndarray) -> Iterator:
-    """Where each batch of an epoch over n rows takes its dropout uniforms,
-    batch by batch; `widths` are those of the encoder's drawing layers.
+                    rates: list[float], buffer: np.ndarray) -> Iterator:
+    """Where each batch of an epoch over n rows takes its dropout masks,
+    batch by batch; `widths` and `rates` are those of the encoder's drawing
+    layers.
 
     Each run of whole batches that `buffer` holds draws its uniforms in one
-    call when its first batch runs, and the epoch's last, short batch draws
-    alone (`nncore.Uniforms`).  Drawn after the epoch's permutation, batch
-    by batch and layer by layer, they are bitwise the draws the batches'
+    call when its first batch runs and makes them into masks, layer by
+    layer for the whole run; the epoch's last, short batch draws alone
+    (`nncore.Uniforms`).  Drawn after the epoch's permutation, batch by
+    batch and layer by layer, they are bitwise the draws the batches'
     layers would take from `rng` in turn.  Without a drawing layer every
     batch gets `rng` itself.
     """
@@ -174,10 +177,10 @@ def _batch_uniforms(rng: np.random.Generator, n: int, batch_size: int, widths: l
     chunk = max(1, len(buffer) // (batch_size * sum(widths)))
     for first in range(0, full, chunk):
         steps = min(chunk, full - first)
-        yield from itertools.repeat(
-            Uniforms(rng, steps, batch_size, widths, stacked=False, out=buffer), steps)
+        yield from itertools.repeat(Uniforms(rng, steps, batch_size, widths, stacked=False,
+                                             out=buffer, rates=rates), steps)
     if rest:
-        yield Uniforms(rng, 1, rest, widths, stacked=False, out=buffer)
+        yield Uniforms(rng, 1, rest, widths, stacked=False, out=buffer, rates=rates)
 
 
 def _objective(net: PathwayNetwork, x: np.ndarray, y: np.ndarray,
@@ -201,9 +204,9 @@ def _fit(net: PathwayNetwork, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, ep
     """Seeded mini-batch Adam on the objective of the pathways in `roles`.
 
     Each epoch shuffles the rows of (x, y) with derive_rng(cfg.seed,
-    stream), which then draws the epoch's dropout uniforms, as many whole
-    batches' as _DRAW_BUDGET holds at a time (`_batch_uniforms`); each batch runs
-    `joint_batch_gradients` with beta = rec_weight and steps Adam over the
+    stream), which then draws the epoch's dropout masks, as many whole
+    batches' as _DRAW_BUDGET holds at a time (`_batch_uniforms`); each batch
+    runs `joint_batch_gradients` with beta = rec_weight and steps Adam over the
     buffer spans of `roles`.  Epochs are logged as
     row-weighted means with total clf + rec_weight * rec.  With `val`, held
     out rows (x, y), training stops after EARLY_STOP_PATIENCE epochs
@@ -216,7 +219,7 @@ def _fit(net: PathwayNetwork, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, ep
     params = [net.params[span] for span in spans]
     grads = [net.grads[span] for span in spans]
     state = AdamState.for_params(params)
-    widths = net.encoder.draw_widths()
+    widths, rates = net.encoder.draw_widths(), net.encoder.draw_rates()
     row_draws = sum(widths)
     buffer = np.empty(min(max(_DRAW_BUDGET, cfg.batch_size * row_draws), n * row_draws))
     history = []
@@ -224,7 +227,7 @@ def _fit(net: PathwayNetwork, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, ep
     for epoch in range(epochs):
         clf_total, rec_total = 0.0, 0.0
         perm = rng.permutation(n)
-        sources = _batch_uniforms(rng, n, cfg.batch_size, widths, buffer)
+        sources = _batch_uniforms(rng, n, cfg.batch_size, widths, rates, buffer)
         for start, source in zip(range(0, n, cfg.batch_size), sources):
             idx = perm[start : start + cfg.batch_size]
             clf_loss, rec_loss = joint_batch_gradients(net, x[idx], y[idx], rec_weight, source,
@@ -262,6 +265,8 @@ def train(net: PathwayNetwork, dataset, cfg: TrainConfig) -> list[EpochLog]:
     restarts at 0 for the objective phase).
     """
     x, y = _as_xy(dataset)
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
+        raise ValueError(f"rows have {x.shape[-1]} features, the net takes {net.input_dim}")
     if net.head is None:
         if np.any(y != 0):
             raise ValueError("a net without a classifier head trains on normal rows only "

@@ -13,16 +13,21 @@ reproduce the statistics bitwise.
 On small batches the cost of a layer call outweighs its arithmetic, so the
 passes run in blocks stacked along a leading axis, one layer call per
 block, as many passes to a block as PASS_BLOCK_BUDGET allows.  A block
-draws its dropout uniforms in pass order and each pass is bitwise the pass
-run alone; a batch too large for two passes in the budget runs in blocks
-of one pass, which draw layer by layer.
+draws its dropout uniforms in pass order, into one buffer where they become
+masks, and each pass is bitwise the pass run alone; a batch too large for
+two passes in the budget runs in blocks of one pass, which draw layer by
+layer into the buffers of the layers' outputs.
 
-The passes run their layers with `record=False`: no layer keeps its input,
+The passes run their layers without recording: no layer keeps its input,
 pre-activation, output or dropout mask for a backward pass that inference
-never runs, so each block's temporaries are freed as the next is drawn.  The
-Welford mean and m2 and the reconstruction sum are updated in place; the
-Welford step works in two scratch arrays of its own and never writes into
-the samples, which `mc_sample` keeps.  Both calls run under
+never runs.  Every block writes into buffers allocated once per call, one
+arena laid out by liveness (`_pass_plan`) and the draws' buffer, so after
+the first block the passes allocate nothing and fault in no fresh pages.
+The yielded outputs are views of those buffers, which the next block
+overwrites: `mc_moments` folds each pass in before the next runs, and
+`mc_sample` copies them.  The Welford mean and m2 and the reconstruction
+sum are updated in place; the Welford step works in two scratch arrays of
+its own and never writes into the samples.  Both calls run under
 `nncore.numeric_context`, so a pass that overflows raises
 FloatingPointError.  Entropy is the natural-log
 entropy of the predictive mean distribution, with the usual 0*log(0) = 0
@@ -37,7 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import PathwayNetwork
-from .nncore import Uniforms, as_matrix, ensure_finite, numeric_context
+from .nncore import (DenseLayer, Uniforms, as_matrix, ensure_finite, numeric_context,
+                     scratch_columns, scratch_views)
 
 
 def _welford_step(k: int, sample: np.ndarray, mean: np.ndarray, m2: np.ndarray,
@@ -132,6 +138,100 @@ def _pass_layout(net: PathwayNetwork) -> tuple[list[int], int]:
     return draws, sum(draws) + sum(layer.out_dim for layer in later)
 
 
+def _pass_plan(net: PathwayNetwork) -> tuple[list, int]:
+    """Where each layer of a pass writes, in one arena per `_passes` call.
+
+    Returns (plan, columns).  The plan holds, for the encoder after its
+    first layer, the head and the decoder (None for an absent pathway), an
+    (output, scratch) pair of spans per layer.  A span is (first column,
+    columns) of an arena whose column holds one float64 per row of a block;
+    None where a layer writes nothing: a dropout that does not draw passes
+    its input on.  A drawing dropout writes its output into its own span,
+    not into its mask: a block's masks are strided views of the draws, and
+    numpy copies a whole operand to write in place into one.
+
+    Each array is live from the step that writes it to the last that reads
+    it: a layer's input until its output is made, an activation's scratch
+    while it runs, and the latent and each pathway's output until the
+    block's passes are yielded.  Arrays are placed widest first, each at
+    the lowest columns that no array live at the same time holds; on the
+    layer shapes of the three datasets that makes the arena exactly as wide
+    as the most columns live at once.
+    """
+    lives: list[list] = []  # [columns, first step, last step] per array
+
+    def array(cols: int, first: int, last: float = np.inf) -> int:
+        lives.append([cols, first, last])
+        return len(lives) - 1
+
+    step = 0
+
+    def place(stack, start: int, width: int):
+        nonlocal step
+        spans, made = [], None  # made: the array this stack last wrote
+        for layer in stack.layers[start:]:
+            dense = isinstance(layer, DenseLayer)
+            if not dense and layer.rate == 0.0:
+                spans.append((None, None))
+                continue
+            step += 2  # the layer reads its input and writes its output at one step
+            width = layer.out_dim if dense else width
+            out = array(width, step)
+            if made is not None:
+                lives[made][2] = step
+            cols = scratch_columns(layer.activation, width) if dense else 0
+            spans.append((out, array(cols, step + 1, step + 1) if cols else None))
+            made = out
+        return spans
+
+    plan = [place(net.encoder, 1, net.encoder.dense_layers()[0].out_dim)]
+    plan += [None if stack is None else place(stack, 0, net.latent_dim)
+             for stack in (net.head, net.decoder)]
+
+    at, columns = {}, 0
+    for i in sorted(range(len(lives)), key=lambda i: -lives[i][0]):
+        cols, first, last = lives[i]
+        clashes = sorted((at[j], at[j] + lives[j][0]) for j in at
+                         if lives[j][1] <= last and first <= lives[j][2])
+        offset = 0
+        for lo, hi in clashes:
+            if lo - offset >= cols:
+                break
+            offset = max(offset, hi)
+        at[i] = offset
+        columns = max(columns, offset + cols)
+
+    def span(i):
+        return None if i is None else (at[i], lives[i][0])
+
+    return [None if spans is None else [(span(out), span(work)) for out, work in spans]
+            for spans in plan], columns
+
+
+def _cut(net: PathwayNetwork, plan: list, arena: np.ndarray, b: int, rows: int) -> list:
+    """The buffers of `plan` for a block of b passes: for each stack of the
+    plan, an (output, scratch) pair of arena views per layer (see
+    `LayerStack.forward_into`)."""
+    n = b * rows
+
+    def run(span):
+        first, cols = span
+        return arena[first * n:(first + cols) * n]
+
+    cut = []
+    for (stack, start), spans in zip(((net.encoder, 1), (net.head, 0), (net.decoder, 0)), plan):
+        if spans is None:
+            cut.append(None)
+            continue
+        buffers = []
+        for layer, (out, work) in zip(stack.layers[start:], spans):
+            if work is not None:
+                work = scratch_views(layer.activation, run(work), (b, rows, layer.out_dim))
+            buffers.append((None if out is None else run(out).reshape(b, rows, out[1]), work))
+        cut.append(buffers)
+    return cut
+
+
 def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator):
     """Yield (head output, decoder output) for each of T dropout-active passes.
 
@@ -145,10 +245,15 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     per block, with B as large as PASS_BLOCK_BUDGET allows for the rows'
     layer outputs and draws.  The draws are taken in pass order, and each
     pass's outputs are yielded as views, in order, bitwise those of a pass
-    run alone.  A block of several passes takes its draws in one call
-    (`nncore.Uniforms`), which holds them all until the block ends; a block
-    of one pass draws from `rng` layer by layer, so on large batches each
-    draw is freed once its layer has used it.
+    run alone.  With B > 1 a block takes its draws in one call, made into
+    masks in one buffer (`nncore.Uniforms`); with B = 1 each dropout layer
+    draws from `rng` in turn, into its output's buffer.
+
+    Every block writes into buffers allocated once per call: one arena
+    that holds each layer's output and activation scratch where
+    `_pass_plan` places them, and the draws' buffer.  So a block allocates
+    nothing, and the yielded views are overwritten by the next block: a
+    caller that keeps a pass's outputs copies them.
 
     The input rows are checked to be finite here, once per call of
     `mc_moments` or `mc_sample`, which run under `numeric_context`; the
@@ -160,17 +265,24 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     first = net.encoder.layers[0].forward(x, record=False)
     rows = len(first)
     draws, row_width = _pass_layout(net)
-    block = max(1, PASS_BLOCK_BUDGET // (rows * row_width))
-    done = 0
+    block = min(t, max(1, PASS_BLOCK_BUDGET // (rows * row_width)))
+    plan, columns = _pass_plan(net)
+    arena = np.empty(columns * block * rows)
+    drawn = np.empty(block * rows * sum(draws)) if block > 1 and draws else None
+    rates = net.encoder.draw_rates(start=1)
+    done, buffers = 0, None
     while done < t:
         b = min(block, t - done)
         done += b
-        source = rng if b == 1 or not draws else Uniforms(rng, b, rows, draws, stacked=True)
+        if buffers is None or buffers[0] != b:
+            buffers = b, _cut(net, plan, arena, b, rows)
+        encoder, head, decoder = buffers[1]
+        source = rng if drawn is None else Uniforms(rng, b, rows, draws, stacked=True,
+                                                    out=drawn, rates=rates)
         h = np.broadcast_to(first, (b, *first.shape))
-        h = net.encoder.forward(h, source, stochastic=True, start=1, record=False)
-        clf = None if net.head is None else net.head.forward(h, record=False)
-        rec = None if net.decoder is None else net.decoder.forward(h, record=False)
-        del h  # the latent may be a view of the block's draws: free them now
+        h = net.encoder.forward_into(h, source, encoder, start=1)
+        clf = None if head is None else net.head.forward_into(h, None, head)
+        rec = None if decoder is None else net.decoder.forward_into(h, None, decoder)
         for k in range(b):
             yield (None if clf is None else clf[k], None if rec is None else rec[k])
 
@@ -220,7 +332,9 @@ def mc_sample(
     x = as_matrix(x)
     if x.shape[0] != 1:
         raise ValueError("mc_sample takes a single example; see mc_moments")
-    clf, rec = zip(*_passes(net, x, t, rng))
+    # the passes' outputs are views of reused buffers: keep copies
+    clf, rec = zip(*([None if a is None else a.copy() for a in p]
+                     for p in _passes(net, x, t, rng)))
     return McSampleResult(
         classifier=None if net.head is None else McPrediction.from_samples(np.concatenate(clf)),
         reconstruction=None if net.decoder is None

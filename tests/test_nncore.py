@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,17 @@ def test_sigmoid_bitwise_equals_split_by_sign():
         assert nn.sigmoid(before, out=before) is before  # in place: same bits
         assert _hex(before) == _hex(got)
     assert _hex(nn.sigmoid(grid[:2])) == [(0.5).hex()] * 2  # +0.0 and -0.0
+
+
+@pytest.mark.parametrize("shape", [(40, 7), (3, 40, 7), (1, 9, 1)])
+def test_activations_in_scratch_give_the_same_bits(shape):
+    x = nn.make_rng(5).normal(0.0, 20.0, shape)
+    x.flat[0], x.flat[-1] = -0.0, 0.0
+    for name, plain in (("softmax", nn.softmax), ("sigmoid", nn.sigmoid)):
+        flat = np.full(math.prod(shape[:-1]) * nn.scratch_columns(name, shape[-1]), np.nan)
+        got = x.copy()
+        assert plain(got, out=got, work=nn.scratch_views(name, flat, shape)) is got
+        assert _hex(got) == _hex(plain(x))
 
 
 def test_dense_dimension_mismatch():
@@ -249,6 +262,16 @@ def test_uniforms_hand_out_batch_draws_step_by_step_into_the_buffer():
     source = nn.Uniforms(nn.make_rng(18), 2, 4, [5, 2], stacked=False)
     with pytest.raises(RuntimeError, match="out of step"):
         source.random((4, 2))  # a step's first draw is (4, 5)
+    # with rates, the same draws are handed out as each layer's masks
+    source = nn.Uniforms(nn.make_rng(18), 3, 4, [5, 2], stacked=False, out=buffer,
+                         rates=[0.3, 0.75])
+    reference = nn.make_rng(18)
+    for _ in range(3):
+        for width, keep in ((5, 0.7), (2, 0.25)):
+            mask = source.random((4, width))
+            assert np.shares_memory(mask, buffer)
+            want = (reference.random((4, width)) < keep) * (1.0 / keep)
+            assert mask.tobytes() == want.tobytes()
 
 
 def test_draw_widths_list_the_dropout_layers_that_draw():

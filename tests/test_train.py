@@ -183,15 +183,15 @@ def test_decoder_sees_only_normal_rows(monkeypatch):
     rng = nncore.make_rng(12)
     x = rng.normal(0.0, 1.0, (9, 6))
     y = np.array([1, 0, 2, 2, 0, 1, 0, 2, 1])
-    first = net.decoder.dense_layers()[0]
+    # the stack runs its layers in one loop, so the spy sits on the stack
     seen = []
-    real_forward = first.forward
+    real_forward = net.decoder.forward
 
-    def spy(rows, **kwargs):
+    def spy(rows, *args, **kwargs):
         seen.append(np.array(rows))
-        return real_forward(rows, **kwargs)
+        return real_forward(rows, *args, **kwargs)
 
-    monkeypatch.setattr(first, "forward", spy)
+    monkeypatch.setattr(net.decoder, "forward", spy)
     net.zero_grad()
     train.joint_batch_gradients(net, x, y, 1.0, stochastic=False)
     assert len(seen) == 1
@@ -326,6 +326,18 @@ def test_train_checks_its_rows_once_by_name(kind):
     ds = SimpleNamespace(X=x, y=np.zeros(4, dtype=int))
     with pytest.raises(nncore.NonFiniteError, match="^non-finite values in training features$"):
         train.train(net, ds, train.TrainConfig(epochs=1, pretrain_epochs=0))
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("width", [3, 5])
+def test_train_rejects_rows_of_another_width_naming_both(kind, width):
+    # the stack loops check no shapes: train checks the width once
+    net = model.build(kind, input_dim=4, latent_dim=2)
+    before = net.params.copy()
+    ds = SimpleNamespace(X=np.zeros((6, width)), y=np.zeros(6, dtype=int))
+    with pytest.raises(ValueError, match=f"^rows have {width} features, the net takes 4$"):
+        train.train(net, ds, train.TrainConfig(epochs=1, pretrain_epochs=1))
+    assert net.params.tobytes() == before.tobytes()
 
 
 def test_joint_history_shape_and_totals():

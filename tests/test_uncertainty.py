@@ -236,13 +236,16 @@ _SHAPES = {
 
 # (rows, T, passes per block): None keeps the module's budget, which puts
 # these batches in one block; 4 sets it to blocks of 4 passes (4, 4, 3 and
-# 4, 4, 1: the last block of one runs the 2-D layers); 1 runs pass by pass
+# 4, 4, 1: the last block of one runs the 2-D layers); 1 runs pass by pass.
+# mc_sample runs one row, so only "one row in blocks of 3" gives it several
+# blocks, whose outputs it must copy before the next block overwrites them
 _BLOCKINGS = {
     "one block": (9, 6, None),
     "blocks of 4 then 3": (9, 11, 4),
     "blocks of 4 then 1": (9, 9, 4),
     "pass by pass": (9, 6, 1),
     "one row": (1, 7, None),
+    "one row in blocks of 3": (1, 7, 3),
 }
 
 
@@ -295,14 +298,46 @@ def test_mc_moments_keeps_nothing_for_backward():
     assert held == []
 
 
+def test_passes_after_the_first_block_allocate_nothing():
+    # chiller-shaped augmented net on its 10200 evaluation rows, one pass per
+    # block: the blocks after the first write into the first one's buffers
+    net = model.build(ModelKind.AUGMENTED, input_dim=7, latent_dim=4, hidden_widths=[16, 8, 4],
+                      head_widths=[8, 8], n_classes=7, rng_seed=0)
+    x = nncore.make_rng(28).normal(0, 1, (10200, 7))
+    narrowest = min(layer.out_dim for stack in net.stacks() for layer in stack.dense_layers())
+    passes = unc._passes(net, x, 5, nncore.make_rng(29))
+    tracemalloc.start()
+    try:
+        next(passes)
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        for _ in passes:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held + 8 * len(x) * narrowest
+
+
 def test_first_encoder_layer_runs_once_per_mc_call():
     net = _net(n_classes=3, dropout=0.3)
-    calls = [0] * len(net.encoder.dense_layers())
-    for i, layer in enumerate(net.encoder.dense_layers()):
+    dense = net.encoder.dense_layers()
+    calls = [0] * len(dense)
+    for i, layer in enumerate(dense):
         def counted(x, forward=layer.forward, i=i, **kwargs):
             calls[i] += 1
             return forward(x, **kwargs)
         layer.forward = counted
+    # a stack runs its layers in one loop: count each dense layer it runs
+    run = net.encoder.forward_into
+
+    def counted_run(x, source, buffers, start=0):
+        for layer in net.encoder.layers[start:]:
+            if layer in dense:
+                calls[dense.index(layer)] += 1
+        return run(x, source, buffers, start)
+
+    net.encoder.forward_into = counted_run
     x = nncore.make_rng(23).normal(0, 1, (5, 6))
     unc.mc_moments(net, x, 12, nncore.make_rng(24))
     assert calls == [1, 1, 1]
@@ -336,6 +371,14 @@ def test_block_uniforms_are_the_sequential_draws_and_raise_out_of_step():
     source = nncore.Uniforms(nncore.make_rng(32), 3, 4, [5, 2], stacked=True)
     with pytest.raises(RuntimeError, match="out of step"):
         source.random((3, 4, 2))  # the first layer's draw is (3, 4, 5)
+    # with rates, each layer's draws of every pass are handed out as its masks
+    source = nncore.Uniforms(nncore.make_rng(32), 3, 4, [5, 2], stacked=True,
+                             rates=[0.3, 0.75])
+    first, second = source.random((3, 4, 5)), source.random((3, 4, 2))
+    rng = nncore.make_rng(32)
+    for k in range(3):
+        assert first[k].tobytes() == ((rng.random((4, 5)) < 0.7) * (1.0 / 0.7)).tobytes()
+        assert second[k].tobytes() == ((rng.random((4, 2)) < 0.25) * (1.0 / 0.25)).tobytes()
 
 
 def test_mc_sample_is_the_moments_loop_with_samples_kept():
