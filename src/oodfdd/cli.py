@@ -4,7 +4,8 @@ Subcommands cover the full workflow: generate surrogate data files, train a
 single model, evaluate stored weights, score arbitrary rows, emit report
 figures, and run the three-way model comparison. Every number the CLI
 prints or writes is recomputable by calling the library with the same seed;
-the CLI holds no state of its own beyond the artifact files it writes.
+the CLI holds no state of its own beyond the artifact files it writes:
+`gen-data` writes into `--data-dir`, every other subcommand under `--out`.
 
 Every ExperimentConfig field is a settings flag (`--t-samples` for
 t_samples) and a config-file key, typed by the field's annotation; a value
@@ -427,7 +428,6 @@ def _add_common(p: argparse.ArgumentParser):
                        type=functools.partial(parse_config_value, key))
     p.add_argument("--data-dir", dest="data_dir",
                    help="dataset directory (or OODFDD_DATA_DIR)")
-    p.add_argument("--out", default="out", help="artifact output directory")
 
 
 @functools.cache
@@ -438,18 +438,20 @@ def make_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     specs = [
         ("gen-data", cmd_gen_data, "write surrogate dataset files", ()),
-        ("train", cmd_train, "train one model and archive its weights", ()),
+        ("train", cmd_train, "train one model and archive its weights", ("out",)),
         ("evaluate", cmd_evaluate, "evaluate stored weights on the test split",
-         ("weights",)),
+         ("out", "weights")),
         ("score", cmd_score, "score rows and emit predicted label sets",
-         ("weights", "input")),
+         ("out", "weights", "input")),
         ("report", cmd_report, "emit projection figures, score matrices, histograms",
-         ("weights",)),
-        ("compare", cmd_compare, "train all three model kinds and tabulate them", ()),
+         ("out", "weights")),
+        ("compare", cmd_compare, "train all three model kinds and tabulate them", ("out",)),
     ]
     for name, fn, help_text, extra in specs:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
+        if "out" in extra:  # gen-data writes into --data-dir
+            p.add_argument("--out", default="out", help="artifact output directory")
         if "weights" in extra:
             p.add_argument("--weights", required=True, help="path to a weight archive")
         if "input" in extra:

@@ -59,9 +59,6 @@ class FeatureStats:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
 
-    def invert(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64) * self.std + self.mean
-
 
 @dataclass
 class LabeledDataset:
@@ -332,12 +329,12 @@ def gen_ambiguous(
         raise ValueError(
             f"paired inputs must share a shape: {x_normal.shape} vs {x_fault.shape}"
         )
-    z_normal = net.encoder.forward(x_normal, record=False)
-    z_fault = net.encoder.forward(x_fault, record=False)
+    z_normal = net.encoder.forward(x_normal)
+    z_fault = net.encoder.forward(x_fault)
     xs, tags = [], []
     for t in t_values:
         z = (1.0 - t) * z_normal + t * z_fault
-        xs.append(net.decoder.forward(z, record=False))
+        xs.append(net.decoder.forward(z))
         tags.extend([f"incipient:{fault_label}:{t:g}"] * len(z))
     x = np.vstack(xs)
     return LabeledDataset(

@@ -203,26 +203,13 @@ def diagnostic_accuracies(b: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(y != 0, credit, np.nan)
 
 
-def binary_accuracy(flags: np.ndarray, groups, group: str) -> float:
-    """Fraction of a group on the correct side of the flag.
-
-    flags holds the per-example anomaly flag of either pathway (classifier z
-    or rec score > threshold).  Normal examples are correct when unflagged,
-    members of every other group when flagged.
-    """
-    flags = np.asarray(flags, dtype=bool)
-    member = np.asarray(groups) == group
-    if not member.any():
-        raise ValueError(f"no examples in group {group!r}")
-    if group == "normal":
-        return float(np.mean(~flags[member]))
-    return float(np.mean(flags[member]))
-
-
 def group_binary_accuracies(flags: np.ndarray, groups) -> dict[str, float]:
-    """binary_accuracy for every distinct group tag, in order of first
-    appearance.  Each distinct tag is mapped once and its rows and flags
-    counted as integers, whose ratio is exactly the mean of its flags."""
+    """Per group tag, in order of first appearance, the fraction of its rows
+    on the correct side of the flag: normal rows when unflagged, rows of
+    every other group when flagged.  `flags` holds the per-example anomaly
+    flag of either pathway.  Each distinct tag is mapped once and its rows
+    and flags counted as integers, whose ratio is exactly the mean of its
+    flags."""
     tags, first, codes = np.unique(np.asarray(groups), return_index=True, return_inverse=True)
     codes = codes.reshape(-1)
     rows = np.bincount(codes, minlength=len(tags))

@@ -227,7 +227,7 @@ def resolve_data_dir(data_dir: str | None) -> str:
 
 def latents(net: PathwayNetwork, x: np.ndarray) -> np.ndarray:
     """Deterministic bottleneck activations, shared by reports and tests."""
-    return net.encoder.forward(np.asarray(x, dtype=float), record=False)
+    return net.encoder.forward(np.asarray(x, dtype=float))
 
 
 def _mean_diag_by_group(diag: np.ndarray, groups: np.ndarray) -> dict:
@@ -557,31 +557,6 @@ def severity_detection(flags: np.ndarray, groups: np.ndarray) -> dict:
         level[1] += tag_rows
     # integer counts over n: exactly the mean of the level's flags
     return {sev: hit / n for sev, (hit, n) in levels.items() if n}
-
-
-def spearman(x, y) -> float:
-    """Rank correlation; ties get midranks."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ValueError("spearman needs two equal-length vectors of size >= 2")
-
-    def ranks(v):
-        order = np.argsort(v, kind="stable")
-        r = np.empty(v.size, dtype=float)
-        r[order] = np.arange(1, v.size + 1, dtype=float)
-        # average ranks within tied groups
-        for val in np.unique(v):
-            mask = v == val
-            if mask.sum() > 1:
-                r[mask] = r[mask].mean()
-        return r
-
-    rx, ry = ranks(x), ranks(y)
-    sx, sy = rx.std(), ry.std()
-    if sx == 0.0 or sy == 0.0:
-        raise ValueError("spearman undefined for constant input")
-    return float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
 
 
 def _cap_per_class(ds: data.LabeledDataset, cap: int, seed: int) -> data.LabeledDataset:

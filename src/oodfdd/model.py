@@ -114,35 +114,6 @@ class PathwayNetwork:
         """Width of the classifier output (1 for the two-class sigmoid)."""
         return 1 if self.n_classes == 2 else self.n_classes
 
-    def forward_classify(
-        self,
-        x: np.ndarray,
-        rng: np.random.Generator | None = None,
-        stochastic: bool = False,
-        *,
-        record: bool = True,
-    ) -> np.ndarray:
-        """Class probabilities; `record` as in `LayerStack.forward`."""
-        if self.head is None:
-            raise ValueError(f"{self.kind.value} model has no classifier head")
-        h = self.encoder.forward(x, rng, stochastic, record=record)
-        return self.head.forward(h, record=record)
-
-    def forward_reconstruct(
-        self,
-        x: np.ndarray,
-        rng: np.random.Generator | None = None,
-        stochastic: bool = False,
-        *,
-        record: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (reconstruction, latent codes); `record` as in
-        `LayerStack.forward`."""
-        if self.decoder is None:
-            raise ValueError(f"{self.kind.value} model has no decoder")
-        z = self.encoder.forward(x, rng, stochastic, record=record)
-        return self.decoder.forward(z, record=record), z
-
     def stacks(self) -> list[LayerStack]:
         return [getattr(self, role) for role in self.offsets]
 
@@ -159,9 +130,6 @@ class PathwayNetwork:
             else:
                 out.append(span)
         return out
-
-    def zero_grad(self) -> None:
-        self.grads.fill(0.0)
 
 
 def _layout(kind: ModelKind, input_dim: int, latent_dim: int, hidden_widths: list[int],

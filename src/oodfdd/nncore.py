@@ -6,23 +6,24 @@ the same seed produce bitwise-identical parameters.  No autodiff; the
 backward pass is written by hand and checked against finite differences by
 the tests.
 
-Every forward pass, of a single layer or of a `LayerStack`, runs one loop
-(`_forward`) over (layer, is_dense) records, and every backward pass one
-loop (`_backward`).  A stack runs its layers in one call of that loop
-rather than calling each layer's methods, which run the same loop on one
-record, so there is one copy of the math.  A forward records on each layer
-what its backward needs (a dense layer's input, pre-activation and output,
-a dropout layer's mask) unless it is called with `record=False`, as
-inference does; a backward pass after a forward that did not record raises
-instead of reusing stale state.  A backward pass writes each dense layer's
-parameter gradients: it does not add to what an earlier batch left, so no
-batch starts with a zero fill.  The loops check no shapes: the callers that
-take user input check it once (`DenseLayer.forward`, `train.train`).
+Layers are parameter records: a `DenseLayer` holds its weights, bias,
+activation and parameter gradients, a `DropoutLayer` its rate.  A
+`LayerStack` is the only forward/backward API.  Every forward pass runs one
+loop (`_forward`) over the stack's (layer, is_dense) records, and every
+backward pass one loop (`_backward`), so there is one copy of the math.  A
+forward that is handed a tape, a list its caller holds, appends what the
+backward pass reads: a dense layer's (input, output) and a dropout layer's
+mask, or None where it dropped nothing.  Without a tape nothing is kept, as
+inference runs.  A backward pass reads the tape of the forward it follows
+and writes each dense layer's parameter gradients: it does not add to what
+an earlier batch left, so no batch starts with a zero fill.  The loops
+check no shapes: the callers that take user input check it once
+(`LayerStack.forward`, `train.train`).
 
 The hot kernels write into buffers instead of building temporaries: the
 dense bias add and the activations into the matmul's output (softmax and
 the sigmoid through scratch arrays a caller may pass), the dropout mask
-into its uniform draw (and, without recording, the dropped-out output into
+into its uniform draw (and, without a tape, the dropped-out output into
 the mask), and the Adam update into scratch arrays.  `LayerStack.forward_into`
 writes every layer's output and scratch into buffers its caller allocated
 once, so MC inference allocates nothing per pass.  A stack's backward pass
@@ -36,12 +37,12 @@ call, makes them into each layer's masks with two numpy calls per layer for
 the whole run, and hands them out layer by layer, bitwise the masks the
 layers would make from their own draws one by one.
 
-Forwards that do not record also take a (passes, rows, features) stack, so
-MC inference can run a block of passes in one call per layer: numpy's 3-D
+Forwards without a tape also take a (passes, rows, features) stack, so MC
+inference can run a block of passes in one call per layer: numpy's 3-D
 matmul runs one 2-D product per pass, which keeps every pass bitwise equal
 to the 2-D forward.  Stacking the passes' rows into one tall 2-D matmul
-would not: the BLAS may round some of its rows differently.  Recording
-forwards take 2-D input only.
+would not: the BLAS may round some of its rows differently.  Forwards with
+a tape take 2-D input only.
 
 Layers, loss gradients and Adam's gradients carry no finite checks: the
 library guards numerics once per public call instead.  `numeric_context`
@@ -257,14 +258,13 @@ def scratch_views(name: str, flat: np.ndarray, shape: tuple):
             flat[size:].view(np.bool_)[:size].reshape(shape))
 
 
-def _activation_backward(
-    name: str, grad_out: np.ndarray, pre: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """grad_out times d(activation)/d(pre-activation), elementwise."""
+def _activation_backward(name: str, grad_out: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """grad_out times d(activation)/d(pre-activation), elementwise, from the
+    activation's output: relu's out > 0 exactly where its input was."""
     if name == "identity":
         return grad_out
     if name == "relu":
-        return grad_out * (pre > 0.0)
+        return grad_out * (out > 0.0)
     if name == "sigmoid":
         return grad_out * (out * (1.0 - out))
     if name == "softmax":
@@ -286,7 +286,7 @@ def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nd
 
 
 class DenseLayer:
-    """Fully connected layer: activation(x @ W.T + b).
+    """Parameters of a fully connected layer: activation(x @ W.T + b).
 
     weights has shape (out, in).  Each backward pass writes `grad_w` /
     `grad_b`, replacing what the previous one left.
@@ -306,9 +306,6 @@ class DenseLayer:
         self.activation = activation
         self.grad_w = np.zeros_like(weights)
         self.grad_b = np.zeros_like(bias)
-        self._x: np.ndarray | None = None
-        self._pre: np.ndarray | None = None
-        self._out: np.ndarray | None = None
 
     @classmethod
     def init(
@@ -324,64 +321,16 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weights.shape[0]
 
-    def forward(self, x: np.ndarray, *, record: bool = True) -> np.ndarray:
-        """activation(x @ W.T + b); with `record` false nothing is kept for
-        backward, which then raises, and `x` may be a (passes, rows, in)
-        stack: numpy's matmul runs one product per pass, each bitwise the
-        2-D one."""
-        x = as_matrix(x, stacked=not record)
-        if x.shape[-1] != self.in_dim:
-            raise ValueError(
-                f"input has {x.shape[-1]} features, layer expects {self.in_dim}"
-            )
-        return _forward(((self, True),), x, None, False, record)
-
-    def backward(
-        self, grad_out: np.ndarray, input_grad: bool = True
-    ) -> np.ndarray | None:
-        """Write the parameter grads; return the gradient w.r.t. the input,
-        or None without computing it when `input_grad` is false."""
-        return _backward(((self, True),), grad_out, input_grad=input_grad)
-
-    def backward_from_preactivation(
-        self, dpre: np.ndarray, input_grad: bool = True
-    ) -> np.ndarray | None:
-        return _backward(((self, True),), dpre, input_grad=input_grad, from_logits=True)
-
 
 class DropoutLayer:
-    """Inverted dropout: survivors are scaled by 1/(1-p) in stochastic mode.
-
-    Deterministic mode is the identity, so inference needs no rescaling, and
-    so is its backward.  A recording stochastic forward keeps its mask so the
-    backward pass replays exactly what forward did; after one that did not
-    record, backward raises.
-    """
+    """Inverted dropout at `rate`: survivors are scaled by 1/(1-rate) in
+    stochastic mode.  Deterministic mode is the identity, so inference needs
+    no rescaling, and so is its backward."""
 
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = float(rate)
-        self.last_mask: np.ndarray | None = None
-        self._unrecorded = False
-
-    def forward(
-        self,
-        x: np.ndarray,
-        rng: np.random.Generator | None,
-        stochastic: bool,
-        *,
-        record: bool = True,
-    ) -> np.ndarray:
-        """`x` with dropout applied when `stochastic`; the mask comes from
-        `rng.random(x.shape)`, or ready-made from a `Uniforms` built with
-        rates.  Without `record`, `x` may be a (passes, rows, width) stack,
-        as for `DenseLayer.forward`."""
-        return _forward(((self, False),), as_matrix(x, stacked=not record), rng, stochastic,
-                        record)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return _backward(((self, False),), grad_out)
 
 
 def _to_mask(u: np.ndarray, keep: float) -> np.ndarray:
@@ -407,47 +356,47 @@ def _dropout_mask(source, shape: tuple, rate: float, out: np.ndarray | None) -> 
 _NO_BUFFERS = itertools.repeat((None, None))
 
 
-def _forward(records, h: np.ndarray, source, stochastic: bool, record: bool,
+def _forward(records, h: np.ndarray, source, stochastic: bool, tape: list | None,
              buffers=_NO_BUFFERS) -> np.ndarray:
     """Run the (layer, is_dense) `records` on `h`, the one forward loop of
-    every layer and stack.
+    every stack.
 
     `buffers` gives, per record, where its output goes and the activation's
     scratch (`scratch_views`); (None, None) makes new arrays.  A dense
     output is the matmul written into its buffer, then the bias and the
     activation in place.  A dropout that draws makes its mask
     (`_dropout_mask`; drawn into its buffer unless a `Uniforms` hands it
-    out) and, without recording, writes its output into its buffer, or
-    into the mask without one.  With `record`, each layer keeps what its
-    backward pass reads;
-    without, it keeps nothing and its backward raises.
+    out) and, without a tape, writes its output into its buffer, or into
+    the mask without one.  With a `tape`, each record appends what its
+    backward pass reads: a dense layer's (input, output), a dropout's mask
+    or None where it dropped nothing.
     """
     for (layer, dense), (out, work) in zip(records, buffers):
         if dense:
             pre = np.matmul(h, layer.weights.T, out=out)
             pre += layer.bias
             out = _activate(layer.activation, pre, work)
-            layer._x, layer._pre, layer._out = (h, pre, out) if record else (None, None, None)
+            if tape is not None:
+                tape.append((h, out))
             h = out
             continue
-        layer.last_mask, layer._unrecorded = None, False
-        if not stochastic or layer.rate == 0.0:
-            continue
-        mask = _dropout_mask(source, h.shape, layer.rate, out)
-        if record:
-            layer.last_mask = mask
-            h = h * mask
-        else:
-            layer._unrecorded = True
-            h = np.multiply(h, mask, out=mask if out is None else out)
+        mask = None
+        if stochastic and layer.rate != 0.0:
+            mask = _dropout_mask(source, h.shape, layer.rate, out)
+            if tape is None:
+                h = np.multiply(h, mask, out=mask if out is None else out)
+            else:
+                h = h * mask
+        if tape is not None:
+            tape.append(mask)
     return h
 
 
-def _backward(records, g: np.ndarray, first: int = 0, input_grad: bool = True,
+def _backward(records, tape: list, g: np.ndarray, first: int = 0, input_grad: bool = True,
               from_logits: bool = False) -> np.ndarray | None:
-    """Backpropagate `g` through records[first:], last to first, writing
-    each dense layer's parameter gradients; the one backward loop of every
-    layer and stack.
+    """Backpropagate `g` through records[first:], last to first, reading
+    the `tape` their forward pass wrote and writing each dense layer's
+    parameter gradients; the one backward loop of every stack.
 
     With `from_logits`, `g` is the gradient w.r.t. the last layer's
     pre-activation, which must be dense.  With `input_grad` false the
@@ -458,18 +407,11 @@ def _backward(records, g: np.ndarray, first: int = 0, input_grad: bool = True,
     for i in range(last, first - 1, -1):
         layer, dense = records[i]
         if not dense:
-            if layer._unrecorded:
-                raise RuntimeError("backward called without a recording forward")
-            if layer.last_mask is not None:
-                g = g * layer.last_mask
+            if tape[i] is not None:
+                g = g * tape[i]
             continue
-        x = layer._x
-        if x is None:
-            raise RuntimeError("backward called without a recording forward")
-        if from_logits and i == last:
-            dpre = g
-        else:
-            dpre = _activation_backward(layer.activation, g, layer._pre, layer._out)
+        x, out = tape[i]
+        dpre = g if from_logits and i == last else _activation_backward(layer.activation, g, out)
         np.matmul(dpre.T, x, out=layer.grad_w)
         np.add.reduce(dpre, axis=0, out=layer.grad_b)
         if i == first and not input_grad:
@@ -529,8 +471,8 @@ class LayerStack:
     """An ordered pipeline of dense/dropout layers with manual backprop.
 
     Its forward and backward passes run one loop over per-layer records
-    (`_forward`, `_backward`) rather than calling each layer's methods;
-    they record on the layers what those methods record."""
+    (`_forward`, `_backward`); a backward pass reads the tape that its
+    forward pass was handed."""
 
     def __init__(self, layers: list[Layer]):
         self.layers = list(layers)
@@ -543,25 +485,32 @@ class LayerStack:
         x: np.ndarray,
         rng: np.random.Generator | None = None,
         stochastic: bool = False,
-        start: int = 0,
+        stop: int | None = None,
         *,
-        record: bool = True,
+        tape: list | None = None,
     ) -> np.ndarray:
-        """Run layers[start:] on `x`; with start > 0, `x` is what layer
-        start - 1 returned.  With `record` false no layer keeps anything
-        for backward."""
-        return _forward(self._records[start:], as_matrix(x, stacked=not record), rng,
-                        stochastic, record)
+        """Run layers[:stop] on `x`, checking its width against the first
+        dense layer's.  With a `tape`, `x` must be 2-D and the tape gets
+        what the backward pass reads; without, nothing is kept and `x` may
+        be a (passes, rows, features) stack."""
+        x = as_matrix(x, stacked=tape is None)
+        if self._dense and x.shape[-1] != self._dense[0].in_dim:
+            raise ValueError(
+                f"input has {x.shape[-1]} features, layer expects {self._dense[0].in_dim}"
+            )
+        return _forward(self._records[:stop], x, rng, stochastic, tape)
 
     def forward_into(self, x: np.ndarray, source, buffers: list, start: int = 0) -> np.ndarray:
-        """A stochastic forward of layers[start:] that records nothing and
-        writes each layer's output into its entry of `buffers`, an (output,
-        activation scratch) pair per layer (see `_forward`); `x` may be a
-        (passes, rows, features) stack.  Returns the last output."""
-        return _forward(self._records[start:], x, source, True, False, buffers)
+        """A stochastic forward of layers[start:] that keeps nothing for
+        backward and writes each layer's output into its entry of `buffers`,
+        an (output, activation scratch) pair per layer (see `_forward`); `x`
+        may be a (passes, rows, features) stack.  Returns the last output."""
+        return _forward(self._records[start:], x, source, True, None, buffers)
 
-    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """Backpropagate `grad_out`, writing every parameter gradient.
+    def backward(self, tape: list, grad_out: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Backpropagate `grad_out` through the forward pass that wrote
+        `tape`, writing every parameter gradient.
 
         Returns the gradient w.r.t. the stack's input.  With `input_grad`
         false the stack's first dense layer skips its input gradient, the
@@ -569,24 +518,20 @@ class LayerStack:
         returned; the parameter gradients are the same either way.
         """
         if input_grad:
-            return _backward(self._records, grad_out)
-        return _backward(self._records, grad_out, self._first_dense, input_grad=False)
+            return _backward(self._records, tape, grad_out)
+        return _backward(self._records, tape, grad_out, self._first_dense, input_grad=False)
 
-    def backward_from_logits(self, grad_logits: np.ndarray) -> np.ndarray:
+    def backward_from_logits(self, tape: list, grad_logits: np.ndarray) -> np.ndarray:
         """Backward pass where the loss already differentiated through the
         final activation (fused softmax/sigmoid + cross-entropy)."""
         if not self._records[-1][1]:
             raise RuntimeError("stack must end in a dense layer for the fused path")
-        return _backward(self._records, grad_logits, from_logits=True)
+        return _backward(self._records, tape, grad_logits, from_logits=True)
 
     def params(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(parameter, gradient) pairs: weights then bias per dense layer."""
         return [pair for layer in self._dense
                 for pair in ((layer.weights, layer.grad_w), (layer.bias, layer.grad_b))]
-
-    def zero_grad(self) -> None:
-        for _, grad in self.params():
-            grad.fill(0.0)
 
     def dense_layers(self) -> list[DenseLayer]:
         return list(self._dense)

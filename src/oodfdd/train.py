@@ -123,24 +123,25 @@ def joint_batch_gradients(
     xb = as_matrix(xb)
     yb = np.asarray(yb)
     roles = net.offsets if roles is None else roles
-    h = net.encoder.forward(xb, rng, stochastic)
+    enc_tape, head_tape, dec_tape = [], [], []  # what each pathway's backward reads
+    h = net.encoder.forward(xb, rng, stochastic, tape=enc_tape)
     clf_loss, rec_loss, grad_h, decoded = 0.0, 0.0, None, False
     if "head" in roles:
-        clf_loss, dlogits = _classification_loss(net, net.head.forward(h), yb)
-        grad_h = net.head.backward_from_logits(dlogits)
+        clf_loss, dlogits = _classification_loss(net, net.head.forward(h, tape=head_tape), yb)
+        grad_h = net.head.backward_from_logits(head_tape, dlogits)
     normal = _normal_rows(yb) if "decoder" in roles else None
     if normal is not None:
-        xhat = net.decoder.forward(h[normal])
+        xhat = net.decoder.forward(h[normal], tape=dec_tape)
         rec_loss, dxhat = mse(xhat, xb[normal], n_rows=len(xb))
         if beta != 0.0:
-            grad_dec = net.decoder.backward(beta * dxhat)
+            grad_dec = net.decoder.backward(dec_tape, beta * dxhat)
             decoded = True
             if grad_h is None:  # without the head every row is normal
                 grad_h = grad_dec
             else:
                 grad_h[normal] += grad_dec
     if grad_h is not None:
-        net.encoder.backward(grad_h, input_grad=False)
+        net.encoder.backward(enc_tape, grad_h, input_grad=False)
     for role, reached in (("decoder", decoded), ("encoder", grad_h is not None)):
         if role in roles and not reached:
             net.grads[net.offsets[role]] = 0.0
@@ -186,14 +187,14 @@ def _batch_uniforms(rng: np.random.Generator, n: int, batch_size: int, widths: l
 def _objective(net: PathwayNetwork, x: np.ndarray, y: np.ndarray,
                roles: Collection[str], rec_weight: float) -> float:
     """The objective of `joint_batch_gradients` on (x, y), run without dropout
-    and recording nothing; a term left out adds nothing, not even 0."""
-    h = net.encoder.forward(x, record=False)
+    and keeping nothing for backward; a term left out adds nothing, not even 0."""
+    h = net.encoder.forward(x)
     terms = []
     if "head" in roles:
-        terms.append(_classification_loss(net, net.head.forward(h, record=False), y)[0])
+        terms.append(_classification_loss(net, net.head.forward(h), y)[0])
     normal = _normal_rows(y) if "decoder" in roles else None
     if normal is not None:
-        xhat = net.decoder.forward(h[normal], record=False)
+        xhat = net.decoder.forward(h[normal])
         terms.append(rec_weight * mse(xhat, x[normal], n_rows=len(x))[0])
     return sum(terms[1:], terms[0])
 

@@ -18,11 +18,11 @@ masks, and each pass is bitwise the pass run alone; a batch too large for
 two passes in the budget runs in blocks of one pass, which draw layer by
 layer into the buffers of the layers' outputs.
 
-The passes run their layers without recording: no layer keeps its input,
-pre-activation, output or dropout mask for a backward pass that inference
-never runs.  Every block writes into buffers allocated once per call, one
-arena laid out by liveness (`_pass_plan`) and the draws' buffer, so after
-the first block the passes allocate nothing and fault in no fresh pages.
+The passes run their stacks without a tape, so nothing is kept for a
+backward pass that inference never runs.  Every block writes into buffers
+allocated once per call, one arena laid out by liveness (`_pass_plan`) and
+the draws' buffer, so after the first block the passes allocate nothing
+and fault in no fresh pages.
 The yielded outputs are views of those buffers, which the next block
 overwrites: `mc_moments` folds each pass in before the next runs, and
 `mc_sample` copies them.  The Welford mean and m2 and the reconstruction
@@ -239,7 +239,8 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     share that pass's dropout mask; an absent pathway yields None.  The
     encoder's first layer is dense and dropout follows it, so its output is
     the same on every pass: it runs once per call, and each pass runs the
-    layers after it.  No layer records anything for backward.
+    layers after it, through `LayerStack.forward_into`.  Nothing is kept for
+    backward.
 
     Passes run in blocks of B stacked along a leading axis, one layer call
     per block, with B as large as PASS_BLOCK_BUDGET allows for the rows'
@@ -255,14 +256,14 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     nothing, and the yielded views are overwritten by the next block: a
     caller that keeps a pass's outputs copies them.
 
-    The input rows are checked to be finite here, once per call of
-    `mc_moments` or `mc_sample`, which run under `numeric_context`; the
-    layers check nothing.
+    The input rows are checked here, once per call of `mc_moments` or
+    `mc_sample`, which run under `numeric_context`: to be finite, and by
+    the first layer's forward to be as wide as the encoder's input.
     """
     if t < 2:
         raise ValueError(f"need at least 2 samples, got {t}")
     ensure_finite(x, "MC input rows")
-    first = net.encoder.layers[0].forward(x, record=False)
+    first = net.encoder.forward(x, stop=1)
     rows = len(first)
     draws, row_width = _pass_layout(net)
     block = min(t, max(1, PASS_BLOCK_BUDGET // (rows * row_width)))

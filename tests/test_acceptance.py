@@ -62,7 +62,7 @@ def test_c01_gradients_match_finite_differences():
         beta = float(rng.uniform(0.3, 1.0))
 
         def loss_fn():
-            net.zero_grad()
+            net.grads.fill(0.0)
             clf_loss, rec_loss = train.joint_batch_gradients(net, x, y, beta, stochastic=False)
             return clf_loss + beta * rec_loss, [net.grads.copy()]
 
@@ -172,20 +172,20 @@ def test_c05_fault_rows_leave_decoder_gradients_unchanged():
     rng = nncore.make_rng(16)
     x = rng.normal(0.0, 1.0, (10, 6))
     y = np.array([0, 1, 0, 0, 1, 0, 1, 0, 0, 1])
-    net.zero_grad()
+    net.grads.fill(0.0)
     train.joint_batch_gradients(net, x, y, 1.0, stochastic=False)
     full = [g.copy() for _, g in net.decoder.params()]
     # same pass with the fault rows removed; the loss keeps its 1/batch
     # weight, so rescale to the original base before comparing
     normals = x[y == 0]
-    net.zero_grad()
+    net.grads.fill(0.0)
     train.joint_batch_gradients(net, normals, np.zeros(len(normals), int), 1.0,
                                 stochastic=False)
     scale = len(normals) / len(x)
     diff = max(np.max(np.abs(gf - gn * scale))
                for gf, (_, gn) in zip(full, net.decoder.params()))
     # and a batch of only fault rows drives the decoder not at all
-    net.zero_grad()
+    net.grads.fill(0.0)
     train.joint_batch_gradients(net, x, np.ones(len(x), int), 1.0, stochastic=False)
     all_zero = all(np.all(g == 0.0) for _, g in net.decoder.params())
     _line("05 masked objective", diff < 1e-12 and all_zero,
@@ -292,13 +292,54 @@ def test_c08_joint_training_tightens_thresholds(thyroid_runs):
           f"{passes}/3 seeds ({'; '.join(details)})")
 
 
+def spearman(x, y) -> float:
+    """Rank correlation; ties get midranks."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
+        raise ValueError("spearman needs two equal-length vectors of size >= 2")
+
+    def ranks(v):
+        order = np.argsort(v, kind="stable")
+        r = np.empty(v.size, dtype=float)
+        r[order] = np.arange(1, v.size + 1, dtype=float)
+        # average ranks within tied groups
+        for val in np.unique(v):
+            mask = v == val
+            if mask.sum() > 1:
+                r[mask] = r[mask].mean()
+        return r
+
+    rx, ry = ranks(x), ranks(y)
+    sx, sy = rx.std(), ry.std()
+    if sx == 0.0 or sy == 0.0:
+        raise ValueError("spearman undefined for constant input")
+    return float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
+
+
+def test_spearman_basics():
+    assert spearman([1, 2, 3, 4], [0.1, 0.2, 0.5, 0.9]) == pytest.approx(1.0)
+    assert spearman([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(-1.0)
+    # monotone in rank, not in value
+    assert spearman([1, 2, 3], [10, 100, 101]) == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        spearman([1, 1, 1], [1, 2, 3])
+    with pytest.raises(ValueError):
+        spearman([1, 2], [1, 2, 3])
+
+
+def test_spearman_ties_use_midranks():
+    got = spearman([1, 2, 2, 4], [1, 2, 3, 4])
+    assert 0.9 < got < 1.0
+
+
 def test_c09_severity_monotone_and_early_detection(chiller_runs):
     levels = np.array([1.0, 2.0, 3.0, 4.0])
     passes, details = 0, []
     for seed, sev in zip(SEEDS, chiller_runs):
         aug = np.array([sev["augmented"][q] for q in (1, 2, 3, 4)])
         clf_sl1 = sev["classifier"][1]
-        rho = experiments.spearman(levels, aug)
+        rho = spearman(levels, aug)
         ok = rho > 0 and aug[0] >= clf_sl1
         passes += ok
         details.append(f"seed {seed}: rho {rho:+.2f}, SL1 {aug[0]:.3f} vs {clf_sl1:.3f}")

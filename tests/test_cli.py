@@ -221,6 +221,15 @@ def test_gen_data_roundtrip(tmp_path):
     assert rc == 0
 
 
+def test_gen_data_rejects_out(tmp_path, monkeypatch, capsys):
+    # gen-data writes into --data-dir; an --out it would ignore is refused
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["gen-data", "--dataset", "thyroid", "--out", "data"])
+    assert rc == cli.EXIT_BAD_CONFIG
+    assert "--out" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_missing_data_exits_2(tmp_path):
     rc = cli.main(["train", "--dataset", "thyroid", "--data-dir",
                    str(tmp_path / "nope"), "--out", str(tmp_path / "o"), *SMOKE])
@@ -657,7 +666,7 @@ def test_malformed_setting_exits_3_naming_the_key(tmp_path, capsys, name, raw, w
 
 
 _COMMON_OPTIONS = {
-    "-h", "--help", "--config", "--data-dir", "--out",
+    "-h", "--help", "--config", "--data-dir",
     "--dataset", "--model-kind", "--latent-dim", "--hidden-widths", "--head-widths",
     "--dropout-rate", "--n-classes", "--decoder-activation", "--alpha", "--t-samples",
     "--seed", "--beta", "--epochs", "--pretrain-epochs", "--batch-size", "--lr",
@@ -672,11 +681,11 @@ def test_subcommand_options_are_unchanged():
                for name, p in sub.choices.items()}
     assert options == {
         "gen-data": _COMMON_OPTIONS,
-        "train": _COMMON_OPTIONS,
-        "evaluate": _COMMON_OPTIONS | {"--weights"},
-        "score": _COMMON_OPTIONS | {"--weights", "--input"},
-        "report": _COMMON_OPTIONS | {"--weights"},
-        "compare": _COMMON_OPTIONS,
+        "train": _COMMON_OPTIONS | {"--out"},
+        "evaluate": _COMMON_OPTIONS | {"--out", "--weights"},
+        "score": _COMMON_OPTIONS | {"--out", "--weights", "--input"},
+        "report": _COMMON_OPTIONS | {"--out", "--weights"},
+        "compare": _COMMON_OPTIONS | {"--out"},
     }
     # the bench's serving request keeps parsing
     args = parser.parse_args(["score", "--dataset", "thyroid", "--seed", "0",

@@ -329,15 +329,6 @@ def test_overflow_raises_from_direct_calls_outside_any_context(kind, weight):
 # binary accuracy and sweeps
 
 
-def test_binary_accuracy_conventions():
-    flags = np.array([False, False, True, True, False])
-    groups = ["normal", "normal", "fault:1", "fault:1", "fault:1"]
-    assert detect.binary_accuracy(flags, groups, "normal") == 1.0
-    assert detect.binary_accuracy(flags, groups, "fault:1") == pytest.approx(2 / 3)
-    with pytest.raises(ValueError):
-        detect.binary_accuracy(flags, groups, "unknown")
-
-
 def test_group_binary_accuracies_order_and_values():
     flags = np.array([False, True, True])
     groups = ["normal", "fault:1", "normal"]

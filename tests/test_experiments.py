@@ -283,22 +283,6 @@ def test_resolve_data_dir(monkeypatch):
     assert experiments.resolve_data_dir("/explicit") == "/explicit"
 
 
-def test_spearman_basics():
-    assert experiments.spearman([1, 2, 3, 4], [0.1, 0.2, 0.5, 0.9]) == pytest.approx(1.0)
-    assert experiments.spearman([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(-1.0)
-    # monotone in rank, not in value
-    assert experiments.spearman([1, 2, 3], [10, 100, 101]) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        experiments.spearman([1, 1, 1], [1, 2, 3])
-    with pytest.raises(ValueError):
-        experiments.spearman([1, 2], [1, 2, 3])
-
-
-def test_spearman_ties_use_midranks():
-    got = experiments.spearman([1, 2, 2, 4], [1, 2, 3, 4])
-    assert 0.9 < got < 1.0
-
-
 def test_severity_detection_parses_tags():
     groups = np.array(["normal", "incipient:1:1", "incipient:2:1", "fault:3",
                        "incipient:1:2", "unknown", "fault:1"])

@@ -69,15 +69,11 @@ def test_chiller_structure_three_layer_pathways():
 def test_classifier_only_has_no_decoder():
     net = thyroid_net(model.ModelKind.CLASSIFIER_ONLY)
     assert net.decoder is None
-    with pytest.raises(ValueError):
-        net.forward_reconstruct(np.zeros((1, 6)))
 
 
 def test_autoencoder_only_has_no_head():
     net = thyroid_net(model.ModelKind.AUTOENCODER_ONLY)
     assert net.head is None
-    with pytest.raises(ValueError):
-        net.forward_classify(np.zeros((1, 6)))
 
 
 def test_dropout_only_inside_encoder():
@@ -116,8 +112,8 @@ def test_head_identical_between_augmented_and_classifier():
 def test_forward_classify_deterministic_repeatable():
     net = thyroid_net()
     x = make_rng(1).normal(size=(4, 6))
-    a = net.forward_classify(x)
-    b = net.forward_classify(x)
+    a = net.head.forward(net.encoder.forward(x))
+    b = net.head.forward(net.encoder.forward(x))
     assert a.tobytes() == b.tobytes()
 
 
@@ -125,8 +121,8 @@ def test_forward_classify_stochastic_varies():
     net = thyroid_net()
     x = make_rng(1).normal(size=(4, 6))
     rng = make_rng(2)
-    a = net.forward_classify(x, rng, stochastic=True)
-    b = net.forward_classify(x, rng, stochastic=True)
+    a = net.head.forward(net.encoder.forward(x, rng, stochastic=True))
+    b = net.head.forward(net.encoder.forward(x, rng, stochastic=True))
     assert not np.array_equal(a, b)
 
 
@@ -135,7 +131,7 @@ def test_untrained_multiclass_probs_near_uniform():
         model.ModelKind.CLASSIFIER_ONLY, input_dim=16, latent_dim=4, n_classes=7
     )
     x = make_rng(5).normal(size=(32, 16))
-    probs = net.forward_classify(x)
+    probs = net.head.forward(net.encoder.forward(x))
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert np.max(np.abs(probs - 1.0 / 7)) < 0.2
 
@@ -143,14 +139,15 @@ def test_untrained_multiclass_probs_near_uniform():
 def test_forward_reconstruct_shapes_and_repeatability():
     net = thyroid_net()
     x = make_rng(1).normal(size=(5, 6))
-    xhat, z = net.forward_reconstruct(x)
+    z = net.encoder.forward(x)
+    xhat = net.decoder.forward(z)
     assert xhat.shape == (5, 6)
     assert z.shape == (5, 2)
-    xhat2, z2 = net.forward_reconstruct(x)
+    xhat2 = net.decoder.forward(net.encoder.forward(x))
     assert xhat.tobytes() == xhat2.tobytes()
     rng = make_rng(3)
-    a, _ = net.forward_reconstruct(x, rng, stochastic=True)
-    b, _ = net.forward_reconstruct(x, rng, stochastic=True)
+    a = net.decoder.forward(net.encoder.forward(x, rng, stochastic=True))
+    b = net.decoder.forward(net.encoder.forward(x, rng, stochastic=True))
     assert not np.array_equal(a, b)
 
 
@@ -161,8 +158,8 @@ def test_forward_reconstruct_shapes_and_repeatability():
 def test_archive_round_trip_bitwise(tmp_path):
     net = thyroid_net(seed=11)
     x = make_rng(4).normal(size=(7, 6))
-    before_clf = net.forward_classify(x)
-    before_rec, _ = net.forward_reconstruct(x)
+    before_clf = net.head.forward(net.encoder.forward(x))
+    before_rec = net.decoder.forward(net.encoder.forward(x))
 
     path = tmp_path / "net.ofdd"
     _save(net, path)
@@ -170,8 +167,9 @@ def test_archive_round_trip_bitwise(tmp_path):
 
     assert loaded.kind == net.kind
     assert loaded.encoder_widths == net.encoder_widths
-    np.testing.assert_array_equal(loaded.forward_classify(x), before_clf)
-    np.testing.assert_array_equal(loaded.forward_reconstruct(x)[0], before_rec)
+    np.testing.assert_array_equal(loaded.head.forward(loaded.encoder.forward(x)), before_clf)
+    np.testing.assert_array_equal(loaded.decoder.forward(loaded.encoder.forward(x)),
+                                  before_rec)
 
 
 def test_archive_magic_mismatch(tmp_path):
@@ -465,13 +463,14 @@ def test_spans_merge_adjacent_pathways():
     assert ae.spans("encoder", "head", "decoder") == [slice(0, ae.params.size)]
 
 
-def test_zero_grad_clears_every_layer():
+def test_zeroing_the_grad_buffer_clears_every_layer():
     net = thyroid_net()
     x = make_rng(1).normal(size=(4, 6))
-    xhat, _ = net.forward_reconstruct(x)
-    net.encoder.backward(net.decoder.backward(xhat - x))
+    enc, dec = [], []
+    xhat = net.decoder.forward(net.encoder.forward(x, tape=enc), tape=dec)
+    net.encoder.backward(enc, net.decoder.backward(dec, xhat - x))
     assert np.any(net.decoder.dense_layers()[0].grad_w != 0.0)
-    net.zero_grad()
+    net.grads.fill(0.0)
     assert not np.any(net.grads)
     for stack in net.stacks():
         for layer in stack.dense_layers():

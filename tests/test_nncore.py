@@ -11,19 +11,25 @@ from oodfdd import nncore as nn
 
 
 def stack_loss_fn(stack, x, y, loss):
-    """Closure for gradient_check: fresh forward/backward on every call."""
+    """Closure for gradient_check: fresh forward/backward on every call; the
+    backward pass writes every parameter gradient."""
 
     def fn():
-        stack.zero_grad()
-        out = stack.forward(x)
+        tape = []
+        out = stack.forward(x, tape=tape)
         value, grad = loss(out, y)
         if stack.layers[-1].activation in ("softmax",):
-            stack.backward_from_logits(grad)
+            stack.backward_from_logits(tape, grad)
         else:
-            stack.backward(grad)
+            stack.backward(tape, grad)
         return value, [g for (_, g) in stack.params()]
 
     return fn
+
+
+def one(layer):
+    """A one-layer stack: layers run only inside a stack."""
+    return nn.LayerStack([layer])
 
 
 # ---------------------------------------------------------------------------
@@ -32,19 +38,19 @@ def stack_loss_fn(stack, x, y, loss):
 
 def test_dense_softmax_symmetry():
     layer = nn.DenseLayer(np.zeros((2, 2)), np.zeros(2), "softmax")
-    out = layer.forward(np.array([[1.0, 1.0]]))  # pre-activation [0, 0]
+    out = one(layer).forward(np.array([[1.0, 1.0]]))  # pre-activation [0, 0]
     np.testing.assert_allclose(out, [[0.5, 0.5]])
 
 
 def test_dense_identity_passthrough():
     layer = nn.DenseLayer(np.eye(2), np.zeros(2), "identity")
-    out = layer.forward(np.array([1.0, 2.0]))
+    out = one(layer).forward(np.array([1.0, 2.0]))
     np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
 
 def test_dense_sigmoid_midpoint():
     layer = nn.DenseLayer(np.zeros((1, 3)), np.zeros(1), "sigmoid")
-    out = layer.forward(np.array([0.3, -0.2, 4.0]))
+    out = one(layer).forward(np.array([0.3, -0.2, 4.0]))
     np.testing.assert_allclose(out, [[0.5]])
 
 
@@ -90,9 +96,13 @@ def test_activations_in_scratch_give_the_same_bits(shape):
 
 
 def test_dense_dimension_mismatch():
-    layer = nn.DenseLayer(np.zeros((2, 3)), np.zeros(2), "relu")
-    with pytest.raises(ValueError):
-        layer.forward(np.ones((4, 5)))
+    stack = one(nn.DenseLayer(np.zeros((2, 3)), np.zeros(2), "relu"))
+    with pytest.raises(ValueError, match="input has 5 features, layer expects 3"):
+        stack.forward(np.ones((4, 5)))
+    # checked against the first dense layer, behind any leading dropout
+    stack = nn.LayerStack([nn.DropoutLayer(0.5), *stack.layers])
+    with pytest.raises(ValueError, match="input has 5 features, layer expects 3"):
+        stack.forward(np.ones((4, 5)))
 
 
 def test_dense_nonfinite_output_raises():
@@ -100,7 +110,7 @@ def test_dense_nonfinite_output_raises():
     # the overflow raises where it happens, and the CLI exits 4 on it
     layer = nn.DenseLayer(np.array([[1e308]]), np.zeros(1), "identity")
     with nn.numeric_context(), pytest.raises(FloatingPointError, match="overflow"):
-        layer.forward(np.array([[1e308]]))
+        one(layer).forward(np.array([[1e308]]))
 
 
 @given(
@@ -136,39 +146,43 @@ def test_softmax_bitwise_equals_the_plain_expression(logits):
 
 
 def test_dropout_rate_zero_identity():
-    layer = nn.DropoutLayer(0.0)
+    stack = one(nn.DropoutLayer(0.0))
     x = np.arange(6.0).reshape(2, 3)
-    out = layer.forward(x, nn.make_rng(0), stochastic=True)
+    out = stack.forward(x, nn.make_rng(0), stochastic=True)
     np.testing.assert_array_equal(out, x)
 
 
 def test_dropout_deterministic_mode_identity():
-    layer = nn.DropoutLayer(0.5)
+    stack = one(nn.DropoutLayer(0.5))
     x = np.array([[4.0, 4.0]])
-    out = layer.forward(x, None, stochastic=False)
+    tape = []
+    out = stack.forward(x, None, stochastic=False, tape=tape)
     np.testing.assert_array_equal(out, x)
-    assert layer.last_mask is None
+    assert tape == [None]
+    # deterministic dropout is the identity, and so is its backward
+    g = np.ones_like(x)
+    assert stack.backward(tape, g) is g
 
 
 def test_dropout_mean_preserved_single_mask():
     # law of large numbers over 1e4 units at p=0.5
-    layer = nn.DropoutLayer(0.5)
+    stack = one(nn.DropoutLayer(0.5))
     x = np.ones((1, 10_000))
-    out = layer.forward(x, nn.make_rng(7), stochastic=True)
+    out = stack.forward(x, nn.make_rng(7), stochastic=True)
     assert abs(out.mean() - 1.0) < 0.05
 
 
 @pytest.mark.parametrize("rate", [0.2, 0.5])
 def test_dropout_expectation_many_masks(rate):
     # inverted-dropout invariant: empirical mean within 2% over 1e5 masks
-    layer = nn.DropoutLayer(rate)
+    stack = one(nn.DropoutLayer(rate))
     rng = nn.make_rng(123)
     x = np.linspace(0.5, 2.0, 8)[None, :]
     total = np.zeros_like(x)
     n = 100_000
     # draw masks in chunks to keep it fast; same distribution as n calls
     for _ in range(n):
-        total += layer.forward(x, rng, stochastic=True)
+        total += stack.forward(x, rng, stochastic=True)
     np.testing.assert_allclose(total / n, x, rtol=0.02)
 
 
@@ -178,33 +192,13 @@ def test_dropout_invalid_rate():
 
 
 def test_dropout_backward_replays_mask():
-    layer = nn.DropoutLayer(0.5)
+    stack = one(nn.DropoutLayer(0.5))
     x = np.ones((3, 16))
-    out = layer.forward(x, nn.make_rng(3), stochastic=True)
-    grad_in = layer.backward(np.ones_like(x))
+    tape = []
+    out = stack.forward(x, nn.make_rng(3), stochastic=True, tape=tape)
+    grad_in = stack.backward(tape, np.ones_like(x))
     # gradient passes exactly where activations survived, with the same scale
     np.testing.assert_array_equal(grad_in, out)
-
-
-def test_backward_after_a_forward_that_did_not_record_raises():
-    x = nn.make_rng(5).normal(0.0, 1.0, (4, 3))
-    dense = nn.DenseLayer.init(nn.make_rng(6), 3, 2, "relu")
-    dense.forward(x)
-    dense.forward(x, record=False)
-    assert (dense._x, dense._pre, dense._out) == (None, None, None)
-    with pytest.raises(RuntimeError, match="recording forward"):
-        dense.backward(np.ones((4, 2)))
-
-    dropout = nn.DropoutLayer(0.5)
-    dropout.forward(x, nn.make_rng(7), stochastic=True)
-    dropout.forward(x, nn.make_rng(7), stochastic=True, record=False)
-    assert dropout.last_mask is None
-    with pytest.raises(RuntimeError, match="recording forward"):
-        dropout.backward(np.ones_like(x))
-    # deterministic dropout is the identity and needs no record
-    dropout.forward(x, None, stochastic=False, record=False)
-    g = np.ones_like(x)
-    assert dropout.backward(g) is g
 
 
 def test_recording_and_non_recording_forwards_agree_bitwise():
@@ -212,8 +206,8 @@ def test_recording_and_non_recording_forwards_agree_bitwise():
     stack = nn.LayerStack([nn.DenseLayer.init(nn.make_rng(9), 4, 6, "relu"),
                            nn.DropoutLayer(0.3),
                            nn.DenseLayer.init(nn.make_rng(10), 6, 3, "softmax")])
-    kept = stack.forward(x, nn.make_rng(11), stochastic=True)
-    lean = stack.forward(x, nn.make_rng(11), stochastic=True, record=False)
+    kept = stack.forward(x, nn.make_rng(11), stochastic=True, tape=[])
+    lean = stack.forward(x, nn.make_rng(11), stochastic=True)
     assert kept.tobytes() == lean.tobytes()
 
 
@@ -221,27 +215,27 @@ def test_recording_and_non_recording_forwards_agree_bitwise():
     (400, 24, 196, "sigmoid"), (64, 196, 68, "relu"), (500, 16, 8, "relu"),
     (9, 8, 7, "softmax"), (1, 4, 1, "sigmoid"), (200, 8, 7, "identity")])
 def test_stacked_forward_is_each_pass_forward_bitwise(rows, d_in, d_out, activation):
-    dense = nn.DenseLayer.init(nn.make_rng(12), d_in, d_out, activation)
+    dense = one(nn.DenseLayer.init(nn.make_rng(12), d_in, d_out, activation))
     x = nn.make_rng(13).normal(0.0, 1.0, (5, rows, d_in))
-    stacked = dense.forward(x, record=False)
+    stacked = dense.forward(x)
     assert stacked.shape == (5, rows, d_out)
     for k in range(5):
-        assert stacked[k].tobytes() == dense.forward(x[k], record=False).tobytes()
+        assert stacked[k].tobytes() == dense.forward(x[k]).tobytes()
 
-    dropout = nn.DropoutLayer(0.3)
-    stacked = dropout.forward(x, nn.make_rng(14), stochastic=True, record=False)
+    dropout = one(nn.DropoutLayer(0.3))
+    stacked = dropout.forward(x, nn.make_rng(14), stochastic=True)
     rng = nn.make_rng(14)
     for k in range(5):
-        passed = dropout.forward(x[k], rng, stochastic=True, record=False)
+        passed = dropout.forward(x[k], rng, stochastic=True)
         assert stacked[k].tobytes() == passed.tobytes()
 
 
 def test_recording_forward_rejects_a_pass_stack():
     x = nn.make_rng(15).normal(0.0, 1.0, (2, 4, 3))
     with pytest.raises(ValueError, match="2-D"):
-        nn.DenseLayer.init(nn.make_rng(16), 3, 2, "relu").forward(x)
+        one(nn.DenseLayer.init(nn.make_rng(16), 3, 2, "relu")).forward(x, tape=[])
     with pytest.raises(ValueError, match="2-D"):
-        nn.DropoutLayer(0.5).forward(x, nn.make_rng(17), stochastic=True)
+        one(nn.DropoutLayer(0.5)).forward(x, nn.make_rng(17), stochastic=True, tape=[])
 
 
 def test_uniforms_hand_out_batch_draws_step_by_step_into_the_buffer():
@@ -291,8 +285,9 @@ def test_dense_backward_writes_its_gradients_over_the_last_ones():
     x, g = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
     layer.grad_w[...] = 7.0  # what an earlier batch left
     layer.grad_b[...] = 7.0
-    layer.forward(x)
-    layer.backward(g)
+    stack, tape = one(layer), []
+    stack.forward(x, tape=tape)
+    stack.backward(tape, g)
     dpre = g * (x @ layer.weights.T + layer.bias > 0.0)
     assert layer.grad_w.tobytes() == (dpre.T @ x).tobytes()
     assert layer.grad_b.tobytes() == dpre.sum(axis=0).tobytes()
@@ -588,11 +583,12 @@ def test_stack_backward_without_input_grad_keeps_param_grads(leading_dropout):
     _, grads, _ = nn.flatten_stacks([stack])
     x = rng.normal(size=(7, 4))
     g = rng.normal(size=(7, 3))
-    stack.forward(x, rng, stochastic=True)
-    assert stack.backward(g).shape == x.shape
+    tape = []
+    stack.forward(x, rng, stochastic=True, tape=tape)
+    assert stack.backward(tape, g).shape == x.shape
     want = grads.copy()
     grads.fill(0.0)
-    assert stack.backward(g, input_grad=False) is None
+    assert stack.backward(tape, g, input_grad=False) is None
     assert grads.tobytes() == want.tobytes()
     assert np.any(want != 0.0)
 

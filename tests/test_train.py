@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gradcheck import checked_binary_cross_entropy, checked_cross_entropy, gradient_check
-from oodfdd import model, nncore, train
+from oodfdd import model, nncore, train, uncertainty
 from oodfdd.model import ModelKind
 from oodfdd.report import emit_csv
 
@@ -95,12 +95,12 @@ def test_joint_loss_additivity():
     x = rng.normal(0.0, 1.0, (16, 6))
     y = rng.integers(0, 2, 16)
     beta = 0.7
-    net.zero_grad()
+    net.grads.fill(0.0)
     clf_loss, rec_loss = train.joint_batch_gradients(net, x, y, beta, stochastic=False)
 
-    probs = net.forward_classify(x)
-    clf_ref, _ = checked_binary_cross_entropy(probs, y)
-    xhat, _ = net.forward_reconstruct(x)
+    h = net.encoder.forward(x)
+    clf_ref, _ = checked_binary_cross_entropy(net.head.forward(h), y)
+    xhat = net.decoder.forward(h)
     keep = y == 0
     rec_ref = np.sum((xhat[keep] - x[keep]) ** 2) / (len(x) * x.shape[1])
 
@@ -115,7 +115,7 @@ def test_fault_only_batch_gives_zero_decoder_gradients():
     rng = nncore.make_rng(4)
     x = rng.normal(0.0, 1.0, (6, 5))
     y = np.ones(6, int)
-    net.zero_grad()
+    net.grads.fill(0.0)
     _, rec_loss = train.joint_batch_gradients(net, x, y, 1.0, stochastic=False)
     assert rec_loss == 0.0
     for _, g in net.decoder.params():
@@ -129,11 +129,11 @@ def test_mixed_batch_decoder_grads_match_scaled_normals_only():
     y = np.array([0, 1, 0, 0, 1, 0, 1, 0])
     normals = x[y == 0]
 
-    net.zero_grad()
+    net.grads.fill(0.0)
     train.joint_batch_gradients(net, x, y, 1.0, stochastic=False)
     full_grads = [g.copy() for _, g in net.decoder.params()]
 
-    net.zero_grad()
+    net.grads.fill(0.0)
     train.joint_batch_gradients(
         net, normals, np.zeros(len(normals), int), 1.0, stochastic=False
     )
@@ -145,15 +145,16 @@ def test_mixed_batch_decoder_grads_match_scaled_normals_only():
 def _full_batch_masked_gradients(net, x, y, beta, seed):
     """The joint gradients with the decoder run on every row and the fault
     rows' reconstruction error zeroed, as a masked full-batch MSE."""
-    net.zero_grad()
-    h = net.encoder.forward(x, nncore.make_rng(seed), stochastic=True)
-    clf_loss, dlogits = checked_cross_entropy(net.head.forward(h), y)
-    xhat = net.decoder.forward(h)
+    net.grads.fill(0.0)
+    enc, head, dec = [], [], []
+    h = net.encoder.forward(x, nncore.make_rng(seed), stochastic=True, tape=enc)
+    clf_loss, dlogits = checked_cross_entropy(net.head.forward(h, tape=head), y)
+    xhat = net.decoder.forward(h, tape=dec)
     diff = (xhat - x) * (y == 0)[:, None]
     rec_loss = float((diff**2).sum() / x.size)
-    grad_h = net.head.backward_from_logits(dlogits)
-    grad_h = grad_h + net.decoder.backward(beta * 2.0 * diff / x.size)
-    net.encoder.backward(grad_h)
+    grad_h = net.head.backward_from_logits(head, dlogits)
+    grad_h = grad_h + net.decoder.backward(dec, beta * 2.0 * diff / x.size)
+    net.encoder.backward(enc, grad_h)
     return clf_loss, rec_loss, net.grads.copy()
 
 
@@ -168,7 +169,7 @@ def test_normals_only_decoder_matches_full_batch_mask_at_mnist_widths(seed):
     assert 0 < np.count_nonzero(y == 0) < 64
     clf_ref, rec_ref, g_ref = _full_batch_masked_gradients(net, x, y, 0.7, seed)
 
-    net.zero_grad()
+    net.grads.fill(0.0)
     clf_loss, rec_loss = train.joint_batch_gradients(
         net, x, y, 0.7, nncore.make_rng(seed), stochastic=True)
     assert clf_loss == clf_ref
@@ -192,7 +193,7 @@ def test_decoder_sees_only_normal_rows(monkeypatch):
         return real_forward(rows, *args, **kwargs)
 
     monkeypatch.setattr(net.decoder, "forward", spy)
-    net.zero_grad()
+    net.grads.fill(0.0)
     train.joint_batch_gradients(net, x, y, 1.0, stochastic=False)
     assert len(seen) == 1
     assert seen[0].tobytes() == net.encoder.forward(x)[y == 0].tobytes()
@@ -201,7 +202,7 @@ def test_decoder_sees_only_normal_rows(monkeypatch):
     for name in ("forward", "backward"):
         monkeypatch.setattr(net.decoder, name,
                             lambda *a, name=name, **k: calls.append(name))
-    net.zero_grad()
+    net.grads.fill(0.0)
     _, rec_loss = train.joint_batch_gradients(net, x, np.ones(9, int), 1.0,
                                               stochastic=False)
     assert calls == [] and rec_loss == 0.0
@@ -217,9 +218,9 @@ def test_beta_zero_logs_rec_loss_without_decoder_backward(monkeypatch):
         raise AssertionError("decoder backward ran at beta = 0")
 
     monkeypatch.setattr(net.decoder, "backward", no_backward)
-    net.zero_grad()
+    net.grads.fill(0.0)
     _, rec_loss = train.joint_batch_gradients(net, x, y, 0.0, stochastic=False)
-    xhat, _ = net.forward_reconstruct(x[y == 0])
+    xhat = net.decoder.forward(net.encoder.forward(x[y == 0]))
     assert rec_loss == pytest.approx(((xhat - x[y == 0]) ** 2).sum() / x.size, rel=1e-12)
     assert rec_loss > 0.0
     assert not net.grads[net.spans("decoder")[0]].any()
@@ -231,7 +232,7 @@ def test_a_batch_leaves_exactly_its_own_gradients():
     rng = nncore.make_rng(16)
     x1, x2 = rng.normal(0.0, 1.0, (2, 8, 6))
     y1, y2 = np.array([0, 1, 2, 0, 1, 2, 0, 0]), np.array([2, 0, 1, 1, 0, 2, 2, 1])
-    net.zero_grad()
+    net.grads.fill(0.0)
     losses = train.joint_batch_gradients(net, x2, y2, 0.7, nncore.make_rng(17))
     alone = net.grads.copy()
     train.joint_batch_gradients(net, x1, y1, 0.7, nncore.make_rng(18))
@@ -251,7 +252,7 @@ def test_a_pathway_without_backward_reads_zero_after_one_with(second):
             "beta zero": (y, 0.0, None),
             "warm-up without normals": (np.ones(8, int), 1.0, ("encoder", "decoder"))}[second]
     labels, beta, roles = args
-    net.zero_grad()
+    net.grads.fill(0.0)
     train.joint_batch_gradients(net, x, labels, beta, stochastic=False, roles=roles)
     alone = net.grads.copy()
     train.joint_batch_gradients(net, x, y, 1.0, stochastic=False)
@@ -287,7 +288,7 @@ def test_joint_gradients_pass_finite_difference_check():
     beta = 0.7
 
     def loss_fn():
-        net.zero_grad()
+        net.grads.fill(0.0)
         clf_loss, rec_loss = train.joint_batch_gradients(net, x, y, beta, stochastic=False)
         return clf_loss + beta * rec_loss, [net.grads.copy()]
 
@@ -463,22 +464,21 @@ def _reference_train(net, ds, cfg):
             for start in range(0, len(rows), cfg.batch_size):
                 idx = perm[start : start + cfg.batch_size]
                 xb, yb = rows[idx], labels[idx]
-                for stack in net.stacks():
-                    stack.zero_grad()
+                net.grads.fill(0.0)
+                enc, head, dec = [], [], []
+                h = net.encoder.forward(xb, rng, stochastic=True, tape=enc)
                 if stream == 1 or net.head is None:
-                    xhat, _ = net.forward_reconstruct(xb, rng, stochastic=True)
-                    _, dxhat = nncore.mse(xhat, xb)
-                    grad_h = net.decoder.backward(dxhat)
+                    _, dxhat = nncore.mse(net.decoder.forward(h, tape=dec), xb)
+                    grad_h = net.decoder.backward(dec, dxhat)
                 else:
-                    h = net.encoder.forward(xb, rng, stochastic=True)
-                    _, dlogits = clf_loss(net.head.forward(h), yb)
-                    grad_h = net.head.backward_from_logits(dlogits)
+                    _, dlogits = clf_loss(net.head.forward(h, tape=head), yb)
+                    grad_h = net.head.backward_from_logits(head, dlogits)
                     normal = yb == 0
                     if net.decoder is not None and normal.any():
-                        xhat = net.decoder.forward(h[normal])
+                        xhat = net.decoder.forward(h[normal], tape=dec)
                         _, dxhat = nncore.mse(xhat, xb[normal], n_rows=len(idx))
-                        grad_h[normal] += net.decoder.backward(cfg.beta * dxhat)
-                assert net.encoder.backward(grad_h).shape == xb.shape
+                        grad_h[normal] += net.decoder.backward(dec, cfg.beta * dxhat)
+                assert net.encoder.backward(enc, grad_h).shape == xb.shape
                 t += 1
                 _reference_adam(arrays, moments, t, cfg.lr)
             if stream == 2 and cfg.early_stop:
@@ -570,6 +570,18 @@ def test_training_is_bitwise_the_same_at_any_draw_budget(monkeypatch):
         assert max(steps) == most and 1 in steps
 
 
+def test_layers_hold_only_their_parameters_after_training_and_mc():
+    net = model.build(ModelKind.AUGMENTED, input_dim=4, latent_dim=2, rng_seed=34)
+    ds = _blobs(20, seed=35)
+    train.train(net, ds, train.TrainConfig(epochs=2, pretrain_epochs=1, batch_size=16, seed=34))
+    uncertainty.mc_moments(net, ds.X, 3, nncore.make_rng(36))
+    for stack in net.stacks():
+        for layer in stack.layers:
+            fields = ({"weights", "bias", "activation", "grad_w", "grad_b"}
+                      if isinstance(layer, nncore.DenseLayer) else {"rate"})
+            assert set(vars(layer)) == fields
+
+
 # ---------------------------------------------------------------------------
 # benchmark loops
 
@@ -579,7 +591,7 @@ def test_classifier_learns_separable_blobs():
     ds = _blobs(100, seed=31)
     cfg = train.TrainConfig(epochs=50, pretrain_epochs=0, batch_size=32, seed=30)
     train.train(net, ds, cfg)
-    probs = net.forward_classify(ds.X)
+    probs = net.head.forward(net.encoder.forward(ds.X))
     pred = (probs[:, 0] > 0.5).astype(int)
     assert np.mean(pred == ds.y) >= 0.99
 
@@ -592,7 +604,7 @@ def test_classifier_early_stop_halts_before_cap():
     )
     history = train.train(net, ds, cfg)
     assert len(history) < 300
-    probs = net.forward_classify(ds.X)
+    probs = net.head.forward(net.encoder.forward(ds.X))
     assert np.mean((probs[:, 0] > 0.5).astype(int) == ds.y) >= 0.97
 
 

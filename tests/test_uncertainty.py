@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oodfdd import model, nncore, uncertainty as unc
+from oodfdd import detect, model, nncore, uncertainty as unc
 from oodfdd.model import ModelKind
 from oodfdd.report import emit_csv
 
@@ -149,7 +149,7 @@ def test_batch_reconstruct_without_dropout_equals_deterministic():
     net = _net(dropout=0.0)
     x = nncore.make_rng(13).normal(0, 1, (4, 6))
     mc = unc.mc_moments(net, x, 5, nncore.make_rng(14)).rec_mean
-    xhat, _ = net.forward_reconstruct(x)
+    xhat = net.decoder.forward(net.encoder.forward(x))
     assert np.allclose(mc, xhat, atol=1e-12)
 
 
@@ -319,24 +319,40 @@ def test_passes_after_the_first_block_allocate_nothing():
     assert peak < held + 8 * len(x) * narrowest
 
 
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_mc_entry_points_reject_rows_of_the_wrong_width(kind):
+    net = _net(kind, n_classes=3)
+    thresholds = detect.ThresholdSet(None if net.head is None else np.zeros(3),
+                                     None if net.decoder is None else 0.0, 0.1)
+    for call in (lambda x: unc.mc_moments(net, x, 3, nncore.make_rng(0)),
+                 lambda x: unc.mc_sample(net, x[:1], 3, nncore.make_rng(0)),
+                 lambda x: detect.score(net, x, thresholds, 3, nncore.make_rng(0))):
+        with pytest.raises(ValueError, match="^input has 5 features, layer expects 6$"):
+            call(np.zeros((4, 5)))
+
+
 def test_first_encoder_layer_runs_once_per_mc_call():
     net = _net(n_classes=3, dropout=0.3)
     dense = net.encoder.dense_layers()
     calls = [0] * len(dense)
-    for i, layer in enumerate(dense):
-        def counted(x, forward=layer.forward, i=i, **kwargs):
-            calls[i] += 1
-            return forward(x, **kwargs)
-        layer.forward = counted
-    # a stack runs its layers in one loop: count each dense layer it runs
-    run = net.encoder.forward_into
 
-    def counted_run(x, source, buffers, start=0):
-        for layer in net.encoder.layers[start:]:
+    # a stack runs its layers in one loop: count each dense layer a call runs
+    def count(layers):
+        for layer in layers:
             if layer in dense:
                 calls[dense.index(layer)] += 1
+
+    forward, run = net.encoder.forward, net.encoder.forward_into
+
+    def counted_forward(x, *args, stop=None, **kwargs):
+        count(net.encoder.layers[:stop])
+        return forward(x, *args, stop=stop, **kwargs)
+
+    def counted_run(x, source, buffers, start=0):
+        count(net.encoder.layers[start:])
         return run(x, source, buffers, start)
 
+    net.encoder.forward = counted_forward
     net.encoder.forward_into = counted_run
     x = nncore.make_rng(23).normal(0, 1, (5, 6))
     unc.mc_moments(net, x, 12, nncore.make_rng(24))
