@@ -12,7 +12,8 @@ t_samples) and a config-file key, typed by the field's annotation; a value
 that does not parse is a configuration error naming the key.
 
 `train` calibrates the detection thresholds once, on the training normals,
-and stores them in the weight archive with alpha, t_samples and the seed.
+and stores the record `detect.calibrate` returns (`model.Calibration`:
+alpha, t_samples, the seed and the thresholds) in the weight archive.
 `evaluate`, `score` and `report` take the seed and t_samples from that
 record, and `evaluate` and `score` never recalibrate: `evaluate` splits the
 data with the archive's seed, and `score --input` reads no dataset file.
@@ -48,8 +49,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import data, experiments, model, report, train
-from .detect import ThresholdSet
+from . import data, detect, experiments, model, report, train
 from .experiments import ExperimentConfig
 from .nncore import NonFiniteError, derive_rng, numeric_context
 from .uncertainty import histogram_table, mc_sample
@@ -179,12 +179,10 @@ def cmd_train(cfg, args) -> int:
     train_ds, _ = experiments.load_dataset_pair(cfg, args.data_dir)
     normals = experiments.calibration_normals(train_ds)
     net, history = experiments.train_one(cfg, train_ds)
-    thr = experiments.calibrate_normals(net, normals, cfg)
+    cal = detect.calibrate(net, normals, cfg.alpha, cfg.t_samples, cfg.seed)
     out = _out_dir(args)
     weights_name = f"{cfg.model_kind}.ofdd"
-    model.save(net, os.path.join(out, weights_name),
-               model.Calibration(thr.alpha, cfg.t_samples, cfg.seed,
-                                 thr.clf_thresholds, thr.rec_threshold))
+    model.save(net, os.path.join(out, weights_name), cal)
     report.emit_csv(train.EpochLog._fields, history, os.path.join(out, "history.csv"))
     write_manifest(out, [weights_name, "history.csv"])
     final = history[-1]
@@ -195,26 +193,25 @@ def cmd_train(cfg, args) -> int:
 
 
 def _archive_thresholds(cfg, args) -> tuple[model.PathwayNetwork, ExperimentConfig,
-                                             ThresholdSet]:
+                                             model.Calibration]:
     """The archived net, cfg with the archive's seed and t_samples, and the
-    thresholds the archive stores.  An alpha, t_samples or seed given
-    explicitly must equal the archive's."""
+    archive's calibration.  An alpha, t_samples or seed given explicitly
+    must equal the archive's."""
     net, cal = _load_weights(args.weights)
     _check_archive_settings(args, cal)
-    return (net, replace(cfg, seed=cal.seed, t_samples=cal.t_samples),
-            ThresholdSet(cal.clf_thresholds, cal.rec_threshold, cal.alpha))
+    return net, replace(cfg, seed=cal.seed, t_samples=cal.t_samples), cal
 
 
 def cmd_evaluate(cfg, args) -> int:
-    net, cfg, thresholds = _archive_thresholds(cfg, args)
+    net, cfg, cal = _archive_thresholds(cfg, args)
     _, eval_ds = experiments.load_dataset_pair(cfg, args.data_dir)
     _check_width(eval_ds.X, f"{cfg.dataset} test data", net, args)
-    ev = experiments.evaluate_model(net, thresholds, eval_ds, cfg)
+    ev = experiments.evaluate_model(net, cal, eval_ds)
     out = _out_dir(args)
     report.emit_csv(*experiments.group_table({"binary_accuracy": ev.report.binary_acc,
                                               "diagnostic_accuracy": ev.report.diag_acc}),
                     os.path.join(out, "metrics.csv"))
-    _emit_thresholds(ev.thresholds, out)
+    _emit_thresholds(cal, out)
     write_manifest(out, ["metrics.csv", "thresholds.csv"])
     for group, acc in ev.report.binary_acc.items():
         diag = ev.report.diag_acc.get(group)
@@ -320,7 +317,7 @@ def score_table(s) -> tuple[list[str], zip]:
 
 
 def cmd_score(cfg, args) -> int:
-    net, cfg, thresholds = _archive_thresholds(cfg, args)
+    net, cfg, cal = _archive_thresholds(cfg, args)
     if args.input:
         x = _read_input_csv(args.input)
         source = f"input {args.input}"
@@ -332,20 +329,20 @@ def cmd_score(cfg, args) -> int:
         source = f"{cfg.dataset} training data"
     _check_width(x, source, net, args)
 
-    s = experiments.score_rows(net, x, thresholds, cfg.t_samples, cfg.seed)
+    s = detect.score(net, x, cal)
     flagged = s.z if s.z is not None else s.rec_flags
 
     out = _out_dir(args)
     report.emit_csv(*score_table(s), os.path.join(out, "scores.csv"))
-    _emit_thresholds(thresholds, out)
+    _emit_thresholds(cal, out)
     write_manifest(out, ["scores.csv", "thresholds.csv"])
     print(f"scored {len(x)} rows; flag rate {float(np.mean(flagged)):.4f}")
     return 0
 
 
-def _emit_thresholds(thresholds: ThresholdSet, out: str) -> None:
+def _emit_thresholds(cal: model.Calibration, out: str) -> None:
     """thresholds.csv: the alpha row, then one row per channel."""
-    rows = [("alpha", thresholds.alpha), *thresholds.channels()]
+    rows = [("alpha", cal.alpha), *cal.channels()]
     report.emit_csv(["channel", "threshold"], rows, os.path.join(out, "thresholds.csv"))
 
 

@@ -9,9 +9,13 @@ predictive-mean reconstruction.  Thresholds are per-channel empirical
 normal training data has false-positive rate about alpha.
 
 `calibrate` and `score` are the one path from a network to thresholds and
-flags; they draw the MC passes through `uncertainty.mc_moments`, and score
-them, under `nncore.numeric_context`.  Every other function here is pure
-over its array inputs.
+flags, and the one place that picks their MC passes: calibration draws from
+`derive_rng(seed, CALIBRATION_STREAM, k)` and scoring from
+`derive_rng(seed, SCORING_STREAM, k)`, k the kind's position in `ModelKind`,
+so the draws depend on the seed and kind alone.  Both score the passes of
+`uncertainty.mc_moments` under `nncore.numeric_context`, and their
+thresholds travel in one record, `model.Calibration`.  Every other function
+here is pure over its array inputs.
 """
 
 from __future__ import annotations
@@ -20,25 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PathwayNetwork
-from .nncore import as_matrix, ensure_finite, numeric_context
+from .model import Calibration, ModelKind, PathwayNetwork
+from .nncore import as_matrix, derive_rng, ensure_finite, numeric_context
 from .uncertainty import McMoments, mc_moments
 
 MIN_CALIBRATION_EXAMPLES = 50
 
-
-@dataclass
-class ThresholdSet:
-    clf_thresholds: np.ndarray | None
-    rec_threshold: float | None
-    alpha: float
-
-    def channels(self) -> list[tuple[str, float]]:
-        """(channel, threshold) pairs: clf0, clf1, .. then rec, for the
-        pathways the set has."""
-        clf = [] if self.clf_thresholds is None else self.clf_thresholds
-        rec = [] if self.rec_threshold is None else [("rec", self.rec_threshold)]
-        return [(f"clf{j}", thr) for j, thr in enumerate(clf)] + rec
+# the derive_rng keys of the MC passes that calibrate and score draw
+CALIBRATION_STREAM = 20
+SCORING_STREAM = 22
 
 
 def clf_anomaly_scores(mean: np.ndarray, variance: np.ndarray) -> np.ndarray:
@@ -83,8 +77,9 @@ def calibrate_thresholds(
     clf_scores: np.ndarray | None,
     alpha: float,
     rec_scores: np.ndarray | None = None,
-) -> ThresholdSet:
-    """Per-channel (1 - alpha) empirical quantiles of normal training scores.
+) -> tuple[np.ndarray | None, float | None]:
+    """Per-channel (1 - alpha) empirical quantiles of normal training scores:
+    (classifier thresholds, rec threshold), None for a pathway without scores.
 
     clf_scores is (N, channels); rec_scores is (N,).  Quantiles interpolate
     linearly between order statistics, so flagging the calibration data with
@@ -107,11 +102,11 @@ def calibrate_thresholds(
         rec_scores = np.asarray(rec_scores, dtype=np.float64).reshape(-1)
         check_calibration_count(len(rec_scores))
         rec_thr = float(np.quantile(rec_scores, 1.0 - alpha))
-    return ThresholdSet(clf_thresholds=clf_thr, rec_threshold=rec_thr, alpha=alpha)
+    return clf_thr, rec_thr
 
 
 def predict_labels(
-    clf_scores: np.ndarray, thresholds: ThresholdSet
+    clf_scores: np.ndarray, thresholds: Calibration
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flag channel j of a row iff s_j strictly exceeds its threshold.
 
@@ -120,7 +115,7 @@ def predict_labels(
     flag z_i, the disjunction of row i.
     """
     if thresholds.clf_thresholds is None:
-        raise ValueError("threshold set has no classifier thresholds")
+        raise ValueError("calibration has no classifier thresholds")
     s = np.asarray(clf_scores, dtype=np.float64)
     thr = np.asarray(thresholds.clf_thresholds, dtype=np.float64)
     if s.ndim != 2 or s.shape[1] != thr.shape[0]:
@@ -163,25 +158,26 @@ def mc_scores(
     )
 
 
-def calibrate(
-    net: PathwayNetwork, normals: np.ndarray, alpha: float, t: int,
-    rng: np.random.Generator,
-) -> ThresholdSet:
-    """Thresholds for every pathway of the network from its scores on normals."""
-    s = mc_scores(net, normals, t, rng)
-    return calibrate_thresholds(s.clf, alpha, rec_scores=s.rec)
+def _kind_rng(net: PathwayNetwork, seed: int, stream: int) -> np.random.Generator:
+    return derive_rng(seed, stream, list(ModelKind).index(net.kind))
 
 
-def score(
-    net: PathwayNetwork, x: np.ndarray, thresholds: ThresholdSet, t: int,
-    rng: np.random.Generator,
-) -> Scores:
-    """`mc_scores` with every pathway's flags set from `thresholds`."""
-    s = mc_scores(net, x, t, rng)
+def calibrate(net: PathwayNetwork, normals: np.ndarray, alpha: float, t: int,
+              seed: int) -> Calibration:
+    """Thresholds for every pathway of the network from its scores on
+    normals, t MC passes drawn from the kind's calibration stream."""
+    s = mc_scores(net, normals, t, _kind_rng(net, seed, CALIBRATION_STREAM))
+    return Calibration(alpha, t, seed, *calibrate_thresholds(s.clf, alpha, rec_scores=s.rec))
+
+
+def score(net: PathwayNetwork, x: np.ndarray, cal: Calibration) -> Scores:
+    """`mc_scores` of cal.t_samples passes, drawn from the kind's scoring
+    stream of cal.seed, with every pathway's flags set from `cal`."""
+    s = mc_scores(net, x, cal.t_samples, _kind_rng(net, cal.seed, SCORING_STREAM))
     if s.clf is not None:
-        s.b, s.z = predict_labels(s.clf, thresholds)
+        s.b, s.z = predict_labels(s.clf, cal)
     if s.rec is not None:
-        s.rec_flags = s.rec > thresholds.rec_threshold
+        s.rec_flags = s.rec > cal.rec_threshold
     return s
 
 
@@ -222,28 +218,16 @@ def group_binary_accuracies(flags: np.ndarray, groups) -> dict[str, float]:
     return table
 
 
-def precision_recall_at(
-    scores: np.ndarray, fault_flags: np.ndarray, threshold: float
-) -> tuple[float, float]:
-    """Precision and recall of "score > threshold" as the fault predictor.
-
-    With nothing flagged, precision is reported as 1.0 (no false positives).
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    fault_flags = np.asarray(fault_flags, dtype=bool)
-    pred = scores > threshold
-    tp = int(np.sum(pred & fault_flags))
-    fp = int(np.sum(pred & ~fault_flags))
-    fn = int(np.sum(~pred & fault_flags))
-    precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return precision, recall
-
-
 def precision_recall_sweep(
     scores: np.ndarray, fault_flags: np.ndarray, k: int = 50
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Precision/recall at k evenly spaced thresholds over the score range."""
+    """Precision/recall of "score > threshold" as the fault predictor, at k
+    evenly spaced thresholds over the score range.
+
+    The rows above each threshold are counted by binary search in the
+    sorted scores, and the faults among them in the sorted fault scores.
+    With nothing flagged, precision is reported as 1.0 (no false positives).
+    """
     scores = np.asarray(scores, dtype=np.float64)
     fault_flags = np.asarray(fault_flags, dtype=bool)
     if len(scores) != len(fault_flags):
@@ -253,20 +237,19 @@ def precision_recall_sweep(
     if k < 2:
         raise ValueError("need at least two thresholds")
     thresholds = np.linspace(scores.min(), scores.max(), k)
-    precision = np.empty(k)
-    recall = np.empty(k)
-    for i, thr in enumerate(thresholds):
-        precision[i], recall[i] = precision_recall_at(scores, fault_flags, thr)
-    return thresholds, precision, recall
+    faults = np.sort(scores[fault_flags])
+    flagged = len(scores) - np.searchsorted(np.sort(scores), thresholds, side="right")
+    tp = len(faults) - np.searchsorted(faults, thresholds, side="right")
+    precision = np.where(flagged == 0, 1.0, tp / np.maximum(flagged, 1))
+    return thresholds, precision, tp / len(faults)
 
 
 @dataclass
 class MetricsReport:
-    """Per-group accuracies plus the thresholds and sweep that produced them."""
+    """Per-group accuracies plus the precision/recall sweep."""
 
     binary_acc: dict[str, float]
     diag_acc: dict[str, float]
-    thresholds: ThresholdSet
     sweep_thresholds: np.ndarray | None = None
     precision: np.ndarray | None = None
     recall: np.ndarray | None = None

@@ -39,8 +39,8 @@ Every public entry point that trains or draws MC passes runs under
 FloatingPointError on overflow, division by zero and invalid operations,
 and BLAS runs one thread, so a seed gives the same outputs whatever
 `OPENBLAS_NUM_THREADS` says.  `run_experiment` and `train_one` enter it
-here; `calibrate_normals` and `score_rows` inherit it from
-`detect.mc_scores`.  The worker lane inherits it through the fork.
+here; `evaluate_model` inherits it from `detect.score`.  The worker lane
+inherits it through the fork.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ import numpy as np
 from . import data
 from .detect import (
     MetricsReport,
-    Scores,
-    ThresholdSet,
     calibrate,
     check_calibration_count,
     diagnostic_accuracies,
@@ -66,7 +64,7 @@ from .detect import (
     precision_recall_sweep,
     score,
 )
-from .model import ModelKind, PathwayNetwork, build
+from .model import Calibration, ModelKind, PathwayNetwork, build
 from .nncore import derive_rng, numeric_context
 from .train import TrainConfig, train
 from .uncertainty import (
@@ -195,7 +193,7 @@ class ModelEval:
     """Per-pathway metrics for one trained model on one evaluation set."""
 
     kind: str
-    thresholds: ThresholdSet
+    thresholds: Calibration
     clf_binary: dict | None = None
     rec_binary: dict | None = None
     clf_diag: dict | None = None
@@ -245,40 +243,12 @@ def _mean_diag_by_group(diag: np.ndarray, groups: np.ndarray) -> dict:
     return out
 
 
-def _stream(net: PathwayNetwork) -> int:
-    # one MC stream per model kind keeps the draws of different kinds
-    # independent and gives a single-kind CLI command the pipeline's draws
-    return MODEL_ORDER.index(net.kind.value)
-
-
-def calibrate_normals(net: PathwayNetwork, calib_x: np.ndarray,
-                      cfg: ExperimentConfig) -> ThresholdSet:
-    """Thresholds from the calibration normals, MC draws from (seed, 20, kind stream).
-
-    `oodfdd train` stores them in the weight archive, so they equal bitwise
-    the thresholds `run_experiment` computes for the same net and config,
-    whether it calls this in this process or, for the benchmark models, in
-    its forked worker lane: the draws depend on the seed and kind alone.
-    """
-    return calibrate(net, calib_x, cfg.alpha, cfg.t_samples,
-                     derive_rng(cfg.seed, 20, _stream(net)))
-
-
-def score_rows(net: PathwayNetwork, x: np.ndarray, thresholds: ThresholdSet,
-               t_samples: int, seed: int) -> Scores:
-    """Scores and flags for x, MC draws from (seed, 22, kind stream)."""
-    return score(net, x, thresholds, t_samples, derive_rng(seed, 22, _stream(net)))
-
-
-def evaluate_model(net: PathwayNetwork, thresholds: ThresholdSet,
-                   eval_ds: data.LabeledDataset, cfg: ExperimentConfig) -> ModelEval:
-    """Score every pathway the model has against the given thresholds.
-
-    The Monte Carlo draws are reproducible from cfg.seed and independent
-    between model kinds; cfg.t_samples sets the pass count.
-    """
-    s = score_rows(net, eval_ds.X, thresholds, cfg.t_samples, cfg.seed)
-    ev = ModelEval(kind=net.kind.value, thresholds=thresholds,
+def evaluate_model(net: PathwayNetwork, cal: Calibration,
+                   eval_ds: data.LabeledDataset) -> ModelEval:
+    """Score every pathway the model has against the calibration `cal`,
+    with its pass count and MC stream (`detect.score`)."""
+    s = score(net, eval_ds.X, cal)
+    ev = ModelEval(kind=net.kind.value, thresholds=cal,
                    clf_flags=s.z, rec_flags=s.rec_flags)
     groups = eval_ds.group
     fault_flags = groups != "normal"
@@ -301,7 +271,6 @@ def evaluate_model(net: PathwayNetwork, thresholds: ThresholdSet,
     ev.report = MetricsReport(
         binary_acc=ev.rec_binary if ev.clf_binary is None else ev.clf_binary,
         diag_acc={} if ev.clf_diag is None else ev.clf_diag,
-        thresholds=thresholds,
         sweep_thresholds=sweep_thr,
         precision=prec,
         recall=rec,
@@ -483,6 +452,9 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | None = None) -> Experi
     def trained(kind):
         return train_one(replace(cfg, model_kind=kind), train_ds)[0]
 
+    def calibrated(net):
+        return calibrate(net, calib_x, cfg.alpha, cfg.t_samples, cfg.seed)
+
     def lead_lane(hand_over):
         net = trained(lead)
         rows = eval_ds
@@ -490,13 +462,13 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | None = None) -> Experi
             ambiguous = _make_ambiguous(net, eval_ds, cfg)
             hand_over(ambiguous)
             rows = _with_rows(eval_ds, ambiguous)
-        return net, evaluate_model(net, calibrate_normals(net, calib_x, cfg), rows, cfg), rows
+        return net, evaluate_model(net, calibrated(net), rows), rows
 
     def benchmark_lane(take):
         nets = {kind: trained(kind) for kind in benchmarks}
-        thresholds = {kind: calibrate_normals(net, calib_x, cfg) for kind, net in nets.items()}
+        cals = {kind: calibrated(net) for kind, net in nets.items()}
         rows = _with_rows(eval_ds, take()) if cfg.dataset == "mnist" else eval_ds
-        return {kind: (net.params, evaluate_model(net, thresholds[kind], rows, cfg))
+        return {kind: (net.params, evaluate_model(net, cals[kind], rows))
                 for kind, net in nets.items()}
 
     (net, lead_eval, eval_ds), returned = _in_lanes(lead_lane, benchmark_lane)

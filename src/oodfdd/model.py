@@ -49,11 +49,12 @@ class TruncatedPayloadError(ArchiveError):
 
 @dataclass
 class Calibration:
-    """Detection thresholds fitted once, on the training normals, at train time.
+    """Detection thresholds fitted on the training normals, the one record
+    from `detect.calibrate` through the weight archive to `detect.score`.
 
     `clf_thresholds` has one entry per classifier channel (n_classes of them)
     and is None without a head; `rec_threshold` is None without a decoder.
-    Scoring repeats the MC draws of `t_samples` passes from `seed`.
+    Scoring draws `t_samples` MC passes from `seed`.
     """
 
     alpha: float
@@ -61,6 +62,13 @@ class Calibration:
     seed: int
     clf_thresholds: np.ndarray | None
     rec_threshold: float | None
+
+    def channels(self) -> list[tuple[str, float]]:
+        """(channel, threshold) pairs: clf0, clf1, .. then rec, for the
+        pathways the record has."""
+        clf = [] if self.clf_thresholds is None else self.clf_thresholds
+        rec = [] if self.rec_threshold is None else [("rec", self.rec_threshold)]
+        return [(f"clf{j}", thr) for j, thr in enumerate(clf)] + rec
 
 
 def taper_widths(input_dim: int, latent_dim: int, n_layers: int) -> list[int]:
@@ -113,9 +121,6 @@ class PathwayNetwork:
     def n_outputs(self) -> int:
         """Width of the classifier output (1 for the two-class sigmoid)."""
         return 1 if self.n_classes == 2 else self.n_classes
-
-    def stacks(self) -> list[LayerStack]:
-        return [getattr(self, role) for role in self.offsets]
 
     def spans(self, *roles: str) -> list[slice]:
         """Buffer slices covering the named pathways, adjacent ones merged.

@@ -342,13 +342,12 @@ def _to_mask(u: np.ndarray, keep: float) -> np.ndarray:
 
 def _dropout_mask(source, shape: tuple, rate: float, out: np.ndarray | None) -> np.ndarray:
     """The inverted-dropout mask of `shape` at `rate`: handed out ready by a
-    `Uniforms` built with rates, else made from the source's uniforms, drawn
-    into `out` when it is given."""
+    `Uniforms`, else made from the source's uniforms, drawn into `out` when
+    it is given."""
     if source is None:
         raise ValueError("stochastic dropout needs an rng")
     if isinstance(source, Uniforms):
-        draws = source.random(shape)
-        return draws if source.masks else _to_mask(draws, 1.0 - rate)
+        return source.random(shape)
     return _to_mask(source.random(shape) if out is None else source.random(out=out), 1.0 - rate)
 
 
@@ -421,37 +420,32 @@ def _backward(records, tape: list, g: np.ndarray, first: int = 0, input_grad: bo
 
 
 class Uniforms:
-    """The dropout uniforms of `steps` forward passes, drawn in one call and
-    handed out layer by layer.
+    """The dropout masks of `steps` forward passes, their uniforms drawn in
+    one call, handed out layer by layer.
 
     Each step draws `rows` x w uniforms for each w in `widths`, in order, as
     the dropout layers of one pass would.  One `rng.random` call takes
     exactly what the steps' per-layer draws would take in turn, one 64-bit
-    output per double: step k's draws are row k of the block.  `random(shape)`
-    hands out the next layer's draws: with `stacked`, the (steps, rows, w)
-    view of every step's draws at once, for a stacked block of MC passes;
-    without, one step's (rows, w) view at a time, step by step, for batches
-    run in turn.  It raises if `shape` is not the one expected next.  With
-    `out`, a float64 buffer of at least the draws' size, the draws go into
-    it; a later draw into the same buffer overwrites them.
-
-    With `rates`, one dropout rate per width, each layer's draws of every
-    step are made into its masks (u < keep) * (1 / keep) in place, two
-    numpy calls per layer for the whole run, and `random` hands out masks.
+    output per double: step k's draws are row k of the block.  Each layer's
+    draws of every step are made into its masks (u < keep) * (1 / keep) in
+    place, keep = 1 - its entry of `rates`, two numpy calls per layer for
+    the whole run.  `random(shape)` hands out the next layer's masks: with
+    `stacked`, the (steps, rows, w) view of every step's masks at once, for
+    a stacked block of MC passes; without, one step's (rows, w) view at a
+    time, step by step, for batches run in turn.  It raises if `shape` is
+    not the one expected next.  With `out`, a float64 buffer of at least
+    the draws' size, the draws go into it; a later draw into the same
+    buffer overwrites them.
     """
 
     def __init__(self, rng: np.random.Generator, steps: int, rows: int, widths: list[int],
-                 *, stacked: bool, out: np.ndarray | None = None,
-                 rates: list[float] | None = None):
+                 *, stacked: bool, rates: list[float], out: np.ndarray | None = None):
         size = steps * rows * sum(widths)
         block = rng.random(size) if out is None else rng.random(out=out[:size])
         block = block.reshape(steps, -1)
-        self.masks = rates is not None
         views, start = [], 0
-        for j, width in enumerate(widths):
-            run = block[:, start:start + rows * width]
-            if self.masks:
-                _to_mask(run, 1.0 - rates[j])
+        for width, rate in zip(widths, rates):
+            run = _to_mask(block[:, start:start + rows * width], 1.0 - rate)
             views.append(run.reshape(steps, rows, width))
             start += rows * width
         self._views = views if stacked else [view[k] for k in range(steps) for view in views]

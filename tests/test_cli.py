@@ -419,7 +419,8 @@ def test_score_input_reads_no_dataset_and_never_recalibrates(tmp_path, thyroid_d
     def forbidden(*args, **kwargs):
         raise AssertionError("score recalibrated or read a dataset")
 
-    monkeypatch.setattr(experiments, "calibrate", forbidden)
+    monkeypatch.setattr(detect, "calibrate", forbidden)
+    monkeypatch.setattr(detect, "calibrate_thresholds", forbidden)
     monkeypatch.setattr(experiments, "load_dataset_pair", forbidden)
     absent = str(tmp_path / "no-such-dir")
     assert cli.main([*common, "--data-dir", absent, "--out", str(tmp_path / "b")]) == 0
@@ -525,7 +526,7 @@ def test_evaluate_and_score_write_identical_thresholds(tmp_path, thyroid_dir, tr
         raise AssertionError("recalibrated")
 
     monkeypatch.setattr(detect, "calibrate", refuse)
-    monkeypatch.setattr(experiments, "calibrate", refuse)
+    monkeypatch.setattr(detect, "calibrate_thresholds", refuse)
     common = ["--dataset", "thyroid", "--data-dir", thyroid_dir,
               "--weights", os.path.join(trained_dir, "augmented.ofdd"), *SMOKE]
     assert cli.main(["evaluate", *common, "--out", str(tmp_path / "e")]) == 0

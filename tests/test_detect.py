@@ -90,26 +90,26 @@ def test_rec_anomaly_scores_bitwise_equal_the_plain_expression(shape):
 
 def test_quantile_interpolation_example():
     scores = np.arange(1.0, 101.0).reshape(-1, 1)
-    thr = detect.calibrate_thresholds(scores, 0.05)
-    assert abs(thr.clf_thresholds[0] - 95.05) < 1e-9
+    clf_thr, rec_thr = detect.calibrate_thresholds(scores, 0.05)
+    assert abs(clf_thr[0] - 95.05) < 1e-9 and rec_thr is None
 
 
 def test_identical_scores_degenerate():
     scores = np.full((60, 1), 3.5)
-    thr = detect.calibrate_thresholds(scores, 0.1, rec_scores=np.full(60, 3.5))
-    assert thr.clf_thresholds[0] == 3.5
-    assert thr.rec_threshold == 3.5
+    clf_thr, rec_thr = detect.calibrate_thresholds(scores, 0.1, rec_scores=np.full(60, 3.5))
+    assert clf_thr[0] == 3.5
+    assert rec_thr == 3.5
     # strict > means nothing is flagged on the calibration data itself
-    assert np.sum(scores[:, 0] > thr.clf_thresholds[0]) == 0
+    assert np.sum(scores[:, 0] > clf_thr[0]) == 0
 
 
 def test_calibration_flag_rate_near_alpha():
     rng = np.random.default_rng(1)
     scores = rng.normal(0, 1, (500, 2))
     for alpha in (0.05, 0.1):
-        thr = detect.calibrate_thresholds(scores, alpha)
+        clf_thr, _ = detect.calibrate_thresholds(scores, alpha)
         for j in range(2):
-            rate = np.mean(scores[:, j] > thr.clf_thresholds[j])
+            rate = np.mean(scores[:, j] > clf_thr[j])
             assert alpha - 1.0 / 500 <= rate <= alpha + 1.0 / 500
 
 
@@ -131,9 +131,7 @@ def test_calibration_preconditions():
 
 
 def _thr(values, alpha=0.1):
-    return detect.ThresholdSet(
-        clf_thresholds=np.asarray(values, dtype=np.float64), rec_threshold=None, alpha=alpha
-    )
+    return model.Calibration(alpha, 2, 0, np.asarray(values, dtype=np.float64), None)
 
 
 def _labels(scores, thresholds):
@@ -268,21 +266,22 @@ def _aug_net(n_classes=3):
 def test_calibrate_is_thresholds_of_mc_scores():
     net = _aug_net()
     x = nncore.make_rng(4).normal(0, 1, (60, 5))
-    thr = detect.calibrate(net, x, 0.1, 8, nncore.make_rng(5))
-    m = uncertainty.mc_moments(net, x, 8, nncore.make_rng(5))
-    want = detect.calibrate_thresholds(
+    cal = detect.calibrate(net, x, 0.1, 8, 5)
+    m = uncertainty.mc_moments(net, x, 8, nncore.derive_rng(5, 20, 0))
+    clf_thr, rec_thr = detect.calibrate_thresholds(
         detect.clf_anomaly_scores(m.clf_mean, m.clf_var), 0.1,
         rec_scores=detect.rec_anomaly_scores(m.rec_mean, x))
-    assert np.array_equal(thr.clf_thresholds, want.clf_thresholds)
-    assert thr.rec_threshold == want.rec_threshold and thr.alpha == 0.1
+    assert np.array_equal(cal.clf_thresholds, clf_thr)
+    assert cal.rec_threshold == rec_thr
+    assert (cal.alpha, cal.t_samples, cal.seed) == (0.1, 8, 5)
 
 
 def test_score_flags_every_pathway():
     net = _aug_net()
     x = nncore.make_rng(6).normal(0, 1, (60, 5))
-    thr = detect.calibrate(net, x, 0.2, 6, nncore.make_rng(7))
-    s = detect.score(net, x, thr, 6, nncore.make_rng(8))
-    plain = detect.mc_scores(net, x, 6, nncore.make_rng(8))
+    thr = detect.calibrate(net, x, 0.2, 6, 7)
+    s = detect.score(net, x, thr)
+    plain = detect.mc_scores(net, x, 6, nncore.derive_rng(7, 22, 0))
     assert np.array_equal(s.clf, plain.clf) and np.array_equal(s.rec, plain.rec)
     assert plain.b is None and plain.z is None and plain.rec_flags is None
     b, z = detect.predict_labels(s.clf, thr)
@@ -291,8 +290,8 @@ def test_score_flags_every_pathway():
 
     for kind, absent in ((ModelKind.CLASSIFIER_ONLY, "rec"), (ModelKind.AUTOENCODER_ONLY, "clf")):
         net = model.build(kind, input_dim=5, latent_dim=2, n_classes=3, rng_seed=3)
-        thr = detect.calibrate(net, x, 0.2, 4, nncore.make_rng(9))
-        s = detect.score(net, x, thr, 4, nncore.make_rng(10))
+        thr = detect.calibrate(net, x, 0.2, 4, 9)
+        s = detect.score(net, x, thr)
         if absent == "rec":
             assert s.rec is None and s.rec_flags is None and thr.rec_threshold is None
             assert s.z.shape == (60,)
@@ -313,10 +312,10 @@ def test_overflow_raises_from_direct_calls_outside_any_context(kind, weight):
     x = np.full((60, 5), 2.0)
     before = np.geterr()
     with pytest.raises(FloatingPointError, match="overflow"):
-        detect.calibrate(net, x, 0.1, 4, nncore.make_rng(5))
-    thr = detect.ThresholdSet(None if net.head is None else np.zeros(3), 0.0, 0.1)
+        detect.calibrate(net, x, 0.1, 4, 5)
+    cal = model.Calibration(0.1, 4, 6, None if net.head is None else np.zeros(3), 0.0)
     with pytest.raises(FloatingPointError, match="overflow"):
-        detect.score(net, x, thr, 4, nncore.make_rng(6))
+        detect.score(net, x, cal)
     if weight == 1e308:
         with pytest.raises(FloatingPointError, match="overflow"):
             uncertainty.mc_moments(net, x, 4, nncore.make_rng(7))
@@ -356,12 +355,27 @@ def test_group_binary_accuracies_equal_row_loop_bitwise(rows, as_array):
     assert [v.hex() for v in table.values()] == [v.hex() for v in reference.values()]
 
 
-def test_precision_recall_threshold_below_min():
-    scores = np.array([0.1, 0.2, 0.3, 0.4])
-    flags = np.array([False, False, True, True])
-    p, r = detect.precision_recall_at(scores, flags, 0.0)
-    assert r == 1.0
-    assert p == 0.5  # fault prevalence
+def _brute_force_precision_recall(scores, flags, threshold):
+    """Precision and recall of "score > threshold", counted row by row."""
+    tp = fp = fn = 0
+    for s, f in zip(scores.tolist(), flags.tolist()):
+        tp += s > threshold and f
+        fp += s > threshold and not f
+        fn += s <= threshold and f
+    return (1.0 if tp + fp == 0 else tp / (tp + fp)), tp / (tp + fn)
+
+
+def test_precision_recall_sweep_matches_the_per_threshold_oracle_with_ties():
+    # tied scores on both sides of the flag, a tie at the minimum and at
+    # the maximum; the top threshold flags nothing, so its precision is 1.0
+    scores = np.array([0.5, 0.1, 0.5, 0.9, 0.3, 0.5, 0.1, 0.9, 0.7, 0.3])
+    flags = np.array([True, False, False, True, False, True, True, False, True, False])
+    thresholds, precision, recall = detect.precision_recall_sweep(scores, flags, k=9)
+    assert thresholds[0] == 0.1 and thresholds[-1] == 0.9
+    assert precision[-1] == 1.0 and recall[-1] == 0.0
+    assert recall[0] == 4 / 5 and precision[0] == 4 / 8  # the minimum itself is not > 0.1
+    for thr, p, r in zip(thresholds, precision, recall):
+        assert (p, r) == _brute_force_precision_recall(scores, flags, thr)
 
 
 def test_precision_recall_perfect_separation():
@@ -380,16 +394,7 @@ def test_precision_recall_matches_brute_force():
     flags[0], flags[1] = True, False
     thresholds, precision, recall = detect.precision_recall_sweep(scores, flags, k=11)
     for t, p, r in zip(thresholds, precision, recall):
-        tp = fp = fn = 0
-        for s, f in zip(scores, flags):
-            if s > t and f:
-                tp += 1
-            elif s > t and not f:
-                fp += 1
-            elif s <= t and f:
-                fn += 1
-        assert p == (1.0 if tp + fp == 0 else tp / (tp + fp))
-        assert r == tp / (tp + fn)
+        assert (p, r) == _brute_force_precision_recall(scores, flags, t)
 
 
 def test_precision_recall_degenerate_inputs():
@@ -404,13 +409,9 @@ def test_precision_recall_degenerate_inputs():
 
 
 def test_metrics_report_validates_and_serializes(tmp_path):
-    thr = detect.ThresholdSet(
-        clf_thresholds=np.array([0.5, 0.6]), rec_threshold=0.25, alpha=0.1
-    )
     report = detect.MetricsReport(
         binary_acc={"normal": 0.9, "fault:1": 0.8},
         diag_acc={"fault:1": 0.75},
-        thresholds=thr,
     )
     table = tmp_path / "table.csv"
     emit_csv(*experiments.group_table({"binary_accuracy": report.binary_acc,
@@ -420,6 +421,7 @@ def test_metrics_report_validates_and_serializes(tmp_path):
     assert lines[1] == "normal,0.900000,"
     assert lines[2] == "fault:1,0.800000,0.750000"
 
+    thr = model.Calibration(0.1, 2, 0, np.array([0.5, 0.6]), 0.25)
     assert thr.channels() == [("clf0", 0.5), ("clf1", 0.6), ("rec", 0.25)]
     thrfile = tmp_path / "thr.csv"
     emit_csv(["channel", "threshold"], [("alpha", thr.alpha), *thr.channels()], thrfile)
@@ -430,4 +432,4 @@ def test_metrics_report_validates_and_serializes(tmp_path):
     assert rows[4] == "rec,0.250000"
 
     with pytest.raises(ValueError):
-        detect.MetricsReport(binary_acc={"normal": 1.2}, diag_acc={}, thresholds=thr)
+        detect.MetricsReport(binary_acc={"normal": 1.2}, diag_acc={})

@@ -130,21 +130,45 @@ def test_pipeline_nets_equal_train_one_per_kind(chiller_result):
         assert net.params.tobytes() == r.nets[kind].params.tobytes()
 
 
-def test_mc_stream_follows_the_model_kind(thyroid_result):
+@pytest.mark.parametrize("kind, k", [("augmented", 0), ("classifier", 1), ("autoencoder", 2)])
+def test_calibration_and_scoring_draw_from_literal_streams(thyroid_result, kind, k):
+    """Calibration draws from (seed, 20, k) and scoring from (seed, 22, k),
+    k the kind's position in ModelKind; the pipeline's record is calibrate's."""
     r = thyroid_result
+    net, cfg = r.nets[kind], r.config
     calib_x = r.train_ds.X[r.train_ds.y == 0]
-    for stream, kind in enumerate(experiments.MODEL_ORDER):
-        net = r.nets[kind]
-        expected = detect.calibrate(net, calib_x, r.config.alpha, r.config.t_samples,
-                                    derive_rng(r.config.seed, 20, stream))
-        for thr in (experiments.calibrate_normals(net, calib_x, r.config),
-                    r.evals[kind].thresholds):
-            assert np.array_equal(thr.clf_thresholds, expected.clf_thresholds)
-            assert np.array_equal(thr.rec_threshold, expected.rec_threshold)
-        scored = experiments.score_rows(net, calib_x, expected, 4, 0)
-        reference = detect.score(net, calib_x, expected, 4, derive_rng(0, 22, stream))
-        assert np.array_equal(scored.clf, reference.clf)
-        assert np.array_equal(scored.rec, reference.rec)
+    s = detect.mc_scores(net, calib_x, cfg.t_samples, derive_rng(cfg.seed, 20, k))
+    clf_thr, rec_thr = detect.calibrate_thresholds(s.clf, cfg.alpha, rec_scores=s.rec)
+    for cal in (detect.calibrate(net, calib_x, cfg.alpha, cfg.t_samples, cfg.seed),
+                r.evals[kind].thresholds):
+        assert (cal.alpha, cal.t_samples, cal.seed) == (cfg.alpha, cfg.t_samples, cfg.seed)
+        assert np.array_equal(cal.clf_thresholds, clf_thr)
+        assert cal.rec_threshold == rec_thr
+    cal = model.Calibration(cfg.alpha, 4, 3, clf_thr, rec_thr)
+    scored = detect.score(net, calib_x, cal)
+    reference = detect.mc_scores(net, calib_x, 4, derive_rng(3, 22, k))
+    assert np.array_equal(scored.clf, reference.clf)
+    assert np.array_equal(scored.rec, reference.rec)
+
+
+def _calibration_bytes(cal):
+    """Every field of a calibration record, floats as their exact bytes."""
+    clf = None if cal.clf_thresholds is None else cal.clf_thresholds.tobytes()
+    rec = None if cal.rec_threshold is None else float(cal.rec_threshold).hex()
+    return (float(cal.alpha).hex(), cal.t_samples, cal.seed, clf, rec)
+
+
+@pytest.mark.parametrize("kind", experiments.MODEL_ORDER)
+def test_train_archives_the_calibration_the_pipeline_computes(tmp_path, thyroid_dir,
+                                                              thyroid_result, kind):
+    cfg = thyroid_result.config
+    argv = ["train", "--dataset", "thyroid", "--data-dir", thyroid_dir, "--model-kind", kind,
+            "--seed", cfg.seed, "--epochs", cfg.epochs, "--pretrain-epochs",
+            cfg.pretrain_epochs, "--t-samples", cfg.t_samples, "--out", tmp_path]
+    assert cli.main([str(arg) for arg in argv]) == 0
+    net, cal = model.load(tmp_path / f"{kind}.ofdd")
+    assert net.params.tobytes() == thyroid_result.nets[kind].params.tobytes()
+    assert _calibration_bytes(cal) == _calibration_bytes(thyroid_result.evals[kind].thresholds)
 
 
 def test_chiller_groups_cover_unknown_and_severities(chiller_result):
@@ -590,10 +614,10 @@ def test_overflow_raises_from_every_entry_point(monkeypatch, thyroid_dir):
                                 **experiments._build_kwargs(cfg, normals.shape[1])))
     before = np.geterr()
     with pytest.raises(FloatingPointError, match="overflow"):
-        experiments.calibrate_normals(net, normals, cfg)
-    thresholds = detect.ThresholdSet(np.zeros(2), 0.0, cfg.alpha)
+        detect.calibrate(net, normals, cfg.alpha, cfg.t_samples, cfg.seed)
+    cal = model.Calibration(cfg.alpha, cfg.t_samples, cfg.seed, np.zeros(2), 0.0)
     with pytest.raises(FloatingPointError, match="overflow"):
-        experiments.score_rows(net, normals, thresholds, cfg.t_samples, cfg.seed)
+        detect.score(net, normals, cal)
     build = experiments.build
     monkeypatch.setattr(experiments, "build", lambda *a, **k: _poisoned(build(*a, **k)))
     with pytest.raises(FloatingPointError, match="overflow"):
@@ -619,12 +643,12 @@ def _report_numeric_state(parent_pid, aspect, seen):
 
 @needs_fork
 @pytest.mark.parametrize("aspect", ["errstate", pytest.param("blas", marks=needs_openblas)])
-@pytest.mark.parametrize("step", ["train_one", "calibrate_normals", "evaluate_model"])
+@pytest.mark.parametrize("step", ["train_one", "calibrate", "evaluate_model"])
 def test_both_lanes_run_in_the_numeric_context(monkeypatch, thyroid_dir, step, aspect):
     monkeypatch.setattr(experiments, "_lane_count", lambda: 2)
     seen = []
     # every step a lane runs is a stand-in; the one under test reports its state
-    for name in ("train_one", "calibrate_normals", "evaluate_model"):
+    for name in ("train_one", "calibrate", "evaluate_model"):
         monkeypatch.setattr(experiments, name,
                             lambda *args: (SimpleNamespace(params=None), []))
     monkeypatch.setattr(experiments, step, _report_numeric_state(os.getpid(), aspect, seen))
@@ -731,13 +755,13 @@ def test_rebuilt_nets_are_views_of_their_buffer(chiller_result, tmp_path):
     for kind in experiments.MODEL_ORDER[1:]:
         net, ev = r.nets[kind], r.evals[kind]
         path = tmp_path / f"{kind}.ofdd"
-        th = ev.thresholds
-        model.save(net, path, model.Calibration(th.alpha, r.config.t_samples, r.config.seed,
-                                                th.clf_thresholds, th.rec_threshold))
+        model.save(net, path, ev.thresholds)
         loaded, _ = model.load(path)
         assert loaded.params.tobytes() == net.params.tobytes()
 
-        for stack in net.stacks():
+        for stack in (net.encoder, net.head, net.decoder):
+            if stack is None:
+                continue
             for layer in stack.layers:
                 if hasattr(layer, "weights"):
                     assert np.shares_memory(layer.weights, net.params)

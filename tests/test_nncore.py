@@ -239,26 +239,10 @@ def test_recording_forward_rejects_a_pass_stack():
 
 
 def test_uniforms_hand_out_batch_draws_step_by_step_into_the_buffer():
+    # the draws are handed out as each layer's masks
     buffer = np.full(100, np.nan)
     rng = nn.make_rng(18)
-    source = nn.Uniforms(rng, 3, 4, [5, 2], stacked=False, out=buffer)
-    reference = nn.make_rng(18)
-    for _ in range(3):
-        for width in (5, 2):
-            draw = source.random((4, width))
-            assert np.shares_memory(draw, buffer)
-            assert draw.tobytes() == reference.random((4, width)).tobytes()
-    # the stream moved on by exactly the draws, and the buffer's tail is untouched
-    assert rng.random() == reference.random()
-    assert np.isnan(buffer[3 * 4 * 7:]).all()
-    with pytest.raises(RuntimeError, match="out of step"):
-        source.random((4, 5))  # every step's draws are handed out
-    source = nn.Uniforms(nn.make_rng(18), 2, 4, [5, 2], stacked=False)
-    with pytest.raises(RuntimeError, match="out of step"):
-        source.random((4, 2))  # a step's first draw is (4, 5)
-    # with rates, the same draws are handed out as each layer's masks
-    source = nn.Uniforms(nn.make_rng(18), 3, 4, [5, 2], stacked=False, out=buffer,
-                         rates=[0.3, 0.75])
+    source = nn.Uniforms(rng, 3, 4, [5, 2], stacked=False, out=buffer, rates=[0.3, 0.75])
     reference = nn.make_rng(18)
     for _ in range(3):
         for width, keep in ((5, 0.7), (2, 0.25)):
@@ -266,6 +250,14 @@ def test_uniforms_hand_out_batch_draws_step_by_step_into_the_buffer():
             assert np.shares_memory(mask, buffer)
             want = (reference.random((4, width)) < keep) * (1.0 / keep)
             assert mask.tobytes() == want.tobytes()
+    # the stream moved on by exactly the draws, and the buffer's tail is untouched
+    assert rng.random() == reference.random()
+    assert np.isnan(buffer[3 * 4 * 7:]).all()
+    with pytest.raises(RuntimeError, match="out of step"):
+        source.random((4, 5))  # every step's draws are handed out
+    source = nn.Uniforms(nn.make_rng(18), 2, 4, [5, 2], stacked=False, rates=[0.3, 0.75])
+    with pytest.raises(RuntimeError, match="out of step"):
+        source.random((4, 2))  # a step's first draw is (4, 5)
 
 
 def test_draw_widths_list_the_dropout_layers_that_draw():

@@ -278,7 +278,9 @@ def test_joint_gradients_pass_finite_difference_check():
     )
     # swap the piecewise-linear activations for smooth ones so central
     # differences are trustworthy at eps=1e-5
-    for stack in net.stacks():
+    for stack in (net.encoder, net.head, net.decoder):
+        if stack is None:
+            continue
         for layer in stack.dense_layers():
             if layer.activation == "relu":
                 layer.activation = "sigmoid"
@@ -575,7 +577,9 @@ def test_layers_hold_only_their_parameters_after_training_and_mc():
     ds = _blobs(20, seed=35)
     train.train(net, ds, train.TrainConfig(epochs=2, pretrain_epochs=1, batch_size=16, seed=34))
     uncertainty.mc_moments(net, ds.X, 3, nncore.make_rng(36))
-    for stack in net.stacks():
+    for stack in (net.encoder, net.head, net.decoder):
+        if stack is None:
+            continue
         for layer in stack.layers:
             fields = ({"weights", "bias", "activation", "grad_w", "grad_b"}
                       if isinstance(layer, nncore.DenseLayer) else {"rate"})

@@ -292,7 +292,8 @@ def test_mc_moments_keeps_nothing_for_backward():
     finally:
         tracemalloc.stop()
     assert peak <= 10e6
-    held = [(type(layer).__name__, name) for stack in net.stacks() for layer in stack.layers
+    held = [(type(layer).__name__, name) for stack in (net.encoder, net.head, net.decoder)
+            if stack is not None for layer in stack.layers
             for name, value in vars(layer).items()
             if isinstance(value, np.ndarray) and name not in ("weights", "bias", "grad_w", "grad_b")]
     assert held == []
@@ -304,7 +305,8 @@ def test_passes_after_the_first_block_allocate_nothing():
     net = model.build(ModelKind.AUGMENTED, input_dim=7, latent_dim=4, hidden_widths=[16, 8, 4],
                       head_widths=[8, 8], n_classes=7, rng_seed=0)
     x = nncore.make_rng(28).normal(0, 1, (10200, 7))
-    narrowest = min(layer.out_dim for stack in net.stacks() for layer in stack.dense_layers())
+    narrowest = min(layer.out_dim for stack in (net.encoder, net.head, net.decoder)
+                    if stack is not None for layer in stack.dense_layers())
     passes = unc._passes(net, x, 5, nncore.make_rng(29))
     tracemalloc.start()
     try:
@@ -322,11 +324,11 @@ def test_passes_after_the_first_block_allocate_nothing():
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_mc_entry_points_reject_rows_of_the_wrong_width(kind):
     net = _net(kind, n_classes=3)
-    thresholds = detect.ThresholdSet(None if net.head is None else np.zeros(3),
-                                     None if net.decoder is None else 0.0, 0.1)
+    cal = model.Calibration(0.1, 3, 0, None if net.head is None else np.zeros(3),
+                            None if net.decoder is None else 0.0)
     for call in (lambda x: unc.mc_moments(net, x, 3, nncore.make_rng(0)),
                  lambda x: unc.mc_sample(net, x[:1], 3, nncore.make_rng(0)),
-                 lambda x: detect.score(net, x, thresholds, 3, nncore.make_rng(0))):
+                 lambda x: detect.score(net, x, cal)):
         with pytest.raises(ValueError, match="^input has 5 features, layer expects 6$"):
             call(np.zeros((4, 5)))
 
@@ -376,18 +378,7 @@ def test_mc_moments_peaks_within_the_block_budget_plus_one_pass():
 
 
 def test_block_uniforms_are_the_sequential_draws_and_raise_out_of_step():
-    source = nncore.Uniforms(nncore.make_rng(32), 3, 4, [5, 2], stacked=True)
-    first, second = source.random((3, 4, 5)), source.random((3, 4, 2))
-    rng = nncore.make_rng(32)
-    for k in range(3):
-        assert first[k].tobytes() == rng.random((4, 5)).tobytes()
-        assert second[k].tobytes() == rng.random((4, 2)).tobytes()
-    with pytest.raises(RuntimeError, match="out of step"):
-        source.random((3, 4, 2))  # every view is handed out
-    source = nncore.Uniforms(nncore.make_rng(32), 3, 4, [5, 2], stacked=True)
-    with pytest.raises(RuntimeError, match="out of step"):
-        source.random((3, 4, 2))  # the first layer's draw is (3, 4, 5)
-    # with rates, each layer's draws of every pass are handed out as its masks
+    # each layer's draws of every pass are handed out as its masks
     source = nncore.Uniforms(nncore.make_rng(32), 3, 4, [5, 2], stacked=True,
                              rates=[0.3, 0.75])
     first, second = source.random((3, 4, 5)), source.random((3, 4, 2))
@@ -395,6 +386,12 @@ def test_block_uniforms_are_the_sequential_draws_and_raise_out_of_step():
     for k in range(3):
         assert first[k].tobytes() == ((rng.random((4, 5)) < 0.7) * (1.0 / 0.7)).tobytes()
         assert second[k].tobytes() == ((rng.random((4, 2)) < 0.25) * (1.0 / 0.25)).tobytes()
+    with pytest.raises(RuntimeError, match="out of step"):
+        source.random((3, 4, 2))  # every view is handed out
+    source = nncore.Uniforms(nncore.make_rng(32), 3, 4, [5, 2], stacked=True,
+                             rates=[0.3, 0.75])
+    with pytest.raises(RuntimeError, match="out of step"):
+        source.random((3, 4, 2))  # the first layer's draw is (3, 4, 5)
 
 
 def test_mc_sample_is_the_moments_loop_with_samples_kept():
