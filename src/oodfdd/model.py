@@ -98,8 +98,9 @@ class PathwayNetwork:
     softmax.  Dropout exists only inside the encoder.
 
     `params` and `grads` are flat buffers in archive order that every dense
-    layer's arrays are views of; `offsets` maps each present pathway
-    ("encoder", "head", "decoder") to its slice of them.
+    layer's arrays are views of, and the one array that Adam steps, the
+    early-stop snapshot copies and the archive writes; `offsets` maps each
+    present pathway ("encoder", "head", "decoder") to its slice of them.
     """
 
     kind: ModelKind
@@ -121,20 +122,6 @@ class PathwayNetwork:
     def n_outputs(self) -> int:
         """Width of the classifier output (1 for the two-class sigmoid)."""
         return 1 if self.n_classes == 2 else self.n_classes
-
-    def spans(self, *roles: str) -> list[slice]:
-        """Buffer slices covering the named pathways, adjacent ones merged.
-
-        Absent pathways are skipped, so ("encoder", "decoder") is one slice
-        for an autoencoder but two, around the head, for the augmented model.
-        """
-        out: list[slice] = []
-        for span in (s for role, s in self.offsets.items() if role in roles):
-            if out and out[-1].stop == span.start:
-                out[-1] = slice(out[-1].start, span.stop)
-            else:
-                out.append(span)
-        return out
 
 
 def _layout(kind: ModelKind, input_dim: int, latent_dim: int, hidden_widths: list[int],

@@ -24,18 +24,19 @@ The hot kernels write into buffers instead of building temporaries: the
 dense bias add and the activations into the matmul's output (softmax and
 the sigmoid through scratch arrays a caller may pass), the dropout mask
 into its uniform draw (and, without a tape, the dropped-out output into
-the mask), and the Adam update into scratch arrays.  `LayerStack.forward_into`
-writes every layer's output and scratch into buffers its caller allocated
-once, so MC inference allocates nothing per pass.  A stack's backward pass
+the mask), and Adam's update of a whole flat buffer into scratch arrays.
+`LayerStack.forward_into` writes every layer's output and scratch into
+buffers its caller allocated once, so MC inference allocates nothing per
+pass.  A stack's backward pass
 can skip the gradient w.r.t. its input when nothing consumes it.  Each
 kernel runs the operations of the plain expression in the same order, so
 its results are bitwise those of the plain form.
 
-A dropout layer takes its uniforms from anything with the generator's
-`random(shape)`: `Uniforms` draws those of several passes or batches in one
-call, makes them into each layer's masks with two numpy calls per layer for
-the whole run, and hands them out layer by layer, bitwise the masks the
-layers would make from their own draws one by one.
+Dropout draws only in a forward pass handed a source of uniforms, anything
+with the generator's `random(shape)`: `Uniforms` draws those of several
+passes or batches in one call, makes them into each layer's masks with two
+numpy calls per layer for the whole run, and hands them out layer by layer,
+bitwise the masks the layers would make from their own draws one by one.
 
 Forwards without a tape also take a (passes, rows, features) stack, so MC
 inference can run a block of passes in one call per layer: numpy's 3-D
@@ -63,7 +64,6 @@ import contextlib
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -323,9 +323,9 @@ class DenseLayer:
 
 
 class DropoutLayer:
-    """Inverted dropout at `rate`: survivors are scaled by 1/(1-rate) in
-    stochastic mode.  Deterministic mode is the identity, so inference needs
-    no rescaling, and so is its backward."""
+    """Inverted dropout at `rate`: survivors are scaled by 1/(1-rate) when a
+    forward pass is handed a source of uniforms.  Without one it is the
+    identity, so inference needs no rescaling, and so is its backward."""
 
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
@@ -344,8 +344,6 @@ def _dropout_mask(source, shape: tuple, rate: float, out: np.ndarray | None) -> 
     """The inverted-dropout mask of `shape` at `rate`: handed out ready by a
     `Uniforms`, else made from the source's uniforms, drawn into `out` when
     it is given."""
-    if source is None:
-        raise ValueError("stochastic dropout needs an rng")
     if isinstance(source, Uniforms):
         return source.random(shape)
     return _to_mask(source.random(shape) if out is None else source.random(out=out), 1.0 - rate)
@@ -355,7 +353,7 @@ def _dropout_mask(source, shape: tuple, rate: float, out: np.ndarray | None) -> 
 _NO_BUFFERS = itertools.repeat((None, None))
 
 
-def _forward(records, h: np.ndarray, source, stochastic: bool, tape: list | None,
+def _forward(records, h: np.ndarray, source, tape: list | None,
              buffers=_NO_BUFFERS) -> np.ndarray:
     """Run the (layer, is_dense) `records` on `h`, the one forward loop of
     every stack.
@@ -363,10 +361,10 @@ def _forward(records, h: np.ndarray, source, stochastic: bool, tape: list | None
     `buffers` gives, per record, where its output goes and the activation's
     scratch (`scratch_views`); (None, None) makes new arrays.  A dense
     output is the matmul written into its buffer, then the bias and the
-    activation in place.  A dropout that draws makes its mask
-    (`_dropout_mask`; drawn into its buffer unless a `Uniforms` hands it
-    out) and, without a tape, writes its output into its buffer, or into
-    the mask without one.  With a `tape`, each record appends what its
+    activation in place.  A dropout handed a `source`, at a rate above 0,
+    makes its mask (`_dropout_mask`; drawn into its buffer unless a
+    `Uniforms` hands it out) and, without a tape, writes its output into
+    its buffer, or into the mask without one.  With a `tape`, each record appends what its
     backward pass reads: a dense layer's (input, output), a dropout's mask
     or None where it dropped nothing.
     """
@@ -380,7 +378,7 @@ def _forward(records, h: np.ndarray, source, stochastic: bool, tape: list | None
             h = out
             continue
         mask = None
-        if stochastic and layer.rate != 0.0:
+        if source is not None and layer.rate != 0.0:
             mask = _dropout_mask(source, h.shape, layer.rate, out)
             if tape is None:
                 h = np.multiply(h, mask, out=mask if out is None else out)
@@ -478,28 +476,28 @@ class LayerStack:
         self,
         x: np.ndarray,
         rng: np.random.Generator | None = None,
-        stochastic: bool = False,
         stop: int | None = None,
         *,
         tape: list | None = None,
     ) -> np.ndarray:
         """Run layers[:stop] on `x`, checking its width against the first
-        dense layer's.  With a `tape`, `x` must be 2-D and the tape gets
-        what the backward pass reads; without, nothing is kept and `x` may
-        be a (passes, rows, features) stack."""
+        dense layer's; dropout draws from `rng`, and without one is the
+        identity.  With a `tape`, `x` must be 2-D and the tape gets what the
+        backward pass reads; without, nothing is kept and `x` may be a
+        (passes, rows, features) stack."""
         x = as_matrix(x, stacked=tape is None)
         if self._dense and x.shape[-1] != self._dense[0].in_dim:
             raise ValueError(
                 f"input has {x.shape[-1]} features, layer expects {self._dense[0].in_dim}"
             )
-        return _forward(self._records[:stop], x, rng, stochastic, tape)
+        return _forward(self._records[:stop], x, rng, tape)
 
     def forward_into(self, x: np.ndarray, source, buffers: list, start: int = 0) -> np.ndarray:
-        """A stochastic forward of layers[start:] that keeps nothing for
-        backward and writes each layer's output into its entry of `buffers`,
-        an (output, activation scratch) pair per layer (see `_forward`); `x`
-        may be a (passes, rows, features) stack.  Returns the last output."""
-        return _forward(self._records[start:], x, source, True, None, buffers)
+        """A forward of layers[start:], drawing from `source`, that keeps
+        nothing for backward and writes each layer's output into its entry
+        of `buffers`, an (output, activation scratch) pair per layer (see
+        `_forward`); `x` may be a stack of passes.  Returns the last output."""
+        return _forward(self._records[start:], x, source, None, buffers)
 
     def backward(self, tape: list, grad_out: np.ndarray,
                  input_grad: bool = True) -> np.ndarray | None:
@@ -591,7 +589,7 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
     rows = np.arange(n)
     # np.maximum is np.clip with no upper bound, bit for bit, NaN included
     picked = np.maximum(probs[rows, labels], CROSS_ENTROPY_EPS)
-    loss = float(-np.log(picked).mean())
+    loss = float(-(np.add.reduce(np.log(picked)) / n))  # np.mean, minus its wrapper
     grad = probs.copy()
     grad[rows, labels] -= 1.0
     grad /= n
@@ -608,7 +606,8 @@ def binary_cross_entropy(
     (p - y) / n.
     """
     q = np.minimum(np.maximum(p[:, 0], CROSS_ENTROPY_EPS), 1.0 - CROSS_ENTROPY_EPS)
-    loss = float(-(labels * np.log(q) + (1.0 - labels) * np.log(1.0 - q)).mean())
+    terms = labels * np.log(q) + (1.0 - labels) * np.log(1.0 - q)
+    loss = float(-(np.add.reduce(terms) / len(p)))
     grad = (p[:, 0] - labels)[:, None] / len(p)
     return loss, grad
 
@@ -643,39 +642,29 @@ def mse(
 # optimizer
 
 
-@dataclass
 class AdamState:
-    """First/second moment buffers, one pair per parameter array, and two
-    scratch arrays of the same shape for the update's intermediates."""
+    """The step count and the first/second moments of one parameter array,
+    and two scratch arrays of its shape for the update's intermediates."""
 
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-    t: int = 0
-    scratch: list[tuple[np.ndarray, np.ndarray]] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.scratch = [(np.empty_like(m), np.empty_like(m)) for m in self.m]
-
-    @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
+    def __init__(self, params: np.ndarray):
+        self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+        self.scratch = np.empty_like(params), np.empty_like(params)
+        self.t = 0
 
 
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float = 1e-3,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place on the parameter arrays;
-    elementwise, so how a flat buffer is cut into spans changes no bit.
+    """One bias-corrected Adam update, in place on `params`, a network's
+    whole flat buffer: elementwise, so bitwise as each array stepped alone,
+    and a position whose gradient has been exactly 0 since `state` was made
+    keeps its bits at any finite lr >= 0.
 
     The update is
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
@@ -688,29 +677,25 @@ def adam_step(
     the updated parameters non-finite, and they are checked, so the step
     raises NonFiniteError either way.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params, grads and state must align")
     state.t += 1
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
-    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
-        if p.shape != g.shape:
-            raise ValueError(f"param shape {p.shape} vs grad shape {g.shape}")
-        m *= beta1
-        np.multiply(1.0 - beta1, g, out=a)
-        m += a
-        v *= beta2
-        np.square(g, out=b)
-        b *= 1.0 - beta2
-        v += b
-        if c1 == 1.0:  # from t = 356 at beta1 = 0.9; m / 1.0 is m, bit for bit
-            np.multiply(m, lr, out=a)
-        else:
-            np.divide(m, c1, out=a)
-            a *= lr
-        np.divide(v, c2, out=b)
-        np.sqrt(b, out=b)
-        b += eps
-        a /= b
-        p -= a
-        ensure_finite(p, "parameters after adam_step")
+    m, v, (a, b) = state.m, state.v, state.scratch
+    m *= beta1
+    np.multiply(1.0 - beta1, grads, out=a)
+    m += a
+    v *= beta2
+    np.square(grads, out=b)
+    b *= 1.0 - beta2
+    v += b
+    if c1 == 1.0:  # from t = 356 at beta1 = 0.9; m / 1.0 is m, bit for bit
+        np.multiply(m, lr, out=a)
+    else:
+        np.divide(m, c1, out=a)
+        a *= lr
+    np.divide(v, c2, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    params -= a
+    ensure_finite(params, "parameters after adam_step")

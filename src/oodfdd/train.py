@@ -8,7 +8,7 @@ stable meaning regardless of how many normals land in a batch.  The two
 benchmarks are the augmented model with one pathway removed, and the term
 of a removed pathway is dropped; the warm-up is the objective over the
 encoder and decoder alone.  Every phase is one seeded, single-threaded
-loop (`_fit`) that steps Adam over slices of the network's flat parameter
+loop (`_fit`) that steps Adam over the network's whole flat parameter
 buffer; the same TrainConfig.seed reproduces weights bitwise.  `train`
 checks its rows' width and values and its labels once per call; its
 batches then run the unchecked stack loops and loss kernels.  A batch's
@@ -98,10 +98,10 @@ def joint_batch_gradients(
     yb: np.ndarray,
     beta: float,
     rng: np.random.Generator | None = None,
-    stochastic: bool = True,
     roles: Collection[str] | None = None,
 ) -> tuple[float, float]:
-    """One forward/backward pass of the objective on a single batch.
+    """One forward/backward pass of the objective on a single batch, its
+    dropout drawn from `rng` (none without).
 
     The objective has the clf term when "head" is in `roles` and the
     beta-weighted rec term when "decoder" is; `roles` defaults to every
@@ -124,7 +124,7 @@ def joint_batch_gradients(
     yb = np.asarray(yb)
     roles = net.offsets if roles is None else roles
     enc_tape, head_tape, dec_tape = [], [], []  # what each pathway's backward reads
-    h = net.encoder.forward(xb, rng, stochastic, tape=enc_tape)
+    h = net.encoder.forward(xb, rng, tape=enc_tape)
     clf_loss, rec_loss, grad_h, decoded = 0.0, 0.0, None, False
     if "head" in roles:
         clf_loss, dlogits = _classification_loss(net, net.head.forward(h, tape=head_tape), yb)
@@ -207,8 +207,9 @@ def _fit(net: PathwayNetwork, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, ep
     Each epoch shuffles the rows of (x, y) with derive_rng(cfg.seed,
     stream), which then draws the epoch's dropout masks, as many whole
     batches' as _DRAW_BUDGET holds at a time (`_batch_uniforms`); each batch
-    runs `joint_batch_gradients` with beta = rec_weight and steps Adam over the
-    buffer spans of `roles`.  Epochs are logged as
+    runs `joint_batch_gradients` with beta = rec_weight and steps Adam over
+    the whole buffer.  A pathway outside `roles` keeps the zero gradient
+    filled in first, so Adam steps it by exactly 0.  Epochs are logged as
     row-weighted means with total clf + rec_weight * rec.  With `val`, held
     out rows (x, y), training stops after EARLY_STOP_PATIENCE epochs
     without an EARLY_STOP_MIN_DELTA improvement of `_objective` on them and
@@ -216,10 +217,8 @@ def _fit(net: PathwayNetwork, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, ep
     """
     n = len(x)
     rng = derive_rng(cfg.seed, stream)
-    spans = net.spans(*roles)
-    params = [net.params[span] for span in spans]
-    grads = [net.grads[span] for span in spans]
-    state = AdamState.for_params(params)
+    net.grads.fill(0.0)
+    state = AdamState(net.params)
     widths, rates = net.encoder.draw_widths(), net.encoder.draw_rates()
     row_draws = sum(widths)
     buffer = np.empty(min(max(_DRAW_BUDGET, cfg.batch_size * row_draws), n * row_draws))
@@ -232,8 +231,8 @@ def _fit(net: PathwayNetwork, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, ep
         for start, source in zip(range(0, n, cfg.batch_size), sources):
             idx = perm[start : start + cfg.batch_size]
             clf_loss, rec_loss = joint_batch_gradients(net, x[idx], y[idx], rec_weight, source,
-                                                       stochastic=True, roles=roles)
-            adam_step(params, grads, state, lr=cfg.lr)
+                                                       roles=roles)
+            adam_step(net.params, net.grads, state, lr=cfg.lr)
             clf_total += clf_loss * len(idx)
             rec_total += rec_loss * len(idx)
         clf_m, rec_m = clf_total / n, rec_total / n
@@ -259,12 +258,15 @@ def train(net: PathwayNetwork, dataset, cfg: TrainConfig) -> list[EpochLog]:
     autoencoder-only one, which refuses fault-labeled rows.  With both a
     head and a decoder, cfg.pretrain_epochs of reconstruction warm-up come
     first: encoder and decoder on the normal rows, rec weighted by 1, the
-    head bitwise untouched.  cfg.epochs of the objective follow.  With
+    head bitwise untouched.  cfg.epochs of the objective follow.  An lr
+    that is not positive and finite raises ValueError before any epoch.  With
     cfg.early_stop a VAL_FRACTION of the rows, drawn from stream 3, is held
     out of both phases and the objective phase stops early on it (`_fit`).
     Returns the concatenated epoch log (warm-up epochs first; numbering
     restarts at 0 for the objective phase).
     """
+    if not 0.0 < cfg.lr < np.inf:
+        raise ValueError(f"lr must be positive and finite, got {cfg.lr}")
     x, y = _as_xy(dataset)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(f"rows have {x.shape[-1]} features, the net takes {net.input_dim}")

@@ -20,10 +20,9 @@ layer into the buffers of the layers' outputs.
 
 The passes run their stacks without a tape, so nothing is kept for a
 backward pass that inference never runs.  Every block writes into buffers
-allocated once per call, one arena laid out by liveness (`_pass_plan`) and
-the draws' buffer, so after the first block the passes allocate nothing
-and fault in no fresh pages.
-The yielded outputs are views of those buffers, which the next block
+allocated once per call, one arena (`_pass_plan`) and the draws' buffer,
+so after the first block the passes allocate nothing and fault in no fresh
+pages.  The yielded outputs are views of those buffers, which the next block
 overwrites: `mc_moments` folds each pass in before the next runs, and
 `mc_sample` copies them.  The Welford mean and m2 and the reconstruction
 sum are updated in place; the Welford step works in two scratch arrays of
@@ -150,62 +149,50 @@ def _pass_plan(net: PathwayNetwork) -> tuple[list, int]:
     not into its mask: a block's masks are strided views of the draws, and
     numpy copies a whole operand to write in place into one.
 
-    Each array is live from the step that writes it to the last that reads
-    it: a layer's input until its output is made, an activation's scratch
-    while it runs, and the latent and each pathway's output until the
-    block's passes are yielded.  Arrays are placed widest first, each at
-    the lowest columns that no array live at the same time holds; on the
-    layer shapes of the three datasets that makes the arena exactly as wide
-    as the most columns live at once.
+    The latent, when the head and the decoder both read it, and then the
+    head's output, kept while the decoder runs, take the top columns.
+    Every other array is dead once the next layer has read it, so each
+    output goes at the end of the columns below that its input does not
+    hold, and an activation's scratch, live once its input is dead, at the
+    end its output does not hold: the low end, for a kept output.  Those
+    columns are as wide as the widest such pair or a kept output's scratch.
     """
-    lives: list[list] = []  # [columns, first step, last step] per array
+    both = net.head is not None and net.decoder is not None
+    layers = []  # per stack: [columns, scratch columns, kept] per layer, None if it writes nothing
+    for stack, start in ((net.encoder, 1), (net.head, 0), (net.decoder, 0)):
+        row, width = [], net.encoder.dense_layers()[0].out_dim
+        for layer in [] if stack is None else stack.layers[start:]:
+            if isinstance(layer, DenseLayer):
+                width = layer.out_dim
+                row.append([width, scratch_columns(layer.activation, width), False])
+            else:
+                row.append([width, 0, False] if layer.rate > 0.0 else None)
+        written = [w for w in row if w is not None]
+        if both and stack is not net.decoder and written:
+            written[-1][2] = True
+        layers.append(None if stack is None else row)
 
-    def array(cols: int, first: int, last: float = np.inf) -> int:
-        lives.append([cols, first, last])
-        return len(lives) - 1
-
-    step = 0
-
-    def place(stack, start: int, width: int):
-        nonlocal step
-        spans, made = [], None  # made: the array this stack last wrote
-        for layer in stack.layers[start:]:
-            dense = isinstance(layer, DenseLayer)
-            if not dense and layer.rate == 0.0:
+    low = held = 0  # held: the columns below the top that the next layer's input takes
+    for cols, work, kept in (w for row in layers if row for w in row if w):
+        low, held = (max(low, work), 0) if kept else (max(low, held + cols, cols + work), cols)
+    top, side, plan = low, None, []  # side: the end the next input holds (0 low, 1 high)
+    for row in layers:
+        spans = None if row is None else []
+        for w in row or ():
+            if w is None:
                 spans.append((None, None))
                 continue
-            step += 2  # the layer reads its input and writes its output at one step
-            width = layer.out_dim if dense else width
-            out = array(width, step)
-            if made is not None:
-                lives[made][2] = step
-            cols = scratch_columns(layer.activation, width) if dense else 0
-            spans.append((out, array(cols, step + 1, step + 1) if cols else None))
-            made = out
-        return spans
-
-    plan = [place(net.encoder, 1, net.encoder.dense_layers()[0].out_dim)]
-    plan += [None if stack is None else place(stack, 0, net.latent_dim)
-             for stack in (net.head, net.decoder)]
-
-    at, columns = {}, 0
-    for i in sorted(range(len(lives)), key=lambda i: -lives[i][0]):
-        cols, first, last = lives[i]
-        clashes = sorted((at[j], at[j] + lives[j][0]) for j in at
-                         if lives[j][1] <= last and first <= lives[j][2])
-        offset = 0
-        for lo, hi in clashes:
-            if lo - offset >= cols:
-                break
-            offset = max(offset, hi)
-        at[i] = offset
-        columns = max(columns, offset + cols)
-
-    def span(i):
-        return None if i is None else (at[i], lives[i][0])
-
-    return [None if spans is None else [(span(out), span(work)) for out, work in spans]
-            for spans in plan], columns
+            cols, work, kept = w
+            if kept:
+                out, side, top = (top, cols), None, top + cols
+            else:
+                side = 1 if side == 0 else 0
+                out = (0, cols) if side == 0 else (low - cols, cols)
+            # the scratch at the other end, or at the low end for a kept output
+            work = ((low - work, work) if side == 0 else (0, work)) if work else None
+            spans.append((out, work))
+        plan.append(spans)
+    return plan, top
 
 
 def _cut(net: PathwayNetwork, plan: list, arena: np.ndarray, b: int, rows: int) -> list:
@@ -250,11 +237,9 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     masks in one buffer (`nncore.Uniforms`); with B = 1 each dropout layer
     draws from `rng` in turn, into its output's buffer.
 
-    Every block writes into buffers allocated once per call: one arena
-    that holds each layer's output and activation scratch where
-    `_pass_plan` places them, and the draws' buffer.  So a block allocates
-    nothing, and the yielded views are overwritten by the next block: a
-    caller that keeps a pass's outputs copies them.
+    Every block writes into the arena of `_pass_plan` and the draws'
+    buffer, both allocated once per call, so the yielded views are
+    overwritten by the next block: a caller that keeps them copies them.
 
     The input rows are checked here, once per call of `mc_moments` or
     `mc_sample`, which run under `numeric_context`: to be finite, and by

@@ -65,7 +65,7 @@ def test_c01_gradients_match_finite_differences():
 
         def loss_fn():
             net.grads.fill(0.0)
-            clf_loss, rec_loss = train.joint_batch_gradients(net, x, y, beta, stochastic=False)
+            clf_loss, rec_loss = train.joint_batch_gradients(net, x, y, beta)
             return clf_loss + beta * rec_loss, [net.grads.copy()]
 
         worst = max(worst, gradient_check([net.params], loss_fn))
@@ -175,20 +175,19 @@ def test_c05_fault_rows_leave_decoder_gradients_unchanged():
     x = rng.normal(0.0, 1.0, (10, 6))
     y = np.array([0, 1, 0, 0, 1, 0, 1, 0, 0, 1])
     net.grads.fill(0.0)
-    train.joint_batch_gradients(net, x, y, 1.0, stochastic=False)
+    train.joint_batch_gradients(net, x, y, 1.0)
     full = [g.copy() for _, g in net.decoder.params()]
     # same pass with the fault rows removed; the loss keeps its 1/batch
     # weight, so rescale to the original base before comparing
     normals = x[y == 0]
     net.grads.fill(0.0)
-    train.joint_batch_gradients(net, normals, np.zeros(len(normals), int), 1.0,
-                                stochastic=False)
+    train.joint_batch_gradients(net, normals, np.zeros(len(normals), int), 1.0)
     scale = len(normals) / len(x)
     diff = max(np.max(np.abs(gf - gn * scale))
                for gf, (_, gn) in zip(full, net.decoder.params()))
     # and a batch of only fault rows drives the decoder not at all
     net.grads.fill(0.0)
-    train.joint_batch_gradients(net, x, np.ones(len(x), int), 1.0, stochastic=False)
+    train.joint_batch_gradients(net, x, np.ones(len(x), int), 1.0)
     all_zero = all(np.all(g == 0.0) for _, g in net.decoder.params())
     _line("05 masked objective", diff < 1e-12 and all_zero,
           f"decoder gradient difference {diff:.2e}; fault-only batch gives zero")

@@ -121,8 +121,8 @@ def test_forward_classify_stochastic_varies():
     net = thyroid_net()
     x = make_rng(1).normal(size=(4, 6))
     rng = make_rng(2)
-    a = net.head.forward(net.encoder.forward(x, rng, stochastic=True))
-    b = net.head.forward(net.encoder.forward(x, rng, stochastic=True))
+    a = net.head.forward(net.encoder.forward(x, rng))
+    b = net.head.forward(net.encoder.forward(x, rng))
     assert not np.array_equal(a, b)
 
 
@@ -146,8 +146,8 @@ def test_forward_reconstruct_shapes_and_repeatability():
     xhat2 = net.decoder.forward(net.encoder.forward(x))
     assert xhat.tobytes() == xhat2.tobytes()
     rng = make_rng(3)
-    a = net.decoder.forward(net.encoder.forward(x, rng, stochastic=True))
-    b = net.decoder.forward(net.encoder.forward(x, rng, stochastic=True))
+    a = net.decoder.forward(net.encoder.forward(x, rng))
+    b = net.decoder.forward(net.encoder.forward(x, rng))
     assert not np.array_equal(a, b)
 
 
@@ -454,16 +454,6 @@ def test_dense_arrays_are_buffer_views_in_archive_order(kind):
         assert net.offsets[role].stop == offset
     assert offset == net.params.size == net.grads.size
     assert net.params.dtype == net.grads.dtype == np.float64
-
-
-def test_spans_merge_adjacent_pathways():
-    aug = thyroid_net(model.ModelKind.AUGMENTED)
-    enc, head, dec = (aug.offsets[r] for r in ("encoder", "head", "decoder"))
-    assert aug.spans("encoder", "head", "decoder") == [slice(0, aug.params.size)]
-    assert aug.spans("encoder", "head") == [slice(0, head.stop)]
-    assert aug.spans("encoder", "decoder") == [enc, dec]
-    ae = thyroid_net(model.ModelKind.AUTOENCODER_ONLY)
-    assert ae.spans("encoder", "head", "decoder") == [slice(0, ae.params.size)]
 
 
 def test_zeroing_the_grad_buffer_clears_every_layer():

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import checked_binary_cross_entropy, checked_cross_entropy, gradient_check
 from oodfdd import model, nncore, train, uncertainty
@@ -96,7 +98,7 @@ def test_joint_loss_additivity():
     y = rng.integers(0, 2, 16)
     beta = 0.7
     net.grads.fill(0.0)
-    clf_loss, rec_loss = train.joint_batch_gradients(net, x, y, beta, stochastic=False)
+    clf_loss, rec_loss = train.joint_batch_gradients(net, x, y, beta)
 
     h = net.encoder.forward(x)
     clf_ref, _ = checked_binary_cross_entropy(net.head.forward(h), y)
@@ -116,7 +118,7 @@ def test_fault_only_batch_gives_zero_decoder_gradients():
     x = rng.normal(0.0, 1.0, (6, 5))
     y = np.ones(6, int)
     net.grads.fill(0.0)
-    _, rec_loss = train.joint_batch_gradients(net, x, y, 1.0, stochastic=False)
+    _, rec_loss = train.joint_batch_gradients(net, x, y, 1.0)
     assert rec_loss == 0.0
     for _, g in net.decoder.params():
         assert np.all(g == 0.0)
@@ -130,12 +132,12 @@ def test_mixed_batch_decoder_grads_match_scaled_normals_only():
     normals = x[y == 0]
 
     net.grads.fill(0.0)
-    train.joint_batch_gradients(net, x, y, 1.0, stochastic=False)
+    train.joint_batch_gradients(net, x, y, 1.0)
     full_grads = [g.copy() for _, g in net.decoder.params()]
 
     net.grads.fill(0.0)
     train.joint_batch_gradients(
-        net, normals, np.zeros(len(normals), int), 1.0, stochastic=False
+        net, normals, np.zeros(len(normals), int), 1.0
     )
     scale = len(normals) / len(x)
     for g_full, (_, g_norm) in zip(full_grads, net.decoder.params()):
@@ -147,7 +149,7 @@ def _full_batch_masked_gradients(net, x, y, beta, seed):
     rows' reconstruction error zeroed, as a masked full-batch MSE."""
     net.grads.fill(0.0)
     enc, head, dec = [], [], []
-    h = net.encoder.forward(x, nncore.make_rng(seed), stochastic=True, tape=enc)
+    h = net.encoder.forward(x, nncore.make_rng(seed), tape=enc)
     clf_loss, dlogits = checked_cross_entropy(net.head.forward(h, tape=head), y)
     xhat = net.decoder.forward(h, tape=dec)
     diff = (xhat - x) * (y == 0)[:, None]
@@ -171,7 +173,7 @@ def test_normals_only_decoder_matches_full_batch_mask_at_mnist_widths(seed):
 
     net.grads.fill(0.0)
     clf_loss, rec_loss = train.joint_batch_gradients(
-        net, x, y, 0.7, nncore.make_rng(seed), stochastic=True)
+        net, x, y, 0.7, nncore.make_rng(seed))
     assert clf_loss == clf_ref
     assert rec_loss == pytest.approx(rec_ref, rel=1e-12)
     np.testing.assert_allclose(net.grads, g_ref, rtol=1e-12,
@@ -194,7 +196,7 @@ def test_decoder_sees_only_normal_rows(monkeypatch):
 
     monkeypatch.setattr(net.decoder, "forward", spy)
     net.grads.fill(0.0)
-    train.joint_batch_gradients(net, x, y, 1.0, stochastic=False)
+    train.joint_batch_gradients(net, x, y, 1.0)
     assert len(seen) == 1
     assert seen[0].tobytes() == net.encoder.forward(x)[y == 0].tobytes()
 
@@ -203,8 +205,7 @@ def test_decoder_sees_only_normal_rows(monkeypatch):
         monkeypatch.setattr(net.decoder, name,
                             lambda *a, name=name, **k: calls.append(name))
     net.grads.fill(0.0)
-    _, rec_loss = train.joint_batch_gradients(net, x, np.ones(9, int), 1.0,
-                                              stochastic=False)
+    _, rec_loss = train.joint_batch_gradients(net, x, np.ones(9, int), 1.0)
     assert calls == [] and rec_loss == 0.0
 
 
@@ -219,11 +220,11 @@ def test_beta_zero_logs_rec_loss_without_decoder_backward(monkeypatch):
 
     monkeypatch.setattr(net.decoder, "backward", no_backward)
     net.grads.fill(0.0)
-    _, rec_loss = train.joint_batch_gradients(net, x, y, 0.0, stochastic=False)
+    _, rec_loss = train.joint_batch_gradients(net, x, y, 0.0)
     xhat = net.decoder.forward(net.encoder.forward(x[y == 0]))
     assert rec_loss == pytest.approx(((xhat - x[y == 0]) ** 2).sum() / x.size, rel=1e-12)
     assert rec_loss > 0.0
-    assert not net.grads[net.spans("decoder")[0]].any()
+    assert not net.grads[net.offsets["decoder"]].any()
 
 
 def test_a_batch_leaves_exactly_its_own_gradients():
@@ -253,12 +254,12 @@ def test_a_pathway_without_backward_reads_zero_after_one_with(second):
             "warm-up without normals": (np.ones(8, int), 1.0, ("encoder", "decoder"))}[second]
     labels, beta, roles = args
     net.grads.fill(0.0)
-    train.joint_batch_gradients(net, x, labels, beta, stochastic=False, roles=roles)
+    train.joint_batch_gradients(net, x, labels, beta, roles=roles)
     alone = net.grads.copy()
-    train.joint_batch_gradients(net, x, y, 1.0, stochastic=False)
+    train.joint_batch_gradients(net, x, y, 1.0)
     decoder = net.grads[net.offsets["decoder"]]
     assert decoder.any()
-    train.joint_batch_gradients(net, x, labels, beta, stochastic=False, roles=roles)
+    train.joint_batch_gradients(net, x, labels, beta, roles=roles)
     assert np.all(decoder == 0.0)
     if roles is None:  # the other pathways hold the batch's own gradients
         assert net.grads.tobytes() == alone.tobytes()
@@ -291,7 +292,7 @@ def test_joint_gradients_pass_finite_difference_check():
 
     def loss_fn():
         net.grads.fill(0.0)
-        clf_loss, rec_loss = train.joint_batch_gradients(net, x, y, beta, stochastic=False)
+        clf_loss, rec_loss = train.joint_batch_gradients(net, x, y, beta)
         return clf_loss + beta * rec_loss, [net.grads.copy()]
 
     assert gradient_check([net.params], loss_fn) < 1e-4
@@ -397,12 +398,28 @@ def test_warmup_leaves_head_bitwise_unchanged():
     for role in ("encoder", "decoder"):
         span = net.offsets[role]
         assert not np.array_equal(net.params[span], before[span])
-    # an infinite step size blows up the encoder at once; the head, whose
-    # zero gradients would turn it into inf * 0, is never stepped at all
+    # the head is stepped by exactly 0 only at a finite lr >= 0, and only a
+    # positive one trains: any other is refused before an epoch runs
     before = net.params.copy()
-    cfg = train.TrainConfig(epochs=0, pretrain_epochs=1, batch_size=32, lr=np.inf, seed=3)
-    with pytest.raises(nncore.NonFiniteError):
-        train.train(net, _normal_rows(_line_points()), cfg)
+    for lr in (np.inf, np.nan, 0.0, -1.0):
+        cfg = train.TrainConfig(epochs=0, pretrain_epochs=1, batch_size=32, lr=lr, seed=3)
+        with pytest.raises(ValueError, match="lr"):
+            train.train(net, _normal_rows(_line_points()), cfg)
+        assert net.params.tobytes() == before.tobytes()
+
+
+def test_warmup_leaves_head_bitwise_unchanged_after_a_batch_left_its_gradients():
+    # the warm-up steps the whole buffer, the head with a zero gradient, so
+    # it must not step on what an earlier batch left in net.grads
+    net = model.build(ModelKind.AUGMENTED, input_dim=2, latent_dim=1, hidden_widths=[1],
+                      rng_seed=3)
+    x = _line_points()
+    train.joint_batch_gradients(net, x[:32], np.repeat([0, 1], 16), 1.0)
+    head = net.offsets["head"]
+    assert net.grads[head].any()
+    before = net.params.copy()
+    cfg = train.TrainConfig(epochs=0, pretrain_epochs=2, batch_size=32, lr=1e-2, seed=3)
+    train.train(net, _normal_rows(x), cfg)
     assert net.params[head].tobytes() == before[head].tobytes()
 
 
@@ -416,6 +433,33 @@ def _reference_adam(arrays, moments, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         v *= beta2
         v += (1.0 - beta2) * g**2
         p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+@given(st.integers(1, 400), st.floats(0.0, 10.0), st.integers(0, 2**31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_one_buffer_adam_is_per_array_adam_and_keeps_zero_gradient_bits(steps, lr, seed):
+    """`adam_step` over a flat buffer against `_reference_adam` over arrays
+    cut from it.  One whole array (as a pathway outside the objective) and
+    scattered positions get a gradient of exactly 0 on every step: they
+    keep their bits, signed zeros included."""
+    rng = nncore.make_rng(seed)
+    cuts = np.cumsum(rng.integers(1, 7, 4))  # four arrays' ends
+    flat = rng.normal(size=cuts[-1])
+    flat[rng.random(flat.size) < 0.1] = -0.0
+    zero = rng.random(flat.size) < 0.2
+    idle = rng.integers(0, 4)
+    zero[(cuts[idle - 1] if idle else 0):cuts[idle]] = True
+    before, ref = flat.copy(), flat.copy()
+    arrays = np.split(ref, cuts[:-1])
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in arrays]
+    state = nncore.AdamState(flat)
+    for t in range(1, steps + 1):
+        g = rng.normal(size=flat.size) * 10.0 ** rng.integers(-6, 3)
+        g[zero] = 0.0
+        nncore.adam_step(flat, g, state, lr=lr)
+        _reference_adam(list(zip(arrays, np.split(g, cuts[:-1]))), moments, t, lr)
+    assert flat.tobytes() == ref.tobytes()
+    assert flat[zero].tobytes() == before[zero].tobytes()
 
 
 def _reference_train(net, ds, cfg):
@@ -468,7 +512,7 @@ def _reference_train(net, ds, cfg):
                 xb, yb = rows[idx], labels[idx]
                 net.grads.fill(0.0)
                 enc, head, dec = [], [], []
-                h = net.encoder.forward(xb, rng, stochastic=True, tape=enc)
+                h = net.encoder.forward(xb, rng, tape=enc)
                 if stream == 1 or net.head is None:
                     _, dxhat = nncore.mse(net.decoder.forward(h, tape=dec), xb)
                     grad_h = net.decoder.backward(dec, dxhat)

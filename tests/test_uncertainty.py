@@ -6,9 +6,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oodfdd import detect, model, nncore, uncertainty as unc
+from oodfdd import detect, experiments, model, nncore, uncertainty as unc
 from oodfdd.model import ModelKind
 from oodfdd.report import emit_csv
 
@@ -164,7 +164,7 @@ def test_augmented_classifier_moments_equal_head_only_replay():
     m2 = np.zeros((11, 5))
     rec_sum = np.zeros_like(x)
     for k in range(15):
-        h = net.encoder.forward(x, rng, stochastic=True)
+        h = net.encoder.forward(x, rng)
         sample = net.head.forward(h)
         delta = sample - mean
         mean = mean + delta / (k + 1)
@@ -276,6 +276,78 @@ def test_mc_moments_and_sample_equal_the_plain_loop_bitwise(shape, dropout, bloc
         assert pred.samples.tobytes() == samples.tobytes()
         assert pred.mean.tobytes() == mean.tobytes()
         assert pred.variance.tobytes() == var.tobytes()
+
+
+def _arena_lives(net, plan):
+    """[span, first step, last step] of every array `plan` places, from one
+    pass's dataflow: a layer reads its input at the step it writes its
+    output, its activation's scratch lives the step after, alongside the
+    output, the latent lives until its last reader, and each pathway's
+    output until the pass is yielded.  Checks each span's width too."""
+    lives, latent, step = [], None, 0
+    stacks = ((net.encoder, 1), (net.head, 0), (net.decoder, 0))
+    for s, ((stack, start), spans) in enumerate(zip(stacks, plan)):
+        assert (stack is None) == (spans is None)
+        if stack is None:
+            continue
+        read, width = (None if s == 0 else latent), net.encoder.dense_layers()[0].out_dim
+        for layer, (out, work) in zip(stack.layers[start:], spans, strict=True):
+            dense = isinstance(layer, nncore.DenseLayer)
+            width = layer.out_dim if dense else width
+            if not dense and layer.rate == 0.0:  # passes its input on
+                assert out is None and work is None
+                continue
+            step += 2
+            if read is not None:  # None: the first layer's output, outside the arena
+                lives[read][2] = max(lives[read][2], step)
+            lives.append([out, step, step])
+            read = len(lives) - 1
+            assert out[1] == width
+            cols = nncore.scratch_columns(layer.activation, width) if dense else 0
+            assert (work is None) == (cols == 0)
+            if work is not None:
+                assert work[1] == cols
+                lives.append([work, step + 1, step + 1])
+                lives[read][2] = step + 1
+        if s == 0:
+            latent = read
+        elif read is not None:
+            lives[read][2] = math.inf
+    return lives
+
+
+@given(st.sampled_from(list(ModelKind)), st.integers(1, 40),
+       st.lists(st.integers(1, 40), min_size=1, max_size=4),
+       st.lists(st.integers(1, 12), max_size=2), st.integers(2, 7),
+       st.sampled_from([0.0, 0.3]), st.sampled_from(["identity", "sigmoid"]))
+@settings(max_examples=200, deadline=None)
+def test_arena_spans_of_arrays_live_at_once_never_share_a_column(
+        kind, input_dim, widths, head_widths, n_classes, dropout, decoder_activation):
+    net = model.build(kind, input_dim=input_dim, latent_dim=widths[-1], hidden_widths=widths,
+                      head_widths=head_widths, n_classes=n_classes, dropout_rate=dropout,
+                      decoder_activation=decoder_activation)
+    plan, columns = unc._pass_plan(net)
+    lives = _arena_lives(net, plan)
+    for i, ((first, cols), born, dies) in enumerate(lives):
+        assert 0 <= first and first + cols <= columns
+        for (other, other_cols), other_born, other_dies in lives[:i]:
+            if born <= other_dies and other_born <= dies:
+                assert first + cols <= other or other + other_cols <= first
+
+
+# arena columns of (augmented, classifier, autoencoder, classifier at
+# dropout 0) for each dataset's default nets
+@pytest.mark.parametrize("dataset, input_dim, columns", [
+    ("thyroid", 6, (27, 24, 24, 10)),
+    ("chiller-surrogate", 16, (43, 24, 32, 16)),
+    ("mnist", 196, (430, 92, 417, 32)),
+])
+def test_arena_widths_of_the_default_nets(dataset, input_dim, columns):
+    cfg = experiments.config_for(dataset)
+    nets = [model.build(kind, **experiments._build_kwargs(cfg, input_dim)) for kind in ModelKind]
+    nets.append(model.build(ModelKind.CLASSIFIER_ONLY, **experiments._build_kwargs(
+        experiments.config_for(dataset, dropout_rate=0.0), input_dim)))
+    assert tuple(unc._pass_plan(net)[1] for net in nets) == columns
 
 
 def test_mc_moments_keeps_nothing_for_backward():
