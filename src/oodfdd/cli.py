@@ -23,8 +23,9 @@ Exit codes: 0 success, 2 missing data path, 3 bad configuration or usage
 data is read; a non-numeric or non-finite value in a thyroid data file,
 named with its file and line; an input CSV that is not UTF-8 or not
 parseable as CSV, a data row with more or fewer cells than the header, a
-non-numeric or non-finite cell; rows to score, from `--input` or a
-dataset, whose width differs from the archive's input_dim; and a
+non-numeric or non-finite cell, or one beyond ±MAX_INPUT_MAGNITUDE; rows
+to score, from `--input` or a dataset, whose width differs from the
+archive's input_dim; and a
 `--alpha`, `--t-samples` or `--seed` given to `evaluate`, `score` or
 `report` that differs from the archive's), 4 numeric failure during
 training or evaluation (numpy raises on overflow, division by zero and
@@ -52,12 +53,17 @@ import numpy as np
 from . import data, detect, experiments, model, report, train
 from .experiments import ExperimentConfig
 from .nncore import NonFiniteError, derive_rng, numeric_context
-from .uncertainty import histogram_table, mc_sample
+from .uncertainty import histogram_table, mc_samples
 
 EXIT_MISSING_DATA = 2
 EXIT_BAD_CONFIG = 3
 EXIT_NUMERIC = 4
 EXIT_BAD_ARCHIVE = 5
+
+# largest |cell| `score --input` takes: a cell's square (1e300), and the mean
+# of a row of up to 10**4 such squares in the reconstruction score, stay
+# finite below float64's 1.8e308
+MAX_INPUT_MAGNITUDE = 1e150
 
 
 class ConfigError(Exception):
@@ -225,8 +231,9 @@ def _read_input_csv(path) -> np.ndarray:
     has them, otherwise every column is taken as a feature.
 
     Every data row must have as many cells as the header (as the first row,
-    without a header), and every feature cell must be a finite number.  Any
-    other file is a ConfigError that names it.
+    without a header), and every feature cell must be a finite number no
+    larger in magnitude than MAX_INPUT_MAGNITUDE.  Any other file is a
+    ConfigError that names it.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"input file not found: {path}")
@@ -274,11 +281,13 @@ def _read_input_csv(path) -> np.ndarray:
     if not values:
         raise ConfigError(f"{path}: no data rows")
     x = np.frombuffer(values).reshape(-1, len(feature_cols))
-    bad = np.argwhere(~np.isfinite(x))
+    bad = np.argwhere(~(np.abs(x) <= MAX_INPUT_MAGNITUDE))  # NaN compares false
     if len(bad):
         row, col = bad[0]
-        raise ConfigError(
-            f"{path}: non-finite value {x[row, col]} in data row {row + 1}, {column(col)}")
+        v = x[row, col]
+        what = (f"non-finite value {v}" if not np.isfinite(v)
+                else f"value {v} beyond ±{MAX_INPUT_MAGNITUDE:g}")
+        raise ConfigError(f"{path}: {what} in data row {row + 1}, {column(col)}")
     return x
 
 
@@ -379,8 +388,8 @@ def cmd_report(cfg, args) -> int:
     names.append(svg_name)
 
     if net.head is not None:
-        groups, matrix = report.score_matrix(net, eval_ds, cfg.t_samples,
-                                             derive_rng(cfg.seed, 40))
+        scores = detect.mc_scores(net, eval_ds.X, cfg.t_samples, derive_rng(cfg.seed, 40)).clf
+        groups, matrix = report.score_matrix_from_scores(scores, eval_ds.group)
         header = ["group"] + [f"score_{j}" for j in range(matrix.shape[1])]
         rows = [[g, *matrix[i]] for i, g in enumerate(groups)]
         report.emit_csv(header, rows, os.path.join(out, "score_matrix.csv"))
@@ -389,10 +398,10 @@ def cmd_report(cfg, args) -> int:
     rng = derive_rng(cfg.seed, 41)
     for g in dict.fromkeys(eval_ds.group.tolist()):
         idx = int(np.flatnonzero(eval_ds.group == g)[0])
-        sample = mc_sample(net, eval_ds.X[idx], cfg.t_samples, rng)
-        pred = sample.classifier if sample.classifier is not None else sample.reconstruction
+        clf, rec = mc_samples(net, eval_ds.X[idx], cfg.t_samples, rng)
         hist_name = f"hist_{_safe_name(g)}.csv"
-        report.emit_csv(*histogram_table(pred), os.path.join(out, hist_name))
+        report.emit_csv(*histogram_table((rec if clf is None else clf)[:, 0]),
+                        os.path.join(out, hist_name))
         names.append(hist_name)
 
     write_manifest(out, names)

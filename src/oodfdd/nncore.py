@@ -149,7 +149,7 @@ def numeric_context():
 
     This is the library's numeric guard: the layers and losses check
     nothing, so a value that overflows raises FloatingPointError where it
-    is made.  The MC calls (`uncertainty.mc_moments`, `mc_sample`,
+    is made.  The MC calls (`uncertainty.mc_moments`, `mc_samples`,
     `detect.mc_scores`), the training and pipeline entry points of
     `experiments` and `cli.main` enter it; entering it again inside is
     harmless.  Usable as a decorator.
@@ -528,24 +528,18 @@ class LayerStack:
     def dense_layers(self) -> list[DenseLayer]:
         return list(self._dense)
 
-    def _draws(self, start: int):
-        """(width, rate) of each dropout layer in layers[start:] that draws."""
-        width = self._dense[0].in_dim
+    def draws(self, start: int = 0) -> tuple[list[int], list[float]]:
+        """(widths, rates) of each dropout layer in layers[start:] that draws
+        (rate > 0), in order.  Its width is the output width of the dense
+        layer before it, or the stack's input width."""
+        widths, rates, width = [], [], self._dense[0].in_dim
         for i, (layer, dense) in enumerate(self._records):
             if dense:
                 width = layer.out_dim
             elif i >= start and layer.rate > 0.0:
-                yield width, layer.rate
-
-    def draw_widths(self, start: int = 0) -> list[int]:
-        """The width of each dropout layer in layers[start:] that draws
-        (rate > 0), in order: the output width of the dense layer before
-        it, or the stack's input width."""
-        return [width for width, _ in self._draws(start)]
-
-    def draw_rates(self, start: int = 0) -> list[float]:
-        """The rates of the layers `draw_widths` lists, in the same order."""
-        return [rate for _, rate in self._draws(start)]
+                widths.append(width)
+                rates.append(layer.rate)
+        return widths, rates
 
 
 def flatten_stacks(stacks: list[LayerStack]) -> tuple[np.ndarray, np.ndarray, list[slice]]:

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import mc_scores
-from .model import PathwayNetwork
-
 SCATTER_RIDGE = 1e-6
 
 _PALETTE = (
@@ -117,15 +114,6 @@ def score_matrix_from_scores(scores: np.ndarray, groups) -> tuple[list[str], np.
     for i, name in enumerate(names):
         matrix[i] = scores[groups == name].mean(axis=0)
     return names, matrix
-
-
-def score_matrix(
-    net: PathwayNetwork, dataset, t: int, rng: np.random.Generator
-) -> tuple[list[str], np.ndarray]:
-    """MC-evaluate a test set and average classifier-path scores per group."""
-    if net.head is None:
-        raise ValueError(f"{net.kind.value} model has no classifier head")
-    return score_matrix_from_scores(mc_scores(net, dataset.X, t, rng).clf, dataset.group)
 
 
 def emit_csv(header, rows, path) -> None:

@@ -219,7 +219,7 @@ def _fit(net: PathwayNetwork, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, ep
     rng = derive_rng(cfg.seed, stream)
     net.grads.fill(0.0)
     state = AdamState(net.params)
-    widths, rates = net.encoder.draw_widths(), net.encoder.draw_rates()
+    widths, rates = net.encoder.draws()
     row_draws = sum(widths)
     buffer = np.empty(min(max(_DRAW_BUDGET, cfg.batch_size * row_draws), n * row_draws))
     history = []

@@ -6,9 +6,10 @@ serves every caller: each pass's encoder output feeds both the classifier
 head and the decoder, so the two outputs share that pass's dropout mask.
 The first encoder layer runs once per call; dropout follows it, so its
 output is the same on every pass.  `mc_moments` reduces the passes of a
-batch as they are drawn; `mc_sample` keeps the samples of one input.  Sums
-are reduced in sample-index order so repeated runs with the same seed
-reproduce the statistics bitwise.
+batch as they are drawn, and is the one place an MC mean and variance are
+computed; `mc_samples` keeps every pass's outputs.  Sums are reduced in
+sample-index order so repeated runs with the same seed reproduce the
+statistics bitwise.
 
 On small batches the cost of a layer call outweighs its arithmetic, so the
 passes run in blocks stacked along a leading axis, one layer call per
@@ -24,7 +25,7 @@ allocated once per call, one arena (`_pass_plan`) and the draws' buffer,
 so after the first block the passes allocate nothing and fault in no fresh
 pages.  The yielded outputs are views of those buffers, which the next block
 overwrites: `mc_moments` folds each pass in before the next runs, and
-`mc_sample` copies them.  The Welford mean and m2 and the reconstruction
+`mc_samples` copies them.  The Welford mean and m2 and the reconstruction
 sum are updated in place; the Welford step works in two scratch arrays of
 its own and never writes into the samples.  Both calls run under
 `nncore.numeric_context`, so a pass that overflows raises
@@ -48,7 +49,11 @@ from .nncore import (DenseLayer, Uniforms, as_matrix, ensure_finite, numeric_con
 def _welford_step(k: int, sample: np.ndarray, mean: np.ndarray, m2: np.ndarray,
                   scratch: np.ndarray) -> None:
     """Fold the k-th (0-based) sample into the running (mean, m2) pair in
-    place; `scratch` holds two arrays of the sample's shape."""
+    place by the documented recurrence
+        delta = x_k - mean;  mean += delta / (k + 1);  m2 += delta * (x_k - mean)
+    which, replayed in sample-index order, reproduces both statistics
+    bitwise, and gives constant samples exactly zero variance.  `scratch`
+    holds two arrays of the sample's shape."""
     delta, tmp = scratch
     np.subtract(sample, mean, out=delta)
     np.divide(delta, k + 1, out=tmp)
@@ -67,48 +72,11 @@ def _population_variance(m2: np.ndarray, t: int) -> np.ndarray:
     return m2
 
 
-def _sequential_mean_var(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and population variance accumulated in sample-index order.
+class McSamples(NamedTuple):
+    """Every pass's outputs over a batch; None where the net lacks the pathway."""
 
-    Uses the running update
-        delta = x_k - mean;  mean += delta / (k + 1);  m2 += delta * (x_k - mean)
-    and returns (mean, m2 / T).  The exact recurrence and its loop order are
-    part of the contract: recomputing it from the same sample array
-    reproduces both statistics bitwise, and a constant sample set yields the
-    sample itself as mean and exactly zero variance.  `mc_moments` runs the
-    same step on each pass as it is drawn.
-    """
-    mean, m2 = np.zeros((2, *samples[0].shape))
-    scratch = np.empty((2, *samples[0].shape))
-    for k, sample in enumerate(samples):
-        _welford_step(k, sample, mean, m2, scratch)
-    return mean, _population_variance(m2, len(samples))
-
-
-@dataclass
-class McPrediction:
-    """Samples from T stochastic passes plus their mean and variance."""
-
-    samples: np.ndarray  # (T, C)
-    mean: np.ndarray  # (C,)
-    variance: np.ndarray  # (C,)
-
-    @property
-    def t(self) -> int:
-        return self.samples.shape[0]
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "McPrediction":
-        samples = np.asarray(samples, dtype=np.float64)
-        if samples.ndim != 2:
-            raise ValueError("samples must be a (T, C) array")
-        mean, variance = _sequential_mean_var(samples)
-        return cls(samples=samples, mean=mean, variance=variance)
-
-
-class McSampleResult(NamedTuple):
-    classifier: McPrediction | None
-    reconstruction: McPrediction | None
+    clf: np.ndarray | None  # (T, N, C)
+    rec: np.ndarray | None  # (T, N, D)
 
 
 class McMoments(NamedTuple):
@@ -126,15 +94,16 @@ class McMoments(NamedTuple):
 PASS_BLOCK_BUDGET = 2**18
 
 
-def _pass_layout(net: PathwayNetwork) -> tuple[list[int], int]:
+def _pass_layout(net: PathwayNetwork) -> tuple[tuple[list[int], list[float]], int]:
     """(draws, row_width) of one pass after the encoder's first layer: the
-    width of each dropout layer that draws, in order, and the float64
-    elements a row takes across those draws and every later dense output."""
-    draws = net.encoder.draw_widths(start=1)
+    (widths, rates) of the dropout layers that draw, in order
+    (`LayerStack.draws`), and the float64 elements a row takes across those
+    draws and every later dense output."""
+    draws = net.encoder.draws(start=1)
     later = net.encoder.dense_layers()[1:] + [layer for stack in (net.head, net.decoder)
                                               if stack is not None
                                               for layer in stack.dense_layers()]
-    return draws, sum(draws) + sum(layer.out_dim for layer in later)
+    return draws, sum(draws[0]) + sum(layer.out_dim for layer in later)
 
 
 def _pass_plan(net: PathwayNetwork) -> tuple[list, int]:
@@ -242,7 +211,7 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     overwritten by the next block: a caller that keeps them copies them.
 
     The input rows are checked here, once per call of `mc_moments` or
-    `mc_sample`, which run under `numeric_context`: to be finite, and by
+    `mc_samples`, which run under `numeric_context`: to be finite, and by
     the first layer's forward to be as wide as the encoder's input.
     """
     if t < 2:
@@ -250,12 +219,11 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     ensure_finite(x, "MC input rows")
     first = net.encoder.forward(x, stop=1)
     rows = len(first)
-    draws, row_width = _pass_layout(net)
+    (draws, rates), row_width = _pass_layout(net)
     block = min(t, max(1, PASS_BLOCK_BUDGET // (rows * row_width)))
     plan, columns = _pass_plan(net)
     arena = np.empty(columns * block * rows)
     drawn = np.empty(block * rows * sum(draws)) if block > 1 and draws else None
-    rates = net.encoder.draw_rates(start=1)
     done, buffers = 0, None
     while done < t:
         b = min(block, t - done)
@@ -280,7 +248,7 @@ def mc_moments(
     """T dropout-active passes over a batch, reduced as they are drawn.
 
     Classifier outputs go through the sequential mean/variance update of
-    `_sequential_mean_var`; reconstructions keep a running sum divided by T.
+    `_welford_step`; reconstructions keep a running sum divided by T.
     Memory stays flat in T.  Requires t >= 2; a dropout rate of 0 is allowed
     and simply yields zero variance.
     """
@@ -311,21 +279,21 @@ def mc_moments(
 
 
 @numeric_context()
-def mc_sample(
+def mc_samples(
     net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
-) -> McSampleResult:
-    """The passes of `mc_moments` on a single input, with every sample kept."""
+) -> McSamples:
+    """The passes of `mc_moments` over a batch, with every pass's outputs
+    kept: each is copied into one (T, N, ...) array per pathway, since the
+    next block overwrites the buffers the passes are yielded in."""
     x = as_matrix(x)
-    if x.shape[0] != 1:
-        raise ValueError("mc_sample takes a single example; see mc_moments")
-    # the passes' outputs are views of reused buffers: keep copies
-    clf, rec = zip(*([None if a is None else a.copy() for a in p]
-                     for p in _passes(net, x, t, rng)))
-    return McSampleResult(
-        classifier=None if net.head is None else McPrediction.from_samples(np.concatenate(clf)),
-        reconstruction=None if net.decoder is None
-        else McPrediction.from_samples(np.concatenate(rec)),
-    )
+    clf = None if net.head is None else np.empty((t, len(x), net.n_outputs))
+    rec = None if net.decoder is None else np.empty((t, *x.shape))
+    for k, (c, r) in enumerate(_passes(net, x, t, rng)):
+        if clf is not None:
+            clf[k] = c
+        if rec is not None:
+            rec[k] = r
+    return McSamples(clf, rec)
 
 
 def predictive_entropy(mean: np.ndarray) -> np.ndarray:
@@ -396,16 +364,16 @@ def decompose_entropies(entropies, groups) -> EntropyDecomposition:
     return EntropyDecomposition.from_parts(*map(float, parts))
 
 
-def histogram_table(pred: McPrediction, bins: int = 20):
-    """Per-output histogram of the MC samples as (header, rows), one row
-    per bin: output, bin_left, count.
+def histogram_table(samples: np.ndarray, bins: int = 20):
+    """Per-output histogram of one row's (T, C) MC samples as (header,
+    rows), one row per bin: output, bin_left, count.
 
     Outputs whose samples all sit inside [0, 1] are binned over [0, 1] so
     different outputs line up; anything else is binned over its own range.
     """
     rows = []
-    for j in range(pred.samples.shape[1]):
-        col = pred.samples[:, j]
+    for j in range(samples.shape[1]):
+        col = samples[:, j]
         lo, hi = float(col.min()), float(col.max())
         if 0.0 <= lo and hi <= 1.0:
             lo, hi = 0.0, 1.0

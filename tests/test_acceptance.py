@@ -77,29 +77,37 @@ def test_c01_gradients_match_finite_differences():
 def test_c02_mc_statistics_recompute_bitwise():
     net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2,
                       dropout_rate=0.2, rng_seed=7)
-    rng = nncore.make_rng(42)
-    x = rng.normal(0.0, 1.0, (1, 6))
-    result = uncertainty.mc_sample(net, x, t=25, rng=rng)
-    ok = True
-    for pred in (result.classifier, result.reconstruction):
-        samples = pred.samples
-        # independent replay of the documented sequential reduction
+    x = nncore.make_rng(42).normal(0.0, 1.0, (1, 6))
+
+    def replay(samples):
+        """Independent replay of the documented sequential reduction."""
         mean = np.zeros_like(samples[0])
         m2 = np.zeros_like(samples[0])
         for k in range(samples.shape[0]):
             delta = samples[k] - mean
             mean = mean + delta / (k + 1)
             m2 = m2 + delta * (samples[k] - mean)
-        var = np.maximum(m2, 0.0) / samples.shape[0]
-        ok = ok and np.array_equal(mean, pred.mean) and np.array_equal(var, pred.variance)
+        return mean, np.maximum(m2, 0.0) / samples.shape[0]
+
+    result = uncertainty.mc_samples(net, x, t=25, rng=nncore.make_rng(43))
+    moments = uncertainty.mc_moments(net, x, t=25, rng=nncore.make_rng(43))
+    # the pipeline's statistic is the replay, bitwise
+    mean, var = replay(result.clf)
+    ok = np.array_equal(mean, moments.clf_mean) and np.array_equal(var, moments.clf_var)
+    for samples in (result.clf, result.rec):
+        mean, var = replay(samples)
         # and the closed-form definitions these implement
         naive_mean = samples.mean(axis=0)
         naive_var = ((samples - naive_mean) ** 2).mean(axis=0)
-        ok = ok and np.allclose(pred.mean, naive_mean, atol=1e-12)
-        ok = ok and np.allclose(pred.variance, naive_var, atol=1e-12)
-    # constant samples must give exactly zero variance
-    const = uncertainty.McPrediction.from_samples(np.full((9, 3), 0.7))
-    ok = ok and np.all(const.variance == 0.0) and np.all(const.mean == 0.7)
+        ok = ok and np.allclose(mean, naive_mean, atol=1e-12)
+        ok = ok and np.allclose(var, naive_var, atol=1e-12)
+    # constant samples must give exactly zero variance: with every parameter
+    # 0 each pass outputs sigmoid(0) = 0.5 and a zero reconstruction
+    net.params[...] = 0.0
+    const = uncertainty.mc_moments(net, x, t=9, rng=nncore.make_rng(44))
+    ok = ok and np.all(const.clf_var == 0.0) and np.all(const.clf_mean == 0.5)
+    rec = uncertainty.mc_samples(net, x, t=9, rng=nncore.make_rng(44)).rec
+    ok = ok and np.all(replay(rec)[1] == 0.0) and np.all(replay(rec)[0] == 0.0)
     _line("02 mc statistics", ok,
           "sequential mean/variance reproduce bitwise; match closed forms at 1e-12")
 

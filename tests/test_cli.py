@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oodfdd import cli, data, detect, experiments, model, report
-from oodfdd.nncore import make_rng
+from oodfdd import cli, data, detect, experiments, model, report, uncertainty
+from oodfdd.nncore import derive_rng, make_rng
+from plainloop import plain_passes
 
 
 SMOKE = ["--epochs", "2", "--pretrain-epochs", "1", "--t-samples", "4",
@@ -147,6 +148,30 @@ def test_report_emits_figures(tmp_path, thyroid_dir, trained_dir):
     assert svg.startswith("<?xml") and "</svg>" in svg
     matrix = open(os.path.join(out, "score_matrix.csv")).read().splitlines()
     assert matrix[0] == "group,score_0,score_1"
+
+
+@pytest.mark.parametrize("kind", experiments.MODEL_ORDER)
+def test_report_histograms_are_the_plain_loop_draws_of_each_groups_first_row(
+        tmp_path, thyroid_dir, kind):
+    weights = os.path.join(tmp_path, f"{kind}.ofdd")
+    assert cli.main(["train", "--dataset", "thyroid", "--data-dir", thyroid_dir,
+                     "--model-kind", kind, "--out", str(tmp_path), *SMOKE]) == 0
+    out = tmp_path / "report"
+    assert cli.main(["report", "--dataset", "thyroid", "--data-dir", thyroid_dir,
+                     "--weights", weights, "--out", str(out)]) == 0
+    net, cal = model.load(weights)
+    _, test = experiments.load_dataset_pair(
+        experiments.config_for("thyroid", seed=cal.seed), thyroid_dir)
+    # one draw per group from stream 41, in first-seen group order; the
+    # classifier's samples when the net has a head, else the decoder's
+    rng = derive_rng(cal.seed, 41)
+    for g in dict.fromkeys(test.group.tolist()):
+        i = int(np.flatnonzero(test.group == g)[0])
+        clf, rec = plain_passes(net, test.X[i:i + 1], cal.t_samples, rng)
+        expected = tmp_path / "expected.csv"
+        report.emit_csv(*uncertainty.histogram_table(np.concatenate(rec if clf is None else clf)),
+                        expected)
+        assert (out / f"hist_{cli._safe_name(g)}.csv").read_bytes() == expected.read_bytes()
 
 
 def test_compare_thyroid_uses_display_names(tmp_path, thyroid_dir, capsys):
@@ -570,6 +595,23 @@ def test_score_rejects_non_finite_input(tmp_path, thyroid_dir, trained_dir, caps
     assert "non-finite" in err and "row 2" in err and "column 3" in err
 
 
+@pytest.mark.parametrize("cell", ["1e200", "-1e300"])
+def test_score_rejects_input_beyond_the_bound(tmp_path, thyroid_dir, trained_dir, capsys,
+                                              cell):
+    rc = _score_input(tmp_path, thyroid_dir, trained_dir,
+                      f"0.1,0.2,0.3,0.4,0.5,0.6\n0.1,0.2,{cell},0.4,0.5,0.6\n")
+    assert rc == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert f"value {float(cell)} beyond" in err and "data row 2, column 3" in err
+
+
+def test_score_takes_input_at_the_bound(tmp_path, thyroid_dir, trained_dir):
+    assert cli.MAX_INPUT_MAGNITUDE == 1e150
+    rc = _score_input(tmp_path, thyroid_dir, trained_dir,
+                      "1e150,-1e150,1e150,-1e150,1e150,-1e150\n")
+    assert rc == 0
+
+
 def test_config_file_and_flag_precedence(tmp_path, thyroid_dir):
     config = tmp_path / "run.cfg"
     config.write_text(
@@ -866,6 +908,7 @@ def test_read_input_csv_fuzz_returns_finite_matrix_or_config_error(tmp_path_fact
         assert str(path) in str(exc)
         return
     assert x.dtype == np.float64 and x.ndim == 2 and np.isfinite(x).all()
+    assert (np.abs(x) <= cli.MAX_INPUT_MAGNITUDE).all()
     # the file parses, has no ragged row, and x holds its feature columns
     rows = [r for r in csv.reader(io.StringIO(content.decode("utf-8"), newline="")) if r]
     header = rows[0]

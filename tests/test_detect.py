@@ -320,7 +320,7 @@ def test_overflow_raises_from_direct_calls_outside_any_context(kind, weight):
         with pytest.raises(FloatingPointError, match="overflow"):
             uncertainty.mc_moments(net, x, 4, nncore.make_rng(7))
         with pytest.raises(FloatingPointError, match="overflow"):
-            uncertainty.mc_sample(net, x[0], 4, nncore.make_rng(8))
+            uncertainty.mc_samples(net, x, 4, nncore.make_rng(8))
     assert np.geterr() == before
 
 

@@ -260,15 +260,15 @@ def test_uniforms_hand_out_batch_draws_step_by_step_into_the_buffer():
         source.random((4, 2))  # a step's first draw is (4, 5)
 
 
-def test_draw_widths_list_the_dropout_layers_that_draw():
+def test_draws_list_the_dropout_layers_that_draw():
     rng = nn.make_rng(19)
     stack = nn.LayerStack([nn.DropoutLayer(0.5), nn.DenseLayer.init(rng, 3, 5, "relu"),
                            nn.DropoutLayer(0.2), nn.DenseLayer.init(rng, 5, 2, "relu"),
                            nn.DropoutLayer(0.0), nn.DenseLayer.init(rng, 2, 4, "relu"),
                            nn.DropoutLayer(0.1)])
-    assert stack.draw_widths() == [3, 5, 4]
-    assert stack.draw_widths(start=2) == [5, 4]
-    assert stack.draw_widths(start=3) == [4]
+    assert stack.draws() == ([3, 5, 4], [0.5, 0.2, 0.1])
+    assert stack.draws(start=2) == ([5, 4], [0.2, 0.1])
+    assert stack.draws(start=3) == ([4], [0.1])
 
 
 def test_dense_backward_writes_its_gradients_over_the_last_ones():

@@ -110,7 +110,8 @@ def test_score_matrix_from_network_matches_direct_recompute():
     net = model.build(ModelKind.AUGMENTED, input_dim=5, latent_dim=2, n_classes=3, rng_seed=8)
     x = nncore.make_rng(9).normal(0, 1, (12, 5))
     ds = SimpleNamespace(X=x, group=np.array(["normal"] * 6 + ["fault:1"] * 3 + ["fault:2"] * 3))
-    names, matrix = report.score_matrix(net, ds, 15, nncore.make_rng(10))
+    scores = detect.mc_scores(net, ds.X, 15, nncore.make_rng(10)).clf
+    names, matrix = report.score_matrix_from_scores(scores, ds.group)
 
     m = unc.mc_moments(net, x, 15, nncore.make_rng(10))
     scores = detect.clf_anomaly_scores(m.clf_mean, m.clf_var)

@@ -605,7 +605,7 @@ def _train_at_draw_budget(monkeypatch, budget):
 
 def test_training_is_bitwise_the_same_at_any_draw_budget(monkeypatch):
     per_batch = 16 * sum(model.build(ModelKind.AUGMENTED, input_dim=5, latent_dim=2)
-                         .encoder.draw_widths())
+                         .encoder.draws()[0])
     params, history, steps = _train_at_draw_budget(monkeypatch, None)
     assert steps == []
     # one batch per draw, two, a whole epoch's six, and the default budget

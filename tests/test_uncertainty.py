@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oodfdd import detect, experiments, model, nncore, uncertainty as unc
 from oodfdd.model import ModelKind
 from oodfdd.report import emit_csv
+from plainloop import plain_passes
 
 
 def _net(kind=ModelKind.AUGMENTED, dropout=0.2, seed=0, n_classes=2, input_dim=6):
@@ -24,26 +25,36 @@ def _net(kind=ModelKind.AUGMENTED, dropout=0.2, seed=0, n_classes=2, input_dim=6
 # sampling
 
 
-def test_mc_sample_shapes_and_pathways():
+def _fold(samples):
+    """Mean and population variance of (T, ...) samples through the kernel
+    that `mc_moments` runs on each pass."""
+    mean, m2 = np.zeros((2, *samples.shape[1:]))
+    scratch = np.empty((2, *samples.shape[1:]))
+    for k, sample in enumerate(samples):
+        unc._welford_step(k, sample, mean, m2, scratch)
+    return mean, unc._population_variance(m2, len(samples))
+
+
+def test_mc_samples_shapes_and_pathways():
     net = _net()
-    out = unc.mc_sample(net, np.ones(6), 10, nncore.make_rng(0))
-    assert out.classifier.samples.shape == (10, 1)
-    assert out.reconstruction.samples.shape == (10, 6)
-    assert out.classifier.mean.shape == (1,)
-    assert out.classifier.t == 10
+    out = unc.mc_samples(net, np.ones(6), 10, nncore.make_rng(0))
+    assert out.clf.shape == (10, 1, 1)
+    assert out.rec.shape == (10, 1, 6)
+    out = unc.mc_samples(net, np.ones((3, 6)), 10, nncore.make_rng(0))
+    assert out.clf.shape == (10, 3, 1) and out.rec.shape == (10, 3, 6)
 
     clf_only = _net(ModelKind.CLASSIFIER_ONLY)
-    out = unc.mc_sample(clf_only, np.ones(6), 5, nncore.make_rng(0))
-    assert out.reconstruction is None
+    out = unc.mc_samples(clf_only, np.ones(6), 5, nncore.make_rng(0))
+    assert out.rec is None
     ae_only = _net(ModelKind.AUTOENCODER_ONLY)
-    out = unc.mc_sample(ae_only, np.ones(6), 5, nncore.make_rng(0))
-    assert out.classifier is None
+    out = unc.mc_samples(ae_only, np.ones(6), 5, nncore.make_rng(0))
+    assert out.clf is None
 
 
-def test_mc_sample_requires_two_passes():
+def test_mc_calls_require_two_passes():
     net = _net()
     with pytest.raises(ValueError):
-        unc.mc_sample(net, np.ones(6), 1, nncore.make_rng(0))
+        unc.mc_samples(net, np.ones(6), 1, nncore.make_rng(0))
     with pytest.raises(ValueError):
         unc.mc_moments(net, np.ones((3, 6)), 1, nncore.make_rng(0))
     with pytest.raises(ValueError):
@@ -57,77 +68,77 @@ def test_mc_calls_check_their_input_rows_by_name():
     with pytest.raises(nncore.NonFiniteError, match="^non-finite values in MC input rows$"):
         unc.mc_moments(net, x, 4, nncore.make_rng(0))
     with pytest.raises(nncore.NonFiniteError, match="^non-finite values in MC input rows$"):
-        unc.mc_sample(net, x[1], 4, nncore.make_rng(0))
+        unc.mc_samples(net, x, 4, nncore.make_rng(0))
 
 
 def test_dropout_rate_zero_gives_zero_variance():
     net = _net(dropout=0.0)
-    out = unc.mc_sample(net, np.ones(6), 8, nncore.make_rng(1))
-    assert np.all(out.classifier.variance == 0.0)
-    assert np.all(out.reconstruction.variance == 0.0)
+    m = unc.mc_moments(net, np.ones(6), 8, nncore.make_rng(1))
+    assert np.all(m.clf_var == 0.0)
+    rec = unc.mc_samples(net, np.ones(6), 8, nncore.make_rng(1)).rec
+    assert np.all(_fold(rec)[1] == 0.0)
 
 
 def test_constant_network_gives_identical_samples():
     net = _net(dropout=0.5)
     net.params[...] = 0.0
-    out = unc.mc_sample(net, np.ones(6), 16, nncore.make_rng(2))
-    assert np.all(out.classifier.samples == 0.5)  # sigmoid(0)
-    assert np.all(out.classifier.variance == 0.0)
-    assert np.all(out.reconstruction.variance == 0.0)
+    out = unc.mc_samples(net, np.ones(6), 16, nncore.make_rng(2))
+    assert np.all(out.clf == 0.5)  # sigmoid(0)
+    assert np.all(unc.mc_moments(net, np.ones(6), 16, nncore.make_rng(2)).clf_var == 0.0)
+    assert np.all(_fold(out.rec)[1] == 0.0)
 
 
 def test_mean_variance_match_numpy_formulas():
     rng = nncore.make_rng(3)
     samples = rng.random((50, 4))
-    pred = unc.McPrediction.from_samples(samples)
-    assert np.allclose(pred.mean, samples.mean(axis=0), atol=1e-12)
-    assert np.allclose(pred.variance, samples.var(axis=0), atol=1e-12)
+    mean, variance = _fold(samples)
+    assert np.allclose(mean, samples.mean(axis=0), atol=1e-12)
+    assert np.allclose(variance, samples.var(axis=0), atol=1e-12)
 
 
 def test_stats_bitwise_reproducible_from_stored_samples():
     net = _net(n_classes=7)
-    out = unc.mc_sample(net, np.ones(6), 25, nncore.make_rng(4))
-    pred = out.classifier
+    samples = unc.mc_samples(net, np.ones(6), 25, nncore.make_rng(4)).clf
+    m = unc.mc_moments(net, np.ones(6), 25, nncore.make_rng(4))
     # brute-force recomputation of the documented running update, in
     # sample-index order, must agree bitwise
-    mean = np.zeros_like(pred.samples[0])
-    m2 = np.zeros_like(pred.samples[0])
-    for k in range(pred.t):
-        delta = pred.samples[k] - mean
+    mean = np.zeros_like(samples[0])
+    m2 = np.zeros_like(samples[0])
+    for k in range(len(samples)):
+        delta = samples[k] - mean
         mean = mean + delta / (k + 1)
-        m2 = m2 + delta * (pred.samples[k] - mean)
-    assert np.array_equal(pred.mean, mean)
-    assert np.array_equal(pred.variance, np.maximum(m2, 0.0) / pred.t)
+        m2 = m2 + delta * (samples[k] - mean)
+    assert np.array_equal(m.clf_mean, mean)
+    assert np.array_equal(m.clf_var, np.maximum(m2, 0.0) / len(samples))
 
 
 def test_multiclass_mean_stays_on_simplex():
     net = _net(n_classes=7)
-    out = unc.mc_sample(net, np.linspace(-1, 1, 6), 40, nncore.make_rng(5))
-    mean = out.classifier.mean
+    mean = unc.mc_moments(net, np.linspace(-1, 1, 6), 40, nncore.make_rng(5)).clf_mean[0]
     assert np.all(mean >= 0.0) and np.all(mean <= 1.0)
     assert abs(mean.sum() - 1.0) < 1e-9
 
 
 def test_mc_sampling_seeded_reproducibility():
     net = _net()
-    a = unc.mc_sample(net, np.ones(6), 12, nncore.make_rng(6))
-    b = unc.mc_sample(net, np.ones(6), 12, nncore.make_rng(6))
-    assert np.array_equal(a.classifier.samples, b.classifier.samples)
-    assert np.array_equal(a.reconstruction.samples, b.reconstruction.samples)
-    c = unc.mc_sample(net, np.ones(6), 12, nncore.make_rng(7))
-    assert not np.array_equal(a.classifier.samples, c.classifier.samples)
+    a = unc.mc_samples(net, np.ones(6), 12, nncore.make_rng(6))
+    b = unc.mc_samples(net, np.ones(6), 12, nncore.make_rng(6))
+    assert np.array_equal(a.clf, b.clf)
+    assert np.array_equal(a.rec, b.rec)
+    c = unc.mc_samples(net, np.ones(6), 12, nncore.make_rng(7))
+    assert not np.array_equal(a.clf, c.clf)
 
 
 def test_more_samples_converge_to_same_mean():
     net = _net()
     x = np.linspace(-0.5, 0.5, 6)
-    small = unc.mc_sample(net, x, 100, nncore.make_rng(8)).classifier
-    big = unc.mc_sample(net, x, 1000, nncore.make_rng(9)).classifier
+    small = unc.mc_moments(net, x, 100, nncore.make_rng(8))
+    big = unc.mc_moments(net, x, 1000, nncore.make_rng(9))
     bound = 3.0 * (
-        np.sqrt(small.variance) / math.sqrt(100)
-        + np.sqrt(big.variance) / math.sqrt(1000)
+        np.sqrt(small.clf_var) / math.sqrt(100)
+        + np.sqrt(big.clf_var) / math.sqrt(1000)
     ) + 1e-6
-    assert np.all(np.abs(small.mean - big.mean) <= bound)
+    assert np.all(np.abs(small.clf_mean - big.clf_mean) <= bound)
 
 
 def test_batch_helpers_shapes_and_determinism():
@@ -181,38 +192,6 @@ def test_augmented_classifier_moments_equal_head_only_replay():
     assert np.array_equal(alone.clf_var, got.clf_var)
 
 
-def _plain_forward(stack, h, rng=None):
-    """`stack` on `h` in the plain numpy expressions, with dropout drawing
-    from `rng` when one is given."""
-    for layer in stack.layers:
-        if isinstance(layer, nncore.DropoutLayer):
-            if rng is not None and layer.rate > 0.0:
-                keep = 1.0 - layer.rate
-                h = h * ((rng.random(h.shape) < keep) * (1.0 / keep))
-            continue
-        pre = h @ layer.weights.T + layer.bias
-        if layer.activation == "relu":
-            h = np.maximum(0.0, pre)
-        elif layer.activation == "sigmoid":
-            h = nncore.sigmoid(pre)
-        elif layer.activation == "softmax":
-            ez = np.exp(pre - pre.max(axis=1, keepdims=True))
-            h = ez / ez.sum(axis=1, keepdims=True)
-        else:
-            h = pre
-    return h
-
-
-def _plain_passes(net, x, t, rng):
-    """(head outputs, decoder outputs) of t passes, each a list."""
-    clf, rec = [], []
-    for _ in range(t):
-        h = _plain_forward(net.encoder, x, rng)
-        clf.append(_plain_forward(net.head, h))
-        rec.append(_plain_forward(net.decoder, h))
-    return clf, rec
-
-
 def _plain_welford(samples):
     """Out-of-place running mean and population variance, in sample order."""
     mean = m2 = 0.0
@@ -237,8 +216,7 @@ _SHAPES = {
 # (rows, T, passes per block): None keeps the module's budget, which puts
 # these batches in one block; 4 sets it to blocks of 4 passes (4, 4, 3 and
 # 4, 4, 1: the last block of one runs the 2-D layers); 1 runs pass by pass.
-# mc_sample runs one row, so only "one row in blocks of 3" gives it several
-# blocks, whose outputs it must copy before the next block overwrites them
+# mc_samples must copy each block's outputs before the next overwrites them
 _BLOCKINGS = {
     "one block": (9, 6, None),
     "blocks of 4 then 3": (9, 11, 4),
@@ -253,8 +231,8 @@ _BLOCKINGS = {
     pytest.param(shape, dropout, blocking,
                  id=f"{shape}-{dropout}" + ("" if blocking == "one block" else f"-{blocking}"))
     for shape in _SHAPES for dropout in (0.0, 0.3) for blocking in _BLOCKINGS])
-def test_mc_moments_and_sample_equal_the_plain_loop_bitwise(shape, dropout, blocking,
-                                                            monkeypatch):
+def test_mc_moments_and_samples_equal_the_plain_loop_bitwise(shape, dropout, blocking,
+                                                             monkeypatch):
     net = model.build(ModelKind.AUGMENTED, dropout_rate=dropout, rng_seed=3, **_SHAPES[shape])
     rows, t, per_block = _BLOCKINGS[blocking]
     if per_block is not None:
@@ -262,20 +240,20 @@ def test_mc_moments_and_sample_equal_the_plain_loop_bitwise(shape, dropout, bloc
                             per_block * rows * unc._pass_layout(net)[1])
     x = nncore.make_rng(25).normal(0, 1, (rows, net.input_dim))
     got = unc.mc_moments(net, x, t, nncore.make_rng(26))
-    clf, rec = _plain_passes(net, x, t, nncore.make_rng(26))
+    clf, rec = plain_passes(net, x, t, nncore.make_rng(26))
     rec_sum = 0.0
     for r in rec:
         rec_sum = rec_sum + r
     for a, b in zip(got, (*_plain_welford(clf), rec_sum / t)):
         assert a.tobytes() == b.tobytes()
 
-    kept = unc.mc_sample(net, x[0], t, nncore.make_rng(27))
-    for pred, samples in zip(kept, _plain_passes(net, x[:1], t, nncore.make_rng(27))):
-        samples = np.concatenate(samples)
-        mean, var = _plain_welford(samples)
-        assert pred.samples.tobytes() == samples.tobytes()
-        assert pred.mean.tobytes() == mean.tobytes()
-        assert pred.variance.tobytes() == var.tobytes()
+    # every row's samples, and the moments of the same stream
+    kept = unc.mc_samples(net, x, t, nncore.make_rng(27))
+    for got, samples in zip(kept, plain_passes(net, x, t, nncore.make_rng(27))):
+        assert got.tobytes() == np.stack(samples).tobytes()
+    m = unc.mc_moments(net, x, t, nncore.make_rng(27))
+    for a, b in zip((m.clf_mean, m.clf_var), _plain_welford(kept.clf)):
+        assert a.tobytes() == b.tobytes()
 
 
 def _arena_lives(net, plan):
@@ -399,7 +377,7 @@ def test_mc_entry_points_reject_rows_of_the_wrong_width(kind):
     cal = model.Calibration(0.1, 3, 0, None if net.head is None else np.zeros(3),
                             None if net.decoder is None else 0.0)
     for call in (lambda x: unc.mc_moments(net, x, 3, nncore.make_rng(0)),
-                 lambda x: unc.mc_sample(net, x[:1], 3, nncore.make_rng(0)),
+                 lambda x: unc.mc_samples(net, x, 3, nncore.make_rng(0)),
                  lambda x: detect.score(net, x, cal)):
         with pytest.raises(ValueError, match="^input has 5 features, layer expects 6$"):
             call(np.zeros((4, 5)))
@@ -431,7 +409,7 @@ def test_first_encoder_layer_runs_once_per_mc_call():
     x = nncore.make_rng(23).normal(0, 1, (5, 6))
     unc.mc_moments(net, x, 12, nncore.make_rng(24))
     assert calls == [1, 1, 1]
-    unc.mc_sample(net, x[0], 7, nncore.make_rng(24))
+    unc.mc_samples(net, x, 7, nncore.make_rng(24))
     assert calls == [2, 2, 2]
 
 
@@ -466,24 +444,23 @@ def test_block_uniforms_are_the_sequential_draws_and_raise_out_of_step():
         source.random((3, 4, 2))  # the first layer's draw is (3, 4, 5)
 
 
-def test_mc_sample_is_the_moments_loop_with_samples_kept():
+def test_mc_samples_is_the_moments_loop_with_samples_kept():
     net = _net(n_classes=3)
-    x = np.linspace(-1, 1, 6)
-    kept = unc.mc_sample(net, x, 17, nncore.make_rng(22))
+    x = np.stack([np.linspace(-1, 1, 6), np.linspace(1, -1, 6)])
+    kept = unc.mc_samples(net, x, 17, nncore.make_rng(22))
     m = unc.mc_moments(net, x, 17, nncore.make_rng(22))
-    assert np.array_equal(kept.classifier.mean, m.clf_mean[0])
-    assert np.array_equal(kept.classifier.variance, m.clf_var[0])
-    assert np.allclose(kept.reconstruction.mean, m.rec_mean[0], atol=1e-12)
-    with pytest.raises(ValueError):
-        unc.mc_sample(net, np.ones((2, 6)), 5, nncore.make_rng(0))
+    mean, variance = _fold(kept.clf)
+    assert np.array_equal(mean, m.clf_mean)
+    assert np.array_equal(variance, m.clf_var)
+    assert np.allclose(kept.rec.mean(axis=0), m.rec_mean, atol=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 5))
 def test_variance_bounded_for_unit_interval_samples(seed, t, c):
     samples = np.random.Generator(np.random.PCG64(seed)).random((t, c))
-    pred = unc.McPrediction.from_samples(samples)
-    assert np.all(pred.variance >= 0.0)
-    assert np.all(pred.variance <= 0.25 + 1e-12)
+    variance = _fold(samples)[1]
+    assert np.all(variance >= 0.0)
+    assert np.all(variance <= 0.25 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -599,9 +576,9 @@ def test_entropy_decomposition_from_network():
 
 def test_histogram_csv(tmp_path):
     net = _net(n_classes=3)
-    out = unc.mc_sample(net, np.ones(6), 200, nncore.make_rng(17))
+    out = unc.mc_samples(net, np.ones(6), 200, nncore.make_rng(17))
     path = tmp_path / "hist.csv"
-    emit_csv(*unc.histogram_table(out.classifier, bins=10), path)
+    emit_csv(*unc.histogram_table(out.clf[:, 0], bins=10), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "output,bin_left,count"
     rows = [line.split(",") for line in lines[1:]]
