@@ -9,7 +9,9 @@ the CLI holds no state of its own beyond the artifact files it writes:
 
 Every ExperimentConfig field is a settings flag (`--t-samples` for
 t_samples) and a config-file key, typed by the field's annotation; a value
-that does not parse is a configuration error naming the key.
+that does not parse is a configuration error naming the key.  The class
+count is no setting: `train` takes it from the training labels
+(`ExperimentConfig.architecture`) and stores it in the archive.
 
 `train` calibrates the detection thresholds once, on the training normals,
 and stores the record `detect.calibrate` returns (`model.Calibration`:
@@ -21,16 +23,16 @@ data with the archive's seed, and `score --input` reads no dataset file.
 Exit codes: 0 success, 2 missing data path, 3 bad configuration or usage
 (including a value or encoder layout the config checks reject, before any
 data is read; a non-numeric or non-finite value in a thyroid data file,
-named with its file and line; an input CSV that is not UTF-8 or not
-parseable as CSV, a data row with more or fewer cells than the header, a
-non-numeric or non-finite cell, or one beyond ±MAX_INPUT_MAGNITUDE; rows
-to score, from `--input` or a dataset, whose width differs from the
-archive's input_dim; and a
-`--alpha`, `--t-samples` or `--seed` given to `evaluate`, `score` or
-`report` that differs from the archive's), 4 numeric failure during
-training or evaluation (numpy raises on overflow, division by zero and
-invalid operations in every command, as it does inside every library
-entry point: `nncore.numeric_context`), 5 unreadable weight archive (a
+or one beyond ±data.MAX_INPUT_MAGNITUDE, named with its file and line; an
+input CSV that is not UTF-8 or not parseable as CSV, a data row with more
+or fewer cells than the header, a non-numeric or non-finite cell, or one
+beyond ±data.MAX_INPUT_MAGNITUDE; rows to score, from `--input` or a
+dataset, whose width differs from the archive's input_dim; and a `--alpha`,
+`--t-samples` or `--seed` given to `evaluate`, `score` or `report` that
+differs from the archive's), 4 numeric failure during training or
+evaluation (numpy raises on overflow, division by zero and invalid
+operations in every command, as it does inside every library entry point:
+`nncore.numeric_context`), 5 unreadable weight archive (a
 non-finite parameter or threshold, an invalid calibration record and a
 version-1 archive included).
 """
@@ -59,12 +61,6 @@ EXIT_MISSING_DATA = 2
 EXIT_BAD_CONFIG = 3
 EXIT_NUMERIC = 4
 EXIT_BAD_ARCHIVE = 5
-
-# largest |cell| `score --input` takes: a cell's square (1e300), and the mean
-# of a row of up to 10**4 such squares in the reconstruction score, stay
-# finite below float64's 1.8e308
-MAX_INPUT_MAGNITUDE = 1e150
-
 
 class ConfigError(Exception):
     pass
@@ -232,7 +228,7 @@ def _read_input_csv(path) -> np.ndarray:
 
     Every data row must have as many cells as the header (as the first row,
     without a header), and every feature cell must be a finite number no
-    larger in magnitude than MAX_INPUT_MAGNITUDE.  Any other file is a
+    larger in magnitude than data.MAX_INPUT_MAGNITUDE.  Any other file is a
     ConfigError that names it.
     """
     if not os.path.exists(path):
@@ -281,12 +277,12 @@ def _read_input_csv(path) -> np.ndarray:
     if not values:
         raise ConfigError(f"{path}: no data rows")
     x = np.frombuffer(values).reshape(-1, len(feature_cols))
-    bad = np.argwhere(~(np.abs(x) <= MAX_INPUT_MAGNITUDE))  # NaN compares false
+    bad = np.argwhere(~(np.abs(x) <= data.MAX_INPUT_MAGNITUDE))  # NaN compares false
     if len(bad):
         row, col = bad[0]
         v = x[row, col]
         what = (f"non-finite value {v}" if not np.isfinite(v)
-                else f"value {v} beyond ±{MAX_INPUT_MAGNITUDE:g}")
+                else f"value {v} beyond ±{data.MAX_INPUT_MAGNITUDE:g}")
         raise ConfigError(f"{path}: {what} in data row {row + 1}, {column(col)}")
     return x
 
@@ -303,9 +299,9 @@ def _check_archive_settings(args, cal: model.Calibration) -> None:
 
 def _check_width(x: np.ndarray, source: str, net: model.PathwayNetwork, args) -> None:
     """Rows to score must be as wide as the archived net's input."""
-    if x.shape[1] != net.input_dim:
+    if x.shape[1] != net.arch.input_dim:
         raise ConfigError(f"{source} has {x.shape[1]} feature columns, but archive "
-                          f"{args.weights} has input_dim {net.input_dim}")
+                          f"{args.weights} has input_dim {net.arch.input_dim}")
 
 
 def score_table(s) -> tuple[list[str], zip]:
@@ -369,10 +365,10 @@ def cmd_report(cfg, args) -> int:
     # discriminant projection fitted on in-distribution test rows only;
     # anything out of distribution is projected through the fitted map
     in_dist = np.array([not data.is_ood_tag(g) for g in eval_ds.group])
-    z_in = experiments.latents(net, eval_ds.X[in_dist])
-    z_ood = experiments.latents(net, eval_ds.X[~in_dist])
+    z_in = net.encoder.forward(eval_ds.X[in_dist])
+    z_ood = net.encoder.forward(eval_ds.X[~in_dist])
     labels_in = eval_ds.y[in_dist]
-    out_dims = 2 if net.latent_dim >= 2 else 1
+    out_dims = 2 if net.arch.latent_dim >= 2 else 1
     proj = report.lda_project(z_in, labels_in, out_dims=out_dims)
     pts_in = proj.points
     pts_ood = proj.transform(z_ood) if len(z_ood) else np.zeros((0, out_dims))

@@ -28,6 +28,11 @@ from .nncore import make_rng
 from .model import PathwayNetwork
 from .report import emit_csv
 
+# largest |value| a thyroid file or a CSV of rows to score may hold: a
+# value's square (1e300), and the mean of a row of up to 10**4 such squares
+# in the reconstruction score, stay finite below float64's 1.8e308
+MAX_INPUT_MAGNITUDE = 1e150
+
 THYROID_CONTINUOUS_COLS = (0, 16, 17, 18, 19, 20)
 THYROID_N_COLS = 21
 # class-balance guards from the dataset's documented composition: about 92%
@@ -120,9 +125,10 @@ def load_thyroid(path) -> LabeledDataset:
     Keeps only the 6 continuous columns, in raw units.  Class codes map as
     3 = normal, 1 = diseased (fault 1), 2 = subnormal (an incipient form of
     the disease, tagged out-of-distribution).  A line with a non-numeric or
-    non-finite value raises naming the file and line.  The file's class
-    balance is verified against the dataset's documented proportions; a
-    mismatch raises rather than silently proceeding.
+    non-finite value, or one beyond ±MAX_INPUT_MAGNITUDE, raises naming the
+    file and line.  The file's class balance is verified against the
+    dataset's documented proportions; a mismatch raises rather than silently
+    proceeding.
     """
     values = array("d")  # every row's features, flat
     codes = []
@@ -143,6 +149,10 @@ def load_thyroid(path) -> LabeledDataset:
                 raise ValueError(f"{path} line {lineno}: non-numeric value") from exc
             if not all(map(math.isfinite, row)):
                 raise ValueError(f"{path} line {lineno}: non-finite value")
+            big = max(row, key=abs)
+            if abs(big) > MAX_INPUT_MAGNITUDE:
+                raise ValueError(
+                    f"{path} line {lineno}: value {big} beyond ±{MAX_INPUT_MAGNITUDE:g}")
             if code not in (1, 2, 3):
                 raise ValueError(f"{path} line {lineno}: unknown class code {code}")
             values.extend(row)

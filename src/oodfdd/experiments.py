@@ -13,7 +13,11 @@ tests) can pull out single numbers without re-running anything, and
 `comparison_tables` formats every table `oodfdd compare` writes.
 
 Each dataset's defaults are declared once, in `_DEFAULTS`; `config_for`
-reads them and `DATASETS` lists their names.
+reads them and `DATASETS` lists their names.  The network's shape is one
+`model.Architecture`, which all three kinds share:
+`ExperimentConfig.architecture` takes the layer widths, dropout rate and
+decoder activation from the config, and the input width and class count
+(largest label plus one) from the training split.
 
 After `build` the three models share no state: each kind draws from its
 own `derive_rng` streams. So `run_experiment` runs them in two lanes
@@ -64,7 +68,15 @@ from .detect import (
     precision_recall_sweep,
     score,
 )
-from .model import Calibration, ModelKind, PathwayNetwork, build
+from .model import (
+    ENCODER_LAYERS,
+    Architecture,
+    Calibration,
+    ModelKind,
+    PathwayNetwork,
+    build,
+    taper_widths,
+)
 from .nncore import derive_rng, numeric_context
 from .train import TrainConfig, train
 from .uncertainty import (
@@ -77,12 +89,12 @@ from .uncertainty import (
 
 # each dataset's defaults, applied over those of ExperimentConfig
 _DEFAULTS = {
-    "thyroid": dict(latent_dim=2, hidden_widths=[16, 8, 2], alpha=0.1, n_classes=2,
+    "thyroid": dict(latent_dim=2, hidden_widths=[16, 8, 2], alpha=0.1,
                     head_widths=[8], epochs=100, pretrain_epochs=20),
     "chiller-surrogate": dict(latent_dim=4, hidden_widths=[16, 8, 4], alpha=0.05,
-                              n_classes=7, head_widths=[8, 8], epochs=160,
+                              head_widths=[8, 8], epochs=160,
                               pretrain_epochs=40, n_per_class=400),
-    "mnist": dict(latent_dim=8, alpha=0.05, n_classes=5, head_widths=[8, 8],
+    "mnist": dict(latent_dim=8, alpha=0.05, head_widths=[8, 8],
                   decoder_activation="sigmoid", epochs=160, pretrain_epochs=40),
 }
 
@@ -98,7 +110,6 @@ _RULES = (
     ("epochs", lambda v: v >= 1, "at least 1"),
     ("pretrain_epochs", lambda v: v >= 0, "non-negative"),
     ("seed", lambda v: v >= 0, "non-negative"),
-    ("n_classes", lambda v: v >= 2, "at least 2"),
     ("latent_dim", lambda v: v >= 1, "at least 1"),
     ("hidden_widths", lambda v: v is None or all(w >= 1 for w in v),
      "widths of at least 1"),
@@ -124,7 +135,6 @@ class ExperimentConfig:
     hidden_widths: list | None = None
     head_widths: list = field(default_factory=lambda: [8])
     dropout_rate: float = 0.2
-    n_classes: int = 2
     decoder_activation: str = "identity"
     alpha: float = 0.1
     t_samples: int = 100
@@ -160,6 +170,18 @@ class ExperimentConfig:
                              f"{self.latent_dim}, got {self.hidden_widths!r}")
         return self
 
+    def architecture(self, train_ds: data.LabeledDataset) -> Architecture:
+        """The network shape on `train_ds`: its feature count is the input
+        width, its largest label plus one the class count, and without
+        hidden_widths the encoder tapers over ENCODER_LAYERS layers."""
+        input_dim = train_ds.X.shape[1]
+        widths = (taper_widths(input_dim, self.latent_dim, ENCODER_LAYERS)
+                  if self.hidden_widths is None else list(self.hidden_widths))
+        return Architecture(input_dim=input_dim, latent_dim=self.latent_dim,
+                            n_classes=int(train_ds.y.max()) + 1, encoder_widths=widths,
+                            head_widths=list(self.head_widths), dropout_rate=self.dropout_rate,
+                            decoder_activation=self.decoder_activation)
+
     def train_config(self) -> TrainConfig:
         """The augmented model trains `epochs` after `pretrain_epochs` of
         warm-up; a benchmark runs to convergence (early stopping) under the
@@ -192,7 +214,6 @@ mnist_config = functools.partial(config_for, "mnist")
 class ModelEval:
     """Per-pathway metrics for one trained model on one evaluation set."""
 
-    kind: str
     thresholds: Calibration
     clf_binary: dict | None = None
     rec_binary: dict | None = None
@@ -223,11 +244,6 @@ def resolve_data_dir(data_dir: str | None) -> str:
     return env if env else "."
 
 
-def latents(net: PathwayNetwork, x: np.ndarray) -> np.ndarray:
-    """Deterministic bottleneck activations, shared by reports and tests."""
-    return net.encoder.forward(np.asarray(x, dtype=float))
-
-
 def _mean_diag_by_group(diag: np.ndarray, groups: np.ndarray) -> dict:
     """Mean of each group's non-NaN credits, by tag in order of first
     appearance; a group without one is left out.  Each distinct tag is
@@ -248,8 +264,7 @@ def evaluate_model(net: PathwayNetwork, cal: Calibration,
     """Score every pathway the model has against the calibration `cal`,
     with its pass count and MC stream (`detect.score`)."""
     s = score(net, eval_ds.X, cal)
-    ev = ModelEval(kind=net.kind.value, thresholds=cal,
-                   clf_flags=s.z, rec_flags=s.rec_flags)
+    ev = ModelEval(thresholds=cal, clf_flags=s.z, rec_flags=s.rec_flags)
     groups = eval_ds.group
     fault_flags = groups != "normal"
 
@@ -278,24 +293,11 @@ def evaluate_model(net: PathwayNetwork, cal: Calibration,
     return ev
 
 
-def _build_kwargs(cfg: ExperimentConfig, input_dim: int) -> dict:
-    return dict(
-        input_dim=input_dim,
-        latent_dim=cfg.latent_dim,
-        hidden_widths=cfg.hidden_widths,
-        dropout_rate=cfg.dropout_rate,
-        n_classes=cfg.n_classes,
-        rng_seed=cfg.seed,
-        head_widths=cfg.head_widths,
-        decoder_activation=cfg.decoder_activation,
-    )
-
-
 @numeric_context()
 def train_one(cfg: ExperimentConfig, train_ds: data.LabeledDataset):
     """Build and train the configured model kind; returns (net, history).
     A model without a classifier head trains on the normal rows alone."""
-    net = build(ModelKind(cfg.model_kind), **_build_kwargs(cfg, train_ds.X.shape[1]))
+    net = build(ModelKind(cfg.model_kind), cfg.architecture(train_ds), cfg.seed)
     if net.head is None:
         train_ds = train_ds.select(train_ds.y == 0)
     return net, train(net, train_ds, cfg.train_config())
@@ -474,9 +476,9 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | None = None) -> Experi
     (net, lead_eval, eval_ds), returned = _in_lanes(lead_lane, benchmark_lane)
     nets, evals = {lead: net}, {lead: lead_eval}
     for kind, (params, evals[kind]) in returned.items():
-        # a fresh build loaded as `model.load` does, so its layers stay
-        # views of the buffer
-        nets[kind] = build(ModelKind(kind), **_build_kwargs(cfg, train_ds.X.shape[1]))
+        # a fresh build in the lead net's shape, which every kind shares,
+        # loaded as `model.load` does, so its layers stay views of the buffer
+        nets[kind] = build(ModelKind(kind), net.arch, cfg.seed)
         nets[kind].params[...] = params
     extras = {}
     if cfg.dataset == "chiller-surrogate":
@@ -553,7 +555,7 @@ def _make_ambiguous(net: PathwayNetwork, test: data.LabeledDataset,
     rng = derive_rng(cfg.seed, 31)
     normal_x = test.X[test.group == "normal"]
     pieces = []
-    for label in range(1, cfg.n_classes):
+    for label in range(1, net.arch.n_classes):
         fault_x = test.X[(test.y == label) & (test.group != "unknown")]
         m = min(len(normal_x), len(fault_x), cfg.ambiguous_pairs)
         if m == 0:

@@ -5,6 +5,10 @@ by dropout) between a decoding pathway that reconstructs the input and a small
 classifying head attached at the latent bottleneck.  The two benchmark
 ablations drop one of the output pathways but are built with identical encoder
 weights for a given seed.
+
+`Architecture` is the network's shape, declared and checked once: `build`
+takes it with the kind and a seed, the net keeps it as `arch`, and the
+archive descriptor is `kind`, its fields and `calibration`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import enum
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -32,19 +36,7 @@ class ModelKind(enum.Enum):
 
 
 class ArchiveError(Exception):
-    """Base class for weight-archive failures."""
-
-
-class MagicMismatchError(ArchiveError):
-    pass
-
-
-class VersionMismatchError(ArchiveError):
-    pass
-
-
-class TruncatedPayloadError(ArchiveError):
-    pass
+    """A weight archive that cannot be read back."""
 
 
 @dataclass
@@ -89,13 +81,73 @@ def taper_widths(input_dim: int, latent_dim: int, n_layers: int) -> list[int]:
     return widths
 
 
+@dataclass(frozen=True)
+class Architecture:
+    """The network's shape, which all three kinds of one experiment share.
+
+    `encoder_widths` lists every encoder layer's output width and ends at
+    latent_dim; `head_widths` lists the head's hidden layers.  `n_classes`
+    counts label values including normal: two classes take a single sigmoid
+    output unit, more an (n_classes)-way softmax.  The decoder mirrors the
+    encoder back to input_dim, ending in `decoder_activation` (identity or
+    sigmoid); dropout at `dropout_rate` follows every encoder layer.
+    """
+
+    input_dim: int
+    latent_dim: int
+    n_classes: int
+    encoder_widths: list[int]
+    head_widths: list[int]
+    dropout_rate: float
+    decoder_activation: str
+
+    def __post_init__(self):
+        for what, value in [("input_dim", self.input_dim), ("latent_dim", self.latent_dim),
+                            ("n_classes", self.n_classes),
+                            *(("encoder width", w) for w in self.encoder_widths),
+                            *(("head width", w) for w in self.head_widths)]:
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{what} must be a positive integer, got {value!r}")
+        if self.n_classes < 2:
+            raise ValueError("need at least two classes (normal + one fault)")
+        if not self.encoder_widths or self.encoder_widths[-1] != self.latent_dim:
+            raise ValueError(f"encoder widths {self.encoder_widths!r} must be non-empty "
+                             f"and end at latent_dim {self.latent_dim}")
+        if self.decoder_activation not in ("identity", "sigmoid"):
+            raise ValueError("decoder activation must be identity or sigmoid")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
+
+    @property
+    def n_outputs(self) -> int:
+        """Width of the classifier output (1 for the two-class sigmoid)."""
+        return 1 if self.n_classes == 2 else self.n_classes
+
+    def layout(self, kind: ModelKind) -> dict[str, tuple[int, list[int]]]:
+        """Each pathway `kind` has: its input width and dense layer widths, by
+        role in buffer order."""
+        layout = {"encoder": (self.input_dim, self.encoder_widths)}
+        if kind is not ModelKind.AUTOENCODER_ONLY:
+            layout["head"] = (self.latent_dim, [*self.head_widths, self.n_outputs])
+        if kind is not ModelKind.CLASSIFIER_ONLY:
+            layout["decoder"] = (self.latent_dim,
+                                 [*reversed(self.encoder_widths[:-1]), self.input_dim])
+        return layout
+
+    def n_params(self, kind: ModelKind) -> int:
+        """Length of the flat parameter buffer of a `kind` net."""
+        n = 0
+        for prev, widths in self.layout(kind).values():
+            for width in widths:
+                n += (prev + 1) * width
+                prev = width
+        return n
+
+
 @dataclass
 class PathwayNetwork:
-    """Layered computation graph with encoder, decoder and classifier head.
-
-    `n_classes` counts label values including normal.  Two-class models use a
-    single sigmoid output unit; multiclass models use an (n_classes)-way
-    softmax.  Dropout exists only inside the encoder.
+    """Layered computation graph with encoder, decoder and classifier head,
+    the pathways `kind` has, in the shape `arch`.
 
     `params` and `grads` are flat buffers in archive order that every dense
     layer's arrays are views of, and the one array that Adam steps, the
@@ -104,109 +156,40 @@ class PathwayNetwork:
     """
 
     kind: ModelKind
+    arch: Architecture
     encoder: LayerStack
     decoder: LayerStack | None
     head: LayerStack | None
-    input_dim: int
-    latent_dim: int
-    n_classes: int
-    encoder_widths: list[int]
-    head_widths: list[int]
-    dropout_rate: float
-    decoder_activation: str
     params: np.ndarray = field(repr=False, compare=False)
     grads: np.ndarray = field(repr=False, compare=False)
     offsets: dict[str, slice] = field(repr=False, compare=False)
 
-    @property
-    def n_outputs(self) -> int:
-        """Width of the classifier output (1 for the two-class sigmoid)."""
-        return 1 if self.n_classes == 2 else self.n_classes
 
+def build(kind: ModelKind, arch: Architecture, seed: int) -> PathwayNetwork:
+    """Assemble a network of the requested kind and shape.
 
-def _layout(kind: ModelKind, input_dim: int, latent_dim: int, hidden_widths: list[int],
-            head_widths: list[int], n_classes: int) -> dict[str, tuple[int, list[int]]]:
-    """Each present pathway's input width and dense layer widths, by role in
-    buffer order.  The head ends in one unit for two classes and n_classes
-    units otherwise; the decoder mirrors the encoder back to input_dim."""
-    layout = {"encoder": (input_dim, list(hidden_widths))}
-    if kind is not ModelKind.AUTOENCODER_ONLY:
-        layout["head"] = (latent_dim, [*head_widths, 1 if n_classes == 2 else n_classes])
-    if kind is not ModelKind.CLASSIFIER_ONLY:
-        layout["decoder"] = (latent_dim, [*reversed(hidden_widths[:-1]), input_dim])
-    return layout
-
-
-def build(
-    kind: ModelKind,
-    input_dim: int,
-    latent_dim: int,
-    hidden_widths: list[int] | None = None,
-    dropout_rate: float = 0.2,
-    n_classes: int = 2,
-    rng_seed: int = 0,
-    head_widths: list[int] | None = None,
-    decoder_activation: str = "identity",
-) -> PathwayNetwork:
-    """Assemble a network of the requested kind.
-
-    hidden_widths lists every encoder layer's output width and must end at
-    latent_dim; by default a tapered schedule with ENCODER_LAYERS layers is
-    used.  The decoder mirrors the encoder without dropout; the head stays
-    small (head_widths, default one hidden layer of 8 units).  Per-pathway
-    rng streams are derived from rng_seed so every kind shares identical
-    encoder and head initializations.
+    The decoder has no dropout.  Per-pathway rng streams are derived from
+    seed, so every kind shares identical encoder and head initializations.
     """
-    if input_dim < 1 or latent_dim < 1:
-        raise ValueError("input_dim and latent_dim must be positive")
-    if n_classes < 2:
-        raise ValueError("need at least two classes (normal + one fault)")
-    if hidden_widths is None:
-        hidden_widths = taper_widths(input_dim, latent_dim, ENCODER_LAYERS)
-    if not hidden_widths:
-        raise ValueError("hidden_widths must be non-empty")
-    if hidden_widths[-1] != latent_dim:
-        raise ValueError(
-            f"last encoder width {hidden_widths[-1]} must equal latent_dim {latent_dim}"
-        )
-    if head_widths is None:
-        head_widths = [8]
-    if decoder_activation not in ("identity", "sigmoid"):
-        raise ValueError("decoder activation must be identity or sigmoid")
-
     last = {"encoder": "identity",  # the bottleneck stays linear, unsquashed
-            "head": "sigmoid" if n_classes == 2 else "softmax",
-            "decoder": decoder_activation}
+            "head": "sigmoid" if arch.n_outputs == 1 else "softmax",
+            "decoder": arch.decoder_activation}
     stacks = {}
-    for role, (prev, widths) in _layout(kind, input_dim, latent_dim, hidden_widths,
-                                        head_widths, n_classes).items():
+    for role, (prev, widths) in arch.layout(kind).items():
         # one init stream per role, whatever the kind
-        rng = derive_rng(rng_seed, ("encoder", "head", "decoder").index(role))
+        rng = derive_rng(seed, ("encoder", "head", "decoder").index(role))
         layers: list = []
         for i, width in enumerate(widths):
             act = last[role] if i == len(widths) - 1 else "relu"
             layers.append(DenseLayer.init(rng, prev, width, act))
             if role == "encoder":
-                layers.append(DropoutLayer(dropout_rate))
+                layers.append(DropoutLayer(arch.dropout_rate))
             prev = width
         stacks[role] = LayerStack(layers)
     params, grads, spans = flatten_stacks(list(stacks.values()))
-    return PathwayNetwork(
-        kind=kind,
-        encoder=stacks["encoder"],
-        decoder=stacks.get("decoder"),
-        head=stacks.get("head"),
-        input_dim=input_dim,
-        latent_dim=latent_dim,
-        n_classes=n_classes,
-        encoder_widths=list(hidden_widths),
-        head_widths=list(head_widths),
-        dropout_rate=dropout_rate,
-        decoder_activation=decoder_activation,
-        params=params,
-        grads=grads,
-        offsets=dict(zip(stacks, spans)),
-    )
+    return PathwayNetwork(kind=kind, arch=arch, encoder=stacks["encoder"],
+                          decoder=stacks.get("decoder"), head=stacks.get("head"),
+                          params=params, grads=grads, offsets=dict(zip(stacks, spans)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +199,7 @@ def build(
 def _descriptor(net: PathwayNetwork, cal: Calibration) -> dict:
     return {
         "kind": net.kind.value,
-        "input_dim": net.input_dim,
-        "latent_dim": net.latent_dim,
-        "n_classes": net.n_classes,
-        "encoder_widths": net.encoder_widths,
-        "head_widths": net.head_widths,
-        "dropout_rate": net.dropout_rate,
-        "decoder_activation": net.decoder_activation,
+        **asdict(net.arch),
         "calibration": {
             "alpha": float(cal.alpha),
             "t_samples": int(cal.t_samples),
@@ -238,9 +215,10 @@ def save(net: PathwayNetwork, path, calibration: Calibration) -> None:
     """Write the architecture, the calibration record and all parameters.
 
     Layout (version 2): magic "OFDD", u16 version, u32 descriptor length,
-    UTF-8 JSON descriptor, then the flat parameter buffer as little-endian
-    float64 (encoder, head, decoder; weights row-major, then bias, per dense
-    layer).  The descriptor's "calibration" object holds alpha, t_samples,
+    UTF-8 JSON descriptor (`kind`, each `Architecture` field by name and
+    `calibration`, keys sorted), then the flat parameter buffer as
+    little-endian float64 (encoder, head, decoder; weights row-major, then
+    bias, per dense layer).  The descriptor's "calibration" object holds alpha, t_samples,
     seed, the classifier thresholds (null without a head) and the rec
     threshold (null without a decoder); JSON numbers written from Python
     floats read back bitwise equal.
@@ -252,20 +230,6 @@ def save(net: PathwayNetwork, path, calibration: Calibration) -> None:
         fh.write(struct.pack("<I", len(desc)))
         fh.write(desc)
         fh.write(net.params.astype("<f8").tobytes())
-
-
-def _positive_int(value, what: str) -> int:
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
-    return value
-
-
-def _dense_params(prev: int, widths: list[int]) -> int:
-    n = 0
-    for width in widths:
-        n += (prev + 1) * width
-        prev = width
-    return n
 
 
 def _finite(value, what: str) -> float:
@@ -290,9 +254,9 @@ def _calibration(rec: dict, net: PathwayNetwork) -> Calibration:
                            f"for a {net.kind.value} model")
     if clf is not None:
         clf = np.array([_finite(v, "classifier threshold") for v in clf], dtype=np.float64)
-        if len(clf) != net.n_classes:
+        if len(clf) != net.arch.n_classes:
             raise ArchiveError(
-                f"{len(clf)} classifier thresholds for {net.n_classes} classes")
+                f"{len(clf)} classifier thresholds for {net.arch.n_classes} classes")
     if (rec_thr is None) != (net.decoder is None):
         raise ArchiveError(f"rec threshold {'missing' if rec_thr is None else 'present'} "
                            f"for a {net.kind.value} model")
@@ -304,27 +268,27 @@ def _calibration(rec: dict, net: PathwayNetwork) -> Calibration:
 def load(path) -> tuple[PathwayNetwork, Calibration]:
     """Rebuild a network and its calibration from an archive written by `save`.
 
-    Raises MagicMismatchError / VersionMismatchError / TruncatedPayloadError
-    for the corresponding corruptions, and ArchiveError for any other
-    unreadable descriptor, calibration record or payload, a NaN or infinite
-    parameter or threshold included.  The payload length is checked against
-    the descriptor before any layer is allocated.
+    Raises ArchiveError for a bad magic, a version other than 2, a header,
+    descriptor or payload cut short, and any other unreadable descriptor,
+    calibration record or payload, a NaN or infinite parameter or threshold
+    included.  The payload length is checked against the descriptor's
+    architecture before any layer is allocated.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 10:
-        raise TruncatedPayloadError("archive shorter than its fixed header")
+        raise ArchiveError("archive shorter than its fixed header")
     if blob[:4] != ARCHIVE_MAGIC:
-        raise MagicMismatchError(f"bad magic {blob[:4]!r}")
+        raise ArchiveError(f"bad magic {blob[:4]!r}")
     (version,) = struct.unpack("<H", blob[4:6])
     if version == 1:
-        raise VersionMismatchError(
+        raise ArchiveError(
             "archive version 1 carries no calibration record; retrain with `oodfdd train`")
     if version != ARCHIVE_VERSION:
-        raise VersionMismatchError(f"archive version {version}, expected {ARCHIVE_VERSION}")
+        raise ArchiveError(f"archive version {version}, expected {ARCHIVE_VERSION}")
     (desc_len,) = struct.unpack("<I", blob[6:10])
     if len(blob) < 10 + desc_len:
-        raise TruncatedPayloadError("descriptor is cut short")
+        raise ArchiveError("descriptor is cut short")
     try:
         desc = json.loads(blob[10 : 10 + desc_len].decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 and bad JSON included
@@ -333,29 +297,13 @@ def load(path) -> tuple[PathwayNetwork, Calibration]:
     offset = 10 + desc_len
     try:
         kind = ModelKind(desc["kind"])
-        input_dim = _positive_int(desc["input_dim"], "input_dim")
-        latent_dim = _positive_int(desc["latent_dim"], "latent_dim")
-        n_classes = _positive_int(desc["n_classes"], "n_classes")
-        widths = [_positive_int(w, "encoder width") for w in desc["encoder_widths"]]
-        head_widths = [_positive_int(w, "head width") for w in desc["head_widths"]]
-        n_params = sum(_dense_params(prev, layer_widths) for prev, layer_widths in
-                       _layout(kind, input_dim, latent_dim, widths, head_widths,
-                               n_classes).values())
-        extra = len(blob) - offset - 8 * n_params
+        arch = Architecture(**{f.name: desc[f.name] for f in fields(Architecture)})
+        extra = len(blob) - offset - 8 * arch.n_params(kind)
         if extra < 0:
-            raise TruncatedPayloadError(f"payload ends {-extra} bytes early")
+            raise ArchiveError(f"payload ends {-extra} bytes early")
         if extra > 0:
             raise ArchiveError(f"{extra} trailing bytes after payload")
-        net = build(
-            kind=kind,
-            input_dim=input_dim,
-            latent_dim=latent_dim,
-            hidden_widths=widths,
-            dropout_rate=desc["dropout_rate"],
-            n_classes=n_classes,
-            head_widths=head_widths,
-            decoder_activation=desc["decoder_activation"],
-        )
+        net = build(kind, arch, 0)  # the seed's weights are overwritten below
         cal = _calibration(desc["calibration"], net)
     except KeyError as exc:
         raise ArchiveError(f"descriptor lacks key {exc.args[0]!r}") from exc

@@ -27,7 +27,6 @@ class LdaProjection:
 
     W: np.ndarray  # (d, out_dims), unit-norm columns
     points: np.ndarray  # (n, out_dims)
-    labels: np.ndarray
     eigenvalues: np.ndarray  # scatter ratios per direction, descending
 
     def transform(self, latents: np.ndarray) -> np.ndarray:
@@ -98,9 +97,7 @@ def lda_project(latents: np.ndarray, labels, out_dims: int = 2) -> LdaProjection
     order = np.argsort(eigvals)[::-1][:out_dims]
     w = inv_chol.T @ eigvecs[:, order]
     w = w / np.linalg.norm(w, axis=0, keepdims=True)
-    return LdaProjection(
-        W=w, points=latents @ w, labels=labels, eigenvalues=eigvals[order]
-    )
+    return LdaProjection(W=w, points=latents @ w, eigenvalues=eigvals[order])
 
 
 def score_matrix_from_scores(scores: np.ndarray, groups) -> tuple[list[str], np.ndarray]:

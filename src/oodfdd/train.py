@@ -87,7 +87,7 @@ def _as_xy(dataset) -> tuple[np.ndarray, np.ndarray]:
 def _classification_loss(net: PathwayNetwork, probs, yb):
     """The classifier loss for the net's head, unchecked: the caller's
     labels passed `train`'s check and `probs` is the head's output."""
-    if net.n_outputs == 1:
+    if net.arch.n_outputs == 1:
         return binary_cross_entropy(probs, yb)
     return cross_entropy(probs, yb)
 
@@ -268,15 +268,15 @@ def train(net: PathwayNetwork, dataset, cfg: TrainConfig) -> list[EpochLog]:
     if not 0.0 < cfg.lr < np.inf:
         raise ValueError(f"lr must be positive and finite, got {cfg.lr}")
     x, y = _as_xy(dataset)
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise ValueError(f"rows have {x.shape[-1]} features, the net takes {net.input_dim}")
+    if x.ndim != 2 or x.shape[1] != net.arch.input_dim:
+        raise ValueError(f"rows have {x.shape[-1]} features, the net takes {net.arch.input_dim}")
     if net.head is None:
         if np.any(y != 0):
             raise ValueError("a net without a classifier head trains on normal rows only "
                              "(label 0)")
-    elif y.min() < 0 or y.max() >= net.n_classes:
+    elif y.min() < 0 or y.max() >= net.arch.n_classes:
         raise ValueError(
-            f"labels must lie in [0, {net.n_classes}), got range [{y.min()}, {y.max()}]")
+            f"labels must lie in [0, {net.arch.n_classes}), got range [{y.min()}, {y.max()}]")
     val = None
     if cfg.early_stop:
         perm = derive_rng(cfg.seed, 3).permutation(len(x))

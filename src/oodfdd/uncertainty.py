@@ -255,8 +255,8 @@ def mc_moments(
     x = as_matrix(x)
     clf_mean = clf_m2 = rec_sum = None
     if net.head is not None:
-        clf_mean, clf_m2 = np.zeros((2, len(x), net.n_outputs))
-        scratch = np.empty((2, len(x), net.n_outputs))
+        clf_mean, clf_m2 = np.zeros((2, len(x), net.arch.n_outputs))
+        scratch = np.empty((2, len(x), net.arch.n_outputs))
     if net.decoder is not None:
         rec_sum = np.zeros_like(x)
     # a counter and a del rather than enumerate, which holds on to the item
@@ -286,7 +286,7 @@ def mc_samples(
     kept: each is copied into one (T, N, ...) array per pathway, since the
     next block overwrites the buffers the passes are yielded in."""
     x = as_matrix(x)
-    clf = None if net.head is None else np.empty((t, len(x), net.n_outputs))
+    clf = None if net.head is None else np.empty((t, len(x), net.arch.n_outputs))
     rec = None if net.decoder is None else np.empty((t, *x.shape))
     for k, (c, r) in enumerate(_passes(net, x, t, rng)):
         if clf is not None:

@@ -21,6 +21,7 @@ import pytest
 from gradcheck import gradient_check
 from oodfdd import data, detect, experiments, model, nncore, report, train, uncertainty
 from oodfdd.model import ModelKind
+from shapes import arch
 
 SEEDS = (0, 1, 2)
 
@@ -43,15 +44,10 @@ def test_c01_gradients_match_finite_differences():
     for trial in range(4):
         n_classes = int(rng.integers(2, 4))
         input_dim = int(rng.integers(3, 6))
-        net = model.build(
-            ModelKind.AUGMENTED,
-            input_dim=input_dim,
-            latent_dim=2,
-            hidden_widths=[int(rng.integers(3, 6)) for _ in range(int(rng.integers(0, 3)))] + [2],
-            head_widths=[int(rng.integers(2, 5))],
-            n_classes=n_classes,
-            rng_seed=trial,
-        )
+        net = model.build(ModelKind.AUGMENTED, arch(
+            input_dim=input_dim, latent_dim=2,
+            encoder_widths=[int(rng.integers(3, 6)) for _ in range(int(rng.integers(0, 3)))] + [2],
+            head_widths=[int(rng.integers(2, 5))], n_classes=n_classes), trial)
         # central differences need smooth activations
         for stack in (net.encoder, net.head, net.decoder):
             if stack is None:
@@ -75,8 +71,7 @@ def test_c01_gradients_match_finite_differences():
 
 
 def test_c02_mc_statistics_recompute_bitwise():
-    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2,
-                      dropout_rate=0.2, rng_seed=7)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2, dropout_rate=0.2), 7)
     x = nncore.make_rng(42).normal(0.0, 1.0, (1, 6))
 
     def replay(samples):
@@ -178,7 +173,7 @@ def test_c04_calibrated_flag_rate_tracks_alpha():
 
 
 def test_c05_fault_rows_leave_decoder_gradients_unchanged():
-    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, rng_seed=15)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2), 15)
     rng = nncore.make_rng(16)
     x = rng.normal(0.0, 1.0, (10, 6))
     y = np.array([0, 1, 0, 0, 1, 0, 1, 0, 0, 1])
@@ -248,9 +243,9 @@ def thyroid_runs(tmp_path_factory):
             "H_aug": aug.ood_mean_entropy,
             "H_clf": clf.ood_mean_entropy,
             "sep_aug": report.separation_statistic(
-                experiments.latents(r.nets["augmented"], x), y),
+                r.nets["augmented"].encoder.forward(x), y),
             "sep_ae": report.separation_statistic(
-                experiments.latents(r.nets["autoencoder"], x), y),
+                r.nets["autoencoder"].encoder.forward(x), y),
         })
     return rows
 

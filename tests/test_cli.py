@@ -298,6 +298,50 @@ def test_non_finite_data_cell_exits_3_naming_file_and_line(tmp_path, thyroid_dir
     assert f"{bad_dir / 'ann-train.data'} line 10: non-finite value" in err
 
 
+def _evaluate_with_test_cell(tmp_path, thyroid_dir, trained_dir, token):
+    """`evaluate` on the thyroid files with column 16 of the first row of
+    ann-test.data set to `token`; returns the exit code and the test file."""
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    shutil.copy(os.path.join(thyroid_dir, "ann-train.data"), data_dir)
+    lines = open(os.path.join(thyroid_dir, "ann-test.data")).read().splitlines()
+    cells = lines[0].split()
+    cells[16] = token
+    lines[0] = " ".join(cells)
+    (data_dir / "ann-test.data").write_text("\n".join(lines) + "\n")
+    rc = cli.main(["evaluate", "--dataset", "thyroid", "--data-dir", str(data_dir),
+                   "--weights", os.path.join(trained_dir, "augmented.ofdd"),
+                   "--out", str(tmp_path / "o"), *SMOKE])
+    return rc, data_dir / "ann-test.data"
+
+
+@pytest.mark.parametrize("token", ["1e200", "-1e300"])
+def test_data_cell_beyond_the_bound_exits_3_naming_file_and_line(tmp_path, thyroid_dir,
+                                                                 trained_dir, capsys, token):
+    rc, path = _evaluate_with_test_cell(tmp_path, thyroid_dir, trained_dir, token)
+    assert rc == cli.EXIT_BAD_CONFIG
+    assert f"{path} line 1: value {float(token)} beyond ±1e+150" in capsys.readouterr().err
+
+
+def test_data_cell_at_the_bound_evaluates(tmp_path, thyroid_dir, trained_dir):
+    assert data.MAX_INPUT_MAGNITUDE == 1e150
+    rc, _ = _evaluate_with_test_cell(tmp_path, thyroid_dir, trained_dir, "1e150")
+    assert rc == 0
+
+
+def test_class_count_is_no_setting(tmp_path, thyroid_dir, capsys):
+    # the class count comes from the training labels
+    common = ["train", "--dataset", "thyroid", "--data-dir", thyroid_dir,
+              "--out", str(tmp_path / "o"), *SMOKE]
+    assert cli.main([*common, "--n-classes", "3"]) == cli.EXIT_BAD_CONFIG
+    assert "--n-classes" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text("n_classes = 3\n")
+    assert cli.main([*common, "--config", str(config)]) == cli.EXIT_BAD_CONFIG
+    assert "unknown config key 'n_classes'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_numeric_failure_exits_4(tmp_path, thyroid_dir):
     # a non-finite lr is a configuration error, but a finite one this large
     # overflows the weights within the first steps
@@ -606,7 +650,7 @@ def test_score_rejects_input_beyond_the_bound(tmp_path, thyroid_dir, trained_dir
 
 
 def test_score_takes_input_at_the_bound(tmp_path, thyroid_dir, trained_dir):
-    assert cli.MAX_INPUT_MAGNITUDE == 1e150
+    assert data.MAX_INPUT_MAGNITUDE == 1e150
     rc = _score_input(tmp_path, thyroid_dir, trained_dir,
                       "1e150,-1e150,1e150,-1e150,1e150,-1e150\n")
     assert rc == 0
@@ -711,7 +755,7 @@ def test_malformed_setting_exits_3_naming_the_key(tmp_path, capsys, name, raw, w
 _COMMON_OPTIONS = {
     "-h", "--help", "--config", "--data-dir",
     "--dataset", "--model-kind", "--latent-dim", "--hidden-widths", "--head-widths",
-    "--dropout-rate", "--n-classes", "--decoder-activation", "--alpha", "--t-samples",
+    "--dropout-rate", "--decoder-activation", "--alpha", "--t-samples",
     "--seed", "--beta", "--epochs", "--pretrain-epochs", "--batch-size", "--lr",
     "--n-per-class", "--train-fraction", "--train-cap-per-class", "--ambiguous-pairs",
 }
@@ -908,7 +952,7 @@ def test_read_input_csv_fuzz_returns_finite_matrix_or_config_error(tmp_path_fact
         assert str(path) in str(exc)
         return
     assert x.dtype == np.float64 and x.ndim == 2 and np.isfinite(x).all()
-    assert (np.abs(x) <= cli.MAX_INPUT_MAGNITUDE).all()
+    assert (np.abs(x) <= data.MAX_INPUT_MAGNITUDE).all()
     # the file parses, has no ragged row, and x holds its feature columns
     rows = [r for r in csv.reader(io.StringIO(content.decode("utf-8"), newline="")) if r]
     header = rows[0]

@@ -8,6 +8,7 @@ import pytest
 
 from oodfdd import cli, data, experiments, model, nncore
 from oodfdd.model import ModelKind
+from shapes import arch
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +298,7 @@ def test_loaders_peak_memory_stays_near_their_output(tmp_path):
 
 
 def test_gen_ambiguous_endpoints():
-    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, rng_seed=0)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2), 0)
     rng = nncore.make_rng(2)
     x_n = rng.normal(0, 1, (3, 6))
     x_f = rng.normal(0, 1, (3, 6))
@@ -311,11 +312,11 @@ def test_gen_ambiguous_endpoints():
 
 
 def test_gen_ambiguous_default_ts_and_errors():
-    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, rng_seed=0)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2), 0)
     ds = data.gen_ambiguous(net, np.zeros(6), np.ones(6))
     assert len(ds) == 3
     assert set(ds.group) == {"incipient:1:0.4", "incipient:1:0.5", "incipient:1:0.6"}
-    clf_only = model.build(ModelKind.CLASSIFIER_ONLY, input_dim=6, latent_dim=2)
+    clf_only = model.build(ModelKind.CLASSIFIER_ONLY, arch(input_dim=6, latent_dim=2), 0)
     with pytest.raises(ValueError):
         data.gen_ambiguous(clf_only, np.zeros(6), np.ones(6))
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from oodfdd import detect, experiments, model, nncore, uncertainty
 from oodfdd.model import ModelKind
 from oodfdd.report import emit_csv
+from shapes import arch
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +260,7 @@ def test_diagnostic_accuracies_matrix():
 
 
 def _aug_net(n_classes=3):
-    return model.build(ModelKind.AUGMENTED, input_dim=5, latent_dim=2,
-                       n_classes=n_classes, rng_seed=3)
+    return model.build(ModelKind.AUGMENTED, arch(input_dim=5, latent_dim=2, n_classes=n_classes), 3)
 
 
 def test_calibrate_is_thresholds_of_mc_scores():
@@ -289,7 +289,7 @@ def test_score_flags_every_pathway():
     assert np.array_equal(s.rec_flags, s.rec > thr.rec_threshold)
 
     for kind, absent in ((ModelKind.CLASSIFIER_ONLY, "rec"), (ModelKind.AUTOENCODER_ONLY, "clf")):
-        net = model.build(kind, input_dim=5, latent_dim=2, n_classes=3, rng_seed=3)
+        net = model.build(kind, arch(input_dim=5, latent_dim=2, n_classes=3), 3)
         thr = detect.calibrate(net, x, 0.2, 4, 9)
         s = detect.score(net, x, thr)
         if absent == "rec":
@@ -307,7 +307,7 @@ def test_score_flags_every_pathway():
     (ModelKind.AUGMENTED, 1e200),
 ])
 def test_overflow_raises_from_direct_calls_outside_any_context(kind, weight):
-    net = model.build(kind, input_dim=5, latent_dim=2, n_classes=3, rng_seed=3)
+    net = model.build(kind, arch(input_dim=5, latent_dim=2, n_classes=3), 3)
     net.encoder.dense_layers()[0].weights[...] = weight
     x = np.full((60, 5), 2.0)
     before = np.geterr()

@@ -268,7 +268,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="decoder_activation 'tanh'"):
         experiments.thyroid_config(decoder_activation="tanh")
     for key, bad in [("alpha", 0.0), ("alpha", float("nan")), ("t_samples", 1),
-                     ("epochs", 0), ("pretrain_epochs", -1), ("seed", -1), ("n_classes", 1),
+                     ("epochs", 0), ("pretrain_epochs", -1), ("seed", -1),
                      ("batch_size", 0), ("lr", 0.0), ("lr", -1.0), ("lr", float("inf")),
                      ("lr", float("nan")), ("beta", -1.0), ("latent_dim", 0),
                      ("hidden_widths", [16, 0, 2]), ("head_widths", [0]),
@@ -284,7 +284,20 @@ def test_config_validation():
             experiments.thyroid_config(**bad)
     assert experiments.thyroid_config(latent_dim=3, hidden_widths=[16, 8, 3]).latent_dim == 3
     cfg = experiments.config_for("chiller-surrogate", seed=3)
-    assert cfg.alpha == 0.05 and cfg.n_classes == 7 and cfg.seed == 3
+    assert cfg.alpha == 0.05 and cfg.seed == 3
+
+
+@pytest.mark.parametrize("dataset, data_fixture, n_classes", [
+    ("thyroid", "thyroid_dir", 2), ("chiller-surrogate", None, 7), ("mnist", "mnist_dir", 5),
+])
+def test_architecture_takes_its_class_count_from_the_training_labels(request, dataset,
+                                                                     data_fixture, n_classes):
+    data_dir = request.getfixturevalue(data_fixture) if data_fixture else None
+    cfg = experiments.config_for(dataset)
+    train_ds, _ = experiments.load_dataset_pair(cfg, data_dir)
+    shape = cfg.architecture(train_ds)
+    assert shape.n_classes == n_classes
+    assert shape.input_dim == train_ds.X.shape[1]
 
 
 def test_benchmark_config_runs_to_convergence():
@@ -371,8 +384,8 @@ def test_cap_per_class_deterministic():
 def test_latents_are_deterministic(thyroid_result):
     net = thyroid_result.nets["augmented"]
     x = thyroid_result.eval_ds.X[:10]
-    z1 = experiments.latents(net, x)
-    z2 = experiments.latents(net, x)
+    z1 = net.encoder.forward(x)
+    z2 = net.encoder.forward(x)
     assert z1.shape == (10, thyroid_result.config.latent_dim)
     assert np.array_equal(z1, z2)
 
@@ -610,8 +623,8 @@ def test_overflow_raises_from_every_entry_point(monkeypatch, thyroid_dir):
     cfg = _smoke(experiments.thyroid_config)
     train_ds, _ = experiments.load_dataset_pair(cfg, thyroid_dir)
     normals = train_ds.X[train_ds.y == 0]
-    net = _poisoned(model.build(model.ModelKind.AUGMENTED,
-                                **experiments._build_kwargs(cfg, normals.shape[1])))
+    net = _poisoned(model.build(model.ModelKind.AUGMENTED, cfg.architecture(train_ds),
+                                cfg.seed))
     before = np.geterr()
     with pytest.raises(FloatingPointError, match="overflow"):
         detect.calibrate(net, normals, cfg.alpha, cfg.t_samples, cfg.seed)
@@ -768,14 +781,14 @@ def test_rebuilt_nets_are_views_of_their_buffer(chiller_result, tmp_path):
                     assert np.shares_memory(layer.bias, net.params)
 
         x = r.eval_ds.X[:5]
-        before = experiments.latents(net, x)
+        before = net.encoder.forward(x)
         kept = net.params.copy()
         try:
             net.params += 1.0
-            moved = experiments.latents(net, x)
+            moved = net.encoder.forward(x)
         finally:
             net.params[...] = kept
         assert not np.array_equal(moved, before)
-        assert np.array_equal(experiments.latents(net, x), before)
+        assert np.array_equal(net.encoder.forward(x), before)
         loaded.params += 1.0
-        assert np.array_equal(experiments.latents(loaded, x), moved)
+        assert np.array_equal(loaded.encoder.forward(x), moved)

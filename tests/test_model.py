@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tempfile
@@ -9,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from oodfdd import model
 from oodfdd.nncore import DenseLayer, DropoutLayer, make_rng
+from shapes import arch
 
 
 def thyroid_net(kind=model.ModelKind.AUGMENTED, seed=0):
-    return model.build(
-        kind, input_dim=6, latent_dim=2, n_classes=2, rng_seed=seed, head_widths=[8]
-    )
+    return model.build(kind, arch(input_dim=6, latent_dim=2, n_classes=2, head_widths=[8]), seed)
 
 
 def calibration(net, seed=0, **changes):
@@ -22,7 +22,7 @@ def calibration(net, seed=0, **changes):
     rng = make_rng(seed + 100)
     cal = model.Calibration(
         alpha=0.1, t_samples=4, seed=seed,
-        clf_thresholds=None if net.head is None else rng.normal(size=net.n_classes),
+        clf_thresholds=None if net.head is None else rng.normal(size=net.arch.n_classes),
         rec_threshold=None if net.decoder is None else float(rng.exponential()),
     )
     return replace(cal, **changes)
@@ -45,25 +45,20 @@ def test_thyroid_structure_three_layer_pathways():
     assert len(net.encoder.dense_layers()) == 3
     assert len(net.decoder.dense_layers()) == 3
     assert len(net.head.dense_layers()) == 2
-    assert net.encoder_widths == [5, 3, 2]
+    assert net.arch.encoder_widths == [5, 3, 2]
     assert net.decoder.dense_layers()[-1].out_dim == 6
     assert net.head.dense_layers()[-1].activation == "sigmoid"
-    assert net.n_outputs == 1
+    assert net.arch.n_outputs == 1
 
 
 def test_chiller_structure_three_layer_pathways():
-    net = model.build(
-        model.ModelKind.AUGMENTED,
-        input_dim=16,
-        latent_dim=4,
-        n_classes=7,
-        head_widths=[8, 8],
-    )
+    net = model.build(model.ModelKind.AUGMENTED, arch(input_dim=16, latent_dim=4, n_classes=7,
+                                                      head_widths=[8, 8]), 0)
     assert len(net.encoder.dense_layers()) == 3
     assert len(net.decoder.dense_layers()) == 3
     assert len(net.head.dense_layers()) == 3
     assert net.head.dense_layers()[-1].activation == "softmax"
-    assert net.n_outputs == 7
+    assert net.arch.n_outputs == 7
 
 
 def test_classifier_only_has_no_decoder():
@@ -77,9 +72,7 @@ def test_autoencoder_only_has_no_head():
 
 
 def test_dropout_only_inside_encoder():
-    net = model.build(
-        model.ModelKind.AUGMENTED, input_dim=16, latent_dim=4, n_classes=7
-    )
+    net = model.build(model.ModelKind.AUGMENTED, arch(input_dim=16, latent_dim=4, n_classes=7), 0)
     assert any(isinstance(l, DropoutLayer) for l in net.encoder.layers)
     for stack in (net.decoder, net.head):
         assert all(isinstance(l, DenseLayer) for l in stack.layers)
@@ -127,9 +120,8 @@ def test_forward_classify_stochastic_varies():
 
 
 def test_untrained_multiclass_probs_near_uniform():
-    net = model.build(
-        model.ModelKind.CLASSIFIER_ONLY, input_dim=16, latent_dim=4, n_classes=7
-    )
+    net = model.build(model.ModelKind.CLASSIFIER_ONLY, arch(input_dim=16, latent_dim=4,
+                                                            n_classes=7), 0)
     x = make_rng(5).normal(size=(32, 16))
     probs = net.head.forward(net.encoder.forward(x))
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -166,10 +158,36 @@ def test_archive_round_trip_bitwise(tmp_path):
     loaded, _ = model.load(path)
 
     assert loaded.kind == net.kind
-    assert loaded.encoder_widths == net.encoder_widths
+    assert loaded.arch.encoder_widths == net.arch.encoder_widths
     np.testing.assert_array_equal(loaded.head.forward(loaded.encoder.forward(x)), before_clf)
     np.testing.assert_array_equal(loaded.decoder.forward(loaded.encoder.forward(x)),
                                   before_rec)
+
+
+# sha256 of each kind's archive below: any change to the version-2 bytes
+# (descriptor keys, their order or number format, or the payload) fails here
+_PINNED_ARCHIVES = {
+    model.ModelKind.AUGMENTED: "3cc1c24785eaab24f3bd2a1559aed312ae37f3ad287a8ec0a654aab2f4e49f7a",
+    model.ModelKind.CLASSIFIER_ONLY:
+        "21ab884e4b6d2c3b59e0301c43b84be41d3fbcd48f26054f1de05b970d12e615",
+    model.ModelKind.AUTOENCODER_ONLY:
+        "85d8badae5789b9fcebd0bfeefdb149325303fefbd048aad2ea6e8ca861d6a68",
+}
+
+
+@pytest.mark.parametrize("kind", list(model.ModelKind))
+def test_archive_bytes_are_pinned(tmp_path, kind):
+    shape = model.Architecture(input_dim=6, latent_dim=2, n_classes=3, encoder_widths=[5, 3, 2],
+                               head_widths=[8], dropout_rate=0.2,
+                               decoder_activation="identity")
+    net = model.build(kind, shape, 7)
+    cal = model.Calibration(
+        alpha=0.1, t_samples=4, seed=7,
+        clf_thresholds=None if net.head is None else np.array([1 / 3, 0.5, 2 / 3]),
+        rec_threshold=None if net.decoder is None else 0.1 + 0.2)
+    path = tmp_path / "net.ofdd"
+    model.save(net, path, cal)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_ARCHIVES[kind]
 
 
 def test_archive_magic_mismatch(tmp_path):
@@ -178,7 +196,7 @@ def test_archive_magic_mismatch(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[:4] = b"XXXX"
     path.write_bytes(bytes(blob))
-    with pytest.raises(model.MagicMismatchError):
+    with pytest.raises(model.ArchiveError, match="^bad magic b'XXXX'$"):
         model.load(path)
 
 
@@ -188,7 +206,7 @@ def test_archive_version_mismatch(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[4:6] = (99).to_bytes(2, "little")
     path.write_bytes(bytes(blob))
-    with pytest.raises(model.VersionMismatchError):
+    with pytest.raises(model.ArchiveError, match="^archive version 99, expected 2$"):
         model.load(path)
 
 
@@ -197,7 +215,7 @@ def test_archive_truncated_payload(tmp_path):
     _save(thyroid_net(), path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
-    with pytest.raises(model.TruncatedPayloadError):
+    with pytest.raises(model.ArchiveError, match="^payload ends 8 bytes early$"):
         model.load(path)
 
 
@@ -266,7 +284,7 @@ def _same_calibration(a, b):
 @pytest.mark.parametrize("kind", list(model.ModelKind))
 @pytest.mark.parametrize("n_classes", [2, 5])
 def test_calibration_round_trips_bitwise(tmp_path, kind, n_classes):
-    net = model.build(kind, input_dim=6, latent_dim=2, n_classes=n_classes, rng_seed=3)
+    net = model.build(kind, arch(input_dim=6, latent_dim=2, n_classes=n_classes), 3)
     cal = calibration(net, seed=12, alpha=0.05, t_samples=100)
     path = tmp_path / "net.ofdd"
     model.save(net, path, cal)
@@ -332,7 +350,7 @@ def test_version_1_archive_asks_for_retraining(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[4:6] = (1).to_bytes(2, "little")
     path.write_bytes(bytes(blob))
-    with pytest.raises(model.VersionMismatchError, match="retrain with `oodfdd train`"):
+    with pytest.raises(model.ArchiveError, match="retrain with `oodfdd train`"):
         model.load(path)
 
 
@@ -354,7 +372,7 @@ def test_descriptor_dimensions_checked_before_any_layer_is_built(tmp_path, key, 
 
 
 def _archive(kind, seed):
-    net = model.build(kind, input_dim=6, latent_dim=2, n_classes=3, rng_seed=seed)
+    net = model.build(kind, arch(input_dim=6, latent_dim=2, n_classes=3), seed)
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "net.ofdd")
         model.save(net, path, calibration(net, seed=seed))
@@ -433,7 +451,7 @@ def test_fuzz_spliced_descriptor(fuzz_path, which, donor, data):
 
 @pytest.mark.parametrize("kind", list(model.ModelKind))
 def test_dense_arrays_are_buffer_views_in_archive_order(kind):
-    net = model.build(kind, input_dim=6, latent_dim=2, n_classes=3, rng_seed=5)
+    net = model.build(kind, arch(input_dim=6, latent_dim=2, n_classes=3), 5)
     base_p = net.params.__array_interface__["data"][0]
     base_g = net.grads.__array_interface__["data"][0]
     offset = 0
@@ -489,11 +507,7 @@ def test_save_payload_is_the_buffer(tmp_path):
 
 def test_build_rejects_bad_widths():
     with pytest.raises(ValueError):
-        model.build(
-            model.ModelKind.AUGMENTED,
-            input_dim=6,
-            latent_dim=2,
-            hidden_widths=[5, 3],  # does not end at latent_dim
-        )
+        model.build(model.ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2,
+                                                    encoder_widths=[5, 3]), 0)
     with pytest.raises(ValueError):
-        model.build(model.ModelKind.AUGMENTED, input_dim=0, latent_dim=2)
+        model.build(model.ModelKind.AUGMENTED, arch(input_dim=0, latent_dim=2), 0)

@@ -9,6 +9,7 @@ import pytest
 
 from oodfdd import model, nncore, report
 from oodfdd.model import ModelKind
+from shapes import arch
 
 
 def _clusters(means, n=100, d=None, seed=0, scale=1.0):
@@ -107,7 +108,7 @@ def test_score_matrix_from_scores_limiting_case():
 def test_score_matrix_from_network_matches_direct_recompute():
     from oodfdd import detect, uncertainty as unc
 
-    net = model.build(ModelKind.AUGMENTED, input_dim=5, latent_dim=2, n_classes=3, rng_seed=8)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=5, latent_dim=2, n_classes=3), 8)
     x = nncore.make_rng(9).normal(0, 1, (12, 5))
     ds = SimpleNamespace(X=x, group=np.array(["normal"] * 6 + ["fault:1"] * 3 + ["fault:2"] * 3))
     scores = detect.mc_scores(net, ds.X, 15, nncore.make_rng(10)).clf

@@ -13,6 +13,7 @@ from gradcheck import checked_binary_cross_entropy, checked_cross_entropy, gradi
 from oodfdd import model, nncore, train, uncertainty
 from oodfdd.model import ModelKind
 from oodfdd.report import emit_csv
+from shapes import arch
 
 
 def _blobs(n_per_class=100, dim=4, sep=3.0, seed=3):
@@ -44,7 +45,7 @@ def _normal_rows(x):
 
 
 def test_pretrain_epochs_zero_is_noop():
-    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, rng_seed=0)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2), 0)
     before = _snapshot(net)
     cfg = train.TrainConfig(epochs=0, pretrain_epochs=0)
     history = train.train(net, _normal_rows(np.ones((10, 6))), cfg)
@@ -55,14 +56,8 @@ def test_pretrain_epochs_zero_is_noop():
 
 def test_pretrain_loss_decreases_on_linear_autoencoder():
     # the augmented net's encoder and decoder are a linear autoencoder here
-    net = model.build(
-        ModelKind.AUGMENTED,
-        input_dim=2,
-        latent_dim=1,
-        hidden_widths=[1],
-        dropout_rate=0.0,
-        rng_seed=1,
-    )
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=2, latent_dim=1, encoder_widths=[1],
+                                                dropout_rate=0.0), 1)
     cfg = train.TrainConfig(epochs=0, pretrain_epochs=30, batch_size=64, seed=1)
     history = train.train(net, _normal_rows(_line_points()), cfg)
     assert len(history) == 30
@@ -79,7 +74,7 @@ def test_warmup_runs_only_with_head_and_decoder(kind):
         ds = _normal_rows(ds.X[ds.y == 0])
     params = []
     for pretrain_epochs in (5, 0):
-        net = model.build(ModelKind(kind), input_dim=4, latent_dim=2, rng_seed=8)
+        net = model.build(ModelKind(kind), arch(input_dim=4, latent_dim=2), 8)
         cfg = train.TrainConfig(epochs=3, pretrain_epochs=pretrain_epochs, batch_size=16,
                                 seed=8)
         assert len(train.train(net, ds, cfg)) == 3
@@ -92,7 +87,7 @@ def test_warmup_runs_only_with_head_and_decoder(kind):
 
 
 def test_joint_loss_additivity():
-    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, rng_seed=2)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2), 2)
     rng = nncore.make_rng(9)
     x = rng.normal(0.0, 1.0, (16, 6))
     y = rng.integers(0, 2, 16)
@@ -113,7 +108,7 @@ def test_joint_loss_additivity():
 
 
 def test_fault_only_batch_gives_zero_decoder_gradients():
-    net = model.build(ModelKind.AUGMENTED, input_dim=5, latent_dim=2, rng_seed=3)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=5, latent_dim=2), 3)
     rng = nncore.make_rng(4)
     x = rng.normal(0.0, 1.0, (6, 5))
     y = np.ones(6, int)
@@ -125,7 +120,7 @@ def test_fault_only_batch_gives_zero_decoder_gradients():
 
 
 def test_mixed_batch_decoder_grads_match_scaled_normals_only():
-    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, rng_seed=5)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2), 5)
     rng = nncore.make_rng(6)
     x = rng.normal(0.0, 1.0, (8, 6))
     y = np.array([0, 1, 0, 0, 1, 0, 1, 0])
@@ -162,9 +157,9 @@ def _full_batch_masked_gradients(net, x, y, beta, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_normals_only_decoder_matches_full_batch_mask_at_mnist_widths(seed):
-    net = model.build(ModelKind.AUGMENTED, input_dim=196, latent_dim=8,
-                      hidden_widths=[68, 24, 8], head_widths=[8, 8], n_classes=5,
-                      decoder_activation="sigmoid", rng_seed=seed)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=196, latent_dim=8,
+                                                encoder_widths=[68, 24, 8], head_widths=[8, 8],
+                                                n_classes=5, decoder_activation="sigmoid"), seed)
     rng = nncore.make_rng(100 + seed)
     x = rng.random((64, 196))
     y = rng.integers(0, 5, 64)
@@ -181,8 +176,7 @@ def test_normals_only_decoder_matches_full_batch_mask_at_mnist_widths(seed):
 
 
 def test_decoder_sees_only_normal_rows(monkeypatch):
-    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, n_classes=3,
-                      rng_seed=11)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2, n_classes=3), 11)
     rng = nncore.make_rng(12)
     x = rng.normal(0.0, 1.0, (9, 6))
     y = np.array([1, 0, 2, 2, 0, 1, 0, 2, 1])
@@ -210,7 +204,7 @@ def test_decoder_sees_only_normal_rows(monkeypatch):
 
 
 def test_beta_zero_logs_rec_loss_without_decoder_backward(monkeypatch):
-    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, rng_seed=13)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2), 13)
     rng = nncore.make_rng(14)
     x = rng.normal(0.0, 1.0, (8, 6))
     y = np.array([0, 1, 0, 1, 1, 0, 1, 1])
@@ -228,8 +222,7 @@ def test_beta_zero_logs_rec_loss_without_decoder_backward(monkeypatch):
 
 
 def test_a_batch_leaves_exactly_its_own_gradients():
-    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, n_classes=3,
-                      rng_seed=15)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2, n_classes=3), 15)
     rng = nncore.make_rng(16)
     x1, x2 = rng.normal(0.0, 1.0, (2, 8, 6))
     y1, y2 = np.array([0, 1, 2, 0, 1, 2, 0, 0]), np.array([2, 0, 1, 1, 0, 2, 2, 1])
@@ -244,8 +237,7 @@ def test_a_batch_leaves_exactly_its_own_gradients():
 
 @pytest.mark.parametrize("second", ["no normals", "beta zero", "warm-up without normals"])
 def test_a_pathway_without_backward_reads_zero_after_one_with(second):
-    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, n_classes=3,
-                      rng_seed=19)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2, n_classes=3), 19)
     rng = nncore.make_rng(20)
     x = rng.normal(0.0, 1.0, (8, 6))
     y = np.array([0, 1, 2, 0, 1, 2, 0, 0])
@@ -268,15 +260,8 @@ def test_a_pathway_without_backward_reads_zero_after_one_with(second):
 
 
 def test_joint_gradients_pass_finite_difference_check():
-    net = model.build(
-        ModelKind.AUGMENTED,
-        input_dim=5,
-        latent_dim=2,
-        hidden_widths=[3, 2],
-        head_widths=[4],
-        n_classes=3,
-        rng_seed=7,
-    )
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=5, latent_dim=2, encoder_widths=[3, 2],
+                                                head_widths=[4], n_classes=3), 7)
     # swap the piecewise-linear activations for smooth ones so central
     # differences are trustworthy at eps=1e-5
     for stack in (net.encoder, net.head, net.decoder):
@@ -303,7 +288,7 @@ def test_absent_pathway_adds_no_loss_term(kind):
     ds = _blobs(20, seed=9)
     if kind == "autoencoder":
         ds = _normal_rows(ds.X[ds.y == 0])
-    net = model.build(ModelKind(kind), input_dim=4, latent_dim=2, rng_seed=9)
+    net = model.build(ModelKind(kind), arch(input_dim=4, latent_dim=2), 9)
     # beta weights nothing here: without a head, rec is weighted by 1
     cfg = train.TrainConfig(beta=0.5, epochs=3, pretrain_epochs=0, batch_size=16, seed=9)
     history = train.train(net, ds, cfg)
@@ -316,7 +301,7 @@ def test_absent_pathway_adds_no_loss_term(kind):
 
 
 def test_joint_rejects_out_of_range_labels():
-    net = model.build(ModelKind.AUGMENTED, input_dim=4, latent_dim=2)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=4, latent_dim=2), 0)
     ds = SimpleNamespace(X=np.zeros((4, 4)), y=np.array([0, 1, 2, 0]))
     with pytest.raises(ValueError):
         train.train(net, ds, train.TrainConfig(epochs=1, pretrain_epochs=0))
@@ -324,7 +309,7 @@ def test_joint_rejects_out_of_range_labels():
 
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_train_checks_its_rows_once_by_name(kind):
-    net = model.build(kind, input_dim=4, latent_dim=2)
+    net = model.build(kind, arch(input_dim=4, latent_dim=2), 0)
     x = np.zeros((4, 4))
     x[2, 1] = np.nan
     ds = SimpleNamespace(X=x, y=np.zeros(4, dtype=int))
@@ -336,7 +321,7 @@ def test_train_checks_its_rows_once_by_name(kind):
 @pytest.mark.parametrize("width", [3, 5])
 def test_train_rejects_rows_of_another_width_naming_both(kind, width):
     # the stack loops check no shapes: train checks the width once
-    net = model.build(kind, input_dim=4, latent_dim=2)
+    net = model.build(kind, arch(input_dim=4, latent_dim=2), 0)
     before = net.params.copy()
     ds = SimpleNamespace(X=np.zeros((6, width)), y=np.zeros(6, dtype=int))
     with pytest.raises(ValueError, match=f"^rows have {width} features, the net takes 4$"):
@@ -345,7 +330,7 @@ def test_train_rejects_rows_of_another_width_naming_both(kind, width):
 
 
 def test_joint_history_shape_and_totals():
-    net = model.build(ModelKind.AUGMENTED, input_dim=4, latent_dim=2, rng_seed=11)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=4, latent_dim=2), 11)
     ds = _blobs(30)
     cfg = train.TrainConfig(beta=0.5, epochs=3, pretrain_epochs=2, batch_size=16, seed=11)
     history = train.train(net, ds, cfg)
@@ -357,8 +342,8 @@ def test_joint_history_shape_and_totals():
 
 
 def test_beta_zero_matches_classifier_trajectory():
-    aug = model.build(ModelKind.AUGMENTED, input_dim=4, latent_dim=2, rng_seed=13)
-    clf = model.build(ModelKind.CLASSIFIER_ONLY, input_dim=4, latent_dim=2, rng_seed=13)
+    aug = model.build(ModelKind.AUGMENTED, arch(input_dim=4, latent_dim=2), 13)
+    clf = model.build(ModelKind.CLASSIFIER_ONLY, arch(input_dim=4, latent_dim=2), 13)
     ds = _blobs(50, seed=14)
     cfg = train.TrainConfig(beta=0.0, epochs=3, pretrain_epochs=0, batch_size=16, seed=7)
     hist_aug = train.train(aug, ds, cfg)
@@ -374,13 +359,13 @@ def test_train_joint_seeded_determinism():
     ds = _blobs(40, seed=20)
     weights = []
     for _ in range(2):
-        net = model.build(ModelKind.AUGMENTED, input_dim=4, latent_dim=2, rng_seed=21)
+        net = model.build(ModelKind.AUGMENTED, arch(input_dim=4, latent_dim=2), 21)
         train.train(net, ds, train.TrainConfig(epochs=2, pretrain_epochs=1, seed=21))
         weights.append(_snapshot(net))
     for p, q in zip(*weights):
         assert np.array_equal(p, q)
 
-    other = model.build(ModelKind.AUGMENTED, input_dim=4, latent_dim=2, rng_seed=21)
+    other = model.build(ModelKind.AUGMENTED, arch(input_dim=4, latent_dim=2), 21)
     train.train(other, ds, train.TrainConfig(epochs=2, pretrain_epochs=1, seed=22))
     assert any(
         not np.array_equal(p, q) for p, q in zip(weights[0], _snapshot(other))
@@ -388,8 +373,7 @@ def test_train_joint_seeded_determinism():
 
 
 def test_warmup_leaves_head_bitwise_unchanged():
-    net = model.build(ModelKind.AUGMENTED, input_dim=2, latent_dim=1, hidden_widths=[1],
-                      rng_seed=3)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=2, latent_dim=1, encoder_widths=[1]), 3)
     before = net.params.copy()
     head = net.offsets["head"]
     cfg = train.TrainConfig(epochs=0, pretrain_epochs=3, batch_size=32, lr=1e-2, seed=3)
@@ -411,8 +395,7 @@ def test_warmup_leaves_head_bitwise_unchanged():
 def test_warmup_leaves_head_bitwise_unchanged_after_a_batch_left_its_gradients():
     # the warm-up steps the whole buffer, the head with a zero gradient, so
     # it must not step on what an earlier batch left in net.grads
-    net = model.build(ModelKind.AUGMENTED, input_dim=2, latent_dim=1, hidden_widths=[1],
-                      rng_seed=3)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=2, latent_dim=1, encoder_widths=[1]), 3)
     x = _line_points()
     train.joint_batch_gradients(net, x[:32], np.repeat([0, 1], 16), 1.0)
     head = net.offsets["head"]
@@ -481,7 +464,7 @@ def _reference_train(net, ds, cfg):
         n_val = max(1, int(round(len(x) * train.VAL_FRACTION)))
         (xv, yv), (x, y) = ((x[perm[:n_val]], y[perm[:n_val]]),
                             (x[perm[n_val:]], y[perm[n_val:]]))
-    clf_loss = (checked_binary_cross_entropy if net.n_outputs == 1
+    clf_loss = (checked_binary_cross_entropy if net.arch.n_outputs == 1
                 else checked_cross_entropy)
 
     def val_loss():
@@ -553,8 +536,8 @@ def _assert_train_matches_reference(kind):
         ds = _normal_rows(ds.X[ds.y == 0])
 
     def fresh():
-        return model.build(ModelKind(kind), input_dim=5, latent_dim=2, n_classes=2,
-                           rng_seed=42, decoder_activation="sigmoid")
+        return model.build(ModelKind(kind), arch(input_dim=5, latent_dim=2, n_classes=2,
+                                                 decoder_activation="sigmoid"), 42)
 
     nets = [fresh() for _ in range(2)]
     history = train.train(nets[0], ds, cfg)
@@ -594,8 +577,7 @@ def _train_at_draw_budget(monkeypatch, budget):
             patch.setattr(train, "Uniforms", counted)
         # 120 rows: 12 held out, 108 = 6 * 16 + 12 trained, 60 normals
         ds = _blobs(60, dim=5, seed=43)
-        net = model.build(ModelKind.AUGMENTED, input_dim=5, latent_dim=2, n_classes=2,
-                          rng_seed=44)
+        net = model.build(ModelKind.AUGMENTED, arch(input_dim=5, latent_dim=2, n_classes=2), 44)
         cfg = train.TrainConfig(beta=0.5, epochs=300, pretrain_epochs=3, batch_size=16,
                                 lr=1e-2, seed=45, early_stop=True)
         history = train.train(net, ds, cfg)
@@ -604,7 +586,7 @@ def _train_at_draw_budget(monkeypatch, budget):
 
 
 def test_training_is_bitwise_the_same_at_any_draw_budget(monkeypatch):
-    per_batch = 16 * sum(model.build(ModelKind.AUGMENTED, input_dim=5, latent_dim=2)
+    per_batch = 16 * sum(model.build(ModelKind.AUGMENTED, arch(input_dim=5, latent_dim=2), 0)
                          .encoder.draws()[0])
     params, history, steps = _train_at_draw_budget(monkeypatch, None)
     assert steps == []
@@ -617,7 +599,7 @@ def test_training_is_bitwise_the_same_at_any_draw_budget(monkeypatch):
 
 
 def test_layers_hold_only_their_parameters_after_training_and_mc():
-    net = model.build(ModelKind.AUGMENTED, input_dim=4, latent_dim=2, rng_seed=34)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=4, latent_dim=2), 34)
     ds = _blobs(20, seed=35)
     train.train(net, ds, train.TrainConfig(epochs=2, pretrain_epochs=1, batch_size=16, seed=34))
     uncertainty.mc_moments(net, ds.X, 3, nncore.make_rng(36))
@@ -635,7 +617,7 @@ def test_layers_hold_only_their_parameters_after_training_and_mc():
 
 
 def test_classifier_learns_separable_blobs():
-    net = model.build(ModelKind.CLASSIFIER_ONLY, input_dim=4, latent_dim=2, rng_seed=30)
+    net = model.build(ModelKind.CLASSIFIER_ONLY, arch(input_dim=4, latent_dim=2), 30)
     ds = _blobs(100, seed=31)
     cfg = train.TrainConfig(epochs=50, pretrain_epochs=0, batch_size=32, seed=30)
     train.train(net, ds, cfg)
@@ -645,7 +627,7 @@ def test_classifier_learns_separable_blobs():
 
 
 def test_classifier_early_stop_halts_before_cap():
-    net = model.build(ModelKind.CLASSIFIER_ONLY, input_dim=4, latent_dim=2, rng_seed=32)
+    net = model.build(ModelKind.CLASSIFIER_ONLY, arch(input_dim=4, latent_dim=2), 32)
     ds = _blobs(100, seed=33)
     cfg = train.TrainConfig(
         epochs=300, pretrain_epochs=0, batch_size=32, lr=1e-2, seed=32, early_stop=True
@@ -657,21 +639,15 @@ def test_classifier_early_stop_halts_before_cap():
 
 
 def test_autoencoder_rejects_fault_labels():
-    net = model.build(ModelKind.AUTOENCODER_ONLY, input_dim=4, latent_dim=2)
+    net = model.build(ModelKind.AUTOENCODER_ONLY, arch(input_dim=4, latent_dim=2), 0)
     ds = SimpleNamespace(X=np.zeros((4, 4)), y=np.array([0, 0, 1, 0]))
     with pytest.raises(ValueError):
         train.train(net, ds, train.TrainConfig(epochs=1))
 
 
 def test_autoencoder_early_stop_on_line_data():
-    net = model.build(
-        ModelKind.AUTOENCODER_ONLY,
-        input_dim=2,
-        latent_dim=1,
-        hidden_widths=[1],
-        dropout_rate=0.0,
-        rng_seed=34,
-    )
+    net = model.build(ModelKind.AUTOENCODER_ONLY, arch(input_dim=2, latent_dim=1,
+                                                       encoder_widths=[1], dropout_rate=0.0), 34)
     x = _line_points(200, seed=35)
     ds = SimpleNamespace(X=x, y=np.zeros(len(x), int))
     cfg = train.TrainConfig(

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,13 +13,12 @@ from oodfdd import detect, experiments, model, nncore, uncertainty as unc
 from oodfdd.model import ModelKind
 from oodfdd.report import emit_csv
 from plainloop import plain_passes
+from shapes import arch
 
 
 def _net(kind=ModelKind.AUGMENTED, dropout=0.2, seed=0, n_classes=2, input_dim=6):
-    return model.build(
-        kind, input_dim=input_dim, latent_dim=2, dropout_rate=dropout,
-        n_classes=n_classes, rng_seed=seed,
-    )
+    return model.build(kind, arch(input_dim=input_dim, latent_dim=2, dropout_rate=dropout,
+                                  n_classes=n_classes), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +207,9 @@ def _plain_welford(samples):
 _SHAPES = {
     "2-identity": dict(input_dim=6, latent_dim=2, n_classes=2),
     "7-sigmoid": dict(input_dim=6, latent_dim=2, n_classes=7, decoder_activation="sigmoid"),
-    "chiller": dict(input_dim=7, latent_dim=4, hidden_widths=[16, 8, 4], head_widths=[8, 8],
+    "chiller": dict(input_dim=7, latent_dim=4, encoder_widths=[16, 8, 4], head_widths=[8, 8],
                     n_classes=7),
-    "mnist": dict(input_dim=196, latent_dim=8, hidden_widths=[68, 24, 8], head_widths=[8, 8],
+    "mnist": dict(input_dim=196, latent_dim=8, encoder_widths=[68, 24, 8], head_widths=[8, 8],
                   n_classes=5, decoder_activation="sigmoid"),
 }
 
@@ -233,12 +233,12 @@ _BLOCKINGS = {
     for shape in _SHAPES for dropout in (0.0, 0.3) for blocking in _BLOCKINGS])
 def test_mc_moments_and_samples_equal_the_plain_loop_bitwise(shape, dropout, blocking,
                                                              monkeypatch):
-    net = model.build(ModelKind.AUGMENTED, dropout_rate=dropout, rng_seed=3, **_SHAPES[shape])
+    net = model.build(ModelKind.AUGMENTED, arch(dropout_rate=dropout, **_SHAPES[shape]), 3)
     rows, t, per_block = _BLOCKINGS[blocking]
     if per_block is not None:
         monkeypatch.setattr(unc, "PASS_BLOCK_BUDGET",
                             per_block * rows * unc._pass_layout(net)[1])
-    x = nncore.make_rng(25).normal(0, 1, (rows, net.input_dim))
+    x = nncore.make_rng(25).normal(0, 1, (rows, net.arch.input_dim))
     got = unc.mc_moments(net, x, t, nncore.make_rng(26))
     clf, rec = plain_passes(net, x, t, nncore.make_rng(26))
     rec_sum = 0.0
@@ -301,9 +301,9 @@ def _arena_lives(net, plan):
 @settings(max_examples=200, deadline=None)
 def test_arena_spans_of_arrays_live_at_once_never_share_a_column(
         kind, input_dim, widths, head_widths, n_classes, dropout, decoder_activation):
-    net = model.build(kind, input_dim=input_dim, latent_dim=widths[-1], hidden_widths=widths,
-                      head_widths=head_widths, n_classes=n_classes, dropout_rate=dropout,
-                      decoder_activation=decoder_activation)
+    net = model.build(kind, arch(input_dim=input_dim, latent_dim=widths[-1], encoder_widths=widths,
+                                 head_widths=head_widths, n_classes=n_classes,
+                                 dropout_rate=dropout, decoder_activation=decoder_activation), 0)
     plan, columns = unc._pass_plan(net)
     lives = _arena_lives(net, plan)
     for i, ((first, cols), born, dies) in enumerate(lives):
@@ -321,10 +321,12 @@ def test_arena_spans_of_arrays_live_at_once_never_share_a_column(
     ("mnist", 196, (430, 92, 417, 32)),
 ])
 def test_arena_widths_of_the_default_nets(dataset, input_dim, columns):
-    cfg = experiments.config_for(dataset)
-    nets = [model.build(kind, **experiments._build_kwargs(cfg, input_dim)) for kind in ModelKind]
-    nets.append(model.build(ModelKind.CLASSIFIER_ONLY, **experiments._build_kwargs(
-        experiments.config_for(dataset, dropout_rate=0.0), input_dim)))
+    # a stand-in training split: one row of each of the dataset's labels
+    n_classes = {"thyroid": 2, "chiller-surrogate": 7, "mnist": 5}[dataset]
+    train_ds = SimpleNamespace(X=np.zeros((n_classes, input_dim)), y=np.arange(n_classes))
+    shape = experiments.config_for(dataset).architecture(train_ds)
+    nets = [model.build(kind, shape, 0) for kind in ModelKind]
+    nets.append(model.build(ModelKind.CLASSIFIER_ONLY, replace(shape, dropout_rate=0.0), 0))
     assert tuple(unc._pass_plan(net)[1] for net in nets) == columns
 
 
@@ -332,8 +334,9 @@ def test_mc_moments_keeps_nothing_for_backward():
     # chiller-shaped augmented net on its 10200 evaluation rows; with every
     # pass recording its activations and masks the traced peak was 20 MB,
     # and the layers still held 18 MB afterwards
-    net = model.build(ModelKind.AUGMENTED, input_dim=7, latent_dim=4, hidden_widths=[16, 8, 4],
-                      head_widths=[8, 8], n_classes=7, rng_seed=0)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=7, latent_dim=4,
+                                                encoder_widths=[16, 8, 4], head_widths=[8, 8],
+                                                n_classes=7), 0)
     x = nncore.make_rng(28).normal(0, 1, (10200, 7))
     tracemalloc.start()
     try:
@@ -352,8 +355,9 @@ def test_mc_moments_keeps_nothing_for_backward():
 def test_passes_after_the_first_block_allocate_nothing():
     # chiller-shaped augmented net on its 10200 evaluation rows, one pass per
     # block: the blocks after the first write into the first one's buffers
-    net = model.build(ModelKind.AUGMENTED, input_dim=7, latent_dim=4, hidden_widths=[16, 8, 4],
-                      head_widths=[8, 8], n_classes=7, rng_seed=0)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=7, latent_dim=4,
+                                                encoder_widths=[16, 8, 4], head_widths=[8, 8],
+                                                n_classes=7), 0)
     x = nncore.make_rng(28).normal(0, 1, (10200, 7))
     narrowest = min(layer.out_dim for stack in (net.encoder, net.head, net.decoder)
                     if stack is not None for layer in stack.dense_layers())
@@ -415,8 +419,9 @@ def test_first_encoder_layer_runs_once_per_mc_call():
 
 def test_mc_moments_peaks_within_the_block_budget_plus_one_pass():
     # a thyroid-shaped augmented net on one 500-row request at T = 100
-    net = model.build(ModelKind.AUGMENTED, input_dim=6, latent_dim=2, hidden_widths=[16, 8, 2],
-                      head_widths=[8], n_classes=2, rng_seed=0)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2,
+                                                encoder_widths=[16, 8, 2], head_widths=[8],
+                                                n_classes=2), 0)
     x = nncore.make_rng(30).normal(0, 1, (500, 6))
     tracemalloc.start()
     try:
