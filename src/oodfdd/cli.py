@@ -7,11 +7,12 @@ prints or writes is recomputable by calling the library with the same seed;
 the CLI holds no state of its own beyond the artifact files it writes:
 `gen-data` writes into `--data-dir`, every other subcommand under `--out`.
 
-Every ExperimentConfig field is a settings flag (`--t-samples` for
-t_samples) and a config-file key, typed by the field's annotation; a value
-that does not parse is a configuration error naming the key.  The class
-count is no setting: `train` takes it from the training labels
-(`ExperimentConfig.architecture`) and stores it in the archive.
+A subcommand takes the ExperimentConfig fields it reads, its row of
+`COMMAND_SETTINGS`, as settings flags (`--t-samples` for t_samples) and
+config-file keys, typed by the field's annotation; a value that does not
+parse, or a flag or key outside the row, is a configuration error naming
+it.  The model kind is only `train`'s `--model-kind`, and the class count
+no setting: `train` takes it from the training labels.
 
 `train` calibrates the detection thresholds once, on the training normals,
 and stores the record `detect.calibrate` returns (`model.Calibration`:
@@ -22,7 +23,8 @@ data with the archive's seed, and `score --input` reads no dataset file.
 
 Exit codes: 0 success, 2 missing data path, 3 bad configuration or usage
 (including a value or encoder layout the config checks reject, before any
-data is read; a non-numeric or non-finite value in a thyroid data file,
+data is read; a flag or config key the command does not read; a
+non-numeric or non-finite value in a thyroid data file,
 or one beyond ±data.MAX_INPUT_MAGNITUDE, named with its file and line; an
 input CSV that is not UTF-8 or not parseable as CSV, a data row with more
 or fewer cells than the header, a non-numeric or non-finite cell, or one
@@ -73,8 +75,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# every ExperimentConfig field is both a config-file key and a --flag
 _SETTINGS = typing.get_type_hints(ExperimentConfig)
+# an archive command reads the split settings of `load_dataset_pair` and the
+# calibration settings, which must equal the archive's; the rest it ignores
+_BESIDE_ARCHIVE = ("dataset", "n_per_class", "train_fraction", "train_cap_per_class",
+                   "alpha", "t_samples", "seed")
+COMMAND_SETTINGS = {
+    "gen-data": ("dataset", "seed"),
+    "train": tuple(key for key in _SETTINGS if key != "ambiguous_pairs"),
+    "evaluate": _BESIDE_ARCHIVE, "score": _BESIDE_ARCHIVE, "report": _BESIDE_ARCHIVE,
+    "compare": tuple(_SETTINGS),
+}
 _WANTS = {int: "an integer", float: "a number", list: "comma-separated integers"}
 
 
@@ -94,8 +105,9 @@ def parse_config_value(key: str, raw: str):
         raise ConfigError(f"config key {key} wants {_WANTS[kind]}, got {raw!r}") from None
 
 
-def load_config_file(path) -> dict:
-    """Flat key = value format; blank lines and # comments are ignored."""
+def load_config_file(path, command: str) -> dict:
+    """Flat key = value format; blank lines and # comments are ignored.
+    Every key must be a setting that `command` reads."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     values = {}
@@ -108,14 +120,17 @@ def load_config_file(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
             key, raw = line.split("=", 1)
             key = key.strip()
+            if key in _SETTINGS and key not in COMMAND_SETTINGS[command]:
+                raise ConfigError(f"{path}:{lineno}: {command} does not read config key "
+                                  f"{key!r}")
             values[key] = parse_config_value(key, raw)
     return values
 
 
 def given_settings(args) -> dict:
     """Settings given explicitly, by the config file or by flags (flags win)."""
-    given = load_config_file(args.config) if args.config else {}
-    given.update((key, getattr(args, key)) for key in _SETTINGS
+    given = load_config_file(args.config, args.command) if args.config else {}
+    given.update((key, getattr(args, key)) for key in COMMAND_SETTINGS[args.command]
                  if getattr(args, key) is not None)
     return given
 
@@ -180,15 +195,15 @@ def cmd_gen_data(cfg, args) -> int:
 def cmd_train(cfg, args) -> int:
     train_ds, _ = experiments.load_dataset_pair(cfg, args.data_dir)
     normals = experiments.calibration_normals(train_ds)
-    net, history = experiments.train_one(cfg, train_ds)
+    net, history = experiments.train_one(cfg, args.model_kind, train_ds)
     cal = detect.calibrate(net, normals, cfg.alpha, cfg.t_samples, cfg.seed)
     out = _out_dir(args)
-    weights_name = f"{cfg.model_kind}.ofdd"
+    weights_name = f"{net.kind}.ofdd"
     model.save(net, os.path.join(out, weights_name), cal)
     report.emit_csv(train.EpochLog._fields, history, os.path.join(out, "history.csv"))
     write_manifest(out, [weights_name, "history.csv"])
     final = history[-1]
-    print(f"trained {cfg.model_kind} on {cfg.dataset}: {len(history)} epochs, "
+    print(f"trained {net.kind} on {cfg.dataset}: {len(history)} epochs, "
           f"final total loss {final.total_loss:.6f}")
     print(f"weights: {os.path.join(out, weights_name)}")
     return 0
@@ -378,9 +393,9 @@ def cmd_report(cfg, args) -> int:
         pts_ood = np.hstack([pts_ood, np.zeros((len(pts_ood), 1))])
     points = np.vstack([pts_in, pts_ood])
     labels = np.array([f"class {int(v)}" for v in labels_in] + ["ood"] * len(pts_ood))
-    svg_name = f"lda_{net.kind.value}.svg"
+    svg_name = f"lda_{net.kind}.svg"
     report.emit_scatter_svg(points, labels, os.path.join(out, svg_name),
-                            title=f"{cfg.dataset} latent discriminants ({net.kind.value})")
+                            title=f"{cfg.dataset} latent discriminants ({net.kind})")
     names.append(svg_name)
 
     if net.head is not None:
@@ -423,15 +438,6 @@ def cmd_compare(cfg, args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="flat key = value config file")
-    for key in _SETTINGS:
-        p.add_argument("--" + key.replace("_", "-"), dest=key,
-                       type=functools.partial(parse_config_value, key))
-    p.add_argument("--data-dir", dest="data_dir",
-                   help="dataset directory (or OODFDD_DATA_DIR)")
-
-
 @functools.cache
 def make_parser() -> _Parser:
     """The CLI's parser, built once per process: it is never mutated, and
@@ -451,7 +457,15 @@ def make_parser() -> _Parser:
     ]
     for name, fn, help_text, extra in specs:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        p.add_argument("--config", help="flat key = value config file")
+        for key in COMMAND_SETTINGS[name]:
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=functools.partial(parse_config_value, key))
+        p.add_argument("--data-dir", dest="data_dir",
+                       help="dataset directory (or OODFDD_DATA_DIR)")
+        if name == "train":
+            p.add_argument("--model-kind", type=model.ModelKind, choices=list(model.ModelKind),
+                           default=model.ModelKind.AUGMENTED, help="the kind of net to train")
         if "out" in extra:  # gen-data writes into --data-dir
             p.add_argument("--out", default="out", help="artifact output directory")
         if "weights" in extra:

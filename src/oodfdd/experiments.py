@@ -13,7 +13,8 @@ tests) can pull out single numbers without re-running anything, and
 `comparison_tables` formats every table `oodfdd compare` writes.
 
 Each dataset's defaults are declared once, in `_DEFAULTS`; `config_for`
-reads them and `DATASETS` lists their names.  The network's shape is one
+reads them and `DATASETS` lists their names.  The model kind is no
+setting but an argument of `train_one`.  The network's shape is one
 `model.Architecture`, which all three kinds share:
 `ExperimentConfig.architecture` takes the layer widths, dropout rate and
 decoder activation from the config, and the input width and class count
@@ -74,7 +75,9 @@ from .model import (
     Calibration,
     ModelKind,
     PathwayNetwork,
+    assemble,
     build,
+    check_shape,
     taper_widths,
 )
 from .nncore import derive_rng, numeric_context
@@ -100,7 +103,7 @@ _DEFAULTS = {
 
 DATASETS = tuple(_DEFAULTS)
 
-MODEL_ORDER = ("augmented", "classifier", "autoencoder")
+MODEL_ORDER = tuple(ModelKind)
 
 # (key, test, what the test wants) for the numeric settings; comparisons are
 # written so that NaN fails them
@@ -110,11 +113,6 @@ _RULES = (
     ("epochs", lambda v: v >= 1, "at least 1"),
     ("pretrain_epochs", lambda v: v >= 0, "non-negative"),
     ("seed", lambda v: v >= 0, "non-negative"),
-    ("latent_dim", lambda v: v >= 1, "at least 1"),
-    ("hidden_widths", lambda v: v is None or all(w >= 1 for w in v),
-     "widths of at least 1"),
-    ("head_widths", lambda v: all(w >= 1 for w in v), "widths of at least 1"),
-    ("dropout_rate", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     ("beta", lambda v: v >= 0.0, "non-negative"),
     ("batch_size", lambda v: v >= 1, "at least 1"),
     ("lr", lambda v: 0.0 < v and math.isfinite(v), "positive and finite"),
@@ -130,7 +128,6 @@ class ExperimentConfig:
     """Everything needed to reproduce one experiment run."""
 
     dataset: str = "thyroid"
-    model_kind: str = "augmented"
     latent_dim: int = 2
     hidden_widths: list | None = None
     head_widths: list = field(default_factory=lambda: [8])
@@ -154,20 +151,12 @@ class ExperimentConfig:
     def validate(self):
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}, expected one of {DATASETS}")
-        if self.model_kind not in MODEL_ORDER:
-            raise ValueError(
-                f"unknown model_kind {self.model_kind!r}, expected one of {MODEL_ORDER}"
-            )
-        if self.decoder_activation not in ("identity", "sigmoid"):
-            raise ValueError(f"unknown decoder_activation {self.decoder_activation!r}, "
-                             "expected identity or sigmoid")
+        check_shape(self.latent_dim, self.hidden_widths, self.head_widths, self.dropout_rate,
+                    self.decoder_activation, encoder_key="hidden_widths")
         for key, ok, wants in _RULES:
             value = getattr(self, key)
             if not ok(value):
                 raise ValueError(f"{key} must be {wants}, got {value!r}")
-        if self.hidden_widths is not None and self.hidden_widths[-1:] != [self.latent_dim]:
-            raise ValueError(f"hidden_widths must be non-empty and end at latent_dim "
-                             f"{self.latent_dim}, got {self.hidden_widths!r}")
         return self
 
     def architecture(self, train_ds: data.LabeledDataset) -> Architecture:
@@ -182,14 +171,14 @@ class ExperimentConfig:
                             head_widths=list(self.head_widths), dropout_rate=self.dropout_rate,
                             decoder_activation=self.decoder_activation)
 
-    def train_config(self) -> TrainConfig:
+    def train_config(self, kind: ModelKind) -> TrainConfig:
         """The augmented model trains `epochs` after `pretrain_epochs` of
         warm-up; a benchmark runs to convergence (early stopping) under the
         same epoch budget, without a warm-up."""
         cfg = TrainConfig(beta=self.beta, epochs=self.epochs,
                           pretrain_epochs=self.pretrain_epochs,
                           batch_size=self.batch_size, lr=self.lr, seed=self.seed)
-        if self.model_kind == "augmented":
+        if kind == ModelKind.AUGMENTED:
             return cfg
         # a benchmark has no term for beta to weight
         return replace(cfg, beta=0.0, epochs=self.epochs + self.pretrain_epochs,
@@ -294,13 +283,13 @@ def evaluate_model(net: PathwayNetwork, cal: Calibration,
 
 
 @numeric_context()
-def train_one(cfg: ExperimentConfig, train_ds: data.LabeledDataset):
-    """Build and train the configured model kind; returns (net, history).
+def train_one(cfg: ExperimentConfig, kind: ModelKind, train_ds: data.LabeledDataset):
+    """Build and train a `kind` model; returns (net, history).
     A model without a classifier head trains on the normal rows alone."""
-    net = build(ModelKind(cfg.model_kind), cfg.architecture(train_ds), cfg.seed)
+    net = build(kind, cfg.architecture(train_ds), cfg.seed)
     if net.head is None:
         train_ds = train_ds.select(train_ds.y == 0)
-    return net, train(net, train_ds, cfg.train_config())
+    return net, train(net, train_ds, cfg.train_config(kind))
 
 
 def calibration_normals(train_ds: data.LabeledDataset) -> np.ndarray:
@@ -452,7 +441,7 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | None = None) -> Experi
     lead, *benchmarks = MODEL_ORDER
 
     def trained(kind):
-        return train_one(replace(cfg, model_kind=kind), train_ds)[0]
+        return train_one(cfg, kind, train_ds)[0]
 
     def calibrated(net):
         return calibrate(net, calib_x, cfg.alpha, cfg.t_samples, cfg.seed)
@@ -476,10 +465,8 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | None = None) -> Experi
     (net, lead_eval, eval_ds), returned = _in_lanes(lead_lane, benchmark_lane)
     nets, evals = {lead: net}, {lead: lead_eval}
     for kind, (params, evals[kind]) in returned.items():
-        # a fresh build in the lead net's shape, which every kind shares,
-        # loaded as `model.load` does, so its layers stay views of the buffer
-        nets[kind] = build(ModelKind(kind), net.arch, cfg.seed)
-        nets[kind].params[...] = params
+        # in the lead net's shape, which every kind shares
+        nets[kind] = assemble(kind, net.arch, params)
     extras = {}
     if cfg.dataset == "chiller-surrogate":
         extras["severity_detection"] = {name: severity_detection(ev.clf_flags, eval_ds.group)

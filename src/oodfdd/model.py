@@ -6,9 +6,10 @@ classifying head attached at the latent bottleneck.  The two benchmark
 ablations drop one of the output pathways but are built with identical encoder
 weights for a given seed.
 
-`Architecture` is the network's shape, declared and checked once: `build`
-takes it with the kind and a seed, the net keeps it as `arch`, and the
-archive descriptor is `kind`, its fields and `calibration`.
+`Architecture` is the network's shape, checked by `check_shape`, the rules
+the experiment config shares.  A net is assembled on a parameter buffer:
+`build` draws it from a seed, `load` hands in the archive's payload.  The
+archive descriptor is `kind`, the shape's fields and `calibration`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .nncore import DenseLayer, DropoutLayer, LayerStack, derive_rng, flatten_stacks
+from .nncore import DenseLayer, DropoutLayer, LayerStack, derive_rng, glorot_uniform
 
 ARCHIVE_MAGIC = b"OFDD"
 ARCHIVE_VERSION = 2
@@ -29,7 +30,7 @@ ARCHIVE_VERSION = 2
 ENCODER_LAYERS = 3
 
 
-class ModelKind(enum.Enum):
+class ModelKind(enum.StrEnum):  # a member hashes, compares and formats as its value
     AUGMENTED = "augmented"
     CLASSIFIER_ONLY = "classifier"
     AUTOENCODER_ONLY = "autoencoder"
@@ -81,6 +82,31 @@ def taper_widths(input_dim: int, latent_dim: int, n_layers: int) -> list[int]:
     return widths
 
 
+def _positive(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+def check_shape(latent_dim, encoder_widths, head_widths, dropout_rate, decoder_activation,
+                encoder_key: str = "encoder_widths") -> None:
+    """Raise a ValueError naming the first shape setting no net can take:
+    widths and latent_dim are positive ints, and the encoder's widths (None
+    for a tapered encoder) end at latent_dim.  NaN fails every test."""
+    if not _positive(latent_dim):
+        raise ValueError(f"latent_dim must be a positive integer, got {latent_dim!r}")
+    if encoder_widths is not None and not (
+            encoder_widths and all(map(_positive, encoder_widths))
+            and encoder_widths[-1] == latent_dim):
+        raise ValueError(f"{encoder_key} must be positive integers ending at latent_dim "
+                         f"{latent_dim}, got {encoder_widths!r}")
+    if not all(map(_positive, head_widths)):
+        raise ValueError(f"head_widths must be positive integers, got {head_widths!r}")
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate!r}")
+    if decoder_activation not in ("identity", "sigmoid"):
+        raise ValueError(f"unknown decoder_activation {decoder_activation!r}, "
+                         "expected identity or sigmoid")
+
+
 @dataclass(frozen=True)
 class Architecture:
     """The network's shape, which all three kinds of one experiment share.
@@ -102,21 +128,12 @@ class Architecture:
     decoder_activation: str
 
     def __post_init__(self):
-        for what, value in [("input_dim", self.input_dim), ("latent_dim", self.latent_dim),
-                            ("n_classes", self.n_classes),
-                            *(("encoder width", w) for w in self.encoder_widths),
-                            *(("head width", w) for w in self.head_widths)]:
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{what} must be a positive integer, got {value!r}")
-        if self.n_classes < 2:
-            raise ValueError("need at least two classes (normal + one fault)")
-        if not self.encoder_widths or self.encoder_widths[-1] != self.latent_dim:
-            raise ValueError(f"encoder widths {self.encoder_widths!r} must be non-empty "
-                             f"and end at latent_dim {self.latent_dim}")
-        if self.decoder_activation not in ("identity", "sigmoid"):
-            raise ValueError("decoder activation must be identity or sigmoid")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
+        if not _positive(self.input_dim):
+            raise ValueError(f"input_dim must be a positive integer, got {self.input_dim!r}")
+        if not (_positive(self.n_classes) and self.n_classes >= 2):
+            raise ValueError(f"n_classes must be an integer of at least 2, got {self.n_classes!r}")
+        check_shape(self.latent_dim, self.encoder_widths, self.head_widths,
+                    self.dropout_rate, self.decoder_activation)
 
     @property
     def n_outputs(self) -> int:
@@ -127,9 +144,9 @@ class Architecture:
         """Each pathway `kind` has: its input width and dense layer widths, by
         role in buffer order."""
         layout = {"encoder": (self.input_dim, self.encoder_widths)}
-        if kind is not ModelKind.AUTOENCODER_ONLY:
+        if kind != ModelKind.AUTOENCODER_ONLY:
             layout["head"] = (self.latent_dim, [*self.head_widths, self.n_outputs])
-        if kind is not ModelKind.CLASSIFIER_ONLY:
+        if kind != ModelKind.CLASSIFIER_ONLY:
             layout["decoder"] = (self.latent_dim,
                                  [*reversed(self.encoder_widths[:-1]), self.input_dim])
         return layout
@@ -166,30 +183,41 @@ class PathwayNetwork:
 
 
 def build(kind: ModelKind, arch: Architecture, seed: int) -> PathwayNetwork:
-    """Assemble a network of the requested kind and shape.
+    """A `kind` net of shape `arch` with zero biases and Glorot weights drawn
+    from one stream of seed per pathway, whatever the kind, so every kind
+    shares identical encoder and head initializations."""
+    net = assemble(kind, arch, np.zeros(arch.n_params(kind)))
+    for role in net.offsets:
+        rng = derive_rng(seed, ("encoder", "head", "decoder").index(role))
+        for layer in getattr(net, role).dense_layers():
+            layer.weights[...] = glorot_uniform(rng, *layer.weights.shape)
+    return net
 
-    The decoder has no dropout.  Per-pathway rng streams are derived from
-    seed, so every kind shares identical encoder and head initializations.
-    """
+
+def assemble(kind: ModelKind, arch: Architecture, params: np.ndarray) -> PathwayNetwork:
+    """The `kind` net of shape `arch` whose dense layers are views of
+    `params`, a writable float64 buffer in archive order, and of a zeroed
+    gradient buffer.  The decoder has no dropout."""
     last = {"encoder": "identity",  # the bottleneck stays linear, unsquashed
             "head": "sigmoid" if arch.n_outputs == 1 else "softmax",
             "decoder": arch.decoder_activation}
-    stacks = {}
+    grads = np.zeros_like(params)
+    stacks, offsets, at = {}, {}, 0
     for role, (prev, widths) in arch.layout(kind).items():
-        # one init stream per role, whatever the kind
-        rng = derive_rng(seed, ("encoder", "head", "decoder").index(role))
-        layers: list = []
+        layers, start = [], at
         for i, width in enumerate(widths):
-            act = last[role] if i == len(widths) - 1 else "relu"
-            layers.append(DenseLayer.init(rng, prev, width, act))
+            mid, end = at + width * prev, at + (prev + 1) * width
+            layer = DenseLayer(params[at:mid].reshape(width, prev), params[mid:end],
+                               last[role] if i == len(widths) - 1 else "relu")
+            layer.grad_w, layer.grad_b = grads[at:mid].reshape(width, prev), grads[mid:end]
+            layers.append(layer)
             if role == "encoder":
                 layers.append(DropoutLayer(arch.dropout_rate))
-            prev = width
-        stacks[role] = LayerStack(layers)
-    params, grads, spans = flatten_stacks(list(stacks.values()))
+            at, prev = end, width
+        stacks[role], offsets[role] = LayerStack(layers), slice(start, at)
     return PathwayNetwork(kind=kind, arch=arch, encoder=stacks["encoder"],
                           decoder=stacks.get("decoder"), head=stacks.get("head"),
-                          params=params, grads=grads, offsets=dict(zip(stacks, spans)))
+                          params=params, grads=grads, offsets=offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +226,7 @@ def build(kind: ModelKind, arch: Architecture, seed: int) -> PathwayNetwork:
 
 def _descriptor(net: PathwayNetwork, cal: Calibration) -> dict:
     return {
-        "kind": net.kind.value,
+        "kind": str(net.kind),
         **asdict(net.arch),
         "calibration": {
             "alpha": float(cal.alpha),
@@ -251,7 +279,7 @@ def _calibration(rec: dict, net: PathwayNetwork) -> Calibration:
     clf, rec_thr = rec["clf_thresholds"], rec["rec_threshold"]
     if (clf is None) != (net.head is None):
         raise ArchiveError(f"classifier thresholds {'missing' if clf is None else 'present'} "
-                           f"for a {net.kind.value} model")
+                           f"for a {net.kind} model")
     if clf is not None:
         clf = np.array([_finite(v, "classifier threshold") for v in clf], dtype=np.float64)
         if len(clf) != net.arch.n_classes:
@@ -259,7 +287,7 @@ def _calibration(rec: dict, net: PathwayNetwork) -> Calibration:
                 f"{len(clf)} classifier thresholds for {net.arch.n_classes} classes")
     if (rec_thr is None) != (net.decoder is None):
         raise ArchiveError(f"rec threshold {'missing' if rec_thr is None else 'present'} "
-                           f"for a {net.kind.value} model")
+                           f"for a {net.kind} model")
     if rec_thr is not None:
         rec_thr = _finite(rec_thr, "rec threshold")
     return Calibration(alpha, t_samples, seed, clf, rec_thr)
@@ -272,7 +300,8 @@ def load(path) -> tuple[PathwayNetwork, Calibration]:
     descriptor or payload cut short, and any other unreadable descriptor,
     calibration record or payload, a NaN or infinite parameter or threshold
     included.  The payload length is checked against the descriptor's
-    architecture before any layer is allocated.
+    architecture before any layer is allocated, and the net is assembled
+    on a copy of the payload.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -303,14 +332,14 @@ def load(path) -> tuple[PathwayNetwork, Calibration]:
             raise ArchiveError(f"payload ends {-extra} bytes early")
         if extra > 0:
             raise ArchiveError(f"{extra} trailing bytes after payload")
-        net = build(kind, arch, 0)  # the seed's weights are overwritten below
+        params = np.frombuffer(blob, "<f8", offset=offset).astype(np.float64)  # writable
+        net = assemble(kind, arch, params)
         cal = _calibration(desc["calibration"], net)
     except KeyError as exc:
         raise ArchiveError(f"descriptor lacks key {exc.args[0]!r}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ArchiveError(f"invalid descriptor: {exc}") from exc
 
-    net.params[...] = np.frombuffer(blob, dtype="<f8", offset=offset)
     bad = np.flatnonzero(~np.isfinite(net.params))
     if bad.size:
         raise ArchiveError(f"non-finite value {net.params[bad[0]]} at parameter index {bad[0]}")

@@ -307,12 +307,6 @@ class DenseLayer:
         self.grad_w = np.zeros_like(weights)
         self.grad_b = np.zeros_like(bias)
 
-    @classmethod
-    def init(
-        cls, rng: np.random.Generator, in_dim: int, out_dim: int, activation: str
-    ) -> "DenseLayer":
-        return cls(glorot_uniform(rng, out_dim, in_dim), np.zeros(out_dim), activation)
-
     @property
     def in_dim(self) -> int:
         return self.weights.shape[1]
@@ -540,31 +534,6 @@ class LayerStack:
                 widths.append(width)
                 rates.append(layer.rate)
         return widths, rates
-
-
-def flatten_stacks(stacks: list[LayerStack]) -> tuple[np.ndarray, np.ndarray, list[slice]]:
-    """Move every dense parameter of `stacks` into one contiguous buffer pair.
-
-    Returns (params, grads, spans): flat float64 buffers laid out stack by
-    stack, per dense layer weights row-major then bias, and each stack's
-    slice of them.  The layers' weights, bias, grad_w and grad_b become views
-    of the buffers with their values kept; grads start at zero.
-    """
-    size = sum(p.size for stack in stacks for p, _ in stack.params())
-    params, grads = np.empty(size), np.zeros(size)
-    spans, offset = [], 0
-    for stack in stacks:
-        start = offset
-        for layer in stack.dense_layers():
-            for name, grad_name in (("weights", "grad_w"), ("bias", "grad_b")):
-                arr = getattr(layer, name)
-                end = offset + arr.size
-                params[offset:end] = arr.ravel()
-                setattr(layer, name, params[offset:end].reshape(arr.shape))
-                setattr(layer, grad_name, grads[offset:end].reshape(arr.shape))
-                offset = end
-        spans.append(slice(start, offset))
-    return params, grads, spans
 
 
 # ---------------------------------------------------------------------------

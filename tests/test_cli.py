@@ -24,6 +24,8 @@ from plainloop import plain_passes
 
 SMOKE = ["--epochs", "2", "--pretrain-epochs", "1", "--t-samples", "4",
          "--batch-size", "256"]
+# evaluate, score and report read no training settings
+T_SMOKE = ["--t-samples", "4"]
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +86,7 @@ def test_evaluate_emits_metric_tables(tmp_path, thyroid_dir, trained_dir):
     out = str(tmp_path / "eval")
     rc = cli.main(["evaluate", "--dataset", "thyroid", "--data-dir", thyroid_dir,
                    "--weights", os.path.join(trained_dir, "augmented.ofdd"),
-                   "--out", out, *SMOKE])
+                   "--out", out, *T_SMOKE])
     assert rc == 0
     metrics = open(os.path.join(out, "metrics.csv")).read().splitlines()
     assert metrics[0] == "group,binary_accuracy,diagnostic_accuracy"
@@ -100,7 +102,7 @@ def test_score_flags_near_alpha_on_training_normals(tmp_path, thyroid_dir, train
     out = str(tmp_path / "score")
     rc = cli.main(["score", "--dataset", "thyroid", "--data-dir", thyroid_dir,
                    "--weights", os.path.join(trained_dir, "augmented.ofdd"),
-                   "--out", out, *SMOKE])
+                   "--out", out, *T_SMOKE])
     assert rc == 0
     printed = capsys.readouterr().out
     rate = float(printed.strip().rsplit(" ", 1)[1])
@@ -119,7 +121,7 @@ def test_score_accepts_external_csv(tmp_path, thyroid_dir, trained_dir):
     out = str(tmp_path / "score2")
     rc = cli.main(["score", "--dataset", "thyroid", "--data-dir", thyroid_dir,
                    "--weights", os.path.join(trained_dir, "augmented.ofdd"),
-                   "--input", str(input_path), "--out", out, *SMOKE])
+                   "--input", str(input_path), "--out", out, *T_SMOKE])
     assert rc == 0
     lines = open(os.path.join(out, "scores.csv")).read().splitlines()
     assert len(lines) == 1 + 3
@@ -130,7 +132,7 @@ def test_score_rejects_wrong_width(tmp_path, thyroid_dir, trained_dir):
     input_path.write_text("0.1,0.2\n")
     rc = cli.main(["score", "--dataset", "thyroid", "--data-dir", thyroid_dir,
                    "--weights", os.path.join(trained_dir, "augmented.ofdd"),
-                   "--input", str(input_path), "--out", str(tmp_path / "o"), *SMOKE])
+                   "--input", str(input_path), "--out", str(tmp_path / "o"), *T_SMOKE])
     assert rc == cli.EXIT_BAD_CONFIG
 
 
@@ -138,7 +140,7 @@ def test_report_emits_figures(tmp_path, thyroid_dir, trained_dir):
     out = str(tmp_path / "report")
     rc = cli.main(["report", "--dataset", "thyroid", "--data-dir", thyroid_dir,
                    "--weights", os.path.join(trained_dir, "augmented.ofdd"),
-                   "--out", out, *SMOKE])
+                   "--out", out, *T_SMOKE])
     assert rc == 0
     names = set(_manifest_entries(out))
     assert "lda_augmented.svg" in names
@@ -220,7 +222,8 @@ def test_every_csv_artifact_has_lf_lines_and_starts_with_its_header(tmp_path, th
                            ("compare", [])):
         outs[command] = str(tmp_path / command)
         assert cli.main([command, "--dataset", "thyroid", "--data-dir", thyroid_dir, *extra,
-                         "--out", outs[command], *SMOKE]) == 0
+                         "--out", outs[command],
+                         *(SMOKE if command == "compare" else T_SMOKE)]) == 0
     for command, out in outs.items():
         names = [name for name in _manifest_entries(out) if name.endswith(".csv")]
         assert names, command
@@ -264,7 +267,7 @@ def test_missing_data_exits_2(tmp_path):
 def test_missing_weights_exits_2(tmp_path, thyroid_dir):
     rc = cli.main(["evaluate", "--dataset", "thyroid", "--data-dir", thyroid_dir,
                    "--weights", str(tmp_path / "nope.ofdd"),
-                   "--out", str(tmp_path / "o"), *SMOKE])
+                   "--out", str(tmp_path / "o"), *T_SMOKE])
     assert rc == cli.EXIT_MISSING_DATA
 
 
@@ -311,7 +314,7 @@ def _evaluate_with_test_cell(tmp_path, thyroid_dir, trained_dir, token):
     (data_dir / "ann-test.data").write_text("\n".join(lines) + "\n")
     rc = cli.main(["evaluate", "--dataset", "thyroid", "--data-dir", str(data_dir),
                    "--weights", os.path.join(trained_dir, "augmented.ofdd"),
-                   "--out", str(tmp_path / "o"), *SMOKE])
+                   "--out", str(tmp_path / "o"), *T_SMOKE])
     return rc, data_dir / "ann-test.data"
 
 
@@ -342,6 +345,46 @@ def test_class_count_is_no_setting(tmp_path, thyroid_dir, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, given, named", [
+    ("score", ["--model-kind", "classifier"], ["--model-kind"]),
+    ("score", ["--dropout-rate", "0.9"], ["--dropout-rate"]),
+    ("score", ["--epochs", "7"], ["--epochs"]),
+    ("score", ["--beta", "5"], ["--beta"]),
+    ("score", ["--latent-dim", "9"], ["--latent-dim"]),
+    ("compare", ["--model-kind", "classifier"], ["--model-kind"]),
+    ("gen-data", ["--epochs", "9"], ["--epochs"]),
+    ("evaluate", ["--lr", "5"], ["--lr"]),
+    ("train", ["--ambiguous-pairs", "3"], ["--ambiguous-pairs"]),
+    ("score", ["--config", "epochs = 7"], ["'epochs'", "score"]),
+], ids=["score-model-kind", "score-dropout-rate", "score-epochs", "score-beta",
+        "score-latent-dim", "compare-model-kind", "gen-data-epochs", "evaluate-lr",
+        "train-ambiguous-pairs", "score-config-key"])
+def test_setting_the_command_does_not_read_exits_3_naming_it(tmp_path, thyroid_dir,
+                                                             trained_dir, capsys, command,
+                                                             given, named):
+    out = tmp_path / "o"
+    if given[0] == "--config":
+        config = tmp_path / "run.cfg"
+        config.write_text(given[1] + "\n")
+        given = ["--config", str(config)]
+    argv = [command, "--dataset", "thyroid", *given]
+    if command == "gen-data":  # it writes into --data-dir
+        argv += ["--data-dir", str(out)]
+    else:
+        argv += ["--data-dir", thyroid_dir, "--out", str(out)]
+    if command in ("evaluate", "score"):
+        argv += ["--weights", os.path.join(trained_dir, "augmented.ofdd")]
+    if command == "score":
+        rows = tmp_path / "rows.csv"
+        rows.write_text("0.1,0.2,0.3,0.4,0.5,0.6\n" * 3)
+        argv += ["--input", str(rows)]
+    assert cli.main(argv) == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert all(name in err for name in named), err
+    assert "hidden_widths" not in err
+    assert not out.exists()
+
+
 def test_numeric_failure_exits_4(tmp_path, thyroid_dir):
     # a non-finite lr is a configuration error, but a finite one this large
     # overflows the weights within the first steps
@@ -368,7 +411,7 @@ def test_overflow_in_a_finite_net_exits_4(tmp_path, thyroid_dir, trained_dir, mo
     monkeypatch.setattr(experiments, "build", lambda *a, **k: _poisoned(build(*a, **k)))
     extra = [] if command == "train" else ["--weights", str(weights)]
     rc = cli.main([command, "--dataset", "thyroid", "--data-dir", thyroid_dir, *extra,
-                   "--out", str(tmp_path / "o"), *SMOKE])
+                   "--out", str(tmp_path / "o"), *(SMOKE if command == "train" else T_SMOKE)])
     assert rc == cli.EXIT_NUMERIC
     assert "numeric failure: overflow" in capsys.readouterr().err
 
@@ -392,7 +435,7 @@ def _score_archive(tmp_path, thyroid_dir, blob):
     weights = tmp_path / "bad.ofdd"
     weights.write_bytes(blob)
     rc = cli.main(["score", "--dataset", "thyroid", "--data-dir", thyroid_dir,
-                   "--weights", str(weights), "--out", str(tmp_path / "o"), *SMOKE])
+                   "--weights", str(weights), "--out", str(tmp_path / "o"), *T_SMOKE])
     return rc, str(weights)
 
 
@@ -470,7 +513,7 @@ def test_train_stores_the_calibration_evaluate_computes(tmp_path, thyroid_dir, t
     assert (cal.alpha, cal.t_samples, cal.seed) == (0.1, 4, 0)
     assert cli.main(["evaluate", "--dataset", "thyroid", "--data-dir", thyroid_dir,
                      "--weights", os.path.join(trained_dir, "augmented.ofdd"),
-                     "--out", str(tmp_path / "e"), *SMOKE]) == 0
+                     "--out", str(tmp_path / "e"), *T_SMOKE]) == 0
     rows = (tmp_path / "e" / "thresholds.csv").read_text().splitlines()[2:]
     stored = [*cal.clf_thresholds, cal.rec_threshold]
     assert [row.split(",")[1] for row in rows] == [f"{v:.6f}" for v in stored]
@@ -482,7 +525,7 @@ def test_score_input_reads_no_dataset_and_never_recalibrates(tmp_path, thyroid_d
     input_path = tmp_path / "rows.csv"
     input_path.write_text("".join(",".join(f"{v:.6f}" for v in r) + "\n" for r in rows))
     common = ["score", "--dataset", "thyroid", "--input", str(input_path),
-              "--weights", os.path.join(trained_dir, "augmented.ofdd"), *SMOKE]
+              "--weights", os.path.join(trained_dir, "augmented.ofdd"), *T_SMOKE]
     assert cli.main([*common, "--data-dir", thyroid_dir, "--out", str(tmp_path / "a")]) == 0
 
     def forbidden(*args, **kwargs):
@@ -510,7 +553,7 @@ def test_score_rejects_settings_the_archive_contradicts(tmp_path, thyroid_dir, t
     weights = os.path.join(trained_dir, "augmented.ofdd")
     extra = [str(config) if a == "CONFIG" else a for a in extra]
     rc = cli.main(["score", "--dataset", "thyroid", "--data-dir", thyroid_dir,
-                   "--weights", weights, "--out", str(tmp_path / "o"), *SMOKE, *extra])
+                   "--weights", weights, "--out", str(tmp_path / "o"), *T_SMOKE, *extra])
     assert rc == cli.EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert given in err and stored in err and weights in err
@@ -539,10 +582,11 @@ def test_dataset_of_another_width_names_it_and_the_archive(tmp_path, trained_dir
 
 
 def test_report_takes_the_latent_width_from_the_archive(tmp_path, thyroid_dir):
-    common = ["--dataset", "thyroid", "--data-dir", thyroid_dir, *SMOKE]
-    assert cli.main(["train", *common, "--latent-dim", "1", "--hidden-widths", "16,8,1",
+    common = ["--dataset", "thyroid", "--data-dir", thyroid_dir]
+    assert cli.main(["train", *common, *SMOKE, "--latent-dim", "1", "--hidden-widths", "16,8,1",
                      "--out", str(tmp_path / "t")]) == 0
-    rc = cli.main(["report", *common, "--weights", str(tmp_path / "t" / "augmented.ofdd"),
+    rc = cli.main(["report", *common, *T_SMOKE,
+                   "--weights", str(tmp_path / "t" / "augmented.ofdd"),
                    "--out", str(tmp_path / "r")])
     assert rc == 0
     assert "lda_augmented.svg" in _manifest_entries(tmp_path / "r")
@@ -553,7 +597,7 @@ def _score_input(tmp_path, thyroid_dir, trained_dir, text):
     input_path.write_bytes(text.encode() if isinstance(text, str) else text)
     return cli.main(["score", "--dataset", "thyroid", "--data-dir", thyroid_dir,
                      "--weights", os.path.join(trained_dir, "augmented.ofdd"),
-                     "--input", str(input_path), "--out", str(tmp_path / "o"), *SMOKE])
+                     "--input", str(input_path), "--out", str(tmp_path / "o"), *T_SMOKE])
 
 
 def test_score_names_short_row(tmp_path, thyroid_dir, trained_dir, capsys):
@@ -597,7 +641,7 @@ def test_evaluate_and_score_write_identical_thresholds(tmp_path, thyroid_dir, tr
     monkeypatch.setattr(detect, "calibrate", refuse)
     monkeypatch.setattr(detect, "calibrate_thresholds", refuse)
     common = ["--dataset", "thyroid", "--data-dir", thyroid_dir,
-              "--weights", os.path.join(trained_dir, "augmented.ofdd"), *SMOKE]
+              "--weights", os.path.join(trained_dir, "augmented.ofdd"), *T_SMOKE]
     assert cli.main(["evaluate", *common, "--out", str(tmp_path / "e")]) == 0
     assert cli.main(["score", *common, "--out", str(tmp_path / "s")]) == 0
     evaluated = (tmp_path / "e" / "thresholds.csv").read_bytes()
@@ -608,7 +652,7 @@ def test_evaluate_and_score_write_identical_thresholds(tmp_path, thyroid_dir, tr
 def test_evaluate_rejects_settings_that_differ_from_the_archive(tmp_path, thyroid_dir,
                                                                 trained_dir, capsys):
     rc = cli.main(["evaluate", "--dataset", "thyroid", "--data-dir", thyroid_dir,
-                   "--weights", os.path.join(trained_dir, "augmented.ofdd"), *SMOKE,
+                   "--weights", os.path.join(trained_dir, "augmented.ofdd"), *T_SMOKE,
                    "--seed", "5", "--alpha", "0.3", "--out", str(tmp_path / "e")])
     assert rc == cli.EXIT_BAD_CONFIG
     assert "retrain to change it" in capsys.readouterr().err
@@ -618,8 +662,7 @@ def test_evaluate_rejects_settings_that_differ_from_the_archive(tmp_path, thyroi
 def test_evaluate_takes_t_samples_and_seed_from_the_archive(tmp_path, thyroid_dir,
                                                             trained_dir):
     common = ["evaluate", "--dataset", "thyroid", "--data-dir", thyroid_dir,
-              "--weights", os.path.join(trained_dir, "augmented.ofdd"),
-              "--epochs", "2", "--pretrain-epochs", "1", "--batch-size", "256"]
+              "--weights", os.path.join(trained_dir, "augmented.ofdd")]
     assert cli.main([*common, "--out", str(tmp_path / "archive")]) == 0
     assert cli.main([*common, "--t-samples", "4", "--seed", "0",
                      "--out", str(tmp_path / "given")]) == 0
@@ -633,7 +676,7 @@ def test_score_rejects_non_finite_input(tmp_path, thyroid_dir, trained_dir, caps
     input_path.write_text("0.1,0.2,0.3,0.4,0.5,0.6\n0.1,0.2,nan,0.4,0.5,0.6\n")
     rc = cli.main(["score", "--dataset", "thyroid", "--data-dir", thyroid_dir,
                    "--weights", os.path.join(trained_dir, "augmented.ofdd"),
-                   "--input", str(input_path), "--out", str(tmp_path / "o"), *SMOKE])
+                   "--input", str(input_path), "--out", str(tmp_path / "o"), *T_SMOKE])
     assert rc == cli.EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert "non-finite" in err and "row 2" in err and "column 3" in err
@@ -695,8 +738,7 @@ def test_config_file_errors(tmp_path):
 
 
 _HINTS = typing.get_type_hints(experiments.ExperimentConfig)
-_STR_SAMPLES = {"dataset": "mnist", "model_kind": "classifier",
-                "decoder_activation": "sigmoid"}
+_STR_SAMPLES = {"dataset": "mnist", "decoder_activation": "sigmoid"}
 
 
 def _sample_setting(name):
@@ -718,6 +760,8 @@ _COMPANIONS = {"latent_dim": {"hidden_widths": "16,8,7"}}
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(
     experiments.ExperimentConfig)])
 def test_every_setting_is_a_flag_and_a_config_key_with_one_type(tmp_path, name):
+    # train reads every setting but the mnist interpolation count
+    command = "compare" if name == "ambiguous_pairs" else "train"
     raw, value = _sample_setting(name)
     settings = {name: raw, **_COMPANIONS.get(name, {})}
     config = tmp_path / "one.cfg"
@@ -725,8 +769,8 @@ def test_every_setting_is_a_flag_and_a_config_key_with_one_type(tmp_path, name):
     flags = [tok for key, text in settings.items()
              for tok in ("--" + key.replace("_", "-"), text)]
     parser = cli.make_parser()
-    by_flag = cli.build_config(parser.parse_args(["train", *flags]))
-    by_file = cli.build_config(parser.parse_args(["train", "--config", str(config)]))
+    by_flag = cli.build_config(parser.parse_args([command, *flags]))
+    by_file = cli.build_config(parser.parse_args([command, "--config", str(config)]))
     assert getattr(experiments.config_for("thyroid"), name) != value
     assert getattr(by_flag, name) == value and type(getattr(by_flag, name)) is type(value)
     assert by_flag == by_file
@@ -752,9 +796,15 @@ def test_malformed_setting_exits_3_naming_the_key(tmp_path, capsys, name, raw, w
     assert f"config key {name} wants {wants}, got {raw!r}" in capsys.readouterr().err
 
 
-_COMMON_OPTIONS = {
-    "-h", "--help", "--config", "--data-dir",
-    "--dataset", "--model-kind", "--latent-dim", "--hidden-widths", "--head-widths",
+_BASE_OPTIONS = {"-h", "--help", "--config", "--data-dir"}
+# what evaluate, score and report read besides the archive: the split
+# settings, and the calibration settings, which must agree with it
+_ARCHIVE_OPTIONS = _BASE_OPTIONS | {
+    "--dataset", "--n-per-class", "--train-fraction", "--train-cap-per-class",
+    "--alpha", "--t-samples", "--seed", "--out", "--weights",
+}
+_ALL_SETTINGS = {
+    "--dataset", "--latent-dim", "--hidden-widths", "--head-widths",
     "--dropout-rate", "--decoder-activation", "--alpha", "--t-samples",
     "--seed", "--beta", "--epochs", "--pretrain-epochs", "--batch-size", "--lr",
     "--n-per-class", "--train-fraction", "--train-cap-per-class", "--ambiguous-pairs",
@@ -767,14 +817,27 @@ def test_subcommand_options_are_unchanged():
     options = {name: {s for a in p._actions for s in a.option_strings}
                for name, p in sub.choices.items()}
     assert options == {
-        "gen-data": _COMMON_OPTIONS,
-        "train": _COMMON_OPTIONS | {"--out"},
-        "evaluate": _COMMON_OPTIONS | {"--out", "--weights"},
-        "score": _COMMON_OPTIONS | {"--out", "--weights", "--input"},
-        "report": _COMMON_OPTIONS | {"--out", "--weights"},
-        "compare": _COMMON_OPTIONS | {"--out"},
+        "gen-data": _BASE_OPTIONS | {"--dataset", "--seed"},
+        "train": _BASE_OPTIONS | _ALL_SETTINGS - {"--ambiguous-pairs"}
+        | {"--model-kind", "--out"},
+        "evaluate": _ARCHIVE_OPTIONS,
+        "score": _ARCHIVE_OPTIONS | {"--input"},
+        "report": _ARCHIVE_OPTIONS,
+        "compare": _BASE_OPTIONS | _ALL_SETTINGS | {"--out"},
     }
-    # the bench's serving request keeps parsing
+    settings = sum(len(options[name] - _BASE_OPTIONS - {"--out", "--weights", "--input"})
+                   for name in options)
+    assert settings == 59
+    # the argv shapes the benchmark sends keep parsing: its set-up ...
+    args = parser.parse_args(["gen-data", "--dataset", "thyroid", "--seed", "0",
+                              "--data-dir", "d"])
+    assert (args.command, args.dataset, args.seed, args.data_dir) == ("gen-data", "thyroid",
+                                                                       0, "d")
+    args = parser.parse_args(["train", "--dataset", "thyroid", "--seed", "0", "--data-dir", "d",
+                              "--model-kind", "augmented", "--out", "m"])
+    assert (args.dataset, args.seed, args.data_dir, args.out) == ("thyroid", 0, "d", "m")
+    assert args.model_kind is model.ModelKind.AUGMENTED
+    # ... and its serving request
     args = parser.parse_args(["score", "--dataset", "thyroid", "--seed", "0",
                               "--data-dir", "d", "--weights", "w", "--input", "i"])
     assert (args.dataset, args.seed, args.data_dir) == ("thyroid", 0, "d")
@@ -845,8 +908,8 @@ def test_unknown_decoder_activation_fails_at_config_time(tmp_path, capsys):
 
 def test_report_takes_seed_and_t_samples_from_the_archive(tmp_path, thyroid_dir, capsys):
     smoke = ["--epochs", "2", "--pretrain-epochs", "1", "--batch-size", "256"]
-    common = ["--dataset", "thyroid", "--data-dir", thyroid_dir, *smoke]
-    assert cli.main(["train", *common, "--seed", "3", "--t-samples", "4",
+    common = ["--dataset", "thyroid", "--data-dir", thyroid_dir]
+    assert cli.main(["train", *common, *smoke, "--seed", "3", "--t-samples", "4",
                      "--out", str(tmp_path / "t")]) == 0
     common += ["--weights", str(tmp_path / "t" / "augmented.ofdd")]
     assert cli.main(["report", *common, "--out", str(tmp_path / "archive")]) == 0

@@ -15,7 +15,6 @@ import signal
 import struct
 import subprocess
 import sys
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -125,7 +124,7 @@ def test_chiller_severity_table(chiller_result):
 def test_pipeline_nets_equal_train_one_per_kind(chiller_result):
     r = chiller_result
     for kind in experiments.MODEL_ORDER:
-        net, history = experiments.train_one(replace(r.config, model_kind=kind), r.train_ds)
+        net, history = experiments.train_one(r.config, kind, r.train_ds)
         assert net.kind.value == kind and history
         assert net.params.tobytes() == r.nets[kind].params.tobytes()
 
@@ -302,11 +301,11 @@ def test_architecture_takes_its_class_count_from_the_training_labels(request, da
 
 def test_benchmark_config_runs_to_convergence():
     cfg = experiments.thyroid_config()
-    for kind in ("classifier", "autoencoder"):
-        bench = replace(cfg, model_kind=kind).train_config()
+    for kind in experiments.MODEL_ORDER[1:]:
+        bench = cfg.train_config(kind)
         assert bench.early_stop and bench.beta == 0.0 and bench.pretrain_epochs == 0
         assert bench.epochs == cfg.epochs + cfg.pretrain_epochs
-    joint = cfg.train_config()
+    joint = cfg.train_config(model.ModelKind.AUGMENTED)
     assert not joint.early_stop and joint.beta == cfg.beta
     assert (joint.epochs, joint.pretrain_epochs) == (cfg.epochs, cfg.pretrain_epochs)
 
@@ -581,7 +580,6 @@ def test_a_seed_gives_the_same_outputs_under_any_blas_thread_setting(mnist_dir):
 _TRAIN_CHILD = """
 import hashlib
 import sys
-from dataclasses import replace
 import test_experiments as t
 from oodfdd import experiments, nncore
 get, _ = nncore._openblas_thread_calls()
@@ -589,7 +587,7 @@ cfg = t._smoke(experiments.mnist_config, train_cap_per_class=60, ambiguous_pairs
 train_ds, _ = experiments.load_dataset_pair(cfg, sys.argv[1])
 h = hashlib.sha256()
 for kind in experiments.MODEL_ORDER:
-    net, _ = experiments.train_one(replace(cfg, model_kind=kind), train_ds)
+    net, _ = experiments.train_one(cfg, kind, train_ds)
     h.update(net.params.tobytes())
 print(get(), h.hexdigest())
 """
@@ -634,7 +632,7 @@ def test_overflow_raises_from_every_entry_point(monkeypatch, thyroid_dir):
     build = experiments.build
     monkeypatch.setattr(experiments, "build", lambda *a, **k: _poisoned(build(*a, **k)))
     with pytest.raises(FloatingPointError, match="overflow"):
-        experiments.train_one(cfg, train_ds)
+        experiments.train_one(cfg, model.ModelKind.AUGMENTED, train_ds)
     assert np.geterr() == before
 
 

@@ -474,6 +474,31 @@ def test_dense_arrays_are_buffer_views_in_archive_order(kind):
     assert net.params.dtype == net.grads.dtype == np.float64
 
 
+@pytest.mark.parametrize("kind", list(model.ModelKind))
+def test_load_assembles_the_net_on_a_writable_copy_of_the_payload(tmp_path, monkeypatch,
+                                                                  kind):
+    net = model.build(kind, arch(input_dim=6, latent_dim=2, n_classes=3), 5)
+    path = tmp_path / "net.ofdd"
+    _save(net, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load drew an initialisation")
+
+    monkeypatch.setattr(model, "build", refuse)
+    loaded, _ = model.load(path)
+    assert loaded.params.tobytes() == net.params.tobytes()
+    assert loaded.params.flags.writeable and loaded.params.dtype == np.float64
+    assert not np.any(loaded.grads)
+    for stack in (loaded.encoder, loaded.head, loaded.decoder):
+        if stack is None:
+            continue
+        for layer in stack.dense_layers():
+            assert np.shares_memory(layer.weights, loaded.params)
+            assert np.shares_memory(layer.bias, loaded.params)
+            assert np.shares_memory(layer.grad_w, loaded.grads)
+            assert np.shares_memory(layer.grad_b, loaded.grads)
+
+
 def test_zeroing_the_grad_buffer_clears_every_layer():
     net = thyroid_net()
     x = make_rng(1).normal(size=(4, 6))

@@ -32,6 +32,11 @@ def one(layer):
     return nn.LayerStack([layer])
 
 
+def glorot_dense(rng, in_dim, out_dim, activation):
+    """A dense layer with Glorot weights drawn from `rng` and a zero bias."""
+    return nn.DenseLayer(nn.glorot_uniform(rng, out_dim, in_dim), np.zeros(out_dim), activation)
+
+
 # ---------------------------------------------------------------------------
 # dense_forward
 
@@ -203,9 +208,9 @@ def test_dropout_backward_replays_mask():
 
 def test_recording_and_non_recording_forwards_agree_bitwise():
     x = nn.make_rng(8).normal(0.0, 1.0, (5, 4))
-    stack = nn.LayerStack([nn.DenseLayer.init(nn.make_rng(9), 4, 6, "relu"),
+    stack = nn.LayerStack([glorot_dense(nn.make_rng(9), 4, 6, "relu"),
                            nn.DropoutLayer(0.3),
-                           nn.DenseLayer.init(nn.make_rng(10), 6, 3, "softmax")])
+                           glorot_dense(nn.make_rng(10), 6, 3, "softmax")])
     kept = stack.forward(x, nn.make_rng(11), tape=[])
     lean = stack.forward(x, nn.make_rng(11))
     assert kept.tobytes() == lean.tobytes()
@@ -215,7 +220,7 @@ def test_recording_and_non_recording_forwards_agree_bitwise():
     (400, 24, 196, "sigmoid"), (64, 196, 68, "relu"), (500, 16, 8, "relu"),
     (9, 8, 7, "softmax"), (1, 4, 1, "sigmoid"), (200, 8, 7, "identity")])
 def test_stacked_forward_is_each_pass_forward_bitwise(rows, d_in, d_out, activation):
-    dense = one(nn.DenseLayer.init(nn.make_rng(12), d_in, d_out, activation))
+    dense = one(glorot_dense(nn.make_rng(12), d_in, d_out, activation))
     x = nn.make_rng(13).normal(0.0, 1.0, (5, rows, d_in))
     stacked = dense.forward(x)
     assert stacked.shape == (5, rows, d_out)
@@ -233,7 +238,7 @@ def test_stacked_forward_is_each_pass_forward_bitwise(rows, d_in, d_out, activat
 def test_recording_forward_rejects_a_pass_stack():
     x = nn.make_rng(15).normal(0.0, 1.0, (2, 4, 3))
     with pytest.raises(ValueError, match="2-D"):
-        one(nn.DenseLayer.init(nn.make_rng(16), 3, 2, "relu")).forward(x, tape=[])
+        one(glorot_dense(nn.make_rng(16), 3, 2, "relu")).forward(x, tape=[])
     with pytest.raises(ValueError, match="2-D"):
         one(nn.DropoutLayer(0.5)).forward(x, nn.make_rng(17), tape=[])
 
@@ -262,9 +267,9 @@ def test_uniforms_hand_out_batch_draws_step_by_step_into_the_buffer():
 
 def test_draws_list_the_dropout_layers_that_draw():
     rng = nn.make_rng(19)
-    stack = nn.LayerStack([nn.DropoutLayer(0.5), nn.DenseLayer.init(rng, 3, 5, "relu"),
-                           nn.DropoutLayer(0.2), nn.DenseLayer.init(rng, 5, 2, "relu"),
-                           nn.DropoutLayer(0.0), nn.DenseLayer.init(rng, 2, 4, "relu"),
+    stack = nn.LayerStack([nn.DropoutLayer(0.5), glorot_dense(rng, 3, 5, "relu"),
+                           nn.DropoutLayer(0.2), glorot_dense(rng, 5, 2, "relu"),
+                           nn.DropoutLayer(0.0), glorot_dense(rng, 2, 4, "relu"),
                            nn.DropoutLayer(0.1)])
     assert stack.draws() == ([3, 5, 4], [0.5, 0.2, 0.1])
     assert stack.draws(start=2) == ([5, 4], [0.2, 0.1])
@@ -273,7 +278,7 @@ def test_draws_list_the_dropout_layers_that_draw():
 
 def test_dense_backward_writes_its_gradients_over_the_last_ones():
     rng = nn.make_rng(20)
-    layer = nn.DenseLayer.init(rng, 3, 2, "relu")
+    layer = glorot_dense(rng, 3, 2, "relu")
     x, g = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
     layer.grad_w[...] = 7.0  # what an earlier batch left
     layer.grad_b[...] = 7.0
@@ -508,7 +513,7 @@ def test_adam_in_place_matches_plain_expression_bitwise():
 
 def test_gradient_check_linear_quadratic():
     rng = nn.make_rng(1)
-    stack = nn.LayerStack([nn.DenseLayer.init(rng, 3, 2, "identity")])
+    stack = nn.LayerStack([glorot_dense(rng, 3, 2, "identity")])
     x = rng.normal(size=(5, 3))
     y = rng.normal(size=(5, 2))
     err = gradient_check(
@@ -520,9 +525,9 @@ def test_gradient_check_linear_quadratic():
 def _three_layer_stack(rng):
     return nn.LayerStack(
         [
-            nn.DenseLayer.init(rng, 4, 6, "relu"),
-            nn.DenseLayer.init(rng, 6, 5, "sigmoid"),
-            nn.DenseLayer.init(rng, 5, 3, "softmax"),
+            glorot_dense(rng, 4, 6, "relu"),
+            glorot_dense(rng, 6, 5, "sigmoid"),
+            glorot_dense(rng, 5, 3, "softmax"),
         ]
     )
 
@@ -557,9 +562,9 @@ def test_gradient_check_randomized_small_networks():
         dims = [rng.integers(2, 5) for _ in range(3)]
         stack = nn.LayerStack(
             [
-                nn.DenseLayer.init(rng, 3, int(dims[0]), "relu"),
-                nn.DenseLayer.init(rng, int(dims[0]), int(dims[1]), "sigmoid"),
-                nn.DenseLayer.init(rng, int(dims[1]), 3, "softmax"),
+                glorot_dense(rng, 3, int(dims[0]), "relu"),
+                glorot_dense(rng, int(dims[0]), int(dims[1]), "sigmoid"),
+                glorot_dense(rng, int(dims[1]), 3, "softmax"),
             ]
         )
         x = _nudged_input(rng, stack, 4)
@@ -575,29 +580,29 @@ def test_gradient_check_randomized_small_networks():
 @pytest.mark.parametrize("leading_dropout", [False, True])
 def test_stack_backward_without_input_grad_keeps_param_grads(leading_dropout):
     rng = nn.make_rng(6)
-    layers = [nn.DenseLayer.init(rng, 4, 6, "relu"), nn.DropoutLayer(0.3),
-              nn.DenseLayer.init(rng, 6, 5, "sigmoid"),
-              nn.DenseLayer.init(rng, 5, 3, "identity")]
+    layers = [glorot_dense(rng, 4, 6, "relu"), nn.DropoutLayer(0.3),
+              glorot_dense(rng, 6, 5, "sigmoid"),
+              glorot_dense(rng, 5, 3, "identity")]
     stack = nn.LayerStack([nn.DropoutLayer(0.5)] * leading_dropout + layers)
-    _, grads, _ = nn.flatten_stacks([stack])
     x = rng.normal(size=(7, 4))
     g = rng.normal(size=(7, 3))
     tape = []
     stack.forward(x, rng, tape=tape)
     assert stack.backward(tape, g).shape == x.shape
-    want = grads.copy()
-    grads.fill(0.0)
+    want = [grad.copy() for _, grad in stack.params()]
+    for _, grad in stack.params():
+        grad.fill(0.0)
     assert stack.backward(tape, g, input_grad=False) is None
-    assert grads.tobytes() == want.tobytes()
-    assert np.any(want != 0.0)
+    assert [grad.tobytes() for _, grad in stack.params()] == [w.tobytes() for w in want]
+    assert any(np.any(w != 0.0) for w in want)
 
 
 def test_dropout_in_deterministic_mode_matches_plain_network():
     rng = nn.make_rng(3)
     base = nn.LayerStack(
         [
-            nn.DenseLayer.init(rng, 4, 5, "relu"),
-            nn.DenseLayer.init(rng, 5, 2, "identity"),
+            glorot_dense(rng, 4, 5, "relu"),
+            glorot_dense(rng, 5, 2, "identity"),
         ]
     )
     with_dropout = nn.LayerStack(
