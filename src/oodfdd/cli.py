@@ -324,7 +324,8 @@ def score_table(s) -> tuple[list[str], zip]:
     scores, the predicted label set ('|'-joined channel indices) and its
     flag, then the reconstruction score and its flag, for each pathway the
     net has.  The cells are Python scalars, which format as fast as numpy's
-    and to the same text."""
+    and to the same text; every row has the same cell types, so
+    `report.emit_csv` formats them all with one `%` string."""
     header, columns = [], []
     if s.clf is not None:
         header += [f"score_{j}" for j in range(s.clf.shape[1])] + ["labels", "flagged"]

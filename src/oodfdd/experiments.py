@@ -80,7 +80,7 @@ from .model import (
     check_shape,
     taper_widths,
 )
-from .nncore import derive_rng, numeric_context
+from .nncore import derive_rng, numeric_context, usable_cpus
 from .train import TrainConfig, train
 from .uncertainty import (
     EntropyDecomposition,
@@ -307,9 +307,8 @@ def _lane_count() -> int:
     """2 when this process may run on two CPUs and the platform can fork; else 1."""
     import multiprocessing
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     can_fork = "fork" in multiprocessing.get_all_start_methods()
-    return 2 if cpus >= 2 and can_fork else 1
+    return 2 if usable_cpus() >= 2 and can_fork else 1
 
 
 def _in_lanes(here, there) -> tuple:

@@ -27,7 +27,13 @@ into its uniform draw (and, without a tape, the dropped-out output into
 the mask), and Adam's update of a whole flat buffer into scratch arrays.
 `LayerStack.forward_into` writes every layer's output and scratch into
 buffers its caller allocated once, so MC inference allocates nothing per
-pass.  A stack's backward pass
+pass, and adds a dense layer's bias through a row tile its caller made
+once (`bias_tile`): the bias repeated for at most BIAS_TILE_ROWS rows,
+added over a flat view of the output, the leftover rows in a plain
+broadcast add.  numpy runs a broadcast add over rows n wide as an inner
+loop n long, which at the 2 to 16 widths of these nets is up to 2.5
+times as slow; a tile of the whole output would cost as much memory as
+the output.  A stack's backward pass
 can skip the gradient w.r.t. its input when nothing consumes it.  Each
 kernel runs the operations of the plain expression in the same order, so
 its results are bitwise those of the plain form.
@@ -64,6 +70,7 @@ import contextlib
 import functools
 import itertools
 import math
+import os
 
 import numpy as np
 
@@ -96,6 +103,13 @@ def ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {what}")
     return arr
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one, else 1.  Work beside the calling thread (a
+    worker lane, the MC draw helper) runs only when this is at least 2."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 @functools.cache
@@ -153,6 +167,13 @@ def numeric_context():
     `detect.mc_scores`), the training and pipeline entry points of
     `experiments` and `cli.main` enter it; entering it again inside is
     harmless.  Usable as a decorator.
+
+    Both halves are per thread or per process, not per call tree: numpy's
+    error state lives in a context variable, so a thread the body starts
+    runs under it only if it runs in a copy of the caller's context
+    (`contextvars.copy_context().run`), as the MC draw helper does; the
+    OpenBLAS thread count is process-wide, so such a thread must not enter
+    `one_blas_thread`, whose exit would reset the count under the caller.
     """
     with np.errstate(over="raise", divide="raise", invalid="raise"), one_blas_thread():
         yield
@@ -344,7 +365,30 @@ def _dropout_mask(source, shape: tuple, rate: float, out: np.ndarray | None) -> 
 
 
 # the buffers of a forward that allocates its outputs: none for any layer
-_NO_BUFFERS = itertools.repeat((None, None))
+_NO_BUFFERS = itertools.repeat((None, None, None))
+
+# rows a dense layer's bias tile (`bias_tile`) repeats its bias for
+BIAS_TILE_ROWS = 128
+
+
+def bias_tile(bias: np.ndarray, rows: int) -> np.ndarray | None:
+    """The flat run of `bias` repeated for min(rows, BIAS_TILE_ROWS) rows,
+    through which `_forward` adds a dense layer's bias; None for a one-wide
+    bias, whose broadcast add numpy already runs as a scalar loop."""
+    return None if bias.size == 1 else np.tile(bias, min(rows, BIAS_TILE_ROWS))
+
+
+def _add_bias(pre: np.ndarray, bias: np.ndarray, tile: np.ndarray) -> None:
+    """pre += bias over a C-contiguous `pre`, through `tile` (`bias_tile`):
+    each whole run of the tile's rows in one add over a flat view, the
+    rows left over in a plain broadcast add.  The same elementwise adds,
+    but a broadcast over rows n wide runs an inner loop only n long."""
+    flat = pre.reshape(-1)
+    cut = flat.size - flat.size % tile.size
+    body = flat[:cut].reshape(-1, tile.size)
+    body += tile
+    rest = flat[cut:].reshape(-1, bias.size)
+    rest += bias
 
 
 def _forward(records, h: np.ndarray, source, tape: list | None,
@@ -352,8 +396,9 @@ def _forward(records, h: np.ndarray, source, tape: list | None,
     """Run the (layer, is_dense) `records` on `h`, the one forward loop of
     every stack.
 
-    `buffers` gives, per record, where its output goes and the activation's
-    scratch (`scratch_views`); (None, None) makes new arrays.  A dense
+    `buffers` gives, per record, where its output goes, the activation's
+    scratch (`scratch_views`) and the bias tile (`bias_tile`); (None,
+    None, None) makes new arrays and adds the bias by broadcasting.  A dense
     output is the matmul written into its buffer, then the bias and the
     activation in place.  A dropout handed a `source`, at a rate above 0,
     makes its mask (`_dropout_mask`; drawn into its buffer unless a
@@ -362,10 +407,13 @@ def _forward(records, h: np.ndarray, source, tape: list | None,
     backward pass reads: a dense layer's (input, output), a dropout's mask
     or None where it dropped nothing.
     """
-    for (layer, dense), (out, work) in zip(records, buffers):
+    for (layer, dense), (out, work, tile) in zip(records, buffers):
         if dense:
             pre = np.matmul(h, layer.weights.T, out=out)
-            pre += layer.bias
+            if tile is None:
+                pre += layer.bias
+            else:
+                _add_bias(pre, layer.bias, tile)
             out = _activate(layer.activation, pre, work)
             if tape is not None:
                 tape.append((h, out))
@@ -489,8 +537,9 @@ class LayerStack:
     def forward_into(self, x: np.ndarray, source, buffers: list, start: int = 0) -> np.ndarray:
         """A forward of layers[start:], drawing from `source`, that keeps
         nothing for backward and writes each layer's output into its entry
-        of `buffers`, an (output, activation scratch) pair per layer (see
-        `_forward`); `x` may be a stack of passes.  Returns the last output."""
+        of `buffers`, an (output, activation scratch, bias tile) triple per
+        layer (see `_forward`); `x` may be a stack of passes.  Returns the
+        last output."""
         return _forward(self._records[start:], x, source, None, buffers)
 
     def backward(self, tape: list, grad_out: np.ndarray,
@@ -513,11 +562,6 @@ class LayerStack:
         if not self._records[-1][1]:
             raise RuntimeError("stack must end in a dense layer for the fused path")
         return _backward(self._records, tape, grad_logits, from_logits=True)
-
-    def params(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(parameter, gradient) pairs: weights then bias per dense layer."""
-        return [pair for layer in self._dense
-                for pair in ((layer.weights, layer.grad_w), (layer.bias, layer.grad_b))]
 
     def dense_layers(self) -> list[DenseLayer]:
         return list(self._dense)

@@ -116,16 +116,26 @@ def score_matrix_from_scores(scores: np.ndarray, groups) -> tuple[list[str], np.
 def emit_csv(header, rows, path) -> None:
     """Write a (header, rows) table: comma-delimited, LF line endings, floats
     fixed at 6 decimals, every other cell as str().  Every CSV artifact the
-    package writes goes through here."""
-    def cell(v) -> str:
-        if isinstance(v, (float, np.floating)):
-            return f"{v:.6f}"
-        return str(v)
+    package writes goes through here.
+
+    Each row is formatted by one `%` string, made once per signature of
+    its cells' types: "%.6f" for a float cell (Python or numpy) and "%s"
+    for any other, the text of f"{v:.6f}" and str(v)."""
+    formats = {}
+
+    def line(types) -> str:
+        return ",".join("%.6f" if issubclass(t, (float, np.floating)) else "%s"
+                        for t in types) + "\n"
 
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
+            row = tuple(row)
+            types = tuple(map(type, row))
+            fmt = formats.get(types)
+            if fmt is None:
+                fmt = formats[types] = line(types)
+            fh.write(fmt % row)
 
 
 def _escape(text: str) -> str:

@@ -14,17 +14,25 @@ statistics bitwise.
 On small batches the cost of a layer call outweighs its arithmetic, so the
 passes run in blocks stacked along a leading axis, one layer call per
 block, as many passes to a block as PASS_BLOCK_BUDGET allows.  A block
-draws its dropout uniforms in pass order, into one buffer where they become
-masks, and each pass is bitwise the pass run alone; a batch too large for
-two passes in the budget runs in blocks of one pass, which draw layer by
-layer into the buffers of the layers' outputs.
+draws its dropout uniforms in pass order, into one half of a double draw
+buffer where they become masks, and each pass is bitwise the pass run
+alone; a batch too large for two passes in the budget runs in blocks of
+one pass, which draw layer by layer into the buffers of the layers'
+outputs.  Where a call runs several stacked blocks and the process may run
+on two CPUs, a helper thread draws the next block into the other half
+while a block runs (`_block_sources`).  The helper lives only inside the
+call: it is started there and joined before the call returns or raises,
+and no thread outlives it.  It is the only user of the random generator
+while it lives, and draws block after block, so the draws come in the
+order they would inline.
 
 The passes run their stacks without a tape, so nothing is kept for a
 backward pass that inference never runs.  Every block writes into buffers
-allocated once per call, one arena (`_pass_plan`) and the draws' buffer,
-so after the first block the passes allocate nothing and fault in no fresh
-pages.  The yielded outputs are views of those buffers, which the next block
-overwrites: `mc_moments` folds each pass in before the next runs, and
+allocated once per call, one arena (`_pass_plan`), the draw buffer and
+each dense layer's bias tile (`nncore.bias_tile`), so once the first two
+blocks are drawn the passes allocate no buffers and fault in no fresh
+pages.  The yielded outputs are views of those buffers, which the next
+block overwrites: `mc_moments` folds each pass in before the next runs, and
 `mc_samples` copies them.  The Welford mean and m2 and the reconstruction
 sum are updated in place; the Welford step works in two scratch arrays of
 its own and never writes into the samples.  Both calls run under
@@ -36,14 +44,17 @@ convention.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import PathwayNetwork
-from .nncore import (DenseLayer, Uniforms, as_matrix, ensure_finite, numeric_context,
-                     scratch_columns, scratch_views)
+from .nncore import (DenseLayer, Uniforms, as_matrix, bias_tile, ensure_finite,
+                     numeric_context, scratch_columns, scratch_views, usable_cpus)
 
 
 def _welford_step(k: int, sample: np.ndarray, mean: np.ndarray, m2: np.ndarray,
@@ -88,22 +99,25 @@ class McMoments(NamedTuple):
 
 
 # float64 elements (2 MB) a block of stacked passes may take for its layer
-# outputs and dropout draws; a batch whose single pass is larger runs pass
-# by pass.  Scoring 500-row thyroid requests, 2**19 was 2 % faster than
-# 2**18 but raised the process's peak RSS by 1.3 MB; 2**17 was 7 % slower
+# outputs and both halves of its double draw buffer; a batch whose single
+# pass is larger runs pass by pass.  Scoring 500-row thyroid requests,
+# 2**19 was 2 % faster than 2**18 but raised the process's peak RSS by
+# 1.3 MB; 2**17 was 7 % slower.  A second draw buffer outside the budget
+# raised the peak by about 1 MB
 PASS_BLOCK_BUDGET = 2**18
 
 
 def _pass_layout(net: PathwayNetwork) -> tuple[tuple[list[int], list[float]], int]:
     """(draws, row_width) of one pass after the encoder's first layer: the
     (widths, rates) of the dropout layers that draw, in order
-    (`LayerStack.draws`), and the float64 elements a row takes across those
-    draws and every later dense output."""
+    (`LayerStack.draws`), and the float64 elements a row takes across two
+    copies of those draws, one per half of the double draw buffer, and
+    every later dense output."""
     draws = net.encoder.draws(start=1)
     later = net.encoder.dense_layers()[1:] + [layer for stack in (net.head, net.decoder)
                                               if stack is not None
                                               for layer in stack.dense_layers()]
-    return draws, sum(draws[0]) + sum(layer.out_dim for layer in later)
+    return draws, 2 * sum(draws[0]) + sum(layer.out_dim for layer in later)
 
 
 def _pass_plan(net: PathwayNetwork) -> tuple[list, int]:
@@ -164,10 +178,17 @@ def _pass_plan(net: PathwayNetwork) -> tuple[list, int]:
     return plan, top
 
 
-def _cut(net: PathwayNetwork, plan: list, arena: np.ndarray, b: int, rows: int) -> list:
+def _pass_stacks(net: PathwayNetwork) -> list:
+    """The layers a pass runs after the encoder's first: per stack of the
+    plan, its list of layers, or None for an absent pathway."""
+    return [None if stack is None else stack.layers[start:]
+            for stack, start in ((net.encoder, 1), (net.head, 0), (net.decoder, 0))]
+
+
+def _cut(stacks: list, plan: list, tiles: list, arena: np.ndarray, b: int, rows: int) -> list:
     """The buffers of `plan` for a block of b passes: for each stack of the
-    plan, an (output, scratch) pair of arena views per layer (see
-    `LayerStack.forward_into`)."""
+    plan, an (output, scratch, bias tile) triple per layer, the first two
+    arena views (see `LayerStack.forward_into`)."""
     n = b * rows
 
     def run(span):
@@ -175,17 +196,83 @@ def _cut(net: PathwayNetwork, plan: list, arena: np.ndarray, b: int, rows: int) 
         return arena[first * n:(first + cols) * n]
 
     cut = []
-    for (stack, start), spans in zip(((net.encoder, 1), (net.head, 0), (net.decoder, 0)), plan):
+    for layers, spans, stack_tiles in zip(stacks, plan, tiles):
         if spans is None:
             cut.append(None)
             continue
         buffers = []
-        for layer, (out, work) in zip(stack.layers[start:], spans):
+        for layer, (out, work), tile in zip(layers, spans, stack_tiles):
             if work is not None:
                 work = scratch_views(layer.activation, run(work), (b, rows, layer.out_dim))
-            buffers.append((None if out is None else run(out).reshape(b, rows, out[1]), work))
+            buffers.append((None if out is None else run(out).reshape(b, rows, out[1]), work,
+                            tile))
         cut.append(buffers)
     return cut
+
+
+def _block_sources(rng: np.random.Generator, sizes: list[int], rows: int, draws: list[int],
+                   rates: list[float]):
+    """Yield (passes, source of dropout draws) for each block of `sizes`
+    passes in turn.
+
+    Blocks of one pass, or a net that draws nothing, draw from `rng` as
+    their layers run.  Stacked blocks take `Uniforms` drawn into a double
+    buffer: inline into its first half for a lone block or where the
+    process may run on one CPU only (`usable_cpus`), and otherwise into
+    alternate halves by a helper thread, which draws block k+1 while the
+    caller runs block k, and block k+2 once the caller asks for block
+    k+1, which frees block k's half.
+
+    The helper is started here and joined when this generator finishes or
+    is closed.  Only the helper touches `rng` meanwhile, one block after
+    another, so the draws come in the order the blocks would take them
+    inline.  It runs in a copy of the caller's context, and so under the
+    caller's `np.errstate`; it never enters `one_blas_thread`, whose count
+    is process-wide.  A draw that raises ends the helper and raises here,
+    in the caller, with its type.
+    """
+    if sizes[0] == 1 or not draws:
+        for b in sizes:
+            yield b, rng
+        return
+    halves = np.empty((2, sizes[0] * rows * sum(draws)))
+    if len(sizes) == 1 or usable_cpus() < 2:
+        for b in sizes:
+            yield b, Uniforms(rng, b, rows, draws, stacked=True, out=halves[0], rates=rates)
+        return
+    free, ready = threading.Semaphore(2), threading.Semaphore(0)
+    drawn, stop = [None] * len(sizes), threading.Event()
+
+    def draw_all():
+        k = 0
+        try:
+            for k, b in enumerate(sizes):
+                free.acquire()
+                if stop.is_set():
+                    return
+                drawn[k] = Uniforms(rng, b, rows, draws, stacked=True, out=halves[k % 2],
+                                    rates=rates)
+                ready.release()
+        except BaseException as exc:  # raised again in the caller
+            drawn[k] = exc
+            ready.release()
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(draw_all,),
+                              name="oodfdd-mc-draws", daemon=True)
+    helper.start()
+    try:
+        for k, b in enumerate(sizes):
+            if k:
+                free.release()  # block k-1 ran: its half may take block k+1's draws
+            ready.acquire()
+            source, drawn[k] = drawn[k], None
+            if isinstance(source, BaseException):
+                raise source
+            yield b, source
+    finally:
+        stop.set()
+        free.release()  # wakes a helper waiting for a half, which then stops
+        helper.join()
 
 
 def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator):
@@ -200,15 +287,20 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
 
     Passes run in blocks of B stacked along a leading axis, one layer call
     per block, with B as large as PASS_BLOCK_BUDGET allows for the rows'
-    layer outputs and draws.  The draws are taken in pass order, and each
-    pass's outputs are yielded as views, in order, bitwise those of a pass
-    run alone.  With B > 1 a block takes its draws in one call, made into
-    masks in one buffer (`nncore.Uniforms`); with B = 1 each dropout layer
-    draws from `rng` in turn, into its output's buffer.
+    layer outputs and two copies of their draws.  The draws are taken in
+    pass order, and each pass's outputs are yielded as views, in order,
+    bitwise those of a pass run alone.  With B > 1 a block takes its draws
+    in one call, made into masks in one half of a double buffer
+    (`nncore.Uniforms`), and with more than one block a helper thread
+    draws block k+1 into the other half while block k runs, started and
+    joined inside this generator (`_block_sources`); with B = 1 each
+    dropout layer draws from `rng` in turn, into its output's buffer.
+    Every dense layer adds its bias through a row tile (`nncore.bias_tile`)
+    made once per call.
 
-    Every block writes into the arena of `_pass_plan` and the draws'
-    buffer, both allocated once per call, so the yielded views are
-    overwritten by the next block: a caller that keeps them copies them.
+    Every block writes into the arena of `_pass_plan` and the draw buffer,
+    both allocated once per call, so the yielded views are overwritten by
+    the next block: a caller that keeps them copies them.
 
     The input rows are checked here, once per call of `mc_moments` or
     `mc_samples`, which run under `numeric_context`: to be finite, and by
@@ -221,24 +313,25 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     rows = len(first)
     (draws, rates), row_width = _pass_layout(net)
     block = min(t, max(1, PASS_BLOCK_BUDGET // (rows * row_width)))
+    sizes = [min(block, t - done) for done in range(0, t, block)]
     plan, columns = _pass_plan(net)
+    stacks = _pass_stacks(net)
+    tiles = [None if layers is None else
+             [bias_tile(layer.bias, block * rows) if isinstance(layer, DenseLayer) else None
+              for layer in layers] for layers in stacks]
     arena = np.empty(columns * block * rows)
-    drawn = np.empty(block * rows * sum(draws)) if block > 1 and draws else None
-    done, buffers = 0, None
-    while done < t:
-        b = min(block, t - done)
-        done += b
-        if buffers is None or buffers[0] != b:
-            buffers = b, _cut(net, plan, arena, b, rows)
-        encoder, head, decoder = buffers[1]
-        source = rng if drawn is None else Uniforms(rng, b, rows, draws, stacked=True,
-                                                    out=drawn, rates=rates)
-        h = np.broadcast_to(first, (b, *first.shape))
-        h = net.encoder.forward_into(h, source, encoder, start=1)
-        clf = None if head is None else net.head.forward_into(h, None, head)
-        rec = None if decoder is None else net.decoder.forward_into(h, None, decoder)
-        for k in range(b):
-            yield (None if clf is None else clf[k], None if rec is None else rec[k])
+    buffers = None
+    with contextlib.closing(_block_sources(rng, sizes, rows, draws, rates)) as blocks:
+        for b, source in blocks:
+            if buffers is None or buffers[0] != b:
+                buffers = b, _cut(stacks, plan, tiles, arena, b, rows)
+            encoder, head, decoder = buffers[1]
+            h = np.broadcast_to(first, (b, *first.shape))
+            h = net.encoder.forward_into(h, source, encoder, start=1)
+            clf = None if head is None else net.head.forward_into(h, None, head)
+            rec = None if decoder is None else net.decoder.forward_into(h, None, decoder)
+            for k in range(b):
+                yield (None if clf is None else clf[k], None if rec is None else rec[k])
 
 
 @numeric_context()

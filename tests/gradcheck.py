@@ -1,9 +1,17 @@
 """Central-difference gradient checker for the hand-written backward passes,
-and the losses with the checks that `nncore` leaves to its callers."""
+the losses with the checks that `nncore` leaves to its callers, and a
+stack's (parameter, gradient) pairs."""
 
 import numpy as np
 
 from oodfdd import nncore
+
+
+def param_pairs(stack):
+    """(parameter, gradient) pairs of `stack`: weights then bias per dense
+    layer, in the order of the flat parameter buffer."""
+    return [pair for layer in stack.dense_layers()
+            for pair in ((layer.weights, layer.grad_w), (layer.bias, layer.grad_b))]
 
 
 def gradient_check(params, loss_fn, eps: float = 1e-5) -> float:

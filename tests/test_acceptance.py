@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from gradcheck import gradient_check
+from gradcheck import gradient_check, param_pairs
 from oodfdd import data, detect, experiments, model, nncore, report, train, uncertainty
 from oodfdd.model import ModelKind
 from shapes import arch
@@ -179,7 +179,7 @@ def test_c05_fault_rows_leave_decoder_gradients_unchanged():
     y = np.array([0, 1, 0, 0, 1, 0, 1, 0, 0, 1])
     net.grads.fill(0.0)
     train.joint_batch_gradients(net, x, y, 1.0)
-    full = [g.copy() for _, g in net.decoder.params()]
+    full = [g.copy() for _, g in param_pairs(net.decoder)]
     # same pass with the fault rows removed; the loss keeps its 1/batch
     # weight, so rescale to the original base before comparing
     normals = x[y == 0]
@@ -187,11 +187,11 @@ def test_c05_fault_rows_leave_decoder_gradients_unchanged():
     train.joint_batch_gradients(net, normals, np.zeros(len(normals), int), 1.0)
     scale = len(normals) / len(x)
     diff = max(np.max(np.abs(gf - gn * scale))
-               for gf, (_, gn) in zip(full, net.decoder.params()))
+               for gf, (_, gn) in zip(full, param_pairs(net.decoder)))
     # and a batch of only fault rows drives the decoder not at all
     net.grads.fill(0.0)
     train.joint_batch_gradients(net, x, np.ones(len(x), int), 1.0)
-    all_zero = all(np.all(g == 0.0) for _, g in net.decoder.params())
+    all_zero = all(np.all(g == 0.0) for _, g in param_pairs(net.decoder))
     _line("05 masked objective", diff < 1e-12 and all_zero,
           f"decoder gradient difference {diff:.2e}; fault-only batch gives zero")
 

@@ -500,6 +500,48 @@ def test_worker_error_reaches_the_caller(monkeypatch, thyroid_dir, tmp_path, cap
     assert multiprocessing.active_children() == []
 
 
+_LANES_AFTER_DRAWS_CHILD = """
+import threading
+from oodfdd import detect, experiments, model, uncertainty
+experiments._lane_count = lambda: 2
+uncertainty.usable_cpus = lambda: 2
+# 100 passes over chiller's 52 smoke calibration normals run in stacked
+# blocks, so each lane's calibration draws beside its passes too
+cfg = experiments.chiller_config(seed=0, epochs=3, pretrain_epochs=1, t_samples=100,
+                                 n_per_class=104)
+train_ds, _ = experiments.load_dataset_pair(cfg, None)
+net = model.build(model.ModelKind.AUGMENTED, cfg.architecture(train_ds), cfg.seed)
+detect.calibrate(net, train_ds.X[train_ds.y == 0], cfg.alpha, 100, cfg.seed)
+for _ in range(2):
+    experiments.run_experiment(cfg)
+print(threading.active_count())
+"""
+
+
+@needs_fork
+def test_lanes_forked_after_stacked_mc_draws_finish():
+    # the MC draw helper is joined inside each call, so a lane forked later
+    # inherits no thread; the warning filter turns Python 3.12's warning
+    # about forking a multi-threaded process into a failure, and one
+    # OpenBLAS thread keeps its pool threads out of that count
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(experiments.__file__)),
+                            os.path.dirname(os.path.abspath(__file__))])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    # a session of its own, so that a hung child and its lane die together
+    child = subprocess.Popen([sys.executable, "-W", "error:This process:DeprecationWarning",
+                              "-c", _LANES_AFTER_DRAWS_CHILD], env=env, text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             start_new_session=True)
+    try:
+        out, err = child.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("the pipelines forked after stacked MC draws hung")
+    assert child.returncode == 0, err
+    assert out.split() == ["1"]
+
+
 needs_openblas = pytest.mark.skipif(nncore._openblas_thread_calls() is None,
                                     reason="numpy's BLAS is not OpenBLAS")
 

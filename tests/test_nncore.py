@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gradcheck import checked_binary_cross_entropy, checked_cross_entropy, gradient_check
+from gradcheck import (checked_binary_cross_entropy, checked_cross_entropy, gradient_check,
+                       param_pairs)
 from oodfdd import nncore as nn
 
 
@@ -22,7 +23,7 @@ def stack_loss_fn(stack, x, y, loss):
             stack.backward_from_logits(tape, grad)
         else:
             stack.backward(tape, grad)
-        return value, [g for (_, g) in stack.params()]
+        return value, [g for (_, g) in param_pairs(stack)]
 
     return fn
 
@@ -263,6 +264,33 @@ def test_uniforms_hand_out_batch_draws_step_by_step_into_the_buffer():
     source = nn.Uniforms(nn.make_rng(18), 2, 4, [5, 2], stacked=False, rates=[0.3, 0.75])
     with pytest.raises(RuntimeError, match="out of step"):
         source.random((4, 2))  # a step's first draw is (4, 5)
+
+
+@pytest.mark.parametrize("width", [2, 3, 16])
+def test_bias_over_a_row_tile_is_the_broadcast_add_for_every_leftover(width):
+    r = nn.BIAS_TILE_ROWS
+    bias = nn.make_rng(40).normal(0.0, 1e3, width)
+    tile = nn.bias_tile(bias, 10 * r)
+    assert tile.tobytes() == np.tile(bias, r).tobytes()
+    base = nn.make_rng(41).normal(0.0, 1.0, (2 * r + r - 1) * width)
+    for left in range(r):
+        for rows in (left, r + left, 2 * r + left):
+            pre = base[:rows * width].reshape(rows, width).copy()
+            want = pre.copy()
+            want += bias
+            nn._add_bias(pre, bias, tile)
+            assert pre.tobytes() == want.tobytes()
+    # a stack of passes, the way MC blocks add it
+    pre = base[:3 * 41 * width].reshape(3, 41, width).copy()
+    want = pre + bias
+    nn._add_bias(pre, bias, nn.bias_tile(bias, 3 * 41))
+    assert pre.tobytes() == want.tobytes()
+
+
+def test_bias_tile_is_bounded_and_skips_one_wide_biases():
+    assert nn.bias_tile(np.ones(1), 500) is None
+    assert nn.bias_tile(np.ones(3), 5).shape == (15,)
+    assert nn.bias_tile(np.ones(3), 10200).shape == (3 * nn.BIAS_TILE_ROWS,)
 
 
 def test_draws_list_the_dropout_layers_that_draw():
@@ -517,7 +545,7 @@ def test_gradient_check_linear_quadratic():
     x = rng.normal(size=(5, 3))
     y = rng.normal(size=(5, 2))
     err = gradient_check(
-        [p for p, _ in stack.params()], stack_loss_fn(stack, x, y, nn.mse), eps=1e-5
+        [p for p, _ in param_pairs(stack)], stack_loss_fn(stack, x, y, nn.mse), eps=1e-5
     )
     assert err < 1e-7
 
@@ -548,7 +576,7 @@ def test_gradient_check_three_layer_network():
     x = _nudged_input(rng, stack, 6)
     y = rng.integers(0, 3, size=6)
     err = gradient_check(
-        [p for p, _ in stack.params()],
+        [p for p, _ in param_pairs(stack)],
         stack_loss_fn(stack, x, y, nn.cross_entropy),
         eps=1e-5,
     )
@@ -570,7 +598,7 @@ def test_gradient_check_randomized_small_networks():
         x = _nudged_input(rng, stack, 4)
         y = rng.integers(0, 3, size=4)
         err = gradient_check(
-            [p for p, _ in stack.params()],
+            [p for p, _ in param_pairs(stack)],
             stack_loss_fn(stack, x, y, nn.cross_entropy),
             eps=1e-5,
         )
@@ -589,11 +617,11 @@ def test_stack_backward_without_input_grad_keeps_param_grads(leading_dropout):
     tape = []
     stack.forward(x, rng, tape=tape)
     assert stack.backward(tape, g).shape == x.shape
-    want = [grad.copy() for _, grad in stack.params()]
-    for _, grad in stack.params():
+    want = [grad.copy() for _, grad in param_pairs(stack)]
+    for _, grad in param_pairs(stack):
         grad.fill(0.0)
     assert stack.backward(tape, g, input_grad=False) is None
-    assert [grad.tobytes() for _, grad in stack.params()] == [w.tobytes() for w in want]
+    assert [grad.tobytes() for _, grad in param_pairs(stack)] == [w.tobytes() for w in want]
     assert any(np.any(w != 0.0) for w in want)
 
 
@@ -612,10 +640,10 @@ def test_dropout_in_deterministic_mode_matches_plain_network():
     y = rng.normal(size=(5, 2))
 
     err_plain = gradient_check(
-        [p for p, _ in base.params()], stack_loss_fn(base, x, y, nn.mse)
+        [p for p, _ in param_pairs(base)], stack_loss_fn(base, x, y, nn.mse)
     )
     err_dropout = gradient_check(
-        [p for p, _ in with_dropout.params()],
+        [p for p, _ in param_pairs(with_dropout)],
         stack_loss_fn(with_dropout, x, y, nn.mse),
     )
     assert err_dropout == err_plain

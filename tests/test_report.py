@@ -1,11 +1,13 @@
 """Tests for LDA projection, score matrices, and figure/table emitters."""
 
 import hashlib
+import math
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oodfdd import model, nncore, report
 from oodfdd.model import ModelKind
@@ -130,6 +132,49 @@ def test_emit_csv_formatting(tmp_path):
     report.emit_csv(["a", "b"], [[1.0, "x"], [0.123456789, 3]], path)
     lines = path.read_text().strip().splitlines()
     assert lines == ["a,b", "1.000000,x", "0.123457,3"]
+
+
+def _emit_csv_per_cell(header, rows, path) -> None:
+    """The per-cell writer `emit_csv` replaced: one f-string per float cell
+    and str() of every other."""
+    def cell(v) -> str:
+        if isinstance(v, (float, np.floating)):
+            return f"{v:.6f}"
+        return str(v)
+
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(cell(v) for v in row) + "\n")
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True))
+_CELLS = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.floats(width=32, allow_nan=True, allow_infinity=True).map(np.float32),
+    st.integers(-2**63, 2**63 - 1),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(max_size=6),
+    st.none(),
+)
+
+
+@given(st.lists(st.lists(_CELLS, min_size=1, max_size=5), max_size=12),
+       st.sampled_from([list, tuple]))
+@settings(max_examples=300, deadline=None)
+def test_emit_csv_writes_the_bytes_of_the_per_cell_writer(tmp_path_factory, rows, kind):
+    out = tmp_path_factory.mktemp("csv")
+    header = ["c"] * max((len(row) for row in rows), default=1)
+    rows = [kind(row) for row in rows]
+    report.emit_csv(header, rows, out / "rows.csv")
+    _emit_csv_per_cell(header, rows, out / "cells.csv")
+    assert (out / "rows.csv").read_bytes() == (out / "cells.csv").read_bytes()
 
 
 def test_scatter_svg_deterministic_and_wellformed(tmp_path):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcheck import checked_binary_cross_entropy, checked_cross_entropy, gradient_check
+from gradcheck import (checked_binary_cross_entropy, checked_cross_entropy, gradient_check,
+                       param_pairs)
 from oodfdd import model, nncore, train, uncertainty
 from oodfdd.model import ModelKind
 from oodfdd.report import emit_csv
@@ -115,7 +116,7 @@ def test_fault_only_batch_gives_zero_decoder_gradients():
     net.grads.fill(0.0)
     _, rec_loss = train.joint_batch_gradients(net, x, y, 1.0)
     assert rec_loss == 0.0
-    for _, g in net.decoder.params():
+    for _, g in param_pairs(net.decoder):
         assert np.all(g == 0.0)
 
 
@@ -128,14 +129,14 @@ def test_mixed_batch_decoder_grads_match_scaled_normals_only():
 
     net.grads.fill(0.0)
     train.joint_batch_gradients(net, x, y, 1.0)
-    full_grads = [g.copy() for _, g in net.decoder.params()]
+    full_grads = [g.copy() for _, g in param_pairs(net.decoder)]
 
     net.grads.fill(0.0)
     train.joint_batch_gradients(
         net, normals, np.zeros(len(normals), int), 1.0
     )
     scale = len(normals) / len(x)
-    for g_full, (_, g_norm) in zip(full_grads, net.decoder.params()):
+    for g_full, (_, g_norm) in zip(full_grads, param_pairs(net.decoder)):
         assert np.max(np.abs(g_full - g_norm * scale)) < 1e-12
 
 
@@ -348,8 +349,8 @@ def test_beta_zero_matches_classifier_trajectory():
     cfg = train.TrainConfig(beta=0.0, epochs=3, pretrain_epochs=0, batch_size=16, seed=7)
     hist_aug = train.train(aug, ds, cfg)
     hist_clf = train.train(clf, ds, cfg)
-    aug_params = aug.encoder.params() + aug.head.params()
-    clf_params = clf.encoder.params() + clf.head.params()
+    aug_params = param_pairs(aug.encoder) + param_pairs(aug.head)
+    clf_params = param_pairs(clf.encoder) + param_pairs(clf.head)
     for (pa, _), (pc, _) in zip(aug_params, clf_params):
         assert np.array_equal(pa, pc)
     assert [r.clf_loss for r in hist_aug] == [r.clf_loss for r in hist_clf]
@@ -479,9 +480,10 @@ def _reference_train(net, ds, cfg):
         return loss
 
     stacks = [s for s in (net.encoder, net.head, net.decoder) if s is not None]
-    phases = [(2, cfg.epochs, [a for s in stacks for a in s.params()], x, y)]
+    phases = [(2, cfg.epochs, [a for s in stacks for a in param_pairs(s)], x, y)]
     if net.head is not None and net.decoder is not None:
-        phases.insert(0, (1, cfg.pretrain_epochs, net.encoder.params() + net.decoder.params(),
+        phases.insert(0, (1, cfg.pretrain_epochs,
+                          param_pairs(net.encoder) + param_pairs(net.decoder),
                           x[y == 0], y[y == 0]))
     for stream, epochs, arrays, rows, labels in phases:
         rng = nncore.derive_rng(cfg.seed, stream)

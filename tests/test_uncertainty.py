@@ -1,6 +1,7 @@
 """Tests for MC-dropout inference and the entropy diagnostics."""
 
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -254,6 +255,104 @@ def test_mc_moments_and_samples_equal_the_plain_loop_bitwise(shape, dropout, blo
     m = unc.mc_moments(net, x, t, nncore.make_rng(27))
     for a, b in zip((m.clf_mean, m.clf_var), _plain_welford(kept.clf)):
         assert a.tobytes() == b.tobytes()
+
+
+def _thyroid_net(kind, seed=3):
+    return model.build(kind, arch(input_dim=6, latent_dim=2, encoder_widths=[16, 8, 2],
+                                  head_widths=[8]), seed)
+
+
+class _CountedThreads:
+    """The `threading` names `uncertainty` uses, counting the threads it starts."""
+
+    def __init__(self):
+        self.started = 0
+        self.Semaphore, self.Event = threading.Semaphore, threading.Event
+
+    def Thread(self, *args, **kwargs):
+        self.started += 1
+        return threading.Thread(*args, **kwargs)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("rows", [1, 13, 64, 500, 3488])
+@pytest.mark.parametrize("t", [2, 7, 100])
+def test_draws_beside_the_passes_give_the_bytes_of_inline_draws(kind, rows, t, monkeypatch):
+    net = _thyroid_net(kind)
+    x = nncore.make_rng(33).normal(0, 1, (rows, 6))
+    (draws, _), row_width = unc._pass_layout(net)
+    block = min(t, max(1, unc.PASS_BLOCK_BUDGET // (rows * row_width)))
+    runs = {}
+    for cpus in (1, 2):
+        threads = _CountedThreads()
+        monkeypatch.setattr(unc, "threading", threads)
+        monkeypatch.setattr(unc, "usable_cpus", lambda: cpus)
+        moments = unc.mc_moments(net, x, t, nncore.make_rng(34))
+        samples = unc.mc_samples(net, x, t, nncore.make_rng(35))
+        runs[cpus] = [a.tobytes() for a in (*moments, *samples) if a is not None]
+        # the helper draws only where there is a next block to draw beside
+        beside = cpus == 2 and block > 1 and block < t and bool(draws)
+        assert threads.started == (2 if beside else 0)
+    assert runs[1] == runs[2]
+
+
+def test_stacked_mc_calls_leave_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(unc, "usable_cpus", lambda: 2)
+    before = threading.active_count()
+    net = _thyroid_net(ModelKind.AUGMENTED)
+    x = nncore.make_rng(36).normal(0, 1, (300, 6))
+    unc.mc_moments(net, x, 100, nncore.make_rng(37))
+    unc.mc_samples(net, x, 30, nncore.make_rng(37))
+    detect.calibrate(net, x, 0.1, 100, 0)
+    assert threading.active_count() == before
+    # a consumer that stops after one pass closes the passes, and they the helper
+    passes = unc._passes(net, x, 100, nncore.make_rng(37))
+    next(passes)
+    passes.close()
+    assert threading.active_count() == before
+
+
+class _FailingDraws:
+    """A generator stand-in whose draws after the first `good` raise."""
+
+    def __init__(self, good):
+        self.rng, self.good = nncore.make_rng(38), good
+
+    def random(self, size=None, out=None):
+        if self.good == 0:
+            raise KeyError("no more draws")
+        self.good -= 1
+        return self.rng.random(size, out=out)
+
+
+@pytest.mark.parametrize("good", [0, 1, 3])
+def test_a_draw_that_raises_in_the_helper_reaches_the_caller(good, monkeypatch):
+    monkeypatch.setattr(unc, "usable_cpus", lambda: 2)
+    before = threading.active_count()
+    net = _thyroid_net(ModelKind.AUGMENTED)
+    x = nncore.make_rng(39).normal(0, 1, (300, 6))
+    for call in (unc.mc_moments, unc.mc_samples):
+        with pytest.raises(KeyError, match="no more draws"):
+            call(net, x, 100, _FailingDraws(good))
+        assert threading.active_count() == before
+
+
+def test_the_helper_draws_under_the_callers_numeric_guard(monkeypatch):
+    monkeypatch.setattr(unc, "usable_cpus", lambda: 2)
+    seen = []
+
+    class Watched:
+        rng = nncore.make_rng(40)
+
+        def random(self, size=None, out=None):
+            seen.append((threading.current_thread() is threading.main_thread(),
+                         np.geterr()["over"]))
+            return self.rng.random(size, out=out)
+
+    net = _thyroid_net(ModelKind.AUGMENTED)
+    x = nncore.make_rng(41).normal(0, 1, (300, 6))
+    unc.mc_moments(net, x, 100, Watched())
+    assert len(seen) > 1 and set(seen) == {(False, "raise")}
 
 
 def _arena_lives(net, plan):
