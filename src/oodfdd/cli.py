@@ -380,7 +380,7 @@ def cmd_report(cfg, args) -> int:
 
     # discriminant projection fitted on in-distribution test rows only;
     # anything out of distribution is projected through the fitted map
-    in_dist = np.array([not data.is_ood_tag(g) for g in eval_ds.group])
+    in_dist = ~data.ood_mask(eval_ds.group)
     z_in = net.encoder.forward(eval_ds.X[in_dist])
     z_ood = net.encoder.forward(eval_ds.X[~in_dist])
     labels_in = eval_ds.y[in_dist]

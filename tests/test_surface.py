@@ -18,6 +18,8 @@ import oodfdd
 # qualified name -> why it stays without a caller in the package
 ALLOWED = {
     "data.LabeledDataset.to_csv": "the benchmark workloads write request files with it",
+    "data.is_ood_tag": "the benchmark workloads count flag rates with it; the package "
+                       "tests tags in bulk with `ood_mask`",
     "report.separation_statistic": "the acceptance latent-separation check calls it",
 }
 
@@ -76,3 +78,23 @@ def test_every_public_definition_has_a_caller_in_the_package():
     assert unused - set(ALLOWED) == set()
     # an entry whose definition gained a caller, or is gone, leaves the list
     assert unused == set(ALLOWED)
+
+
+def test_every_package_name_the_benchmark_workloads_use_exists():
+    """`bench/workloads.py` drives the program through `cli`, `data` and
+    `experiments`; a name it reads that the package no longer has breaks a
+    workload, so it fails here first.  The file is parsed, not run."""
+    import importlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    tree = ast.parse(path.read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "oodfdd"
+                for alias in node.names}
+    assert {"cli", "data", "experiments"} <= imported
+    modules = {name: importlib.import_module(f"oodfdd.{name}") for name in imported}
+    named = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules}
+    assert {module for module, _ in named} == set(modules)
+    assert sorted(f"{m}.{a}" for m, a in named if not hasattr(modules[m], a)) == []
