@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nncore import make_rng
+from .nncore import make_rng, row_tile, rowwise
 from .model import PathwayNetwork
 from .report import emit_csv
 
@@ -66,7 +66,16 @@ class FeatureStats:
         return cls(mean=x.mean(axis=0), std=std)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
+        """(x - mean) / std in a new array, `x` left as it was.  Rows as
+        wide as the stats run both operations through row tiles
+        (`nncore.rowwise`), with the bits of the broadcast expression that
+        any other shape runs."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1:] != self.mean.shape:
+            return (x - self.mean) / self.std
+        out = np.empty(x.shape)
+        rowwise(np.subtract, x, self.mean, row_tile(self.mean, len(x)), out)
+        return rowwise(np.divide, out, self.std, row_tile(self.std, len(x)), out)
 
 
 @dataclass
@@ -433,22 +442,24 @@ def gen_chiller_surrogate(
     directions = rng.normal(0.0, 1.0, (n_faults, d))
     directions *= 6.0 / np.linalg.norm(directions, axis=1, keepdims=True)
 
-    # one label and one tag per block of n_per_class rows
-    xs = [rng.normal(0.0, 1.0, (n_per_class, d))]
-    labels, tags = [0], ["normal"]
+    # every block's noise in one draw, the stream of one draw per block in
+    # turn; one centre, label and tag per block of n_per_class rows
+    severities = sorted(severities)
+    x = rng.normal(0.0, 1.0, (1 + n_faults * len(severities), n_per_class, d))
+    centers, labels, tags = [], [0], ["normal"]
     max_sev = max(severities)
     for k in range(1, n_faults + 1):
-        for s in sorted(severities):
-            center = (s / max_sev) * directions[k - 1]
-            xs.append(center + rng.normal(0.0, 1.0, (n_per_class, d)))
+        for s in severities:
+            centers.append((s / max_sev) * directions[k - 1])
             if k == n_faults:
                 labels.append(0)
                 tags.append("unknown")
             else:
                 labels.append(k)
                 tags.append(f"fault:{k}" if s == max_sev else f"incipient:{k}:{s}")
+    x[1:] += np.asarray(centers)[:, None, :]
     return LabeledDataset(
-        X=np.vstack(xs),
+        X=x.reshape(-1, d),
         y=np.repeat(np.asarray(labels, dtype=np.int64), n_per_class),
         group=np.repeat(np.asarray(tags), n_per_class),
     )
@@ -601,13 +612,16 @@ def write_mnist_surrogate(
     trivially separable.
     """
     rng = make_rng(seed)
+    glyphs = np.stack([_glyph_image(digit) for digit in range(10)])
+    # each glyph rolled by each (row, column) shift r, c in -2..2, at
+    # [digit, 5 * (r + 2) + c + 2]
+    shifted = np.stack([np.roll(glyphs, (r, c), axis=(1, 2))
+                        for r in range(-2, 3) for c in range(-2, 3)], axis=1)
     paths = {}
-    side = np.arange(28)
     for prefix, n_per in (("train", n_train_per_digit), ("t10k", n_test_per_digit)):
         images = np.empty((10 * n_per, 28, 28), dtype=np.uint8)
         labels = np.repeat(np.arange(10, dtype=np.uint8), n_per)
         for digit in range(10):
-            base = _glyph_image(digit)
             for start in range(0, n_per, MNIST_DECODE_BLOCK):
                 m = min(MNIST_DECODE_BLOCK, n_per - start)
                 # each image's four draws in order: intensity, row shift,
@@ -618,10 +632,7 @@ def write_mnist_surrogate(
                     scale[k] = rng.uniform(0.7, 1.0)
                     shift[k] = rng.integers(-2, 3), rng.integers(-2, 3)
                     noise[k] = rng.normal(0.0, 0.08, (28, 28))
-                # np.roll by (r, c) as a gather: pixel (i, j) from (i - r, j - c)
-                rows = (side - shift[:, :1]) % 28
-                cols = (side - shift[:, 1:]) % 28
-                img = base[rows[:, :, None], cols[:, None, :]]
+                img = shifted[digit, 5 * shift[:, 0] + shift[:, 1] + 12]
                 img *= scale[:, None, None]
                 img += noise
                 np.clip(img, 0.0, 1.0, out=img)

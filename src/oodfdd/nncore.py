@@ -28,12 +28,12 @@ the mask), and Adam's update of a whole flat buffer into scratch arrays.
 `LayerStack.forward_into` writes every layer's output and scratch into
 buffers its caller allocated once, so MC inference allocates nothing per
 pass, and adds a dense layer's bias through a row tile its caller made
-once (`bias_tile`): the bias repeated for at most BIAS_TILE_ROWS rows,
-added over a flat view of the output, the leftover rows in a plain
-broadcast add.  numpy runs a broadcast add over rows n wide as an inner
-loop n long, which at the 2 to 16 widths of these nets is up to 2.5
-times as slow; a tile of the whole output would cost as much memory as
-the output.  A stack's backward pass
+once (`row_tile`): the bias repeated for at most TILE_ROWS rows, added
+over a flat view of the output, the leftover rows in a plain broadcast
+add (`rowwise`, which `data` also standardises through).  numpy runs a
+broadcast add over rows n wide as an inner loop n long, which at the 2
+to 16 widths of these nets is up to 2.5 times as slow; a tile of the
+whole output would cost as much memory as the output.  A stack's backward pass
 can skip the gradient w.r.t. its input when nothing consumes it.  Each
 kernel runs the operations of the plain expression in the same order, so
 its results are bitwise those of the plain form.
@@ -370,28 +370,31 @@ def _dropout_mask(source, shape: tuple, rate: float, out: np.ndarray | None) -> 
 # the buffers of a forward that allocates its outputs: none for any layer
 _NO_BUFFERS = itertools.repeat((None, None, None))
 
-# rows a dense layer's bias tile (`bias_tile`) repeats its bias for
-BIAS_TILE_ROWS = 128
+# rows a row tile (`row_tile`) repeats its row for
+TILE_ROWS = 128
 
 
-def bias_tile(bias: np.ndarray, rows: int) -> np.ndarray | None:
-    """The flat run of `bias` repeated for min(rows, BIAS_TILE_ROWS) rows,
-    through which `_forward` adds a dense layer's bias; None for a one-wide
-    bias, whose broadcast add numpy already runs as a scalar loop."""
-    return None if bias.size == 1 else np.tile(bias, min(rows, BIAS_TILE_ROWS))
+def row_tile(row: np.ndarray, rows: int) -> np.ndarray | None:
+    """The flat run of `row` repeated for min(rows, TILE_ROWS) rows, at
+    least one, through which `rowwise` applies it; None for a row of at
+    most one value, whose broadcast numpy already runs as a scalar loop."""
+    return None if row.size <= 1 else np.tile(row, min(max(rows, 1), TILE_ROWS))
 
 
-def _add_bias(pre: np.ndarray, bias: np.ndarray, tile: np.ndarray) -> None:
-    """pre += bias over a C-contiguous `pre`, through `tile` (`bias_tile`):
-    each whole run of the tile's rows in one add over a flat view, the
-    rows left over in a plain broadcast add.  The same elementwise adds,
+def rowwise(op, a: np.ndarray, row: np.ndarray, tile: np.ndarray | None,
+            out: np.ndarray) -> np.ndarray:
+    """out = op(a, row) for a binary ufunc `op`, `row` broadcast over the
+    rows of `a` and the C-contiguous `out`, through `tile` (`row_tile`):
+    each whole run of the tile's rows in one call over flat views, the rows
+    left over in a plain broadcast call.  The same elementwise operations,
     but a broadcast over rows n wide runs an inner loop only n long."""
-    flat = pre.reshape(-1)
+    if tile is None:
+        return op(a, row, out=out)
+    flat, dest = a.reshape(-1), out.reshape(-1)
     cut = flat.size - flat.size % tile.size
-    body = flat[:cut].reshape(-1, tile.size)
-    body += tile
-    rest = flat[cut:].reshape(-1, bias.size)
-    rest += bias
+    op(flat[:cut].reshape(-1, tile.size), tile, out=dest[:cut].reshape(-1, tile.size))
+    op(flat[cut:].reshape(-1, row.size), row, out=dest[cut:].reshape(-1, row.size))
+    return out
 
 
 def _forward(records, h: np.ndarray, source, tape: list | None,
@@ -400,7 +403,7 @@ def _forward(records, h: np.ndarray, source, tape: list | None,
     every stack.
 
     `buffers` gives, per record, where its output goes, the activation's
-    scratch (`scratch_views`) and the bias tile (`bias_tile`); (None,
+    scratch (`scratch_views`) and the bias tile (`row_tile`); (None,
     None, None) makes new arrays and adds the bias by broadcasting.  A dense
     output is the matmul written into its buffer, then the bias and the
     activation in place.  A dropout handed a `source`, at a rate above 0,
@@ -413,10 +416,7 @@ def _forward(records, h: np.ndarray, source, tape: list | None,
     for (layer, dense), (out, work, tile) in zip(records, buffers):
         if dense:
             pre = np.matmul(h, layer.weights.T, out=out)
-            if tile is None:
-                pre += layer.bias
-            else:
-                _add_bias(pre, layer.bias, tile)
+            rowwise(np.add, pre, layer.bias, tile, pre)
             out = _activate(layer.activation, pre, work)
             if tape is not None:
                 tape.append((h, out))

@@ -29,7 +29,7 @@ order they would inline.
 The passes run their stacks without a tape, so nothing is kept for a
 backward pass that inference never runs.  Every block writes into buffers
 allocated once per call, one arena (`_pass_plan`), the draw buffer and
-each dense layer's bias tile (`nncore.bias_tile`), so once the first two
+each dense layer's bias tile (`nncore.row_tile`), so once the first two
 blocks are drawn the passes allocate no buffers and fault in no fresh
 pages.  The yielded outputs are views of those buffers, which the next
 block overwrites: `mc_moments` folds each pass in before the next runs, and
@@ -53,8 +53,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import PathwayNetwork
-from .nncore import (DenseLayer, Uniforms, as_matrix, bias_tile, ensure_finite,
-                     numeric_context, scratch_columns, scratch_views, usable_cpus)
+from .nncore import (DenseLayer, Uniforms, as_matrix, ensure_finite, numeric_context,
+                     row_tile, scratch_columns, scratch_views, usable_cpus)
 
 
 def _welford_step(k: int, sample: np.ndarray, mean: np.ndarray, m2: np.ndarray,
@@ -98,8 +98,8 @@ class McMoments(NamedTuple):
     rec_mean: np.ndarray | None  # (N, D)
 
 
-# float64 elements (2 MB) a block of stacked passes may take for its layer
-# outputs and both halves of its double draw buffer; a batch whose single
+# float64 elements (2 MB) a block of stacked passes may take for its arena
+# (`_pass_plan`) and both halves of its double draw buffer; a batch whose single
 # pass is larger runs pass by pass.  Scoring 500-row thyroid requests,
 # 2**19 was 2 % faster than 2**18 but raised the process's peak RSS by
 # 1.3 MB; 2**17 was 7 % slower.  A second draw buffer outside the budget
@@ -107,17 +107,15 @@ class McMoments(NamedTuple):
 PASS_BLOCK_BUDGET = 2**18
 
 
-def _pass_layout(net: PathwayNetwork) -> tuple[tuple[list[int], list[float]], int]:
-    """(draws, row_width) of one pass after the encoder's first layer: the
-    (widths, rates) of the dropout layers that draw, in order
-    (`LayerStack.draws`), and the float64 elements a row takes across two
-    copies of those draws, one per half of the double draw buffer, and
-    every later dense output."""
-    draws = net.encoder.draws(start=1)
-    later = net.encoder.dense_layers()[1:] + [layer for stack in (net.head, net.decoder)
-                                              if stack is not None
-                                              for layer in stack.dense_layers()]
-    return draws, 2 * sum(draws[0]) + sum(layer.out_dim for layer in later)
+def _pass_layout(net: PathwayNetwork) -> tuple[tuple[list[int], list[float]], int, tuple]:
+    """(draws, row_width, arena) of one pass after the encoder's first
+    layer.  draws: the (widths, rates) of the dropout layers that draw, in
+    order (`LayerStack.draws`); arena: the (plan, columns) of `_pass_plan`;
+    row_width: the float64 elements a row of a block takes, the arena's
+    columns and two copies of the draws, one per half of the double draw
+    buffer."""
+    draws, arena = net.encoder.draws(start=1), _pass_plan(net)
+    return draws, 2 * sum(draws[0]) + arena[1], arena
 
 
 def _pass_plan(net: PathwayNetwork) -> tuple[list, int]:
@@ -295,7 +293,7 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     draws block k+1 into the other half while block k runs, started and
     joined inside this generator (`_block_sources`); with B = 1 each
     dropout layer draws from `rng` in turn, into its output's buffer.
-    Every dense layer adds its bias through a row tile (`nncore.bias_tile`)
+    Every dense layer adds its bias through a row tile (`nncore.row_tile`)
     made once per call.
 
     Every block writes into the arena of `_pass_plan` and the draw buffer,
@@ -311,13 +309,12 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     ensure_finite(x, "MC input rows")
     first = net.encoder.forward(x, stop=1)
     rows = len(first)
-    (draws, rates), row_width = _pass_layout(net)
+    (draws, rates), row_width, (plan, columns) = _pass_layout(net)
     block = min(t, max(1, PASS_BLOCK_BUDGET // (rows * row_width)))
     sizes = [min(block, t - done) for done in range(0, t, block)]
-    plan, columns = _pass_plan(net)
     stacks = _pass_stacks(net)
     tiles = [None if layers is None else
-             [bias_tile(layer.bias, block * rows) if isinstance(layer, DenseLayer) else None
+             [row_tile(layer.bias, block * rows) if isinstance(layer, DenseLayer) else None
               for layer in layers] for layers in stacks]
     arena = np.empty(columns * block * rows)
     buffers = None

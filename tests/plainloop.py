@@ -57,7 +57,8 @@ def plain_is_ood(groups) -> np.ndarray:
 
 
 def plain_gen_chiller(seed, n_per_class, d=16, n_faults=7, severities=(1, 2, 3, 4)):
-    """`data.gen_chiller_surrogate` with a tag string per row."""
+    """`data.gen_chiller_surrogate` with one noise draw per block, each
+    centre added to a new array, and a tag string per row."""
     rng = nncore.make_rng(seed)
     directions = rng.normal(0.0, 1.0, (n_faults, d))
     directions *= 6.0 / np.linalg.norm(directions, axis=1, keepdims=True)

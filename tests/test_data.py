@@ -440,6 +440,38 @@ def test_constant_feature_passes_through():
     assert np.all(np.isfinite(out))
 
 
+# ±0, subnormals, ±1e300 and plain values, one kind to a column
+_SPECIAL_COLUMNS = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.5, -7.25])
+
+
+@pytest.mark.parametrize("rows", [0, 1, nncore.TILE_ROWS - 1, nncore.TILE_ROWS + 1,
+                                  3 * nncore.TILE_ROWS + 5])
+def test_apply_is_the_broadcast_expression_bitwise_and_leaves_its_input(rows):
+    width = len(_SPECIAL_COLUMNS)
+    x = nncore.make_rng(50).normal(0.0, 1.0, (rows, width)) * np.roll(
+        _SPECIAL_COLUMNS, 3) + _SPECIAL_COLUMNS
+    x[::3] = _SPECIAL_COLUMNS  # every special value in every column
+    kept = x.copy()
+    # fitted stats with two constant features (std -> 1.0), then stats of
+    # special values: a subnormal and a huge mean, a subnormal and a tiny std
+    train = nncore.make_rng(51).normal(0.0, 1.0, (40, width))
+    train[:, 2], train[:, 5] = -0.0, 3.0
+    fitted = data.FeatureStats.fit(train)
+    assert (fitted.std[[2, 5]] == 1.0).all()
+    special = data.FeatureStats(mean=np.roll(_SPECIAL_COLUMNS, 1),
+                                std=np.array([1.0, 2.0, 1e-300, 5e-324, 0.5, 3.0, 1e300, 1.0]))
+    with np.errstate(all="ignore"):  # these values overflow and divide 0 by 0
+        for stats in (fitted, special):
+            got = stats.apply(x)
+            _assert_same_array(got, (x - stats.mean) / stats.std)
+            assert got.base is None and x.tobytes() == kept.tobytes()
+            # a 1-D row too; rows of another width raise as the broadcast does
+            _assert_same_array(stats.apply(_SPECIAL_COLUMNS),
+                               (_SPECIAL_COLUMNS - stats.mean) / stats.std)
+            with pytest.raises(ValueError):
+                stats.apply(np.ones((rows, width - 1)))
+
+
 def test_dataset_csv_export(tmp_path):
     ds = data.LabeledDataset(
         X=np.array([[1.0, 2.0]]), y=np.array([1]), group=np.array(["fault:1"])
@@ -531,16 +563,20 @@ def test_thyroid_line_format_equals_the_per_cell_reference():
     assert text == plainloop.plain_thyroid_text(rows)
 
 
-@pytest.mark.parametrize("n_per", [1, data.MNIST_DECODE_BLOCK, data.MNIST_DECODE_BLOCK + 1])
-def test_mnist_writer_equals_the_per_image_reference(tmp_path, n_per):
-    paths = data.write_mnist_surrogate(tmp_path, n_train_per_digit=n_per,
-                                       n_test_per_digit=2, seed=11)
-    rng = nncore.make_rng(11)
-    for prefix, n in (("train", n_per), ("t10k", 2)):
+def _mnist_writer_is_the_per_image_reference(tmp_path, n_train, n_test, seed):
+    paths = data.write_mnist_surrogate(tmp_path, n_train_per_digit=n_train,
+                                       n_test_per_digit=n_test, seed=seed)
+    rng = nncore.make_rng(seed)
+    for prefix, n in (("train", n_train), ("t10k", n_test)):
         images, labels = plainloop.plain_mnist_images(n, rng)
         perm = rng.permutation(len(images))
         assert data.read_idx(paths[f"{prefix}-images"]).tobytes() == images[perm].tobytes()
         assert data.read_idx(paths[f"{prefix}-labels"]).tobytes() == labels[perm].tobytes()
+
+
+@pytest.mark.parametrize("n_per", [1, data.MNIST_DECODE_BLOCK, data.MNIST_DECODE_BLOCK + 1])
+def test_mnist_writer_equals_the_per_image_reference(tmp_path, n_per):
+    _mnist_writer_is_the_per_image_reference(tmp_path, n_per, 2, seed=11)
 
 
 def _same_dataset(got, want):
@@ -561,6 +597,18 @@ def test_load_dataset_pair_equals_the_per_row_reference(tmp_path, dataset):
     for g, w in zip(got, want):
         _same_dataset(g, w)
         assert g.group.dtype == w.group.dtype
+
+
+@pytest.mark.parametrize("n_per_class", [1, 7, 129, 400])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_chiller_generator_equals_the_per_block_reference(seed, n_per_class):
+    got = data.gen_chiller_surrogate(seed=seed, n_per_class=n_per_class)
+    _same_dataset(got, plainloop.plain_gen_chiller(seed, n_per_class))
+
+
+@pytest.mark.parametrize("n_train, n_test", [(1, 257), (257, 1)])
+def test_mnist_writer_shares_its_glyph_table_between_the_files(tmp_path, n_train, n_test):
+    _mnist_writer_is_the_per_image_reference(tmp_path, n_train, n_test, seed=7)
 
 
 @pytest.mark.parametrize("seed", [0, 5])

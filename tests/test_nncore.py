@@ -273,9 +273,9 @@ def test_uniforms_hand_out_batch_draws_step_by_step_into_the_buffer():
 
 @pytest.mark.parametrize("width", [2, 3, 16])
 def test_bias_over_a_row_tile_is_the_broadcast_add_for_every_leftover(width):
-    r = nn.BIAS_TILE_ROWS
+    r = nn.TILE_ROWS
     bias = nn.make_rng(40).normal(0.0, 1e3, width)
-    tile = nn.bias_tile(bias, 10 * r)
+    tile = nn.row_tile(bias, 10 * r)
     assert tile.tobytes() == np.tile(bias, r).tobytes()
     base = nn.make_rng(41).normal(0.0, 1.0, (2 * r + r - 1) * width)
     for left in range(r):
@@ -283,19 +283,19 @@ def test_bias_over_a_row_tile_is_the_broadcast_add_for_every_leftover(width):
             pre = base[:rows * width].reshape(rows, width).copy()
             want = pre.copy()
             want += bias
-            nn._add_bias(pre, bias, tile)
+            nn.rowwise(np.add, pre, bias, tile, pre)
             assert pre.tobytes() == want.tobytes()
     # a stack of passes, the way MC blocks add it
     pre = base[:3 * 41 * width].reshape(3, 41, width).copy()
     want = pre + bias
-    nn._add_bias(pre, bias, nn.bias_tile(bias, 3 * 41))
+    nn.rowwise(np.add, pre, bias, nn.row_tile(bias, 3 * 41), pre)
     assert pre.tobytes() == want.tobytes()
 
 
 def test_bias_tile_is_bounded_and_skips_one_wide_biases():
-    assert nn.bias_tile(np.ones(1), 500) is None
-    assert nn.bias_tile(np.ones(3), 5).shape == (15,)
-    assert nn.bias_tile(np.ones(3), 10200).shape == (3 * nn.BIAS_TILE_ROWS,)
+    assert nn.row_tile(np.ones(1), 500) is None
+    assert nn.row_tile(np.ones(3), 5).shape == (15,)
+    assert nn.row_tile(np.ones(3), 10200).shape == (3 * nn.TILE_ROWS,)
 
 
 def test_draws_list_the_dropout_layers_that_draw():

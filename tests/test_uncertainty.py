@@ -280,7 +280,7 @@ class _CountedThreads:
 def test_draws_beside_the_passes_give_the_bytes_of_inline_draws(kind, rows, t, monkeypatch):
     net = _thyroid_net(kind)
     x = nncore.make_rng(33).normal(0, 1, (rows, 6))
-    (draws, _), row_width = unc._pass_layout(net)
+    (draws, _), row_width, _ = unc._pass_layout(net)
     block = min(t, max(1, unc.PASS_BLOCK_BUDGET // (rows * row_width)))
     runs = {}
     for cpus in (1, 2):
@@ -514,6 +514,36 @@ def test_first_encoder_layer_runs_once_per_mc_call():
     assert calls == [1, 1, 1]
     unc.mc_samples(net, x, 7, nncore.make_rng(24))
     assert calls == [2, 2, 2]
+
+
+# (input width, largest label) of each dataset's training split
+_DATASET_SHAPES = {"thyroid": (6, 1), "chiller-surrogate": (16, 6), "mnist": (196, 4)}
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("dataset", sorted(_DATASET_SHAPES))
+@pytest.mark.parametrize("passes", [2, 6, 40])
+def test_blocks_are_as_large_as_the_arena_and_draws_fit_in_the_budget(kind, dataset, passes,
+                                                                      monkeypatch):
+    width, top_label = _DATASET_SHAPES[dataset]
+    train = SimpleNamespace(X=np.zeros((1, width)), y=np.array([top_label]))
+    net = model.build(kind, experiments.config_for(dataset).architecture(train), 0)
+    # a row of a block: the arena's columns and both halves of the draw buffer
+    row = unc._pass_plan(net)[1] + 2 * sum(net.encoder.draws(start=1)[0])
+    rows = unc.PASS_BLOCK_BUDGET // (passes * row)  # room for `passes` passes, or a few more
+    sizes = []
+
+    def recorded(rng, block_sizes, *args):
+        sizes.append(block_sizes[0])
+        return block_sources(rng, block_sizes, *args)
+
+    block_sources = unc._block_sources
+    monkeypatch.setattr(unc, "_block_sources", recorded)
+    unc.mc_moments(net, nncore.make_rng(36).normal(0, 1, (rows, width)), 100,
+                   nncore.make_rng(37))
+    (b,) = sizes
+    assert passes <= b < 100  # the T passes do not bound it
+    assert b * rows * row <= unc.PASS_BLOCK_BUDGET < (b + 1) * rows * row
 
 
 def test_mc_moments_peaks_within_the_block_budget_plus_one_pass():
