@@ -136,11 +136,12 @@ def given_settings(args) -> dict:
 
 
 def build_config(args) -> ExperimentConfig:
-    """Dataset defaults, overridden by the config file, overridden by flags."""
-    overrides = given_settings(args)
-    dataset = overrides.pop("dataset", None) or "thyroid"
+    """Dataset defaults, overridden by the config file, overridden by flags;
+    the settings given explicitly stay on `args.given`."""
+    args.given = given_settings(args)
+    overrides = {key: value for key, value in args.given.items() if key != "dataset"}
     try:
-        return experiments.config_for(dataset, **overrides)
+        return experiments.config_for(args.given.get("dataset") or "thyroid", **overrides)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
 
@@ -215,7 +216,11 @@ def _archive_thresholds(cfg, args) -> tuple[model.PathwayNetwork, ExperimentConf
     archive's calibration.  An alpha, t_samples or seed given explicitly
     must equal the archive's."""
     net, cal = _load_weights(args.weights)
-    _check_archive_settings(args, cal)
+    for key in ("alpha", "t_samples", "seed"):
+        if key in args.given and args.given[key] != getattr(cal, key):
+            raise ConfigError(
+                f"{key} {args.given[key]} was given, but archive {args.weights} was "
+                f"calibrated with {key} {getattr(cal, key)}; retrain to change it")
     return net, replace(cfg, seed=cal.seed, t_samples=cal.t_samples), cal
 
 
@@ -300,16 +305,6 @@ def _read_input_csv(path) -> np.ndarray:
                 else f"value {v} beyond ±{data.MAX_INPUT_MAGNITUDE:g}")
         raise ConfigError(f"{path}: {what} in data row {row + 1}, {column(col)}")
     return x
-
-
-def _check_archive_settings(args, cal: model.Calibration) -> None:
-    """An explicitly given alpha, t_samples or seed must match the archive's."""
-    given = given_settings(args)
-    for key in ("alpha", "t_samples", "seed"):
-        if key in given and given[key] != getattr(cal, key):
-            raise ConfigError(
-                f"{key} {given[key]} was given, but archive {args.weights} was "
-                f"calibrated with {key} {getattr(cal, key)}; retrain to change it")
 
 
 def _check_width(x: np.ndarray, source: str, net: model.PathwayNetwork, args) -> None:

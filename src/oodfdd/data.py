@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .nncore import make_rng, row_tile, rowwise
-from .model import PathwayNetwork
 from .report import emit_csv
 
 # largest |value| a thyroid file or a CSV of rows to score may hold: a
@@ -49,6 +48,15 @@ IDX_LABELS_MAGIC = 2049
 # images decoded, scaled and pooled per block, so the float64 temporaries
 # stay a block's size whatever the file's
 MNIST_DECODE_BLOCK = 256
+# the paper's digit roles; the fault digits take labels 1.. in this order
+MNIST_NORMAL_DIGIT = 0
+MNIST_FAULT_DIGITS = (5, 6, 8, 9)
+MNIST_UNKNOWN_DIGITS = (1, 2, 3, 4, 7)
+
+# the chiller surrogate's width, fault count and ascending severity levels
+CHILLER_DIM = 16
+CHILLER_FAULTS = 7
+CHILLER_SEVERITIES = (1, 2, 3, 4)
 
 
 @dataclass
@@ -320,20 +328,14 @@ def avg_pool2(images: np.ndarray) -> np.ndarray:
     return out
 
 
-def load_mnist(
-    images_path,
-    labels_path,
-    normal_digit: int = 0,
-    fault_digits: tuple = (5, 6, 8, 9),
-    unknown_digits: tuple = (1, 2, 3, 4, 7),
-) -> LabeledDataset:
+def load_mnist(images_path, labels_path) -> LabeledDataset:
     """Load an idx image/label pair into the fault-detection label scheme.
 
     Pixels are scaled to [0,1] and downscaled by 2x2 average pooling; the
-    normal digit becomes label 0, fault digits get labels 1.. in sorted
-    order, unknown digits keep placeholder label 0 under the unknown tag.
-    Digits in none of the three sets are dropped; a file with no digit in
-    any set is a ValueError.
+    normal digit (MNIST_NORMAL_DIGIT) becomes label 0, the fault digits get
+    labels 1.. in the order of MNIST_FAULT_DIGITS, and the unknown digits
+    keep placeholder label 0 under the unknown tag.  Labels in none of the
+    three sets are dropped; a file with no label in any set is a ValueError.
     """
     images = read_idx(images_path)
     if images.ndim != 3:
@@ -345,19 +347,16 @@ def load_mnist(
         raise ValueError(
             f"count mismatch: {len(images)} images vs {len(labels)} labels"
         )
-    overlap = {normal_digit} & set(fault_digits) | {normal_digit} & set(unknown_digits)
-    overlap |= set(fault_digits) & set(unknown_digits)
-    if overlap:
-        raise ValueError(f"digit sets overlap: {sorted(overlap)}")
 
-    fault_order = {d: k + 1 for k, d in enumerate(sorted(fault_digits))}
-    keep = np.flatnonzero(np.isin(labels, [normal_digit, *fault_digits, *unknown_digits]))
+    fault_order = {d: k + 1 for k, d in enumerate(MNIST_FAULT_DIGITS)}
+    keep = np.flatnonzero(np.isin(
+        labels, [MNIST_NORMAL_DIGIT, *MNIST_FAULT_DIGITS, *MNIST_UNKNOWN_DIGITS]))
     labels = labels[keep]
     if not len(keep):
         avg_pool2(images[:0])  # odd image sides are reported first
-        raise ValueError(f"{labels_path}: no label is the normal digit {normal_digit}, "
-                         f"a fault digit {sorted(fault_digits)} or an unknown digit "
-                         f"{sorted(unknown_digits)}")
+        raise ValueError(f"{labels_path}: no label is the normal digit {MNIST_NORMAL_DIGIT}, "
+                         f"a fault digit {list(MNIST_FAULT_DIGITS)} or an unknown digit "
+                         f"{list(MNIST_UNKNOWN_DIGITS)}")
 
     # decode, scale and pool block by block straight into the feature matrix
     _, h, w = images.shape
@@ -371,7 +370,7 @@ def load_mnist(
     label_of = np.zeros(256, dtype=np.int64)
     tag_of = np.empty(256, dtype=object)
     for digit in np.unique(labels).tolist():
-        if digit == normal_digit:
+        if digit == MNIST_NORMAL_DIGIT:
             tag_of[digit] = "normal"
         elif digit in fault_order:
             label_of[digit] = fault_order[digit]
@@ -386,72 +385,31 @@ def load_mnist(
 # generated examples
 
 
-def gen_ambiguous(
-    net: PathwayNetwork,
-    x_normal: np.ndarray,
-    x_fault: np.ndarray,
-    t_values=(0.4, 0.5, 0.6),
-    fault_label: int = 1,
-) -> LabeledDataset:
-    """Decode latent interpolations between paired normal and fault inputs.
-
-    z(t) = (1-t) * enc(x_normal) + t * enc(x_fault), decoded with dropout
-    off.  Rows are paired; the output stacks all pairs per t value, tagged
-    incipient:<fault_label>:<t>.
-    """
-    if net.decoder is None:
-        raise ValueError(f"{net.kind.value} model has no decoder")
-    x_normal = np.atleast_2d(np.asarray(x_normal, dtype=np.float64))
-    x_fault = np.atleast_2d(np.asarray(x_fault, dtype=np.float64))
-    if x_normal.shape != x_fault.shape:
-        raise ValueError(
-            f"paired inputs must share a shape: {x_normal.shape} vs {x_fault.shape}"
-        )
-    z_normal = net.encoder.forward(x_normal)
-    z_fault = net.encoder.forward(x_fault)
-    xs, tags = [], []
-    for t in t_values:
-        z = (1.0 - t) * z_normal + t * z_fault
-        xs.append(net.decoder.forward(z))
-        tags.extend([f"incipient:{fault_label}:{t:g}"] * len(z))
-    x = np.vstack(xs)
-    return LabeledDataset(
-        X=x, y=np.full(len(x), fault_label, dtype=np.int64), group=np.asarray(tags)
-    )
-
-
-def gen_chiller_surrogate(
-    seed: int,
-    n_per_class: int,
-    d: int = 16,
-    n_faults: int = 7,
-    severities=(1, 2, 3, 4),
-) -> LabeledDataset:
+def gen_chiller_surrogate(seed: int, n_per_class: int) -> LabeledDataset:
     """Severity-graded Gaussian clusters mimicking the chiller experiment.
 
-    Normal data is a standard Gaussian at the origin.  Each fault k gets a
-    seeded random direction of length 6; severity s places that fault's
-    cluster mean at (s/4) of the way out, with unit isotropic noise, so the
-    severest level sits 6.0 from the origin and the slightest 1.5.  The
-    last fault index is tagged unknown at every severity.  Fully
+    Normal data is a standard Gaussian at the origin in CHILLER_DIM
+    dimensions.  Each of the CHILLER_FAULTS faults gets a seeded random
+    direction of length 6; severity s of CHILLER_SEVERITIES places that
+    fault's cluster mean at (s/4) of the way out, with unit isotropic noise,
+    so the severest level sits 6.0 from the origin and the slightest 1.5.
+    The last fault index is tagged unknown at every severity.  Fully
     deterministic in the seed.
     """
-    if n_faults < 2:
-        raise ValueError("need at least two faults (one becomes the unknown)")
     rng = make_rng(seed)
-    directions = rng.normal(0.0, 1.0, (n_faults, d))
+    directions = rng.normal(0.0, 1.0, (CHILLER_FAULTS, CHILLER_DIM))
     directions *= 6.0 / np.linalg.norm(directions, axis=1, keepdims=True)
 
     # every block's noise in one draw, the stream of one draw per block in
     # turn; one centre, label and tag per block of n_per_class rows
-    severities = sorted(severities)
-    x = rng.normal(0.0, 1.0, (1 + n_faults * len(severities), n_per_class, d))
+    x = rng.normal(0.0, 1.0, (1 + CHILLER_FAULTS * len(CHILLER_SEVERITIES), n_per_class,
+                              CHILLER_DIM))
     centers, labels, tags = [], [0], ["normal"]
-    max_sev = max(severities)
-    for k in range(1, n_faults + 1):
-        for s in severities:
+    max_sev = CHILLER_SEVERITIES[-1]
+    for k in range(1, CHILLER_FAULTS + 1):
+        for s in CHILLER_SEVERITIES:
             centers.append((s / max_sev) * directions[k - 1])
-            if k == n_faults:
+            if k == CHILLER_FAULTS:
                 labels.append(0)
                 tags.append("unknown")
             else:
@@ -459,7 +417,7 @@ def gen_chiller_surrogate(
                 tags.append(f"fault:{k}" if s == max_sev else f"incipient:{k}:{s}")
     x[1:] += np.asarray(centers)[:, None, :]
     return LabeledDataset(
-        X=x.reshape(-1, d),
+        X=x.reshape(-1, CHILLER_DIM),
         y=np.repeat(np.asarray(labels, dtype=np.int64), n_per_class),
         group=np.repeat(np.asarray(tags), n_per_class),
     )

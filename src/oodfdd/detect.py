@@ -33,6 +33,7 @@ MIN_CALIBRATION_EXAMPLES = 50
 # the derive_rng keys of the MC passes that calibrate and score draw
 CALIBRATION_STREAM = 20
 SCORING_STREAM = 22
+SWEEP_THRESHOLDS = 50  # thresholds in the precision/recall sweep
 
 
 def clf_anomaly_scores(mean: np.ndarray, variance: np.ndarray) -> np.ndarray:
@@ -219,10 +220,10 @@ def group_binary_accuracies(flags: np.ndarray, groups) -> dict[str, float]:
 
 
 def precision_recall_sweep(
-    scores: np.ndarray, fault_flags: np.ndarray, k: int = 50
+    scores: np.ndarray, fault_flags: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Precision/recall of "score > threshold" as the fault predictor, at k
-    evenly spaced thresholds over the score range.
+    """Precision/recall of "score > threshold" as the fault predictor, at
+    SWEEP_THRESHOLDS evenly spaced thresholds over the score range.
 
     The rows above each threshold are counted by binary search in the
     sorted scores, and the faults among them in the sorted fault scores.
@@ -234,9 +235,7 @@ def precision_recall_sweep(
         raise ValueError("score/flag length mismatch")
     if not fault_flags.any() or fault_flags.all():
         raise ValueError("need at least one fault and one normal example")
-    if k < 2:
-        raise ValueError("need at least two thresholds")
-    thresholds = np.linspace(scores.min(), scores.max(), k)
+    thresholds = np.linspace(scores.min(), scores.max(), SWEEP_THRESHOLDS)
     faults = np.sort(scores[fault_flags])
     flagged = len(scores) - np.searchsorted(np.sort(scores), thresholds, side="right")
     tp = len(faults) - np.searchsorted(faults, thresholds, side="right")

@@ -70,7 +70,6 @@ from .detect import (
     score,
 )
 from .model import (
-    ENCODER_LAYERS,
     Architecture,
     Calibration,
     ModelKind,
@@ -104,6 +103,9 @@ _DEFAULTS = {
 DATASETS = tuple(_DEFAULTS)
 
 MODEL_ORDER = tuple(ModelKind)
+
+# where between a normal and a fault latent code mnist's ambiguous rows lie
+AMBIGUOUS_T = (0.4, 0.5, 0.6)
 
 # (key, test, what the test wants) for the numeric settings; comparisons are
 # written so that NaN fails them
@@ -162,9 +164,9 @@ class ExperimentConfig:
     def architecture(self, train_ds: data.LabeledDataset) -> Architecture:
         """The network shape on `train_ds`: its feature count is the input
         width, its largest label plus one the class count, and without
-        hidden_widths the encoder tapers over ENCODER_LAYERS layers."""
+        hidden_widths the encoder tapers over `model.ENCODER_LAYERS` layers."""
         input_dim = train_ds.X.shape[1]
-        widths = (taper_widths(input_dim, self.latent_dim, ENCODER_LAYERS)
+        widths = (taper_widths(input_dim, self.latent_dim)
                   if self.hidden_widths is None else list(self.hidden_widths))
         return Architecture(input_dim=input_dim, latent_dim=self.latent_dim,
                             n_classes=int(train_ds.y.max()) + 1, encoder_widths=widths,
@@ -479,14 +481,16 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | None = None) -> Experi
 
 def _ood_rates(evals: dict, groups: np.ndarray) -> dict:
     """Per model: mean diagnostic accuracy over the ambiguous (incipient)
-    groups, and each pathway's flag rate on the unknown rows."""
-    has_ambiguous = any(g.startswith("incipient:") for g in groups)
+    groups, and each pathway's flag rate on the unknown rows.  Ambiguous
+    rows carry a fault label, so each of their groups has credit in
+    `clf_diag`."""
     unknown = groups == "unknown"
     amb_diag, unknown_rates = {}, {}
     for name, ev in evals.items():
-        if ev.clf_flags is not None and has_ambiguous:
+        if ev.clf_diag is not None:
             vals = [v for g, v in ev.clf_diag.items() if g.startswith("incipient:")]
-            amb_diag[name] = float(np.mean(vals)) if vals else float("nan")
+            if vals:
+                amb_diag[name] = float(np.mean(vals))
         rates = {path: float(flags[unknown].mean())
                  for path, flags in (("clf", ev.clf_flags), ("rec", ev.rec_flags))
                  if flags is not None and unknown.any()}
@@ -537,10 +541,13 @@ def _with_rows(eval_ds: data.LabeledDataset,
 
 def _make_ambiguous(net: PathwayNetwork, test: data.LabeledDataset,
                     cfg: ExperimentConfig) -> data.LabeledDataset | None:
-    """Latent interpolations between test normals and each fault class."""
+    """Latent interpolations between test normals and each fault class:
+    up to `cfg.ambiguous_pairs` random pairs a label, each side encoded with
+    dropout off and (1-t) * z_normal + t * z_fault decoded for each t of
+    AMBIGUOUS_T, tagged incipient:<label>:<t>."""
     rng = derive_rng(cfg.seed, 31)
     normal_x = test.X[test.group == "normal"]
-    pieces = []
+    xs, labels, tags = [], [], []
     for label in range(1, net.arch.n_classes):
         fault_x = test.X[(test.y == label) & (test.group != "unknown")]
         m = min(len(normal_x), len(fault_x), cfg.ambiguous_pairs)
@@ -548,14 +555,15 @@ def _make_ambiguous(net: PathwayNetwork, test: data.LabeledDataset,
             continue
         ni = rng.choice(len(normal_x), size=m, replace=False)
         fi = rng.choice(len(fault_x), size=m, replace=False)
-        pieces.append(data.gen_ambiguous(net, normal_x[ni], fault_x[fi],
-                                         fault_label=label))
-    if not pieces:
+        z_normal = net.encoder.forward(normal_x[ni])
+        z_fault = net.encoder.forward(fault_x[fi])
+        for t in AMBIGUOUS_T:
+            xs.append(net.decoder.forward((1.0 - t) * z_normal + t * z_fault))
+            labels += [label] * m
+            tags += [f"incipient:{label}:{t:g}"] * m
+    if not xs:
         return None
-    out = pieces[0]
-    for p in pieces[1:]:
-        out = data.concat(out, p)
-    return out
+    return data.LabeledDataset(X=np.vstack(xs), y=labels, group=np.asarray(tags))
 
 
 def group_table(columns: dict):

@@ -64,17 +64,16 @@ class Calibration:
         return [(f"clf{j}", thr) for j, thr in enumerate(clf)] + rec
 
 
-def taper_widths(input_dim: int, latent_dim: int, n_layers: int) -> list[int]:
-    """Geometrically tapered layer widths from input_dim down to latent_dim.
+def taper_widths(input_dim: int, latent_dim: int) -> list[int]:
+    """Geometrically tapered widths of ENCODER_LAYERS layers from input_dim
+    down to latent_dim.
 
     Widths are rounded up, and the final layer is always exactly latent_dim,
-    e.g. 6 -> [5, 3, 2] for a 3-layer encoder with a 2-dim latent space.
+    e.g. 6 -> [5, 3, 2] with a 2-dim latent space.
     """
-    if n_layers < 1:
-        raise ValueError("need at least one encoder layer")
     widths = []
-    for k in range(1, n_layers + 1):
-        frac = k / n_layers
+    for k in range(1, ENCODER_LAYERS + 1):
+        frac = k / ENCODER_LAYERS
         widths.append(
             math.ceil(input_dim ** (1.0 - frac) * latent_dim**frac - 1e-9)
         )

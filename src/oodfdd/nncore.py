@@ -651,6 +651,9 @@ def mse(
 # ---------------------------------------------------------------------------
 # optimizer
 
+# Adam's moment decays and denominator offset, the values of Kingma and Ba
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class AdamState:
     """The step count and the first/second moments of one parameter array,
@@ -662,21 +665,13 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float = 1e-3) -> None:
     """One bias-corrected Adam update, in place on `params`, a network's
     whole flat buffer: elementwise, so bitwise as each array stepped alone,
     and a position whose gradient has been exactly 0 since `state` was made
     keeps its bits at any finite lr >= 0.
 
-    The update is
+    The update, with b1, b2 and eps ADAM_BETA1, ADAM_BETA2 and ADAM_EPS, is
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
         p -= lr * (m/c1) / (sqrt(v/c2) + eps)
     evaluated operation by operation in that order into the state's scratch
@@ -688,24 +683,24 @@ def adam_step(
     raises NonFiniteError either way.
     """
     state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     m, v, (a, b) = state.m, state.v, state.scratch
-    m *= beta1
-    np.multiply(1.0 - beta1, grads, out=a)
+    m *= ADAM_BETA1
+    np.multiply(1.0 - ADAM_BETA1, grads, out=a)
     m += a
-    v *= beta2
+    v *= ADAM_BETA2
     np.square(grads, out=b)
-    b *= 1.0 - beta2
+    b *= 1.0 - ADAM_BETA2
     v += b
-    if c1 == 1.0:  # from t = 356 at beta1 = 0.9; m / 1.0 is m, bit for bit
+    if c1 == 1.0:  # from t = 356; m / 1.0 is m, bit for bit
         np.multiply(m, lr, out=a)
     else:
         np.divide(m, c1, out=a)
         a *= lr
     np.divide(v, c2, out=b)
     np.sqrt(b, out=b)
-    b += eps
+    b += ADAM_EPS
     a /= b
     params -= a
     ensure_finite(params, "parameters after adam_step")

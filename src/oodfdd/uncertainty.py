@@ -52,6 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import is_ood_tag
 from .model import PathwayNetwork
 from .nncore import (DenseLayer, Uniforms, as_matrix, ensure_finite, numeric_context,
                      row_tile, scratch_columns, scratch_views, usable_cpus)
@@ -411,6 +412,7 @@ def predictive_entropy(mean: np.ndarray) -> np.ndarray:
 GROUP_NORMAL = 0  # I0: normal test examples
 GROUP_FAULT_IN = 1  # I1: faults the model trained on
 GROUP_OOD = 2  # I2: incipient or unknown conditions
+HISTOGRAM_BINS = 20  # bins per output in `histogram_table`
 
 
 def group_bucket(tag: str) -> int:
@@ -419,7 +421,7 @@ def group_bucket(tag: str) -> int:
         return GROUP_NORMAL
     if tag.startswith("fault:"):
         return GROUP_FAULT_IN
-    if tag.startswith("incipient:") or tag == "unknown":
+    if is_ood_tag(tag):
         return GROUP_OOD
     raise ValueError(f"unrecognized group tag {tag!r}")
 
@@ -454,9 +456,9 @@ def decompose_entropies(entropies, groups) -> EntropyDecomposition:
     return EntropyDecomposition.from_parts(*map(float, parts))
 
 
-def histogram_table(samples: np.ndarray, bins: int = 20):
+def histogram_table(samples: np.ndarray):
     """Per-output histogram of one row's (T, C) MC samples as (header,
-    rows), one row per bin: output, bin_left, count.
+    rows), HISTOGRAM_BINS rows per output: output, bin_left, count.
 
     Outputs whose samples all sit inside [0, 1] are binned over [0, 1] so
     different outputs line up; anything else is binned over its own range.
@@ -469,6 +471,6 @@ def histogram_table(samples: np.ndarray, bins: int = 20):
             lo, hi = 0.0, 1.0
         elif lo == hi:
             hi = lo + 1.0
-        counts, edges = np.histogram(col, bins=bins, range=(lo, hi))
+        counts, edges = np.histogram(col, bins=HISTOGRAM_BINS, range=(lo, hi))
         rows += [[j, left, int(count)] for count, left in zip(counts, edges[:-1])]
     return ["output", "bin_left", "count"], rows

@@ -1,7 +1,8 @@
 """Plain references the bulk code paths must equal bit for bit: MC dropout
 passes one pass at a time, for the stacked pass loop of `uncertainty`, and
 the data set-up (generators, writers, loaders and the split) one row at a
-time, for the array operations of `data`."""
+time, for the array operations of `data`, and mnist's ambiguous rows one
+label at a time, for `experiments._make_ambiguous`."""
 
 import math
 import os
@@ -199,3 +200,44 @@ def plain_mnist_images(n_per, rng):
             labels[i] = digit
             i += 1
     return images, labels
+
+
+# ---------------------------------------------------------------------------
+# mnist's ambiguous rows, one dataset per label and t list
+
+
+def plain_gen_ambiguous(net, x_normal, x_fault, t_values, fault_label):
+    """Decoded latent interpolations of paired rows, stacked per t value."""
+    z_normal = net.encoder.forward(x_normal)
+    z_fault = net.encoder.forward(x_fault)
+    xs, tags = [], []
+    for t in t_values:
+        z = (1.0 - t) * z_normal + t * z_fault
+        xs.append(net.decoder.forward(z))
+        tags.extend([f"incipient:{fault_label}:{t:g}"] * len(z))
+    x = np.vstack(xs)
+    return data.LabeledDataset(
+        X=x, y=np.full(len(x), fault_label, dtype=np.int64), group=np.asarray(tags))
+
+
+def plain_make_ambiguous(net, test, cfg):
+    """`experiments._make_ambiguous` as one dataset per label, joined by
+    `data.concat` one label at a time."""
+    rng = nncore.derive_rng(cfg.seed, 31)
+    normal_x = test.X[test.group == "normal"]
+    pieces = []
+    for label in range(1, net.arch.n_classes):
+        fault_x = test.X[(test.y == label) & (test.group != "unknown")]
+        m = min(len(normal_x), len(fault_x), cfg.ambiguous_pairs)
+        if m == 0:
+            continue
+        ni = rng.choice(len(normal_x), size=m, replace=False)
+        fi = rng.choice(len(fault_x), size=m, replace=False)
+        pieces.append(plain_gen_ambiguous(net, normal_x[ni], fault_x[fi], (0.4, 0.5, 0.6),
+                                          label))
+    if not pieces:
+        return None
+    out = pieces[0]
+    for p in pieces[1:]:
+        out = data.concat(out, p)
+    return out

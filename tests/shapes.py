@@ -9,7 +9,7 @@ from oodfdd import model
 def arch(input_dim, latent_dim, n_classes=2, encoder_widths=None, head_widths=(8,),
          dropout_rate=0.2, decoder_activation="identity"):
     if encoder_widths is None:
-        encoder_widths = model.taper_widths(input_dim, latent_dim, model.ENCODER_LAYERS)
+        encoder_widths = model.taper_widths(input_dim, latent_dim)
     return model.Architecture(input_dim=input_dim, latent_dim=latent_dim, n_classes=n_classes,
                               encoder_widths=list(encoder_widths),
                               head_widths=list(head_widths), dropout_rate=dropout_rate,

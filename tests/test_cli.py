@@ -926,6 +926,32 @@ def test_report_takes_seed_and_t_samples_from_the_archive(tmp_path, thyroid_dir,
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "score", "report"])
+def test_archive_commands_read_the_config_file_once(monkeypatch, tmp_path, thyroid_dir,
+                                                    trained_dir, command):
+    reads = []
+    real = cli.load_config_file
+
+    def counted(path, name):
+        reads.append(path)
+        return real(path, name)
+
+    monkeypatch.setattr(cli, "load_config_file", counted)
+    rows = tmp_path / "rows.csv"
+    rows.write_text("0,0,0,0,0,0\n1,1,1,1,1,1\n")
+    extra = ["--input", str(rows)] if command == "score" else []
+    weights = os.path.join(trained_dir, "augmented.ofdd")
+    config = tmp_path / "run.cfg"
+    # the archive's t_samples passes its check; another fails it, read from
+    # the same one parse
+    for t_samples, rc in ((4, 0), (7, cli.EXIT_BAD_CONFIG)):
+        config.write_text(f"dataset = thyroid\nt_samples = {t_samples}\n")
+        reads.clear()
+        assert cli.main([command, "--config", str(config), "--data-dir", thyroid_dir,
+                         "--weights", weights, "--out", str(tmp_path / "out"), *extra]) == rc
+        assert reads == [str(config)]
+
+
 def test_importing_the_cli_loads_no_network_or_xml_modules():
     # xml.sax.saxutils pulls in urllib.request, http.client, ssl and email
     heavy = ["ssl", "http.client", "urllib.request", "email", "xml.sax"]

@@ -185,13 +185,11 @@ def test_mnist_count_mismatch(tmp_path, mnist_dir):
         data.load_mnist(mnist_dir / "train-images-idx3-ubyte", tmp_path / "labs")
 
 
-def test_mnist_rejects_overlapping_digit_sets(mnist_dir):
-    with pytest.raises(ValueError, match="overlap"):
-        data.load_mnist(
-            mnist_dir / "train-images-idx3-ubyte",
-            mnist_dir / "train-labels-idx1-ubyte",
-            fault_digits=(0, 5),
-        )
+def test_mnist_digit_sets_are_disjoint_cover_every_digit_and_keep_faults_in_label_order():
+    digits = [data.MNIST_NORMAL_DIGIT, *data.MNIST_FAULT_DIGITS, *data.MNIST_UNKNOWN_DIGITS]
+    assert sorted(digits) == list(range(10))
+    # fault digit k of the tuple is label k + 1, ascending as the paper's labels
+    assert list(data.MNIST_FAULT_DIGITS) == sorted(data.MNIST_FAULT_DIGITS)
 
 
 def _load_mnist_whole_array(images_path, labels_path, normal_digit=0,
@@ -225,40 +223,38 @@ B = data.MNIST_DECODE_BLOCK
 
 
 @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
-@pytest.mark.parametrize("digits", [
-    {},
-    {"normal_digit": 3, "fault_digits": (7, 1), "unknown_digits": (9,)},
-], ids=["all-digits", "filtered"])
-def test_mnist_blocks_equal_the_whole_array_expression_bitwise(tmp_path, n, digits):
+# labels 10..15 are in no digit set, so the filtered files drop rows
+@pytest.mark.parametrize("labels_below", [10, 16], ids=["all-digits", "filtered"])
+def test_mnist_blocks_equal_the_whole_array_expression_bitwise(tmp_path, n, labels_below):
     rng = nncore.make_rng(n)
     images = rng.integers(0, 256, (n, 28, 28)).astype(np.uint8)
     images[0] = (0, 255)[n % 2]  # the ends of the pixel range
-    labels = rng.integers(0, 10, n).astype(np.uint8)
-    labels[0] = digits.get("normal_digit", 0)  # every file keeps a row
+    labels = rng.integers(0, labels_below, n).astype(np.uint8)
+    labels[0] = data.MNIST_NORMAL_DIGIT  # every file keeps a row
     data.write_idx_images(tmp_path / "imgs", images)
     data.write_idx_labels(tmp_path / "labs", labels)
-    ds = data.load_mnist(tmp_path / "imgs", tmp_path / "labs", **digits)
-    x, y, group = _load_mnist_whole_array(tmp_path / "imgs", tmp_path / "labs", **digits)
+    ds = data.load_mnist(tmp_path / "imgs", tmp_path / "labs")
+    x, y, group = _load_mnist_whole_array(tmp_path / "imgs", tmp_path / "labs")
     for got, want in ((ds.X, x), (ds.y, y), (ds.group, group)):
         _assert_same_array(got, want)
 
 
 def test_mnist_rejects_odd_image_sides_with_no_row_kept(tmp_path):
     data.write_idx_images(tmp_path / "imgs", np.zeros((2, 7, 7), dtype=np.uint8))
-    data.write_idx_labels(tmp_path / "labs", np.array([4, 4], dtype=np.uint8))
+    data.write_idx_labels(tmp_path / "labs", np.array([10, 10], dtype=np.uint8))
     with pytest.raises(ValueError, match="not divisible by 2"):
-        data.load_mnist(tmp_path / "imgs", tmp_path / "labs", unknown_digits=())
+        data.load_mnist(tmp_path / "imgs", tmp_path / "labs")
 
 
 def test_mnist_rejects_a_file_with_no_digit_in_any_set(tmp_path):
     data.write_idx_images(tmp_path / "imgs", np.zeros((1, 28, 28), dtype=np.uint8))
-    data.write_idx_labels(tmp_path / "labs", np.array([2], dtype=np.uint8))
+    data.write_idx_labels(tmp_path / "labs", np.array([12], dtype=np.uint8))
     with pytest.raises(ValueError) as info:
-        data.load_mnist(tmp_path / "imgs", tmp_path / "labs",
-                        normal_digit=3, fault_digits=(1,), unknown_digits=())
+        data.load_mnist(tmp_path / "imgs", tmp_path / "labs")
     message = str(info.value)
     assert str(tmp_path / "labs") in message
-    assert "normal digit 3" in message and "[1]" in message and "[]" in message
+    assert "normal digit 0" in message and "[5, 6, 8, 9]" in message
+    assert "[1, 2, 3, 4, 7]" in message
 
 
 def test_cli_exits_3_on_mnist_files_with_no_digit_in_any_set(tmp_path, capsys):
@@ -298,32 +294,6 @@ def test_loaders_peak_memory_stays_near_their_output(tmp_path):
 
 # ---------------------------------------------------------------------------
 # generated examples
-
-
-def test_gen_ambiguous_endpoints():
-    net = model.build(ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2), 0)
-    rng = nncore.make_rng(2)
-    x_n = rng.normal(0, 1, (3, 6))
-    x_f = rng.normal(0, 1, (3, 6))
-    ds = data.gen_ambiguous(net, x_n, x_f, t_values=(0.0, 1.0), fault_label=2)
-    rec_n = net.decoder.forward(net.encoder.forward(x_n))
-    rec_f = net.decoder.forward(net.encoder.forward(x_f))
-    assert np.allclose(ds.X[:3], rec_n, atol=1e-12)
-    assert np.allclose(ds.X[3:], rec_f, atol=1e-12)
-    assert list(ds.group[:3]) == ["incipient:2:0"] * 3
-    assert np.all(ds.y == 2)
-
-
-def test_gen_ambiguous_default_ts_and_errors():
-    net = model.build(ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2), 0)
-    ds = data.gen_ambiguous(net, np.zeros(6), np.ones(6))
-    assert len(ds) == 3
-    assert set(ds.group) == {"incipient:1:0.4", "incipient:1:0.5", "incipient:1:0.6"}
-    clf_only = model.build(ModelKind.CLASSIFIER_ONLY, arch(input_dim=6, latent_dim=2), 0)
-    with pytest.raises(ValueError):
-        data.gen_ambiguous(clf_only, np.zeros(6), np.ones(6))
-    with pytest.raises(ValueError):
-        data.gen_ambiguous(net, np.zeros(6), np.ones((2, 6)))
 
 
 def test_chiller_surrogate_geometry():
@@ -631,13 +601,15 @@ def _every_generated_tag(tmp_path):
     d = tmp_path / "mnist"
     d.mkdir()
     data.write_mnist_surrogate(d, n_train_per_digit=2, n_test_per_digit=1, seed=0)
-    net = model.build(ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2), 0)
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2, n_classes=4), 0)
+    fault_3 = data.LabeledDataset(X=np.vstack([np.zeros(6), np.ones(6)]), y=[0, 3],
+                                  group=["normal", "fault:3"])
     thyroid = data.write_thyroid_surrogate(tmp_path, seed=0)["ann-test.data"]
     return np.concatenate([
         data.gen_chiller_surrogate(seed=0, n_per_class=2).group,
         data.load_thyroid(thyroid).group,
         data.load_mnist(d / "train-images-idx3-ubyte", d / "train-labels-idx1-ubyte").group,
-        data.gen_ambiguous(net, np.zeros((1, 6)), np.ones((1, 6)), fault_label=3).group,
+        experiments._make_ambiguous(net, fault_3, experiments.mnist_config()).group,
         ["", "incipient", "unknown ", "fault:1", "incipient:", " unknown", "Unknown"],
     ])
 

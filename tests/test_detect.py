@@ -367,13 +367,15 @@ def _brute_force_precision_recall(scores, flags, threshold):
 
 def test_precision_recall_sweep_matches_the_per_threshold_oracle_with_ties():
     # tied scores on both sides of the flag, a tie at the minimum and at
-    # the maximum; the top threshold flags nothing, so its precision is 1.0
-    scores = np.array([0.5, 0.1, 0.5, 0.9, 0.3, 0.5, 0.1, 0.9, 0.7, 0.3])
+    # the maximum; the top threshold flags nothing, so its precision is 1.0.
+    # Over 0..49 the thresholds are the integers, so every score is one.
+    assert detect.SWEEP_THRESHOLDS == 50
+    scores = np.array([21.0, 0, 21, 49, 7, 21, 0, 49, 35, 7])
     flags = np.array([True, False, False, True, False, True, True, False, True, False])
-    thresholds, precision, recall = detect.precision_recall_sweep(scores, flags, k=9)
-    assert thresholds[0] == 0.1 and thresholds[-1] == 0.9
+    thresholds, precision, recall = detect.precision_recall_sweep(scores, flags)
+    assert thresholds.tolist() == list(range(50))
     assert precision[-1] == 1.0 and recall[-1] == 0.0
-    assert recall[0] == 4 / 5 and precision[0] == 4 / 8  # the minimum itself is not > 0.1
+    assert recall[0] == 4 / 5 and precision[0] == 4 / 8  # the minimum itself is not > 0
     for thr, p, r in zip(thresholds, precision, recall):
         assert (p, r) == _brute_force_precision_recall(scores, flags, thr)
 
@@ -381,10 +383,10 @@ def test_precision_recall_sweep_matches_the_per_threshold_oracle_with_ties():
 def test_precision_recall_perfect_separation():
     scores = np.array([0.1, 0.2, 0.8, 0.9])
     flags = np.array([False, False, True, True])
-    thresholds, precision, recall = detect.precision_recall_sweep(scores, flags, k=9)
+    thresholds, precision, recall = detect.precision_recall_sweep(scores, flags)
     hit = (precision == 1.0) & (recall == 1.0)
     assert hit.any()
-    assert len(thresholds) == len(precision) == len(recall) == 9
+    assert len(thresholds) == len(precision) == len(recall) == detect.SWEEP_THRESHOLDS
 
 
 def test_precision_recall_matches_brute_force():
@@ -392,7 +394,7 @@ def test_precision_recall_matches_brute_force():
     scores = rng.random(40)
     flags = rng.random(40) < 0.3
     flags[0], flags[1] = True, False
-    thresholds, precision, recall = detect.precision_recall_sweep(scores, flags, k=11)
+    thresholds, precision, recall = detect.precision_recall_sweep(scores, flags)
     for t, p, r in zip(thresholds, precision, recall):
         assert (p, r) == _brute_force_precision_recall(scores, flags, t)
 

@@ -22,8 +22,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import plainloop
 from oodfdd import cli, data, detect, experiments, model, nncore, train
 from oodfdd.nncore import NonFiniteError, derive_rng
+from shapes import arch
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +192,64 @@ def test_mnist_extras(mnist_result):
     tags = [g for g in r.eval_ds.group if g.startswith("incipient:")]
     assert len(tags) == 4 * 5 * 3
     assert "incipient:2:0.5" in tags
+
+
+@pytest.fixture(scope="module", params=[0, 1])
+def mnist_augmented(request, mnist_dir):
+    """(cfg, smoke-trained augmented net, test rows) of a seed, the rows of
+    fault label 2 cut to 3, fewer than most pair counts."""
+    cfg = dataclasses.replace(_smoke(experiments.mnist_config, train_cap_per_class=60),
+                              seed=request.param)
+    train_ds, test = experiments.load_dataset_pair(cfg, mnist_dir)
+    net, _ = experiments.train_one(cfg, model.ModelKind.AUGMENTED, train_ds)
+    keep = np.ones(len(test), dtype=bool)
+    keep[np.flatnonzero(test.y == 2)[3:]] = False
+    return cfg, net, test.select(keep)
+
+
+@pytest.mark.parametrize("pairs", [0, 1, 5, 40])
+def test_ambiguous_rows_equal_the_per_label_reference_bitwise(mnist_augmented, pairs):
+    cfg, net, test = mnist_augmented
+    cfg = dataclasses.replace(cfg, ambiguous_pairs=pairs)
+    got = experiments._make_ambiguous(net, test, cfg)
+    want = plainloop.plain_make_ambiguous(net, test, cfg)
+    if pairs == 0:
+        assert got is None and want is None
+        return
+    assert got.feature_stats is None and len(got) > 0
+    for g, w in ((got.X, want.X), (got.y, want.y), (got.group, want.group)):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def _one_fault_label_rows(n_normal, n_fault, label, seed=2):
+    rng = nncore.make_rng(seed)
+    return data.LabeledDataset(X=rng.normal(0, 1, (n_normal + n_fault, 6)),
+                               y=[0] * n_normal + [label] * n_fault,
+                               group=["normal"] * n_normal + [f"fault:{label}"] * n_fault)
+
+
+def test_ambiguous_rows_at_the_ends_decode_each_side(monkeypatch):
+    net = model.build(model.ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2, n_classes=3),
+                      0)
+    test = _one_fault_label_rows(3, 3, label=2)
+    monkeypatch.setattr(experiments, "AMBIGUOUS_T", (0.0, 1.0))
+    ds = experiments._make_ambiguous(net, test, experiments.mnist_config(ambiguous_pairs=3))
+    rec = net.decoder.forward(net.encoder.forward(test.X))
+    # each end holds every row of its side once, in the pairing's order
+    for got, want in ((ds.X[:3], rec[:3]), (ds.X[3:], rec[3:])):
+        assert np.allclose(got[np.lexsort(got.T)], want[np.lexsort(want.T)], atol=1e-12)
+    assert list(ds.group[:3]) == ["incipient:2:0"] * 3
+    assert list(ds.group[3:]) == ["incipient:2:1"] * 3
+    assert np.all(ds.y == 2)
+
+
+def test_ambiguous_rows_sit_at_the_default_t_values():
+    net = model.build(model.ModelKind.AUGMENTED, arch(input_dim=6, latent_dim=2), 0)
+    ds = experiments._make_ambiguous(net, _one_fault_label_rows(1, 1, label=1),
+                                     experiments.mnist_config())
+    assert experiments.AMBIGUOUS_T == (0.4, 0.5, 0.6)
+    assert list(ds.group) == ["incipient:1:0.4", "incipient:1:0.5", "incipient:1:0.6"]
 
 
 def test_mnist_train_capped(mnist_result):

@@ -33,11 +33,11 @@ def _save(net, path):
 
 
 def test_taper_widths_thyroid():
-    assert model.taper_widths(6, 2, 3) == [5, 3, 2]
+    assert model.taper_widths(6, 2) == [5, 3, 2]
 
 
 def test_taper_widths_chiller():
-    assert model.taper_widths(16, 4, 3) == [11, 7, 4]
+    assert model.taper_widths(16, 4) == [11, 7, 4]
 
 
 def test_thyroid_structure_three_layer_pathways():

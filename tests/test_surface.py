@@ -8,6 +8,11 @@ does a local variable that happens to share a method's name, nor a
 method named without being called.  A definition that only tests call is
 surface to maintain with no user, so the test fails on it unless it is
 on the allow-list below with its reason.
+
+The same holds for parameters with a default: each must be passed at some
+call in the package or the benchmark, or be on its own allow-list.  And
+the package's modules import one another without a cycle, `data` sitting
+below the networks it feeds.
 """
 
 import ast
@@ -18,10 +23,18 @@ import oodfdd
 # qualified name -> why it stays without a caller in the package
 ALLOWED = {
     "data.LabeledDataset.to_csv": "the benchmark workloads write request files with it",
-    "data.is_ood_tag": "the benchmark workloads count flag rates with it; the package "
-                       "tests tags in bulk with `ood_mask`",
     "report.separation_statistic": "the acceptance latent-separation check calls it",
 }
+
+# qualified parameter name -> why its default stays though no call sets it
+ALLOWED_DEFAULTS = {
+    "data.write_mnist_surrogate.n_train_per_digit":
+        "tests write small MNIST files to stay fast; gen-data writes the full size",
+    "data.write_mnist_surrogate.n_test_per_digit":
+        "tests write small MNIST files to stay fast; gen-data writes the full size",
+}
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _trees():
@@ -86,7 +99,7 @@ def test_every_package_name_the_benchmark_workloads_use_exists():
     workload, so it fails here first.  The file is parsed, not run."""
     import importlib
 
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    path = REPO / "bench" / "workloads.py"
     tree = ast.parse(path.read_text())
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module == "oodfdd"
@@ -98,3 +111,108 @@ def test_every_package_name_the_benchmark_workloads_use_exists():
              and node.value.id in modules}
     assert {module for module, _ in named} == set(modules)
     assert sorted(f"{m}.{a}" for m, a in named if not hasattr(modules[m], a)) == []
+
+
+def _defaulted_parameters(trees):
+    """(qualified name, callee name, position or None, parameter name) of
+    each parameter with a default of a public function, or of a public
+    method of a public class; the position counts the arguments a call
+    passes before it (None for a keyword-only parameter)."""
+    out = []
+
+    def add(qualified, fn, bound):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        if bound and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list):
+            positional = positional[1:]  # self or cls
+        first = len(positional) - len(args.defaults)
+        out.extend((f"{qualified}.{a.arg}", fn.name, i, a.arg)
+                   for i, a in enumerate(positional) if i >= first)
+        out.extend((f"{qualified}.{a.arg}", fn.name, None, a.arg)
+                   for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                add(f"{module}.{node.name}", node, bound=False)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        add(f"{module}.{node.name}.{item.name}", item, bound=True)
+    return out
+
+
+def _passed_arguments(trees):
+    """{callee name: (positions passed, keywords passed)} over every call in
+    `trees`, by the called name (`f(..)` or `obj.f(..)`).  A call whose
+    callee has no name (`table[key](..)`) passes its keywords to every
+    callee, under the name None.  A splat (`*xs`, `**kw`) passes nothing
+    this can see: no position from it on, and no keyword."""
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            positions, keywords = passed.setdefault(name, (set(), set()))
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                positions.add(i)
+            keywords.update(kw.arg for kw in node.keywords if kw.arg is not None)
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    """A default that no call in the package or the benchmark overrides is
+    a setting nobody varies: a module constant says so with less surface."""
+    trees = _trees()
+    callers = [*trees.values(),
+               *(ast.parse(path.read_text()) for path in sorted((REPO / "bench").glob("*.py")))]
+    passed = _passed_arguments(callers)
+    _, anonymous = passed.get(None, (set(), set()))
+    unset = set()
+    for qualified, callee, position, name in _defaulted_parameters(trees):
+        positions, keywords = passed.get(callee, (set(), set()))
+        if not (name in keywords or name in anonymous or position in positions):
+            unset.add(qualified)
+    assert unset - set(ALLOWED_DEFAULTS) == set()
+    # an entry whose parameter gained a caller, or is gone, leaves the list
+    assert unset == set(ALLOWED_DEFAULTS)
+
+
+def _package_imports(trees):
+    """{module: the package modules it imports}, at any depth in the file."""
+    graph = {}
+    for module, tree in trees.items():
+        deps = graph.setdefault(module, set())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps.update([node.module] if node.module
+                            else (alias.name for alias in node.names))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("oodfdd"):
+                rest = node.module.split(".")[1:]
+                deps.update(rest[:1] or (alias.name for alias in node.names))
+    return graph
+
+
+def test_data_sits_below_the_networks_and_the_imports_have_no_cycle():
+    graph = _package_imports(_trees())
+    assert graph["data"] == {"nncore", "report"}
+    done, on_path = set(), []
+
+    def visit(module):
+        assert module not in on_path, f"import cycle: {' -> '.join(on_path + [module])}"
+        if module in done:
+            return
+        on_path.append(module)
+        for dep in sorted(graph[module]):
+            visit(dep)
+        on_path.pop()
+        done.add(module)
+
+    for module in graph:
+        visit(module)

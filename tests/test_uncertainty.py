@@ -712,11 +712,12 @@ def test_histogram_csv(tmp_path):
     net = _net(n_classes=3)
     out = unc.mc_samples(net, np.ones(6), 200, nncore.make_rng(17))
     path = tmp_path / "hist.csv"
-    emit_csv(*unc.histogram_table(out.clf[:, 0], bins=10), path)
+    emit_csv(*unc.histogram_table(out.clf[:, 0]), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "output,bin_left,count"
     rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 3 * 10
+    assert unc.HISTOGRAM_BINS == 20
+    assert len(rows) == 3 * 20
     for j in range(3):
         counts = [int(r[2]) for r in rows if r[0] == str(j)]
         assert sum(counts) == 200
