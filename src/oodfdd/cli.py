@@ -21,20 +21,24 @@ alpha, t_samples, the seed and the thresholds) in the weight archive.
 record, and `evaluate` and `score` never recalibrate: `evaluate` splits the
 data with the archive's seed, and `score --input` reads no dataset file.
 
-Exit codes: 0 success, 2 missing data path, 3 bad configuration or usage
+Paths are not checked before use: the OSError of the `open` or `makedirs`
+that uses one names it (`error: <strerror>: <path>`) and exits 2 if the
+path names nothing, 3 otherwise (wrong kind of path, or refused by the OS).
+
+Exit codes: 0 success, 2 missing path, 3 bad configuration, usage or path
 (including a value or encoder layout the config checks reject, before any
-data is read; a flag or config key the command does not read; a
-non-numeric or non-finite value in a thyroid data file,
-or one beyond ±data.MAX_INPUT_MAGNITUDE, named with its file and line; an
-input CSV that is not UTF-8 or not parseable as CSV, a data row with more
-or fewer cells than the header, a non-numeric or non-finite cell, or one
-beyond ±data.MAX_INPUT_MAGNITUDE; rows to score, from `--input` or a
-dataset, whose width differs from the archive's input_dim; and a `--alpha`,
-`--t-samples` or `--seed` given to `evaluate`, `score` or `report` that
-differs from the archive's), 4 numeric failure during training or
-evaluation (numpy raises on overflow, division by zero and invalid
-operations in every command, as it does inside every library entry point:
-`nncore.numeric_context`), 5 unreadable weight archive (a
+data is read; a flag or config key the command does not read; a config or
+thyroid data file that is not UTF-8, a non-numeric or non-finite value in a
+thyroid data file, or one beyond ±data.MAX_INPUT_MAGNITUDE, named with its
+file and line; an input CSV that is not UTF-8 or not parseable as CSV, a
+data row with more or fewer cells than the header, a non-numeric or
+non-finite cell, or one beyond ±data.MAX_INPUT_MAGNITUDE; rows to score,
+from `--input` or a dataset, whose width differs from the archive's
+input_dim; and a `--alpha`, `--t-samples` or `--seed` given to `evaluate`,
+`score` or `report` that differs from the archive's), 4 numeric failure
+during training or evaluation (numpy raises on overflow, division by zero
+and invalid operations in every command, as it does inside every library
+entry point: `nncore.numeric_context`), 5 unreadable weight archive (a
 non-finite parameter or threshold, an invalid calibration record and a
 version-1 archive included).
 """
@@ -59,7 +63,7 @@ from .experiments import ExperimentConfig
 from .nncore import NonFiniteError, derive_rng, numeric_context
 from .uncertainty import histogram_table, mc_samples
 
-EXIT_MISSING_DATA = 2
+EXIT_MISSING_PATH = 2
 EXIT_BAD_CONFIG = 3
 EXIT_NUMERIC = 4
 EXIT_BAD_ARCHIVE = 5
@@ -69,8 +73,8 @@ class ConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse normally exits 2 on usage errors; that code is reserved for
-    # missing data here, so route usage problems through ConfigError instead
+    # argparse normally exits 2 on usage errors; that code is reserved for a
+    # missing path here, so route usage problems through ConfigError instead
     def error(self, message):
         raise ConfigError(message)
 
@@ -107,23 +111,25 @@ def parse_config_value(key: str, raw: str):
 
 def load_config_file(path, command: str) -> dict:
     """Flat key = value format; blank lines and # comments are ignored.
-    Every key must be a setting that `command` reads."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    Every key must be a setting that `command` reads, and the file UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}:{data.undecodable_line(path)}: not UTF-8 text") from None
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-            key, raw = line.split("=", 1)
-            key = key.strip()
-            if key in _SETTINGS and key not in COMMAND_SETTINGS[command]:
-                raise ConfigError(f"{path}:{lineno}: {command} does not read config key "
-                                  f"{key!r}")
-            values[key] = parse_config_value(key, raw)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
+        key, raw = line.split("=", 1)
+        key = key.strip()
+        if key in _SETTINGS and key not in COMMAND_SETTINGS[command]:
+            raise ConfigError(f"{path}:{lineno}: {command} does not read config key "
+                              f"{key!r}")
+        values[key] = parse_config_value(key, raw)
     return values
 
 
@@ -168,25 +174,16 @@ def _out_dir(args) -> str:
     return args.out
 
 
-def _load_weights(path) -> tuple[model.PathwayNetwork, model.Calibration]:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"weights archive not found: {path}")
-    try:
-        return model.load(path)
-    except model.ArchiveError as exc:
-        raise model.ArchiveError(f"{path}: {exc}") from exc
-
-
 _SURROGATE_WRITERS = {"thyroid": data.write_thyroid_surrogate,
                       "mnist": data.write_mnist_surrogate}
 
 
 def cmd_gen_data(cfg, args) -> int:
-    root = experiments.resolve_data_dir(args.data_dir)
-    os.makedirs(root, exist_ok=True)
     if cfg.dataset not in _SURROGATE_WRITERS:
         print("chiller surrogate is generated in-process at run time; no files to write")
         return 0
+    root = experiments.resolve_data_dir(args.data_dir)
+    os.makedirs(root, exist_ok=True)
     written = _SURROGATE_WRITERS[cfg.dataset](root, seed=cfg.seed)
     for name in sorted(written):
         print(f"wrote {written[name]}")
@@ -215,7 +212,7 @@ def _archive_thresholds(cfg, args) -> tuple[model.PathwayNetwork, ExperimentConf
     """The archived net, cfg with the archive's seed and t_samples, and the
     archive's calibration.  An alpha, t_samples or seed given explicitly
     must equal the archive's."""
-    net, cal = _load_weights(args.weights)
+    net, cal = model.load(args.weights)
     for key in ("alpha", "t_samples", "seed"):
         if key in args.given and args.given[key] != getattr(cal, key):
             raise ConfigError(
@@ -251,8 +248,6 @@ def _read_input_csv(path) -> np.ndarray:
     larger in magnitude than data.MAX_INPUT_MAGNITUDE.  Any other file is a
     ConfigError that names it.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"input file not found: {path}")
     values = array("d")  # the feature cells of every data row, flat
     problem = None  # the first bad row, reported once the whole file read as CSV
     try:
@@ -485,9 +480,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_DATA
+    except OSError as exc:
+        what = exc if exc.filename is None else f"{exc.strerror}: {exc.filename}"
+        print(f"error: {what}", file=sys.stderr)
+        return EXIT_MISSING_PATH if isinstance(exc, FileNotFoundError) else EXIT_BAD_CONFIG
     except (NonFiniteError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

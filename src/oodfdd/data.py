@@ -137,18 +137,6 @@ def ood_mask(groups) -> np.ndarray:
     return (groups.astype(f"<U{len(_INCIPIENT)}") == _INCIPIENT) | (groups == "unknown")
 
 
-def concat(a: LabeledDataset, b: LabeledDataset) -> LabeledDataset:
-    """Stack two datasets row-wise; feature stats carry over from the first."""
-    if a.X.shape[1] != b.X.shape[1]:
-        raise ValueError(f"feature width mismatch: {a.X.shape[1]} vs {b.X.shape[1]}")
-    return LabeledDataset(
-        X=np.vstack([a.X, b.X]),
-        y=np.concatenate([a.y, b.y]),
-        group=np.concatenate([a.group, b.group]),
-        feature_stats=a.feature_stats,
-    )
-
-
 # ---------------------------------------------------------------------------
 # UCI ann-thyroid
 
@@ -158,23 +146,26 @@ def load_thyroid(path) -> LabeledDataset:
 
     Keeps only the 6 continuous columns, in raw units.  Class codes map as
     3 = normal, 1 = diseased (fault 1), 2 = subnormal (an incipient form of
-    the disease, tagged out-of-distribution).  A line with a non-numeric or
-    non-finite value, or one beyond ±MAX_INPUT_MAGNITUDE, raises naming the
-    file and line.  The file's class balance is verified against the
-    dataset's documented proportions; a mismatch raises rather than silently
-    proceeding.
+    the disease, tagged out-of-distribution).  A line that is not UTF-8, or
+    has a non-numeric or non-finite value or one beyond ±MAX_INPUT_MAGNITUDE,
+    raises naming the file and line.  The file's class balance is verified
+    against the dataset's documented proportions; a mismatch raises rather
+    than silently proceeding.
     """
     values = array("d")  # every row's features, flat
     codes = []
-    with open(path) as fh:
-        first = 1  # the chunk's first line number
-        while lines := list(itertools.islice(fh, THYROID_CHUNK_LINES)):
-            # a chunk with a bad line is scanned again line by line, which
-            # raises naming the first one
-            if not _parse_thyroid_chunk(lines, values, codes):
-                for lineno, line in enumerate(lines, first):
-                    _parse_thyroid_line(path, lineno, line, values, codes)
-            first += len(lines)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            first = 1  # the chunk's first line number
+            while lines := list(itertools.islice(fh, THYROID_CHUNK_LINES)):
+                # a chunk with a bad line is scanned again line by line, which
+                # raises naming the first one
+                if not _parse_thyroid_chunk(lines, values, codes):
+                    for lineno, line in enumerate(lines, first):
+                        _parse_thyroid_line(path, lineno, line, values, codes)
+                first += len(lines)
+    except UnicodeDecodeError:
+        raise ValueError(f"{path} line {undecodable_line(path)}: not UTF-8 text") from None
     if not codes:
         raise ValueError(f"{path}: empty file")
     raw = np.frombuffer(values, dtype=np.float64).reshape(len(codes), THYROID_N_COLS)
@@ -211,6 +202,16 @@ def load_thyroid(path) -> LabeledDataset:
         codes == 3, "normal", np.where(codes == 1, "fault:1", "incipient:1:1")
     )
     return LabeledDataset(X=x, y=y, group=group)
+
+
+def undecodable_line(path) -> int:
+    """The number of the first line of the file at `path` that is not
+    UTF-8, counted as a text read counts lines; read only after a decode
+    failed, so a valid file costs nothing."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        # each byte that does not decode reads as a lone surrogate, U+DC80..U+DCFF
+        return next(n for n, line in enumerate(fh, 1)
+                    if any("\udc80" <= c <= "\udcff" for c in line))
 
 
 def _parse_thyroid_chunk(lines, values: array, codes: list) -> bool:

@@ -229,10 +229,7 @@ class ExperimentResult:
 
 def resolve_data_dir(data_dir: str | None) -> str:
     """CLI and library agree on where dataset files live."""
-    if data_dir:
-        return data_dir
-    env = os.environ.get("OODFDD_DATA_DIR")
-    return env if env else "."
+    return data_dir or os.environ.get("OODFDD_DATA_DIR") or "."
 
 
 def _mean_diag_by_group(diag: np.ndarray, groups: np.ndarray) -> dict:
@@ -421,17 +418,11 @@ def load_dataset_pair(cfg: ExperimentConfig, data_dir: str | None = None):
 
 
 def _dataset_files(root: str, *names: str, gz: bool = False) -> list:
-    """Paths of the named files under root, each checked before any is read;
-    with `gz`, a `.gz` twin stands in for a missing file."""
-    paths = []
-    for name in names:
-        path = os.path.join(root, name)
-        if gz and not os.path.exists(path) and os.path.exists(path + ".gz"):
-            path += ".gz"
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"missing dataset file: {os.path.join(root, name)}")
-        paths.append(path)
-    return paths
+    """Paths of the named files under root; with `gz`, a `.gz` twin stands
+    in for a missing file."""
+    paths = [os.path.join(root, name) for name in names]
+    return [path + ".gz" if gz and not os.path.exists(path) and os.path.exists(path + ".gz")
+            else path for path in paths]
 
 
 @numeric_context()
@@ -536,7 +527,12 @@ def _cap_per_class(ds: data.LabeledDataset, cap: int, seed: int) -> data.Labeled
 
 def _with_rows(eval_ds: data.LabeledDataset,
                ambiguous: data.LabeledDataset | None) -> data.LabeledDataset:
-    return eval_ds if ambiguous is None else data.concat(eval_ds, ambiguous)
+    """The evaluation rows with the ambiguous rows, if any, stacked below."""
+    if ambiguous is None:
+        return eval_ds
+    return data.LabeledDataset(X=np.vstack([eval_ds.X, ambiguous.X]),
+                               y=np.concatenate([eval_ds.y, ambiguous.y]),
+                               group=np.concatenate([eval_ds.group, ambiguous.group]))
 
 
 def _make_ambiguous(net: PathwayNetwork, test: data.LabeledDataset,

@@ -295,15 +295,21 @@ def _calibration(rec: dict, net: PathwayNetwork) -> Calibration:
 def load(path) -> tuple[PathwayNetwork, Calibration]:
     """Rebuild a network and its calibration from an archive written by `save`.
 
-    Raises ArchiveError for a bad magic, a version other than 2, a header,
-    descriptor or payload cut short, and any other unreadable descriptor,
-    calibration record or payload, a NaN or infinite parameter or threshold
-    included.  The payload length is checked against the descriptor's
-    architecture before any layer is allocated, and the net is assembled
-    on a copy of the payload.
+    Raises ArchiveError, naming `path`, for a bad magic, a version other
+    than 2, a header, descriptor or payload cut short, and any other
+    unreadable descriptor, calibration record or payload, a NaN or infinite
+    parameter or threshold included.  The payload length is checked against
+    the descriptor's architecture before any layer is allocated, and the
+    net is assembled on a copy of the payload.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        try:
+            return _unpack(fh.read())
+        except ArchiveError as exc:
+            raise ArchiveError(f"{path}: {exc}") from exc
+
+
+def _unpack(blob: bytes) -> tuple[PathwayNetwork, Calibration]:
     if len(blob) < 10:
         raise ArchiveError("archive shorter than its fixed header")
     if blob[:4] != ARCHIVE_MAGIC:

@@ -221,8 +221,8 @@ def plain_gen_ambiguous(net, x_normal, x_fault, t_values, fault_label):
 
 
 def plain_make_ambiguous(net, test, cfg):
-    """`experiments._make_ambiguous` as one dataset per label, joined by
-    `data.concat` one label at a time."""
+    """`experiments._make_ambiguous` as one dataset per label, stacked at
+    the end."""
     rng = nncore.derive_rng(cfg.seed, 31)
     normal_x = test.X[test.group == "normal"]
     pieces = []
@@ -237,7 +237,6 @@ def plain_make_ambiguous(net, test, cfg):
                                           label))
     if not pieces:
         return None
-    out = pieces[0]
-    for p in pieces[1:]:
-        out = data.concat(out, p)
-    return out
+    return data.LabeledDataset(X=np.vstack([p.X for p in pieces]),
+                               y=np.concatenate([p.y for p in pieces]),
+                               group=np.concatenate([p.group for p in pieces]))

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import errno
 import filecmp
 import io
 import json
@@ -261,14 +262,126 @@ def test_gen_data_rejects_out(tmp_path, monkeypatch, capsys):
 def test_missing_data_exits_2(tmp_path):
     rc = cli.main(["train", "--dataset", "thyroid", "--data-dir",
                    str(tmp_path / "nope"), "--out", str(tmp_path / "o"), *SMOKE])
-    assert rc == cli.EXIT_MISSING_DATA
+    assert rc == cli.EXIT_MISSING_PATH
 
 
 def test_missing_weights_exits_2(tmp_path, thyroid_dir):
     rc = cli.main(["evaluate", "--dataset", "thyroid", "--data-dir", thyroid_dir,
                    "--weights", str(tmp_path / "nope.ofdd"),
                    "--out", str(tmp_path / "o"), *T_SMOKE])
-    assert rc == cli.EXIT_MISSING_DATA
+    assert rc == cli.EXIT_MISSING_PATH
+
+
+_PATH_OPTIONS = ("--config", "--data-dir", "--out", "--weights", "--input")
+_PATH_KINDS = ("missing", "directory", "empty file", "text file", "non-UTF-8 file")
+
+
+def _path_options() -> dict:
+    """{subcommand: the path options it takes}, read off the parser."""
+    parser = cli.make_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [opt for opt in _PATH_OPTIONS
+                   if any(opt in a.option_strings for a in p._actions)]
+            for name, p in sub.choices.items()}
+
+
+_COMMAND_PATH_OPTIONS = _path_options()
+
+
+def _path_of_kind(tmp_path, kind):
+    path = tmp_path / "under-test"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "empty file":
+        path.write_bytes(b"")
+    elif kind == "text file":
+        path.write_text("some text\n")
+    elif kind == "non-UTF-8 file":
+        path.write_bytes(b"caf\xe9 \xff\n")
+    return path
+
+
+def _expected_exit(command, option, kind):
+    """The exit the module docstring's rules give, every other option valid."""
+    makes_dir = option == "--out" or (command, option) == ("gen-data", "--data-dir")
+    if kind == "missing":
+        return 0 if makes_dir else cli.EXIT_MISSING_PATH
+    if kind == "directory":
+        if makes_dir:
+            return 0
+        # an empty data directory holds none of the dataset's files
+        return cli.EXIT_MISSING_PATH if option == "--data-dir" else cli.EXIT_BAD_CONFIG
+    if option == "--weights":
+        return cli.EXIT_BAD_ARCHIVE
+    if option == "--config" and kind == "empty file":
+        return 0  # no settings: the flags give them all
+    return cli.EXIT_BAD_CONFIG  # a file where a directory goes, or unreadable text
+
+
+@pytest.mark.parametrize("command, option, kind", [
+    (command, option, kind) for command, options in _COMMAND_PATH_OPTIONS.items()
+    for option in options for kind in _PATH_KINDS])
+def test_every_path_option_fails_with_a_documented_exit_naming_the_path(
+        tmp_path, thyroid_dir, trained_dir, capsys, command, option, kind):
+    path = _path_of_kind(tmp_path, kind)
+    valid = {"--config": None,  # optional: the flags give every setting
+             "--data-dir": str(tmp_path / "gen") if command == "gen-data" else thyroid_dir,
+             "--out": str(tmp_path / "out"),
+             "--weights": os.path.join(trained_dir, "augmented.ofdd"),
+             "--input": None}  # optional: score then reads the training normals
+    valid[option] = str(path)
+    argv = [command, "--dataset", "thyroid"]
+    for opt in _COMMAND_PATH_OPTIONS[command]:
+        if valid[opt] is not None:
+            argv += [opt, valid[opt]]
+    argv += {"gen-data": [], "train": SMOKE, "compare": SMOKE}.get(command, T_SMOKE)
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == _expected_exit(command, option, kind)
+    assert "Traceback" not in err
+    if rc:
+        assert str(path) in err
+
+
+def test_path_grid_covers_every_command_and_path_option():
+    archive = ["--config", "--data-dir", "--out", "--weights"]
+    assert _COMMAND_PATH_OPTIONS == {
+        "gen-data": ["--config", "--data-dir"], "train": ["--config", "--data-dir", "--out"],
+        "evaluate": archive, "score": [*archive, "--input"], "report": archive,
+        "compare": ["--config", "--data-dir", "--out"]}
+
+
+def test_bad_weights_path_exits_3_through_the_module_entry_point(tmp_path):
+    # `python -m oodfdd.cli` crosses `sys.exit(main())`, as users do
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "oodfdd.cli", "score", "--dataset", "thyroid",
+                           "--weights", str(tmp_path), "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_BAD_CONFIG
+    assert f"error: {os.strerror(errno.EISDIR)}: {tmp_path}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_utf8_data_file_exits_3_naming_file_and_line(tmp_path, thyroid_dir, capsys):
+    bad_dir = tmp_path / "data"
+    bad_dir.mkdir()
+    shutil.copy(os.path.join(thyroid_dir, "ann-test.data"), bad_dir)
+    lines = open(os.path.join(thyroid_dir, "ann-train.data"), "rb").read().splitlines(True)
+    lines[299] = lines[299].replace(b" ", b"\xa0", 1)
+    (bad_dir / "ann-train.data").write_bytes(b"".join(lines))
+    rc = cli.main(["train", "--dataset", "thyroid", "--data-dir", str(bad_dir),
+                   "--out", str(tmp_path / "o"), *SMOKE])
+    assert rc == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {bad_dir / 'ann-train.data'} line 300: not UTF-8 text" in err
+
+
+def test_gen_data_chiller_creates_no_data_dir(tmp_path, capsys):
+    d = tmp_path / "never"
+    assert cli.main(["gen-data", "--dataset", "chiller-surrogate", "--data-dir", str(d)]) == 0
+    assert "no files to write" in capsys.readouterr().out
+    assert not d.exists()
 
 
 def test_bad_config_exits_3(tmp_path, thyroid_dir):
@@ -732,8 +845,13 @@ def test_config_file_errors(tmp_path):
     args = cli.make_parser().parse_args(["train", "--config", str(bad)])
     with pytest.raises(cli.ConfigError):
         cli.build_config(args)
+    bad.write_bytes(b"seed = 1\n# caf\xe9\n")
+    args = cli.make_parser().parse_args(["train", "--config", str(bad)])
+    with pytest.raises(cli.ConfigError, match=f"{bad}:2: not UTF-8 text"):
+        cli.build_config(args)
+    # a missing file is the OS's error, which `cli.main` turns into exit 2
     args = cli.make_parser().parse_args(["train", "--config", str(tmp_path / "absent.cfg")])
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(FileNotFoundError):
         cli.build_config(args)
 
 

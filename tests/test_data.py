@@ -79,6 +79,17 @@ def test_thyroid_rejects_non_finite_value_naming_the_line(tmp_path, thyroid_dir,
         data.load_thyroid(bad)
 
 
+@pytest.mark.parametrize("lineno", [1, 700])
+def test_thyroid_rejects_non_utf8_text_naming_the_line(tmp_path, thyroid_dir, lineno):
+    # line 700 lies past the first read buffer and the first parse chunk
+    lines = (thyroid_dir / "ann-train.data").read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+    bad = tmp_path / "ann-train.data"
+    bad.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError, match=f"^{bad} line {lineno}: not UTF-8 text$"):
+        data.load_thyroid(bad)
+
+
 def test_thyroid_rejects_unknown_class_code(tmp_path):
     bad = tmp_path / "code.data"
     row = ["0.5"] + ["0"] * 15 + ["0.5"] * 5 + ["4"]
@@ -458,22 +469,6 @@ def test_select_and_length():
     sub = ds.select(ds.y == 1)
     assert len(sub) == 15
     assert set(sub.group) == {"fault:1", "incipient:1:2"}
-
-
-def test_concat_stacks_rows_and_widens_group_strings():
-    a = data.LabeledDataset(
-        X=np.zeros((3, 2)), y=np.array([0, 0, 1]), group=np.array(["normal", "normal", "fault:1"])
-    )
-    b = data.LabeledDataset(
-        X=np.ones((2, 2)), y=np.array([2, 0]), group=np.array(["incipient:2:0.5", "unknown"])
-    )
-    both = data.concat(a, b)
-    assert len(both) == 5
-    assert both.group[3] == "incipient:2:0.5"
-    assert np.array_equal(both.y, [0, 0, 1, 2, 0])
-    assert np.allclose(both.X[3], 1.0)
-    with pytest.raises(ValueError):
-        data.concat(a, data.LabeledDataset(X=np.ones((1, 3)), y=np.array([0]), group=np.array(["normal"])))
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,19 @@ def test_ambiguous_rows_sit_at_the_default_t_values():
     assert list(ds.group) == ["incipient:1:0.4", "incipient:1:0.5", "incipient:1:0.6"]
 
 
+def test_with_rows_stacks_rows_and_widens_group_strings():
+    eval_ds = data.LabeledDataset(X=np.zeros((3, 2)), y=np.array([0, 0, 1]),
+                                  group=np.array(["normal", "normal", "fault:1"]))
+    ambiguous = data.LabeledDataset(X=np.ones((2, 2)), y=np.array([2, 2]),
+                                    group=np.array(["incipient:2:0.5", "incipient:2:0.6"]))
+    assert experiments._with_rows(eval_ds, None) is eval_ds
+    both = experiments._with_rows(eval_ds, ambiguous)
+    assert len(both) == 5
+    assert list(both.group[3:]) == ["incipient:2:0.5", "incipient:2:0.6"]
+    assert np.array_equal(both.y, [0, 0, 1, 2, 2])
+    assert np.array_equal(both.X, np.vstack([np.zeros((3, 2)), np.ones((2, 2))]))
+
+
 def test_mnist_train_capped(mnist_result):
     y = mnist_result.train_ds.y
     for label in np.unique(y):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import tempfile
 from dataclasses import replace
 
@@ -190,13 +191,26 @@ def test_archive_bytes_are_pinned(tmp_path, kind):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_ARCHIVES[kind]
 
 
+def _naming(path, message: str) -> str:
+    """A pattern for exactly `message` after the archive's path."""
+    return f"^{re.escape(str(path))}: {message}$"
+
+
+def test_corrupt_archive_error_names_its_path(tmp_path):
+    path = tmp_path / "corrupt.ofdd"
+    path.write_bytes(b"OFDD")
+    with pytest.raises(model.ArchiveError,
+                       match=_naming(path, "archive shorter than its fixed header")):
+        model.load(str(path))
+
+
 def test_archive_magic_mismatch(tmp_path):
     path = tmp_path / "net.ofdd"
     _save(thyroid_net(), path)
     blob = bytearray(path.read_bytes())
     blob[:4] = b"XXXX"
     path.write_bytes(bytes(blob))
-    with pytest.raises(model.ArchiveError, match="^bad magic b'XXXX'$"):
+    with pytest.raises(model.ArchiveError, match=_naming(path, "bad magic b'XXXX'")):
         model.load(path)
 
 
@@ -206,7 +220,7 @@ def test_archive_version_mismatch(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[4:6] = (99).to_bytes(2, "little")
     path.write_bytes(bytes(blob))
-    with pytest.raises(model.ArchiveError, match="^archive version 99, expected 2$"):
+    with pytest.raises(model.ArchiveError, match=_naming(path, "archive version 99, expected 2")):
         model.load(path)
 
 
@@ -215,7 +229,7 @@ def test_archive_truncated_payload(tmp_path):
     _save(thyroid_net(), path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
-    with pytest.raises(model.ArchiveError, match="^payload ends 8 bytes early$"):
+    with pytest.raises(model.ArchiveError, match=_naming(path, "payload ends 8 bytes early")):
         model.load(path)
 
 
@@ -395,7 +409,8 @@ def _load_mutated(path, blob):
     path.write_bytes(blob)
     try:
         net, cal = model.load(path)
-    except model.ArchiveError:
+    except model.ArchiveError as exc:
+        assert str(exc).startswith(f"{path}: ")
         return
     desc_len = int.from_bytes(blob[6:10], "little")
     said = json.loads(blob[10:10 + desc_len])
