@@ -153,11 +153,8 @@ def build_config(args) -> ExperimentConfig:
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def write_manifest(out_dir, names) -> str:
@@ -227,13 +224,15 @@ def cmd_evaluate(cfg, args) -> int:
     _check_width(eval_ds.X, f"{cfg.dataset} test data", net, args)
     ev = experiments.evaluate_model(net, cal, eval_ds)
     out = _out_dir(args)
-    report.emit_csv(*experiments.group_table({"binary_accuracy": ev.report.binary_acc,
-                                              "diagnostic_accuracy": ev.report.diag_acc}),
+    binary = ev.rec_binary if ev.clf_binary is None else ev.clf_binary
+    diagnostic = ev.clf_diag or {}
+    report.emit_csv(*experiments.group_table({"binary_accuracy": binary,
+                                              "diagnostic_accuracy": diagnostic}),
                     os.path.join(out, "metrics.csv"))
     _emit_thresholds(cal, out)
     write_manifest(out, ["metrics.csv", "thresholds.csv"])
-    for group, acc in ev.report.binary_acc.items():
-        diag = ev.report.diag_acc.get(group)
+    for group, acc in binary.items():
+        diag = diagnostic.get(group)
         extra = "" if diag is None else f"  diagnostic {diag:.3f}"
         print(f"{group}: binary {acc:.3f}{extra}")
     return 0

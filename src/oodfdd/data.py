@@ -20,6 +20,7 @@ import itertools
 import math
 import os
 import struct
+import zlib
 from array import array
 from dataclasses import dataclass, replace
 
@@ -276,25 +277,28 @@ def _open_maybe_gzip(path):
 
 
 def read_idx(path) -> np.ndarray:
-    """Read one big-endian idx file (magic 2051 images or 2049 labels)."""
-    with _open_maybe_gzip(path) as fh:
-        header = fh.read(4)
-        if len(header) != 4:
-            raise ValueError(f"{path}: truncated header")
-        (magic,) = struct.unpack(">i", header)
-        if magic == IDX_IMAGES_MAGIC:
-            n, h, w = struct.unpack(">iii", fh.read(12))
-            data = fh.read(n * h * w)
-            if len(data) != n * h * w:
-                raise ValueError(f"{path}: truncated image payload")
-            return np.frombuffer(data, dtype=np.uint8).reshape(n, h, w)
-        if magic == IDX_LABELS_MAGIC:
-            (n,) = struct.unpack(">i", fh.read(4))
-            data = fh.read(n)
-            if len(data) != n:
-                raise ValueError(f"{path}: truncated label payload")
-            return np.frombuffer(data, dtype=np.uint8)
-        raise ValueError(f"{path}: bad idx magic {magic}")
+    """Read one big-endian idx file (magic 2051 images or 2049 labels).
+    A short file or corrupt gzip data is a ValueError that names the file."""
+
+    def take(n, what):
+        data = fh.read(n)
+        if len(data) != n:
+            raise ValueError(f"{path}: truncated {what}")
+        return data
+
+    try:
+        with _open_maybe_gzip(path) as fh:
+            (magic,) = struct.unpack(">i", take(4, "header"))
+            if magic == IDX_IMAGES_MAGIC:
+                n, h, w = struct.unpack(">iii", take(12, "header"))
+                return np.frombuffer(take(n * h * w, "image payload"),
+                                     dtype=np.uint8).reshape(n, h, w)
+            if magic == IDX_LABELS_MAGIC:
+                (n,) = struct.unpack(">i", take(4, "header"))
+                return np.frombuffer(take(n, "label payload"), dtype=np.uint8)
+            raise ValueError(f"{path}: bad idx magic {magic}")
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise ValueError(f"{path}: corrupt gzip data: {exc}") from None
 
 
 def write_idx_images(path, images: np.ndarray) -> None:

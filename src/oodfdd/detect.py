@@ -21,6 +21,7 @@ here is pure over its array inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -219,9 +220,15 @@ def group_binary_accuracies(flags: np.ndarray, groups) -> dict[str, float]:
     return table
 
 
-def precision_recall_sweep(
-    scores: np.ndarray, fault_flags: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class Sweep(NamedTuple):
+    """Precision and recall of the fault predictor at each sweep threshold."""
+
+    sweep_thresholds: np.ndarray
+    precision: np.ndarray
+    recall: np.ndarray
+
+
+def precision_recall_sweep(scores: np.ndarray, fault_flags: np.ndarray) -> Sweep:
     """Precision/recall of "score > threshold" as the fault predictor, at
     SWEEP_THRESHOLDS evenly spaced thresholds over the score range.
 
@@ -240,21 +247,4 @@ def precision_recall_sweep(
     flagged = len(scores) - np.searchsorted(np.sort(scores), thresholds, side="right")
     tp = len(faults) - np.searchsorted(faults, thresholds, side="right")
     precision = np.where(flagged == 0, 1.0, tp / np.maximum(flagged, 1))
-    return thresholds, precision, tp / len(faults)
-
-
-@dataclass
-class MetricsReport:
-    """Per-group accuracies plus the precision/recall sweep."""
-
-    binary_acc: dict[str, float]
-    diag_acc: dict[str, float]
-    sweep_thresholds: np.ndarray | None = None
-    precision: np.ndarray | None = None
-    recall: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name, table in (("binary", self.binary_acc), ("diagnostic", self.diag_acc)):
-            for group, value in table.items():
-                if not 0.0 <= value <= 1.0:
-                    raise ValueError(f"{name} accuracy for {group!r} is {value}, outside [0,1]")
+    return Sweep(thresholds, precision, tp / len(faults))

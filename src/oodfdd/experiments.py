@@ -61,7 +61,7 @@ import numpy as np
 
 from . import data
 from .detect import (
-    MetricsReport,
+    Sweep,
     calibrate,
     check_calibration_count,
     diagnostic_accuracies,
@@ -214,7 +214,7 @@ class ModelEval:
     entropy: EntropyDecomposition | None = None
     entropies: np.ndarray | None = None
     ood_mean_entropy: float | None = None
-    report: MetricsReport | None = None
+    report: Sweep | None = None
 
 
 @dataclass
@@ -270,14 +270,7 @@ def evaluate_model(net: PathwayNetwork, cal: Calibration,
         ev.rec_binary = group_binary_accuracies(s.rec_flags, groups)
         sweep_scores = s.rec
 
-    sweep_thr, prec, rec = precision_recall_sweep(sweep_scores, fault_flags)
-    ev.report = MetricsReport(
-        binary_acc=ev.rec_binary if ev.clf_binary is None else ev.clf_binary,
-        diag_acc={} if ev.clf_diag is None else ev.clf_diag,
-        sweep_thresholds=sweep_thr,
-        precision=prec,
-        recall=rec,
-    )
+    ev.report = precision_recall_sweep(sweep_scores, fault_flags)
     return ev
 
 

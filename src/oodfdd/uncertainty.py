@@ -20,7 +20,8 @@ alone; a batch too large for two passes in the budget runs in blocks of
 one pass, which draw layer by layer into the buffers of the layers'
 outputs.  Where a call runs several stacked blocks and the process may run
 on two CPUs, a helper thread draws the next block into the other half
-while a block runs (`_block_sources`).  The helper lives only inside the
+while a block runs; blocks are requested of it and returned through two
+queues (`_block_sources`).  The helper lives only inside the
 call: it is started there and joined before the call returns or raises,
 and no thread outlives it.  It is the only user of the random generator
 while it lives, and draws block after block, so the draws come in the
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import queue
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -215,12 +217,13 @@ def _block_sources(rng: np.random.Generator, sizes: list[int], rows: int, draws:
     passes in turn.
 
     Blocks of one pass, or a net that draws nothing, draw from `rng` as
-    their layers run.  Stacked blocks take `Uniforms` drawn into a double
-    buffer: inline into its first half for a lone block or where the
-    process may run on one CPU only (`usable_cpus`), and otherwise into
-    alternate halves by a helper thread, which draws block k+1 while the
-    caller runs block k, and block k+2 once the caller asks for block
-    k+1, which frees block k's half.
+    their layers run.  Stacked blocks take `Uniforms` drawn into alternate
+    halves of a double buffer, inline for a lone block or where the process
+    may run on one CPU only (`usable_cpus`), and otherwise by a helper
+    thread through two queues: taking block k, the caller requests block
+    k+1, whose half block k-1 has freed, and the helper answers each
+    request with the drawn block; None stops it.  So block k+1 is drawn
+    while block k runs, never two blocks ahead.
 
     The helper is started here and joined when this generator finishes or
     is closed.  Only the helper touches `rng` meanwhile, one block after
@@ -235,42 +238,38 @@ def _block_sources(rng: np.random.Generator, sizes: list[int], rows: int, draws:
             yield b, rng
         return
     halves = np.empty((2, sizes[0] * rows * sum(draws)))
+
+    def drawn(k):
+        return Uniforms(rng, sizes[k], rows, draws, stacked=True, out=halves[k % 2], rates=rates)
+
     if len(sizes) == 1 or usable_cpus() < 2:
-        for b in sizes:
-            yield b, Uniforms(rng, b, rows, draws, stacked=True, out=halves[0], rates=rates)
+        for k, b in enumerate(sizes):
+            yield b, drawn(k)
         return
-    free, ready = threading.Semaphore(2), threading.Semaphore(0)
-    drawn, stop = [None] * len(sizes), threading.Event()
+    requests, blocks = queue.SimpleQueue(), queue.SimpleQueue()
 
-    def draw_all():
-        k = 0
-        try:
-            for k, b in enumerate(sizes):
-                free.acquire()
-                if stop.is_set():
-                    return
-                drawn[k] = Uniforms(rng, b, rows, draws, stacked=True, out=halves[k % 2],
-                                    rates=rates)
-                ready.release()
-        except BaseException as exc:  # raised again in the caller
-            drawn[k] = exc
-            ready.release()
+    def serve():
+        for k in iter(requests.get, None):
+            try:
+                blocks.put(drawn(k))
+            except BaseException as exc:  # raised again in the caller
+                blocks.put(exc)
+                return
 
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(draw_all,),
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(serve,),
                               name="oodfdd-mc-draws", daemon=True)
     helper.start()
+    requests.put(0)
     try:
         for k, b in enumerate(sizes):
-            if k:
-                free.release()  # block k-1 ran: its half may take block k+1's draws
-            ready.acquire()
-            source, drawn[k] = drawn[k], None
+            if k + 1 < len(sizes):
+                requests.put(k + 1)
+            source = blocks.get()
             if isinstance(source, BaseException):
                 raise source
             yield b, source
     finally:
-        stop.set()
-        free.release()  # wakes a helper waiting for a half, which then stops
+        requests.put(None)
         helper.join()
 
 

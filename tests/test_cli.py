@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import errno
 import filecmp
+import gzip
 import io
 import json
 import os
@@ -375,6 +376,39 @@ def test_non_utf8_data_file_exits_3_naming_file_and_line(tmp_path, thyroid_dir, 
     assert rc == cli.EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert f"error: {bad_dir / 'ann-train.data'} line 300: not UTF-8 text" in err
+
+
+@pytest.fixture(scope="module")
+def mnist_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("mnist")
+    data.write_mnist_surrogate(d, n_train_per_digit=2, n_test_per_digit=1, seed=0)
+    return d
+
+
+def _corrupt_deflate(path):
+    """The gzip of the file at path with its compressed stream overwritten."""
+    blob = bytearray(gzip.compress(path.read_bytes()))
+    blob[12:16] = b"\xff" * 4
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("train-images-idx3-ubyte", lambda path: path.read_bytes()[:8]),
+    ("train-labels-idx1-ubyte", lambda path: path.read_bytes()[:6]),
+    ("t10k-labels-idx1-ubyte", lambda path: b"\x1f\x8bgarbage"),  # EOFError
+    ("t10k-labels-idx1-ubyte", lambda path: b"\x1f\x8b\x00" + bytes(20)),  # BadGzipFile
+    ("t10k-images-idx3-ubyte", _corrupt_deflate),  # zlib.error
+], ids=["images-cut-to-8", "labels-cut-to-6", "gzip-eof", "gzip-bad-method", "gzip-bad-deflate"])
+def test_corrupt_mnist_file_exits_3_naming_it(tmp_path, mnist_dir, capsys, name, corrupt):
+    d = tmp_path / "data"
+    shutil.copytree(mnist_dir, d)
+    (d / name).write_bytes(corrupt(d / name))
+    rc = cli.main(["train", "--dataset", "mnist", "--data-dir", str(d),
+                   "--out", str(tmp_path / "o"), *SMOKE])
+    assert rc == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {d / name}: " in err
+    assert "Traceback" not in err
 
 
 def test_gen_data_chiller_creates_no_data_dir(tmp_path, capsys):

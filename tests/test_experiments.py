@@ -470,7 +470,8 @@ needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_meth
 
 
 def _differences(a, b, path="result") -> list:
-    """Paths at which a and b differ; arrays and floats compare bitwise."""
+    """Paths at which a and b differ; arrays and floats compare bitwise,
+    tuples item by item."""
     if dataclasses.is_dataclass(a):
         if type(a) is not type(b):
             return [path]
@@ -481,6 +482,11 @@ def _differences(a, b, path="result") -> list:
         if not isinstance(b, dict) or list(a) != list(b):
             return [path]
         return [d for k in a for d in _differences(a[k], b[k], f"{path}[{k!r}]")]
+    if isinstance(a, tuple):
+        if type(a) is not type(b) or len(a) != len(b):
+            return [path]
+        return [d for i, (x, y) in enumerate(zip(a, b))
+                for d in _differences(x, y, f"{path}[{i}]")]
     if isinstance(a, np.ndarray):
         same = (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
                 and a.tobytes() == b.tobytes())

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -267,7 +268,6 @@ class _CountedThreads:
 
     def __init__(self):
         self.started = 0
-        self.Semaphore, self.Event = threading.Semaphore, threading.Event
 
     def Thread(self, *args, **kwargs):
         self.started += 1
@@ -353,6 +353,36 @@ def test_the_helper_draws_under_the_callers_numeric_guard(monkeypatch):
     x = nncore.make_rng(41).normal(0, 1, (300, 6))
     unc.mc_moments(net, x, 100, Watched())
     assert len(seen) > 1 and set(seen) == {(False, "raise")}
+
+
+def test_the_helper_draws_the_next_block_and_never_two_ahead(monkeypatch):
+    # blocks of distinct sizes, so each draw's size names the block it serves
+    monkeypatch.setattr(unc, "usable_cpus", lambda: 2)
+    sizes, rows, widths, rates = [5, 4, 3, 2, 1], 3, [4, 2], [0.5, 0.25]
+    events = []  # ("draw", block) as the helper starts a draw, ("ask", k) as the consumer asks
+
+    class Watched:
+        rng = nncore.make_rng(42)
+
+        def random(self, size=None, out=None):
+            events.append(("draw", sizes.index(out.size // (rows * sum(widths)))))
+            return self.rng.random(size, out=out)
+
+    expected = nncore.make_rng(42)
+    blocks = unc._block_sources(Watched(), sizes, rows, widths, rates)
+    for k, b in enumerate(sizes):
+        events.append(("ask", k))
+        passes, source = next(blocks)
+        assert passes == b
+        time.sleep(0.02)  # the block runs; its half of the buffer must stay as drawn
+        inline = nncore.Uniforms(expected, b, rows, widths, stacked=True, rates=rates)
+        for w in widths:
+            assert source.random((b, rows, w)).tobytes() == inline.random((b, rows, w)).tobytes()
+    blocks.close()
+    draws = [block for event, block in events if event == "draw"]
+    assert draws == list(range(len(sizes)))
+    for k in range(len(sizes) - 2):
+        assert events.index(("ask", k + 1)) < events.index(("draw", k + 2))
 
 
 def _arena_lives(net, plan):
