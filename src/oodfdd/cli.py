@@ -374,15 +374,11 @@ def cmd_report(cfg, args) -> int:
     z_ood = net.encoder.forward(eval_ds.X[~in_dist])
     labels_in = eval_ds.y[in_dist]
     out_dims = 2 if net.arch.latent_dim >= 2 else 1
-    proj = report.lda_project(z_in, labels_in, out_dims=out_dims)
-    pts_in = proj.points
-    pts_ood = proj.transform(z_ood) if len(z_ood) else np.zeros((0, out_dims))
-    if out_dims == 1:
-        pad = np.zeros((len(pts_in), 1))
-        pts_in = np.hstack([pts_in, pad])
-        pts_ood = np.hstack([pts_ood, np.zeros((len(pts_ood), 1))])
-    points = np.vstack([pts_in, pts_ood])
-    labels = np.array([f"class {int(v)}" for v in labels_in] + ["ood"] * len(pts_ood))
+    w = report.lda_project(z_in, labels_in, out_dims=out_dims)
+    points = np.zeros((len(z_in) + len(z_ood), 2))  # one direction plots at y = 0
+    points[:len(z_in), :out_dims] = z_in @ w
+    points[len(z_in):, :out_dims] = z_ood @ w
+    labels = np.array([f"class {int(v)}" for v in labels_in] + ["ood"] * len(z_ood))
     svg_name = f"lda_{net.kind}.svg"
     report.emit_scatter_svg(points, labels, os.path.join(out, svg_name),
                             title=f"{cfg.dataset} latent discriminants ({net.kind})")

@@ -256,7 +256,6 @@ def evaluate_model(net: PathwayNetwork, cal: Calibration,
     groups = eval_ds.group
     fault_flags = groups != "normal"
 
-    sweep_scores = None
     if s.clf is not None:
         ev.clf_binary = group_binary_accuracies(s.z, groups)
         diag = diagnostic_accuracies(s.b, eval_ds.y)
@@ -265,11 +264,11 @@ def evaluate_model(net: PathwayNetwork, cal: Calibration,
         ev.entropy = decompose_entropies(ev.entropies, groups)
         ood = ev.entropies[group_buckets(groups) == GROUP_OOD]
         ev.ood_mean_entropy = float(ood.mean()) if ood.size else None
-        sweep_scores = s.clf[:, 1:].max(axis=1)
     if s.rec is not None:
         ev.rec_binary = group_binary_accuracies(s.rec_flags, groups)
-        sweep_scores = s.rec
-
+    # the sweep ranks rows by the reconstruction score where the net has a
+    # decoder, else by the largest fault score of the head
+    sweep_scores = s.rec if s.rec is not None else s.clf[:, 1:].max(axis=1)
     ev.report = precision_recall_sweep(sweep_scores, fault_flags)
     return ev
 
@@ -458,26 +457,25 @@ def run_experiment(cfg: ExperimentConfig, data_dir: str | None = None) -> Experi
                                         for name, ev in evals.items()
                                         if ev.clf_flags is not None}
     elif cfg.dataset == "mnist":
-        extras = _ood_rates(evals, eval_ds.group)
+        extras = _ood_rates(evals)
     return ExperimentResult(config=cfg, nets=nets, train_ds=train_ds,
                             eval_ds=eval_ds, evals=evals, extras=extras)
 
 
-def _ood_rates(evals: dict, groups: np.ndarray) -> dict:
+def _ood_rates(evals: dict) -> dict:
     """Per model: mean diagnostic accuracy over the ambiguous (incipient)
-    groups, and each pathway's flag rate on the unknown rows.  Ambiguous
-    rows carry a fault label, so each of their groups has credit in
-    `clf_diag`."""
-    unknown = groups == "unknown"
+    groups, and each pathway's flag rate on the unknown rows, which is the
+    unknown group's binary accuracy.  Ambiguous rows carry a fault label,
+    so each of their groups has credit in `clf_diag`."""
     amb_diag, unknown_rates = {}, {}
     for name, ev in evals.items():
         if ev.clf_diag is not None:
             vals = [v for g, v in ev.clf_diag.items() if g.startswith("incipient:")]
             if vals:
                 amb_diag[name] = float(np.mean(vals))
-        rates = {path: float(flags[unknown].mean())
-                 for path, flags in (("clf", ev.clf_flags), ("rec", ev.rec_flags))
-                 if flags is not None and unknown.any()}
+        rates = {path: binary["unknown"]
+                 for path, binary in (("clf", ev.clf_binary), ("rec", ev.rec_binary))
+                 if binary is not None and "unknown" in binary}
         if rates:
             unknown_rates[name] = rates
     return {"ambiguous_diag": amb_diag, "unknown_detection": unknown_rates}

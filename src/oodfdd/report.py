@@ -9,8 +9,6 @@ deterministic functions of their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SCATTER_RIDGE = 1e-6
@@ -19,19 +17,6 @@ _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
-
-
-@dataclass
-class LdaProjection:
-    """Fitted discriminant directions plus the projected fitting points."""
-
-    W: np.ndarray  # (d, out_dims), unit-norm columns
-    points: np.ndarray  # (n, out_dims)
-    eigenvalues: np.ndarray  # scatter ratios per direction, descending
-
-    def transform(self, latents: np.ndarray) -> np.ndarray:
-        """Project further points (e.g. out-of-distribution) through W."""
-        return np.asarray(latents, dtype=np.float64) @ self.W
 
 
 def scatter_matrices(latents: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -61,14 +46,16 @@ def separation_statistic(latents: np.ndarray, labels: np.ndarray) -> float:
     return float(np.trace(s_b) / tw)
 
 
-def lda_project(latents: np.ndarray, labels, out_dims: int = 2) -> LdaProjection:
-    """Fit discriminant directions maximizing between/within scatter.
+def lda_project(latents: np.ndarray, labels, out_dims: int = 2) -> np.ndarray:
+    """The (d, out_dims) discriminant directions maximizing between/within
+    scatter, unit-norm columns in descending order of scatter ratio; points
+    project as `latents @ W`.
 
     Needs at least two classes with two points each and out_dims <= latent
     dimension.  The ridge keeps S_W invertible; a scatter that is zero even
     after ridging (all points identical) is an error.  When class means
-    coincide the directions are reported with near-zero eigenvalues rather
-    than failing.
+    coincide the directions, of near-zero scatter ratio, are returned
+    rather than failing.
     """
     latents = np.asarray(latents, dtype=np.float64)
     labels = np.asarray(labels)
@@ -96,8 +83,7 @@ def lda_project(latents: np.ndarray, labels, out_dims: int = 2) -> LdaProjection
     eigvals, eigvecs = np.linalg.eigh((m + m.T) / 2.0)
     order = np.argsort(eigvals)[::-1][:out_dims]
     w = inv_chol.T @ eigvecs[:, order]
-    w = w / np.linalg.norm(w, axis=0, keepdims=True)
-    return LdaProjection(W=w, points=latents @ w, eigenvalues=eigvals[order])
+    return w / np.linalg.norm(w, axis=0, keepdims=True)
 
 
 def score_matrix_from_scores(scores: np.ndarray, groups) -> tuple[list[str], np.ndarray]:

@@ -110,28 +110,17 @@ class McMoments(NamedTuple):
 PASS_BLOCK_BUDGET = 2**18
 
 
-def _pass_layout(net: PathwayNetwork) -> tuple[tuple[list[int], list[float]], int, tuple]:
-    """(draws, row_width, arena) of one pass after the encoder's first
-    layer.  draws: the (widths, rates) of the dropout layers that draw, in
-    order (`LayerStack.draws`); arena: the (plan, columns) of `_pass_plan`;
-    row_width: the float64 elements a row of a block takes, the arena's
-    columns and two copies of the draws, one per half of the double draw
-    buffer."""
-    draws, arena = net.encoder.draws(start=1), _pass_plan(net)
-    return draws, 2 * sum(draws[0]) + arena[1], arena
-
-
 def _pass_plan(net: PathwayNetwork) -> tuple[list, int]:
     """Where each layer of a pass writes, in one arena per `_passes` call.
 
     Returns (plan, columns).  The plan holds, for the encoder after its
-    first layer, the head and the decoder (None for an absent pathway), an
-    (output, scratch) pair of spans per layer.  A span is (first column,
-    columns) of an arena whose column holds one float64 per row of a block;
-    None where a layer writes nothing: a dropout that does not draw passes
-    its input on.  A drawing dropout writes its output into its own span,
-    not into its mask: a block's masks are strided views of the draws, and
-    numpy copies a whole operand to write in place into one.
+    first layer, the head and the decoder (None for an absent pathway), a
+    (layer, output span, scratch span) triple per layer it runs.  A span is
+    (first column, columns) of an arena whose column holds one float64 per
+    row of a block; None where a layer writes nothing: a dropout that does
+    not draw passes its input on.  A drawing dropout writes its output into
+    its own span, not into its mask: a block's masks are strided views of
+    the draws, and numpy copies a whole operand to write in place into one.
 
     The latent, when the head and the decoder both read it, and then the
     head's output, kept while the decoder runs, take the top columns.
@@ -142,29 +131,29 @@ def _pass_plan(net: PathwayNetwork) -> tuple[list, int]:
     columns are as wide as the widest such pair or a kept output's scratch.
     """
     both = net.head is not None and net.decoder is not None
-    layers = []  # per stack: [columns, scratch columns, kept] per layer, None if it writes nothing
+    layers = []  # per stack: (layer, [columns, scratch, kept] or None if it writes nothing)
     for stack, start in ((net.encoder, 1), (net.head, 0), (net.decoder, 0)):
         row, width = [], net.encoder.dense_layers()[0].out_dim
         for layer in [] if stack is None else stack.layers[start:]:
             if isinstance(layer, DenseLayer):
                 width = layer.out_dim
-                row.append([width, scratch_columns(layer.activation, width), False])
+                row.append((layer, [width, scratch_columns(layer.activation, width), False]))
             else:
-                row.append([width, 0, False] if layer.rate > 0.0 else None)
-        written = [w for w in row if w is not None]
+                row.append((layer, [width, 0, False] if layer.rate > 0.0 else None))
+        written = [w for _, w in row if w is not None]
         if both and stack is not net.decoder and written:
             written[-1][2] = True
         layers.append(None if stack is None else row)
 
     low = held = 0  # held: the columns below the top that the next layer's input takes
-    for cols, work, kept in (w for row in layers if row for w in row if w):
+    for cols, work, kept in (w for row in layers if row for _, w in row if w):
         low, held = (max(low, work), 0) if kept else (max(low, held + cols, cols + work), cols)
     top, side, plan = low, None, []  # side: the end the next input holds (0 low, 1 high)
     for row in layers:
         spans = None if row is None else []
-        for w in row or ():
+        for layer, w in row or ():
             if w is None:
-                spans.append((None, None))
+                spans.append((layer, None, None))
                 continue
             cols, work, kept = w
             if kept:
@@ -174,19 +163,12 @@ def _pass_plan(net: PathwayNetwork) -> tuple[list, int]:
                 out = (0, cols) if side == 0 else (low - cols, cols)
             # the scratch at the other end, or at the low end for a kept output
             work = ((low - work, work) if side == 0 else (0, work)) if work else None
-            spans.append((out, work))
+            spans.append((layer, out, work))
         plan.append(spans)
     return plan, top
 
 
-def _pass_stacks(net: PathwayNetwork) -> list:
-    """The layers a pass runs after the encoder's first: per stack of the
-    plan, its list of layers, or None for an absent pathway."""
-    return [None if stack is None else stack.layers[start:]
-            for stack, start in ((net.encoder, 1), (net.head, 0), (net.decoder, 0))]
-
-
-def _cut(stacks: list, plan: list, tiles: list, arena: np.ndarray, b: int, rows: int) -> list:
+def _cut(plan: list, tiles: list, arena: np.ndarray, b: int, rows: int) -> list:
     """The buffers of `plan` for a block of b passes: for each stack of the
     plan, an (output, scratch, bias tile) triple per layer, the first two
     arena views (see `LayerStack.forward_into`)."""
@@ -197,12 +179,12 @@ def _cut(stacks: list, plan: list, tiles: list, arena: np.ndarray, b: int, rows:
         return arena[first * n:(first + cols) * n]
 
     cut = []
-    for layers, spans, stack_tiles in zip(stacks, plan, tiles):
+    for spans, stack_tiles in zip(plan, tiles):
         if spans is None:
             cut.append(None)
             continue
         buffers = []
-        for layer, (out, work), tile in zip(layers, spans, stack_tiles):
+        for (layer, out, work), tile in zip(spans, stack_tiles):
             if work is not None:
                 work = scratch_views(layer.activation, run(work), (b, rows, layer.out_dim))
             buffers.append((None if out is None else run(out).reshape(b, rows, out[1]), work,
@@ -309,19 +291,20 @@ def _passes(net: PathwayNetwork, x: np.ndarray, t: int, rng: np.random.Generator
     ensure_finite(x, "MC input rows")
     first = net.encoder.forward(x, stop=1)
     rows = len(first)
-    (draws, rates), row_width, (plan, columns) = _pass_layout(net)
-    block = min(t, max(1, PASS_BLOCK_BUDGET // (rows * row_width)))
+    draws, rates = net.encoder.draws(start=1)
+    plan, columns = _pass_plan(net)
+    # a row of a block: the arena's columns and both halves of the draw buffer
+    block = min(t, max(1, PASS_BLOCK_BUDGET // (rows * (columns + 2 * sum(draws)))))
     sizes = [min(block, t - done) for done in range(0, t, block)]
-    stacks = _pass_stacks(net)
-    tiles = [None if layers is None else
+    tiles = [None if spans is None else
              [row_tile(layer.bias, block * rows) if isinstance(layer, DenseLayer) else None
-              for layer in layers] for layers in stacks]
+              for layer, _, _ in spans] for spans in plan]
     arena = np.empty(columns * block * rows)
     buffers = None
     with contextlib.closing(_block_sources(rng, sizes, rows, draws, rates)) as blocks:
         for b, source in blocks:
             if buffers is None or buffers[0] != b:
-                buffers = b, _cut(stacks, plan, tiles, arena, b, rows)
+                buffers = b, _cut(plan, tiles, arena, b, rows)
             encoder, head, decoder = buffers[1]
             h = np.broadcast_to(first, (b, *first.shape))
             h = net.encoder.forward_into(h, source, encoder, start=1)
@@ -440,10 +423,6 @@ class EntropyDecomposition:
     P1_ood: float  # over out-of-distribution indices
     total: float
 
-    @classmethod
-    def from_parts(cls, p0: float, p1_in: float, p1_ood: float) -> "EntropyDecomposition":
-        return cls(P0=p0, P1_in=p1_in, P1_ood=p1_ood, total=p0 + p1_in + p1_ood)
-
 
 def decompose_entropies(entropies, groups) -> EntropyDecomposition:
     """Sum per-example entropies into the three index-set buckets."""
@@ -452,7 +431,8 @@ def decompose_entropies(entropies, groups) -> EntropyDecomposition:
         raise ValueError("entropy/group length mismatch")
     # bincount adds each bucket's weights in row order, as a loop would
     parts = np.bincount(group_buckets(groups), weights=entropies, minlength=3)
-    return EntropyDecomposition.from_parts(*map(float, parts))
+    p0, p1_in, p1_ood = map(float, parts)
+    return EntropyDecomposition(P0=p0, P1_in=p1_in, P1_ood=p1_ood, total=p0 + p1_in + p1_ood)
 
 
 def histogram_table(samples: np.ndarray):

@@ -737,6 +737,31 @@ def test_report_takes_the_latent_width_from_the_archive(tmp_path, thyroid_dir):
                    "--out", str(tmp_path / "r")])
     assert rc == 0
     assert "lda_augmented.svg" in _manifest_entries(tmp_path / "r")
+    # one discriminant direction plots every point on one horizontal line
+    svg = (tmp_path / "r" / "lda_augmented.svg").read_text()
+    cys = {line.split('cy="')[1].split('"')[0] for line in svg.splitlines()
+           if line.startswith("<circle")}
+    assert len(cys) == 1
+
+
+def test_report_projects_an_empty_out_of_distribution_split(tmp_path):
+    # MNIST files whose test split holds no unknown digit
+    d = tmp_path / "mnist"
+    d.mkdir()
+    data.write_mnist_surrogate(d, n_train_per_digit=60, n_test_per_digit=3, seed=0)
+    images, labels = (data.read_idx(d / f"t10k-{kind}-idx{n}-ubyte")
+                      for kind, n in (("images", 3), ("labels", 1)))
+    known = ~np.isin(labels, data.MNIST_UNKNOWN_DIGITS)
+    data.write_idx_images(d / "t10k-images-idx3-ubyte", images[known])
+    data.write_idx_labels(d / "t10k-labels-idx1-ubyte", labels[known])
+    common = ["--dataset", "mnist", "--data-dir", str(d)]
+    assert cli.main(["train", *common, *SMOKE, "--out", str(tmp_path / "t")]) == 0
+    rc = cli.main(["report", *common, *T_SMOKE,
+                   "--weights", str(tmp_path / "t" / "augmented.ofdd"),
+                   "--out", str(tmp_path / "r")])
+    assert rc == 0
+    assert "lda_augmented.svg" in _manifest_entries(tmp_path / "r")
+    assert ">ood</text>" not in (tmp_path / "r" / "lda_augmented.svg").read_text()
 
 
 def _score_input(tmp_path, thyroid_dir, trained_dir, text):

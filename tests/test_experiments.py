@@ -194,6 +194,20 @@ def test_mnist_extras(mnist_result):
     assert "incipient:2:0.5" in tags
 
 
+def test_mnist_unknown_rates_are_the_flag_means_of_the_unknown_rows(mnist_result):
+    unknown = mnist_result.eval_ds.group == "unknown"
+    expected = {name: {path: float(flags[unknown].mean())
+                       for path, flags in (("clf", ev.clf_flags), ("rec", ev.rec_flags))
+                       if flags is not None}
+                for name, ev in mnist_result.evals.items()}
+    got = mnist_result.extras["unknown_detection"]
+    assert unknown.any() and got.keys() == expected.keys()
+    for name, rates in expected.items():
+        assert got[name].keys() == rates.keys()
+        for path, rate in rates.items():
+            assert np.float64(got[name][path]).tobytes() == np.float64(rate).tobytes()
+
+
 @pytest.fixture(scope="module", params=[0, 1])
 def mnist_augmented(request, mnist_dir):
     """(cfg, smoke-trained augmented net, test rows) of a seed, the rows of

@@ -13,6 +13,10 @@ The same holds for parameters with a default: each must be passed at some
 call in the package or the benchmark, or be on its own allow-list.  And
 the package's modules import one another without a cycle, `data` sitting
 below the networks it feeds.
+
+A private module-level function or class must be named in the package's
+code besides its own definition, with no allow-list: a helper that only
+tests call is a test oracle, which belongs in the tests.
 """
 
 import ast
@@ -91,6 +95,15 @@ def test_every_public_definition_has_a_caller_in_the_package():
     assert unused - set(ALLOWED) == set()
     # an entry whose definition gained a caller, or is gone, leaves the list
     assert unused == set(ALLOWED)
+
+
+def test_every_private_definition_has_a_caller_in_the_package():
+    trees = _trees()
+    used = _referenced_names(trees)["name"]
+    unused = {f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and node.name not in used}
+    assert unused == set()
 
 
 def test_every_package_name_the_benchmark_workloads_use_exists():

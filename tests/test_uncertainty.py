@@ -23,6 +23,12 @@ def _net(kind=ModelKind.AUGMENTED, dropout=0.2, seed=0, n_classes=2, input_dim=6
                                   n_classes=n_classes), seed)
 
 
+def _row_width(net):
+    """The float64 elements a row of a block of passes takes: the arena's
+    columns and both halves of the draw buffer."""
+    return unc._pass_plan(net)[1] + 2 * sum(net.encoder.draws(start=1)[0])
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -239,7 +245,7 @@ def test_mc_moments_and_samples_equal_the_plain_loop_bitwise(shape, dropout, blo
     rows, t, per_block = _BLOCKINGS[blocking]
     if per_block is not None:
         monkeypatch.setattr(unc, "PASS_BLOCK_BUDGET",
-                            per_block * rows * unc._pass_layout(net)[1])
+                            per_block * rows * _row_width(net))
     x = nncore.make_rng(25).normal(0, 1, (rows, net.arch.input_dim))
     got = unc.mc_moments(net, x, t, nncore.make_rng(26))
     clf, rec = plain_passes(net, x, t, nncore.make_rng(26))
@@ -280,8 +286,8 @@ class _CountedThreads:
 def test_draws_beside_the_passes_give_the_bytes_of_inline_draws(kind, rows, t, monkeypatch):
     net = _thyroid_net(kind)
     x = nncore.make_rng(33).normal(0, 1, (rows, 6))
-    (draws, _), row_width, _ = unc._pass_layout(net)
-    block = min(t, max(1, unc.PASS_BLOCK_BUDGET // (rows * row_width)))
+    draws = net.encoder.draws(start=1)[0]
+    block = min(t, max(1, unc.PASS_BLOCK_BUDGET // (rows * _row_width(net))))
     runs = {}
     for cpus in (1, 2):
         threads = _CountedThreads()
@@ -390,7 +396,8 @@ def _arena_lives(net, plan):
     pass's dataflow: a layer reads its input at the step it writes its
     output, its activation's scratch lives the step after, alongside the
     output, the latent lives until its last reader, and each pathway's
-    output until the pass is yielded.  Checks each span's width too."""
+    output until the pass is yielded.  Checks that each entry's layer is
+    the stack's and each span's width too."""
     lives, latent, step = [], None, 0
     stacks = ((net.encoder, 1), (net.head, 0), (net.decoder, 0))
     for s, ((stack, start), spans) in enumerate(zip(stacks, plan)):
@@ -398,7 +405,8 @@ def _arena_lives(net, plan):
         if stack is None:
             continue
         read, width = (None if s == 0 else latent), net.encoder.dense_layers()[0].out_dim
-        for layer, (out, work) in zip(stack.layers[start:], spans, strict=True):
+        for layer, (planned, out, work) in zip(stack.layers[start:], spans, strict=True):
+            assert planned is layer
             dense = isinstance(layer, nncore.DenseLayer)
             width = layer.out_dim if dense else width
             if not dense and layer.rate == 0.0:  # passes its input on
@@ -558,8 +566,7 @@ def test_blocks_are_as_large_as_the_arena_and_draws_fit_in_the_budget(kind, data
     width, top_label = _DATASET_SHAPES[dataset]
     train = SimpleNamespace(X=np.zeros((1, width)), y=np.array([top_label]))
     net = model.build(kind, experiments.config_for(dataset).architecture(train), 0)
-    # a row of a block: the arena's columns and both halves of the draw buffer
-    row = unc._pass_plan(net)[1] + 2 * sum(net.encoder.draws(start=1)[0])
+    row = _row_width(net)
     rows = unc.PASS_BLOCK_BUDGET // (passes * row)  # room for `passes` passes, or a few more
     sizes = []
 
@@ -588,7 +595,7 @@ def test_mc_moments_peaks_within_the_block_budget_plus_one_pass():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (unc.PASS_BLOCK_BUDGET + len(x) * unc._pass_layout(net)[1])
+    assert peak <= 8 * (unc.PASS_BLOCK_BUDGET + len(x) * _row_width(net))
 
 
 def test_block_uniforms_are_the_sequential_draws_and_raise_out_of_step():
