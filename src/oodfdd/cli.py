@@ -386,7 +386,7 @@ def cmd_report(cfg, args) -> int:
 
     if net.head is not None:
         scores = detect.mc_scores(net, eval_ds.X, cfg.t_samples, derive_rng(cfg.seed, 40)).clf
-        groups, matrix = report.score_matrix_from_scores(scores, eval_ds.group)
+        groups, matrix = data.group_means(scores, eval_ds.group)
         header = ["group"] + [f"score_{j}" for j in range(matrix.shape[1])]
         rows = [[g, *matrix[i]] for i, g in enumerate(groups)]
         report.emit_csv(header, rows, os.path.join(out, "score_matrix.csv"))

@@ -138,6 +138,21 @@ def ood_mask(groups) -> np.ndarray:
     return (groups.astype(f"<U{len(_INCIPIENT)}") == _INCIPIENT) | (groups == "unknown")
 
 
+def group_means(values, groups) -> tuple[list, np.ndarray]:
+    """The distinct tags of `groups` in order of first appearance, as Python
+    values, and one mean of `values` per tag, bitwise
+    `values[groups == tag].mean(axis=0)`: each distinct tag is compared
+    once, and its rows then picked in order by integer code."""
+    values = np.asarray(values)
+    tags, first, codes = np.unique(np.asarray(groups), return_index=True, return_inverse=True)
+    codes = codes.reshape(-1)
+    order = np.argsort(first)
+    means = np.empty((len(order), *values.shape[1:]))
+    for i, k in enumerate(order):
+        means[i] = values[codes == k].mean(axis=0)
+    return tags[order].tolist(), means
+
+
 # ---------------------------------------------------------------------------
 # UCI ann-thyroid
 

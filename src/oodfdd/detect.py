@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import group_means
 from .model import Calibration, ModelKind, PathwayNetwork
 from .nncore import as_matrix, derive_rng, ensure_finite, numeric_context
 from .uncertainty import McMoments, mc_moments
@@ -205,19 +206,10 @@ def group_binary_accuracies(flags: np.ndarray, groups) -> dict[str, float]:
     """Per group tag, in order of first appearance, the fraction of its rows
     on the correct side of the flag: normal rows when unflagged, rows of
     every other group when flagged.  `flags` holds the per-example anomaly
-    flag of either pathway.  Each distinct tag is mapped once and its rows
-    and flags counted as integers, whose ratio is exactly the mean of its
-    flags."""
-    tags, first, codes = np.unique(np.asarray(groups), return_index=True, return_inverse=True)
-    codes = codes.reshape(-1)
-    rows = np.bincount(codes, minlength=len(tags))
-    flagged = np.bincount(codes[np.asarray(flags, dtype=bool)], minlength=len(tags))
-    table = {}
-    for i in np.argsort(first):
-        n, hits = int(rows[i]), int(flagged[i])
-        tag = groups[first[i]]  # the key dict.fromkeys(groups) would keep
-        table[tag] = (n - hits) / n if tag == "normal" else hits / n
-    return table
+    flag of either pathway."""
+    groups = np.asarray(groups)
+    tags, rates = group_means(np.asarray(flags, dtype=bool) != (groups == "normal"), groups)
+    return dict(zip(tags, rates.tolist()))
 
 
 class Sweep(NamedTuple):

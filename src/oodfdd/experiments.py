@@ -81,21 +81,14 @@ from .model import (
 )
 from .nncore import derive_rng, numeric_context, usable_cpus
 from .train import TrainConfig, train
-from .uncertainty import (
-    EntropyDecomposition,
-    GROUP_OOD,
-    decompose_entropies,
-    group_buckets,
-    predictive_entropy,
-)
+from .uncertainty import EntropyDecomposition, decompose_entropies, predictive_entropy
 
 # each dataset's defaults, applied over those of ExperimentConfig
 _DEFAULTS = {
     "thyroid": dict(latent_dim=2, hidden_widths=[16, 8, 2], alpha=0.1,
                     head_widths=[8], epochs=100, pretrain_epochs=20),
     "chiller-surrogate": dict(latent_dim=4, hidden_widths=[16, 8, 4], alpha=0.05,
-                              head_widths=[8, 8], epochs=160,
-                              pretrain_epochs=40, n_per_class=400),
+                              head_widths=[8, 8], epochs=160, pretrain_epochs=40),
     "mnist": dict(latent_dim=8, alpha=0.05, head_widths=[8, 8],
                   decoder_activation="sigmoid", epochs=160, pretrain_epochs=40),
 }
@@ -144,7 +137,7 @@ class ExperimentConfig:
     batch_size: int = 64
     lr: float = 1e-3
     # chiller surrogate generation and split
-    n_per_class: int = 150
+    n_per_class: int = 400
     train_fraction: float = 0.5
     # per-digit training cap keeps image runs at desk scale
     train_cap_per_class: int = 400
@@ -190,9 +183,8 @@ class ExperimentConfig:
 def config_for(dataset: str, seed: int = 0, **overrides) -> ExperimentConfig:
     """The dataset's defaults with `overrides` applied, validated.  Each call
     builds its own width lists."""
-    if dataset not in _DEFAULTS:
-        raise ValueError(f"unknown dataset {dataset!r}, expected one of {DATASETS}")
-    cfg = ExperimentConfig(dataset=dataset, seed=seed, **copy.deepcopy(_DEFAULTS[dataset]))
+    cfg = ExperimentConfig(dataset=dataset, seed=seed,
+                           **copy.deepcopy(_DEFAULTS.get(dataset, {})))
     return replace(cfg, **overrides).validate()
 
 
@@ -232,21 +224,6 @@ def resolve_data_dir(data_dir: str | None) -> str:
     return data_dir or os.environ.get("OODFDD_DATA_DIR") or "."
 
 
-def _mean_diag_by_group(diag: np.ndarray, groups: np.ndarray) -> dict:
-    """Mean of each group's non-NaN credits, by tag in order of first
-    appearance; a group without one is left out.  Each distinct tag is
-    compared once, and the rows then by integer code."""
-    tags, first, codes = np.unique(groups, return_index=True, return_inverse=True)
-    codes = codes.reshape(-1)
-    out = {}
-    for k in np.argsort(first):
-        vals = diag[codes == k]
-        vals = vals[~np.isnan(vals)]
-        if vals.size:
-            out[str(tags[k])] = float(vals.mean())
-    return out
-
-
 def evaluate_model(net: PathwayNetwork, cal: Calibration,
                    eval_ds: data.LabeledDataset) -> ModelEval:
     """Score every pathway the model has against the calibration `cal`,
@@ -259,10 +236,14 @@ def evaluate_model(net: PathwayNetwork, cal: Calibration,
     if s.clf is not None:
         ev.clf_binary = group_binary_accuracies(s.z, groups)
         diag = diagnostic_accuracies(s.b, eval_ds.y)
-        ev.clf_diag = _mean_diag_by_group(diag, groups)
+        # rows of label 0 (normal, unknown) have no credit; a group
+        # without a credited row is left out
+        credited = ~np.isnan(diag)
+        tags, means = data.group_means(diag[credited], groups[credited])
+        ev.clf_diag = dict(zip(tags, means.tolist()))
         ev.entropies = predictive_entropy(s.moments.clf_mean)
         ev.entropy = decompose_entropies(ev.entropies, groups)
-        ood = ev.entropies[group_buckets(groups) == GROUP_OOD]
+        ood = ev.entropies[data.ood_mask(groups)]
         ev.ood_mean_entropy = float(ood.mean()) if ood.size else None
     if s.rec is not None:
         ev.rec_binary = group_binary_accuracies(s.rec_flags, groups)
@@ -484,25 +465,31 @@ def _ood_rates(evals: dict) -> dict:
 def severity_detection(flags: np.ndarray, groups: np.ndarray) -> dict:
     """Mean detection rate at each severity level, pooled over fault types.
 
-    Levels 1..3 come from incipient tags, level 4 from full faults. The
-    unknown group is excluded; it has no severity.
+    Levels 1..3 come from incipient:<k>:<level> tags, level 4 from full
+    faults. Normal and unknown rows are excluded; they have no severity.
     """
     tags, codes = np.unique(np.asarray(groups), return_inverse=True)
-    codes = codes.reshape(-1)
-    rows = np.bincount(codes, minlength=len(tags))
-    hits = np.bincount(codes[np.asarray(flags, dtype=bool)], minlength=len(tags))
-    levels = {1: [0, 0], 2: [0, 0], 3: [0, 0], 4: [0, 0]}  # [hits, rows]
-    for tag, tag_hits, tag_rows in zip(tags.tolist(), hits.tolist(), rows.tolist()):
-        if tag.startswith("incipient:"):
-            level = levels[int(float(tag.split(":")[2]))]
-        elif tag.startswith("fault:"):
-            level = levels[4]
-        else:
-            continue
-        level[0] += tag_hits
-        level[1] += tag_rows
-    # integer counts over n: exactly the mean of the level's flags
-    return {sev: hit / n for sev, (hit, n) in levels.items() if n}
+    levels = np.array([_severity_level(tag) for tag in tags.tolist()], dtype=np.intp)
+    levels = levels[codes.reshape(-1)]
+    graded = levels > 0
+    found, rates = data.group_means(np.asarray(flags, dtype=bool)[graded], levels[graded])
+    return dict(sorted(zip(found, rates.tolist())))
+
+
+def _severity_level(tag: str) -> int:
+    """1..3 from an incipient:<k>:<level> tag, 4 for a full fault, 0 for a
+    tag without a severity; an incipient level outside 1..3 raises."""
+    if tag.startswith("fault:"):
+        return 4
+    if not tag.startswith("incipient:"):
+        return 0
+    try:
+        level = int(tag.split(":")[2])
+    except (IndexError, ValueError):
+        level = 0
+    if not 1 <= level <= 3:
+        raise ValueError(f"group tag {tag!r} has no severity level in 1..3")
+    return level
 
 
 def _cap_per_class(ds: data.LabeledDataset, cap: int, seed: int) -> data.LabeledDataset:

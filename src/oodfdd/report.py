@@ -1,4 +1,4 @@
-"""Latent-space LDA projections, score matrices, and figure/table emission.
+"""Latent-space LDA projections and figure/table emission.
 
 The LDA fit solves the generalized eigenproblem S_B w = lambda S_W w after
 adding a small diagonal ridge to the within-class scatter.  Out-of-
@@ -84,19 +84,6 @@ def lda_project(latents: np.ndarray, labels, out_dims: int = 2) -> np.ndarray:
     order = np.argsort(eigvals)[::-1][:out_dims]
     w = inv_chol.T @ eigvecs[:, order]
     return w / np.linalg.norm(w, axis=0, keepdims=True)
-
-
-def score_matrix_from_scores(scores: np.ndarray, groups) -> tuple[list[str], np.ndarray]:
-    """Mean score per (group, output node); groups in first-seen order."""
-    scores = np.asarray(scores, dtype=np.float64)
-    groups = np.asarray(groups)
-    if len(scores) == 0:
-        raise ValueError("no examples to aggregate")
-    names = list(dict.fromkeys(groups.tolist()))
-    matrix = np.empty((len(names), scores.shape[1]))
-    for i, name in enumerate(names):
-        matrix[i] = scores[groups == name].mean(axis=0)
-    return names, matrix
 
 
 def emit_csv(header, rows, path) -> None:

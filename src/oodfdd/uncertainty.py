@@ -408,14 +408,6 @@ def group_bucket(tag: str) -> int:
     raise ValueError(f"unrecognized group tag {tag!r}")
 
 
-def group_buckets(groups) -> np.ndarray:
-    """`group_bucket` of every tag, as an int array; each distinct tag is
-    mapped once."""
-    tags, inverse = np.unique(np.asarray(groups), return_inverse=True)
-    lookup = np.array([group_bucket(tag) for tag in tags], dtype=np.intp)
-    return lookup[inverse.reshape(-1)]
-
-
 @dataclass
 class EntropyDecomposition:
     P0: float  # summed entropy over normal test indices
@@ -429,8 +421,11 @@ def decompose_entropies(entropies, groups) -> EntropyDecomposition:
     entropies = np.asarray(entropies, dtype=np.float64).reshape(-1)
     if len(entropies) != len(groups):
         raise ValueError("entropy/group length mismatch")
-    # bincount adds each bucket's weights in row order, as a loop would
-    parts = np.bincount(group_buckets(groups), weights=entropies, minlength=3)
+    # each distinct tag is mapped once; bincount adds each bucket's weights
+    # in row order, as a loop would
+    tags, codes = np.unique(np.asarray(groups), return_inverse=True)
+    buckets = np.array([group_bucket(tag) for tag in tags], dtype=np.intp)
+    parts = np.bincount(buckets[codes.reshape(-1)], weights=entropies, minlength=3)
     p0, p1_in, p1_ood = map(float, parts)
     return EntropyDecomposition(P0=p0, P1_in=p1_in, P1_ood=p1_ood, total=p0 + p1_in + p1_ood)
 

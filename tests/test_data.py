@@ -629,6 +629,66 @@ def test_ood_mask_equals_is_ood_tag_on_any_text(tags):
     assert np.array_equal(data.ood_mask(groups), plainloop.plain_is_ood(groups))
 
 
+# ---------------------------------------------------------------------------
+# per-group means
+
+
+def _hexes(a):
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+@given(st.lists(st.tuples(st.sampled_from(["normal", "fault:1", "incipient:2:3", "unknown"]),
+                          st.integers(-2, 2), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+                max_size=40),
+       st.sampled_from([str, int]), st.sampled_from(["bool", "float", "float 2-D"]))
+def test_group_means_equal_the_mask_means_bitwise(rows, tag_type, kind):
+    """One mean per distinct tag, in first-appearance order, each with the
+    bits of selecting the tag's rows by a mask; no rows give no groups."""
+    column = 0 if tag_type is str else 1
+    groups = np.array([r[column] for r in rows], dtype=tag_type)
+    a = np.array([r[2] for r in rows])
+    values = {"bool": a > 0.0, "float": a,
+              "float 2-D": np.array([r[2:] for r in rows]).reshape(-1, 2)}[kind]
+    tags, means = data.group_means(values, groups)
+    assert tags == list(dict.fromkeys(groups.tolist()))
+    assert all(type(t) is tag_type for t in tags)
+    assert means.shape == (len(tags), *values.shape[1:])
+    assert _hexes(means) == [h for t in tags for h in _hexes(values[groups == t].mean(axis=0))]
+
+
+def test_group_means_of_scores_limiting_case():
+    scores = np.array([
+        [0.0, 1.0, 0.0],
+        [0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0],
+        [0.1, 0.0, 0.0],
+    ])
+    groups = ["fault:1", "fault:1", "fault:2", "normal"]
+    names, matrix = data.group_means(scores, groups)
+    assert names == ["fault:1", "fault:2", "normal"]
+    assert np.allclose(matrix[0], [0.0, 1.0, 0.0])
+    assert np.allclose(matrix[1], [0.0, 0.0, 1.0])
+    assert np.allclose(matrix[2], [0.1, 0.0, 0.0])
+    names, matrix = data.group_means(np.zeros((0, 3)), np.array([], dtype=str))
+    assert names == [] and matrix.shape == (0, 3)
+
+
+def test_score_matrix_from_network_matches_direct_recompute():
+    from oodfdd import detect, uncertainty as unc
+
+    net = model.build(ModelKind.AUGMENTED, arch(input_dim=5, latent_dim=2, n_classes=3), 8)
+    x = nncore.make_rng(9).normal(0, 1, (12, 5))
+    group = np.array(["normal"] * 6 + ["fault:1"] * 3 + ["fault:2"] * 3)
+    scores = detect.mc_scores(net, x, 15, nncore.make_rng(10)).clf
+    names, matrix = data.group_means(scores, group)
+
+    m = unc.mc_moments(net, x, 15, nncore.make_rng(10))
+    scores = detect.clf_anomaly_scores(m.clf_mean, m.clf_var)
+    assert names == ["normal", "fault:1", "fault:2"]
+    assert np.array_equal(matrix[0], scores[:6].mean(axis=0))
+    assert np.array_equal(matrix[1], scores[6:9].mean(axis=0))
+
+
 def _thyroid_lines(thyroid_dir):
     return (thyroid_dir / "ann-train.data").read_text().splitlines()
 

@@ -345,7 +345,7 @@ def test_comparison_tables_cover_every_compare_file(thyroid_result, chiller_resu
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown dataset 'imagenet', expected one of \("):
         experiments.config_for("imagenet")
     with pytest.raises(ValueError):
         experiments.thyroid_config(alpha=1.5)
@@ -371,6 +371,8 @@ def test_config_validation():
     assert experiments.thyroid_config(latent_dim=3, hidden_widths=[16, 8, 3]).latent_dim == 3
     cfg = experiments.config_for("chiller-surrogate", seed=3)
     assert cfg.alpha == 0.05 and cfg.seed == 3
+    # chiller generates n_per_class rows per tag, at the setting's default
+    assert cfg.n_per_class == experiments.ExperimentConfig.n_per_class == 400
 
 
 @pytest.mark.parametrize("dataset, data_fixture, n_classes", [
@@ -414,19 +416,28 @@ def test_severity_detection_parses_tags():
     assert rates == {1: 0.5, 2: 1.0, 4: 0.5}
 
 
+def test_severity_detection_rejects_a_level_outside_one_to_three():
+    """A level is parsed as an integer: a fractional level (mnist's
+    ambiguous tags among them) is no severity, and the error names the tag."""
+    for tag in ("incipient:1:2.5", "incipient:1:0.4", "incipient:2:4", "incipient:3"):
+        with pytest.raises(ValueError, match=re.escape(repr(tag))):
+            experiments.severity_detection(np.array([True, False]), np.array(["fault:1", tag]))
+
+
 _SEVERITY_TAGS = ["normal", "unknown", "fault:1", "fault:3", "incipient:1:1",
-                  "incipient:2:3", "incipient:3:2", "incipient:1:2.0"]
+                  "incipient:2:3", "incipient:3:2", "incipient:1:2"]
 
 
 @given(st.lists(st.tuples(st.sampled_from(_SEVERITY_TAGS), st.booleans()), max_size=60))
 def test_severity_detection_equals_row_loop_bitwise(rows):
-    """Counting per distinct tag gives the rates of pooling the flags row by row."""
+    """The means of the flags grouped by level give the rates of pooling the
+    flags row by row, levels in ascending order."""
     groups = np.array([g for g, _ in rows], dtype=str)
     flags = np.array([f for _, f in rows], dtype=bool)
     levels = {1: [], 2: [], 3: [], 4: []}
     for flag, g in zip(flags, groups):
         if g.startswith("incipient:"):
-            levels[int(float(g.split(":")[2]))].append(flag)
+            levels[int(g.split(":")[2])].append(flag)
         elif g.startswith("fault:"):
             levels[4].append(flag)
     reference = {sev: float(np.mean(vals)) for sev, vals in levels.items() if vals}
@@ -438,20 +449,32 @@ def test_severity_detection_equals_row_loop_bitwise(rows):
 @given(st.lists(st.tuples(st.sampled_from(_SEVERITY_TAGS),
                           st.sampled_from([np.nan, 0.0, 1.0, 0.5, 1 / 3, 0.25, 0.1])),
                 min_size=1, max_size=60))
-def test_mean_diag_by_group_equals_row_loop_bitwise(rows):
-    """Selecting a group's rows by integer code gives the string mask's means."""
+def test_diagnostic_group_means_equal_row_loop_bitwise(rows):
+    """The reduction `evaluate_model` runs for its diagnostic table, the
+    group means of the non-NaN credits, gives the string mask's means.  A
+    group comes in order of its first credited row, which in a pipeline is
+    its first row: a tag's rows share a label, so its credits are all NaN
+    (label 0) or none."""
     groups = np.array([g for g, _ in rows], dtype=str)
     diag = np.array([d for _, d in rows])
+    credited = ~np.isnan(diag)
     reference = {}
-    for g in dict.fromkeys(groups.tolist()):
+    for g in dict.fromkeys(groups[credited].tolist()):
         vals = diag[groups == g]
-        vals = vals[~np.isnan(vals)]
-        if vals.size:
-            reference[g] = float(vals.mean())
-    table = experiments._mean_diag_by_group(diag, groups)
-    assert list(table) == list(reference)
-    assert all(type(g) is str for g in table)
-    assert [v.hex() for v in table.values()] == [v.hex() for v in reference.values()]
+        reference[g] = float(vals[~np.isnan(vals)].mean())
+    tags, means = data.group_means(diag[credited], groups[credited])
+    assert tags == list(reference)
+    assert all(type(g) is str for g in tags)
+    assert [v.hex() for v in means.tolist()] == [v.hex() for v in reference.values()]
+
+
+def test_pipeline_group_tables_have_str_keys(thyroid_result, chiller_result, mnist_result):
+    for result in (thyroid_result, chiller_result, mnist_result):
+        tables = [table for ev in result.evals.values()
+                  for table in (ev.clf_binary, ev.rec_binary, ev.clf_diag) if table is not None]
+        assert len(tables) == 6  # augmented 3, classifier 2, autoencoder 1
+        for table in tables:
+            assert table and all(type(g) is str for g in table)
 
 
 def test_cap_per_class_deterministic():

@@ -1,17 +1,14 @@
-"""Tests for LDA projection, score matrices, and figure/table emitters."""
+"""Tests for LDA projection and figure/table emitters."""
 
 import hashlib
 import math
 import xml.etree.ElementTree as ET
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oodfdd import model, nncore, report
-from oodfdd.model import ModelKind
-from shapes import arch
+from oodfdd import nncore, report
 
 
 def _clusters(means, n=100, d=None, seed=0, scale=1.0):
@@ -75,43 +72,6 @@ def test_separation_statistic_orders_cluster_layouts():
     assert report.separation_statistic(far_x, far_y) > report.separation_statistic(
         near_x, near_y
     )
-
-
-# ---------------------------------------------------------------------------
-# score matrices
-
-
-def test_score_matrix_from_scores_limiting_case():
-    scores = np.array([
-        [0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [0.1, 0.0, 0.0],
-    ])
-    groups = ["fault:1", "fault:1", "fault:2", "normal"]
-    names, matrix = report.score_matrix_from_scores(scores, groups)
-    assert names == ["fault:1", "fault:2", "normal"]
-    assert np.allclose(matrix[0], [0.0, 1.0, 0.0])
-    assert np.allclose(matrix[1], [0.0, 0.0, 1.0])
-    assert np.allclose(matrix[2], [0.1, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        report.score_matrix_from_scores(np.zeros((0, 3)), [])
-
-
-def test_score_matrix_from_network_matches_direct_recompute():
-    from oodfdd import detect, uncertainty as unc
-
-    net = model.build(ModelKind.AUGMENTED, arch(input_dim=5, latent_dim=2, n_classes=3), 8)
-    x = nncore.make_rng(9).normal(0, 1, (12, 5))
-    ds = SimpleNamespace(X=x, group=np.array(["normal"] * 6 + ["fault:1"] * 3 + ["fault:2"] * 3))
-    scores = detect.mc_scores(net, ds.X, 15, nncore.make_rng(10)).clf
-    names, matrix = report.score_matrix_from_scores(scores, ds.group)
-
-    m = unc.mc_moments(net, x, 15, nncore.make_rng(10))
-    scores = detect.clf_anomaly_scores(m.clf_mean, m.clf_var)
-    assert names == ["normal", "fault:1", "fault:2"]
-    assert np.array_equal(matrix[0], scores[:6].mean(axis=0))
-    assert np.array_equal(matrix[1], scores[6:9].mean(axis=0))
 
 
 # ---------------------------------------------------------------------------

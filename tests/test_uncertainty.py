@@ -724,9 +724,8 @@ def test_decompose_entropies_equals_the_row_loop_bitwise():
     dec = unc.decompose_entropies(entropies, tags)
     assert (dec.P0, dec.P1_in, dec.P1_ood) == tuple(parts)
     assert dec.total == parts[0] + parts[1] + parts[2]
-    buckets = unc.group_buckets(tags)
-    assert buckets.tolist() == [unc.group_bucket(t) for t in tags]
-    assert unc.group_buckets(np.array([], dtype=str)).tolist() == []
+    dec = unc.decompose_entropies([], np.array([], dtype=str))
+    assert (dec.P0, dec.P1_in, dec.P1_ood, dec.total) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_entropy_decomposition_from_network():
