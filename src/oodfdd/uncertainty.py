@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import is_ood_tag
+from .data import ood_mask
 from .model import PathwayNetwork
 from .nncore import (DenseLayer, Uniforms, as_matrix, ensure_finite, numeric_context,
                      row_tile, scratch_columns, scratch_views, usable_cpus)
@@ -391,21 +391,7 @@ def predictive_entropy(mean: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=1)
 
 
-GROUP_NORMAL = 0  # I0: normal test examples
-GROUP_FAULT_IN = 1  # I1: faults the model trained on
-GROUP_OOD = 2  # I2: incipient or unknown conditions
 HISTOGRAM_BINS = 20  # bins per output in `histogram_table`
-
-
-def group_bucket(tag: str) -> int:
-    """Map a group tag to its entropy-decomposition index set."""
-    if tag == "normal":
-        return GROUP_NORMAL
-    if tag.startswith("fault:"):
-        return GROUP_FAULT_IN
-    if is_ood_tag(tag):
-        return GROUP_OOD
-    raise ValueError(f"unrecognized group tag {tag!r}")
 
 
 @dataclass
@@ -417,15 +403,20 @@ class EntropyDecomposition:
 
 
 def decompose_entropies(entropies, groups) -> EntropyDecomposition:
-    """Sum per-example entropies into the three index-set buckets."""
+    """Sum per-example entropies into the three index-set buckets: the
+    `normal` tags (P0), the `fault:` tags of the trained faults (P1_in) and
+    the out-of-distribution tags of `ood_mask` (P1_ood)."""
     entropies = np.asarray(entropies, dtype=np.float64).reshape(-1)
     if len(entropies) != len(groups):
         raise ValueError("entropy/group length mismatch")
-    # each distinct tag is mapped once; bincount adds each bucket's weights
-    # in row order, as a loop would
-    tags, codes = np.unique(np.asarray(groups), return_inverse=True)
-    buckets = np.array([group_bucket(tag) for tag in tags], dtype=np.intp)
-    parts = np.bincount(buckets[codes.reshape(-1)], weights=entropies, minlength=3)
+    tags = np.asarray(groups).astype(str, copy=False).reshape(-1)
+    fault_in = tags.astype("<U6") == "fault:"
+    ood = ood_mask(tags)
+    unmatched = ~(fault_in | ood | (tags == "normal"))
+    if unmatched.any():
+        raise ValueError(f"unrecognized group tag {str(tags[unmatched.argmax()])!r}")
+    # bincount adds each bucket's weights in row order, as a loop would
+    parts = np.bincount(fault_in + 2 * ood, weights=entropies, minlength=3)
     p0, p1_in, p1_ood = map(float, parts)
     return EntropyDecomposition(P0=p0, P1_in=p1_in, P1_ood=p1_ood, total=p0 + p1_in + p1_ood)
 

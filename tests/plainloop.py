@@ -1,7 +1,8 @@
 """Plain references the bulk code paths must equal bit for bit: MC dropout
 passes one pass at a time, for the stacked pass loop of `uncertainty`, and
 the data set-up (generators, writers, loaders and the split) one row at a
-time, for the array operations of `data`, and mnist's ambiguous rows one
+time, for the array operations of `data`, the entropy buckets one row at
+a time, for `uncertainty.decompose_entropies`, and mnist's ambiguous rows one
 label at a time, for `experiments._make_ambiguous`."""
 
 import math
@@ -55,6 +56,27 @@ def plain_passes(net, x, t, rng):
 
 def plain_is_ood(groups) -> np.ndarray:
     return np.asarray([data.is_ood_tag(str(g)) for g in groups], dtype=bool)
+
+
+def plain_bucket(tag: str) -> int:
+    """The entropy bucket of one tag: 0 for normal, 1 for a trained fault,
+    2 for an out-of-distribution tag."""
+    if tag == "normal":
+        return 0
+    if tag.startswith("fault:"):
+        return 1
+    if data.is_ood_tag(tag):
+        return 2
+    raise ValueError(f"unrecognized group tag {tag!r}")
+
+
+def plain_decompose(entropies, groups) -> list:
+    """[P0, P1_in, P1_ood] of `uncertainty.decompose_entropies`, each row
+    added to its bucket in row order."""
+    parts = [0.0, 0.0, 0.0]
+    for h, tag in zip(entropies, groups):
+        parts[plain_bucket(str(tag))] += float(h)
+    return parts
 
 
 def plain_gen_chiller(seed, n_per_class, d=16, n_faults=7, severities=(1, 2, 3, 4)):

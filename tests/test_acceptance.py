@@ -205,13 +205,12 @@ def test_c06_entropy_totals_and_partition():
     d = uncertainty.decompose_entropies(entropies, tags)
     ok = abs(d.total - (d.P0 + d.P1_in + d.P1_ood)) < 1e-9
     # every example lands in exactly one bucket and the buckets exhaust the set
-    buckets = [uncertainty.group_bucket(t) for t in tags]
-    counts = [buckets.count(b) for b in (0, 1, 2)]
-    ok = ok and all(b in (0, 1, 2) for b in buckets) and sum(counts) == len(tags)
-    ok = ok and counts == [20, 20, 20]
+    ones = uncertainty.decompose_entropies(np.ones(len(tags)), tags)
+    counts = [ones.P0, ones.P1_in, ones.P1_ood]
+    ok = ok and counts == [20.0, 20.0, 20.0] and ones.total == len(tags)
     ok = ok and abs(d.total - sum(entropies)) < 1e-9
     with pytest.raises(ValueError):
-        uncertainty.group_bucket("mystery")
+        uncertainty.decompose_entropies([0.1], ["mystery"])
     _line("06 entropy identity", ok,
           f"total {d.total:.6f} = {d.P0:.6f} + {d.P1_in:.6f} + {d.P1_ood:.6f}; "
           f"partition counts {counts}")

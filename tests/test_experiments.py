@@ -768,6 +768,63 @@ def test_direct_train_one_calls_give_the_same_params_under_any_blas_thread_setti
     assert seen["1"] == seen["2"]
 
 
+_TARGET_CHILD = """
+import sys
+import numpy as np
+import test_experiments as t
+thyroid_dir, out = sys.argv[1:]
+arrays = {}
+for name, result in (("thyroid", t._smoke_thyroid(thyroid_dir)), ("chiller", t._smoke_chiller())):
+    for kind, ev in result.evals.items():
+        key = f"{name}.{kind}"
+        cal = ev.thresholds
+        parts = {"clf_flags": ev.clf_flags, "rec_flags": ev.rec_flags,
+                 "clf_thresholds": cal.clf_thresholds, "rec_threshold": cal.rec_threshold,
+                 "entropies": ev.entropies}
+        if ev.entropy is not None:
+            d = ev.entropy
+            parts["entropy_parts"] = [d.P0, d.P1_in, d.P1_ood, d.total]
+        arrays.update({f"{key}.{part}": np.asarray(v) for part, v in parts.items()
+                       if v is not None})
+np.savez(out, **arrays)
+"""
+
+# Measured between the two targets on a 2-vCPU x86 machine with AVX-512
+# (numpy 2.4, OpenBLAS): 0 of 24,320 flags and 3,625 of 12,198 float entries
+# of thyroid and chiller at smoke size differed, the largest by 5.4e-15
+# relative, and a zero stayed zero.  The bound leaves about 200 times that.
+TARGET_RTOL = 1e-12
+
+
+def test_decisions_hold_across_simd_targets_and_blas_kernels(thyroid_dir, tmp_path):
+    """Bits hold per numpy SIMD target and BLAS kernel; across them every
+    flag holds, and every threshold and entropy moves by at most
+    TARGET_RTOL.  One child runs at the defaults, the other with every
+    dispatch target of numpy's off and OpenBLAS on its Sandybridge kernel;
+    on a machine with fewer targets the two share more of their kernels."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(experiments.__file__)),
+                            os.path.dirname(os.path.abspath(__file__))])
+    baseline = {"NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__),
+                "OPENBLAS_CORETYPE": "Sandybridge"}
+    runs = []
+    for i, extra in enumerate(({}, baseline)):
+        out = tmp_path / f"target{i}.npz"
+        env = dict(os.environ, PYTHONPATH=path, **extra)
+        subprocess.run([sys.executable, "-c", _TARGET_CHILD, thyroid_dir, str(out)], env=env,
+                       capture_output=True, text=True, check=True)
+        with np.load(out) as npz:
+            runs.append(dict(npz))
+    default, other = runs
+    assert sorted(default) == sorted(other)
+    assert any(key.endswith("_flags") for key in default)
+    for key, want in default.items():
+        if want.dtype == bool:
+            assert np.array_equal(other[key], want), key
+        else:
+            np.testing.assert_allclose(other[key], want, rtol=TARGET_RTOL, atol=0, err_msg=key)
+
+
 def _poisoned(net):
     """`net` with one encoder weight of 1e200: finite, but its reconstruction
     error overflows."""

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from oodfdd import detect, experiments, model, nncore, uncertainty as unc
 from oodfdd.model import ModelKind
 from oodfdd.report import emit_csv
-from plainloop import plain_passes
+from plainloop import plain_decompose, plain_passes
 from shapes import arch
 
 
@@ -680,14 +680,13 @@ def test_entropy_rows_equal_batch_bitwise(c):
         assert unc.predictive_entropy(probs[i : i + 1])[0] == batch[i]
 
 
-def test_group_bucket_mapping():
-    assert unc.group_bucket("normal") == unc.GROUP_NORMAL
-    assert unc.group_bucket("fault:3") == unc.GROUP_FAULT_IN
-    assert unc.group_bucket("incipient:2:1") == unc.GROUP_OOD
-    assert unc.group_bucket("unknown") == unc.GROUP_OOD
+def test_each_tag_lands_in_its_bucket():
+    for tag, bucket in (("normal", 0), ("fault:3", 1), ("incipient:2:1", 2), ("unknown", 2)):
+        dec = unc.decompose_entropies([1.0], [tag])
+        assert [dec.P0, dec.P1_in, dec.P1_ood] == [float(b == bucket) for b in range(3)]
     for bad in ("", "weird", "fault"):
-        with pytest.raises(ValueError):
-            unc.group_bucket(bad)
+        with pytest.raises(ValueError, match=f"unrecognized group tag '{bad}'$"):
+            unc.decompose_entropies([1.0], [bad])
 
 
 def test_decompose_entropies_buckets_and_total():
@@ -718,14 +717,40 @@ def test_decompose_entropies_equals_the_row_loop_bitwise():
                     + ["unknown"] * 200, dtype=object)
     rng.shuffle(tags)
     entropies = rng.exponential(0.7, len(tags))
-    parts = [0.0, 0.0, 0.0]
-    for h, tag in zip(entropies, tags):
-        parts[unc.group_bucket(tag)] += float(h)
+    parts = plain_decompose(entropies, tags)
     dec = unc.decompose_entropies(entropies, tags)
     assert (dec.P0, dec.P1_in, dec.P1_ood) == tuple(parts)
     assert dec.total == parts[0] + parts[1] + parts[2]
     dec = unc.decompose_entropies([], np.array([], dtype=str))
     assert (dec.P0, dec.P1_in, dec.P1_ood, dec.total) == (0.0, 0.0, 0.0, 0.0)
+
+
+_TAGS = st.one_of(
+    st.just("normal"),
+    st.integers(0, 12).map("fault:{}".format),
+    st.tuples(st.integers(0, 9), st.integers(1, 4)).map(lambda ks: "incipient:{}:{}".format(*ks)),
+    st.just("unknown"),
+    # near misses: a known tag or prefix with short text after it, or text alone
+    st.tuples(st.sampled_from(["", "normal", "fault", "fault:", "incipient", "incipient:",
+                               "unknown"]), st.text("acefiklmnoprtuw:1 ", max_size=4))
+    .map("".join),
+)
+
+
+@given(st.lists(st.tuples(_TAGS, st.floats(0.0, 5.0)), max_size=40))
+def test_decompose_entropies_equals_the_row_loop_on_any_tags(rows):
+    tags = [tag for tag, _ in rows]
+    entropies = [h for _, h in rows]
+    try:
+        want = plain_decompose(entropies, tags)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            unc.decompose_entropies(entropies, tags)
+        assert str(got.value) == str(err)
+        return
+    dec = unc.decompose_entropies(entropies, tags)
+    assert [v.hex() for v in (dec.P0, dec.P1_in, dec.P1_ood)] == [v.hex() for v in want]
+    assert dec.total.hex() == (want[0] + want[1] + want[2]).hex()
 
 
 def test_entropy_decomposition_from_network():
